@@ -189,6 +189,17 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		t.Errorf("coordinator counters: scatter=%d gather=%d evals=%d",
 			coord.ScatterBytes(), coord.GatherBytes(), coord.Evals())
 	}
+	// A report carries its own job's volumes, the coordinator the totals.
+	_, second, err := coord.Evaluate(context.Background(), EvalRequest{
+		Src: pts, Den: den,
+		Kernel: kernels.Spec{Name: "laplace"}, Degree: 4, MaxPoints: 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := report.GatherBytes + second.GatherBytes; got != coord.GatherBytes() {
+		t.Errorf("per-job gather bytes %d + %d, coordinator total %d", report.GatherBytes, second.GatherBytes, coord.GatherBytes())
+	}
 
 	for _, w := range workers {
 		w.Close()

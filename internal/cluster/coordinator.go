@@ -524,6 +524,7 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 	c.evalMu.Lock()
 	defer c.evalMu.Unlock()
 	start := time.Now()
+	gather0 := c.gatherBytes.Load() // jobs are serialized, so the growth is this job's
 
 	// Plan rank ranges over the live, undrained workers.
 	c.mu.Lock()
@@ -632,7 +633,7 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 	c.observePasses(tl)
 	report := &EvalReport{
 		Ranks: size, Workers: len(parts),
-		ScatterBytes: scatter, GatherBytes: c.gatherBytes.Load(),
+		ScatterBytes: scatter, GatherBytes: c.gatherBytes.Load() - gather0,
 		Timeline: tl, Wall: time.Since(start),
 	}
 	return pot, report, nil

@@ -4,7 +4,9 @@
 // potentials from the V (M2L), X (S2L) lists and the parent (L2L),
 // inverts them into downward equivalent densities, and the leaf
 // evaluation combines the U list (direct), W list (M2T) and the local
-// expansion (L2T).
+// expansion (L2T). W and X entries whose leaf holds fewer points than the
+// surface that would stand for them go point to point instead
+// (tree.Box.SmallLeaf).
 //
 // Every pass decomposes into independent per-box work synchronized only
 // at level boundaries — the observation the paper's parallel algorithm
@@ -107,6 +109,10 @@ type Stats struct {
 	Up, DownU, DownV, DownW, DownX, Eval time.Duration
 	FlopsUp, FlopsDownU, FlopsDownV,
 	FlopsDownW, FlopsDownX, FlopsEval int64
+	// WDirect and XDirect count the W- and X-list entries that took the
+	// point-to-point path (tree.Box.SmallLeaf) instead of M2T / S2L, so a
+	// trace explains a W or X time without a re-run.
+	WDirect, XDirect int64
 	// Lanes is the worker-lane width this evaluation was granted at
 	// admission by the elastic pool (1 on the sequential path). It is
 	// run-level, not a per-stage accumulator, so Add leaves it alone.
@@ -137,6 +143,8 @@ func (s *Stats) Add(o Stats) {
 	s.FlopsDownW += o.FlopsDownW
 	s.FlopsDownX += o.FlopsDownX
 	s.FlopsEval += o.FlopsEval
+	s.WDirect += o.WDirect
+	s.XDirect += o.XDirect
 }
 
 // Evaluator computes potentials induced by source densities. Build once,
@@ -524,15 +532,16 @@ func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 		err = r.upwardPass(ctx, sp)
 		sp.End()
 	}
+	var downSp, leafSp *obs.Span
 	if err == nil {
-		sp = root.StartChild("down")
-		err = r.downwardPass(ctx, sp)
-		sp.End()
+		downSp = root.StartChild("down")
+		err = r.downwardPass(ctx, downSp)
+		downSp.End()
 	}
 	if err == nil {
-		sp = root.StartChild("leaf")
+		leafSp = root.StartChild("leaf")
 		err = r.leafEvaluation(ctx)
-		sp.End()
+		leafSp.End()
 	}
 
 	// Un-permute potentials to input order.
@@ -557,6 +566,8 @@ func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 		st.Add(r.ws[i].stats)
 	}
 	st.Lanes = lease.Granted()
+	downSp.SetAttr("x_direct", strconv.FormatInt(st.XDirect, 10))
+	leafSp.SetAttr("w_direct", strconv.FormatInt(st.WDirect, 10))
 	root.End()
 	e.statsMu.Lock()
 	e.stats = st
@@ -568,6 +579,13 @@ func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 func (r *runState) denAt(start, count int) func(q int) []float64 {
 	return func(q int) []float64 {
 		return r.pdens[q][start*r.sd : (start+count)*r.sd]
+	}
+}
+
+// potAt returns the per-RHS potential views of a box's target range.
+func (r *runState) potAt(b *tree.Box) func(q int) []float64 {
+	return func(q int) []float64 {
+		return r.ppots[q][b.TrgStart*r.td : (b.TrgStart+b.TrgCount)*r.td]
 	}
 }
 
@@ -713,6 +731,7 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 			}
 		}
 		radius := t.BoxHalfWidth(l)
+		surfN := r.e.Ops.Surf.N
 		err = r.pool.ForRange(ctx, t.LevelStart[l], t.LevelStart[l+1], func(w, bi int) {
 			b := &t.Boxes[bi]
 			if b.TrgCount == 0 {
@@ -722,16 +741,25 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 				return
 			}
 			sc := &r.ws[w]
-			// X list: sources of coarser leaves evaluated directly on the
-			// DC surface (S2L).
+			// X list: sources of coarser leaves evaluated on the DC surface
+			// (S2L) — or, for a leaf with fewer targets than the surface has
+			// points, straight at those targets; a box whose only downward
+			// contribution was such an X list keeps no check potential and
+			// skips the inversion and the L2T.
 			if len(b.X) > 0 {
 				startX := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
-				check := r.getCheck(int32(bi))
-				dcPts := r.e.Ops.DownwardCheckPoints(t.BoxCenter(int32(bi)), radius, sc.ptsBuf(3*r.e.Ops.Surf.N))
+				var trg []float64
+				var dst func(q int) []float64
+				if b.SmallLeaf(b.TrgCount, surfN) {
+					trg, dst = t.TrgSlice(int32(bi)), r.potAt(b)
+					sc.stats.XDirect += int64(len(b.X))
+				} else {
+					trg = r.e.Ops.DownwardCheckPoints(t.BoxCenter(int32(bi)), radius, sc.ptsBuf(3*surfN))
+					dst = sliceAt(r.getCheck(int32(bi)), nc)
+				}
 				for _, a := range b.X {
 					ab := &t.Boxes[a]
-					r.addP2P(sc, dcPts, t.SrcSlice(a), r.denAt(ab.SrcStart, ab.SrcCount),
-						sliceAt(check, nc), &sc.stats.FlopsDownX)
+					r.addP2P(sc, trg, t.SrcSlice(a), r.denAt(ab.SrcStart, ab.SrcCount), dst, &sc.stats.FlopsDownX)
 				}
 				sc.stats.DownX += time.Since(startX)
 			}
@@ -838,8 +866,13 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 	gl := f.GridLen()
 	lo, hi := t.LevelStart[l], t.LevelStart[l+1]
 	// Index every source box used by some V list at this level
-	// (RHS-independent; read-only inside the parallel sweeps).
-	gridOf := make(map[int32]int)
+	// (RHS-independent; read-only inside the parallel sweeps). V-list
+	// members share the level, so the grid slot of box a is gridOf[a-lo],
+	// -1 for a box no list uses.
+	gridOf := make([]int32, hi-lo)
+	for i := range gridOf {
+		gridOf[i] = -1
+	}
 	var used []int32
 	for bi := lo; bi < hi; bi++ {
 		b := &t.Boxes[bi]
@@ -850,8 +883,8 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 			if r.phiU[a] == nil {
 				continue
 			}
-			if _, ok := gridOf[a]; !ok {
-				gridOf[a] = len(used)
+			if gridOf[int(a)-lo] < 0 {
+				gridOf[int(a)-lo] = int32(len(used))
 				used = append(used, a)
 			}
 		}
@@ -892,8 +925,8 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 			bx, by, bz := b.Key.Decode()
 			any := false
 			for _, a := range b.V {
-				gi, ok := gridOf[a]
-				if !ok {
+				gi := gridOf[int(a)-lo]
+				if gi < 0 {
 					continue
 				}
 				ax, ay, az := t.Boxes[a].Key.Decode()
@@ -924,8 +957,9 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 // once.
 func (r *runState) leafEvaluation(ctx context.Context) error {
 	t := r.e.Tree
-	td, ne := r.td, r.ne
-	nsurf := 3 * r.e.Ops.Surf.N
+	ne := r.ne
+	surfN := r.e.Ops.Surf.N
+	nsurf := 3 * surfN
 	return r.pool.ForRange(ctx, 0, len(t.Boxes), func(w, bi int) {
 		b := &t.Boxes[bi]
 		if !b.Leaf || b.TrgCount == 0 {
@@ -933,9 +967,7 @@ func (r *runState) leafEvaluation(ctx context.Context) error {
 		}
 		sc := &r.ws[w]
 		trg := t.TrgSlice(int32(bi))
-		pot := func(q int) []float64 {
-			return r.ppots[q][b.TrgStart*td : (b.TrgStart+b.TrgCount)*td]
-		}
+		pot := r.potAt(b)
 		// U list: direct interactions with adjacent leaves (and itself).
 		startU := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
 		for _, u := range b.U {
@@ -947,13 +979,19 @@ func (r *runState) leafEvaluation(ctx context.Context) error {
 		}
 		sc.stats.DownU += time.Since(startU)
 		// W list: far small boxes evaluated from their upward equivalent
-		// densities (M2T).
+		// densities (M2T), or from their sources when those are fewer
+		// than the surface points standing for them.
 		startW := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
 		for _, wi := range b.W {
 			if r.phiU[wi] == nil {
 				continue
 			}
 			wb := &t.Boxes[wi]
+			if wb.SmallLeaf(wb.SrcCount, surfN) {
+				r.addP2P(sc, trg, t.SrcSlice(wi), r.denAt(wb.SrcStart, wb.SrcCount), pot, &sc.stats.FlopsDownW)
+				sc.stats.WDirect++
+				continue
+			}
 			surfPts := r.e.Ops.UpwardEquivPoints(t.BoxCenter(wi), t.BoxHalfWidth(wb.Level()), sc.ptsBuf(nsurf))
 			r.addP2P(sc, trg, surfPts, sliceAt(r.phiU[wi], ne), pot, &sc.stats.FlopsDownW)
 		}

@@ -183,6 +183,7 @@ func scaleStats(s fmm.Stats, iters int) fmm.Stats {
 		FlopsUp: s.FlopsUp / m, FlopsDownU: s.FlopsDownU / m,
 		FlopsDownV: s.FlopsDownV / m, FlopsDownW: s.FlopsDownW / m,
 		FlopsDownX: s.FlopsDownX / m, FlopsEval: s.FlopsEval / m,
+		WDirect: s.WDirect / m, XDirect: s.XDirect / m,
 	}
 }
 
@@ -238,12 +239,14 @@ func Table(title string, rows []Row) string {
 // FigureCycles renders the left column of Figures 4.2/4.3: aggregate CPU
 // cycles per particle, broken down by stage (Up, Comm, DownU, DownV,
 // DownW, DownX, Eval), plus work efficiency T(1)/(P*T(P)) when a P=1 row
-// is present.
+// is present. Wdir/Xdir count the W- and X-list entries that went point
+// to point (summed over ranks), which is what a DownW/DownX time has to
+// be read against.
 func FigureCycles(title string, rows []Row, ghz float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s  (cycles/particle in thousands, clock %.1f GHz)\n", title, ghz)
-	fmt.Fprintf(&b, "%6s %8s %8s %8s %8s %8s %8s %8s %8s | %6s\n",
-		"P", "Up", "Comm", "DownU", "DownV", "DownW", "DownX", "Eval", "total", "eff")
+	fmt.Fprintf(&b, "%6s %8s %8s %8s %8s %8s %8s %8s %8s | %6s | %7s %7s\n",
+		"P", "Up", "Comm", "DownU", "DownV", "DownW", "DownX", "Eval", "total", "eff", "Wdir", "Xdir")
 	var t1 time.Duration
 	for _, r := range rows {
 		if r.P == 1 {
@@ -262,9 +265,10 @@ func FigureCycles(title string, rows []Row, ghz float64) string {
 		if t1 > 0 && r.Total > 0 {
 			eff = t1.Seconds() / (float64(r.P) * r.Total.Seconds())
 		}
-		fmt.Fprintf(&b, "%6d %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f | %6.2f\n",
+		fmt.Fprintf(&b, "%6d %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f | %6.2f | %7d %7d\n",
 			r.P, cyc(r.Stage.Up), cyc(commAgg), cyc(r.Stage.DownU), cyc(r.Stage.DownV),
-			cyc(r.Stage.DownW), cyc(r.Stage.DownX), cyc(r.Stage.Eval), cyc(totalAgg), eff)
+			cyc(r.Stage.DownW), cyc(r.Stage.DownX), cyc(r.Stage.Eval), cyc(totalAgg), eff,
+			r.Stage.WDirect, r.Stage.XDirect)
 	}
 	return b.String()
 }

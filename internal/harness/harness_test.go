@@ -66,7 +66,7 @@ func TestFormatters(t *testing.T) {
 		t.Errorf("table missing columns:\n%s", tbl)
 	}
 	fig := FigureCycles("fig", rows, 1)
-	for _, col := range []string{"Up", "Comm", "DownV", "eff"} {
+	for _, col := range []string{"Up", "Comm", "DownV", "eff", "Wdir", "Xdir"} {
 		if !strings.Contains(fig, col) {
 			t.Errorf("figure missing %s:\n%s", col, fig)
 		}

@@ -147,6 +147,17 @@ func parfmmTraceTable(rep *ParfmmTraceReport) string {
 		b.WriteByte('\n')
 	}
 
+	// Which W/X path ran: entries evaluated point to point per rank.
+	fmt.Fprintf(&b, "%-17s", "w_direct entries")
+	for _, rs := range rep.Result.Ranks {
+		fmt.Fprintf(&b, " %10d", rs.Stats.WDirect)
+	}
+	fmt.Fprintf(&b, "\n%-17s", "x_direct entries")
+	for _, rs := range rep.Result.Ranks {
+		fmt.Fprintf(&b, " %10d", rs.Stats.XDirect)
+	}
+	b.WriteByte('\n')
+
 	// Critical path: where the simulated wall clock actually went.
 	type slot struct {
 		name string

@@ -68,46 +68,68 @@ func (m *Dense) Transpose() *Dense {
 // MatVec computes dst = m * x. dst must have length m.Rows and x length
 // m.Cols; dst and x must not alias.
 func (m *Dense) MatVec(dst, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("linalg: MatVec shape mismatch (%dx%d)*%d->%d", m.Rows, m.Cols, len(x), len(dst)))
+	m.checkShape("MatVec", dst, x)
+	for i := range dst {
+		dst[i] = 0
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
+	m.mulAdd(dst, x, 1)
 }
 
 // MatVecAdd computes dst += m * x.
 func (m *Dense) MatVecAdd(dst, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("linalg: MatVecAdd shape mismatch (%dx%d)*%d->%d", m.Rows, m.Cols, len(x), len(dst)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] += s
-	}
+	m.checkShape("MatVecAdd", dst, x)
+	m.mulAdd(dst, x, 1)
 }
 
 // MatVecAddScaled computes dst += alpha * (m * x). The FMM uses it to
 // apply unit-scale translation operators rescaled analytically for
 // homogeneous kernels.
 func (m *Dense) MatVecAddScaled(dst, x []float64, alpha float64) {
+	m.checkShape("MatVecAddScaled", dst, x)
+	m.mulAdd(dst, x, alpha)
+}
+
+func (m *Dense) checkShape(op string, dst, x []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("linalg: MatVecAddScaled shape mismatch (%dx%d)*%d->%d", m.Rows, m.Cols, len(x), len(dst)))
+		panic(fmt.Sprintf("linalg: %s shape mismatch (%dx%d)*%d->%d", op, m.Rows, m.Cols, len(x), len(dst)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+}
+
+// mulAdd is the one matrix-vector kernel: dst += alpha * (m * x). It
+// walks four rows per pass, so each x[j] is loaded once for four
+// independent accumulators instead of once per row behind a single
+// dependent add chain. Every row still sums j = 0..Cols-1 left to right
+// from zero, so the result is bitwise that of the plain one-row loop
+// (alpha = 1 multiplies exactly, and a sum started at +0 is never -0, so
+// MatVec's zero-then-add equals assignment).
+func (m *Dense) mulAdd(dst, x []float64, alpha float64) {
+	cols := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		// Reslicing every row to len(x) lets the compiler drop the
+		// bounds checks of the inner loop.
+		r0 := m.Data[i*cols:][:len(x)]
+		r1 := m.Data[(i+1)*cols:][:len(x)]
+		r2 := m.Data[(i+2)*cols:][:len(x)]
+		r3 := m.Data[(i+3)*cols:][:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		d := dst[i : i+4]
+		d[0] += alpha * s0
+		d[1] += alpha * s1
+		d[2] += alpha * s2
+		d[3] += alpha * s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*cols:][:len(x)]
 		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
+		for j, xj := range x {
+			s += row[j] * xj
 		}
 		dst[i] += alpha * s
 	}

@@ -126,6 +126,35 @@ func (r *Result) Ratio() float64 {
 	return float64(max) / float64(min)
 }
 
+// partitionPatches assigns whole patches to nproc ranks along the Morton
+// curve of their centers (Section 3.1), weighted by particle count or,
+// when weights is non-nil, by weights (floored at 1). The cube for the
+// partitioning keys is the bounding cube of the patch centers; only
+// relative order matters. It returns each rank's patch indices.
+func partitionPatches(patches []geom.Patch, weights []int64, nproc int) [][]int {
+	items := make([]morton.Weighted, len(patches))
+	centers := make([]float64, 0, 3*len(patches))
+	for i := range patches {
+		centers = append(centers, patches[i].Center[0], patches[i].Center[1], patches[i].Center[2])
+	}
+	cc, chw := geom.BoundingCube(centers)
+	for i := range patches {
+		w := int64(patches[i].Count())
+		if weights != nil {
+			w = weights[i]
+			if w < 1 {
+				w = 1
+			}
+		}
+		items[i] = morton.Weighted{
+			Key:    morton.PointKey(patches[i].Center[0], patches[i].Center[1], patches[i].Center[2], cc, chw),
+			Weight: w,
+			Index:  i,
+		}
+	}
+	return morton.Partition(items, nproc)
+}
+
 // Evaluate runs the parallel KIFMM on nproc simulated ranks. patches are
 // the input surfaces (partitioned by weighted Morton order, Section 3.1);
 // den holds SourceDim density components per point in the order of
@@ -158,33 +187,10 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 		return nil, fmt.Errorf("parfmm: density length %d, want %d", len(den), total*sd)
 	}
 
-	// Partition whole patches along the Morton curve, weighted by count.
-	// The cube for partitioning keys is the bounding cube of the patch
-	// centers; only relative order matters.
-	items := make([]morton.Weighted, len(patches))
-	centers := make([]float64, 0, 3*len(patches))
-	for i := range patches {
-		centers = append(centers, patches[i].Center[0], patches[i].Center[1], patches[i].Center[2])
-	}
-	cc, chw := geom.BoundingCube(centers)
 	if opt.PatchWeights != nil && len(opt.PatchWeights) != len(patches) {
 		return nil, fmt.Errorf("parfmm: PatchWeights length %d, want %d", len(opt.PatchWeights), len(patches))
 	}
-	for i := range patches {
-		w := int64(patches[i].Count())
-		if opt.PatchWeights != nil {
-			w = opt.PatchWeights[i]
-			if w < 1 {
-				w = 1
-			}
-		}
-		items[i] = morton.Weighted{
-			Key:    morton.PointKey(patches[i].Center[0], patches[i].Center[1], patches[i].Center[2], cc, chw),
-			Weight: w,
-			Index:  i,
-		}
-	}
-	parts := morton.Partition(items, nproc)
+	parts := partitionPatches(patches, opt.PatchWeights, nproc)
 
 	// Patch start offsets in the flattened global order.
 	starts := make([]int, len(patches)+1)

@@ -30,31 +30,102 @@ func relErr(got, want []float64) float64 {
 
 // TestParallelMatchesSequential: for every rank count the parallel
 // algorithm must reproduce the sequential FMM to floating-point
-// accumulation accuracy (identical operators, identical tree).
+// accumulation accuracy (identical operators, identical tree). The
+// clustered case runs the point-to-point W/X rule on leaves whose points
+// sit on two ranks, next to W members that keep the surface path.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	patches := geom.SphereGrid(rng, 1200, 2, 0.3)
-	pts := geom.Flatten(patches)
-	den := geom.RandomDensities(rng, 1200, 1)
-	seq, err := fmm.New(pts, pts, fmm.Options{Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := seq.Evaluate(den)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, nproc := range []int{1, 2, 3, 5, 8} {
-		res, err := Evaluate(patches, den, nproc, Options{
-			Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 30, Machine: fastMachine(),
-		})
+	spheres := geom.SphereGrid(rng, 1200, 2, 0.3)
+	// Three overlapping patches per corner and one corner dropped, so for
+	// every rank count a partition boundary falls inside a cluster and
+	// its leaves have contributors on both sides.
+	clusters := geom.CornerClusters(rng, 2400, 0.3, 3)[3:]
+	for _, tc := range []struct {
+		name      string
+		patches   []geom.Patch
+		degree, s int
+		shared    bool // small-leaf W members must span two ranks
+	}{
+		{"spheres", spheres, 6, 30, false},
+		{"clusters", clusters, 4, 80, true},
+	} {
+		pts := geom.Flatten(tc.patches)
+		den := geom.RandomDensities(rng, len(pts)/3, 1)
+		seq, err := fmm.New(pts, pts, fmm.Options{Kernel: kernels.Laplace{}, Degree: tc.degree, MaxPoints: tc.s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := relErr(res.Pot, want); e > 1e-11 {
-			t.Errorf("nproc=%d: parallel differs from sequential by %v", nproc, e)
+		want, st, err := seq.EvaluateStats(den)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.shared {
+			var wEntries int64
+			for i := range seq.Tree.Boxes {
+				wEntries += int64(len(seq.Tree.Boxes[i].W))
+			}
+			if st.WDirect == 0 || st.XDirect == 0 || st.WDirect == wEntries {
+				t.Fatalf("%s: want both W paths and the direct X path, got W direct %d of %d, X direct %d",
+					tc.name, st.WDirect, wEntries, st.XDirect)
+			}
+		}
+		for _, nproc := range []int{1, 2, 3, 5, 8} {
+			if tc.shared && nproc > 1 {
+				if n := sharedSmallLeafWMembers(seq, tc.patches, nproc); n == 0 {
+					t.Fatalf("%s nproc=%d: no small-leaf W member has points on two ranks", tc.name, nproc)
+				}
+			}
+			res, err := Evaluate(tc.patches, den, nproc, Options{
+				Kernel: kernels.Laplace{}, Degree: tc.degree, MaxPoints: tc.s, Machine: fastMachine(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := relErr(res.Pot, want); e > 1e-11 {
+				t.Errorf("%s nproc=%d: parallel differs from sequential by %v", tc.name, nproc, e)
+			}
 		}
 	}
+}
+
+// sharedSmallLeafWMembers counts the W-list members of the sequential
+// tree (the global tree of the parallel run) that take the point-to-point
+// path and whose points the patch partition spreads over more than one
+// rank.
+func sharedSmallLeafWMembers(seq *fmm.Evaluator, patches []geom.Patch, nproc int) int {
+	var rankOf []int // by point, in geom.Flatten order
+	patchRank := make([]int, len(patches))
+	for r, part := range partitionPatches(patches, nil, nproc) {
+		for _, pi := range part {
+			patchRank[pi] = r
+		}
+	}
+	for pi := range patches {
+		for j := 0; j < patches[pi].Count(); j++ {
+			rankOf = append(rankOf, patchRank[pi])
+		}
+	}
+	tr := seq.Tree
+	inW := make([]bool, len(tr.Boxes))
+	for i := range tr.Boxes {
+		for _, w := range tr.Boxes[i].W {
+			inW[w] = true
+		}
+	}
+	n := 0
+	for wi, b := range tr.Boxes {
+		if !inW[wi] || !b.SmallLeaf(b.SrcCount, seq.Ops.Surf.N) {
+			continue
+		}
+		first := rankOf[tr.SrcPerm[b.SrcStart]]
+		for i := b.SrcStart; i < b.SrcStart+b.SrcCount; i++ {
+			if rankOf[tr.SrcPerm[i]] != first {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // TestParallelAccuracyAllKernels verifies the full parallel pipeline
@@ -261,6 +332,43 @@ func TestWorkEstimateFeedback(t *testing.T) {
 	}
 	if totalWork == 0 {
 		t.Fatal("work estimates all zero")
+	}
+	// The estimate charges each W entry what it costs under the
+	// point-to-point rule: the member's own source count when it is a
+	// small leaf, a surface otherwise. Re-derive the total from the
+	// sequential tree (the same global tree); charging a surface per
+	// entry, as before the rule, would over-weight the clustered leaves.
+	pts := geom.Flatten(patches)
+	seq, err := fmm.New(pts, pts, fmm.Options{Kernel: opt.Kernel, Degree: opt.Degree, MaxPoints: opt.MaxPoints})
+	if err != nil {
+		t.Fatal(err)
+	}
+	surfN := seq.Ops.Surf.N
+	var wantWork, surfacePerEntry int64
+	for _, b := range seq.Tree.Boxes {
+		if !b.Leaf {
+			continue
+		}
+		uSrc, listSrc := 0, 2*surfN
+		for _, u := range b.U {
+			uSrc += seq.Tree.Boxes[u].SrcCount
+		}
+		for _, w := range b.W {
+			if wb := &seq.Tree.Boxes[w]; wb.SmallLeaf(wb.SrcCount, surfN) {
+				listSrc += wb.SrcCount
+			} else {
+				listSrc += surfN
+			}
+		}
+		n := int64(b.SrcCount)
+		wantWork += n * (kernels.P2PFlops(opt.Kernel, 1, uSrc) + kernels.P2PFlops(opt.Kernel, 1, listSrc))
+		surfacePerEntry += n * (kernels.P2PFlops(opt.Kernel, 1, uSrc) + kernels.P2PFlops(opt.Kernel, 1, surfN*(len(b.W)+2)))
+	}
+	if totalWork != wantWork {
+		t.Errorf("total work estimate %d, want %d", totalWork, wantWork)
+	}
+	if wantWork >= surfacePerEntry {
+		t.Errorf("no small-leaf W member in this geometry: estimate %d not below the surface-per-entry figure %d", wantWork, surfacePerEntry)
 	}
 	opt.PatchWeights = first.PatchWork
 	second, err := Evaluate(patches, den, 6, opt)

@@ -1,6 +1,8 @@
 package parfmm
 
 import (
+	"strconv"
+
 	"repro/internal/fmm"
 	"repro/internal/kernels"
 	"repro/internal/tree"
@@ -48,6 +50,7 @@ func (rk *rank) evaluate() {
 	rk.endSpanIO(sp, mk)
 	sp = rk.beginSpan("down_ux")
 	checks, potSorted := rk.downUX()
+	sp.SetAttr("x_direct", strconv.FormatInt(rk.stats.XDirect, 10))
 	rk.endSpan(sp)
 	mk = rk.markIO()
 	sp = rk.beginSpan("density_exchange")
@@ -55,6 +58,7 @@ func (rk *rank) evaluate() {
 	rk.endSpanIO(sp, mk)
 	sp = rk.beginSpan("down_vw_local")
 	rk.downVWAndLocal(checks, potSorted)
+	sp.SetAttr("w_direct", strconv.FormatInt(rk.stats.WDirect, 10))
 	rk.endSpan(sp)
 
 	// Un-permute potentials to the rank's original local order.
@@ -225,9 +229,10 @@ func (rk *rank) upwardPass() {
 
 // downUX performs the parts of the downward stage that need only ghost
 // source data: the dense U-list interactions (into the local target
-// potentials) and the X-list S2L contributions (into the downward check
-// potentials). It returns the per-box check buffers and the potential
-// accumulator in Morton order.
+// potentials) and the X-list contributions (S2L into the downward check
+// potentials, or straight into the local targets of a small leaf). It
+// returns the per-box check buffers and the potential accumulator in
+// Morton order.
 func (rk *rank) downUX() ([][]float64, []float64) {
 	t := rk.tree
 	k := rk.opt.Kernel
@@ -257,23 +262,30 @@ func (rk *rank) downUX() ([][]float64, []float64) {
 	}
 	rk.stats.DownU = rk.c.Elapsed() - tU
 
-	// X list (S2L) for contributed boxes.
+	// X list for contributed boxes.
 	tX := rk.c.Elapsed()
 	for bi := range t.Boxes {
 		b := &t.Boxes[bi]
 		if b.SrcCount == 0 || len(b.X) == 0 {
 			continue
 		}
-		check := make([]float64, nc)
-		checks[bi] = check
-		rk.ops.DownwardCheckPoints(t.BoxCenter(int32(bi)), t.BoxHalfWidth(b.Level()), dcPts)
+		var trg, dst []float64
+		if rk.smallLeaf(int32(bi)) {
+			trg = t.SrcSlice(int32(bi))
+			dst = potSorted[b.SrcStart*td : (b.SrcStart+b.SrcCount)*td]
+			rk.stats.XDirect += int64(len(b.X))
+		} else {
+			trg = rk.ops.DownwardCheckPoints(t.BoxCenter(int32(bi)), t.BoxHalfWidth(b.Level()), dcPts)
+			dst = make([]float64, nc)
+			checks[bi] = dst
+		}
 		for _, x := range b.X {
 			pos, den := rk.ghostPos[x], rk.ghostDen[x]
 			if len(pos) == 0 {
 				continue
 			}
-			kernels.P2P(k, dcPts, pos, den, check)
-			rk.stats.FlopsDownX += kernels.P2PFlops(k, rk.ops.Surf.N, len(pos)/3)
+			kernels.P2P(k, trg, pos, den, dst)
+			rk.stats.FlopsDownX += kernels.P2PFlops(k, len(trg)/3, len(pos)/3)
 		}
 	}
 	rk.stats.DownX = rk.c.Elapsed() - tX
@@ -282,7 +294,8 @@ func (rk *rank) downUX() ([][]float64, []float64) {
 
 // downVWAndLocal completes the downward stage once global upward
 // densities are available: M2L over the V lists, the L2L/inversion chain
-// and leaf evaluation (L2T), plus the W-list M2T contributions.
+// and leaf evaluation (L2T), plus the W-list contributions (M2T, or the
+// ghost sources of a small-leaf member).
 func (rk *rank) downVWAndLocal(checks [][]float64, potSorted []float64) {
 	t := rk.tree
 	k := rk.opt.Kernel
@@ -354,6 +367,13 @@ func (rk *rank) downVWAndLocal(checks [][]float64, potSorted []float64) {
 		pot := potSorted[b.SrcStart*td : (b.SrcStart+b.SrcCount)*td]
 		tW := rk.c.Elapsed()
 		for _, w := range b.W {
+			if rk.smallLeaf(w) {
+				pos, den := rk.ghostPos[w], rk.ghostDen[w]
+				kernels.P2P(k, trg, pos, den, pot)
+				rk.stats.FlopsDownW += kernels.P2PFlops(k, b.SrcCount, len(pos)/3)
+				rk.stats.WDirect++
+				continue
+			}
 			phi := rk.ghostPhi[w]
 			if phi == nil {
 				continue
@@ -380,27 +400,28 @@ func (rk *rank) applyM2LFFT(l int, checks [][]float64, getCheck func(int32) []fl
 	k := rk.opt.Kernel
 	sd, td := k.SourceDim(), k.TargetDim()
 	gl := rk.fft.GridLen()
-	used := make(map[int32]bool)
-	for bi := t.LevelStart[l]; bi < t.LevelStart[l+1]; bi++ {
+	lo, hi := t.LevelStart[l], t.LevelStart[l+1]
+	// Forward-transform every source box some V list uses. V-list
+	// members share the level, so box a's grids sit at grids[a-lo].
+	grids := make([][][]complex128, hi-lo)
+	for bi := lo; bi < hi; bi++ {
 		b := &t.Boxes[bi]
 		if b.SrcCount == 0 {
 			continue
 		}
 		for _, a := range b.V {
-			if rk.ghostPhi[a] != nil {
-				used[a] = true
+			phi := rk.ghostPhi[a]
+			if phi == nil || grids[int(a)-lo] != nil {
+				continue
 			}
+			g := rk.fft.NewSourceGrids()
+			rk.fft.ForwardDensity(phi, g)
+			grids[int(a)-lo] = g
+			rk.stats.FlopsDownV += int64(5 * gl * sd)
 		}
 	}
-	grids := make(map[int32][][]complex128, len(used))
-	for a := range used {
-		g := rk.fft.NewSourceGrids()
-		rk.fft.ForwardDensity(rk.ghostPhi[a], g)
-		grids[a] = g
-		rk.stats.FlopsDownV += int64(5 * gl * sd)
-	}
 	acc := rk.fft.NewAccumulator()
-	for bi := t.LevelStart[l]; bi < t.LevelStart[l+1]; bi++ {
+	for bi := lo; bi < hi; bi++ {
 		b := &t.Boxes[bi]
 		if b.SrcCount == 0 || len(b.V) == 0 {
 			continue
@@ -409,8 +430,8 @@ func (rk *rank) applyM2LFFT(l int, checks [][]float64, getCheck func(int32) []fl
 		bx, by, bz := b.Key.Decode()
 		any := false
 		for _, a := range b.V {
-			g, ok := grids[a]
-			if !ok {
+			g := grids[int(a)-lo]
+			if g == nil {
 				continue
 			}
 			ax, ay, az := t.Boxes[a].Key.Decode()

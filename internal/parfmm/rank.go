@@ -113,6 +113,12 @@ func msgRecord(ev mpi.Event) obs.MsgRecord {
 // contributes reports whether this rank has points in box bi.
 func (rk *rank) contributes(bi int32) bool { return rk.tree.Boxes[bi].SrcCount > 0 }
 
+// smallLeaf applies the shared W/X point-to-point rule to box bi with
+// its global point count, so every rank reaches the same decision.
+func (rk *rank) smallLeaf(bi int32) bool {
+	return rk.tree.Boxes[bi].SmallLeaf(int(rk.gCnt[bi]), rk.ops.Surf.N)
+}
+
 // maskBit reports whether rank r's bit is set in the mask of box bi.
 func maskBit(mask []uint64, words int, bi int32, r int) bool {
 	return mask[int(bi)*words+r/64]&(1<<(r%64)) != 0
@@ -288,7 +294,9 @@ func (rk *rank) assignOwners() {
 	}
 
 	// User masks: which ranks need a box's global source data (U and X
-	// lists) or its global upward equivalent density (V and W lists).
+	// lists, and small-leaf W members, which are evaluated from their
+	// sources) or its global upward equivalent density (V list and the
+	// other W members).
 	use := make([]int64, 2*nb*rk.words)
 	srcPart := use[:nb*rk.words]
 	denPart := use[nb*rk.words:]
@@ -310,7 +318,11 @@ func (rk *rank) assignOwners() {
 			mark(denPart, v)
 		}
 		for _, w := range b.W {
-			mark(denPart, w)
+			if rk.smallLeaf(w) {
+				mark(srcPart, w)
+			} else {
+				mark(denPart, w)
+			}
 		}
 	}
 	use = c.AllreduceInt64(mpi.OpSum, use)
@@ -372,8 +384,18 @@ func (rk *rank) pointWorkEstimate() []int64 {
 			uSrc += len(rk.ghostPos[u]) / 3
 		}
 		perPoint := kernels.P2PFlops(k, 1, uSrc)
-		// List work shared by the leaf's points: W (M2T), L2T, S2M.
-		perPoint += kernels.P2PFlops(k, 1, surfN*(len(b.W)+2))
+		// List work shared by the leaf's points: L2T, S2M and W — M2T
+		// from a surface, or the member's own sources when it is a small
+		// leaf.
+		listSrc := 2 * surfN
+		for _, w := range b.W {
+			if rk.smallLeaf(w) {
+				listSrc += int(rk.gCnt[w])
+			} else {
+				listSrc += surfN
+			}
+		}
+		perPoint += kernels.P2PFlops(k, 1, listSrc)
 		for i := b.SrcStart; i < b.SrcStart+b.SrcCount; i++ {
 			sorted[i] = perPoint
 		}

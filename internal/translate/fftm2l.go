@@ -2,6 +2,7 @@ package translate
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fft"
 	"repro/internal/kernels"
@@ -44,16 +45,28 @@ type FFTM2L struct {
 	// tensor cache (Close); accounting only, the backend keeps working.
 	closed bool
 	mu     sync.Mutex
+	// tabs is this backend's lock-free view of the global tensor cache,
+	// one table per operator cache key (index key+1: unitLevel, then
+	// levels 0..63, beyond which BoxHalfWidth's shift means nothing).
+	// The V-list sweep fetches a tensor per (target, source) pair; going
+	// through tensorCache there costs a read lock every lane contends on
+	// plus a hash of an interface-carrying key.
+	tabs [65]atomic.Pointer[tensorTable]
 }
+
+// tensorTable holds the transformed kernel tensors of one cache key by
+// V-list offset, (k+3) in base 7; entries fill from tensorCache on first
+// use and never change afterwards.
+type tensorTable [7 * 7 * 7]atomic.Pointer[[][]complex128]
 
 // tensorCache shares transformed kernel tensors process-wide, mirroring
 // the operator cache in translate.go: tensors depend only on (kernel,
 // degree, box half-width, offset), so evaluator sweeps and parallel
-// ranks reuse one copy. Reads vastly outnumber writes once the cache is
-// warm — every M2L accumulation of every worker fetches a tensor — so
-// lookups take a read lock; builds serialize on tensorBuildMu, keeping
-// the first parallel evaluation from building the same tensor on every
-// worker.
+// ranks reuse one copy. A backend consults it once per (key, offset) and
+// serves the per-pair lookups of the V-list sweep from its own table
+// (FFTM2L.tabs); lookups here take a read lock, builds serialize on
+// tensorBuildMu, keeping the first parallel evaluation from building the
+// same tensor on every worker.
 var (
 	tensorMu      sync.RWMutex
 	tensorBuildMu sync.Mutex
@@ -288,9 +301,32 @@ func (f *FFTM2L) ExtractGrids(acc []complex128, level int, check []float64) {
 	}
 }
 
-// tensor returns (building if needed) the forward-transformed kernel
-// translation tensor for cache key and offset k.
+// tensor returns the forward-transformed kernel translation tensor for
+// cache key and offset k: one atomic load once this backend has seen the
+// pair, the shared cache (building if needed) the first time and for
+// offsets outside the V-list range.
 func (f *FFTM2L) tensor(key int, k [3]int) [][]complex128 {
+	x, y, z := uint(k[0]+3), uint(k[1]+3), uint(k[2]+3)
+	if x >= 7 || y >= 7 || z >= 7 {
+		return f.sharedTensor(key, k)
+	}
+	tab := f.tabs[key+1].Load()
+	if tab == nil {
+		f.tabs[key+1].CompareAndSwap(nil, new(tensorTable))
+		tab = f.tabs[key+1].Load()
+	}
+	slot := &tab[(x*7+y)*7+z]
+	if t := slot.Load(); t != nil {
+		return *t
+	}
+	t := f.sharedTensor(key, k)
+	slot.Store(&t)
+	return t
+}
+
+// sharedTensor returns (building if needed) the tensor from the
+// process-wide cache.
+func (f *FFTM2L) sharedTensor(key int, k [3]int) [][]complex128 {
 	r := f.set.geomRadius(key)
 	tk := tensorKey{kern: f.set.Kern, p: f.set.P, radius: r, off: k}
 	tensorMu.RLock()

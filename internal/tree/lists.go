@@ -31,6 +31,19 @@ func segTouch(a uint32, sa uint, b uint32, sb uint) bool {
 	return a0 <= b1 && b0 <= a1
 }
 
+// SmallLeaf reports whether a W- or X-list interaction with b should go
+// point to point instead of through b's surface: b is a leaf holding
+// fewer points (count) than the surfN points of the equivalent or check
+// surface that would stand for them. For w in W(B) count is w's sources
+// (direct instead of M2T); for a box B with an X list count is B's
+// targets (direct instead of S2L). This is the rule of the paper's
+// reference code (kifmm3d tests `terminal` and the point count the same
+// way); restricting it to leaves is what lets the parallel engine serve
+// it from the leaf source exchange it already runs. The lists themselves
+// do not change. The distributed engine passes the global count, so
+// every rank decides identically.
+func (b *Box) SmallLeaf(count, surfN int) bool { return b.Leaf && count < surfN }
+
 // buildLists fills the U, V, W and X lists of every box, using the
 // paper's definitions verbatim (Section 3.1). List construction costs
 // as much as box construction on large trees, so ctx is checked on the

@@ -406,3 +406,28 @@ func TestBuildCtxCancellation(t *testing.T) {
 			len(tr.Boxes), tr.Depth(), len(ref.Boxes), ref.Depth())
 	}
 }
+
+// TestSmallLeafBoundary pins the point-to-point W/X rule at its edge: a
+// leaf goes direct while it holds fewer points than the surface has, a
+// leaf with exactly as many keeps the surface, and a non-leaf never goes
+// direct however few points it has.
+func TestSmallLeafBoundary(t *testing.T) {
+	const surfN = 152 // degree 6
+	leaf, inner := Box{Leaf: true}, Box{}
+	for _, tc := range []struct {
+		b     *Box
+		count int
+		want  bool
+	}{
+		{&leaf, 0, true},
+		{&leaf, surfN - 1, true},
+		{&leaf, surfN, false},
+		{&leaf, surfN + 1, false},
+		{&inner, 0, false},
+		{&inner, surfN - 1, false},
+	} {
+		if got := tc.b.SmallLeaf(tc.count, surfN); got != tc.want {
+			t.Errorf("SmallLeaf(leaf=%v, count=%d) = %v, want %v", tc.b.Leaf, tc.count, got, tc.want)
+		}
+	}
+}
