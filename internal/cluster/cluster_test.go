@@ -304,3 +304,99 @@ func TestClusterDrainExcludesWorker(t *testing.T) {
 	}
 	workers[0].Close()
 }
+
+// TestClusterAbortStopsRankCompute: a job aborted in the middle of a pass
+// must stop computing, not run to its next receive. A single one-lane
+// worker makes the whole job one rank that never waits on a peer, so only
+// the cancelled context can end it early: the runner must be gone and its
+// lanes returned within a fraction of a full evaluation, and the
+// coordinator must still answer with the caller's typed error.
+func TestClusterAbortStopsRankCompute(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster failure injection is not a -short test")
+	}
+	base := runtime.NumGoroutine()
+	const n = 80000
+	rng := rand.New(rand.NewSource(6))
+	req := EvalRequest{
+		Src: geom.Flatten(geom.SphereGrid(rng, n, 2, 0.3)), Den: geom.RandomDensities(rng, n, 1),
+		Kernel: kernels.Spec{Name: "laplace"},
+	}
+	coord, workers := startCluster(t, 500*time.Millisecond, 1)
+	w := workers[0]
+
+	// Two full evaluations: the first builds the operators, the second is
+	// what an evaluation costs from then on.
+	var full time.Duration
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		if _, _, err := coord.Evaluate(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		full = time.Since(start)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, _, err := coord.Evaluate(ctx, req)
+		errCh <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); w.Pool().InUse() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("job never reached the worker's pool")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(full / 5)
+	cancel()
+	abortAt := time.Now()
+
+	if err := <-errCh; !errors.Is(err, errs.ErrCanceled) {
+		t.Errorf("aborted evaluation returned %v, want canceled", err)
+	}
+	gone := make(chan struct{})
+	go func() {
+		w.jobWG.Wait()
+		close(gone)
+	}()
+	bound := full / 4
+	select {
+	case <-gone:
+		t.Logf("full evaluation %v, rank compute stopped %v after the abort", full, time.Since(abortAt))
+	case <-time.After(bound):
+		t.Fatalf("job runner still computing %v after the abort (a full evaluation takes %v)", bound, full)
+	}
+	if in := w.Pool().InUse(); in != 0 {
+		t.Errorf("worker pool still has %d lanes in use after the abort", in)
+	}
+
+	w.Close()
+	coord.Close()
+	checkGoroutines(t, base)
+}
+
+// TestClusterBadDegreeIsInvalidInput: an option no rank can build
+// operators for is rejected by every rank before its first collective and
+// reaches the caller as invalid_input, not as a recovered rank panic or a
+// job that never resolves.
+func TestClusterBadDegreeIsInvalidInput(t *testing.T) {
+	coord, workers := startCluster(t, 250*time.Millisecond, 2, 2)
+	defer coord.Close()
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	const n = 400
+	rng := rand.New(rand.NewSource(7))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, _, err := coord.Evaluate(ctx, EvalRequest{
+		Src: geom.Flatten(geom.SphereGrid(rng, n, 1, 0.3)), Den: geom.RandomDensities(rng, n, 1),
+		Kernel: kernels.Spec{Name: "laplace"}, Degree: -1,
+	})
+	if code, _ := errs.CodeOf(err); code != errs.CodeInvalidInput {
+		t.Errorf("degree -1 on the cluster path: %v, want invalid_input", err)
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -49,6 +50,8 @@ type workerJob struct {
 	mail     map[mailKey][]wireMsg
 	colls    map[collKey]*collRespMsg
 	abortErr error
+	// cancel stops the compute of the job's local ranks (set by runJob).
+	cancel context.CancelFunc
 }
 
 func newWorkerJob(id uint64) *workerJob {
@@ -82,14 +85,21 @@ func (j *workerJob) deliverCollResp(m *collRespMsg) {
 }
 
 // abort poisons the job: every blocked Recv/collective wakes and panics
-// with err, unwinding its rank goroutine.
-func (j *workerJob) abort(err error) {
+// with err, unwinding its rank goroutine, and a rank in the middle of a
+// pass sees its context cancelled. It reports whether err is the one that
+// aborted the job (false when the job was aborted already).
+func (j *workerJob) abort(err error) bool {
 	j.mu.Lock()
-	if j.abortErr == nil {
-		j.abortErr = err
+	defer j.mu.Unlock()
+	if j.abortErr != nil {
+		return false
+	}
+	j.abortErr = err
+	if j.cancel != nil {
+		j.cancel()
 	}
 	j.cond.Broadcast()
-	j.mu.Unlock()
+	return true
 }
 
 // wireTransport is one rank's mpi.Transport over TCP: point-to-point

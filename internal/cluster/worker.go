@@ -384,7 +384,17 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 		w.reportJobError(j, errs.Typed(err, errs.CodeInvalidInput))
 		return
 	}
-	lease, err := w.pool.Acquire(w.runCtx, nLocal)
+	// The job's ranks compute under ctx; abort cancels it, so an aborted
+	// job stops within one chunk of a pass instead of at its next receive.
+	ctx, cancel := context.WithCancel(w.runCtx)
+	defer cancel()
+	j.mu.Lock()
+	j.cancel = cancel
+	if j.abortErr != nil { // aborted before it started
+		cancel()
+	}
+	j.mu.Unlock()
+	lease, err := w.pool.Acquire(ctx, nLocal)
 	if err != nil {
 		w.reportJobError(j, err)
 		return
@@ -403,18 +413,16 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 
 	results := make([]rankResultWire, nLocal)
 	var (
-		errMu  sync.Mutex
 		rankWG sync.WaitGroup
-		jobErr error
+		jobErr error // the failure that aborted the job, when it was a local rank's
 	)
 	fail := func(err error) {
-		errMu.Lock()
-		if jobErr == nil {
+		// Unblock sibling ranks waiting on the failed rank's sends. Only
+		// the first failure of a job aborts it, so at most one rank
+		// writes jobErr; later ones are echoes of that abort.
+		if j.abort(err) {
 			jobErr = err
 		}
-		errMu.Unlock()
-		// Unblock sibling ranks waiting on the failed rank's sends.
-		j.abort(err)
 	}
 	for i := 0; i < nLocal; i++ {
 		rankWG.Add(1)
@@ -430,7 +438,7 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 				}
 			}()
 			t := &wireTransport{w: w, j: j, rank: hdr.RankLo + i}
-			out, err := parfmm.EvaluateRank(t, inputs[i], opt)
+			out, err := parfmm.EvaluateRank(ctx, t, inputs[i], opt)
 			if err != nil {
 				fail(errs.Typed(err, errs.CodeInvalidInput))
 				return
@@ -444,15 +452,15 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 	}
 	rankWG.Wait()
 
-	j.mu.Lock()
-	aborted := j.abortErr
-	j.mu.Unlock()
 	if jobErr != nil {
-		// If the coordinator aborted us there is nothing to report — it
-		// already knows; otherwise surface the local failure.
-		if aborted == nil || jobErr != aborted {
-			w.reportJobError(j, jobErr)
-		}
+		w.reportJobError(j, jobErr)
+		return
+	}
+	j.mu.Lock()
+	aborted := j.abortErr != nil
+	j.mu.Unlock()
+	if aborted {
+		// The coordinator aborted us (or is gone): nothing to report.
 		return
 	}
 	if err := w.ctrl.writeFrame(fJobResult, encodeJobResult(j.id, results)); err != nil {

@@ -32,6 +32,14 @@
 // surfaces as a typed error (errs.ErrCanceled / errs.ErrDeadlineExceeded,
 // both also satisfying the standard context sentinels). The ctx-free
 // entry points are thin context.Background() wrappers.
+//
+// These passes are the only ones in the repository. A rank of the
+// distributed algorithm (internal/parfmm) runs them over its local
+// essential tree through EvaluateGhost; what its tree does not hold comes
+// from a Ghost, consulted at one barrier — after the upward pass, before
+// anything reads an upward density of another box — and wherever the near
+// field reads a list member's sources. A local evaluation is the same
+// code with the tree as its own provider.
 package fmm
 
 import (
@@ -252,8 +260,9 @@ func NewCtx(ctx context.Context, src, trg []float64, opt Options) (*Evaluator, e
 	return FromTree(tr, opt)
 }
 
-// FromTree wraps an existing octree (used by the parallel driver, which
-// builds its local essential tree separately).
+// FromTree wraps an existing octree. The parallel driver calls it on the
+// tree every rank assembles from the global tree array (tree.Assemble),
+// with a private one-lane Options.Pool.
 func FromTree(tr *tree.Tree, opt Options) (*Evaluator, error) {
 	opt = ApplyDefaults(opt)
 	ops, err := translate.NewSet(opt.Kernel, opt.Degree, tr.HalfWidth, opt.PinvTol)
@@ -350,11 +359,7 @@ func (e *Evaluator) EvaluateStats(den []float64) ([]float64, Stats, error) {
 
 // EvaluateStatsCtx is EvaluateCtx returning this call's stage breakdown.
 func (e *Evaluator) EvaluateStatsCtx(ctx context.Context, den []float64) ([]float64, Stats, error) {
-	pots, st, err := e.evaluate(ctx, [][]float64{den}, nil)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return pots[0], st, nil
+	return e.EvaluateGhost(ctx, den, nil, nil)
 }
 
 // EvaluateBatch evaluates several density vectors against the same plan
@@ -364,26 +369,26 @@ func (e *Evaluator) EvaluateStatsCtx(ctx context.Context, den []float64) ([]floa
 // apply it to every right-hand side). Results match per-vector Evaluate
 // calls to accumulation-order rounding.
 func (e *Evaluator) EvaluateBatch(dens [][]float64) ([][]float64, error) {
-	pots, _, err := e.evaluate(context.Background(), dens, nil) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
+	pots, _, err := e.evaluate(context.Background(), dens, nil, nil) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
 	return pots, err
 }
 
 // EvaluateBatchCtx is EvaluateBatch under a context; see EvaluateCtx.
 func (e *Evaluator) EvaluateBatchCtx(ctx context.Context, dens [][]float64) ([][]float64, error) {
-	pots, _, err := e.evaluate(ctx, dens, nil)
+	pots, _, err := e.evaluate(ctx, dens, nil, nil)
 	return pots, err
 }
 
 // EvaluateBatchStats is EvaluateBatch returning the aggregate stage
 // breakdown of the whole batch.
 func (e *Evaluator) EvaluateBatchStats(dens [][]float64) ([][]float64, Stats, error) {
-	return e.evaluate(context.Background(), dens, nil) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
+	return e.evaluate(context.Background(), dens, nil, nil) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
 }
 
 // EvaluateBatchStatsCtx is EvaluateBatchCtx returning the aggregate
 // stage breakdown of the whole batch.
 func (e *Evaluator) EvaluateBatchStatsCtx(ctx context.Context, dens [][]float64) ([][]float64, Stats, error) {
-	return e.evaluate(ctx, dens, nil)
+	return e.evaluate(ctx, dens, nil, nil)
 }
 
 // EvaluateBatchTracedCtx is EvaluateBatchStatsCtx plus a trace: the
@@ -397,11 +402,63 @@ func (e *Evaluator) EvaluateBatchStatsCtx(ctx context.Context, dens [][]float64)
 // call.
 func (e *Evaluator) EvaluateBatchTracedCtx(ctx context.Context, dens [][]float64) ([][]float64, Stats, *obs.Span, error) {
 	root := obs.StartSpan("evaluate")
-	pots, st, err := e.evaluate(ctx, dens, root)
+	pots, st, err := e.evaluate(ctx, dens, root, nil)
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}
 	return pots, st, root, nil
+}
+
+// Ghost supplies what the tree of a distributed rank does not hold. Such
+// a tree has every box of the global tree but only the rank's own points
+// in it, so the passes compute partial upward densities and need, from
+// the other ranks, the summed densities and the sources of the leaves
+// their near field reads (paper Section 3.2). A local evaluation runs
+// the same passes with the tree itself as the provider (treeGhost).
+type Ghost interface {
+	// Exchange runs once per evaluation, on the calling goroutine, at the
+	// barrier between the upward and the downward pass: every upward
+	// density is final, nothing downstream has started. It receives the
+	// per-box upward densities of the local sources and returns the ones
+	// the downward and leaf passes read (nil for a box without sources).
+	Exchange(phiU [][]float64) [][]float64
+	// Sources returns the source positions of box bi, a member of a U,
+	// X or W list, and their densities for right-hand side q. It is
+	// called after Exchange, from any lane.
+	Sources(bi int32, q int) (pos, den []float64)
+	// Counts returns the source and target point counts of box bi that
+	// the point-to-point W/X rule (tree.Box.SmallLeaf) decides on, so
+	// that every rank holding a part of the box decides alike.
+	Counts(bi int32) (src, trg int)
+}
+
+// treeGhost is the Ghost of a local evaluation: nothing to exchange, and
+// a list member's sources are the tree's own.
+type treeGhost struct{ r *runState }
+
+func (g treeGhost) Exchange(phiU [][]float64) [][]float64 { return phiU }
+
+func (g treeGhost) Sources(bi int32, q int) (pos, den []float64) {
+	t, sd := g.r.e.Tree, g.r.sd
+	b := &t.Boxes[bi]
+	return t.SrcSlice(bi), g.r.pdens[q][b.SrcStart*sd : (b.SrcStart+b.SrcCount)*sd]
+}
+
+func (g treeGhost) Counts(bi int32) (src, trg int) {
+	b := &g.r.e.Tree.Boxes[bi]
+	return b.SrcCount, b.TrgCount
+}
+
+// EvaluateGhost is EvaluateStatsCtx over the local essential tree of one
+// rank of a distributed run (internal/parfmm): the same passes, with g
+// providing what other ranks hold. root, when non-nil, collects the pass
+// spans as in EvaluateBatchTracedCtx.
+func (e *Evaluator) EvaluateGhost(ctx context.Context, den []float64, g Ghost, root *obs.Span) ([]float64, Stats, error) {
+	pots, st, err := e.evaluate(ctx, [][]float64{den}, root, g)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return pots[0], st, nil
 }
 
 // runState carries one evaluation's transient state: the engine reads
@@ -410,6 +467,7 @@ func (e *Evaluator) EvaluateBatchTracedCtx(ctx context.Context, dens [][]float64
 type runState struct {
 	e    *Evaluator
 	pool *exec.Lease
+	g    Ghost
 	nrhs int
 
 	sd, td, ne, nc int
@@ -482,7 +540,10 @@ func (sc *scratch) accBuf(n int) []complex128 {
 // costs nothing — every span method is nil-safe). Passes build the tree
 // sequentially and only this call's goroutines see it until return, so
 // no locking.
-func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Span) ([][]float64, Stats, error) {
+//
+// g is nil on every local call and the tree then provides for itself;
+// the passes read a list member's sources through r.g either way.
+func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Span, g Ghost) ([][]float64, Stats, error) {
 	k := e.opt.Kernel
 	sd, td := k.SourceDim(), k.TargetDim()
 	t := e.Tree
@@ -513,6 +574,9 @@ func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 		// width: a shrunken call can fan back out at a pass boundary.
 		ws: make([]scratch, lease.MaxWidth()),
 	}
+	if r.g = g; g == nil {
+		r.g = treeGhost{r}
+	}
 	root.SetAttr("rhs", strconv.Itoa(r.nrhs))
 	root.SetAttr("granted_lanes", strconv.Itoa(lease.Granted()))
 	// Permute densities into Morton order (fanned out across the batch).
@@ -531,6 +595,9 @@ func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 		sp = root.StartChild("up")
 		err = r.upwardPass(ctx, sp)
 		sp.End()
+	}
+	if err == nil {
+		r.phiU = r.g.Exchange(r.phiU)
 	}
 	var downSp, leafSp *obs.Span
 	if err == nil {
@@ -575,10 +642,12 @@ func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 	return pots, st, nil
 }
 
-// denAt returns the per-RHS density views of a contiguous source range.
-func (r *runState) denAt(start, count int) func(q int) []float64 {
+// denOf returns the per-RHS density views of list member a's sources, as
+// the ghost provider holds them.
+func (r *runState) denOf(a int32) func(q int) []float64 {
 	return func(q int) []float64 {
-		return r.pdens[q][start*r.sd : (start+count)*r.sd]
+		_, den := r.g.Sources(a, q)
+		return den
 	}
 }
 
@@ -655,7 +724,8 @@ func (r *runState) upwardPass(ctx context.Context, sp *obs.Span) error {
 			if b.Leaf {
 				src := t.SrcSlice(int32(bi))
 				ucPts := r.e.Ops.UpwardCheckPoints(t.BoxCenter(int32(bi)), radius, sc.ptsBuf(3*r.e.Ops.Surf.N))
-				r.addP2P(sc, ucPts, src, r.denAt(b.SrcStart, b.SrcCount), sliceAt(check, nc), &sc.stats.FlopsUp)
+				den := func(q int) []float64 { return r.pdens[q][b.SrcStart*r.sd : (b.SrcStart+b.SrcCount)*r.sd] }
+				r.addP2P(sc, ucPts, src, den, sliceAt(check, nc), &sc.stats.FlopsUp)
 			} else {
 				for o, ci := range b.Children {
 					if ci == tree.Nil || r.phiU[ci] == nil {
@@ -750,7 +820,7 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 				startX := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
 				var trg []float64
 				var dst func(q int) []float64
-				if b.SmallLeaf(b.TrgCount, surfN) {
+				if _, trgN := r.g.Counts(int32(bi)); b.SmallLeaf(trgN, surfN) {
 					trg, dst = t.TrgSlice(int32(bi)), r.potAt(b)
 					sc.stats.XDirect += int64(len(b.X))
 				} else {
@@ -758,8 +828,8 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 					dst = sliceAt(r.getCheck(int32(bi)), nc)
 				}
 				for _, a := range b.X {
-					ab := &t.Boxes[a]
-					r.addP2P(sc, trg, t.SrcSlice(a), r.denAt(ab.SrcStart, ab.SrcCount), dst, &sc.stats.FlopsDownX)
+					src, _ := r.g.Sources(a, 0)
+					r.addP2P(sc, trg, src, r.denOf(a), dst, &sc.stats.FlopsDownX)
 				}
 				sc.stats.DownX += time.Since(startX)
 			}
@@ -971,11 +1041,11 @@ func (r *runState) leafEvaluation(ctx context.Context) error {
 		// U list: direct interactions with adjacent leaves (and itself).
 		startU := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
 		for _, u := range b.U {
-			ub := &t.Boxes[u]
-			if ub.SrcCount == 0 {
+			src, _ := r.g.Sources(u, 0)
+			if len(src) == 0 {
 				continue
 			}
-			r.addP2P(sc, trg, t.SrcSlice(u), r.denAt(ub.SrcStart, ub.SrcCount), pot, &sc.stats.FlopsDownU)
+			r.addP2P(sc, trg, src, r.denOf(u), pot, &sc.stats.FlopsDownU)
 		}
 		sc.stats.DownU += time.Since(startU)
 		// W list: far small boxes evaluated from their upward equivalent
@@ -983,12 +1053,16 @@ func (r *runState) leafEvaluation(ctx context.Context) error {
 		// than the surface points standing for them.
 		startW := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
 		for _, wi := range b.W {
-			if r.phiU[wi] == nil {
+			// The rule comes before the density: a small-leaf member's
+			// density is never exchanged between ranks.
+			wb := &t.Boxes[wi]
+			srcN, _ := r.g.Counts(wi)
+			if srcN == 0 {
 				continue
 			}
-			wb := &t.Boxes[wi]
-			if wb.SmallLeaf(wb.SrcCount, surfN) {
-				r.addP2P(sc, trg, t.SrcSlice(wi), r.denAt(wb.SrcStart, wb.SrcCount), pot, &sc.stats.FlopsDownW)
+			if wb.SmallLeaf(srcN, surfN) {
+				src, _ := r.g.Sources(wi, 0)
+				r.addP2P(sc, trg, src, r.denOf(wi), pot, &sc.stats.FlopsDownW)
 				sc.stats.WDirect++
 				continue
 			}

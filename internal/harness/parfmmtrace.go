@@ -109,9 +109,9 @@ func parfmmTraceTable(rep *ParfmmTraceReport) string {
 	// Per-pass virtual time per rank. Warm-up is reported as one row;
 	// its inner passes are not folded into the per-pass rows.
 	passes := []string{
-		"tree_build", "assign_owners", "warmup", "source_gather", "upward",
-		"source_exchange", "density_gather", "down_ux", "density_exchange",
-		"down_vw_local",
+		"tree_build", "assign_owners", "warmup", "source_gather", "up",
+		"source_exchange", "density_gather", "density_exchange", "down",
+		"leaf",
 	}
 	byRank := make([]map[string]time.Duration, len(rep.Timeline.Ranks))
 	for i, rt := range rep.Timeline.Ranks {

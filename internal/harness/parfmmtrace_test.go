@@ -34,7 +34,7 @@ func TestRunParfmmTrace(t *testing.T) {
 	if rep.CommMsgs <= 0 || rep.CommBytes <= 0 {
 		t.Errorf("no communication recorded: %d msgs / %d bytes", rep.CommMsgs, rep.CommBytes)
 	}
-	for _, want := range []string{"distributed trace:", "critical path", "rank", "down_vw_local"} {
+	for _, want := range []string{"distributed trace:", "critical path", "rank", "\nleaf "} {
 		if !strings.Contains(rep.Table, want) {
 			t.Errorf("table missing %q:\n%s", want, rep.Table)
 		}

@@ -1,25 +1,35 @@
-// Package parfmm implements the paper's parallel algorithm (Section 3):
-// Morton-curve partitioning of input surface patches, level-by-level
-// construction of the global tree array via MPI_Allreduce, local
-// essential trees with contributor/owner/user roles, the gather/scatter
-// ghost exchange of Algorithm 1, and upward/downward computation passes
-// that run without synchronization ("a processor performs its own
-// computation ignoring the existence of other processors").
+// Package parfmm implements what is distributed in the paper's parallel
+// algorithm (Section 3): Morton-curve partitioning of input surface
+// patches, level-by-level construction of the global tree array via
+// MPI_Allreduce, contributor/owner/user roles, and the gather/scatter
+// ghost exchange of Algorithm 1.
+//
+// It owns no pass. "A processor performs its own computation ignoring
+// the existence of other processors": a rank is an internal/fmm
+// evaluation over the global tree holding the rank's own points, and
+// this package is that evaluation's fmm.Ghost — it sums the partial
+// upward densities across ranks at the engine's barrier between the
+// upward and the downward pass, and serves the global sources of the
+// leaves the near field reads. Up, U, V, W, X, L2L and L2T, their
+// scratch, their cancellation checks and fmm.Stats are the engine's.
 //
 // As in the paper's experiments, the source and target point sets are
 // identical.
 package parfmm
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"repro/internal/errs"
 	"repro/internal/fmm"
 	"repro/internal/geom"
 	"repro/internal/kernels"
 	"repro/internal/morton"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/translate"
 )
 
 // Options configure a parallel evaluation.
@@ -155,22 +165,33 @@ func partitionPatches(patches []geom.Patch, weights []int64, nproc int) [][]int 
 	return morton.Partition(items, nproc)
 }
 
+// engine validates opt and resolves it into the options every rank builds
+// its engine with. fmm.ApplyDefaults is the call the sequential evaluator
+// makes, so both drivers split the same boxes. The operator set is
+// checked here, before any rank starts: a rank failing on its own would
+// leave the others blocked in a collective.
+func (opt Options) engine() (fmm.Options, error) {
+	if opt.Kernel == nil {
+		return fmm.Options{}, errs.New(errs.CodeInvalidInput, "parfmm: Options.Kernel is required")
+	}
+	eo := fmm.ApplyDefaults(fmm.Options{
+		Kernel: opt.Kernel, Degree: opt.Degree, MaxPoints: opt.MaxPoints, MaxDepth: opt.MaxDepth,
+		Backend: opt.Backend, PinvTol: opt.PinvTol, Workers: 1,
+	})
+	if _, err := translate.NewSet(eo.Kernel, eo.Degree, 1, eo.PinvTol); err != nil {
+		return fmm.Options{}, errs.Typed(err, errs.CodeInvalidInput)
+	}
+	return eo, nil
+}
+
 // Evaluate runs the parallel KIFMM on nproc simulated ranks. patches are
 // the input surfaces (partitioned by weighted Morton order, Section 3.1);
 // den holds SourceDim density components per point in the order of
 // geom.Flatten(patches).
 func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Result, error) {
-	if opt.Kernel == nil {
-		return nil, fmt.Errorf("parfmm: Options.Kernel is required")
-	}
-	if opt.Degree == 0 {
-		opt.Degree = 6
-	}
-	if opt.MaxPoints == 0 {
-		opt.MaxPoints = 60
-	}
-	if opt.PinvTol == 0 {
-		opt.PinvTol = 1e-10
+	eo, err := opt.engine()
+	if err != nil {
+		return nil, err
 	}
 	if opt.Iterations <= 0 {
 		opt.Iterations = 1
@@ -220,54 +241,19 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 	treeDepth := make([]int, nproc)
 
 	timelines := make([]*obs.RankTimeline, nproc)
+	rankErr := make([]error, nproc)
+	// Simulated ranks run to completion by design (mpi.Run): cancelling
+	// one would leave its peers blocked in a receive.
+	ctx := context.TODO()
 	comms := mpi.Run(nproc, opt.Machine, func(c *mpi.Comm) {
-		rk := newRank(c, inputs[c.Rank()], opt)
-		if opt.Trace {
-			tl := obs.NewRankTimeline(c.Rank())
-			timelines[c.Rank()] = tl
-			rk.tl = tl
-			c.SetObserver(func(ev mpi.Event) { tl.Record(msgRecord(ev)) })
+		rk := newRank(c, inputs[c.Rank()], eo, opt.Trace)
+		timelines[c.Rank()] = rk.tl
+		err := rk.simulate(ctx, opt.Iterations, &stats[c.Rank()])
+		if rankErr[c.Rank()] = err; err != nil {
+			return
 		}
-		sp := rk.beginSpan("tree_build")
-		rk.buildGlobalTree()
-		rk.endSpan(sp)
 		treeBoxes[c.Rank()] = len(rk.tree.Boxes)
 		treeDepth[c.Rank()] = rk.tree.Depth()
-		sp = rk.beginSpan("assign_owners")
-		rk.assignOwners()
-		rk.endSpan(sp)
-		stats[c.Rank()].TreeTime = c.Elapsed()
-
-		// Untimed warm-up evaluation: the translation operators and FFT
-		// tensors are built lazily on first use, and the paper's timings
-		// (like any FMM production setting, where the same tree serves
-		// tens of interaction evaluations) exclude that setup cost. The
-		// measured iterations below see only steady-state work.
-		sp = rk.beginSpan("warmup")
-		rk.evaluate()
-		rk.endSpan(sp)
-
-		var agg fmm.Stats
-		var totalT, commT time.Duration
-		var bytes int64
-		for it := 0; it < opt.Iterations; it++ {
-			t0 := c.Elapsed()
-			c0 := c.CommTime()
-			b0 := c.BytesSent()
-			sp = rk.beginSpan("iteration")
-			sp.SetAttr("iter", fmt.Sprint(it))
-			rk.evaluate()
-			rk.endSpan(sp)
-			totalT += c.Elapsed() - t0
-			commT += c.CommTime() - c0
-			bytes += c.BytesSent() - b0
-			agg.Add(rk.stats)
-		}
-		n := time.Duration(opt.Iterations)
-		stats[c.Rank()].Total = totalT / n
-		stats[c.Rank()].Comm = commT / n
-		stats[c.Rank()].BytesSent = bytes / int64(opt.Iterations)
-		stats[c.Rank()].Stats = agg
 		// Write local potentials and per-point work estimates into the
 		// shared result (serialized by the token; indices are disjoint
 		// across ranks).
@@ -278,6 +264,11 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 		}
 		rk.tl.Close(c.Elapsed())
 	})
+	for _, err := range rankErr {
+		if err != nil {
+			return nil, err
+		}
+	}
 
 	// Aggregate point work into per-patch totals.
 	patchWork := make([]int64, len(patches))
@@ -295,4 +286,51 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 		res.Timeline = obs.MergeTimeline(timelines)
 	}
 	return res, nil
+}
+
+// simulate is one simulated rank's timing protocol: tree construction,
+// an untimed warm-up evaluation, then the timed iterations averaged into
+// rs.
+func (rk *rank) simulate(ctx context.Context, iterations int, rs *RankStats) error {
+	c := rk.c
+	if err := rk.prepare(ctx); err != nil {
+		return err
+	}
+	defer rk.eng.Close()
+	rs.TreeTime = c.Elapsed()
+
+	// The translation operators and FFT tensors are built lazily on first
+	// use, and the paper's timings (like any FMM production setting, where
+	// the same tree serves tens of interaction evaluations) exclude that
+	// setup cost. The measured iterations below see only steady-state work.
+	sp := rk.beginSpan("warmup")
+	_, err := rk.evaluate(ctx)
+	rk.endSpan(sp)
+	if err != nil {
+		return err
+	}
+
+	var totalT, commT time.Duration
+	var bytes int64
+	for it := 0; it < iterations; it++ {
+		t0 := c.Elapsed()
+		c0 := c.CommTime()
+		b0 := c.BytesSent()
+		sp = rk.beginSpan("iteration")
+		sp.SetAttr("iter", fmt.Sprint(it))
+		st, err := rk.evaluate(ctx)
+		rk.endSpan(sp)
+		if err != nil {
+			return err
+		}
+		totalT += c.Elapsed() - t0
+		commT += c.CommTime() - c0
+		bytes += c.BytesSent() - b0
+		rs.Stats.Add(st)
+	}
+	n := time.Duration(iterations)
+	rs.Total = totalT / n
+	rs.Comm = commT / n
+	rs.BytesSent = bytes / int64(iterations)
+	return nil
 }

@@ -1,11 +1,13 @@
 package parfmm
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/direct"
+	"repro/internal/errs"
 	"repro/internal/fmm"
 	"repro/internal/geom"
 	"repro/internal/kernels"
@@ -30,9 +32,11 @@ func relErr(got, want []float64) float64 {
 
 // TestParallelMatchesSequential: for every rank count the parallel
 // algorithm must reproduce the sequential FMM to floating-point
-// accumulation accuracy (identical operators, identical tree). The
-// clustered case runs the point-to-point W/X rule on leaves whose points
-// sit on two ranks, next to W members that keep the surface path.
+// accumulation accuracy (identical operators, identical tree, and — both
+// being internal/fmm — identical passes). The clustered case runs the
+// point-to-point W/X rule on leaves whose points sit on two ranks, next
+// to W members that keep the surface path; the Stokes and dense-M2L
+// cases take the engine's tensor-kernel and M2LDense paths over ghosts.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	spheres := geom.SphereGrid(rng, 1200, 2, 0.3)
@@ -40,18 +44,24 @@ func TestParallelMatchesSequential(t *testing.T) {
 	// every rank count a partition boundary falls inside a cluster and
 	// its leaves have contributors on both sides.
 	clusters := geom.CornerClusters(rng, 2400, 0.3, 3)[3:]
+	few := []int{2, 3, 5}
 	for _, tc := range []struct {
 		name      string
 		patches   []geom.Patch
+		kernel    kernels.Kernel
+		backend   fmm.M2LBackend
 		degree, s int
+		nprocs    []int
 		shared    bool // small-leaf W members must span two ranks
 	}{
-		{"spheres", spheres, 6, 30, false},
-		{"clusters", clusters, 4, 80, true},
+		{"spheres", spheres, kernels.Laplace{}, fmm.M2LFFT, 6, 30, []int{1, 2, 3, 5, 8}, false},
+		{"clusters", clusters, kernels.Laplace{}, fmm.M2LFFT, 4, 80, []int{1, 2, 3, 5, 8}, true},
+		{"stokes", spheres, kernels.NewStokes(1), fmm.M2LFFT, 4, 30, few, false},
+		{"dense", clusters, kernels.Laplace{}, fmm.M2LDense, 4, 80, few, false},
 	} {
 		pts := geom.Flatten(tc.patches)
-		den := geom.RandomDensities(rng, len(pts)/3, 1)
-		seq, err := fmm.New(pts, pts, fmm.Options{Kernel: kernels.Laplace{}, Degree: tc.degree, MaxPoints: tc.s})
+		den := geom.RandomDensities(rng, len(pts)/3, tc.kernel.SourceDim())
+		seq, err := fmm.New(pts, pts, fmm.Options{Kernel: tc.kernel, Degree: tc.degree, MaxPoints: tc.s, Backend: tc.backend})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,14 +79,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 					tc.name, st.WDirect, wEntries, st.XDirect)
 			}
 		}
-		for _, nproc := range []int{1, 2, 3, 5, 8} {
+		for _, nproc := range tc.nprocs {
 			if tc.shared && nproc > 1 {
 				if n := sharedSmallLeafWMembers(seq, tc.patches, nproc); n == 0 {
 					t.Fatalf("%s nproc=%d: no small-leaf W member has points on two ranks", tc.name, nproc)
 				}
 			}
 			res, err := Evaluate(tc.patches, den, nproc, Options{
-				Kernel: kernels.Laplace{}, Degree: tc.degree, MaxPoints: tc.s, Machine: fastMachine(),
+				Kernel: tc.kernel, Degree: tc.degree, MaxPoints: tc.s, Backend: tc.backend, Machine: fastMachine(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -84,8 +94,79 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if e := relErr(res.Pot, want); e > 1e-11 {
 				t.Errorf("%s nproc=%d: parallel differs from sequential by %v", tc.name, nproc, e)
 			}
+			if !tc.shared {
+				continue
+			}
+			// One rule, one count: a rank counts an entry once per leaf it
+			// holds targets of, so the per-rank counters re-derived from
+			// the sequential tree and the partition must match exactly,
+			// and a single rank must report the sequential figures.
+			wantW, wantX := directEntriesByRank(seq, tc.patches, nproc)
+			for r, rs := range res.Ranks {
+				if rs.Stats.WDirect != wantW[r] || rs.Stats.XDirect != wantX[r] {
+					t.Errorf("%s nproc=%d rank %d: W/X direct %d/%d, want %d/%d",
+						tc.name, nproc, r, rs.Stats.WDirect, rs.Stats.XDirect, wantW[r], wantX[r])
+				}
+			}
+			if nproc == 1 && (wantW[0] != st.WDirect || wantX[0] != st.XDirect) {
+				t.Errorf("%s: one rank counts %d/%d direct entries, the sequential evaluator %d/%d",
+					tc.name, wantW[0], wantX[0], st.WDirect, st.XDirect)
+			}
 		}
 	}
+}
+
+// pointRanks returns the rank of every point (in geom.Flatten order)
+// under the patch partition for nproc ranks.
+func pointRanks(patches []geom.Patch, nproc int) []int {
+	patchRank := make([]int, len(patches))
+	for r, part := range partitionPatches(patches, nil, nproc) {
+		for _, pi := range part {
+			patchRank[pi] = r
+		}
+	}
+	var rankOf []int
+	for pi := range patches {
+		for j := 0; j < patches[pi].Count(); j++ {
+			rankOf = append(rankOf, patchRank[pi])
+		}
+	}
+	return rankOf
+}
+
+// directEntriesByRank re-derives the per-rank WDirect/XDirect counters
+// from the sequential tree (the global tree of the parallel run): the
+// engine counts a W entry per leaf with local targets and small-leaf
+// member, and a leaf's whole X list when the leaf itself is small.
+func directEntriesByRank(seq *fmm.Evaluator, patches []geom.Patch, nproc int) (w, x []int64) {
+	rankOf := pointRanks(patches, nproc)
+	tr, surfN := seq.Tree, seq.Ops.Surf.N
+	w, x = make([]int64, nproc), make([]int64, nproc)
+	for bi := range tr.Boxes {
+		b := &tr.Boxes[bi]
+		holds := make([]bool, nproc)
+		for i := b.TrgStart; i < b.TrgStart+b.TrgCount; i++ {
+			holds[rankOf[tr.TrgPerm[i]]] = true
+		}
+		var nw int64
+		for _, wi := range b.W {
+			if wb := &tr.Boxes[wi]; wb.SmallLeaf(wb.SrcCount, surfN) {
+				nw++
+			}
+		}
+		for r, h := range holds {
+			if !h {
+				continue
+			}
+			if b.Leaf {
+				w[r] += nw
+			}
+			if b.SmallLeaf(b.TrgCount, surfN) {
+				x[r] += int64(len(b.X))
+			}
+		}
+	}
+	return w, x
 }
 
 // sharedSmallLeafWMembers counts the W-list members of the sequential
@@ -93,18 +174,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // path and whose points the patch partition spreads over more than one
 // rank.
 func sharedSmallLeafWMembers(seq *fmm.Evaluator, patches []geom.Patch, nproc int) int {
-	var rankOf []int // by point, in geom.Flatten order
-	patchRank := make([]int, len(patches))
-	for r, part := range partitionPatches(patches, nil, nproc) {
-		for _, pi := range part {
-			patchRank[pi] = r
-		}
-	}
-	for pi := range patches {
-		for j := 0; j < patches[pi].Count(); j++ {
-			rankOf = append(rankOf, patchRank[pi])
-		}
-	}
+	rankOf := pointRanks(patches, nproc)
 	tr := seq.Tree
 	inW := make([]bool, len(tr.Boxes))
 	for i := range tr.Boxes {
@@ -284,6 +354,48 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := Evaluate(patches, make([]float64, 10), 0, Options{Kernel: kernels.Laplace{}}); err == nil {
 		t.Error("zero ranks must error")
+	}
+	// A degree no surface exists for is the caller's mistake: a typed
+	// error before any rank starts, from both entry points — not a rank
+	// panicking alone while its peers wait in a collective.
+	for _, degree := range []int{-1, 2} {
+		opt := Options{Kernel: kernels.Laplace{}, Degree: degree}
+		_, err := Evaluate(patches, make([]float64, 10), 2, opt)
+		if code, _ := errs.CodeOf(err); code != errs.CodeInvalidInput {
+			t.Errorf("Evaluate degree %d: error %v, want invalid_input", degree, err)
+		}
+		_, err = EvaluateRank(context.Background(), nil, &RankInput{}, opt)
+		if code, _ := errs.CodeOf(err); code != errs.CodeInvalidInput {
+			t.Errorf("EvaluateRank degree %d: error %v, want invalid_input", degree, err)
+		}
+	}
+}
+
+// TestDefaultsMatchSequential: both drivers default and clamp their
+// options through fmm.ApplyDefaults, so out-of-range leaf thresholds and
+// depth caps build the same tree in both.
+func TestDefaultsMatchSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	patches := geom.SphereGrid(rng, 200, 2, 0.3)
+	pts := geom.Flatten(patches)
+	den := geom.RandomDensities(rng, len(pts)/3, 1)
+	for _, maxPoints := range []int{-5, 0} {
+		for _, maxDepth := range []int{-1, 0, 99} {
+			seq, err := fmm.New(pts, pts, fmm.Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: maxPoints, MaxDepth: maxDepth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Evaluate(patches, den, 2, Options{
+				Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: maxPoints, MaxDepth: maxDepth, Machine: fastMachine(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Boxes != len(seq.Tree.Boxes) || res.Depth != seq.Tree.Depth() {
+				t.Errorf("MaxPoints %d MaxDepth %d: parallel tree %d boxes depth %d, sequential %d boxes depth %d",
+					maxPoints, maxDepth, res.Boxes, res.Depth, len(seq.Tree.Boxes), seq.Tree.Depth())
+			}
+		}
 	}
 }
 

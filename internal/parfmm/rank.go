@@ -1,15 +1,18 @@
 package parfmm
 
 import (
+	"context"
 	"math"
+	"math/bits"
 	"strconv"
+	"time"
 
+	"repro/internal/exec"
 	"repro/internal/fmm"
 	"repro/internal/kernels"
 	"repro/internal/morton"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/translate"
 	"repro/internal/tree"
 )
 
@@ -19,15 +22,15 @@ import (
 type rank struct {
 	c   mpi.Transport
 	in  *RankInput
-	opt Options
+	opt fmm.Options
 
 	// tl records this rank's span timeline and communication ledger
 	// when Options.Trace is set (nil otherwise; all helpers nil-safe).
 	tl *obs.RankTimeline
 
-	ops *translate.Set
-	fft *translate.FFTM2L
-
+	// eng runs the passes over tree, the global tree array holding this
+	// rank's points only.
+	eng  *fmm.Evaluator
 	tree *tree.Tree
 	pden []float64 // local densities in Morton order
 	gCnt []int64   // global point count per box
@@ -38,19 +41,49 @@ type rank struct {
 	denUse  []uint64 // upward-density user masks
 	owner   []int32
 
-	// Per-iteration ghost state.
-	ghostPos map[int32][]float64 // leaf box -> global source positions
-	ghostDen map[int32][]float64 // leaf box -> global source densities
-	ghostPhi map[int32][]float64 // box -> global upward equivalent density
-	phiU     [][]float64         // partial upward densities (contributed boxes)
-	phiD     [][]float64         // downward densities (contributed boxes)
+	// Ghost state, by box, rewritten by every evaluation (nil where this
+	// rank is no user).
+	ghostPos [][]float64 // leaf -> global source positions
+	ghostDen [][]float64 // leaf -> global source densities
+	ghostPhi [][]float64 // box -> global upward equivalent density
 
-	pot   []float64 // local potentials, original local order
-	stats fmm.Stats
+	// trace is the engine's span tree of the evaluation in flight, of
+	// which grafted passes are on the timeline already; the next one
+	// starts at passStart on the transport's clock (see graftPasses).
+	trace     *obs.Span
+	grafted   int
+	passStart time.Duration
+
+	pot []float64 // local potentials, original local order
 }
 
-func newRank(c mpi.Transport, in *RankInput, opt Options) *rank {
-	return &rank{c: c, in: in, opt: opt}
+// newRank prepares a rank over transport c; trace installs the span
+// timeline and the communication-ledger observer. The rank's engine gets
+// a private one-lane pool: a rank blocks in receives between passes and
+// must not hold a shared lane meanwhile, and the simulated clock meters
+// one goroutine.
+func newRank(c mpi.Transport, in *RankInput, opt fmm.Options, trace bool) *rank {
+	opt.Pool = exec.NewElastic(1)
+	rk := &rank{c: c, in: in, opt: opt}
+	if trace {
+		rk.tl = obs.NewRankTimeline(c.Rank())
+		c.SetObserver(func(ev mpi.Event) { rk.tl.Record(msgRecord(ev)) })
+	}
+	return rk
+}
+
+// prepare builds the rank's tree, its engine and the ownership tables.
+func (rk *rank) prepare(ctx context.Context) error {
+	sp := rk.beginSpan("tree_build")
+	err := rk.buildGlobalTree(ctx)
+	rk.endSpan(sp)
+	if err != nil {
+		return err
+	}
+	sp = rk.beginSpan("assign_owners")
+	rk.assignOwners()
+	rk.endSpan(sp)
+	return nil
 }
 
 // beginSpan opens a virtual-time span on the rank's timeline (nil when
@@ -71,26 +104,16 @@ func (rk *rank) endSpan(sp *obs.VSpan) {
 	rk.tl.End(sp, rk.c.Elapsed())
 }
 
-// ioMark snapshots the communication counters so endSpanIO can attach
-// the span's byte/message deltas as attributes.
-type ioMark struct {
-	bytes int64
-	msgs  int64
-}
-
-func (rk *rank) markIO() ioMark {
-	return ioMark{bytes: rk.c.BytesSent() + rk.c.BytesRecv(), msgs: rk.c.Messages()}
-}
-
-// endSpanIO closes a communication span, attaching the bytes moved
-// (sent + received) and messages sent since mark.
-func (rk *rank) endSpanIO(sp *obs.VSpan, mark ioMark) {
-	if rk.tl == nil || sp == nil {
-		return
-	}
-	sp.SetAttr("bytes", strconv.FormatInt(rk.c.BytesSent()+rk.c.BytesRecv()-mark.bytes, 10))
-	sp.SetAttr("msgs", strconv.FormatInt(rk.c.Messages()-mark.msgs, 10))
-	rk.tl.End(sp, rk.c.Elapsed())
+// commSpan runs one step of an exchange under a timeline span carrying
+// the bytes it moved (sent + received) and the messages it sent.
+func (rk *rank) commSpan(name string, step func()) {
+	c := rk.c
+	bytes, msgs := c.BytesSent()+c.BytesRecv(), c.Messages()
+	sp := rk.beginSpan(name)
+	step()
+	sp.SetAttr("bytes", strconv.FormatInt(c.BytesSent()+c.BytesRecv()-bytes, 10))
+	sp.SetAttr("msgs", strconv.FormatInt(c.Messages()-msgs, 10))
+	rk.endSpan(sp)
 }
 
 // msgRecord converts an mpi ledger event into the obs representation
@@ -116,19 +139,15 @@ func (rk *rank) contributes(bi int32) bool { return rk.tree.Boxes[bi].SrcCount >
 // smallLeaf applies the shared W/X point-to-point rule to box bi with
 // its global point count, so every rank reaches the same decision.
 func (rk *rank) smallLeaf(bi int32) bool {
-	return rk.tree.Boxes[bi].SmallLeaf(int(rk.gCnt[bi]), rk.ops.Surf.N)
-}
-
-// maskBit reports whether rank r's bit is set in the mask of box bi.
-func maskBit(mask []uint64, words int, bi int32, r int) bool {
-	return mask[int(bi)*words+r/64]&(1<<(r%64)) != 0
+	return rk.tree.Boxes[bi].SmallLeaf(int(rk.gCnt[bi]), rk.eng.Ops.Surf.N)
 }
 
 // buildGlobalTree performs the level-by-level construction of paper
 // Section 3.1: each rank fills its local point counts into the level's
 // slab of the global tree array, an MPI_Allreduce sums them, and every
-// rank derives the identical next level from the global counts.
-func (rk *rank) buildGlobalTree() {
+// rank derives the identical next level from the global counts. The tree
+// is then wrapped into the rank's engine.
+func (rk *rank) buildGlobalTree(ctx context.Context) error {
 	c := rk.c
 	// Globally agreed computational domain.
 	lo := []float64{math.Inf(1), math.Inf(1), math.Inf(1)}
@@ -161,11 +180,7 @@ func (rk *rank) buildGlobalTree() {
 	sorted, perm, keys := tree.SortPointsByKey(rk.in.Pts, center, hw)
 	n := len(keys)
 
-	maxDepth := rk.opt.MaxDepth
-	if maxDepth <= 0 || maxDepth > morton.MaxLevel {
-		maxDepth = morton.MaxLevel
-	}
-	s := int64(rk.opt.MaxPoints)
+	maxDepth, s := rk.opt.MaxDepth, int64(rk.opt.MaxPoints)
 
 	root := tree.Box{Key: morton.Key{}, Parent: tree.Nil, Leaf: true, SrcCount: n, TrgCount: n}
 	for i := range root.Children {
@@ -230,22 +245,18 @@ func (rk *rank) buildGlobalTree() {
 		levelStart = append(levelStart, len(boxes))
 	}
 	rk.gCnt = gCnt
-	rk.tree = tree.Assemble(center, hw, boxes, levelStart, sorted, perm, rk.opt.MaxPoints)
+	var err error
+	if rk.tree, err = tree.Assemble(ctx, center, hw, boxes, levelStart, sorted, perm, rk.opt.MaxPoints); err != nil {
+		return err
+	}
 	// Permute densities into Morton order.
 	sd := rk.opt.Kernel.SourceDim()
 	rk.pden = make([]float64, len(rk.in.Den))
 	for i, orig := range perm {
 		copy(rk.pden[i*sd:(i+1)*sd], rk.in.Den[int(orig)*sd:(int(orig)+1)*sd])
 	}
-	// Translation operators (shared across ranks via the global cache).
-	ops, err := translate.NewSet(rk.opt.Kernel, rk.opt.Degree, hw, rk.opt.PinvTol)
-	if err != nil {
-		panic(err)
-	}
-	rk.ops = ops
-	if rk.opt.Backend == fmm.M2LFFT {
-		rk.fft = translate.NewFFTM2L(ops)
-	}
+	rk.eng, err = fmm.FromTree(rk.tree, rk.opt)
+	return err
 }
 
 // assignOwners implements the paper's three-step owner assignment: mark
@@ -326,6 +337,9 @@ func (rk *rank) assignOwners() {
 		}
 	}
 	use = c.AllreduceInt64(mpi.OpSum, use)
+	rk.ghostPos = make([][]float64, nb)
+	rk.ghostDen = make([][]float64, nb)
+	rk.ghostPhi = make([][]float64, nb)
 	rk.srcUse = make([]uint64, nb*rk.words)
 	rk.denUse = make([]uint64, nb*rk.words)
 	for i := 0; i < nb*rk.words; i++ {
@@ -337,27 +351,16 @@ func (rk *rank) assignOwners() {
 // forEachRank calls fn for every rank whose bit is set in the mask of bi.
 func (rk *rank) forEachRank(mask []uint64, bi int32, fn func(r int)) {
 	for w := 0; w < rk.words; w++ {
-		bits := mask[int(bi)*rk.words+w]
-		for bits != 0 {
-			b := bits & (-bits)
-			r := w*64 + trailingZeros(b)
-			fn(r)
-			bits ^= b
+		for m := mask[int(bi)*rk.words+w]; m != 0; m &= m - 1 {
+			fn(w*64 + bits.TrailingZeros64(m))
 		}
 	}
 }
 
-func trailingZeros(b uint64) int {
-	n := 0
-	for b&1 == 0 {
-		b >>= 1
-		n++
-	}
-	return n
-}
-
+// isUser reports whether this rank's bit is set in the mask of box bi.
 func (rk *rank) isUser(mask []uint64, bi int32) bool {
-	return maskBit(mask, rk.words, bi, rk.c.Rank())
+	r := rk.c.Rank()
+	return mask[int(bi)*rk.words+r/64]&(1<<(r%64)) != 0
 }
 
 // pointWorkEstimate attributes the rank's interaction work to its local
@@ -371,7 +374,7 @@ func (rk *rank) pointWorkEstimate() []int64 {
 	k := rk.opt.Kernel
 	n := len(t.SrcPoints) / 3
 	sorted := make([]int64, n)
-	surfN := rk.ops.Surf.N
+	surfN := rk.eng.Ops.Surf.N
 	for bi := range t.Boxes {
 		b := &t.Boxes[bi]
 		if !b.Leaf || b.SrcCount == 0 {

@@ -1,8 +1,9 @@
 package parfmm
 
 import (
-	"fmt"
+	"context"
 
+	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/morton"
 	"repro/internal/mpi"
@@ -67,46 +68,37 @@ func PartitionPoints(src, den []float64, sd, nproc int) []*RankInput {
 
 // EvaluateRank runs one rank of the parallel algorithm over transport t:
 // global tree construction, owner assignment and a single interaction
-// evaluation (Section 3's passes, with the Algorithm-1 ghost exchanges
+// evaluation (the engine's passes, with the Algorithm-1 ghost exchanges
 // on the wire when t is a network transport). It is the entry point
 // cluster workers drive; the simulated Evaluate keeps its own loop for
 // the warmup/iteration timing protocol.
 //
-// Transport failures surface as panics (the Transport contract); the
-// caller recovers at the rank boundary.
-func EvaluateRank(t mpi.Transport, in *RankInput, opt Options) (*RankOutput, error) {
-	if opt.Kernel == nil {
-		return nil, fmt.Errorf("parfmm: Options.Kernel is required")
-	}
-	if opt.Degree == 0 {
-		opt.Degree = 6
-	}
-	if opt.MaxPoints == 0 {
-		opt.MaxPoints = 60
-	}
-	if opt.PinvTol == 0 {
-		opt.PinvTol = 1e-10
+// Cancelling ctx stops the rank's compute within one chunk of a pass and
+// returns the typed context error. A rank blocked in a receive is not
+// woken by ctx; the transport's owner aborts it. Transport failures
+// surface as panics (the Transport contract); the caller recovers at the
+// rank boundary.
+func EvaluateRank(ctx context.Context, t mpi.Transport, in *RankInput, opt Options) (*RankOutput, error) {
+	eo, err := opt.engine()
+	if err != nil {
+		return nil, err
 	}
 	sd := opt.Kernel.SourceDim()
 	if len(in.Den) != len(in.Pts)/3*sd {
-		return nil, fmt.Errorf("parfmm: rank density length %d, want %d", len(in.Den), len(in.Pts)/3*sd)
+		return nil, errs.Newf(errs.CodeInvalidInput, "parfmm: rank density length %d, want %d", len(in.Den), len(in.Pts)/3*sd)
 	}
 
-	rk := newRank(t, in, opt)
-	if opt.Trace {
-		tl := obs.NewRankTimeline(t.Rank())
-		rk.tl = tl
-		t.SetObserver(func(ev mpi.Event) { tl.Record(msgRecord(ev)) })
+	rk := newRank(t, in, eo, opt.Trace)
+	if err := rk.prepare(ctx); err != nil {
+		return nil, errs.FromContext(err)
 	}
-	sp := rk.beginSpan("tree_build")
-	rk.buildGlobalTree()
+	defer rk.eng.Close()
+	sp := rk.beginSpan("iteration")
+	_, err = rk.evaluate(ctx)
 	rk.endSpan(sp)
-	sp = rk.beginSpan("assign_owners")
-	rk.assignOwners()
-	rk.endSpan(sp)
-	sp = rk.beginSpan("iteration")
-	rk.evaluate()
-	rk.endSpan(sp)
+	if err != nil {
+		return nil, err
+	}
 	rk.tl.Close(t.Elapsed())
 	return &RankOutput{
 		Pot:      rk.pot,

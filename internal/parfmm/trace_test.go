@@ -79,8 +79,8 @@ func TestTraceSpanTree(t *testing.T) {
 		}
 		for _, name := range []string{
 			"tree_build", "assign_owners", "warmup", "iteration",
-			"source_gather", "upward", "source_exchange",
-			"density_gather", "down_ux", "density_exchange", "down_vw_local",
+			"source_gather", "up", "source_exchange",
+			"density_gather", "density_exchange", "down", "leaf",
 		} {
 			sp := rt.Root.Find(name)
 			if sp == nil {
@@ -98,6 +98,25 @@ func TestTraceSpanTree(t *testing.T) {
 		}
 		if ex.Attrs["bytes"] == "" || ex.Attrs["msgs"] == "" {
 			t.Errorf("rank %d source_exchange attrs = %v, want bytes and msgs", rt.Rank, ex.Attrs)
+		}
+		// The compute spans are the engine's own pass spans, laid on the
+		// rank's clock around the exchanges: nothing downstream starts
+		// before the densities are in, and the passes stay inside the
+		// iteration.
+		it := rt.Root.Find("iteration")
+		up, down, leaf := it.Find("up"), it.Find("down"), it.Find("leaf")
+		if up == nil || down == nil || leaf == nil {
+			t.Fatalf("rank %d iteration lacks a pass span", rt.Rank)
+		}
+		if up.Start < it.Find("source_gather").End || up.End > ex.Start {
+			t.Errorf("rank %d up [%v,%v] not between source_gather and source_exchange [%v,..]", rt.Rank, up.Start, up.End, ex.Start)
+		}
+		if de := it.Find("density_exchange"); down.Start < de.End || leaf.Start < down.End || leaf.End > it.End {
+			t.Errorf("rank %d down [%v,%v] leaf [%v,%v] out of order after density_exchange ..%v] in iteration ..%v]",
+				rt.Rank, down.Start, down.End, leaf.Start, leaf.End, de.End, it.End)
+		}
+		if down.Attrs["x_direct"] == "" || leaf.Attrs["w_direct"] == "" {
+			t.Errorf("rank %d pass attrs: down %v leaf %v, want x_direct and w_direct", rt.Rank, down.Attrs, leaf.Attrs)
 		}
 		if len(rt.Msgs) == 0 {
 			t.Errorf("rank %d recorded no ledger entries", rt.Rank)

@@ -133,25 +133,6 @@ func (f *FFTM2L) Close() {
 // component: the half-spectrum length M·M·(M/2+1).
 func (f *FFTM2L) GridLen() int { return f.M * f.M * f.K }
 
-// NewAccumulator returns zeroed Fourier-space accumulation grids, one per
-// target potential component.
-func (f *FFTM2L) NewAccumulator() [][]complex128 {
-	acc := make([][]complex128, f.set.Kern.TargetDim())
-	for i := range acc {
-		acc[i] = make([]complex128, f.GridLen())
-	}
-	return acc
-}
-
-// ResetAccumulator zeroes grids previously returned by NewAccumulator.
-func (f *FFTM2L) ResetAccumulator(acc [][]complex128) {
-	for _, g := range acc {
-		for i := range g {
-			g[i] = 0
-		}
-	}
-}
-
 // volBuf fetches a pooled real M³ volume buffer.
 func (f *FFTM2L) volBuf() *[]float64 {
 	return f.vols.Get().(*[]float64)
@@ -195,25 +176,6 @@ func (f *FFTM2L) extractAdd(g []complex128, a int, escale float64, check []float
 	f.vols.Put(vp)
 }
 
-// ForwardDensity embeds the surface density phi (EquivCount values) into
-// per-component half-spectrum grids. dst must hold SourceDim grids of
-// GridLen (allocate with NewSourceGrids).
-func (f *FFTM2L) ForwardDensity(phi []float64, dst [][]complex128) {
-	sd := f.set.Kern.SourceDim()
-	for c := 0; c < sd; c++ {
-		f.embedForward(phi, c, sd, dst[c])
-	}
-}
-
-// NewSourceGrids returns grids for ForwardDensity.
-func (f *FFTM2L) NewSourceGrids() [][]complex128 {
-	g := make([][]complex128, f.set.Kern.SourceDim())
-	for i := range g {
-		g[i] = make([]complex128, f.GridLen())
-	}
-	return g
-}
-
 // ForwardDensityBatch transforms nq right-hand sides at once: phi holds
 // nq*EquivCount density values rhs-major (the layout the FMM keeps its
 // upward densities in), dst receives nq*SourceDim half-spectrum grids
@@ -239,28 +201,16 @@ func hadamardAdd(dst, t, s []complex128) {
 	}
 }
 
-// Accumulate adds the Fourier-space M2L contribution of a source box
-// (transformed grids src) to a target accumulator, for boxes at the
-// given level with integer center offset k = (targetCell - sourceCell).
-// The homogeneous level scale is NOT applied here: every contribution
-// to one accumulator comes from the same level, so Extract applies the
-// scale once per surface point instead of once per grid element.
-func (f *FFTM2L) Accumulate(acc, src [][]complex128, level int, k [3]int) {
-	key, _, _ := f.set.scaleFor(level)
-	t := f.tensor(key, k)
-	sd, td := f.set.Kern.SourceDim(), f.set.Kern.TargetDim()
-	for a := 0; a < td; a++ {
-		for b := 0; b < sd; b++ {
-			hadamardAdd(acc[a], t[a*sd+b], src[b])
-		}
-	}
-}
-
-// AccumulateBatch is Accumulate across nq right-hand sides with
-// rhs-major flattened grids: acc holds nq*TargetDim accumulator grids,
-// src nq*SourceDim source grids (the ForwardDensityBatch layout). Each
-// kernel tensor is walked once per (target, source) component pair and
-// applied to every RHS while it is cache-hot.
+// AccumulateBatch adds the Fourier-space M2L contribution of a source
+// box to a target accumulator, for boxes at the given level with integer
+// center offset k = (targetCell - sourceCell), across nq right-hand sides
+// with rhs-major flattened grids: acc holds nq*TargetDim accumulator
+// grids, src nq*SourceDim source grids (the ForwardDensityBatch layout).
+// Each kernel tensor is walked once per (target, source) component pair
+// and applied to every RHS while it is cache-hot. The homogeneous level
+// scale is NOT applied here: every contribution to one accumulator comes
+// from the same level, so ExtractGrids applies the scale once per
+// surface point instead of once per grid element.
 func (f *FFTM2L) AccumulateBatch(acc, src []complex128, nq, level int, k [3]int) {
 	key, _, _ := f.set.scaleFor(level)
 	t := f.tensor(key, k)
@@ -276,22 +226,13 @@ func (f *FFTM2L) AccumulateBatch(acc, src []complex128, nq, level int, k [3]int)
 	}
 }
 
-// Extract inverse-transforms the accumulator and reads off the downward
-// check potential at the DC surface points, applying the level's
-// analytic operator scale (see Accumulate) and adding into check
-// (CheckCount values). level must match the Accumulate calls that
-// filled acc; acc is used as workspace and is garbage afterwards.
-func (f *FFTM2L) Extract(acc [][]complex128, level int, check []float64) {
-	_, escale, _ := f.set.scaleFor(level)
-	td := f.set.Kern.TargetDim()
-	for a := 0; a < td; a++ {
-		f.extractAdd(acc[a], a, escale, check)
-	}
-}
-
-// ExtractGrids is Extract for one right-hand side of the flattened
-// batch layout: acc holds TargetDim half-spectrum grids back to back
-// (one AccumulateBatch RHS slot).
+// ExtractGrids inverse-transforms one right-hand side of the
+// accumulator — acc holds TargetDim half-spectrum grids back to back,
+// one AccumulateBatch RHS slot — and reads off the downward check
+// potential at the DC surface points, applying the level's analytic
+// operator scale (see AccumulateBatch) and adding into check (CheckCount
+// values). level must match the AccumulateBatch calls that filled acc;
+// acc is used as workspace and is garbage afterwards.
 func (f *FFTM2L) ExtractGrids(acc []complex128, level int, check []float64) {
 	_, escale, _ := f.set.scaleFor(level)
 	td := f.set.Kern.TargetDim()

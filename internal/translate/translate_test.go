@@ -223,6 +223,19 @@ func TestL2LPreservesInteriorField(t *testing.T) {
 	}
 }
 
+// forward1 transforms one density vector into its source grids (the
+// batch layout at nq=1).
+func forward1(f *FFTM2L, phi []float64) []complex128 {
+	src := make([]complex128, f.set.Kern.SourceDim()*f.GridLen())
+	f.ForwardDensityBatch(phi, 1, src)
+	return src
+}
+
+// newAcc1 returns a zeroed accumulator for one right-hand side.
+func newAcc1(f *FFTM2L) []complex128 {
+	return make([]complex128, f.set.Kern.TargetDim()*f.GridLen())
+}
+
 // TestFFTM2LMatchesDense: the Fourier path must reproduce the dense M2L
 // translation to near machine precision for every kernel and a sample of
 // V-list offsets.
@@ -242,14 +255,13 @@ func TestFFTM2LMatchesDense(t *testing.T) {
 			for i := range phi {
 				phi[i] = rng.NormFloat64()
 			}
-			src := f.NewSourceGrids()
-			f.ForwardDensity(phi, src)
+			src := forward1(f, phi)
 			for _, off := range offsets {
 				want := applyM2LDirect(s, level, off, phi)
-				acc := f.NewAccumulator()
-				f.Accumulate(acc, src, level, off)
+				acc := newAcc1(f)
+				f.AccumulateBatch(acc, src, 1, level, off)
 				got := make([]float64, s.CheckCount())
-				f.Extract(acc, level, got)
+				f.ExtractGrids(acc, level, got)
 				scale := 0.0
 				for _, v := range want {
 					if a := math.Abs(v); a > scale {
@@ -276,20 +288,18 @@ func TestFFTM2LAccumulatesMultipleSources(t *testing.T) {
 	f := NewFFTM2L(s)
 	level := 3
 	offsets := [][3]int{{2, 1, 0}, {-3, 0, 2}, {0, -2, 0}}
-	acc := f.NewAccumulator()
+	acc := newAcc1(f)
 	want := make([]float64, s.CheckCount())
 	for _, off := range offsets {
 		phi := make([]float64, s.EquivCount())
 		for i := range phi {
 			phi[i] = rng.NormFloat64()
 		}
-		grids := f.NewSourceGrids()
-		f.ForwardDensity(phi, grids)
-		f.Accumulate(acc, grids, level, off)
+		f.AccumulateBatch(acc, forward1(f, phi), 1, level, off)
 		s.M2LDirect(level, off).Apply(want, phi)
 	}
 	got := make([]float64, s.CheckCount())
-	f.Extract(acc, level, got)
+	f.ExtractGrids(acc, level, got)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-11 {
 			t.Fatalf("accumulated FFT M2L mismatch at %d: %v vs %v", i, got[i], want[i])
@@ -319,12 +329,10 @@ func TestFFTM2LHalfSpectrumMatchesFullSpectrum(t *testing.T) {
 		}
 
 		// Half-spectrum path under test.
-		grids := f.NewSourceGrids()
-		f.ForwardDensity(phi, grids)
-		acc := f.NewAccumulator()
-		f.Accumulate(acc, grids, level, off)
+		acc := newAcc1(f)
+		f.AccumulateBatch(acc, forward1(f, phi), 1, level, off)
 		got := make([]float64, s.CheckCount())
-		f.Extract(acc, level, got)
+		f.ExtractGrids(acc, level, got)
 
 		// Full-spectrum reference.
 		p, m := s.P, f.M
@@ -433,16 +441,15 @@ func TestFFTM2LBatchMatchesSingle(t *testing.T) {
 			f.ExtractGrids(batchAcc[q*td*gl:(q+1)*td*gl], level, got[q*nc:(q+1)*nc])
 		}
 
-		// Single-RHS path.
+		// One right-hand side at a time.
 		want := make([]float64, nq*nc)
 		for q := 0; q < nq; q++ {
-			grids := f.NewSourceGrids()
-			f.ForwardDensity(phi[q*ne:(q+1)*ne], grids)
-			acc := f.NewAccumulator()
+			grids := forward1(f, phi[q*ne:(q+1)*ne])
+			acc := newAcc1(f)
 			for _, off := range offsets {
-				f.Accumulate(acc, grids, level, off)
+				f.AccumulateBatch(acc, grids, 1, level, off)
 			}
-			f.Extract(acc, level, want[q*nc:(q+1)*nc])
+			f.ExtractGrids(acc, level, want[q*nc:(q+1)*nc])
 		}
 		for i := range got {
 			if got[i] != want[i] {

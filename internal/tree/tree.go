@@ -300,7 +300,8 @@ func countPrefix(seg []keyed, ck morton.Key, level uint8) int {
 // breadth-first order with levelStart offsets as produced by that
 // construction; srcPoints/srcPerm are the rank's Morton-sorted local
 // points (sources and targets are the same set in the parallel driver).
-func Assemble(center [3]float64, halfWidth float64, boxes []Box, levelStart []int, srcPoints []float64, srcPerm []int32, maxPoints int) *Tree {
+// ctx is checked during list construction as in BuildCtx.
+func Assemble(ctx context.Context, center [3]float64, halfWidth float64, boxes []Box, levelStart []int, srcPoints []float64, srcPerm []int32, maxPoints int) (*Tree, error) {
 	t := &Tree{
 		Center: center, HalfWidth: halfWidth,
 		Boxes: boxes, LevelStart: levelStart,
@@ -312,8 +313,10 @@ func Assemble(center [3]float64, halfWidth float64, boxes []Box, levelStart []in
 	for i := range boxes {
 		t.index[boxes[i].Key] = int32(i)
 	}
-	t.buildLists(context.Background()) //lint:allow ctxfirst parallel ranks carry no ctx; Assemble is in-memory list construction
-	return t
+	if err := t.buildLists(ctx); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // SortPointsByKey Morton-sorts pts against the cube (center, halfWidth)
