@@ -277,13 +277,13 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 			for q := range dens {
 				dens[q] = RandomDensities(int64(3+q), n, 1)
 			}
-			if _, err := ev.EvaluateBatch(dens); err != nil {
+			if _, err := ev.EvaluateBatchCtx(context.Background(), dens); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ev.EvaluateBatch(dens); err != nil {
+				if _, err := ev.EvaluateBatchCtx(context.Background(), dens); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -418,7 +418,7 @@ func BenchmarkTreecodeComparison(b *testing.B) {
 		}
 	})
 	b.Run("barneshut", func(b *testing.B) {
-		ev, err := barneshut.New(pts, barneshut.Options{
+		ev, err := barneshut.New(context.Background(), pts, barneshut.Options{
 			Kernel: kernels.Laplace{}, Theta: 0.35, Degree: 6, MaxPoints: 60,
 		})
 		if err != nil {

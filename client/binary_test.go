@@ -195,12 +195,8 @@ func TestEvaluateIdempotentRetryAcross503(t *testing.T) {
 	}
 	// The failed attempt never reached the service, and the retry hit
 	// it once: the sweep ran exactly once.
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Evaluations != 1 {
-		t.Errorf("evaluations = %d, want exactly 1", m.Evaluations)
+	if n := svc.MetricsRegistry().Snapshot()["kifmm_evaluations_total"]; n != 1 {
+		t.Errorf("evaluations = %v, want exactly 1", n)
 	}
 	// Sanity: the result is the real one, matching a direct re-run.
 	pot2, _, err := c.Evaluate(ctx, plan.ID, den)

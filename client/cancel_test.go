@@ -61,9 +61,9 @@ func TestClientCancelPropagatesTyped(t *testing.T) {
 
 	// Server side: the sweep aborted and was recorded as a cancellation.
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.Metrics().EvalCanceled == 0 {
+	for svc.MetricsRegistry().Snapshot()["kifmm_eval_canceled_total"] == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server never recorded the cancellation; metrics %+v", svc.Metrics())
+			t.Fatalf("server never recorded the cancellation; metrics %+v", svc.MetricsRegistry().Snapshot())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -71,8 +71,6 @@ type (
 	PlanInfo = service.PlanInfo
 	// EvalStats is the per-stage timing breakdown of one evaluation.
 	EvalStats = service.EvalStats
-	// MetricsSnapshot mirrors the server's /debug/vars "kifmm" object.
-	MetricsSnapshot = service.MetricsSnapshot
 	// HealthResponse mirrors GET /healthz.
 	HealthResponse = service.HealthResponse
 	// TraceSpan is one node of an evaluation's span tree.
@@ -210,7 +208,7 @@ func trimSlash(s string) string {
 // idempotency key.
 func (c *Client) RegisterPlan(ctx context.Context, req PlanRequest) (PlanInfo, error) {
 	var info PlanInfo
-	body, ct, err := c.planBody(req)
+	body, ct, err := c.encode(service.ShapePlan, service.Request{PlanRequest: req})
 	if err != nil {
 		return info, err
 	}
@@ -225,29 +223,10 @@ func (c *Client) RegisterPlan(ctx context.Context, req PlanRequest) (PlanInfo, e
 	return info, err
 }
 
-// planBody assembles a plan-registration body in the configured
-// request encoding: plain JSON, or a frame carrying the non-bulk
-// fields as a JSON header and the coordinates as raw words.
-func (c *Client) planBody(req PlanRequest) ([]byte, string, error) {
-	if !c.binary {
-		return c.encodeJSON(req)
-	}
-	src, trg := req.Src, req.Trg
-	req.Src, req.Trg = nil, nil
-	hdr, _, err := c.encodeJSON(req)
-	if err != nil {
-		return nil, "", err
-	}
-	return encodePlanFrame(hdr, src, trg), frameContentType, nil
-}
-
 // Evaluate computes potentials for den against a registered plan.
 func (c *Client) Evaluate(ctx context.Context, planID string, den []float64) ([]float64, EvalStats, error) {
-	resp, err := c.evaluate(ctx, "/v1/plans/"+url.PathEscape(planID)+"/evaluate", den)
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	return resp.Potentials, resp.Stats, nil
+	resp, err := c.evaluate(ctx, service.ShapeVector, planPath(planID, "evaluate"), service.Request{Vectors: [][]float64{den}})
+	return sole(resp), resp.Stats, err
 }
 
 // EvaluateBatch computes potentials for many density vectors in one
@@ -256,11 +235,8 @@ func (c *Client) Evaluate(ctx context.Context, planID string, den []float64) ([]
 // is the fast path for multi-RHS workloads (e.g. lockstep Krylov
 // solves).
 func (c *Client) EvaluateBatch(ctx context.Context, planID string, dens [][]float64) ([][]float64, EvalStats, error) {
-	resp, err := c.evaluateBatch(ctx, "/v1/plans/"+url.PathEscape(planID)+"/evaluate_batch", dens)
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	return resp.Potentials, resp.Stats, nil
+	resp, err := c.evaluate(ctx, service.ShapeBatch, planPath(planID, "evaluate_batch"), service.Request{Vectors: dens})
+	return resp.Potentials, resp.Stats, err
 }
 
 // EvaluateTraced is Evaluate plus the server-side span tree of the
@@ -269,119 +245,91 @@ func (c *Client) EvaluateBatch(ctx context.Context, planID string, dens [][]floa
 // attributes. Use it to see where a slow evaluation spent its time
 // without shell access to the server.
 func (c *Client) EvaluateTraced(ctx context.Context, planID string, den []float64) ([]float64, EvalStats, *TraceSpan, error) {
-	resp, err := c.evaluate(ctx, "/v1/plans/"+url.PathEscape(planID)+"/evaluate?trace=1", den)
-	if err != nil {
-		return nil, EvalStats{}, nil, err
-	}
-	return resp.Potentials, resp.Stats, resp.Trace, nil
+	resp, err := c.evaluate(ctx, service.ShapeVector, planPath(planID, "evaluate?trace=1"), service.Request{Vectors: [][]float64{den}})
+	return sole(resp), resp.Stats, resp.Trace, err
 }
 
 // EvaluateBatchTraced is EvaluateBatch plus the sweep's span tree.
 func (c *Client) EvaluateBatchTraced(ctx context.Context, planID string, dens [][]float64) ([][]float64, EvalStats, *TraceSpan, error) {
-	resp, err := c.evaluateBatch(ctx, "/v1/plans/"+url.PathEscape(planID)+"/evaluate_batch?trace=1", dens)
-	if err != nil {
-		return nil, EvalStats{}, nil, err
-	}
-	return resp.Potentials, resp.Stats, resp.Trace, nil
+	resp, err := c.evaluate(ctx, service.ShapeBatch, planPath(planID, "evaluate_batch?trace=1"), service.Request{Vectors: dens})
+	return resp.Potentials, resp.Stats, resp.Trace, err
 }
 
 // EvaluateOnce registers the plan and evaluates in one round trip; the
 // plan stays cached server-side. It returns the plan id for follow-up
 // Evaluate calls.
 func (c *Client) EvaluateOnce(ctx context.Context, req PlanRequest, den []float64) (string, []float64, EvalStats, error) {
-	body, ct, err := c.oneShotBody(service.OneShotRequest{PlanRequest: req, Densities: den})
+	resp, err := c.evaluate(ctx, service.ShapeOneShot, "/v1/evaluate", service.Request{PlanRequest: req, Vectors: [][]float64{den}})
+	return resp.PlanID, sole(resp), resp.Stats, err
+}
+
+// planPath is the route of a registered plan's evaluation endpoint.
+func planPath(planID, endpoint string) string {
+	return "/v1/plans/" + url.PathEscape(planID) + "/" + endpoint
+}
+
+// sole returns the one potential vector of a single-vector response (nil
+// on the zero response of a failed call).
+func sole(resp service.EvaluateBatchResponse) []float64 {
+	if len(resp.Potentials) == 0 {
+		return nil
+	}
+	return resp.Potentials[0]
+}
+
+// encode assembles a request body in the configured request encoding
+// (plain JSON, or a frame carrying the bulk arrays as raw words) and
+// returns it with its Content-Type.
+func (c *Client) encode(shape service.Shape, req service.Request) ([]byte, string, error) {
+	body, ct, err := service.EncodeRequest(c.binary, shape, req)
 	if err != nil {
-		return "", nil, EvalStats{}, err
+		return nil, "", fmt.Errorf("client: encoding request: %w", err)
 	}
-	var resp service.EvaluateResponse
-	if err := c.evalPost(ctx, "/v1/evaluate", body, ct, func(r *http.Response) error {
-		return decodeEvalResponse(r, &resp)
-	}); err != nil {
-		return "", nil, EvalStats{}, err
-	}
-	return resp.PlanID, resp.Potentials, resp.Stats, nil
+	return body, ct, nil
 }
 
-// oneShotBody is planBody for the one-shot endpoint (densities join
-// the bulk arrays).
-func (c *Client) oneShotBody(req service.OneShotRequest) ([]byte, string, error) {
-	if !c.binary {
-		return c.encodeJSON(req)
-	}
-	src, trg, den := req.Src, req.Trg, req.Densities
-	req.Src, req.Trg, req.Densities = nil, nil, nil
-	hdr, _, err := c.encodeJSON(req)
-	if err != nil {
-		return nil, "", err
-	}
-	return encodeOneShotFrame(hdr, src, trg, den), frameContentType, nil
-}
-
-// evaluate runs one evaluation POST and decodes the response in
-// whichever encoding the server chose.
-func (c *Client) evaluate(ctx context.Context, path string, den []float64) (service.EvaluateResponse, error) {
-	var resp service.EvaluateResponse
-	var body []byte
-	ct := frameContentType
-	if c.binary {
-		body = encodeEvalFrame(den)
-	} else {
-		var err error
-		if body, ct, err = c.encodeJSON(service.EvaluateRequest{Densities: den}); err != nil {
-			return resp, err
-		}
-	}
-	err := c.evalPost(ctx, path, body, ct, func(r *http.Response) error {
-		return decodeEvalResponse(r, &resp)
-	})
-	return resp, err
-}
-
-// evaluateBatch is evaluate for the batch endpoint.
-func (c *Client) evaluateBatch(ctx context.Context, path string, dens [][]float64) (service.EvaluateBatchResponse, error) {
+// evaluate runs one evaluation POST of the route of shape and decodes the
+// response in whichever encoding the server chose: every request
+// advertises the frame encoding, new servers answer with it and old ones
+// keep answering JSON — callers always receive the same model. Under a
+// retry policy the attempts share one Idempotency-Key, so a retry whose
+// predecessor actually ran replays the stored result instead of
+// re-evaluating.
+func (c *Client) evaluate(ctx context.Context, shape service.Shape, path string, req service.Request) (service.EvaluateBatchResponse, error) {
 	var resp service.EvaluateBatchResponse
-	var body []byte
-	ct := frameContentType
-	if c.binary {
-		body = encodeEvalBatchFrame(dens)
-	} else {
-		var err error
-		if body, ct, err = c.encodeJSON(service.EvaluateBatchRequest{Densities: dens}); err != nil {
-			return resp, err
-		}
+	body, ct, err := c.encode(shape, req)
+	if err != nil {
+		return resp, err
 	}
-	err := c.evalPost(ctx, path, body, ct, func(r *http.Response) error {
-		return decodeEvalBatchResponse(r, &resp)
-	})
-	return resp, err
-}
-
-// evalPost sends one evaluation request, advertising the frame
-// response encoding, retrying under the client's policy with a shared
-// Idempotency-Key so a retry whose predecessor actually ran replays
-// the stored result instead of re-evaluating.
-func (c *Client) evalPost(ctx context.Context, path string, body []byte, contentType string, decode func(*http.Response) error) error {
 	key := ""
 	if c.retry != nil {
 		key = newIdempotencyKey()
 	}
 	attempt := func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", contentType)
-		req.Header.Set("Accept", frameContentType+", application/json")
-		req.Header.Set("Traceparent", traceparent(ctx))
+		hreq.Header.Set("Content-Type", ct)
+		hreq.Header.Set("Accept", service.ContentTypeFrame+", application/json")
+		hreq.Header.Set("Traceparent", traceparent(ctx))
 		if key != "" {
-			req.Header.Set("Idempotency-Key", key)
+			hreq.Header.Set("Idempotency-Key", key)
 		}
-		return c.doDecode(req, decode)
+		return c.doDecode(hreq, func(r *http.Response) (err error) {
+			resp, err = service.DecodeResponse(service.IsFrame(r.Header.Get("Content-Type")), shape, r.Body)
+			return err
+		})
 	}
 	if c.retry == nil {
-		return attempt(ctx)
+		err = attempt(ctx)
+	} else {
+		err = c.withRetry(ctx, attempt)
 	}
-	return c.withRetry(ctx, attempt)
+	if err != nil {
+		return service.EvaluateBatchResponse{}, err
+	}
+	return resp, nil
 }
 
 // newIdempotencyKey returns a fresh random key, or "" if the system
@@ -455,11 +403,11 @@ func (c *Client) uploadChunk(ctx context.Context, id string, off int, chunk []fl
 	}
 	defer cancel()
 	var st UploadStatus
-	body := encodeUploadChunkFrame(uint64(off), chunk)
-	if err := c.postRaw(cctx, "/v1/uploads/"+url.PathEscape(id), body, frameContentType, &st); err != nil {
-		return 0, err
+	body, ct, err := service.EncodeRequest(true, service.ShapeChunk, service.Request{Offset: uint64(off), Vectors: [][]float64{chunk}})
+	if err == nil {
+		err = c.postRaw(cctx, "/v1/uploads/"+url.PathEscape(id), body, ct, &st)
 	}
-	return st.ReceivedWords, nil
+	return st.ReceivedWords, err
 }
 
 // GetUpload reports an in-flight upload's committed prefix (the resume
@@ -498,17 +446,6 @@ func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 	var h HealthResponse
 	err := c.get(ctx, "/healthz", &h)
 	return h, err
-}
-
-// Metrics fetches the "kifmm" object from /debug/vars.
-func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
-	var vars struct {
-		KIFMM MetricsSnapshot `json:"kifmm"`
-	}
-	if err := c.get(ctx, "/debug/vars", &vars); err != nil {
-		return MetricsSnapshot{}, err
-	}
-	return vars.KIFMM, nil
 }
 
 // RecentEvals fetches the span trees of the server's recent

@@ -21,7 +21,10 @@ func startServer(t *testing.T) *Client {
 }
 
 func TestEndToEndRoundTrip(t *testing.T) {
-	c := startServer(t)
+	svc := service.New(service.Config{})
+	ts := httptest.NewServer(service.NewServer(svc))
+	t.Cleanup(ts.Close)
+	c := New(ts.URL)
 	ctx := context.Background()
 
 	patches := kifmm.UniformPatches(7, 300)
@@ -119,7 +122,8 @@ func TestEndToEndRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Health and metrics read back through the client.
+	// Health reads back through the client; the counters are the
+	// server's registry (GET /metrics).
 	h, err := c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -127,15 +131,12 @@ func TestEndToEndRoundTrip(t *testing.T) {
 	if h.Status != "ok" || h.Plans != 1 {
 		t.Errorf("health = %+v", h)
 	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := svc.MetricsRegistry().Snapshot()
+	if m["kifmm_plans_built_total"] != 1 || m["kifmm_evaluations_total"] != 4 {
+		t.Errorf("metrics = %v, want 1 plan built and 4 evaluations", m)
 	}
-	if m.PlansBuilt != 1 || m.Evaluations != 4 {
-		t.Errorf("metrics = %+v, want 1 plan built and 4 evaluations", m)
-	}
-	if m.PlansBytes <= 0 {
-		t.Errorf("metrics missing plan footprint: %+v", m)
+	if m["kifmm_plan_cache_bytes"] <= 0 {
+		t.Errorf("metrics missing plan footprint: %v", m)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // RetryPolicy configures automatic retries for idempotent requests:
-// GETs (Health, Metrics, RecentEvals...), plan registrations (safe to
+// GETs (Health, RecentEvals, GetUpload...), plan registrations (safe to
 // repeat — plans are content-addressed) and evaluation POSTs, which
 // the client makes safe by attaching an Idempotency-Key header the
 // server deduplicates: a retried evaluation whose first attempt

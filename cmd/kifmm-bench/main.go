@@ -40,7 +40,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table4.1, fig4.2, table4.2, fig4.3, table4.3, ablation-m2l, exec-workers, parfmm-trace, cluster-smoke, wire-bench, all)")
+	exp := flag.String("exp", "all", "experiment id (table4.1, fig4.2, table4.2, fig4.3, table4.3, ablation-m2l, exec-workers, parfmm-trace, cluster-smoke, all)")
 	scale := flag.Float64("scale", 1, "multiply the default particle counts by this factor")
 	iters := flag.Int("iters", 1, "average the interaction evaluation over this many iterations")
 	maxP := flag.Int("maxp", 0, "cap the processor sweep at this rank count (0 = default sweep)")
@@ -49,7 +49,6 @@ func main() {
 	trajFile := flag.String("trajectory-file", "BENCH_trajectory.json", "trajectory file to append to (with -trajectory)")
 	trajN := flag.Int("trajectory-n", 0, "trajectory workload size (0 = default 10000)")
 	label := flag.String("label", "", "free-form tag stored with the trajectory entry")
-	wireN := flag.Int("wire-n", 0, "point count for -exp wire-bench (0 = default 1000000)")
 	traceOut := flag.String("trace-out", "parfmm-trace.json", "Chrome trace-event output file (with -exp parfmm-trace)")
 	traceRanks := flag.Int("trace-ranks", 0, "simulated rank count for -exp parfmm-trace (0 = default 4)")
 	version := flag.Bool("version", false, "print build identity and exit")
@@ -70,13 +69,8 @@ func main() {
 		return
 	}
 
-	if *exp == "wire-bench" {
-		runWireBench(*wireN, *traj, *trajFile, *label)
-		return
-	}
-
 	if *traj {
-		entry, err := harness.RunTrajectoryPoint(harness.TrajectoryConfig{
+		entry, err := harness.RunTrajectoryPoint(context.Background(), harness.TrajectoryConfig{
 			N: *trajN, Iterations: *iters, Label: *label,
 		})
 		if err != nil {
@@ -101,8 +95,6 @@ func main() {
 			"traced 4-rank distributed run: per-pass breakdown, critical path, Chrome trace JSON")
 		fmt.Printf("%-14s %s\n", "cluster-smoke",
 			"real-TCP loopback cluster (coordinator + 2 workers): one round-trip checked against single node")
-		fmt.Printf("%-14s %s\n", "wire-bench",
-			"JSON vs binary-frame codec comparison of one simulated evaluate round trip")
 		return
 	}
 
@@ -129,7 +121,7 @@ func main() {
 		ran = true
 		start := time.Now()
 		fmt.Printf("== %s: %s\n\n", e.ID, e.Description)
-		out, err := e.Run(sc)
+		out, err := e.Run(context.Background(), sc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			os.Exit(1)
@@ -205,34 +197,6 @@ func runClusterSmoke(n int, traj bool, trajFile, label string) {
 			trajFile, entry.GitSHA, entry.Ranks, entry.CommBytes, entry.CommMsgs, rep.RelErr)
 	}
 	fmt.Printf("[cluster-smoke completed in %s]\n", harness.Elapse(start))
-}
-
-// runWireBench compares the HTTP API's two bulk encodings on one
-// simulated evaluate round trip and (with -trajectory) appends a
-// sample carrying the wire_* fields.
-func runWireBench(n int, traj bool, trajFile, label string) {
-	start := time.Now()
-	rep, err := harness.RunWireBench(n)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Print(rep.Table)
-	if !rep.Identical {
-		fmt.Fprintln(os.Stderr, "wire-bench: encodings decoded to different bits")
-		os.Exit(1)
-	}
-	if traj {
-		entry := harness.WireBenchTrajectoryEntry(rep, label)
-		if err := harness.AppendTrajectory(trajFile, entry); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nappended to %s: sha=%s n=%d json=%dB/%.1fms frame=%dB/%.1fms\n",
-			trajFile, entry.GitSHA, entry.N, entry.WireJSONBytes, entry.WireJSONCodecMS,
-			entry.WireFrameBytes, entry.WireFrameCodecMS)
-	}
-	fmt.Printf("[wire-bench completed in %s]\n", harness.Elapse(start))
 }
 
 func capProcs(ps []int, max int) []int {

@@ -15,7 +15,6 @@
 //	GET  /healthz                      liveness
 //	GET  /metrics                      Prometheus text exposition
 //	GET  /v1/evals/recent              span trees of recent evaluations
-//	GET  /debug/vars                   expvar metrics (legacy "kifmm" key)
 //	GET  /debug/pprof/...              runtime profiles (with -pprof)
 //
 // Bulk arrays cross the wire as JSON by default or as binary frames
@@ -39,8 +38,9 @@
 // every lane; as concurrent requests arrive, running evaluations shed
 // lanes at chunk boundaries down to -min-lane-per-eval, and requests
 // that cannot get even the floor queue. Granted widths are reported
-// per response (granted_lanes) and aggregated under /debug/vars
-// (lanes_in_use, lanes_granted_total, granted_width_hist).
+// per response (granted_lanes) and aggregated under /metrics
+// (kifmm_lanes_in_use, kifmm_lanes_granted_total,
+// kifmm_granted_width_total).
 //
 // Shutdown is graceful: on SIGINT/SIGTERM the listener closes and
 // in-flight requests get -drain-timeout to finish; past the drain

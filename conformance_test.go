@@ -140,7 +140,7 @@ func TestConformanceRandomizedVsDirect(t *testing.T) {
 			for q := range dens {
 				dens[q] = RandomDensities(int64(100+q), n, c.kernel.SourceDim())
 			}
-			pots, err := ev.EvaluateBatch(dens)
+			pots, err := ev.EvaluateBatchCtx(context.Background(), dens)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestConformanceBitwiseAcrossElasticWidths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st, err := ev.EvaluateBatchStats(dens)
+			got, st, _, err := ev.EvaluateBatchTracedCtx(context.Background(), dens)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,11 +222,11 @@ func TestConformanceShrinkMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, st, err := ev.EvaluateStats(den) // undisturbed: full width
+	want, err := ev.Evaluate(den) // undisturbed: full width
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Lanes != 4 {
+	if st := ev.Stats(); st.Lanes != 4 {
 		t.Fatalf("undisturbed evaluation granted %d lanes, want 4", st.Lanes)
 	}
 

@@ -15,6 +15,7 @@
 package barneshut
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/kernels"
@@ -46,8 +47,8 @@ type Evaluator struct {
 }
 
 // New builds the octree over the points (sources and targets are the
-// same set, the usual treecode situation).
-func New(pts []float64, opt Options) (*Evaluator, error) {
+// same set, the usual treecode situation); ctx can abandon the build.
+func New(ctx context.Context, pts []float64, opt Options) (*Evaluator, error) {
 	if opt.Kernel == nil {
 		return nil, fmt.Errorf("barneshut: Options.Kernel is required")
 	}
@@ -66,7 +67,7 @@ func New(pts []float64, opt Options) (*Evaluator, error) {
 	if opt.PinvTol == 0 {
 		opt.PinvTol = 1e-10
 	}
-	tr, err := tree.Build(pts, pts, tree.Config{MaxPoints: opt.MaxPoints})
+	tr, err := tree.BuildCtx(ctx, pts, pts, tree.Config{MaxPoints: opt.MaxPoints})
 	if err != nil {
 		return nil, err
 	}

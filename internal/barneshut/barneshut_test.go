@@ -1,6 +1,7 @@
 package barneshut
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,7 +31,7 @@ func TestTreecodeAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := New(pts, Options{Kernel: kernels.Laplace{}, Theta: 0.6, Degree: 6, MaxPoints: 30})
+	ev, err := New(context.Background(), pts, Options{Kernel: kernels.Laplace{}, Theta: 0.6, Degree: 6, MaxPoints: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestThetaControlsAccuracy(t *testing.T) {
 	want, _ := direct.Evaluate(kernels.Laplace{}, pts, pts, den)
 	var errs []float64
 	for _, theta := range []float64{1.2, 0.6, 0.3} {
-		ev, err := New(pts, Options{Kernel: kernels.Laplace{}, Theta: theta, Degree: 6, MaxPoints: 30})
+		ev, err := New(context.Background(), pts, Options{Kernel: kernels.Laplace{}, Theta: theta, Degree: 6, MaxPoints: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestTreecodeTensorKernel(t *testing.T) {
 	pts := geom.Flatten(geom.CornerClusters(rng, 900, 0.35, 1))
 	den := geom.RandomDensities(rng, 900, 3)
 	want, _ := direct.Evaluate(kernels.NewStokes(1), pts, pts, den)
-	ev, err := New(pts, Options{Kernel: kernels.NewStokes(1), Theta: 0.5, Degree: 6, MaxPoints: 25})
+	ev, err := New(context.Background(), pts, Options{Kernel: kernels.NewStokes(1), Theta: 0.5, Degree: 6, MaxPoints: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSmallInputFallsBackToDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := geom.Flatten(geom.UniformCube(rng, 40))
 	den := geom.RandomDensities(rng, 40, 1)
-	ev, err := New(pts, Options{Kernel: kernels.Laplace{}, MaxPoints: 60})
+	ev, err := New(context.Background(), pts, Options{Kernel: kernels.Laplace{}, MaxPoints: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +103,13 @@ func TestSmallInputFallsBackToDirect(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
+	if _, err := New(context.Background(), nil, Options{}); err == nil {
 		t.Error("missing kernel must error")
 	}
-	if _, err := New(nil, Options{Kernel: kernels.Laplace{}, Theta: -1}); err == nil {
+	if _, err := New(context.Background(), nil, Options{Kernel: kernels.Laplace{}, Theta: -1}); err == nil {
 		t.Error("negative theta must error")
 	}
-	ev, err := New([]float64{0, 0, 0}, Options{Kernel: kernels.Laplace{}})
+	ev, err := New(context.Background(), []float64{0, 0, 0}, Options{Kernel: kernels.Laplace{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func cancelFixture(t *testing.T, workers int) (*Evaluator, []float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	pts := geom.Flatten(geom.UniformCube(rng, 4000))
-	e, err := New(pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 40, Workers: workers})
+	e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 40, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestEvaluateCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := e.EvaluateCtx(ctx, den)
+	_, _, err := eval(ctx, e, den)
 	if !errors.Is(err, errs.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled and context.Canceled", err)
 	}
@@ -55,7 +55,7 @@ func TestEvaluateCtxCancelMidSweep(t *testing.T) {
 		// operators, so the cancelled run's early passes are cheap and
 		// timing reflects sweep work, not operator construction).
 		start := time.Now()
-		if _, err := e.EvaluateCtx(context.Background(), den); err != nil {
+		if _, _, err := eval(context.Background(), e, den); err != nil {
 			t.Fatal(err)
 		}
 		full := time.Since(start)
@@ -66,7 +66,7 @@ func TestEvaluateCtxCancelMidSweep(t *testing.T) {
 			cancel()
 		}()
 		start = time.Now()
-		_, err := e.EvaluateCtx(ctx, den)
+		_, _, err := eval(ctx, e, den)
 		aborted := time.Since(start)
 		if !errors.Is(err, errs.ErrCanceled) || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want ErrCanceled and context.Canceled", workers, err)
@@ -75,7 +75,7 @@ func TestEvaluateCtxCancelMidSweep(t *testing.T) {
 			t.Errorf("workers=%d: cancelled evaluation ran %v of an uncancelled %v — not within one pass", workers, aborted, full)
 		}
 		// The evaluator must stay fully usable after an aborted sweep.
-		if _, err := e.EvaluateCtx(context.Background(), den); err != nil {
+		if _, _, err := eval(context.Background(), e, den); err != nil {
 			t.Errorf("workers=%d: evaluation after cancel failed: %v", workers, err)
 		}
 	}
@@ -85,12 +85,12 @@ func TestEvaluateCtxCancelMidSweep(t *testing.T) {
 // distinct from ErrCanceled.
 func TestEvaluateCtxDeadline(t *testing.T) {
 	e, den := cancelFixture(t, 1)
-	if _, err := e.Evaluate(den); err != nil { // warm operators
+	if _, _, err := eval(bg, e, den); err != nil { // warm operators
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err := e.EvaluateCtx(ctx, den)
+	_, _, err := eval(ctx, e, den)
 	if !errors.Is(err, errs.ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded and context.DeadlineExceeded", err)
 	}
@@ -120,7 +120,7 @@ func TestNewCtxCancelled(t *testing.T) {
 // returns).
 func TestCancelLeavesNoGoroutines(t *testing.T) {
 	e, den := cancelFixture(t, 4)
-	if _, err := e.Evaluate(den); err != nil { // warm operators
+	if _, _, err := eval(bg, e, den); err != nil { // warm operators
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
@@ -130,7 +130,7 @@ func TestCancelLeavesNoGoroutines(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			cancel()
 		}()
-		if _, err := e.EvaluateCtx(ctx, den); err == nil {
+		if _, _, err := eval(ctx, e, den); err == nil {
 			t.Log("evaluation outran the cancel; still fine")
 		}
 		cancel()

@@ -17,26 +17,28 @@
 // competitors arrive — without ever changing its bitwise result.
 // Evaluation is read-only on the prepared plan (tree + operators): one
 // Evaluator serves concurrent callers.
-// Multi-RHS batching (EvaluateBatch) amortizes tree traversal and
-// near-field kernel evaluations across many density vectors, the shape
-// Krylov solvers and the evaluation service need.
+//
+// There is one way to run an evaluation, (*Evaluator).Evaluate: a batch of
+// density vectors in, one potential vector per density out, with this
+// call's Stats. A single vector is a batch of one; a batch amortizes tree
+// traversal and near-field kernel evaluations across its vectors, the
+// shape Krylov solvers and the evaluation service need.
 //
 // The engine records per-stage compute time and flop counts matching the
 // stages the paper charts in Figures 4.2/4.3 (Up, DownU, DownV, DownW,
 // DownX, Eval).
 //
-// Construction and evaluation are context-first (NewCtx, EvaluateCtx and
-// friends): the context is threaded through every pass, checked at each
-// dispatch and level barrier and between chunk claims inside a pass, so
-// a cancellation or deadline aborts the sweep within one pass and
-// surfaces as a typed error (errs.ErrCanceled / errs.ErrDeadlineExceeded,
-// both also satisfying the standard context sentinels). The ctx-free
-// entry points are thin context.Background() wrappers.
+// Construction and evaluation take a context first (NewCtx, Evaluate): it
+// is threaded through every pass, checked at each dispatch and level
+// barrier and between chunk claims inside a pass, so a cancellation or
+// deadline aborts the sweep within one pass and surfaces as a typed error
+// (errs.ErrCanceled / errs.ErrDeadlineExceeded, both also satisfying the
+// standard context sentinels).
 //
 // These passes are the only ones in the repository. A rank of the
 // distributed algorithm (internal/parfmm) runs them over its local
-// essential tree through EvaluateGhost; what its tree does not hold comes
-// from a Ghost, consulted at one barrier — after the upward pass, before
+// essential tree by handing Evaluate a Ghost; what its tree does not hold
+// comes from it, consulted at one barrier — after the upward pass, before
 // anything reads an upward density of another box — and wherever the near
 // field reads a list member's sources. A local evaluation is the same
 // code with the tree as its own provider.
@@ -90,7 +92,7 @@ type Options struct {
 	// Workers is the widest a single evaluation may fan its per-box
 	// work out (default GOMAXPROCS; 1 forces the sequential path). It
 	// is a ceiling, not a fixed width: the actual width of each call is
-	// resolved at EvaluateCtx time by leasing lanes from the shared
+	// resolved at Evaluate time by leasing lanes from the shared
 	// elastic pool — up to Workers on an idle pool, degrading under
 	// concurrent load, shrinking mid-run as competitors arrive. Results
 	// are bitwise identical for every granted width: each box's
@@ -177,10 +179,10 @@ type Evaluator struct {
 // ApplyDefaults fills zero-valued options with the paper-matching
 // defaults (degree 6, leaf threshold 60, pinv tolerance 1e-10, one
 // worker per logical CPU). It is the single source of truth for
-// defaulting: New and FromTree apply it, and the plan-key hashing in the
+// defaulting: NewCtx and FromTree apply it, and the plan-key hashing in the
 // root package uses it so that options which build identical evaluators
 // identify the same plan. For that reason it mirrors the exact coercion
-// rules of the downstream construction: tree.Build treats MaxPoints <= 0
+// rules of the downstream construction: tree.BuildCtx treats MaxPoints <= 0
 // as 60 and clamps MaxDepth to (0, morton.MaxLevel], and
 // translate.NewSet treats PinvTol <= 0 as 1e-10. (Negative Degree is not
 // coerced anywhere; it fails surface construction and never produces an
@@ -229,17 +231,12 @@ func DefaultPool() *exec.Elastic {
 	return defaultPool
 }
 
-// New builds the octree over src and trg (flat x,y,z slices, which may be
-// the same set, as in the paper's experiments) and prepares the
-// translation operators. It is NewCtx with context.Background().
-func New(src, trg []float64, opt Options) (*Evaluator, error) {
-	return NewCtx(context.Background(), src, trg, opt) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
-}
-
-// NewCtx is the context-aware plan build: ctx is checked before and
-// after the expensive stages and inside the octree construction's
-// per-level loops (tree.BuildCtx), so an impatient caller abandons even
-// a pathological tree build within one level.
+// NewCtx builds the octree over src and trg (flat x,y,z slices, which may
+// be the same set, as in the paper's experiments) and prepares the
+// translation operators. ctx is checked before and after the expensive
+// stages and inside the octree construction's per-level loops
+// (tree.BuildCtx), so an impatient caller abandons even a pathological
+// tree build within one level.
 func NewCtx(ctx context.Context, src, trg []float64, opt Options) (*Evaluator, error) {
 	if opt.Kernel == nil {
 		return nil, errs.New(errs.CodeInvalidInput, "fmm: Options.Kernel is required")
@@ -333,82 +330,6 @@ func (e *Evaluator) Close() {
 	})
 }
 
-// Evaluate computes pot[i] = Σ_j G(trg_i, src_j) den_j for all targets.
-// den holds SourceDim components per source in the original input order;
-// the result has TargetDim components per target in input order.
-func (e *Evaluator) Evaluate(den []float64) ([]float64, error) {
-	pot, _, err := e.EvaluateStatsCtx(context.Background(), den) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
-	return pot, err
-}
-
-// EvaluateCtx is Evaluate under a context: a cancellation or deadline
-// aborts the sweep within one pass and returns a typed error satisfying
-// both errs.ErrCanceled (or ErrDeadlineExceeded) and the matching
-// context sentinel.
-func (e *Evaluator) EvaluateCtx(ctx context.Context, den []float64) ([]float64, error) {
-	pot, _, err := e.EvaluateStatsCtx(ctx, den)
-	return pot, err
-}
-
-// EvaluateStats is Evaluate returning this call's stage breakdown
-// directly, so concurrent callers get their own stats instead of racing
-// on Stats().
-func (e *Evaluator) EvaluateStats(den []float64) ([]float64, Stats, error) {
-	return e.EvaluateStatsCtx(context.Background(), den) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
-}
-
-// EvaluateStatsCtx is EvaluateCtx returning this call's stage breakdown.
-func (e *Evaluator) EvaluateStatsCtx(ctx context.Context, den []float64) ([]float64, Stats, error) {
-	return e.EvaluateGhost(ctx, den, nil, nil)
-}
-
-// EvaluateBatch evaluates several density vectors against the same plan
-// in one sweep, amortizing tree traversal, operator fetches and —
-// dominating the near field — per-pair kernel evaluations across the
-// batch (U/W/X/S2M interactions materialize each kernel block once and
-// apply it to every right-hand side). Results match per-vector Evaluate
-// calls to accumulation-order rounding.
-func (e *Evaluator) EvaluateBatch(dens [][]float64) ([][]float64, error) {
-	pots, _, err := e.evaluate(context.Background(), dens, nil, nil) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
-	return pots, err
-}
-
-// EvaluateBatchCtx is EvaluateBatch under a context; see EvaluateCtx.
-func (e *Evaluator) EvaluateBatchCtx(ctx context.Context, dens [][]float64) ([][]float64, error) {
-	pots, _, err := e.evaluate(ctx, dens, nil, nil)
-	return pots, err
-}
-
-// EvaluateBatchStats is EvaluateBatch returning the aggregate stage
-// breakdown of the whole batch.
-func (e *Evaluator) EvaluateBatchStats(dens [][]float64) ([][]float64, Stats, error) {
-	return e.evaluate(context.Background(), dens, nil, nil) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
-}
-
-// EvaluateBatchStatsCtx is EvaluateBatchCtx returning the aggregate
-// stage breakdown of the whole batch.
-func (e *Evaluator) EvaluateBatchStatsCtx(ctx context.Context, dens [][]float64) ([][]float64, Stats, error) {
-	return e.evaluate(ctx, dens, nil, nil)
-}
-
-// EvaluateBatchTracedCtx is EvaluateBatchStatsCtx plus a trace: the
-// returned span tree records wall-clock intervals for the evaluation
-// (root), each pass (permute / up / down / leaf / unpermute) and each
-// tree level within the up and down passes. Pass spans measure wall
-// time of the whole parallel sweep, whereas Stats stages sum compute
-// time across lanes — the two agree only at width 1. The tree is
-// finished (every span ended) and owned by the caller; on error the
-// span tree is nil. Tracing costs a handful of small allocations per
-// call.
-func (e *Evaluator) EvaluateBatchTracedCtx(ctx context.Context, dens [][]float64) ([][]float64, Stats, *obs.Span, error) {
-	root := obs.StartSpan("evaluate")
-	pots, st, err := e.evaluate(ctx, dens, root, nil)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	return pots, st, root, nil
-}
-
 // Ghost supplies what the tree of a distributed rank does not hold. Such
 // a tree has every box of the global tree but only the rank's own points
 // in it, so the passes compute partial upward densities and need, from
@@ -447,18 +368,6 @@ func (g treeGhost) Sources(bi int32, q int) (pos, den []float64) {
 func (g treeGhost) Counts(bi int32) (src, trg int) {
 	b := &g.r.e.Tree.Boxes[bi]
 	return b.SrcCount, b.TrgCount
-}
-
-// EvaluateGhost is EvaluateStatsCtx over the local essential tree of one
-// rank of a distributed run (internal/parfmm): the same passes, with g
-// providing what other ranks hold. root, when non-nil, collects the pass
-// spans as in EvaluateBatchTracedCtx.
-func (e *Evaluator) EvaluateGhost(ctx context.Context, den []float64, g Ghost, root *obs.Span) ([]float64, Stats, error) {
-	pots, st, err := e.evaluate(ctx, [][]float64{den}, root, g)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return pots[0], st, nil
 }
 
 // runState carries one evaluation's transient state: the engine reads
@@ -525,9 +434,19 @@ func (sc *scratch) accBuf(n int) []complex128 {
 	return acc
 }
 
-// evaluate is the engine shared by all Evaluate variants. The call's
-// worker-lane width is resolved here, not at plan time: a lease is
-// acquired from the elastic pool (admission — under saturation this is
+// Evaluate is the one evaluation entry: for every density vector of dens
+// it computes pot[i] = Σ_j G(trg_i, src_j) den_j over all targets, in one
+// sweep of the tree. A density holds SourceDim components per source in
+// the original input order; its potential has TargetDim components per
+// target in input order. A single vector is a batch of one; a larger batch
+// amortizes traversal, operator fetches and — dominating the near field —
+// per-pair kernel evaluations (U/W/X/S2M interactions materialize each
+// kernel block once and apply it to every right-hand side), and matches
+// per-vector calls to accumulation-order rounding. The returned Stats are
+// this call's own, so concurrent callers do not race on Stats().
+//
+// The call's worker-lane width is resolved here, not at plan time: a lease
+// is acquired from the elastic pool (admission — under saturation this is
 // where a call queues, honoring ctx) and every pass fans out under it,
 // shrinking at chunk-claim boundaries if lanes are revoked mid-run and
 // growing back at pass boundaries when the pool drains. ctx flows into
@@ -536,14 +455,21 @@ func (sc *scratch) accBuf(n int) []complex128 {
 // cancellation error is returned (the most recent *completed*
 // evaluation's stats are left untouched).
 //
-// root, when non-nil, collects a per-pass wall-clock span tree (nil
-// costs nothing — every span method is nil-safe). Passes build the tree
-// sequentially and only this call's goroutines see it until return, so
-// no locking.
+// root, when non-nil, is the caller's open span and collects the trace:
+// wall-clock intervals for each pass (permute / up / down / leaf /
+// unpermute) and each tree level within the up and down passes, plus the
+// rhs and granted_lanes attributes; it is ended on success. Pass spans
+// measure wall time of the whole parallel sweep, whereas Stats stages sum
+// compute time across lanes — the two agree only at width 1. A nil root
+// costs nothing (every span method is nil-safe). Passes build the tree
+// sequentially and only this call's goroutines see it until return, so no
+// locking.
 //
-// g is nil on every local call and the tree then provides for itself;
-// the passes read a list member's sources through r.g either way.
-func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Span, g Ghost) ([][]float64, Stats, error) {
+// g is nil on every local call and the tree then provides for itself; a
+// rank of a distributed run (internal/parfmm) passes the Ghost standing
+// for the other ranks. The passes read a list member's sources through
+// r.g either way.
+func (e *Evaluator) Evaluate(ctx context.Context, dens [][]float64, root *obs.Span, g Ghost) ([][]float64, Stats, error) {
 	k := e.opt.Kernel
 	sd, td := k.SourceDim(), k.TargetDim()
 	t := e.Tree

@@ -1,6 +1,7 @@
 package fmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,19 @@ import (
 	"repro/internal/geom"
 	"repro/internal/kernels"
 )
+
+// bg is the context of every test that exercises no cancellation.
+var bg = context.Background()
+
+// eval runs the engine's one entry on a single density vector — the batch
+// of one every single-vector caller means.
+func eval(ctx context.Context, e *Evaluator, den []float64) ([]float64, Stats, error) {
+	pots, st, err := e.Evaluate(ctx, [][]float64{den}, nil, nil)
+	if err != nil {
+		return nil, st, err
+	}
+	return pots[0], st, nil
+}
 
 func relErr(got, want []float64) float64 {
 	num, den := 0.0, 0.0
@@ -30,11 +44,11 @@ func checkAgainstDirect(t *testing.T, k kernels.Kernel, src, trg []float64, opt 
 	rng := rand.New(rand.NewSource(99))
 	den := geom.RandomDensities(rng, len(src)/3, k.SourceDim())
 	opt.Kernel = k
-	e, err := New(src, trg, opt)
+	e, err := NewCtx(bg, src, trg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Evaluate(den)
+	got, _, err := eval(bg, e, den)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +138,11 @@ func TestFMMBackendsAgree(t *testing.T) {
 	den := geom.RandomDensities(rng, 1000, 1)
 	var results [][]float64
 	for _, backend := range []M2LBackend{M2LFFT, M2LDense} {
-		e, err := New(pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 25, Backend: backend})
+		e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 25, Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Evaluate(den)
+		got, _, err := eval(bg, e, den)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +157,7 @@ func TestFMMBackendsAgree(t *testing.T) {
 func TestFMMLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := geom.Flatten(geom.UniformCube(rng, 600))
-	e, err := New(pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 25})
+	e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +168,9 @@ func TestFMMLinearity(t *testing.T) {
 	for i := range comb {
 		comb[i] = d1[i] + alpha*d2[i]
 	}
-	p1, _ := e.Evaluate(d1)
-	p2, _ := e.Evaluate(d2)
-	pc, _ := e.Evaluate(comb)
+	p1, _, _ := eval(bg, e, d1)
+	p2, _, _ := eval(bg, e, d2)
+	pc, _, _ := eval(bg, e, comb)
 	want := make([]float64, 600)
 	for i := range want {
 		want[i] = p1[i] + alpha*p2[i]
@@ -170,11 +184,11 @@ func TestFMMLinearity(t *testing.T) {
 func TestFMMZeroDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts := geom.Flatten(geom.UniformCube(rng, 400))
-	e, err := New(pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 20})
+	e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pot, err := e.Evaluate(make([]float64, 400))
+	pot, _, err := eval(bg, e, make([]float64, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +216,14 @@ func TestFMMSmallInputs(t *testing.T) {
 func TestFMMRepeatedEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	pts := geom.Flatten(geom.UniformCube(rng, 800))
-	e, err := New(pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 30})
+	e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	den := geom.RandomDensities(rng, 800, 1)
-	first, _ := e.Evaluate(den)
-	e.Evaluate(geom.RandomDensities(rng, 800, 1)) // interleave another vector
-	second, _ := e.Evaluate(den)
+	first, _, _ := eval(bg, e, den)
+	eval(bg, e, geom.RandomDensities(rng, 800, 1)) // interleave another vector
+	second, _, _ := eval(bg, e, den)
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("evaluation not reproducible at %d", i)
@@ -231,14 +245,14 @@ func TestFMMWorkersBitwiseReproducible(t *testing.T) {
 			// Explicit pools make the widths real even on a single-core
 			// machine, where the default pool would grant width 1
 			// throughout.
-			e, err := New(pts, pts, Options{
+			e, err := NewCtx(bg, pts, pts, Options{
 				Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 25,
 				Backend: backend, Workers: workers, Pool: exec.NewElastic(8),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.Evaluate(den)
+			got, _, err := eval(bg, e, den)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +280,7 @@ func TestFMMConcurrentEvaluations(t *testing.T) {
 	// A shared 4-lane pool under 8 concurrent callers exercises the
 	// admission queue and mid-run revocation alongside the read-only
 	// plan contract.
-	e, err := New(pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 30, Workers: 2, Pool: exec.NewElastic(4)})
+	e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 30, Workers: 2, Pool: exec.NewElastic(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +289,7 @@ func TestFMMConcurrentEvaluations(t *testing.T) {
 	wants := make([][]float64, callers)
 	for c := range dens {
 		dens[c] = geom.RandomDensities(rng, 1200, 1)
-		want, err := e.Evaluate(dens[c])
+		want, _, err := eval(bg, e, dens[c])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +301,7 @@ func TestFMMConcurrentEvaluations(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			got, st, err := e.EvaluateStats(dens[c])
+			got, st, err := eval(bg, e, dens[c])
 			if err != nil {
 				errc <- err
 				return
@@ -318,7 +332,7 @@ func TestFMMEvaluateBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	pts := geom.Flatten(geom.CornerClusters(rng, 1500, 0.35, 1))
 	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewStokes(1)} {
-		e, err := New(pts, pts, Options{Kernel: k, Degree: 5, MaxPoints: 20})
+		e, err := NewCtx(bg, pts, pts, Options{Kernel: k, Degree: 5, MaxPoints: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,12 +341,12 @@ func TestFMMEvaluateBatch(t *testing.T) {
 		want := make([][]float64, nrhs)
 		for q := range dens {
 			dens[q] = geom.RandomDensities(rng, 1500, k.SourceDim())
-			want[q], err = e.Evaluate(dens[q])
+			want[q], _, err = eval(bg, e, dens[q])
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		got, st, err := e.EvaluateBatchStats(dens)
+		got, st, err := e.Evaluate(bg, dens, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,15 +369,15 @@ func TestFMMEvaluateBatch(t *testing.T) {
 func TestFMMEvaluateBatchErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	pts := geom.Flatten(geom.UniformCube(rng, 100))
-	e, err := New(pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 4})
+	e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.EvaluateBatch(nil); err == nil {
+	if _, _, err := e.Evaluate(bg, nil, nil, nil); err == nil {
 		t.Error("empty batch must error")
 	}
 	good := geom.RandomDensities(rng, 100, 1)
-	if _, err := e.EvaluateBatch([][]float64{good, make([]float64, 7)}); err == nil {
+	if _, _, err := e.Evaluate(bg, [][]float64{good, make([]float64, 7)}, nil, nil); err == nil {
 		t.Error("ragged batch must error")
 	}
 }
@@ -373,11 +387,11 @@ func TestFMMEvaluateBatchErrors(t *testing.T) {
 func TestFMMStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := geom.Flatten(geom.UniformCube(rng, 3000))
-	e, err := New(pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 20})
+	e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Evaluate(geom.RandomDensities(rng, 3000, 1)); err != nil {
+	if _, _, err := eval(bg, e, geom.RandomDensities(rng, 3000, 1)); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -394,15 +408,15 @@ func TestFMMStatsPopulated(t *testing.T) {
 
 // TestFMMValidation covers option errors.
 func TestFMMValidation(t *testing.T) {
-	if _, err := New(nil, nil, Options{}); err == nil {
+	if _, err := NewCtx(bg, nil, nil, Options{}); err == nil {
 		t.Error("missing kernel must error")
 	}
 	pts := []float64{0, 0, 0}
-	e, err := New(pts, pts, Options{Kernel: kernels.Laplace{}})
+	e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Evaluate([]float64{1, 2}); err == nil {
+	if _, _, err := eval(bg, e, []float64{1, 2}); err == nil {
 		t.Error("wrong density length must error")
 	}
 }

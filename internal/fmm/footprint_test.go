@@ -22,13 +22,13 @@ func TestFootprintBytesSharedAttribution(t *testing.T) {
 	opt := Options{Kernel: k, Degree: 5, MaxPoints: 40, Workers: 1}
 
 	build := func() *Evaluator {
-		e, err := New(pts, pts, opt)
+		e, err := NewCtx(bg, pts, pts, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Evaluate once so the lazily built operators and FFT tensors
 		// actually exist and count.
-		if _, err := e.Evaluate(den); err != nil {
+		if _, _, err := eval(bg, e, den); err != nil {
 			t.Fatal(err)
 		}
 		return e
@@ -64,7 +64,7 @@ func TestFootprintBytesSharedAttribution(t *testing.T) {
 	}
 	// A closed evaluator keeps working (evicted plans finish in-flight
 	// evaluations); only its attribution is gone.
-	if _, err := e2.Evaluate(den); err != nil {
+	if _, _, err := eval(bg, e2, den); err != nil {
 		t.Errorf("closed evaluator must stay usable: %v", err)
 	}
 	e2.Close() // idempotent

@@ -1,7 +1,6 @@
 package fmm
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -62,13 +61,13 @@ func TestGhostOverOwnTreeIsBitwiseLocal(t *testing.T) {
 		{"laplace-fft", kernels.Laplace{}, M2LFFT},
 		{"stokes-dense", kernels.NewStokes(1), M2LDense},
 	} {
-		e, err := New(pts, pts, Options{Kernel: tc.k, Degree: 4, MaxPoints: 80, Backend: tc.backend})
+		e, err := NewCtx(bg, pts, pts, Options{Kernel: tc.k, Degree: 4, MaxPoints: 80, Backend: tc.backend})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sd := tc.k.SourceDim()
 		den := geom.RandomDensities(rng, n, sd)
-		want, wantSt, err := e.EvaluateStatsCtx(context.Background(), den)
+		want, wantSt, err := eval(bg, e, den)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +79,11 @@ func TestGhostOverOwnTreeIsBitwiseLocal(t *testing.T) {
 			copy(g.pden[i*sd:(i+1)*sd], den[int(orig)*sd:(int(orig)+1)*sd])
 		}
 		root := obs.StartSpan("evaluate")
-		got, gotSt, err := e.EvaluateGhost(context.Background(), den, g, root)
+		got, gotSt, err := e.Evaluate(bg, [][]float64{den}, root, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitwise(t, tc.name, got, want)
+		assertBitwise(t, tc.name, got[0], want)
 		if g.exchanged != 1 {
 			t.Errorf("%s: Exchange ran %d times, want once", tc.name, g.exchanged)
 		}

@@ -23,7 +23,7 @@ func TestSmallLeafRuleClustered(t *testing.T) {
 	// Degree 4 has 56 surface points; with s = 80 leaves fall on both
 	// sides of the threshold.
 	newEval := func(lanes int) *Evaluator {
-		e, err := New(pts, pts, Options{Kernel: k, Degree: 4, MaxPoints: 80, Workers: lanes, Pool: exec.NewElastic(4)})
+		e, err := NewCtx(bg, pts, pts, Options{Kernel: k, Degree: 4, MaxPoints: 80, Workers: lanes, Pool: exec.NewElastic(4)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestSmallLeafRuleClustered(t *testing.T) {
 	var st Stats
 	for q := range dens {
 		var err error
-		if singles[q], st, err = e.EvaluateStats(dens[q]); err != nil {
+		if singles[q], st, err = eval(bg, e, dens[q]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,14 +60,14 @@ func TestSmallLeafRuleClustered(t *testing.T) {
 	}
 
 	for _, lanes := range []int{2, 4} {
-		got, err := newEval(lanes).Evaluate(dens[0])
+		got, _, err := eval(bg, newEval(lanes), dens[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertBitwise(t, "lanes", got, singles[0])
 	}
 
-	batch, bst, err := e.EvaluateBatchStats(dens)
+	batch, bst, err := e.Evaluate(bg, dens, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSmallLeafRuleClustered(t *testing.T) {
 	}
 	// Each right-hand side of a batch is computed independently of its
 	// companions, bit for bit.
-	rot, err := e.EvaluateBatch([][]float64{dens[2], dens[0], dens[1]})
+	rot, _, err := e.Evaluate(bg, [][]float64{dens[2], dens[0], dens[1]}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestSmallLeafRuleOnlyXDirect(t *testing.T) {
 	pts := farOctantGeometry(rng, 10, 20)
 	n := len(pts) / 3
 	k := kernels.Laplace{}
-	e, err := New(pts, pts, Options{Kernel: k, Degree: 6, MaxPoints: 60})
+	e, err := NewCtx(bg, pts, pts, Options{Kernel: k, Degree: 6, MaxPoints: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
 	den := geom.RandomDensities(rng, n, 1)
-	got, st, err := e.EvaluateStats(den)
+	got, st, err := eval(bg, e, den)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +179,12 @@ func TestSmallLeafRuleDistinctSourceTarget(t *testing.T) {
 		{"many sources, few targets", many, few, 0, 7},
 		{"few sources, many targets", few, many, 7, 0},
 	} {
-		e, err := New(tc.src, tc.trg, Options{Kernel: k, Degree: 6, MaxPoints: 200})
+		e, err := NewCtx(bg, tc.src, tc.trg, Options{Kernel: k, Degree: 6, MaxPoints: 200})
 		if err != nil {
 			t.Fatal(err)
 		}
 		den := geom.RandomDensities(rng, len(tc.src)/3, 1)
-		got, st, err := e.EvaluateStats(den)
+		got, st, err := eval(bg, e, den)
 		if err != nil {
 			t.Fatal(err)
 		}

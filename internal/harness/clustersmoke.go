@@ -112,17 +112,18 @@ func RunClusterSmoke(ctx context.Context, cfg ClusterSmokeConfig) (*ClusterSmoke
 	wall := time.Since(start)
 
 	// Single-node reference on the identical problem and options.
-	ev, err := fmm.New(pts, pts, fmm.Options{
+	ev, err := fmm.NewCtx(ctx, pts, pts, fmm.Options{
 		Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 60, Backend: fmm.M2LFFT,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster smoke: reference build: %w", err)
 	}
 	defer ev.Close()
-	ref, err := ev.EvaluateCtx(ctx, den)
+	refs, _, err := ev.Evaluate(ctx, [][]float64{den}, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("cluster smoke: reference evaluate: %w", err)
 	}
+	ref := refs[0]
 	var num, den2 float64
 	for i := range ref {
 		d := pot[i] - ref[i]

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -57,7 +58,13 @@ type Experiment struct {
 	// Description summarizes the paper content being reproduced.
 	Description string
 	// Run produces the formatted reproduction.
-	Run func(sc Scale) (string, error)
+	Run func(ctx context.Context, sc Scale) (string, error)
+}
+
+// simulated adapts an experiment over the MPI simulation, whose ranks run
+// to completion by design (mpi.Run takes no context).
+func simulated(run func(Scale) (string, error)) func(context.Context, Scale) (string, error) {
+	return func(_ context.Context, sc Scale) (string, error) { return run(sc) }
 }
 
 // Experiments enumerates every table and figure of the paper's
@@ -67,37 +74,37 @@ func Experiments() []Experiment {
 		{
 			ID:          "table4.1",
 			Description: "Fixed-size scalability (3.2M particles in the paper): Laplacian, modified Laplacian, Stokes (non-uniform)",
-			Run:         runTable41,
+			Run:         simulated(runTable41),
 		},
 		{
 			ID:          "fig4.2",
 			Description: "Fixed-size per-stage cycles/particle and Mflop/s per processor",
-			Run:         runFig42,
+			Run:         simulated(runFig42),
 		},
 		{
 			ID:          "table4.2",
 			Description: "Isogranular scalability (200k particles/proc in the paper): Laplace uniform, Stokes uniform, Stokes non-uniform",
-			Run:         runTable42,
+			Run:         simulated(runTable42),
 		},
 		{
 			ID:          "fig4.3",
 			Description: "Isogranular per-stage cycles/particle and Mflop/s per processor",
-			Run:         runFig43,
+			Run:         simulated(runFig43),
 		},
 		{
 			ID:          "table4.3",
 			Description: "Largest runs (3000 processors in the paper), s=120",
-			Run:         runTable43,
+			Run:         simulated(runTable43),
 		},
 		{
 			ID:          "ablation-m2l",
 			Description: "FFT vs dense M2L (paper footnote 5)",
-			Run:         runAblationM2L,
+			Run:         simulated(runAblationM2L),
 		},
 		{
 			ID:          "ablation-loadbalance",
 			Description: "Load imbalance on non-uniform inputs and the work-estimate fix (Discussion item 6 / future work)",
-			Run:         runLoadBalance,
+			Run:         simulated(runLoadBalance),
 		},
 		{
 			ID:          "exec-workers",
@@ -111,7 +118,7 @@ func Experiments() []Experiment {
 // virtual-time MPI simulation of the other experiments, these are real
 // wall-clock timings of one process fanning per-box work over a
 // goroutine pool, plus the per-RHS amortization of batched evaluation.
-func runExecWorkers(sc Scale) (string, error) {
+func runExecWorkers(ctx context.Context, sc Scale) (string, error) {
 	cfg := Config{Kernel: kernels.Laplace{}, Distribution: "spheres"}
 	patches := cfg.Points(sc.FixedN)
 	pts := geom.Flatten(patches)
@@ -127,11 +134,11 @@ func runExecWorkers(sc Scale) (string, error) {
 	for _, w := range []int{1, 2, 4, 8} {
 		// A dedicated idle pool per width: the elastic grant then equals
 		// w exactly, even beyond the core count.
-		ev, err := fmm.New(pts, pts, fmm.Options{Kernel: kernels.Laplace{}, Workers: w, Pool: exec.NewElastic(w)})
+		ev, err := fmm.NewCtx(ctx, pts, pts, fmm.Options{Kernel: kernels.Laplace{}, Workers: w, Pool: exec.NewElastic(w)})
 		if err != nil {
 			return "", err
 		}
-		if _, err := ev.Evaluate(den); err != nil { // warm the operator caches
+		if _, _, err := ev.Evaluate(ctx, [][]float64{den}, nil, nil); err != nil { // warm the operator caches
 			return "", err
 		}
 		start := time.Now()
@@ -140,7 +147,7 @@ func runExecWorkers(sc Scale) (string, error) {
 			iters = 1
 		}
 		for i := 0; i < iters; i++ {
-			if _, err := ev.Evaluate(den); err != nil {
+			if _, _, err := ev.Evaluate(ctx, [][]float64{den}, nil, nil); err != nil {
 				return "", err
 			}
 		}
@@ -155,11 +162,11 @@ func runExecWorkers(sc Scale) (string, error) {
 
 	b.WriteString("\nMulti-RHS batching (workers = GOMAXPROCS)\n")
 	fmt.Fprintf(&b, "%8s %14s %14s\n", "batch", "T(wall)", "per-RHS")
-	ev, err := fmm.New(pts, pts, fmm.Options{Kernel: kernels.Laplace{}})
+	ev, err := fmm.NewCtx(ctx, pts, pts, fmm.Options{Kernel: kernels.Laplace{}})
 	if err != nil {
 		return "", err
 	}
-	if _, err := ev.Evaluate(den); err != nil {
+	if _, _, err := ev.Evaluate(ctx, [][]float64{den}, nil, nil); err != nil {
 		return "", err
 	}
 	for _, nrhs := range []int{1, 4, 8} {
@@ -168,7 +175,7 @@ func runExecWorkers(sc Scale) (string, error) {
 			dens[q] = geom.RandomDensities(rng, len(pts)/3, 1)
 		}
 		start := time.Now()
-		if _, err := ev.EvaluateBatch(dens); err != nil {
+		if _, _, err := ev.Evaluate(ctx, dens, nil, nil); err != nil {
 			return "", err
 		}
 		wall := time.Since(start)

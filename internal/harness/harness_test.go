@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestTinyEndToEndSuite(t *testing.T) {
 		Iterations: 1,
 	}
 	for _, e := range Experiments() {
-		out, err := e.Run(sc)
+		out, err := e.Run(context.Background(), sc)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}

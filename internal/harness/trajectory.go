@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -58,22 +59,20 @@ type TrajectoryEntry struct {
 	CommBytes      int64   `json:"comm_bytes,omitempty"`
 	CommMsgs       int64   `json:"comm_msgs,omitempty"`
 	CriticalPathMS float64 `json:"critical_path_ms,omitempty"`
-	// WireJSONBytes/WireFrameBytes and WireJSONCodecMS/WireFrameCodecMS
-	// describe wire-bench samples (-exp wire-bench): body bytes and
-	// encode+decode time of one simulated evaluate round trip in each
-	// HTTP encoding. Absent (zero) for every other sample kind.
-	WireJSONBytes    int64   `json:"wire_json_bytes,omitempty"`
-	WireFrameBytes   int64   `json:"wire_frame_bytes,omitempty"`
-	WireJSONCodecMS  float64 `json:"wire_json_codec_ms,omitempty"`
-	WireFrameCodecMS float64 `json:"wire_frame_codec_ms,omitempty"`
 }
 
-// TrajectoryFile is the JSON shape of BENCH_trajectory.json: a schema
+// trajectoryFile is the JSON shape of BENCH_trajectory.json: a schema
 // marker plus append-only entries, oldest first.
-type TrajectoryFile struct {
-	Schema  string            `json:"schema"`
-	Entries []TrajectoryEntry `json:"entries"`
+type trajectoryFile[E any] struct {
+	Schema  string `json:"schema"`
+	Entries []E    `json:"entries"`
 }
+
+// TrajectoryFile is the trajectory as this build reads it. An entry may
+// carry fields a later or earlier build wrote and this one does not
+// declare (the pr10 sample's wire_* codec figures); they are ignored here
+// and kept on append.
+type TrajectoryFile = trajectoryFile[TrajectoryEntry]
 
 // TrajectoryConfig shapes one trajectory sample. The zero value runs
 // the default workload (N=10000 uniform points, Laplace, degree 6, FFT
@@ -105,14 +104,14 @@ func (c *TrajectoryConfig) defaults() {
 // the sample: build a plan over uniform points, warm it once (operators
 // are built lazily on first use), then average Iterations timed
 // evaluations.
-func RunTrajectoryPoint(cfg TrajectoryConfig) (TrajectoryEntry, error) {
+func RunTrajectoryPoint(ctx context.Context, cfg TrajectoryConfig) (TrajectoryEntry, error) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pts := geom.Flatten(geom.UniformCube(rng, cfg.N))
 	den := geom.RandomDensities(rng, cfg.N, 1)
 
 	buildStart := time.Now()
-	ev, err := fmm.New(pts, pts, fmm.Options{
+	ev, err := fmm.NewCtx(ctx, pts, pts, fmm.Options{
 		Kernel: kernels.Laplace{}, Degree: cfg.Degree, Backend: fmm.M2LFFT,
 	})
 	if err != nil {
@@ -122,7 +121,8 @@ func RunTrajectoryPoint(cfg TrajectoryConfig) (TrajectoryEntry, error) {
 	setup := time.Since(buildStart)
 
 	// Warm run: first evaluation pays lazy operator construction.
-	if _, _, err := ev.EvaluateStats(den); err != nil {
+	dens := [][]float64{den}
+	if _, _, err := ev.Evaluate(ctx, dens, nil, nil); err != nil {
 		return TrajectoryEntry{}, fmt.Errorf("trajectory: warm evaluation: %w", err)
 	}
 
@@ -142,7 +142,7 @@ func RunTrajectoryPoint(cfg TrajectoryConfig) (TrajectoryEntry, error) {
 	stages := make(map[string]time.Duration, 6)
 	for i := 0; i < cfg.Iterations; i++ {
 		start := time.Now()
-		_, st, err := ev.EvaluateStats(den)
+		_, st, err := ev.Evaluate(ctx, dens, nil, nil)
 		if err != nil {
 			return TrajectoryEntry{}, fmt.Errorf("trajectory: evaluation %d: %w", i, err)
 		}
@@ -166,15 +166,20 @@ func RunTrajectoryPoint(cfg TrajectoryConfig) (TrajectoryEntry, error) {
 }
 
 // AppendTrajectory loads the trajectory file at path (tolerating a
-// missing file), appends entry, and writes it back. The write is
-// atomic (temp file + rename) so a crash cannot truncate history.
+// missing file), appends entry, and writes it back. Entries already on
+// file are carried as raw JSON, so they keep every field they were
+// written with. The write is atomic (temp file + rename) so a crash
+// cannot truncate history.
 func AppendTrajectory(path string, entry TrajectoryEntry) error {
-	f, err := LoadTrajectory(path)
+	f, err := loadTrajectory[json.RawMessage](path)
 	if err != nil {
 		return err
 	}
-	f.Schema = TrajectorySchema
-	f.Entries = append(f.Entries, entry)
+	raw, err := json.Marshal(entry)
+	if err != nil {
+		return fmt.Errorf("trajectory: encode entry: %w", err)
+	}
+	f.Entries = append(f.Entries, raw)
 
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
@@ -196,10 +201,14 @@ func AppendTrajectory(path string, entry TrajectoryEntry) error {
 // not an error: it returns an empty file ready to append to. A present
 // file with a different schema is rejected rather than silently mixed.
 func LoadTrajectory(path string) (TrajectoryFile, error) {
-	var f TrajectoryFile
+	return loadTrajectory[TrajectoryEntry](path)
+}
+
+func loadTrajectory[E any](path string) (trajectoryFile[E], error) {
+	f := trajectoryFile[E]{Schema: TrajectorySchema}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return TrajectoryFile{Schema: TrajectorySchema}, nil
+		return f, nil
 	}
 	if err != nil {
 		return f, fmt.Errorf("trajectory: read %s: %w", path, err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,7 +11,7 @@ import (
 // TestTrajectoryRoundTrip runs a tiny real sample and checks the file
 // schema, append semantics and entry invariants end to end.
 func TestTrajectoryRoundTrip(t *testing.T) {
-	entry, err := RunTrajectoryPoint(TrajectoryConfig{N: 400, Iterations: 1, Label: "test"})
+	entry, err := RunTrajectoryPoint(context.Background(), TrajectoryConfig{N: 400, Iterations: 1, Label: "test"})
 	if err != nil {
 		t.Fatalf("RunTrajectoryPoint: %v", err)
 	}
@@ -86,4 +87,53 @@ func TestLoadTrajectoryMissingFile(t *testing.T) {
 	if f.Schema != TrajectorySchema || len(f.Entries) != 0 {
 		t.Fatalf("unexpected empty file: %+v", f)
 	}
+}
+
+// TestAppendKeepsFieldsOfOlderEntries: the committed trajectory holds a
+// sample (pr10, the codec comparison) whose wire_* fields this build no
+// longer declares. Reading the file must still work, and appending to it
+// must carry that entry over whole.
+func TestAppendKeepsFieldsOfOlderEntries(t *testing.T) {
+	committed, err := os.ReadFile(filepath.Join("..", "..", "BENCH_trajectory.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_trajectory.json")
+	if err := os.WriteFile(path, committed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := LoadTrajectory(path)
+	if err != nil {
+		t.Fatalf("LoadTrajectory on the committed file: %v", err)
+	}
+	if err := AppendTrajectory(path, TrajectoryEntry{GitSHA: "abc", Label: "appended", N: 7}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := LoadTrajectory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after.Entries) != len(before.Entries)+1 || after.Entries[len(before.Entries)].Label != "appended" {
+		t.Fatalf("entries after append: %+v", after.Entries)
+	}
+	var raw struct {
+		Entries []map[string]json.RawMessage `json:"entries"`
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range raw.Entries {
+		if string(e["label"]) != `"pr10"` {
+			continue
+		}
+		if string(e["wire_json_bytes"]) != "39540303" || string(e["wire_frame_codec_ms"]) != "12.627892" {
+			t.Fatalf("pr10 entry lost its codec figures on append: %v", e)
+		}
+		return
+	}
+	t.Fatal("pr10 entry dropped on append")
 }

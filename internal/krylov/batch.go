@@ -7,24 +7,12 @@ import (
 	"repro/internal/errs"
 )
 
-// BatchMatVec applies the system operator to several vectors at once:
-// it returns ys with ys[i] = A * xs[i]. The FMM's EvaluateBatch has
-// exactly this shape, amortizing tree traversal and near-field kernel
-// evaluations across the vectors.
-type BatchMatVec func(xs [][]float64) ([][]float64, error)
-
-// BatchMatVecCtx is BatchMatVec under a context; the FMM's
-// EvaluateBatchCtx has exactly this shape. A cancellation inside the
-// operator aborts every system sharing the batched application.
+// BatchMatVecCtx applies the system operator to several vectors at once
+// under a context: it returns ys with ys[i] = A * xs[i]. A batched FMM
+// evaluation has exactly this shape, amortizing tree traversal and
+// near-field kernel evaluations across the vectors. A cancellation inside
+// the operator aborts every system sharing the batched application.
 type BatchMatVecCtx func(ctx context.Context, xs [][]float64) ([][]float64, error)
-
-// GMRESBatch is GMRESBatchCtx with context.Background() and a
-// ctx-oblivious operator.
-func GMRESBatch(apply BatchMatVec, bs, xs [][]float64, opt Options) ([]Result, error) {
-	return GMRESBatchCtx(context.Background(), //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
-		func(_ context.Context, vs [][]float64) ([][]float64, error) { return apply(vs) },
-		bs, xs, opt)
-}
 
 // GMRESBatchCtx solves the systems A x_i = b_i (one shared operator,
 // many right-hand sides) by running one restarted GMRES per system in

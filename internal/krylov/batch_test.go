@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync/atomic"
@@ -9,9 +10,9 @@ import (
 	"repro/internal/linalg"
 )
 
-// denseBatchApply wraps a dense matrix as a BatchMatVec, counting calls.
-func denseBatchApply(a *linalg.Dense, calls *atomic.Int64) BatchMatVec {
-	return func(xs [][]float64) ([][]float64, error) {
+// denseBatchApply wraps a dense matrix as a BatchMatVecCtx, counting calls.
+func denseBatchApply(a *linalg.Dense, calls *atomic.Int64) BatchMatVecCtx {
+	return func(_ context.Context, xs [][]float64) ([][]float64, error) {
 		if calls != nil {
 			calls.Add(1)
 		}
@@ -44,7 +45,7 @@ func TestGMRESBatchMatchesSequential(t *testing.T) {
 	wantRes := make([]Result, k)
 	for i := range bs {
 		want[i] = make([]float64, n)
-		res, err := GMRES(denseApply(a), bs[i], want[i], opt)
+		res, err := GMRESCtx(bg, denseApply(a), bs[i], want[i], opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestGMRESBatchMatchesSequential(t *testing.T) {
 	for i := range xs {
 		xs[i] = make([]float64, n)
 	}
-	results, err := GMRESBatch(denseBatchApply(a, nil), bs, xs, opt)
+	results, err := GMRESBatchCtx(bg, denseBatchApply(a, nil), bs, xs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestGMRESBatchAmortizesApplies(t *testing.T) {
 		xs[i] = make([]float64, n)
 	}
 	var calls atomic.Int64
-	results, err := GMRESBatch(denseBatchApply(a, &calls), bs, xs, Options{Tol: 1e-10})
+	results, err := GMRESBatchCtx(bg, denseBatchApply(a, &calls), bs, xs, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestGMRESBatchHeterogeneousConvergence(t *testing.T) {
 	}
 	bs := [][]float64{b0, b1, make([]float64, n)}
 	xs := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
-	results, err := GMRESBatch(denseBatchApply(a, nil), bs, xs, Options{Tol: 1e-10})
+	results, err := GMRESBatchCtx(bg, denseBatchApply(a, nil), bs, xs, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,24 +143,24 @@ func TestGMRESBatchHeterogeneousConvergence(t *testing.T) {
 // error instead of hanging the lockstep.
 func TestGMRESBatchOperatorError(t *testing.T) {
 	boom := errors.New("operator failed")
-	apply := func(xs [][]float64) ([][]float64, error) { return nil, boom }
+	apply := func(context.Context, [][]float64) ([][]float64, error) { return nil, boom }
 	bs := [][]float64{{1, 2, 3}, {4, 5, 6}}
 	xs := [][]float64{make([]float64, 3), make([]float64, 3)}
-	if _, err := GMRESBatch(apply, bs, xs, Options{}); !errors.Is(err, boom) {
+	if _, err := GMRESBatchCtx(bg, apply, bs, xs, Options{}); !errors.Is(err, boom) {
 		t.Errorf("got err %v, want %v", err, boom)
 	}
 }
 
 // TestGMRESBatchValidation covers shape errors and the empty batch.
 func TestGMRESBatchValidation(t *testing.T) {
-	apply := func(xs [][]float64) ([][]float64, error) { return xs, nil }
-	if _, err := GMRESBatch(apply, [][]float64{{1}}, [][]float64{}, Options{}); err == nil {
+	apply := func(_ context.Context, xs [][]float64) ([][]float64, error) { return xs, nil }
+	if _, err := GMRESBatchCtx(bg, apply, [][]float64{{1}}, [][]float64{}, Options{}); err == nil {
 		t.Error("bs/xs count mismatch must error")
 	}
-	if _, err := GMRESBatch(apply, [][]float64{{1, 2}, {1}}, [][]float64{{0, 0}, {0}}, Options{}); err == nil {
+	if _, err := GMRESBatchCtx(bg, apply, [][]float64{{1, 2}, {1}}, [][]float64{{0, 0}, {0}}, Options{}); err == nil {
 		t.Error("ragged systems must error")
 	}
-	results, err := GMRESBatch(apply, nil, nil, Options{})
+	results, err := GMRESBatchCtx(bg, apply, nil, nil, Options{})
 	if err != nil || len(results) != 0 {
 		t.Errorf("empty batch: got %v, %v", results, err)
 	}

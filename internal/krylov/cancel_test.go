@@ -137,30 +137,3 @@ func TestGMRESBatchCtxCancelAbortsAllSystems(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
-
-// TestGMRESCtxBackgroundMatchesLegacy: the ctx wrapper is behaviorally
-// identical to the legacy entry point on an uncancelled solve.
-func TestGMRESCtxBackgroundMatchesLegacy(t *testing.T) {
-	const n = 120
-	applyCtx, b, _ := slowSystem(n)
-	legacy := func(dst, x []float64) { _ = applyCtx(context.Background(), dst, x) }
-
-	x1 := make([]float64, n)
-	r1, err := GMRES(legacy, b, x1, Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2 := make([]float64, n)
-	r2, err := GMRESCtx(context.Background(), applyCtx, b, x2, Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Iterations != r2.Iterations || r1.Converged != r2.Converged {
-		t.Errorf("legacy %+v vs ctx %+v", r1, r2)
-	}
-	for i := range x1 {
-		if x1[i] != x2[i] {
-			t.Fatalf("solutions differ at %d", i)
-		}
-	}
-}

@@ -5,14 +5,12 @@
 // implements restarted GMRES and BiCGSTAB over a black-box mat-vec so a
 // boundary integral equation can be solved with the FMM as the operator.
 //
-// The solvers are context-first: the core entry points (GMRESCtx,
-// BiCGSTABCtx, GMRESBatchCtx) take a context.Context, check it before
-// every operator application and pass it to the operator, so a
-// cancellation lands within one FMM pass — the operator aborts
-// mid-evaluation and the iteration stops — rather than running the
-// remaining iterations. Operator errors abort the solve and propagate.
-// The ctx-free functions are thin context.Background() wrappers over a
-// ctx-oblivious operator.
+// The solvers take a context first (GMRESCtx, BiCGSTABCtx,
+// GMRESBatchCtx), check it before every operator application and pass it
+// to the operator, so a cancellation lands within one FMM pass — the
+// operator aborts mid-evaluation and the iteration stops — rather than
+// running the remaining iterations. Operator errors abort the solve and
+// propagate. The ctx-free forms live in the root package only.
 package krylov
 
 import (
@@ -22,22 +20,10 @@ import (
 	"repro/internal/errs"
 )
 
-// MatVec is a ctx-oblivious operator application dst = A*x. dst and x
-// have equal length and do not alias.
-type MatVec func(dst, x []float64)
-
 // MatVecCtx applies the system operator under a context: dst = A*x.
 // Returning a non-nil error aborts the solve with that error; the
 // FMM's EvaluateCtx has exactly this shape.
 type MatVecCtx func(ctx context.Context, dst, x []float64) error
-
-// liftMatVec adapts a ctx-oblivious operator to the ctx-first core.
-func liftMatVec(apply MatVec) MatVecCtx {
-	return func(_ context.Context, dst, x []float64) error {
-		apply(dst, x)
-		return nil
-	}
-}
 
 // Options control the iteration.
 type Options struct {
@@ -85,12 +71,6 @@ func dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// GMRES solves A x = b by restarted GMRES(m); it is GMRESCtx with
-// context.Background() and a ctx-oblivious operator.
-func GMRES(apply MatVec, b, x []float64, opt Options) (Result, error) {
-	return GMRESCtx(context.Background(), liftMatVec(apply), b, x, opt) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
 }
 
 // GMRESCtx solves A x = b by restarted GMRES(m) with modified
@@ -226,7 +206,7 @@ func GMRESCtx(ctx context.Context, apply MatVecCtx, b, x []float64, opt Options)
 	}
 	// Final residual measurement — not counted as an iteration (only
 	// solve-advancing applications are; this keeps Iterations <=
-	// MaxIters and comparable with the pre-ctx entry points).
+	// MaxIters).
 	if err := ctx.Err(); err != nil {
 		return Result{Iterations: iters}, errs.FromContext(err)
 	}
@@ -239,16 +219,9 @@ func GMRESCtx(ctx context.Context, apply MatVecCtx, b, x []float64, opt Options)
 	return Result{Iterations: iters, Residual: norm(w) / bn}, nil
 }
 
-// BiCGSTAB solves A x = b by the stabilized bi-conjugate gradient
-// method; it is BiCGSTABCtx with context.Background() and a
-// ctx-oblivious operator.
-func BiCGSTAB(apply MatVec, b, x []float64, opt Options) (Result, error) {
-	return BiCGSTABCtx(context.Background(), liftMatVec(apply), b, x, opt) //lint:allow ctxfirst documented legacy ctx-free wrapper over the Ctx API
-}
-
-// BiCGSTABCtx solves A x = b by BiCGSTAB under a context; x is the
-// initial guess and is overwritten. Cancellation and operator-error
-// semantics match GMRESCtx.
+// BiCGSTABCtx solves A x = b by the stabilized bi-conjugate gradient
+// method under a context; x is the initial guess and is overwritten.
+// Cancellation and operator-error semantics match GMRESCtx.
 func BiCGSTABCtx(ctx context.Context, apply MatVecCtx, b, x []float64, opt Options) (Result, error) {
 	opt.fill()
 	n := len(b)

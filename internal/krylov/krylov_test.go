@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,9 +9,15 @@ import (
 	"repro/internal/linalg"
 )
 
-// denseApply wraps a dense matrix as a MatVec.
-func denseApply(a *linalg.Dense) MatVec {
-	return func(dst, x []float64) { a.MatVec(dst, x) }
+// bg is the context of every solve that exercises no cancellation.
+var bg = context.Background()
+
+// denseApply wraps a dense matrix as a MatVecCtx.
+func denseApply(a *linalg.Dense) MatVecCtx {
+	return func(_ context.Context, dst, x []float64) error {
+		a.MatVec(dst, x)
+		return nil
+	}
 }
 
 // spdMatrix returns a random symmetric positive definite matrix
@@ -64,7 +71,7 @@ func TestGMRESSolvesDenseSystems(t *testing.T) {
 				b[i] = rng.NormFloat64()
 			}
 			x := make([]float64, n)
-			res, err := GMRES(denseApply(a), b, x, Options{Tol: 1e-10})
+			res, err := GMRESCtx(bg, denseApply(a), b, x, Options{Tol: 1e-10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +95,7 @@ func TestGMRESRestartedConverges(t *testing.T) {
 	}
 	x := make([]float64, n)
 	// Restart far below n forces multiple outer cycles.
-	res, err := GMRES(denseApply(a), b, x, Options{Tol: 1e-9, Restart: 7, MaxIters: 2000})
+	res, err := GMRESCtx(bg, denseApply(a), b, x, Options{Tol: 1e-9, Restart: 7, MaxIters: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +119,7 @@ func TestGMRESUsesInitialGuess(t *testing.T) {
 	a.MatVec(b, want)
 	// Exact initial guess: must converge with a single residual check.
 	x := append([]float64(nil), want...)
-	res, err := GMRES(denseApply(a), b, x, Options{Tol: 1e-10})
+	res, err := GMRESCtx(bg, denseApply(a), b, x, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +137,7 @@ func TestBiCGSTABSolves(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		x := make([]float64, n)
-		res, err := BiCGSTAB(denseApply(a), b, x, Options{Tol: 1e-10, MaxIters: 500})
+		res, err := BiCGSTABCtx(bg, denseApply(a), b, x, Options{Tol: 1e-10, MaxIters: 500})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +154,7 @@ func TestZeroRightHandSide(t *testing.T) {
 	a := spdMatrix(rand.New(rand.NewSource(5)), 10)
 	x := make([]float64, 10)
 	x[3] = 7
-	res, err := GMRES(denseApply(a), make([]float64, 10), x, Options{})
+	res, err := GMRESCtx(bg, denseApply(a), make([]float64, 10), x, Options{})
 	if err != nil || !res.Converged {
 		t.Fatal("zero rhs must converge instantly")
 	}
@@ -157,17 +164,17 @@ func TestZeroRightHandSide(t *testing.T) {
 		}
 	}
 	x[2] = 1
-	res, err = BiCGSTAB(denseApply(a), make([]float64, 10), x, Options{})
+	res, err = BiCGSTABCtx(bg, denseApply(a), make([]float64, 10), x, Options{})
 	if err != nil || !res.Converged {
 		t.Fatal("BiCGSTAB zero rhs must converge")
 	}
 }
 
 func TestLengthMismatch(t *testing.T) {
-	if _, err := GMRES(func(dst, x []float64) {}, make([]float64, 3), make([]float64, 4), Options{}); err == nil {
+	if _, err := GMRESCtx(bg, func(context.Context, []float64, []float64) error { return nil }, make([]float64, 3), make([]float64, 4), Options{}); err == nil {
 		t.Error("GMRES must reject length mismatch")
 	}
-	if _, err := BiCGSTAB(func(dst, x []float64) {}, make([]float64, 3), make([]float64, 4), Options{}); err == nil {
+	if _, err := BiCGSTABCtx(bg, func(context.Context, []float64, []float64) error { return nil }, make([]float64, 3), make([]float64, 4), Options{}); err == nil {
 		t.Error("BiCGSTAB must reject length mismatch")
 	}
 }
@@ -181,7 +188,7 @@ func TestMaxItersRespected(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x := make([]float64, n)
-	res, _ := GMRES(denseApply(a), b, x, Options{Tol: 1e-30, MaxIters: 5})
+	res, _ := GMRESCtx(bg, denseApply(a), b, x, Options{Tol: 1e-30, MaxIters: 5})
 	if res.Iterations > 6 {
 		t.Errorf("GMRES overran MaxIters: %d", res.Iterations)
 	}

@@ -303,9 +303,9 @@ func (r *Registry) Families() []FamilyInfo {
 	return out
 }
 
-// Snapshot flattens every sample to "name" or "name{k=\"v\"}" keys —
-// the expvar mirror of the registry (histograms contribute _count and
-// _sum samples). Keys match the exposition format lines.
+// Snapshot flattens every sample to "name" or "name{k=\"v\"}" keys
+// (histograms contribute _count and _sum samples), for code that reads
+// the registry in process. Keys match the exposition format lines.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	for _, f := range r.sortedFamilies() {

@@ -27,12 +27,12 @@ func (rk *rank) evaluate(ctx context.Context) (fmm.Stats, error) {
 		rk.trace = obs.StartSpan("evaluate")
 	}
 	rk.passStart = rk.c.Elapsed()
-	pot, st, err := rk.eng.EvaluateGhost(ctx, rk.in.Den, rk, rk.trace)
+	pots, st, err := rk.eng.Evaluate(ctx, [][]float64{rk.in.Den}, rk.trace, rk)
 	if err != nil {
 		return fmm.Stats{}, err
 	}
 	rk.graftPasses()
-	rk.pot = pot
+	rk.pot = pots[0]
 	return st, nil
 }
 

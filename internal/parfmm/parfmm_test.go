@@ -61,14 +61,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 	} {
 		pts := geom.Flatten(tc.patches)
 		den := geom.RandomDensities(rng, len(pts)/3, tc.kernel.SourceDim())
-		seq, err := fmm.New(pts, pts, fmm.Options{Kernel: tc.kernel, Degree: tc.degree, MaxPoints: tc.s, Backend: tc.backend})
+		seq, err := fmm.NewCtx(context.Background(), pts, pts, fmm.Options{Kernel: tc.kernel, Degree: tc.degree, MaxPoints: tc.s, Backend: tc.backend})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, st, err := seq.EvaluateStats(den)
+		wants, st, err := seq.Evaluate(context.Background(), [][]float64{den}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := wants[0]
 		if tc.shared {
 			var wEntries int64
 			for i := range seq.Tree.Boxes {
@@ -381,7 +382,7 @@ func TestDefaultsMatchSequential(t *testing.T) {
 	den := geom.RandomDensities(rng, len(pts)/3, 1)
 	for _, maxPoints := range []int{-5, 0} {
 		for _, maxDepth := range []int{-1, 0, 99} {
-			seq, err := fmm.New(pts, pts, fmm.Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: maxPoints, MaxDepth: maxDepth})
+			seq, err := fmm.NewCtx(context.Background(), pts, pts, fmm.Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: maxPoints, MaxDepth: maxDepth})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -451,7 +452,7 @@ func TestWorkEstimateFeedback(t *testing.T) {
 	// sequential tree (the same global tree); charging a surface per
 	// entry, as before the rule, would over-weight the clustered leaves.
 	pts := geom.Flatten(patches)
-	seq, err := fmm.New(pts, pts, fmm.Options{Kernel: opt.Kernel, Degree: opt.Degree, MaxPoints: opt.MaxPoints})
+	seq, err := fmm.NewCtx(context.Background(), pts, pts, fmm.Options{Kernel: opt.Kernel, Degree: opt.Degree, MaxPoints: opt.MaxPoints})
 	if err != nil {
 		t.Fatal(err)
 	}

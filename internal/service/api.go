@@ -1,12 +1,20 @@
 // Package service is the serving layer over the kifmm library: a keyed
 // cache of prepared Evaluators (plans) with singleflight construction, a
-// bounded worker pool for concurrent evaluations, and an HTTP JSON API.
+// bounded worker pool for concurrent evaluations, and an HTTP API.
 //
 // The paper's workloads amortize the expensive octree and
 // translation-operator setup over "tens of interaction calculations";
 // the plan cache extends that amortization across callers: every client
 // registering the same (geometry, kernel, options) tuple shares one
 // prepared plan, identified by a content hash (kifmm.PlanKey).
+//
+// An evaluation has one way in at each layer. Service.Evaluate takes a
+// plan id and a batch of density vectors (a single vector is a batch of
+// one), Service.EvaluateOnce a plan and one vector; both end in the same
+// tail (finishEval), local or cluster. The three HTTP evaluation routes
+// are one handler body (Server.handleEvaluate: decode, run, encode), and
+// every body layout, JSON or binary frame, request or response, is in
+// codec.go.
 package service
 
 import (
@@ -117,8 +125,8 @@ type EvaluateRequest struct {
 
 // EvaluateBatchRequest is the JSON body of POST
 // /v1/plans/{id}/evaluate_batch: many density vectors evaluated in one
-// engine sweep (one worker slot, near-field kernel evaluations
-// amortized across the batch).
+// engine sweep (one admission, near-field kernel evaluations amortized
+// across the batch).
 type EvaluateBatchRequest struct {
 	// Densities holds one density vector per evaluation, each with
 	// SourceDim components per source in input order.
@@ -157,10 +165,8 @@ func statsWire(s fmm.Stats) EvalStats {
 	}
 }
 
-// EvaluateResponse carries the potentials (TargetDim components per
-// target, input order) and the per-stage timing of this evaluation.
-// Trace is the evaluation's span tree, present only when the request
-// carried ?trace=1.
+// EvaluateResponse is the JSON body the single-vector routes answer with:
+// an EvaluateBatchResponse whose one potential vector is written bare.
 type EvaluateResponse struct {
 	PlanID     string     `json:"plan_id"`
 	Potentials []float64  `json:"potentials"`
@@ -168,9 +174,12 @@ type EvaluateResponse struct {
 	Trace      *TraceSpan `json:"trace,omitempty"`
 }
 
-// EvaluateBatchResponse carries one potentials vector per density
-// vector (input order preserved) and the aggregate stage timing of the
-// whole batched sweep. Trace is present only under ?trace=1.
+// EvaluateBatchResponse is the result of one evaluation, at every layer:
+// what Service.Evaluate returns, what the codecs encode and what the
+// client decodes. It carries one potentials vector per density vector
+// (TargetDim components per target, input order preserved), the stage
+// timing of the whole sweep and its span tree — which the HTTP layer
+// keeps only under ?trace=1. As JSON it is the body of the batch route.
 type EvaluateBatchResponse struct {
 	PlanID     string      `json:"plan_id"`
 	Potentials [][]float64 `json:"potentials"`
@@ -201,46 +210,4 @@ type HealthResponse struct {
 	Status        string  `json:"status"`
 	Plans         int     `json:"plans"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
-}
-
-// MetricsSnapshot is a point-in-time view of the service counters,
-// served under "kifmm" at GET /debug/vars.
-type MetricsSnapshot struct {
-	// Plan-cache counters.
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	PlansBuilt     int64 `json:"plans_built"`
-	PlansEvicted   int64 `json:"plans_evicted"`
-	BuildCoalesced int64 `json:"build_coalesced"`
-	PlansLive      int   `json:"plans_live"`
-	// PlansBytes is the summed estimated footprint of live plans (the
-	// quantity Config.CacheBytes bounds).
-	PlansBytes int64 `json:"plans_bytes"`
-	BuildNanos int64 `json:"build_ns"`
-	// Evaluation counters. Evaluations counts right-hand sides (a batch
-	// of k counts k) and EvalBatches counts engine sweeps. EvalCanceled
-	// counts evaluations aborted by caller cancellation or deadline
-	// (tracked apart from EvalErrors so a disconnect storm is
-	// distinguishable from bad input). NsPerPoint is the most recent
-	// sweep's wall nanoseconds per target point per right-hand side —
-	// the per-point latency batch evaluations used to hide.
-	Evaluations  int64     `json:"evaluations"`
-	EvalBatches  int64     `json:"eval_batches"`
-	EvalErrors   int64     `json:"eval_errors"`
-	EvalCanceled int64     `json:"eval_canceled"`
-	NsPerPoint   float64   `json:"eval_ns_per_point"`
-	Stages       EvalStats `json:"stage_totals"`
-	// Elastic-pool gauges and counters. MaxLanes is the pool capacity
-	// (-max-workers) and MinLanePerEval the admission floor
-	// (-min-lane-per-eval). LanesInUse counts lanes currently leased —
-	// by evaluations and width-1 plan-build admissions alike — and
-	// never exceeds MaxLanes. LanesGrantedTotal accumulates admission
-	// grants, and GrantedWidthHist maps granted width -> number of
-	// evaluations admitted at that width: on an idle server it piles
-	// up at MaxLanes, under saturation at MinLanePerEval.
-	MaxLanes          int              `json:"max_lanes"`
-	MinLanePerEval    int              `json:"min_lane_per_eval"`
-	LanesInUse        int              `json:"lanes_in_use"`
-	LanesGrantedTotal int64            `json:"lanes_granted_total"`
-	GrantedWidthHist  map[string]int64 `json:"granted_width_hist"`
 }

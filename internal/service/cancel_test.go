@@ -38,7 +38,7 @@ func TestEvaluateCancelMidSweep(t *testing.T) {
 
 	// Uncancelled reference, which also warms the lazy operator caches.
 	start := time.Now()
-	if _, _, err := svc.Evaluate(bg, info.ID, den); err != nil {
+	if _, _, err := evalOne(bg, svc, info.ID, den); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(start)
@@ -49,7 +49,7 @@ func TestEvaluateCancelMidSweep(t *testing.T) {
 		cancel()
 	}()
 	start = time.Now()
-	_, _, err := svc.Evaluate(ctx, info.ID, den)
+	_, _, err := evalOne(ctx, svc, info.ID, den)
 	aborted := time.Since(start)
 	if !errors.Is(err, kifmm.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want kifmm.ErrCanceled and context.Canceled", err)
@@ -57,14 +57,14 @@ func TestEvaluateCancelMidSweep(t *testing.T) {
 	if aborted > full*3/4 {
 		t.Errorf("cancelled evaluation took %v of an uncancelled %v", aborted, full)
 	}
-	m := svc.Metrics()
-	if m.EvalCanceled != 1 {
-		t.Errorf("EvalCanceled = %d, want 1", m.EvalCanceled)
+	m := svc.MetricsRegistry().Snapshot()
+	if m["kifmm_eval_canceled_total"] != 1 {
+		t.Errorf("EvalCanceled = %v, want 1", m["kifmm_eval_canceled_total"])
 	}
-	if m.EvalErrors != 0 {
-		t.Errorf("EvalErrors = %d; cancellations must not count as errors", m.EvalErrors)
+	if m["kifmm_eval_errors_total"] != 0 {
+		t.Errorf("EvalErrors = %v; cancellations must not count as errors", m["kifmm_eval_errors_total"])
 	}
-	if _, _, err := svc.Evaluate(bg, info.ID, den); err != nil {
+	if _, _, err := evalOne(bg, svc, info.ID, den); err != nil {
 		t.Errorf("evaluation after a cancelled one failed: %v", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestWorkerSlotWaitHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = svc.Evaluate(ctx, info.ID, den)
+	_, _, err = evalOne(ctx, svc, info.ID, den)
 	if !errors.Is(err, kifmm.ErrDeadlineExceeded) {
 		t.Fatalf("queued eval: err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -114,7 +114,7 @@ func TestRegisterCancelledBuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry after cancelled build: %v", err)
 	}
-	if _, _, err := svc.Evaluate(bg, info.ID, densitiesFor(req, info.SourceDim)); err != nil {
+	if _, _, err := evalOne(bg, svc, info.ID, densitiesFor(req, info.SourceDim)); err != nil {
 		t.Errorf("evaluate after retried build: %v", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestHTTPClientDisconnectCancelsSweep(t *testing.T) {
 	ts := httptest.NewServer(NewServer(svc))
 	defer ts.Close()
 	info, den := slowPlan(t, svc)
-	if _, _, err := svc.Evaluate(bg, info.ID, den); err != nil { // warm caches
+	if _, _, err := evalOne(bg, svc, info.ID, den); err != nil { // warm caches
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
@@ -160,9 +160,9 @@ func TestHTTPClientDisconnectCancelsSweep(t *testing.T) {
 
 	// The server-side sweep must abort and be recorded as a cancellation.
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.Metrics().EvalCanceled == 0 {
+	for svc.MetricsRegistry().Snapshot()["kifmm_eval_canceled_total"] == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server never recorded the cancelled evaluation; metrics %+v", svc.Metrics())
+			t.Fatalf("server never recorded the cancelled evaluation; metrics %+v", svc.MetricsRegistry().Snapshot())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -179,7 +179,7 @@ func TestHTTPClientDisconnectCancelsSweep(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// The plan survives for the next caller.
-	if _, _, err := svc.Evaluate(bg, info.ID, den); err != nil {
+	if _, _, err := evalOne(bg, svc, info.ID, den); err != nil {
 		t.Errorf("evaluation after a disconnected one failed: %v", err)
 	}
 }
@@ -189,7 +189,7 @@ func TestHTTPClientDisconnectCancelsSweep(t *testing.T) {
 func TestHTTPEvalTimeout(t *testing.T) {
 	svc := New(Config{})
 	info, den := slowPlan(t, svc)
-	if _, _, err := svc.Evaluate(bg, info.ID, den); err != nil { // warm caches
+	if _, _, err := evalOne(bg, svc, info.ID, den); err != nil { // warm caches
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(NewServer(svc, WithEvalTimeout(2*time.Millisecond)))
@@ -290,7 +290,7 @@ func TestCoalescedWaiterSurvivesInitiatorDisconnect(t *testing.T) {
 	// The waiter must have coalesced onto the in-flight build before the
 	// initiator walks away.
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.Metrics().BuildCoalesced == 0 {
+	for svc.MetricsRegistry().Snapshot()["kifmm_plan_builds_coalesced_total"] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("second caller never coalesced onto the in-flight build")
 		}
@@ -310,12 +310,12 @@ func TestCoalescedWaiterSurvivesInitiatorDisconnect(t *testing.T) {
 	if r.info.ID == "" {
 		t.Fatal("coalesced waiter got an empty plan id")
 	}
-	m := svc.Metrics()
-	if m.PlansBuilt != 1 || m.CacheMisses != 1 {
-		t.Errorf("built=%d misses=%d, want exactly one build with no retry", m.PlansBuilt, m.CacheMisses)
+	m := svc.MetricsRegistry().Snapshot()
+	if m["kifmm_plans_built_total"] != 1 || m["kifmm_plan_cache_misses_total"] != 1 {
+		t.Errorf("built=%v misses=%v, want exactly one build with no retry", m["kifmm_plans_built_total"], m["kifmm_plan_cache_misses_total"])
 	}
 	// The plan is cached and usable.
-	if _, _, err := svc.Evaluate(bg, r.info.ID, densitiesFor(req, r.info.SourceDim)); err != nil {
+	if _, _, err := evalOne(bg, svc, r.info.ID, densitiesFor(req, r.info.SourceDim)); err != nil {
 		t.Errorf("evaluation on the surviving plan failed: %v", err)
 	}
 }
@@ -364,8 +364,8 @@ func TestBuildCancelledWhenAllWaitersLeave(t *testing.T) {
 	if n := svc.Plans(); n != 0 {
 		t.Errorf("orphaned build cached %d plans, want 0", n)
 	}
-	if m := svc.Metrics(); m.PlansBuilt != 0 {
-		t.Errorf("PlansBuilt = %d, want 0 (the build was cancelled)", m.PlansBuilt)
+	if m := svc.MetricsRegistry().Snapshot(); m["kifmm_plans_built_total"] != 0 {
+		t.Errorf("PlansBuilt = %v, want 0 (the build was cancelled)", m["kifmm_plans_built_total"])
 	}
 
 	// A fresh registration afterwards builds cleanly.

@@ -56,12 +56,13 @@ func TestOneShotRoutesToCluster(t *testing.T) {
 		Densities: den,
 	}
 
-	info, pot, st, err := svc.EvaluateOnce(context.Background(), req)
+	res, err := svc.EvaluateOnce(context.Background(), req)
 	if err != nil {
 		t.Fatalf("cluster one-shot: %v", err)
 	}
-	if info.ID != "" {
-		t.Errorf("cluster one-shot produced plan id %q, want none (nothing cached)", info.ID)
+	pot, st := res.Potentials[0], res.Stats
+	if res.PlanID != "" {
+		t.Errorf("cluster one-shot produced plan id %q, want none (nothing cached)", res.PlanID)
 	}
 	if coord.Evals() != 1 {
 		t.Errorf("coordinator ran %d evals, want 1", coord.Evals())
@@ -73,10 +74,11 @@ func TestOneShotRoutesToCluster(t *testing.T) {
 	// Local reference through the ordinary plan path on a second
 	// service with no cluster attached.
 	local := New(Config{})
-	_, ref, _, err := local.EvaluateOnce(context.Background(), req)
+	res, err = local.EvaluateOnce(context.Background(), req)
 	if err != nil {
 		t.Fatalf("local one-shot: %v", err)
 	}
+	ref := res.Potentials[0]
 	var num, den2 float64
 	for i := range ref {
 		d := pot[i] - ref[i]
@@ -91,11 +93,11 @@ func TestOneShotRoutesToCluster(t *testing.T) {
 	small := req
 	small.Src = pts[:3*1000]
 	small.Densities = den[:1000]
-	info, _, _, err = svc.EvaluateOnce(context.Background(), small)
+	res, err = svc.EvaluateOnce(context.Background(), small)
 	if err != nil {
 		t.Fatalf("sub-threshold one-shot: %v", err)
 	}
-	if info.ID == "" {
+	if res.PlanID == "" {
 		t.Error("sub-threshold one-shot did not build a local plan")
 	}
 	if coord.Evals() != 1 {
@@ -121,7 +123,7 @@ func TestClusterDegradedMode(t *testing.T) {
 		PlanRequest: PlanRequest{Src: pts, Kernel: kernels.Spec{Name: "laplace"}, Degree: 4},
 		Densities:   den,
 	}
-	_, _, _, err = svc.EvaluateOnce(context.Background(), req)
+	_, err = svc.EvaluateOnce(context.Background(), req)
 	if !errors.Is(err, errs.ErrWorkerLost) {
 		t.Fatalf("empty cluster returned %v, want worker_lost", err)
 	}
@@ -134,7 +136,7 @@ func TestClusterDegradedMode(t *testing.T) {
 	small := req
 	small.Src = pts[:3*500]
 	small.Densities = den[:500]
-	if _, _, _, err := svc.EvaluateOnce(context.Background(), small); err != nil {
+	if _, err := svc.EvaluateOnce(context.Background(), small); err != nil {
 		t.Fatalf("degraded mode broke local serving: %v", err)
 	}
 }

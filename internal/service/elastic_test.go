@@ -28,27 +28,27 @@ func TestAdaptiveWidthIdleFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	den := densitiesFor(req, info.SourceDim)
-	_, st, err := svc.Evaluate(bg, info.ID, den)
+	_, st, err := evalOne(bg, svc, info.ID, den)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.GrantedLanes != 4 {
 		t.Errorf("idle evaluation granted %d lanes, want the full 4", st.GrantedLanes)
 	}
-	m := svc.Metrics()
-	if m.MaxLanes != 4 {
-		t.Errorf("MaxLanes = %d, want 4", m.MaxLanes)
+	m := svc.MetricsRegistry().Snapshot()
+	if m["kifmm_max_lanes"] != 4 {
+		t.Errorf("MaxLanes = %v, want 4", m["kifmm_max_lanes"])
 	}
-	if m.GrantedWidthHist["4"] != 1 {
-		t.Errorf("granted-width histogram %v, want one evaluation at width 4", m.GrantedWidthHist)
+	if m[`kifmm_granted_width_total{width="4"}`] != 1 {
+		t.Errorf("granted widths %v, want one evaluation at width 4", svc.m.grantedWidth.Snapshot())
 	}
 	// The build was admitted through the pool too (one lane), so the
 	// lane counter covers build + evaluation.
-	if m.LanesGrantedTotal < 5 {
-		t.Errorf("LanesGrantedTotal = %d, want >= 5 (1 build + 4 eval lanes)", m.LanesGrantedTotal)
+	if m["kifmm_lanes_granted_total"] < 5 {
+		t.Errorf("LanesGrantedTotal = %v, want >= 5 (1 build + 4 eval lanes)", m["kifmm_lanes_granted_total"])
 	}
-	if m.LanesInUse != 0 {
-		t.Errorf("LanesInUse = %d after the evaluation returned", m.LanesInUse)
+	if m["kifmm_lanes_in_use"] != 0 {
+		t.Errorf("LanesInUse = %v after the evaluation returned", m["kifmm_lanes_in_use"])
 	}
 }
 
@@ -89,7 +89,7 @@ func TestAdaptiveWidthSaturation(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			_, st, err := svc.Evaluate(bg, info.ID, den)
+			_, st, err := evalOne(bg, svc, info.ID, den)
 			if err != nil {
 				errc <- err
 				return
@@ -108,22 +108,23 @@ func TestAdaptiveWidthSaturation(t *testing.T) {
 	if probeBad.Load() != 0 {
 		t.Errorf("lanes_in_use left [0, 4] %d times under saturation", probeBad.Load())
 	}
-	m := svc.Metrics()
+	m := svc.MetricsRegistry().Snapshot()
 	var admitted int64
-	for w, n := range m.GrantedWidthHist {
+	hist := svc.m.grantedWidth.Snapshot()
+	for w, n := range hist {
 		if w < "2" {
-			t.Errorf("histogram has width-%s admissions below the floor: %v", w, m.GrantedWidthHist)
+			t.Errorf("histogram has width-%s admissions below the floor: %v", w, hist)
 		}
 		admitted += n
 	}
 	if admitted != callers {
 		t.Errorf("histogram admissions %d, want %d", admitted, callers)
 	}
-	if m.MinLanePerEval != 2 {
-		t.Errorf("MinLanePerEval = %d, want 2", m.MinLanePerEval)
+	if m["kifmm_min_lane_per_eval"] != 2 {
+		t.Errorf("MinLanePerEval = %v, want 2", m["kifmm_min_lane_per_eval"])
 	}
-	if m.LanesInUse != 0 {
-		t.Errorf("LanesInUse = %d after all evaluations returned", m.LanesInUse)
+	if m["kifmm_lanes_in_use"] != 0 {
+		t.Errorf("LanesInUse = %v after all evaluations returned", m["kifmm_lanes_in_use"])
 	}
 }
 
@@ -136,7 +137,7 @@ func TestElasticServiceSoak(t *testing.T) {
 	svc := New(Config{MaxWorkers: 4})
 	ts := httptest.NewServer(NewServer(svc))
 	info, den := slowPlan(t, svc)
-	if _, _, err := svc.Evaluate(bg, info.ID, den); err != nil { // warm caches
+	if _, _, err := evalOne(bg, svc, info.ID, den); err != nil { // warm caches
 		t.Fatal(err)
 	}
 
@@ -207,17 +208,17 @@ func TestElasticServiceSoak(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if m := svc.Metrics(); m.Evaluations == 0 {
+	if m := svc.MetricsRegistry().Snapshot(); m["kifmm_evaluations_total"] == 0 {
 		t.Error("soak recorded no completed evaluations")
 	}
 	// Results served under elastic competition match an undisturbed
 	// call bitwise (the conformance suite proves this exhaustively;
 	// here it guards the service wiring).
-	want, _, err := svc.Evaluate(bg, info.ID, den)
+	want, _, err := evalOne(bg, svc, info.ID, den)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := svc.Evaluate(bg, info.ID, den)
+	got, _, err := evalOne(bg, svc, info.ID, den)
 	if err != nil {
 		t.Fatal(err)
 	}

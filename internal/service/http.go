@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -41,12 +39,11 @@ const StatusClientClosedRequest = 499
 //	GET  /v1/evals/recent              recent eval span trees  -> RecentEvalsResponse
 //	GET  /healthz                      liveness                -> HealthResponse
 //	GET  /metrics                      Prometheus text exposition
-//	GET  /debug/vars                   expvar + "kifmm" metrics (legacy; see /metrics)
 //
 // The evaluation endpoints accept ?trace=1 to echo the request's span
 // tree (wall-clock per pass and tree level) in the response.
 //
-// Bulk bodies are content-negotiated (see wirehttp.go): a request with
+// Bulk bodies are content-negotiated (see codec.go): a request with
 // Content-Type application/x-kifmm-frame ships coordinates/densities
 // as raw little-endian float64 words, and Accept:
 // application/x-kifmm-frame selects the same encoding for response
@@ -129,16 +126,15 @@ func NewServer(svc *Service, opts ...ServerOption) *Server {
 		o(s)
 	}
 	s.handle("POST /v1/plans", s.handleRegister)
-	s.handle("POST /v1/plans/{id}/evaluate", s.idempotent(s.handleEvaluate))
-	s.handle("POST /v1/plans/{id}/evaluate_batch", s.idempotent(s.handleEvaluateBatch))
-	s.handle("POST /v1/evaluate", s.idempotent(s.handleOneShot))
+	s.handle("POST /v1/plans/{id}/evaluate", s.idempotent(s.handleEvaluate(ShapeVector)))
+	s.handle("POST /v1/plans/{id}/evaluate_batch", s.idempotent(s.handleEvaluate(ShapeBatch)))
+	s.handle("POST /v1/evaluate", s.idempotent(s.handleEvaluate(ShapeOneShot)))
 	s.handle("POST /v1/uploads", s.handleUploadCreate)
 	s.handle("POST /v1/uploads/{id}", s.handleUploadChunk)
 	s.handle("GET /v1/uploads/{id}", s.handleUploadStatus)
 	s.handle("GET /v1/evals/recent", s.handleRecentEvals)
 	s.handle("GET /healthz", s.handleHealth)
 	s.handle("GET /metrics", s.handleMetrics)
-	s.handle("GET /debug/vars", s.handleVars)
 	if s.pprof {
 		// pprof handlers do their own sub-routing on the path suffix;
 		// mount them unwrapped so profile endpoints don't skew the API
@@ -275,9 +271,15 @@ type errorResponse struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// writeJSON marshals before writing the header, so a
-// JSON-unrepresentable value (e.g. Inf potentials from overflowing
-// densities) surfaces as a 500 instead of a 200 with an empty body.
+// writeBody sends an encoded body.
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
+// writeJSON marshals before writing the header, so a value JSON cannot
+// represent surfaces as a 500 instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -287,10 +289,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		})
 		status = http.StatusInternalServerError
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_, _ = w.Write(raw)
-	_, _ = w.Write([]byte("\n"))
+	writeBody(w, status, contentTypeJSON+"; charset=utf-8", append(raw, '\n'))
 }
 
 // statusOf maps an error chain onto (HTTP status, wire code). Typed
@@ -330,79 +329,33 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error(), Code: string(code)})
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooLargeErr *http.MaxBytesError
-		if errors.As(err, &tooLargeErr) {
-			writeError(w, tooLarge("request body exceeds %d bytes", tooLargeErr.Limit))
-			return false
-		}
-		writeError(w, badRequest("decoding body: %s", err))
-		return false
-	}
-	// The body must be exactly one JSON value: trailing bytes — a second
-	// value, or garbage like `{...}x` — are a malformed request, not
-	// ignorable padding (silently accepting them masks client bugs such
-	// as concatenated or truncated-and-resumed bodies).
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, badRequest("request body has trailing data after the JSON value"))
-		return false
-	}
-	return true
+// negotiated counts one bulk body in kifmm_wire_encoding_total — the
+// only place that does — and hands its encoding back.
+func (s *Server) negotiated(frame bool) bool {
+	s.svc.m.wireEncoding.With(encodingOf(frame)).Inc()
+	return frame
 }
 
-// readFrameBody slurps a binary frame request body under the standard
-// size bound.
-func readFrameBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	p, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooLargeErr *http.MaxBytesError
-		if errors.As(err, &tooLargeErr) {
-			writeError(w, tooLarge("request body exceeds %d bytes", tooLargeErr.Limit))
-			return nil, false
-		}
-		writeError(w, badRequest("reading body: %s", err))
-		return nil, false
-	}
-	return p, true
-}
-
-// readPlanRequest decodes a plan registration body in either encoding,
-// counting it in kifmm_wire_encoding_total.
-func (s *Server) readPlanRequest(w http.ResponseWriter, r *http.Request, req *PlanRequest) bool {
-	if !isFrameRequest(r) {
-		s.svc.m.wireEncoding.With("json").Inc()
-		return readJSON(w, r, req)
-	}
-	s.svc.m.wireEncoding.With("frame").Inc()
-	body, ok := readFrameBody(w, r)
-	if !ok {
-		return false
-	}
-	hdr, src, trg, err := decodePlanFrame(body)
+// readRequest decodes the body of a bulk route, in whichever encoding its
+// Content-Type names, under the standard size bound. On failure it has
+// answered the request.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, shape Shape) (Request, bool) {
+	req, err := decodeRequest(s.negotiated(isFrameRequest(r)), shape, http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, err)
-		return false
+		return Request{}, false
 	}
-	if err := json.Unmarshal(hdr, req); err != nil {
-		writeError(w, badRequest("decoding plan frame header: %s", err))
-		return false
-	}
-	req.Src, req.Trg = src, trg
-	return true
+	return req, true
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if !s.readPlanRequest(w, r, &req) {
+	req, ok := s.readRequest(w, r, ShapePlan)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	info, err := s.svc.Register(ctx, req)
+	info, err := s.svc.Register(ctx, req.PlanRequest)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -421,189 +374,38 @@ func wantTrace(r *http.Request) bool {
 	return err == nil && t
 }
 
-// nonFiniteIndex returns the index of the first NaN or infinite value
-// in v, or -1 when every value is finite (and so JSON-representable).
-func nonFiniteIndex(v []float64) int {
-	for i, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return i
-		}
-	}
-	return -1
-}
-
-// errNonFinite is the typed refusal to put a non-finite potential on
-// the JSON wire: encoding/json cannot represent NaN or Inf, so instead
-// of an opaque 500 from a failed marshal the client learns which
-// output overflowed and how to receive it anyway.
-func errNonFinite(at string, v float64) error {
-	return badRequest("%s is %v, which JSON cannot represent; overflowing densities usually mean bad input, but the value itself is retrievable bit-exactly with Accept: %s",
-		at, v, ContentTypeFrame)
-}
-
-// writeEvalResponse sends an EvaluateResponse in the negotiated
-// encoding: a binary frame (meta header + raw potential words, any bit
-// pattern) when the request accepts it, JSON — with a typed error for
-// non-finite potentials JSON cannot carry — otherwise.
-func (s *Server) writeEvalResponse(w http.ResponseWriter, r *http.Request, resp EvaluateResponse) {
-	if wantsFrameResponse(r) {
-		s.svc.m.wireEncoding.With("frame").Inc()
-		pot := resp.Potentials
-		resp.Potentials = nil
-		meta, err := json.Marshal(resp)
-		if err != nil {
-			writeError(w, errs.Newf(errs.CodeInternal, "service: encoding response meta: %s", err))
-			return
-		}
-		writeFrame(w, http.StatusOK, encodeEvalFrame(meta, pot))
-		return
-	}
-	s.svc.m.wireEncoding.With("json").Inc()
-	if i := nonFiniteIndex(resp.Potentials); i >= 0 {
-		writeError(w, errNonFinite(fmt.Sprintf("potentials[%d]", i), resp.Potentials[i]))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// writeEvalBatchResponse is writeEvalResponse for batch results.
-func (s *Server) writeEvalBatchResponse(w http.ResponseWriter, r *http.Request, resp EvaluateBatchResponse) {
-	if wantsFrameResponse(r) {
-		s.svc.m.wireEncoding.With("frame").Inc()
-		pots := resp.Potentials
-		resp.Potentials = nil
-		meta, err := json.Marshal(resp)
-		if err != nil {
-			writeError(w, errs.Newf(errs.CodeInternal, "service: encoding response meta: %s", err))
-			return
-		}
-		writeFrame(w, http.StatusOK, encodeEvalBatchFrame(meta, pots))
-		return
-	}
-	s.svc.m.wireEncoding.With("json").Inc()
-	for q, pot := range resp.Potentials {
-		if i := nonFiniteIndex(pot); i >= 0 {
-			writeError(w, errNonFiniteBatch(q, i, pot[i]))
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// errNonFiniteBatch is errNonFinite for one vector of a batch; the
-// index formatting lives here, off the scan loop.
-func errNonFiniteBatch(q, i int, v float64) error {
-	return errNonFinite(fmt.Sprintf("potentials[%d][%d]", q, i), v)
-}
-
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var den []float64
-	if isFrameRequest(r) {
-		s.svc.m.wireEncoding.With("frame").Inc()
-		body, ok := readFrameBody(w, r)
+// handleEvaluate is the body of all three evaluation routes: decode the
+// request in its encoding and the route's shape, run it, encode the
+// result in the encoding the client accepts.
+func (s *Server) handleEvaluate(shape Shape) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, ok := s.readRequest(w, r, shape)
 		if !ok {
 			return
 		}
+		ctx, cancel := s.requestContext(r)
+		defer cancel()
+		var res EvaluateBatchResponse
 		var err error
-		if den, err = decodeEvalFrame(body); err != nil {
-			writeError(w, err)
-			return
+		if shape == ShapeOneShot {
+			res, err = s.svc.EvaluateOnce(ctx, OneShotRequest{PlanRequest: req.PlanRequest, Densities: sole(req.Vectors)})
+		} else {
+			res, err = s.svc.Evaluate(ctx, r.PathValue("id"), req.Vectors)
 		}
-	} else {
-		s.svc.m.wireEncoding.With("json").Inc()
-		var req EvaluateRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		den = req.Densities
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	pot, st, span, err := s.svc.EvaluateTraced(ctx, id, den)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := EvaluateResponse{PlanID: id, Potentials: pot, Stats: st}
-	if wantTrace(r) {
-		resp.Trace = span
-	}
-	s.writeEvalResponse(w, r, resp)
-}
-
-func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var dens [][]float64
-	if isFrameRequest(r) {
-		s.svc.m.wireEncoding.With("frame").Inc()
-		body, ok := readFrameBody(w, r)
-		if !ok {
-			return
-		}
-		var err error
-		if dens, err = decodeEvalBatchFrame(body); err != nil {
-			writeError(w, err)
-			return
-		}
-	} else {
-		s.svc.m.wireEncoding.With("json").Inc()
-		var req EvaluateBatchRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		dens = req.Densities
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	pots, st, span, err := s.svc.EvaluateBatchTraced(ctx, id, dens)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := EvaluateBatchResponse{PlanID: id, Potentials: pots, Stats: st}
-	if wantTrace(r) {
-		resp.Trace = span
-	}
-	s.writeEvalBatchResponse(w, r, resp)
-}
-
-func (s *Server) handleOneShot(w http.ResponseWriter, r *http.Request) {
-	var req OneShotRequest
-	if isFrameRequest(r) {
-		s.svc.m.wireEncoding.With("frame").Inc()
-		body, ok := readFrameBody(w, r)
-		if !ok {
-			return
-		}
-		hdr, src, trg, den, err := decodeOneShotFrame(body)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		if err := json.Unmarshal(hdr, &req); err != nil {
-			writeError(w, badRequest("decoding evaluate frame header: %s", err))
+		if !wantTrace(r) {
+			res.Trace = nil
+		}
+		body, contentType, err := encodeResponse(s.negotiated(wantsFrameResponse(r)), shape, res)
+		if err != nil {
+			writeError(w, err)
 			return
 		}
-		req.Src, req.Trg, req.Densities = src, trg, den
-	} else {
-		s.svc.m.wireEncoding.With("json").Inc()
-		if !readJSON(w, r, &req) {
-			return
-		}
+		writeBody(w, http.StatusOK, contentType, body)
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	info, pot, st, span, err := s.svc.EvaluateOnceTraced(ctx, req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := EvaluateResponse{PlanID: info.ID, Potentials: pot, Stats: st}
-	if wantTrace(r) {
-		resp.Trace = span
-	}
-	s.writeEvalResponse(w, r, resp)
 }
 
 // handleRecentEvals serves the span trees of recent evaluations, newest
@@ -654,41 +456,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Plans:         s.svc.Plans(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	})
-}
-
-// handleVars serves the process-global expvar variables (cmdline,
-// memstats, anything else published) plus this service's counters under
-// the "kifmm" key — the pre-/metrics wire shape, kept backward
-// compatible — and the raw obs registry samples under "kifmm_metrics"
-// (metric name -> value, histograms as name_count/name_sum), in the
-// standard /debug/vars JSON shape. Both keys are derived views of the
-// same registry; new consumers should scrape GET /metrics instead.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	first := true
-	expvar.Do(func(kv expvar.KeyValue) {
-		if kv.Key == "kifmm" || kv.Key == "kifmm_metrics" {
-			return // ours below, from this server's service
-		}
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
-	})
-	if raw, err := json.Marshal(s.svc.Metrics()); err == nil {
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", "kifmm", raw)
-	}
-	if raw, err := json.Marshal(s.svc.MetricsRegistry().Snapshot()); err == nil {
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		fmt.Fprintf(w, "%q: %s", "kifmm_metrics", raw)
-	}
-	fmt.Fprintf(w, "\n}\n")
 }

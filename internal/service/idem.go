@@ -14,10 +14,14 @@ import (
 // the leader and executes normally; concurrent duplicates block until
 // it settles; and later duplicates replay the stored response
 // byte-for-byte (marked Idempotency-Replayed: true) without
-// re-running the evaluation. Responses with 5xx statuses are not
-// stored — a retry after a transient worker_lost re-executes instead
-// of replaying the failure — and a waiter whose leader failed promotes
-// itself to leader and re-executes.
+// re-running the evaluation. Only an outcome of the request is stored.
+// A 5xx is not one — a retry after a transient worker_lost re-executes
+// instead of replaying the failure — and neither is anything written
+// for a caller that had already gone (499, or a request context that is
+// done when the handler returns): that response reports how one attempt
+// ended, and the retry it would poison is the very request the key
+// protects. A waiter whose leader stored nothing promotes itself to
+// leader and re-executes.
 //
 // Keys are scoped to method + path, so the same key against two plans
 // never collides. Entries are bounded in count and bytes and expire
@@ -76,11 +80,12 @@ func (st *idemStore) begin(key string) (*idemEntry, bool) {
 }
 
 // settle records the leader's outcome and wakes waiters. Unstorable
-// outcomes (5xx, oversized, over budget) drop the entry so the next
-// request under the key executes fresh.
-func (st *idemStore) settle(key string, e *idemEntry, status int, contentType string, body []byte, overflowed bool) {
+// outcomes (the caller's verdict, 5xx, a caller's own cancellation,
+// oversized, over budget) drop the entry so the next request under the
+// key executes fresh.
+func (st *idemStore) settle(key string, e *idemEntry, status int, contentType string, body []byte, storable bool) {
 	st.mu.Lock()
-	storable := status < 500 && !overflowed &&
+	storable = storable && status < 500 && status != StatusClientClosedRequest &&
 		int64(len(body)) <= idemMaxBodyBytes &&
 		st.curBytes+int64(len(body)) <= idemMaxTotalBytes
 	if storable {
@@ -174,7 +179,8 @@ func (s *Server) idempotent(h http.HandlerFunc) http.HandlerFunc {
 				if status == 0 {
 					status = http.StatusOK
 				}
-				s.idem.settle(mapKey, e, status, rec.Header().Get("Content-Type"), rec.body, rec.overflowed)
+				s.idem.settle(mapKey, e, status, rec.Header().Get("Content-Type"), rec.body,
+					!rec.overflowed && r.Context().Err() == nil)
 				return
 			}
 			select {

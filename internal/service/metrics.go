@@ -15,10 +15,8 @@ import (
 var stageNames = []string{"up", "down_u", "down_v", "down_w", "down_x", "eval"}
 
 // metrics is the service's single source of observability truth: every
-// counter the old expvar snapshot exposed lives here as an obs
-// instrument, and both GET /metrics (Prometheus text) and the
-// backward-compatible /debug/vars "kifmm" snapshot are derived views of
-// this registry.
+// counter, gauge and histogram is an obs instrument of one registry, and
+// GET /metrics (Prometheus text) is its one rendering.
 type metrics struct {
 	reg *obs.Registry
 
@@ -28,8 +26,8 @@ type metrics struct {
 	coalesced              *obs.Counter
 	planBuildSeconds       *obs.Histogram
 
-	// Evaluations. evaluations counts right-hand sides (the historic
-	// expvar meaning); evalBatches counts engine sweeps.
+	// Evaluations. evaluations counts right-hand sides; evalBatches
+	// counts engine sweeps.
 	evaluations, evalBatches *obs.Counter
 	evalErrors, evalCanceled *obs.Counter
 	evalSlow                 *obs.Counter
@@ -211,8 +209,9 @@ func newMetrics(s *Service) *metrics {
 
 // recordEval records one finished sweep: rhs right-hand sides over
 // points targets, taking wall seconds end to end, with the engine's
-// per-stage breakdown st. Called only for successful evaluations (the
-// error/cancel counters are bumped at the failure site).
+// per-stage breakdown st — zero (no granted lanes) for a cluster
+// evaluation, whose ranks keep theirs. Called only for successful
+// evaluations (the error/cancel counters are bumped at the failure site).
 func (m *metrics) recordEval(st fmm.Stats, rhs, points int, wall time.Duration) {
 	m.evaluations.Add(int64(rhs))
 	m.evalBatches.Inc()
@@ -221,18 +220,13 @@ func (m *metrics) recordEval(st fmm.Stats, rhs, points int, wall time.Duration) 
 	if n := rhs * points; n > 0 {
 		m.evalNsPerPoint.Set(float64(wall.Nanoseconds()) / float64(n))
 	}
-	if st.Lanes >= 1 {
-		m.grantedWidth.With(strconv.Itoa(st.Lanes)).Inc()
+	if st.Lanes < 1 {
+		return
 	}
+	m.grantedWidth.With(strconv.Itoa(st.Lanes)).Inc()
 	durs := [...]time.Duration{st.Up, st.DownU, st.DownV, st.DownW, st.DownX, st.Eval}
 	for i, name := range stageNames {
 		m.stageSeconds.With(name).Observe(durs[i].Seconds())
 	}
 	m.flops.Add(st.Flops())
-}
-
-// stageNanos converts a stage histogram's accumulated seconds back to
-// the integer nanoseconds the legacy /debug/vars snapshot reports.
-func (m *metrics) stageNanos(stage string) int64 {
-	return int64(m.stageSeconds.With(stage).Sum() * 1e9)
 }

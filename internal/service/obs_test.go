@@ -202,10 +202,11 @@ func TestTraceConsistentWithStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	den := densitiesFor(req, info.SourceDim)
-	_, st, span, err := svc.EvaluateTraced(bg, info.ID, den)
+	res, err := svc.Evaluate(bg, info.ID, [][]float64{den})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st, span := res.Stats, res.Trace
 	if span == nil || span.Name != "evaluate" {
 		t.Fatalf("trace root = %+v, want evaluate span", span)
 	}
@@ -371,45 +372,5 @@ func TestMetricNamesLintedAndDocumented(t *testing.T) {
 				t.Errorf("metric %q label %q is not snake_case", f.Name, l)
 			}
 		}
-	}
-}
-
-// TestVarsMirrorsRegistry checks the /debug/vars compatibility
-// satellite: the legacy "kifmm" snapshot and the new "kifmm_metrics"
-// registry dump stay consistent because both derive from one registry.
-func TestVarsMirrorsRegistry(t *testing.T) {
-	svc := New(Config{})
-	ts := httptest.NewServer(NewServer(svc))
-	defer ts.Close()
-
-	req := cloudRequest(34, 200)
-	info, err := svc.Register(bg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := svc.Evaluate(bg, info.ID, densitiesFor(req, info.SourceDim)); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var vars struct {
-		KIFMM   MetricsSnapshot    `json:"kifmm"`
-		Metrics map[string]float64 `json:"kifmm_metrics"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	if vars.KIFMM.Evaluations != 1 {
-		t.Errorf("legacy kifmm.evaluations = %d, want 1", vars.KIFMM.Evaluations)
-	}
-	if got := vars.Metrics["kifmm_evaluations_total"]; got != 1 {
-		t.Errorf("kifmm_metrics snapshot evaluations = %v, want 1", got)
-	}
-	if got := vars.Metrics["kifmm_plans_built_total"]; got != float64(vars.KIFMM.PlansBuilt) {
-		t.Errorf("plans built disagree: registry %v, legacy %d", got, vars.KIFMM.PlansBuilt)
 	}
 }

@@ -182,7 +182,7 @@ type Service struct {
 	buildBarrier func(key string)
 
 	// pool is the elastic lane pool every plan of this service shares:
-	// evaluation admission happens inside the engine (EvaluateCtx
+	// evaluation admission happens inside the engine (an evaluation
 	// leases its width here) and plan builds are admitted through the
 	// same pool at width 1, so builds and evaluations together never
 	// oversubscribe MaxWorkers lanes.
@@ -190,8 +190,7 @@ type Service struct {
 
 	// m is the observability core: every service counter, gauge and
 	// histogram lives in its registry (internal/obs), rendered as
-	// Prometheus text at GET /metrics and mirrored into the legacy
-	// /debug/vars snapshot by Metrics().
+	// Prometheus text at GET /metrics.
 	m *metrics
 
 	// spans retains recent evaluation span trees for GET
@@ -499,87 +498,78 @@ func (s *Service) lookup(planID string) (*plan, error) {
 	return p, nil
 }
 
-// Evaluate runs one density→potential evaluation on a registered plan.
-// ctx covers the wait for lane admission and the evaluation itself: a
-// cancellation or deadline aborts the engine sweep within one pass and
-// returns the typed error (ErrCanceled / ErrDeadlineExceeded).
-func (s *Service) Evaluate(ctx context.Context, planID string, den []float64) ([]float64, EvalStats, error) {
-	pot, st, _, err := s.EvaluateTraced(ctx, planID, den)
-	return pot, st, err
-}
-
-// EvaluateTraced is Evaluate also returning the evaluation's span tree
-// (wall-clock intervals per pass and tree level; nil on error). The
-// same tree is retained in the recent-evaluations ring.
-func (s *Service) EvaluateTraced(ctx context.Context, planID string, den []float64) ([]float64, EvalStats, *obs.Span, error) {
+// Evaluate is the one evaluation entry for registered plans: it runs the
+// density vectors of dens against the plan in a single engine sweep (a
+// lone vector is a batch of one; a batch amortizes tree traversal and
+// near-field kernel evaluations and occupies one admission regardless of
+// its size). ctx covers the wait for lane admission and the evaluation
+// itself: a cancellation or deadline aborts the engine sweep within one
+// pass and returns the typed error (ErrCanceled / ErrDeadlineExceeded).
+//
+// The result carries one potential vector per density, this call's stage
+// breakdown and its span tree (wall-clock intervals per pass and tree
+// level); the same tree is retained in the recent-evaluations ring.
+func (s *Service) Evaluate(ctx context.Context, planID string, dens [][]float64) (EvaluateBatchResponse, error) {
 	p, err := s.lookup(planID)
 	if err != nil {
-		return nil, EvalStats{}, nil, err
+		return EvaluateBatchResponse{}, err
 	}
-	return s.evaluatePlan(ctx, p, den)
+	return s.evaluatePlan(ctx, p, dens)
 }
 
-// EvaluateBatch evaluates many density vectors against one registered
-// plan in a single engine sweep, amortizing tree traversal and
-// near-field kernel evaluations across the batch. It occupies one
-// worker slot regardless of batch size.
-func (s *Service) EvaluateBatch(ctx context.Context, planID string, dens [][]float64) ([][]float64, EvalStats, error) {
-	pots, st, _, err := s.EvaluateBatchTraced(ctx, planID, dens)
-	return pots, st, err
-}
-
-// EvaluateBatchTraced is EvaluateBatch also returning the sweep's span
-// tree (nil on error); see EvaluateTraced.
-func (s *Service) EvaluateBatchTraced(ctx context.Context, planID string, dens [][]float64) ([][]float64, EvalStats, *obs.Span, error) {
-	p, err := s.lookup(planID)
+// EvaluateOnce registers (or resolves) the plan and evaluates in one
+// call; the plan stays cached for future requests. The evaluation runs
+// against the plan returned by registration, so it cannot miss even if
+// the plan is concurrently evicted from the cache.
+//
+// On a coordinator (Config.Cluster), cluster-sized requests fan out
+// across the connected workers transparently: same request shape, same
+// result shape, no plan id (nothing is cached — the distributed engine
+// rebuilds its tree per evaluation, the paper's setting).
+func (s *Service) EvaluateOnce(ctx context.Context, req OneShotRequest) (EvaluateBatchResponse, error) {
+	dens := [][]float64{req.Densities}
+	if s.clusterSized(req.PlanRequest) {
+		return s.evaluateCluster(ctx, req.PlanRequest, dens)
+	}
+	p, _, err := s.register(ctx, req.PlanRequest)
 	if err != nil {
-		return nil, EvalStats{}, nil, err
+		return EvaluateBatchResponse{}, err
 	}
+	return s.evaluatePlan(ctx, p, dens)
+}
+
+// checkDensities is the one density-shape validation: a non-empty batch
+// within the size bound, every vector srcCount x sourceDim long.
+func checkDensities(dens [][]float64, srcCount, sourceDim int) error {
 	if len(dens) == 0 {
-		s.m.evalErrors.Inc()
-		return nil, EvalStats{}, nil, badRequest("batch needs at least one density vector")
+		return badRequest("batch needs at least one density vector")
 	}
 	if len(dens) > maxBatchSize {
-		s.m.evalErrors.Inc()
-		return nil, EvalStats{}, nil, tooLarge("batch of %d density vectors exceeds the limit %d", len(dens), maxBatchSize)
+		return tooLarge("batch of %d density vectors exceeds the limit %d", len(dens), maxBatchSize)
 	}
-	want := p.srcCount * p.sourceDim
+	want := srcCount * sourceDim
 	for q, den := range dens {
-		if len(den) != want {
-			s.m.evalErrors.Inc()
-			return nil, EvalStats{}, nil, badRequest("densities[%d] length %d, want %d (%d sources x %d components)",
-				q, len(den), want, p.srcCount, p.sourceDim)
+		if len(den) == want {
+			continue
 		}
+		if len(dens) == 1 {
+			return badRequest("densities length %d, want %d (%d sources x %d components)", len(den), want, srcCount, sourceDim)
+		}
+		return badRequest("densities[%d] length %d, want %d (%d sources x %d components)", q, len(den), want, srcCount, sourceDim)
 	}
-	return s.runEval(ctx, p, dens)
+	return nil
 }
 
-// evaluatePlan validates and runs a single-vector evaluation.
-func (s *Service) evaluatePlan(ctx context.Context, p *plan, den []float64) ([]float64, EvalStats, *obs.Span, error) {
-	if want := p.srcCount * p.sourceDim; len(den) != want {
-		s.m.evalErrors.Inc()
-		return nil, EvalStats{}, nil, badRequest("densities length %d, want %d (%d sources x %d components)",
-			len(den), want, p.srcCount, p.sourceDim)
+// evaluatePlan runs one sweep on the local engine. Admission is lease
+// acquisition: the engine leases the call's lane width from the service
+// pool, queueing — and honoring ctx — when not even MinLanePerEval lanes
+// are free (a caller that disconnects while queued never occupies a
+// lane). Evaluation is read-only on plan state, so concurrent calls
+// sharing a plan need no per-plan serialization.
+func (s *Service) evaluatePlan(ctx context.Context, p *plan, dens [][]float64) (EvaluateBatchResponse, error) {
+	if err := checkDensities(dens, p.srcCount, p.sourceDim); err != nil {
+		return s.evalFailed(err, errs.CodeInvalidInput)
 	}
-	pots, st, span, err := s.runEval(ctx, p, [][]float64{den})
-	if err != nil {
-		return nil, EvalStats{}, nil, err
-	}
-	return pots[0], st, span, nil
-}
-
-// runEval executes one (possibly batched) evaluation. Admission is
-// lease acquisition: the engine leases the call's lane width from the
-// service pool inside the traced evaluate, queueing — and honoring
-// ctx — when not even MinLanePerEval lanes are free (a caller that
-// disconnects while queued never occupies a lane). Evaluation is
-// read-only on plan state, so concurrent calls sharing a plan need no
-// per-plan serialization.
-//
-// Every evaluation is traced (a handful of small allocations per call):
-// the finished span tree lands in the recent-evaluations ring and is
-// returned so the HTTP layer can echo it on ?trace=1.
-func (s *Service) runEval(ctx context.Context, p *plan, dens [][]float64) ([][]float64, EvalStats, *obs.Span, error) {
 	start := time.Now()
 	pots, st, span, err := func() (pots [][]float64, st fmm.Stats, span *obs.Span, err error) {
 		// A panic in the numeric evaluation path becomes a typed
@@ -587,27 +577,48 @@ func (s *Service) runEval(ctx context.Context, p *plan, dens [][]float64) ([][]f
 		// defer even then).
 		defer func() {
 			if r := recover(); r != nil {
-				pots, span, err = nil, nil, errs.Newf(errs.CodeInternal, "service: evaluation panicked: %v", r)
+				err = errs.Newf(errs.CodeInternal, "service: evaluation panicked: %v", r)
 			}
 		}()
 		return p.ev.EvaluateBatchTracedCtx(ctx, dens)
 	}()
-	if err != nil {
-		if code, _ := errs.CodeOf(errs.FromContext(err)); code == errs.CodeCanceled || code == errs.CodeDeadlineExceeded {
-			s.m.evalCanceled.Inc()
-		} else {
-			s.m.evalErrors.Inc()
-		}
-		return nil, EvalStats{}, nil, errs.Typed(err, errs.CodeInvalidInput)
+	// Anything the library rejected that carries no code is client input.
+	res := EvaluateBatchResponse{PlanID: p.id, Potentials: pots, Stats: statsWire(st), Trace: span}
+	return s.finishEval(ctx, start, res, st, p.trgCount, err, errs.CodeInvalidInput)
+}
+
+// evalFailed counts a failed evaluation, as cancelled (by the caller or a
+// deadline) or as an error, and types err with fallback when it carries no
+// code of its own.
+func (s *Service) evalFailed(err error, fallback errs.Code) (EvaluateBatchResponse, error) {
+	if code, _ := errs.CodeOf(errs.FromContext(err)); code == errs.CodeCanceled || code == errs.CodeDeadlineExceeded {
+		s.m.evalCanceled.Inc()
+	} else {
+		s.m.evalErrors.Inc()
 	}
-	s.m.recordEval(st, len(dens), p.trgCount, time.Since(start))
+	return EvaluateBatchResponse{}, errs.Typed(err, fallback)
+}
+
+// finishEval is the tail every evaluation ends in, on the local engine or
+// across the cluster: count a failure, or record the sweep and publish its
+// span. Every evaluation is traced (a handful of small allocations per
+// call): the finished tree lands in the recent-evaluations ring and is
+// returned so the HTTP layer can echo it on ?trace=1.
+func (s *Service) finishEval(ctx context.Context, start time.Time, res EvaluateBatchResponse, st fmm.Stats, points int, err error, fallback errs.Code) (EvaluateBatchResponse, error) {
+	if err != nil {
+		return s.evalFailed(err, fallback)
+	}
+	s.m.recordEval(st, len(res.Potentials), points, time.Since(start))
 	// The tree is still private to this goroutine: attach identifying
 	// attributes before publishing it to the ring makes it shared. The
 	// trace attributes link the span tree to the W3C trace context the
 	// request arrived under (or was assigned): the evaluate span's id,
 	// its parent (the caller's span, when a traceparent was sent), and
 	// the request id — the request-log ↔ /v1/evals/recent join keys.
-	span.SetAttr("plan_id", p.id)
+	span := res.Trace
+	if res.PlanID != "" {
+		span.SetAttr("plan_id", res.PlanID)
+	}
 	if tc, ok := obs.TraceFromContext(ctx); ok {
 		span.SetAttr("trace_id", tc.TraceID)
 		span.SetAttr("span_id", tc.SpanID)
@@ -621,38 +632,7 @@ func (s *Service) runEval(ctx context.Context, p *plan, dens [][]float64) ([][]f
 		}
 	}
 	s.spans.Add(span)
-	return pots, statsWire(st), span, nil
-}
-
-// EvaluateOnce registers (or resolves) the plan and evaluates in one
-// call; the plan stays cached for future requests. The evaluation runs
-// against the plan returned by registration, so it cannot miss even if
-// the plan is concurrently evicted from the cache.
-func (s *Service) EvaluateOnce(ctx context.Context, req OneShotRequest) (PlanInfo, []float64, EvalStats, error) {
-	info, pot, st, _, err := s.EvaluateOnceTraced(ctx, req)
-	return info, pot, st, err
-}
-
-// EvaluateOnceTraced is EvaluateOnce also returning the evaluation's
-// span tree (nil on error); see EvaluateTraced.
-//
-// On a coordinator (Config.Cluster), cluster-sized requests fan out
-// across the connected workers transparently: same request shape, same
-// response shape, no plan id (nothing is cached — the distributed
-// engine rebuilds its tree per evaluation, the paper's setting).
-func (s *Service) EvaluateOnceTraced(ctx context.Context, req OneShotRequest) (PlanInfo, []float64, EvalStats, *obs.Span, error) {
-	if s.clusterSized(req.PlanRequest) {
-		return s.evaluateCluster(ctx, req)
-	}
-	p, cached, err := s.register(ctx, req.PlanRequest)
-	if err != nil {
-		return PlanInfo{}, nil, EvalStats{}, nil, err
-	}
-	pot, st, span, err := s.evaluatePlan(ctx, p, req.Densities)
-	if err != nil {
-		return PlanInfo{}, nil, EvalStats{}, nil, err
-	}
-	return p.info(cached), pot, st, span, nil
+	return res, nil
 }
 
 // clusterSized reports whether a one-shot request should fan out
@@ -668,64 +648,42 @@ func (s *Service) clusterSized(req PlanRequest) bool {
 // cluster coordinator. Failures keep the errs taxonomy: a lost worker
 // or an empty cluster surfaces as worker_lost (HTTP 503) while
 // single-node plans keep serving — the degraded mode.
-func (s *Service) evaluateCluster(ctx context.Context, req OneShotRequest) (PlanInfo, []float64, EvalStats, *obs.Span, error) {
+func (s *Service) evaluateCluster(ctx context.Context, req PlanRequest, dens [][]float64) (EvaluateBatchResponse, error) {
 	// resolve reuses the single-node validation (coordinate and option
 	// bounds); the plan key it computes is unused here.
-	src, _, opt, spec, _, err := s.resolve(req.PlanRequest)
+	src, _, opt, spec, _, err := s.resolve(req)
 	if err != nil {
-		return PlanInfo{}, nil, EvalStats{}, nil, err
+		return EvaluateBatchResponse{}, err
 	}
 	srcCount := len(src) / 3
-	sd, td := opt.Kernel.SourceDim(), opt.Kernel.TargetDim()
-	if want := srcCount * sd; len(req.Densities) != want {
-		s.m.evalErrors.Inc()
-		return PlanInfo{}, nil, EvalStats{}, nil, badRequest("densities length %d, want %d (%d sources x %d components)",
-			len(req.Densities), want, srcCount, sd)
+	if err := checkDensities(dens, srcCount, opt.Kernel.SourceDim()); err != nil {
+		return s.evalFailed(err, errs.CodeInvalidInput)
 	}
 	start := time.Now()
 	pot, rep, err := s.cfg.Cluster.Evaluate(ctx, cluster.EvalRequest{
-		Src: src, Den: req.Densities, Kernel: spec,
+		Src: src, Den: dens[0], Kernel: spec,
 		Degree: opt.Degree, MaxPoints: opt.MaxPoints, MaxDepth: opt.MaxDepth,
 		Backend: int(opt.Backend), PinvTol: opt.PinvTol,
 	})
-	if err != nil {
-		if code, _ := errs.CodeOf(errs.FromContext(err)); code == errs.CodeCanceled || code == errs.CodeDeadlineExceeded {
-			s.m.evalCanceled.Inc()
-		} else {
-			s.m.evalErrors.Inc()
+	var res EvaluateBatchResponse
+	if err == nil {
+		// The cluster's own trace is the merged per-rank timeline; the
+		// span tree exposed through /v1/evals/recent carries the fan-out
+		// summary so cluster evaluations are visible next to local ones.
+		// The ranks' stage breakdown stays on the workers: the stats are
+		// wall time and the rank count.
+		span := &obs.Span{Name: "cluster_evaluate", Start: start, Duration: time.Since(start)}
+		span.SetAttr("ranks", strconv.Itoa(rep.Ranks))
+		span.SetAttr("workers", strconv.Itoa(rep.Workers))
+		span.SetAttr("scatter_bytes", strconv.FormatInt(rep.ScatterBytes, 10))
+		span.SetAttr("gather_bytes", strconv.FormatInt(rep.GatherBytes, 10))
+		res = EvaluateBatchResponse{
+			Potentials: [][]float64{pot},
+			Stats:      EvalStats{TotalNanos: span.Duration.Nanoseconds(), GrantedLanes: rep.Ranks},
+			Trace:      span,
 		}
-		return PlanInfo{}, nil, EvalStats{}, nil, errs.Typed(err, errs.CodeInternal)
 	}
-	wall := time.Since(start)
-	s.m.evaluations.Inc()
-	s.m.evalBatches.Inc()
-	s.m.evalBatchSize.Observe(1)
-	s.m.evalSeconds.Observe(wall.Seconds())
-	if srcCount > 0 {
-		s.m.evalNsPerPoint.Set(float64(wall.Nanoseconds()) / float64(srcCount))
-	}
-	// The cluster's own trace is the merged per-rank timeline; the span
-	// tree exposed through /v1/evals/recent carries the fan-out summary
-	// so cluster evaluations are visible next to local ones.
-	span := &obs.Span{Name: "cluster_evaluate", Start: start, Duration: wall}
-	span.SetAttr("ranks", strconv.Itoa(rep.Ranks))
-	span.SetAttr("workers", strconv.Itoa(rep.Workers))
-	span.SetAttr("scatter_bytes", strconv.FormatInt(rep.ScatterBytes, 10))
-	span.SetAttr("gather_bytes", strconv.FormatInt(rep.GatherBytes, 10))
-	if tc, ok := obs.TraceFromContext(ctx); ok {
-		span.SetAttr("trace_id", tc.TraceID)
-		span.SetAttr("span_id", tc.SpanID)
-	}
-	if meta, ok := requestMetaFrom(ctx); ok && meta.id != "" {
-		span.SetAttr("request_id", meta.id)
-	}
-	s.spans.Add(span)
-	info := PlanInfo{
-		Kernel: spec, SrcCount: srcCount, TrgCount: srcCount,
-		SourceDim: sd, TargetDim: td,
-	}
-	st := EvalStats{TotalNanos: wall.Nanoseconds(), GrantedLanes: rep.Ranks}
-	return info, pot, st, span, nil
+	return s.finishEval(ctx, start, res, fmm.Stats{}, srcCount, err, errs.CodeInternal)
 }
 
 // Plans returns the number of live cached plans.
@@ -740,54 +698,4 @@ func (s *Service) PlansBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cache.totalBytes()
-}
-
-// Metrics returns a consistent-enough snapshot of the service counters
-// — the legacy /debug/vars "kifmm" wire shape, now a derived view of
-// the obs registry (GET /metrics renders the same instruments as
-// Prometheus text). Stage nanoseconds are reconstructed from the
-// per-stage histogram sums, so they round through float64 seconds.
-func (s *Service) Metrics() MetricsSnapshot {
-	m := s.m
-	up := m.stageNanos("up")
-	du := m.stageNanos("down_u")
-	dv := m.stageNanos("down_v")
-	dw := m.stageNanos("down_w")
-	dx := m.stageNanos("down_x")
-	ev := m.stageNanos("eval")
-	s.mu.Lock()
-	live, liveBytes := s.cache.len(), s.cache.totalBytes()
-	s.mu.Unlock()
-	hist := make(map[string]int64)
-	for w, n := range m.grantedWidth.Snapshot() {
-		if n > 0 {
-			hist[w] = n
-		}
-	}
-	return MetricsSnapshot{
-		MaxLanes:          s.pool.MaxWorkers(),
-		MinLanePerEval:    s.cfg.MinLanePerEval,
-		LanesInUse:        s.pool.LanesInUse(),
-		LanesGrantedTotal: s.pool.LanesGranted(),
-		GrantedWidthHist:  hist,
-		CacheHits:         m.cacheHits.Value(),
-		CacheMisses:       m.cacheMisses.Value(),
-		PlansBuilt:        m.plansBuilt.Value(),
-		PlansEvicted:      m.evictions.Value(),
-		BuildCoalesced:    m.coalesced.Value(),
-		PlansLive:         live,
-		PlansBytes:        liveBytes,
-		BuildNanos:        int64(m.planBuildSeconds.Sum() * 1e9),
-		Evaluations:       m.evaluations.Value(),
-		EvalBatches:       m.evalBatches.Value(),
-		EvalErrors:        m.evalErrors.Value(),
-		EvalCanceled:      m.evalCanceled.Value(),
-		NsPerPoint:        m.evalNsPerPoint.Value(),
-		Stages: EvalStats{
-			UpNanos: up, DownUNanos: du, DownVNanos: dv,
-			DownWNanos: dw, DownXNanos: dx, EvalNanos: ev,
-			TotalNanos: up + du + dv + dw + dx + ev,
-			Flops:      m.flops.Value(),
-		},
-	}
 }

@@ -30,6 +30,16 @@ func cloudRequest(seed, n int) PlanRequest {
 	}
 }
 
+// evalOne evaluates a single density vector — the batch of one the
+// single-vector HTTP routes hand Service.Evaluate.
+func evalOne(ctx context.Context, svc *Service, planID string, den []float64) ([]float64, EvalStats, error) {
+	res, err := svc.Evaluate(ctx, planID, [][]float64{den})
+	if err != nil {
+		return nil, EvalStats{}, err
+	}
+	return res.Potentials[0], res.Stats, nil
+}
+
 func densitiesFor(req PlanRequest, dim int) []float64 {
 	n := len(req.Src) / 3 * dim
 	den := make([]float64, n)
@@ -79,20 +89,20 @@ func TestSingleflightBuildsOnePlan(t *testing.T) {
 			t.Fatalf("caller %d got plan %s, caller 0 got %s", i, infos[i].ID, infos[0].ID)
 		}
 	}
-	m := svc.Metrics()
-	if m.PlansBuilt != 1 {
-		t.Errorf("PlansBuilt = %d, want 1 (singleflight)", m.PlansBuilt)
+	m := svc.MetricsRegistry().Snapshot()
+	if m["kifmm_plans_built_total"] != 1 {
+		t.Errorf("PlansBuilt = %v, want 1 (singleflight)", m["kifmm_plans_built_total"])
 	}
-	if m.CacheMisses != 1 {
-		t.Errorf("CacheMisses = %d, want 1", m.CacheMisses)
+	if m["kifmm_plan_cache_misses_total"] != 1 {
+		t.Errorf("CacheMisses = %v, want 1", m["kifmm_plan_cache_misses_total"])
 	}
-	if m.CacheHits+m.BuildCoalesced != callers-1 {
-		t.Errorf("hits (%d) + coalesced (%d) = %d, want %d",
-			m.CacheHits, m.BuildCoalesced, m.CacheHits+m.BuildCoalesced, callers-1)
+	if m["kifmm_plan_cache_hits_total"]+m["kifmm_plan_builds_coalesced_total"] != callers-1 {
+		t.Errorf("hits (%v) + coalesced (%v) = %v, want %d",
+			m["kifmm_plan_cache_hits_total"], m["kifmm_plan_builds_coalesced_total"], m["kifmm_plan_cache_hits_total"]+m["kifmm_plan_builds_coalesced_total"], callers-1)
 	}
 
 	// A later identical registration is a pure cache hit.
-	hitsBefore := m.CacheHits
+	hitsBefore := m["kifmm_plan_cache_hits_total"]
 	info, err := svc.Register(bg, req)
 	if err != nil {
 		t.Fatal(err)
@@ -100,11 +110,11 @@ func TestSingleflightBuildsOnePlan(t *testing.T) {
 	if !info.Cached {
 		t.Errorf("re-registration not served from cache")
 	}
-	if m = svc.Metrics(); m.CacheHits != hitsBefore+1 {
-		t.Errorf("CacheHits = %d, want %d", m.CacheHits, hitsBefore+1)
+	if m = svc.MetricsRegistry().Snapshot(); m["kifmm_plan_cache_hits_total"] != hitsBefore+1 {
+		t.Errorf("CacheHits = %v, want %v", m["kifmm_plan_cache_hits_total"], hitsBefore+1)
 	}
-	if m.PlansBuilt != 1 {
-		t.Errorf("PlansBuilt grew to %d on a cache hit", m.PlansBuilt)
+	if m["kifmm_plans_built_total"] != 1 {
+		t.Errorf("PlansBuilt grew to %v on a cache hit", m["kifmm_plans_built_total"])
 	}
 }
 
@@ -134,7 +144,7 @@ func TestEvaluateMatchesDirect(t *testing.T) {
 		t.Errorf("stokes echo params = %v, want explicit mu=1", stokes.Kernel.Params)
 	}
 	den := densitiesFor(req, info.SourceDim)
-	got, st, err := svc.Evaluate(bg, info.ID, den)
+	got, st, err := evalOne(bg, svc, info.ID, den)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +164,12 @@ func TestEvaluateMatchesDirect(t *testing.T) {
 		t.Errorf("relative error vs direct summation %.3e, want <= 1e-4 at degree 6", e)
 	}
 
-	m := svc.Metrics()
-	if m.Evaluations != 1 {
-		t.Errorf("Evaluations = %d, want 1", m.Evaluations)
+	m := svc.MetricsRegistry().Snapshot()
+	if m["kifmm_evaluations_total"] != 1 {
+		t.Errorf("Evaluations = %v, want 1", m["kifmm_evaluations_total"])
 	}
-	if m.Stages.TotalNanos <= 0 {
-		t.Errorf("stage totals not recorded: %+v", m.Stages)
+	if m[`kifmm_stage_seconds_sum{stage="up"}`] <= 0 || m["kifmm_flops_total"] <= 0 {
+		t.Errorf("stage totals not recorded: %v", m)
 	}
 }
 
@@ -177,18 +187,18 @@ func TestLRUEviction(t *testing.T) {
 	if n := svc.Plans(); n != 2 {
 		t.Errorf("live plans = %d, want capacity 2", n)
 	}
-	m := svc.Metrics()
-	if m.PlansEvicted != 1 {
-		t.Errorf("PlansEvicted = %d, want 1", m.PlansEvicted)
+	m := svc.MetricsRegistry().Snapshot()
+	if m["kifmm_plan_cache_evictions_total"] != 1 {
+		t.Errorf("PlansEvicted = %v, want 1", m["kifmm_plan_cache_evictions_total"])
 	}
 
 	// The oldest plan is gone; the two recent ones still evaluate.
 	den := densitiesFor(cloudRequest(1, 120), 1)
-	if _, _, err := svc.Evaluate(bg, ids[0], den); !errors.Is(err, ErrPlanNotFound) {
+	if _, _, err := evalOne(bg, svc, ids[0], den); !errors.Is(err, ErrPlanNotFound) {
 		t.Errorf("evicted plan: err = %v, want ErrPlanNotFound", err)
 	}
 	for _, id := range ids[1:] {
-		if _, _, err := svc.Evaluate(bg, id, den); err != nil {
+		if _, _, err := evalOne(bg, svc, id, den); err != nil {
 			t.Errorf("live plan %s: %v", id, err)
 		}
 	}
@@ -201,10 +211,10 @@ func TestLRUEviction(t *testing.T) {
 	if _, err := svc.Register(bg, cloudRequest(4, 120)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.Evaluate(bg, ids[2], den); !errors.Is(err, ErrPlanNotFound) {
+	if _, _, err := evalOne(bg, svc, ids[2], den); !errors.Is(err, ErrPlanNotFound) {
 		t.Errorf("plan 3 should be the LRU victim, err = %v", err)
 	}
-	if _, _, err := svc.Evaluate(bg, ids[1], den); err != nil {
+	if _, _, err := evalOne(bg, svc, ids[1], den); err != nil {
 		t.Errorf("plan 2 was touched and must survive: %v", err)
 	}
 }
@@ -244,7 +254,7 @@ func TestConcurrentEvaluations(t *testing.T) {
 			wg.Add(1)
 			go func(f fixture) {
 				defer wg.Done()
-				got, _, err := svc.Evaluate(bg, f.id, f.den)
+				got, _, err := evalOne(bg, svc, f.id, f.den)
 				if err != nil {
 					errc <- err
 					return
@@ -260,8 +270,8 @@ func TestConcurrentEvaluations(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if m := svc.Metrics(); m.Evaluations != 2*rounds {
-		t.Errorf("Evaluations = %d, want %d", m.Evaluations, 2*rounds)
+	if m := svc.MetricsRegistry().Snapshot(); m["kifmm_evaluations_total"] != 2*rounds {
+		t.Errorf("Evaluations = %v, want %v", m["kifmm_evaluations_total"], 2*rounds)
 	}
 }
 
@@ -278,7 +288,7 @@ func TestConcurrentSharedPlanIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	den := densitiesFor(req, info.SourceDim)
-	want, _, err := svc.Evaluate(bg, info.ID, den)
+	want, _, err := evalOne(bg, svc, info.ID, den)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +302,7 @@ func TestConcurrentSharedPlanIdentical(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			<-start
-			got, st, err := svc.Evaluate(bg, info.ID, den)
+			got, st, err := evalOne(bg, svc, info.ID, den)
 			if err != nil {
 				errc <- err
 				return
@@ -333,18 +343,19 @@ func TestEvaluateBatch(t *testing.T) {
 		for i := range dens[q] {
 			dens[q][i] += float64(q)
 		}
-		pot, _, err := svc.Evaluate(bg, info.ID, dens[q])
+		pot, _, err := evalOne(bg, svc, info.ID, dens[q])
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[q] = pot
 	}
-	evalsBefore := svc.Metrics().Evaluations
+	evalsBefore := svc.MetricsRegistry().Snapshot()["kifmm_evaluations_total"]
 
-	pots, st, err := svc.EvaluateBatch(bg, info.ID, dens)
+	res, err := svc.Evaluate(bg, info.ID, dens)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pots, st := res.Potentials, res.Stats
 	if len(pots) != k {
 		t.Fatalf("got %d potential vectors, want %d", len(pots), k)
 	}
@@ -356,25 +367,25 @@ func TestEvaluateBatch(t *testing.T) {
 			t.Errorf("batch vector %d differs from single evaluation: %.3e", q, e)
 		}
 	}
-	if got := svc.Metrics().Evaluations - evalsBefore; got != k {
-		t.Errorf("batch of %d counted %d evaluations", k, got)
+	if got := svc.MetricsRegistry().Snapshot()["kifmm_evaluations_total"] - evalsBefore; got != k {
+		t.Errorf("batch of %d counted %v evaluations", k, got)
 	}
 
 	// Validation: empty batch, ragged vector, unknown plan, batch bomb.
-	if _, _, err := svc.EvaluateBatch(bg, info.ID, nil); !errors.Is(err, ErrBadRequest) {
+	if _, err := svc.Evaluate(bg, info.ID, nil); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("empty batch: err = %v, want ErrBadRequest", err)
 	}
-	if _, _, err := svc.EvaluateBatch(bg, info.ID, [][]float64{dens[0], {1}}); !errors.Is(err, ErrBadRequest) {
+	if _, err := svc.Evaluate(bg, info.ID, [][]float64{dens[0], {1}}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("ragged batch: err = %v, want ErrBadRequest", err)
 	}
-	if _, _, err := svc.EvaluateBatch(bg, "no-such-plan", dens); !errors.Is(err, ErrPlanNotFound) {
+	if _, err := svc.Evaluate(bg, "no-such-plan", dens); !errors.Is(err, ErrPlanNotFound) {
 		t.Errorf("unknown plan: err = %v, want ErrPlanNotFound", err)
 	}
 	huge := make([][]float64, maxBatchSize+1)
 	for i := range huge {
 		huge[i] = dens[0]
 	}
-	if _, _, err := svc.EvaluateBatch(bg, info.ID, huge); !errors.Is(err, ErrTooLarge) {
+	if _, err := svc.Evaluate(bg, info.ID, huge); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized batch: err = %v, want ErrTooLarge (413)", err)
 	}
 }
@@ -401,15 +412,15 @@ func TestBytesBoundedEviction(t *testing.T) {
 	if _, err := svc.Register(bg, cloudRequest(2, 150)); err != nil {
 		t.Fatal(err)
 	}
-	m := svc.Metrics()
-	if m.PlansLive != 1 || m.PlansEvicted != 1 {
-		t.Errorf("live=%d evicted=%d after exceeding byte budget, want 1/1", m.PlansLive, m.PlansEvicted)
+	m := svc.MetricsRegistry().Snapshot()
+	if m["kifmm_plans_live"] != 1 || m["kifmm_plan_cache_evictions_total"] != 1 {
+		t.Errorf("live=%v evicted=%v after exceeding byte budget, want 1/1", m["kifmm_plans_live"], m["kifmm_plan_cache_evictions_total"])
 	}
-	if m.PlansBytes > svc.cfg.CacheBytes {
-		t.Errorf("PlansBytes = %d exceeds budget %d", m.PlansBytes, svc.cfg.CacheBytes)
+	if m["kifmm_plan_cache_bytes"] > float64(svc.cfg.CacheBytes) {
+		t.Errorf("PlansBytes = %v exceeds budget %v", m["kifmm_plan_cache_bytes"], svc.cfg.CacheBytes)
 	}
 	den := densitiesFor(cloudRequest(1, 150), 1)
-	if _, _, err := svc.Evaluate(bg, a.ID, den); !errors.Is(err, ErrPlanNotFound) {
+	if _, _, err := evalOne(bg, svc, a.ID, den); !errors.Is(err, ErrPlanNotFound) {
 		t.Errorf("byte-evicted plan: err = %v, want ErrPlanNotFound", err)
 	}
 
@@ -423,7 +434,7 @@ func TestBytesBoundedEviction(t *testing.T) {
 	if tiny.Plans() != 1 {
 		t.Errorf("oversized plan not retained, live = %d", tiny.Plans())
 	}
-	if _, _, err := tiny.Evaluate(bg, info.ID, den); err != nil {
+	if _, _, err := evalOne(bg, tiny, info.ID, den); err != nil {
 		t.Errorf("oversized-but-newest plan must evaluate: %v", err)
 	}
 }
@@ -458,7 +469,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.Evaluate(bg, info.ID, make([]float64, 7)); !errors.Is(err, ErrBadRequest) {
+	if _, _, err := evalOne(bg, svc, info.ID, make([]float64, 7)); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("bad density length: err = %v, want ErrBadRequest", err)
 	}
 }

@@ -14,12 +14,13 @@ import (
 	"repro/internal/obs"
 )
 
-// tracedEvaluate posts one evaluation with the given traceparent header
-// ("" sends none) and returns the response's echoed Traceparent header.
-func tracedEvaluate(t *testing.T, ts *httptest.Server, planID string, den []float64, traceparent string) string {
+// tracedPost posts one JSON evaluation body with the given traceparent
+// header ("" sends none) and returns the response's echoed Traceparent
+// header.
+func tracedPost(t *testing.T, url string, body any, traceparent string) string {
 	t.Helper()
-	body, _ := json.Marshal(EvaluateRequest{Densities: den})
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/plans/"+planID+"/evaluate", bytes.NewReader(body))
+	raw, _ := json.Marshal(body)
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,56 +40,81 @@ func tracedEvaluate(t *testing.T, ts *httptest.Server, planID string, den []floa
 	return resp.Header.Get("Traceparent")
 }
 
+// tracedEvaluate is tracedPost against a registered plan.
+func tracedEvaluate(t *testing.T, ts *httptest.Server, planID string, den []float64, traceparent string) string {
+	t.Helper()
+	return tracedPost(t, ts.URL+"/v1/plans/"+planID+"/evaluate", EvaluateRequest{Densities: den}, traceparent)
+}
+
+// TestTraceparentAdoptedAndLinked: an evaluation's recent-eval span joins
+// the caller's trace whichever engine ran it — the local one behind a
+// plan, or the cluster behind a one-shot (whose span used to carry the
+// request id only, so it could not be stitched under the caller's span).
 func TestTraceparentAdoptedAndLinked(t *testing.T) {
-	svc := New(Config{})
-	ts := httptest.NewServer(NewServer(svc))
-	defer ts.Close()
-
-	req := cloudRequest(41, 200)
-	info, err := svc.Register(bg, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	den := densitiesFor(req, info.SourceDim)
-
 	caller := obs.TraceContext{
 		TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
 		SpanID:  "00f067aa0ba902b7",
 		Flags:   1,
 	}
-	echoed := tracedEvaluate(t, ts, info.ID, den, caller.Traceparent())
+	req := cloudRequest(41, 200)
+	for _, tc := range []struct {
+		name, span string
+		post       func(t *testing.T) (*Service, string)
+	}{
+		{"plan", "evaluate", func(t *testing.T) (*Service, string) {
+			svc := New(Config{})
+			ts := httptest.NewServer(NewServer(svc))
+			t.Cleanup(ts.Close)
+			info, err := svc.Register(bg, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return svc, tracedEvaluate(t, ts, info.ID, densitiesFor(req, info.SourceDim), caller.Traceparent())
+		}},
+		{"cluster one-shot", "cluster_evaluate", func(t *testing.T) (*Service, string) {
+			svc, _ := clusterService(t, len(req.Src)/3)
+			ts := httptest.NewServer(NewServer(svc))
+			t.Cleanup(ts.Close)
+			body := OneShotRequest{PlanRequest: req, Densities: densitiesFor(req, 1)}
+			return svc, tracedPost(t, ts.URL+"/v1/evaluate", body, caller.Traceparent())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, echoed := tc.post(t)
 
-	// The response echoes the caller's trace id with the server's own
-	// span id.
-	etc, err := obs.ParseTraceparent(echoed)
-	if err != nil {
-		t.Fatalf("echoed traceparent %q: %v", echoed, err)
-	}
-	if etc.TraceID != caller.TraceID {
-		t.Errorf("echoed trace id = %s, want the caller's %s", etc.TraceID, caller.TraceID)
-	}
-	if etc.SpanID == caller.SpanID {
-		t.Error("echoed span id equals the caller's; the server must mint its own")
-	}
+			// The response echoes the caller's trace id with the server's
+			// own span id.
+			etc, err := obs.ParseTraceparent(echoed)
+			if err != nil {
+				t.Fatalf("echoed traceparent %q: %v", echoed, err)
+			}
+			if etc.TraceID != caller.TraceID {
+				t.Errorf("echoed trace id = %s, want the caller's %s", etc.TraceID, caller.TraceID)
+			}
+			if etc.SpanID == caller.SpanID {
+				t.Error("echoed span id equals the caller's; the server must mint its own")
+			}
 
-	// The evaluate span adopted the trace: trace_id, its own span id,
-	// the caller's span as parent, and the request id for log joins.
-	recent := svc.RecentSpans(0)
-	if len(recent) != 1 {
-		t.Fatalf("RecentSpans = %d entries, want 1", len(recent))
-	}
-	sp := recent[0]
-	if sp.Attrs["trace_id"] != caller.TraceID {
-		t.Errorf("span trace_id = %q, want %q", sp.Attrs["trace_id"], caller.TraceID)
-	}
-	if sp.Attrs["parent_span_id"] != caller.SpanID {
-		t.Errorf("span parent_span_id = %q, want the caller's span %q", sp.Attrs["parent_span_id"], caller.SpanID)
-	}
-	if sp.Attrs["span_id"] != etc.SpanID {
-		t.Errorf("span span_id = %q, want the echoed server span %q", sp.Attrs["span_id"], etc.SpanID)
-	}
-	if sp.Attrs["request_id"] == "" {
-		t.Error("span has no request_id attribute")
+			// The span adopted the trace: trace_id, its own span id, the
+			// caller's span as parent, and the request id for log joins.
+			recent := svc.RecentSpans(0)
+			if len(recent) != 1 || recent[0].Name != tc.span {
+				t.Fatalf("RecentSpans = %+v, want one %s span", recent, tc.span)
+			}
+			sp := recent[0]
+			if sp.Attrs["trace_id"] != caller.TraceID {
+				t.Errorf("span trace_id = %q, want %q", sp.Attrs["trace_id"], caller.TraceID)
+			}
+			if sp.Attrs["parent_span_id"] != caller.SpanID {
+				t.Errorf("span parent_span_id = %q, want the caller's span %q", sp.Attrs["parent_span_id"], caller.SpanID)
+			}
+			if sp.Attrs["span_id"] != etc.SpanID {
+				t.Errorf("span span_id = %q, want the echoed server span %q", sp.Attrs["span_id"], etc.SpanID)
+			}
+			if sp.Attrs["request_id"] == "" {
+				t.Error("span has no request_id attribute")
+			}
+		})
 	}
 }
 

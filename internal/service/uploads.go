@@ -176,10 +176,11 @@ func (st *uploadStore) take(id string) ([]float64, error) {
 
 func (s *Server) handleUploadCreate(w http.ResponseWriter, r *http.Request) {
 	var req UploadCreateRequest
-	if !readJSON(w, r, &req) {
-		return
+	err := readJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req)
+	var st UploadStatus
+	if err == nil {
+		st, err = s.svc.uploads.create(req.Words)
 	}
-	st, err := s.svc.uploads.create(req.Words)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -188,22 +189,11 @@ func (s *Server) handleUploadCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUploadChunk(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !isFrameRequest(r) {
-		writeError(w, badRequest("upload chunks must be %s (got %q)", ContentTypeFrame, r.Header.Get("Content-Type")))
-		return
-	}
-	body, ok := readFrameBody(w, r)
+	req, ok := s.readRequest(w, r, ShapeChunk)
 	if !ok {
 		return
 	}
-	s.svc.m.wireEncoding.With("frame").Inc()
-	off, chunk, err := decodeUploadChunkFrame(body)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	st, err := s.svc.uploads.append(id, off, chunk)
+	st, err := s.svc.uploads.append(r.PathValue("id"), req.Offset, sole(req.Vectors))
 	if err != nil {
 		writeError(w, err)
 		return

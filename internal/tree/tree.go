@@ -90,15 +90,9 @@ type keyed struct {
 	orig int32
 }
 
-// Build constructs the adaptive octree over src and trg (flat x,y,z
-// coordinate slices) and computes all four interaction lists. It is
-// BuildCtx with context.Background().
-func Build(src, trg []float64, cfg Config) (*Tree, error) {
-	return BuildCtx(context.Background(), src, trg, cfg) //lint:allow ctxfirst documented legacy ctx-free wrapper over BuildCtx
-}
-
-// BuildCtx is the context-aware tree construction: ctx is checked
-// between the expensive stages (Morton sort, box construction,
+// BuildCtx constructs the adaptive octree over src and trg (flat x,y,z
+// coordinate slices) and computes all four interaction lists. ctx is
+// checked between the expensive stages (Morton sort, box construction,
 // interaction lists) and inside the per-level loops of the latter two,
 // so cancelling a pathological build (hundreds of millions of points,
 // or an adversarial deep tree) lands within one level instead of after

@@ -19,7 +19,7 @@ func buildRandom(t *testing.T, n, s int, clustered bool, seed int64) *Tree {
 	} else {
 		pts = geom.Flatten(geom.UniformCube(rng, n))
 	}
-	tr, err := Build(pts, pts, Config{MaxPoints: s})
+	tr, err := BuildCtx(context.Background(), pts, pts, Config{MaxPoints: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestDegenerateInputs(t *testing.T) {
 	for i := range pts {
 		pts[i] = 0.5
 	}
-	tr, err := Build(pts, pts, Config{MaxPoints: 10, MaxDepth: 6})
+	tr, err := BuildCtx(context.Background(), pts, pts, Config{MaxPoints: 10, MaxDepth: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestDegenerateInputs(t *testing.T) {
 		t.Fatalf("depth %d exceeds MaxDepth+1", tr.Depth())
 	}
 	// Empty input.
-	tr, err = Build(nil, nil, Config{MaxPoints: 10})
+	tr, err = BuildCtx(context.Background(), nil, nil, Config{MaxPoints: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestDegenerateInputs(t *testing.T) {
 		t.Fatal("empty input must produce a single leaf root")
 	}
 	// Single point.
-	tr, err = Build([]float64{0.1, 0.2, 0.3}, []float64{0.1, 0.2, 0.3}, Config{MaxPoints: 10})
+	tr, err = BuildCtx(context.Background(), []float64{0.1, 0.2, 0.3}, []float64{0.1, 0.2, 0.3}, Config{MaxPoints: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestDegenerateInputs(t *testing.T) {
 		t.Fatal("single point lost")
 	}
 	// Invalid coordinate slice.
-	if _, err := Build([]float64{1, 2}, nil, Config{}); err == nil {
+	if _, err := BuildCtx(context.Background(), []float64{1, 2}, nil, Config{}); err == nil {
 		t.Fatal("want error for malformed coordinates")
 	}
 }
@@ -336,7 +336,7 @@ func TestDistinctSourceAndTargetSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	src := geom.Flatten(geom.UniformCube(rng, 300))
 	trg := geom.Flatten(geom.CornerClusters(rng, 200, 0.4, 1))
-	tr, err := Build(src, trg, Config{MaxPoints: 15})
+	tr, err := BuildCtx(context.Background(), src, trg, Config{MaxPoints: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestBuildCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Build(pts, pts, Config{MaxPoints: 30})
+	ref, err := BuildCtx(context.Background(), pts, pts, Config{MaxPoints: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,10 @@
 // EvaluateBatchCtx and SolveGMRESCtx are the real implementations —
 // cancelling the context aborts the work within one FMM pass and
 // returns a typed error (see Error and the Err* sentinels in errors.go)
-// that satisfies both kifmm.ErrCanceled and context.Canceled. The
-// ctx-free entry points are thin context.Background() wrappers kept for
-// callers that do not need cancellation.
+// that satisfies both kifmm.ErrCanceled and context.Canceled. Five
+// ctx-free names — NewEvaluator, Evaluate, SolveGMRES, SolveGMRESBatch,
+// SolveBiCGSTAB — are context.Background() wrappers kept for callers
+// that do not need cancellation; nothing below the root package has one.
 //
 // Evaluation fans its per-box work over worker lanes leased per call
 // from an elastic pool (Options.Workers is the ceiling, Options.Pool
@@ -37,7 +38,7 @@
 // machine, concurrent calls negotiate their widths — with bitwise
 // identical results at every width. Evaluation is read-only on the
 // prepared plan, so one Evaluator serves concurrent callers;
-// EvaluateBatch amortizes tree traversal and near-field kernel
+// EvaluateBatchCtx amortizes tree traversal and near-field kernel
 // evaluations over many density vectors at once.
 //
 // The parallel algorithm of the paper (local essential trees, global
@@ -150,7 +151,7 @@ func optionsFromFMM(f fmm.Options) Options {
 // target points plus cached translation operators. Build once, call
 // Evaluate for every new density vector (e.g. per Krylov iteration).
 // Evaluation is read-only on the prepared plan, so one Evaluator is
-// safe for concurrent Evaluate/EvaluateBatch callers.
+// safe for concurrent callers.
 type Evaluator struct {
 	inner *fmm.Evaluator
 }
@@ -180,7 +181,7 @@ func NewEvaluatorCtx(ctx context.Context, src, trg []float64, opt Options) (*Eva
 // per source, input order); the result has TargetDim components per
 // target in input order. It is EvaluateCtx with context.Background().
 func (e *Evaluator) Evaluate(den []float64) ([]float64, error) {
-	return e.inner.Evaluate(den)
+	return e.EvaluateCtx(context.Background(), den) //lint:allow ctxfirst documented legacy ctx-free wrapper over EvaluateCtx
 }
 
 // EvaluateCtx is Evaluate under a context. The context is threaded into
@@ -188,58 +189,41 @@ func (e *Evaluator) Evaluate(den []float64) ([]float64, error) {
 // and work-chunk claim, so a cancellation or deadline aborts the
 // evaluation within one pass; the returned error then satisfies
 // errors.Is against both ErrCanceled (or ErrDeadlineExceeded) and the
-// matching context sentinel.
+// matching context sentinel. Stats() reports the call's stage breakdown.
 func (e *Evaluator) EvaluateCtx(ctx context.Context, den []float64) ([]float64, error) {
-	return e.inner.EvaluateCtx(ctx, den)
+	pots, _, err := e.inner.Evaluate(ctx, [][]float64{den}, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return pots[0], nil
 }
 
-// EvaluateStats is Evaluate returning this call's stage breakdown
-// directly, so concurrent callers get their own stats instead of racing
-// on Stats().
-func (e *Evaluator) EvaluateStats(den []float64) ([]float64, fmm.Stats, error) {
-	return e.inner.EvaluateStats(den)
-}
-
-// EvaluateStatsCtx is EvaluateCtx returning this call's stage breakdown.
-func (e *Evaluator) EvaluateStatsCtx(ctx context.Context, den []float64) ([]float64, fmm.Stats, error) {
-	return e.inner.EvaluateStatsCtx(ctx, den)
-}
-
-// EvaluateBatch evaluates several density vectors in one sweep of the
+// EvaluateBatchCtx evaluates several density vectors in one sweep of the
 // tree, amortizing traversal and near-field kernel evaluations across
 // the batch — the shape Krylov solvers with multiple right-hand sides
 // and the evaluation service's batch endpoint use. Results match
-// per-vector Evaluate calls to accumulation-order rounding.
-func (e *Evaluator) EvaluateBatch(dens [][]float64) ([][]float64, error) {
-	return e.inner.EvaluateBatch(dens)
-}
-
-// EvaluateBatchCtx is EvaluateBatch under a context; see EvaluateCtx
-// for the cancellation contract.
+// per-vector EvaluateCtx calls to accumulation-order rounding; see
+// EvaluateCtx for the cancellation contract.
 func (e *Evaluator) EvaluateBatchCtx(ctx context.Context, dens [][]float64) ([][]float64, error) {
-	return e.inner.EvaluateBatchCtx(ctx, dens)
+	pots, _, err := e.inner.Evaluate(ctx, dens, nil, nil)
+	return pots, err
 }
 
-// EvaluateBatchStats is EvaluateBatch returning the aggregate stage
-// breakdown of the whole batch.
-func (e *Evaluator) EvaluateBatchStats(dens [][]float64) ([][]float64, fmm.Stats, error) {
-	return e.inner.EvaluateBatchStats(dens)
-}
-
-// EvaluateBatchStatsCtx is EvaluateBatchCtx returning the aggregate
-// stage breakdown of the whole batch.
-func (e *Evaluator) EvaluateBatchStatsCtx(ctx context.Context, dens [][]float64) ([][]float64, fmm.Stats, error) {
-	return e.inner.EvaluateBatchStatsCtx(ctx, dens)
-}
-
-// EvaluateBatchTracedCtx is EvaluateBatchStatsCtx plus a wall-clock
-// trace: the returned span tree records the evaluation (root), each
+// EvaluateBatchTracedCtx is EvaluateBatchCtx returning this call's own
+// stage breakdown (concurrent callers do not race on Stats()) plus a
+// wall-clock trace: the span tree records the evaluation (root), each
 // pass (permute/up/down/leaf/unpermute) and each tree level within the
 // up and down passes. Pass spans are wall time of the parallel sweep,
 // while Stats stages sum compute time across lanes — they agree only at
-// width 1. The tree is finished and owned by the caller.
+// width 1. The tree is finished and owned by the caller; it is nil on
+// error. Tracing costs a handful of small allocations per call.
 func (e *Evaluator) EvaluateBatchTracedCtx(ctx context.Context, dens [][]float64) ([][]float64, fmm.Stats, *obs.Span, error) {
-	return e.inner.EvaluateBatchTracedCtx(ctx, dens)
+	root := obs.StartSpan("evaluate")
+	pots, st, err := e.inner.Evaluate(ctx, dens, root, nil)
+	if err != nil {
+		return nil, fmm.Stats{}, nil, err
+	}
+	return pots, st, root, nil
 }
 
 // Stats returns the per-stage timing and flop breakdown of the most

@@ -23,7 +23,7 @@ func KernelSpecFor(k Kernel) (KernelSpec, error) { return kernels.SpecFor(k) }
 // KernelFromSpec reconstructs a kernel from its serialized description.
 func KernelFromSpec(s KernelSpec) (Kernel, error) { return kernels.FromSpec(s) }
 
-// normalizeOptions applies the exact defaults fmm.New applies (one
+// normalizeOptions applies the exact defaults fmm.NewCtx applies (one
 // shared implementation), so that zero-valued and explicit-default
 // Options produce the same plan key. The conversion in both directions
 // goes through the shared fmmOptions/optionsFromFMM helpers, the same

@@ -47,7 +47,7 @@ func TestPlanKeyNormalizesDefaults(t *testing.T) {
 
 func TestPlanKeyMatchesBuildCoercion(t *testing.T) {
 	// Options that the construction path coerces to the same evaluator
-	// must hash to the same key: tree.Build treats MaxPoints <= 0 as 60
+	// must hash to the same key: tree.BuildCtx treats MaxPoints <= 0 as 60
 	// and clamps MaxDepth to (0, 21], translate.NewSet treats
 	// PinvTol <= 0 as 1e-10.
 	pts := somePoints(50)

@@ -14,8 +14,17 @@ import (
 // the operator itself, so cancelling mid-solve aborts the in-flight FMM
 // evaluation within one pass instead of finishing the iteration sweep.
 
-// MatVec is a black-box operator application dst = A*x.
-type MatVec = krylov.MatVec
+// MatVec is a ctx-oblivious operator application dst = A*x. dst and x
+// have equal length and do not alias.
+type MatVec func(dst, x []float64)
+
+// lift adapts a ctx-oblivious operator to the ctx-first solvers.
+func (apply MatVec) lift() MatVecCtx {
+	return func(_ context.Context, dst, x []float64) error {
+		apply(dst, x)
+		return nil
+	}
+}
 
 // MatVecCtx is a context-aware operator application dst = A*x; a
 // returned error aborts the solve. Evaluator.EvaluateCtx wraps directly:
@@ -36,8 +45,8 @@ type SolverOptions = krylov.Options
 type SolverResult = krylov.Result
 
 // BatchMatVec applies the operator to many vectors at once,
-// ys[i] = A*xs[i] — the shape of Evaluator.EvaluateBatch.
-type BatchMatVec = krylov.BatchMatVec
+// ys[i] = A*xs[i], without a context.
+type BatchMatVec func(xs [][]float64) ([][]float64, error)
 
 // BatchMatVecCtx is the context-aware batched operator application —
 // the shape of Evaluator.EvaluateBatchCtx.
@@ -55,7 +64,7 @@ func SolveGMRESCtx(ctx context.Context, apply MatVecCtx, b, x []float64, opt Sol
 // SolveGMRES solves A x = b by restarted GMRES; it is SolveGMRESCtx
 // with context.Background() and a ctx-oblivious operator.
 func SolveGMRES(apply MatVec, b, x []float64, opt SolverOptions) (SolverResult, error) {
-	return krylov.GMRES(apply, b, x, opt)
+	return krylov.GMRESCtx(context.Background(), apply.lift(), b, x, opt) //lint:allow ctxfirst documented legacy ctx-free wrapper over SolveGMRESCtx
 }
 
 // SolveGMRESBatchCtx solves many systems sharing one operator (e.g. a
@@ -73,7 +82,9 @@ func SolveGMRESBatchCtx(ctx context.Context, apply BatchMatVecCtx, bs, xs [][]fl
 // SolveGMRESBatch is SolveGMRESBatchCtx with context.Background() and a
 // ctx-oblivious operator.
 func SolveGMRESBatch(apply BatchMatVec, bs, xs [][]float64, opt SolverOptions) ([]SolverResult, error) {
-	return krylov.GMRESBatch(apply, bs, xs, opt)
+	return krylov.GMRESBatchCtx(context.Background(), //lint:allow ctxfirst documented legacy ctx-free wrapper over SolveGMRESBatchCtx
+		func(_ context.Context, vs [][]float64) ([][]float64, error) { return apply(vs) },
+		bs, xs, opt)
 }
 
 // SolveBiCGSTABCtx solves A x = b by BiCGSTAB under ctx; cancellation
@@ -82,7 +93,8 @@ func SolveBiCGSTABCtx(ctx context.Context, apply MatVecCtx, b, x []float64, opt 
 	return krylov.BiCGSTABCtx(ctx, apply, b, x, opt)
 }
 
-// SolveBiCGSTAB solves A x = b by BiCGSTAB.
+// SolveBiCGSTAB solves A x = b by BiCGSTAB; it is SolveBiCGSTABCtx with
+// context.Background() and a ctx-oblivious operator.
 func SolveBiCGSTAB(apply MatVec, b, x []float64, opt SolverOptions) (SolverResult, error) {
-	return krylov.BiCGSTAB(apply, b, x, opt)
+	return krylov.BiCGSTABCtx(context.Background(), apply.lift(), b, x, opt) //lint:allow ctxfirst documented legacy ctx-free wrapper over SolveBiCGSTABCtx
 }

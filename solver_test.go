@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -90,7 +91,7 @@ func TestSolveGMRESBatchWithFMMOperator(t *testing.T) {
 	}
 	const shift = 1.0
 	apply := func(xs [][]float64) ([][]float64, error) {
-		pots, err := ev.EvaluateBatch(xs)
+		pots, err := ev.EvaluateBatchCtx(context.Background(), xs)
 		if err != nil {
 			return nil, err
 		}
