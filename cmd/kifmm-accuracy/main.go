@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -20,6 +21,7 @@ func main() {
 	maxPts := flag.Int("s", 40, "max points per leaf box")
 	version := flag.Bool("version", false, "print build identity and exit")
 	flag.Parse()
+	ctx := context.Background()
 
 	if *version {
 		fmt.Println(buildinfo.String("kifmm-accuracy"))
@@ -63,14 +65,14 @@ func main() {
 					fmt.Printf("  %12s", "(skipped)")
 					continue
 				}
-				ev, err := kifmm.NewEvaluator(pts, pts, kifmm.Options{
+				ev, err := kifmm.NewEvaluatorCtx(ctx, pts, pts, kifmm.Options{
 					Kernel: k, Degree: p, MaxPoints: *maxPts,
 				})
 				if err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)
 				}
-				got, err := ev.Evaluate(den)
+				got, err := ev.EvaluateCtx(ctx, den)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,6 +25,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "sampling seed")
 	version := flag.Bool("version", false, "print build identity and exit")
 	flag.Parse()
+	ctx := context.Background()
 
 	if *version {
 		fmt.Println(buildinfo.String("kifmm-run"))
@@ -73,7 +75,7 @@ func main() {
 	// Workers pinned to 1: this path prints per-stage wall times and a
 	// Mflop/s rate labeled "sequential", which only mean that on a
 	// single worker (with more, Stats sums compute time across workers).
-	ev, err := kifmm.NewEvaluator(pts, pts, kifmm.Options{
+	ev, err := kifmm.NewEvaluatorCtx(ctx, pts, pts, kifmm.Options{
 		Kernel: k, Degree: *degree, MaxPoints: *maxPts, Backend: backend, Workers: 1,
 	})
 	if err != nil {
@@ -83,7 +85,7 @@ func main() {
 	fmt.Printf("sequential KIFMM: N=%d kernel=%s p=%d s=%d tree: %d boxes, depth %d\n",
 		*n, *kernel, *degree, *maxPts, ev.Boxes(), ev.Depth())
 	for it := 0; it < *iters; it++ {
-		if _, err := ev.Evaluate(den); err != nil {
+		if _, err := ev.EvaluateCtx(ctx, den); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -127,7 +127,7 @@ func TestConformanceRandomizedVsDirect(t *testing.T) {
 	for _, c := range drawConformanceCases(7001, iters) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			ev, err := NewEvaluator(c.pts, c.pts, Options{
+			ev, err := NewEvaluatorCtx(context.Background(), c.pts, c.pts, Options{
 				Kernel: c.kernel, Degree: c.degree, MaxPoints: c.maxPts,
 				MaxDepth: c.maxDepth, Backend: c.backend,
 				Workers: c.workers, Pool: pool,
@@ -177,7 +177,7 @@ func TestConformanceBitwiseAcrossElasticWidths(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			// A fresh idle pool per run grants exactly the requested
 			// width even on a single-core machine.
-			ev, err := NewEvaluator(pts, pts, Options{
+			ev, err := NewEvaluatorCtx(context.Background(), pts, pts, Options{
 				Kernel: Laplace(), Degree: 4, MaxPoints: 25,
 				Backend: backend, Workers: workers, Pool: NewPool(8),
 			})
@@ -216,13 +216,13 @@ func TestConformanceShrinkMidRun(t *testing.T) {
 	pts := FlattenPatches(UniformPatches(51, 1500))
 	n := len(pts) / 3
 	den := RandomDensities(52, n, 1)
-	ev, err := NewEvaluator(pts, pts, Options{
+	ev, err := NewEvaluatorCtx(context.Background(), pts, pts, Options{
 		Kernel: Laplace(), Degree: 5, MaxPoints: 30, Workers: 4, Pool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ev.Evaluate(den) // undisturbed: full width
+	want, err := ev.EvaluateCtx(context.Background(), den) // undisturbed: full width
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestConformanceShrinkMidRun(t *testing.T) {
 		rounds = 1
 	}
 	for r := 0; r < rounds; r++ {
-		got, err := ev.Evaluate(den)
+		got, err := ev.EvaluateCtx(context.Background(), den)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -157,7 +157,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		t.Fatalf("report: %d ranks on %d workers, want 4 on 2", report.Ranks, report.Workers)
 	}
 
-	ev, err := kifmm.NewEvaluator(pts, pts, kifmm.Options{Kernel: kifmm.Laplace(), Degree: 4, MaxPoints: 60})
+	ev, err := kifmm.NewEvaluatorCtx(context.Background(), pts, pts, kifmm.Options{Kernel: kifmm.Laplace(), Degree: 4, MaxPoints: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,29 +18,13 @@ import (
 // ClusterSmokeConfig shapes the cluster smoke run: a real-TCP loopback
 // cluster (coordinator + workers, each with its own listener, all in
 // one process tree) evaluates a Laplace problem and is checked against
-// the single-node engine. The zero value runs 2 workers x 2 lanes over
-// 12000 sphere-grid points.
+// the single-node engine: smokeWorkers workers of smokeLanes lanes each
+// over N sphere-grid points (0 = 12000, fixed seed).
 type ClusterSmokeConfig struct {
-	N              int
-	Workers        int
-	LanesPerWorker int
-	Seed           int64
+	N int
 }
 
-func (c *ClusterSmokeConfig) defaults() {
-	if c.N <= 0 {
-		c.N = 12000
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.LanesPerWorker <= 0 {
-		c.LanesPerWorker = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 9
-	}
-}
+const smokeWorkers, smokeLanes = 2, 2
 
 // ClusterSmokeReport is the outcome of one cluster smoke run.
 type ClusterSmokeReport struct {
@@ -73,8 +57,10 @@ const smokeTol = 1e-12
 // error above 1e-12 is an error, so CI fails loudly on a conformance
 // break.
 func RunClusterSmoke(ctx context.Context, cfg ClusterSmokeConfig) (*ClusterSmokeReport, error) {
-	cfg.defaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	if cfg.N <= 0 {
+		cfg.N = 12000
+	}
+	rng := rand.New(rand.NewSource(9))
 	pts := geom.Flatten(geom.SphereGrid(rng, cfg.N, 2, 0.3))
 	den := geom.RandomDensities(rng, cfg.N, 1)
 
@@ -85,15 +71,15 @@ func RunClusterSmoke(ctx context.Context, cfg ClusterSmokeConfig) (*ClusterSmoke
 		return nil, fmt.Errorf("cluster smoke: coordinator: %w", err)
 	}
 	defer coord.Close()
-	workers := make([]*cluster.Worker, 0, cfg.Workers)
+	workers := make([]*cluster.Worker, 0, smokeWorkers)
 	defer func() {
 		for _, w := range workers {
 			w.Close()
 		}
 	}()
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < smokeWorkers; i++ {
 		w, err := cluster.StartWorker(ctx, cluster.WorkerConfig{
-			Coordinator: coord.Addr(), Lanes: cfg.LanesPerWorker,
+			Coordinator: coord.Addr(), Lanes: smokeLanes,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster smoke: worker %d: %w", i, err)
@@ -144,7 +130,7 @@ func RunClusterSmoke(ctx context.Context, cfg ClusterSmokeConfig) (*ClusterSmoke
 	if tl := evalRep.Timeline; tl != nil {
 		rep.CommBytes = tl.TotalBytes()
 		rep.CommMsgs = int64(tl.TotalMessages())
-		rep.CriticalPathMS = ms(obs.PathDuration(tl.CriticalPath()))
+		rep.CriticalPathMS = obs.PathDuration(tl.CriticalPath()).Seconds() * 1e3
 	}
 	rep.Table = clusterSmokeTable(rep)
 	if relErr > smokeTol {
@@ -157,43 +143,23 @@ func clusterSmokeTable(rep *ClusterSmokeReport) string {
 	var b strings.Builder
 	cfg := rep.Config
 	fmt.Fprintf(&b, "cluster smoke: %d workers x %d lanes = %d ranks over TCP loopback, N=%d\n",
-		cfg.Workers, cfg.LanesPerWorker, rep.Ranks, cfg.N)
+		smokeWorkers, smokeLanes, rep.Ranks, cfg.N)
 	fmt.Fprintf(&b, "round trip %s, rel L2 error vs single node %.3g (tolerance %g)\n",
 		rep.Wall.Round(time.Millisecond), rep.RelErr, smokeTol)
 	fmt.Fprintf(&b, "control plane: scatter %d B, gather %d B; mesh: %d msgs, %d B; critical path %.1fms\n",
 		rep.ScatterBytes, rep.GatherBytes, rep.CommMsgs, rep.CommBytes, rep.CriticalPathMS)
 	if rep.Timeline != nil {
-		b.WriteString("\nrank   elapsed      busy      wait     sent(B)   recv(B)  msgs  colls\n")
-		for _, l := range rep.Timeline.Loads() {
-			fmt.Fprintf(&b, "%4d  %9s %9s %9s  %9d %9d  %4d  %5d\n",
-				l.Rank, l.Elapsed.Round(time.Microsecond), l.Busy.Round(time.Microsecond),
-				l.Wait.Round(time.Microsecond), l.BytesSent, l.BytesRecv, l.MsgsSent, l.Collectives)
-		}
+		b.WriteByte('\n')
+		writeLoads(&b, rep.Timeline)
 	}
 	return b.String()
 }
 
-// ClusterSmokeTrajectoryEntry converts a smoke run into a trajectory
-// sample. Ranks and the comm fields describe the real-TCP run:
-// comm_bytes is the rank-to-rank mesh traffic (the quantity comparable
-// with simulated parfmm samples); scatter/gather volumes ride in the
-// table only.
-func ClusterSmokeTrajectoryEntry(rep *ClusterSmokeReport, label string) TrajectoryEntry {
-	return TrajectoryEntry{
-		GitSHA:         GitSHA(),
-		Date:           time.Now().UTC().Format(time.RFC3339),
-		Label:          label,
-		N:              rep.Config.N,
-		Kernel:         kernels.Laplace{}.Name(),
-		Degree:         4,
-		Backend:        "fft",
-		Iterations:     1,
-		WallMS:         ms(rep.Wall),
-		StageMS:        map[string]float64{},
-		NsPerPoint:     float64(rep.Wall.Nanoseconds()) / float64(rep.Config.N),
-		Ranks:          rep.Ranks,
-		CommBytes:      rep.CommBytes,
-		CommMsgs:       rep.CommMsgs,
-		CriticalPathMS: rep.CriticalPathMS,
+// runClusterSmoke is the cluster-smoke experiment at its default shape.
+func runClusterSmoke(ctx context.Context, _ Scale) (string, error) {
+	rep, err := RunClusterSmoke(ctx, ClusterSmokeConfig{})
+	if err != nil {
+		return "", err
 	}
+	return rep.Table, nil
 }

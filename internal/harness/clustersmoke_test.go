@@ -7,7 +7,7 @@ import (
 )
 
 // TestRunClusterSmoke boots the real-TCP loopback cluster at a reduced
-// size and checks the report carries the fields the CI artifact needs.
+// size and checks the report's conformance and traffic fields.
 func TestRunClusterSmoke(t *testing.T) {
 	rep, err := RunClusterSmoke(context.Background(), ClusterSmokeConfig{N: 3000})
 	if err != nil {
@@ -27,13 +27,5 @@ func TestRunClusterSmoke(t *testing.T) {
 	}
 	if !strings.Contains(rep.Table, "rel L2 error") {
 		t.Errorf("table missing error line:\n%s", rep.Table)
-	}
-
-	e := ClusterSmokeTrajectoryEntry(rep, "smoke-test")
-	if e.Ranks != rep.Ranks || e.CommBytes != rep.CommBytes || e.CommMsgs != rep.CommMsgs {
-		t.Errorf("trajectory entry dropped comm fields: %+v", e)
-	}
-	if e.N != 3000 || e.Kernel != "laplace" || e.WallMS <= 0 {
-		t.Errorf("trajectory entry workload shape wrong: %+v", e)
 	}
 }

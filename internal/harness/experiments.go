@@ -3,14 +3,9 @@ package harness
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"runtime"
 	"strings"
-	"time"
 
-	"repro/internal/exec"
 	"repro/internal/fmm"
-	"repro/internal/geom"
 	"repro/internal/kernels"
 )
 
@@ -35,6 +30,10 @@ type Scale struct {
 	LargeGrains [3]int
 	// Iterations averages each measurement.
 	Iterations int
+	// TraceRanks is the simulated rank count of parfmm-trace (0 = 4) and
+	// TraceOut the file its Chrome trace-event JSON goes to ("" = none).
+	TraceRanks int
+	TraceOut   string
 }
 
 // DefaultScale finishes the full suite in minutes on one core.
@@ -107,85 +106,34 @@ func Experiments() []Experiment {
 			Run:         simulated(runLoadBalance),
 		},
 		{
-			ID:          "exec-workers",
-			Description: "Shared-memory executor: real wall-clock speedup over worker counts and multi-RHS batch amortization (internal/exec)",
-			Run:         runExecWorkers,
+			ID:          "parfmm-trace",
+			Description: "Traced 4-rank distributed run: per-pass breakdown, critical path, Chrome trace JSON",
+			Run:         simulated(runParfmmTrace),
+		},
+		{
+			ID:          "cluster-smoke",
+			Description: "Real-TCP loopback cluster (coordinator + 2 workers): one round-trip checked against single node",
+			Run:         runClusterSmoke,
 		},
 	}
 }
 
-// runExecWorkers measures the shared-memory engine directly: unlike the
-// virtual-time MPI simulation of the other experiments, these are real
-// wall-clock timings of one process fanning per-box work over a
-// goroutine pool, plus the per-RHS amortization of batched evaluation.
-func runExecWorkers(ctx context.Context, sc Scale) (string, error) {
-	cfg := Config{Kernel: kernels.Laplace{}, Distribution: "spheres"}
-	patches := cfg.Points(sc.FixedN)
-	pts := geom.Flatten(patches)
-	rng := rand.New(rand.NewSource(7))
-	den := geom.RandomDensities(rng, len(pts)/3, 1)
+// IDs lists the experiment ids in table order.
+func IDs() []string {
+	var ids []string
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
+	}
+	return ids
+}
 
+// List renders one "id description" line per experiment.
+func List() string {
 	var b strings.Builder
-	b.WriteString("Shared-memory parallel executor (wall clock, not simulated)\n")
-	fmt.Fprintf(&b, "N=%d, Laplace, FFT M2L; GOMAXPROCS=%d\n\n", len(pts)/3, runtime.GOMAXPROCS(0))
-
-	fmt.Fprintf(&b, "%8s %12s %9s %6s\n", "workers", "T(wall)", "speedup", "eff")
-	var t1 time.Duration
-	for _, w := range []int{1, 2, 4, 8} {
-		// A dedicated idle pool per width: the elastic grant then equals
-		// w exactly, even beyond the core count.
-		ev, err := fmm.NewCtx(ctx, pts, pts, fmm.Options{Kernel: kernels.Laplace{}, Workers: w, Pool: exec.NewElastic(w)})
-		if err != nil {
-			return "", err
-		}
-		if _, _, err := ev.Evaluate(ctx, [][]float64{den}, nil, nil); err != nil { // warm the operator caches
-			return "", err
-		}
-		start := time.Now()
-		iters := sc.Iterations
-		if iters < 1 {
-			iters = 1
-		}
-		for i := 0; i < iters; i++ {
-			if _, _, err := ev.Evaluate(ctx, [][]float64{den}, nil, nil); err != nil {
-				return "", err
-			}
-		}
-		wall := time.Since(start) / time.Duration(iters)
-		if w == 1 {
-			t1 = wall
-		}
-		speedup := float64(t1) / float64(wall)
-		fmt.Fprintf(&b, "%8d %12v %9.2f %6.2f\n",
-			w, wall.Round(time.Microsecond), speedup, speedup/float64(w))
+	for _, e := range Experiments() {
+		fmt.Fprintf(&b, "%-21s %s\n", e.ID, e.Description)
 	}
-
-	b.WriteString("\nMulti-RHS batching (workers = GOMAXPROCS)\n")
-	fmt.Fprintf(&b, "%8s %14s %14s\n", "batch", "T(wall)", "per-RHS")
-	ev, err := fmm.NewCtx(ctx, pts, pts, fmm.Options{Kernel: kernels.Laplace{}})
-	if err != nil {
-		return "", err
-	}
-	if _, _, err := ev.Evaluate(ctx, [][]float64{den}, nil, nil); err != nil {
-		return "", err
-	}
-	for _, nrhs := range []int{1, 4, 8} {
-		dens := make([][]float64, nrhs)
-		for q := range dens {
-			dens[q] = geom.RandomDensities(rng, len(pts)/3, 1)
-		}
-		start := time.Now()
-		if _, _, err := ev.Evaluate(ctx, dens, nil, nil); err != nil {
-			return "", err
-		}
-		wall := time.Since(start)
-		fmt.Fprintf(&b, "%8d %14v %14v\n",
-			nrhs, wall.Round(time.Microsecond), (wall / time.Duration(nrhs)).Round(time.Microsecond))
-	}
-	b.WriteString("\nThe workers sweep is the real-hardware counterpart of the simulated\n")
-	b.WriteString("Table 4.1: per-box independence within each pass is what the paper's\n")
-	b.WriteString("parallel algorithm exploits, here over a goroutine pool.\n")
-	return b.String(), nil
+	return b.String()
 }
 
 // fixedConfigs are the three kernel/distribution pairs of Table 4.1.
@@ -364,6 +312,3 @@ func runAblationM2L(sc Scale) (string, error) {
 	b.WriteString("nominal flop rate is lower, exactly the paper's observation.\n")
 	return b.String(), nil
 }
-
-// Elapse is a tiny helper for CLI progress lines.
-func Elapse(start time.Time) string { return time.Since(start).Round(time.Millisecond).String() }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/fmm"
 	"repro/internal/geom"
 	"repro/internal/kernels"
-	"repro/internal/mpi"
 	"repro/internal/parfmm"
 )
 
@@ -41,13 +40,8 @@ type Config struct {
 	// Iterations averages the interaction evaluation (paper: "averaged
 	// over several iterations").
 	Iterations int
-	// Machine is the interconnect model.
-	Machine mpi.Machine
 	// Seed fixes the particle sampling.
 	Seed int64
-	// ClockGHz converts virtual seconds to the paper's "aggregate CPU
-	// cycles per particle" metric (TCS-1: 1 GHz).
-	ClockGHz float64
 	// Backend selects the M2L path.
 	Backend fmm.M2LBackend
 }
@@ -64,12 +58,6 @@ func (c *Config) fill() {
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 1
-	}
-	if c.Machine == (mpi.Machine{}) {
-		c.Machine = mpi.DefaultMachine()
-	}
-	if c.ClockGHz == 0 {
-		c.ClockGHz = 1
 	}
 	if len(c.Procs) == 0 {
 		c.Procs = []int{1, 2, 4, 8}
@@ -88,8 +76,6 @@ type Row struct {
 	PeakGF   float64       // aggregate peak Gflop/s (best stage rate x P)
 	Flops    int64         // total flops across ranks
 	Stage    fmm.Stats     // per-stage totals across ranks (for figures)
-	CommMax  time.Duration // slowest rank's comm time
-	MaxTotal time.Duration // slowest rank's interaction time (T(P))
 }
 
 // Points builds the configured particle distribution.
@@ -114,12 +100,12 @@ func (c Config) runOne(p, n int) (Row, error) {
 	den := geom.RandomDensities(rng, geom.TotalCount(patches), c.Kernel.SourceDim())
 	res, err := parfmm.Evaluate(patches, den, p, parfmm.Options{
 		Kernel: c.Kernel, Degree: c.Degree, MaxPoints: c.MaxPoints,
-		Backend: c.Backend, Machine: c.Machine, Iterations: c.Iterations,
+		Backend: c.Backend, Iterations: c.Iterations,
 	})
 	if err != nil {
 		return Row{}, err
 	}
-	row := Row{P: p, N: n, Ratio: res.Ratio(), MaxTotal: res.MaxTotal()}
+	row := Row{P: p, N: n, Ratio: res.Ratio()}
 	var sumTotal, sumComm, sumUp, sumDown time.Duration
 	var peakRate float64
 	iters := time.Duration(c.Iterations)
@@ -133,9 +119,6 @@ func (c Config) runOne(p, n int) (Row, error) {
 		row.Stage.Add(rs.Stats)
 		if rs.TreeTime > row.Tree {
 			row.Tree = rs.TreeTime
-		}
-		if rs.Comm > row.CommMax {
-			row.CommMax = rs.Comm
 		}
 		for _, sr := range stageRates(rs.Stats) {
 			if sr > peakRate {
@@ -293,18 +276,6 @@ func FigureRates(title string, rows []Row) string {
 			eff = avg / f1
 		}
 		fmt.Fprintf(&b, "%6d %10.1f %10.1f | %6.2f\n", r.P, avg, peak, eff)
-	}
-	return b.String()
-}
-
-// CSV renders rows machine-readably for plotting.
-func CSV(rows []Row) string {
-	var b strings.Builder
-	b.WriteString("p,n,total_s,ratio,comm_s,up_s,down_s,tree_s,avg_gflops,peak_gflops,flops\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%d,%d,%g,%g,%g,%g,%g,%g,%g,%g,%d\n",
-			r.P, r.N, r.Total.Seconds(), r.Ratio, r.Comm.Seconds(), r.Up.Seconds(),
-			r.Down.Seconds(), r.Tree.Seconds(), r.AvgGF, r.PeakGF, r.Flops)
 	}
 	return b.String()
 }

@@ -2,11 +2,12 @@ package harness
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/kernels"
-	"repro/internal/mpi"
 )
 
 func tinyConfig() Config {
@@ -14,7 +15,6 @@ func tinyConfig() Config {
 		Kernel: kernels.Laplace{}, Distribution: "uniform",
 		N: 1500, Grain: 400, Procs: []int{1, 2},
 		MaxPoints: 40, Degree: 4,
-		Machine: mpi.Machine{Latency: 1000, Bandwidth: 1e9},
 	}
 }
 
@@ -76,23 +76,41 @@ func TestFormatters(t *testing.T) {
 	if !strings.Contains(rates, "Peak") {
 		t.Errorf("rates missing Peak:\n%s", rates)
 	}
-	csv := CSV(rows)
-	if len(strings.Split(strings.TrimSpace(csv), "\n")) != 3 {
-		t.Errorf("csv rows:\n%s", csv)
-	}
 }
 
+// TestExperimentsEnumerateAllArtifacts: every paper artifact and both
+// distributed-run checks are rows of the one table, and what kifmm-bench
+// prints for -list and in the -exp usage text is generated from it.
 func TestExperimentsEnumerateAllArtifacts(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range Experiments() {
+		if ids[e.ID] {
+			t.Errorf("experiment %s listed twice", e.ID)
+		}
 		ids[e.ID] = true
 		if e.Description == "" || e.Run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
-	for _, want := range []string{"table4.1", "table4.2", "table4.3", "fig4.2", "fig4.3", "ablation-m2l", "ablation-loadbalance"} {
+	for _, want := range []string{
+		"table4.1", "table4.2", "table4.3", "fig4.2", "fig4.3",
+		"ablation-m2l", "ablation-loadbalance", "parfmm-trace", "cluster-smoke",
+	} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)
+		}
+	}
+	listed := IDs()
+	lines := strings.Split(strings.TrimSpace(List()), "\n")
+	if len(listed) != len(ids) || len(lines) != len(ids) {
+		t.Fatalf("IDs() has %d entries and List() %d lines, table has %d:\n%s", len(listed), len(lines), len(ids), List())
+	}
+	for i, e := range Experiments() {
+		if listed[i] != e.ID {
+			t.Errorf("IDs()[%d] = %s, want %s", i, listed[i], e.ID)
+		}
+		if f := strings.Fields(lines[i]); f[0] != e.ID || !strings.HasSuffix(lines[i], e.Description) {
+			t.Errorf("List() line %d = %q, want id %s and its description", i, lines[i], e.ID)
 		}
 	}
 }
@@ -113,7 +131,8 @@ func TestDistributionsResolve(t *testing.T) {
 }
 
 // TestTinyEndToEndSuite runs a miniature of the full experiment suite to
-// guarantee every artifact regenerates without error.
+// guarantee every artifact regenerates without error (parfmm-trace and
+// cluster-smoke have a fixed shape and run at it).
 func TestTinyEndToEndSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run skipped in -short mode")
@@ -123,6 +142,7 @@ func TestTinyEndToEndSuite(t *testing.T) {
 		Grain: 300, IsoProcs: []int{1, 2},
 		LargeProcs: 2, LargeGrains: [3]int{200, 300, 300},
 		Iterations: 1,
+		TraceOut:   filepath.Join(t.TempDir(), "trace.json"),
 	}
 	for _, e := range Experiments() {
 		out, err := e.Run(context.Background(), sc)
@@ -132,5 +152,8 @@ func TestTinyEndToEndSuite(t *testing.T) {
 		if len(out) < 100 {
 			t.Errorf("%s produced suspiciously little output", e.ID)
 		}
+	}
+	if fi, err := os.Stat(sc.TraceOut); err != nil || fi.Size() == 0 {
+		t.Errorf("parfmm-trace wrote no Chrome trace to %s: %v", sc.TraceOut, err)
 	}
 }

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -15,12 +17,12 @@ import (
 
 // ParfmmTraceConfig shapes the deterministic distributed trace run. The
 // zero value runs the default workload: 4 simulated ranks over 4000
-// sphere-grid points, Laplace kernel, degree 4, one timed iteration.
+// sphere-grid points (fixed seed), Laplace kernel, degree 4, one timed
+// iteration.
 type ParfmmTraceConfig struct {
 	Ranks      int
 	N          int
 	Iterations int
-	Seed       int64
 }
 
 func (c *ParfmmTraceConfig) defaults() {
@@ -32,9 +34,6 @@ func (c *ParfmmTraceConfig) defaults() {
 	}
 	if c.Iterations <= 0 {
 		c.Iterations = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
 	}
 }
 
@@ -62,7 +61,7 @@ type ParfmmTraceReport struct {
 // compute and vary slightly between runs.
 func RunParfmmTrace(cfg ParfmmTraceConfig) (*ParfmmTraceReport, error) {
 	cfg.defaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(7))
 	patches := geom.SphereGrid(rng, cfg.N, 4, 0.22)
 	k := kernels.Laplace{}
 	den := geom.RandomDensities(rng, geom.TotalCount(patches), k.SourceDim())
@@ -89,6 +88,16 @@ func RunParfmmTrace(cfg ParfmmTraceConfig) (*ParfmmTraceReport, error) {
 	return rep, nil
 }
 
+// writeLoads renders the per-rank load report of a merged timeline.
+func writeLoads(b *strings.Builder, tl *obs.Timeline) {
+	b.WriteString("rank   elapsed      busy      wait     sent(B)   recv(B)  msgs  colls\n")
+	for _, l := range tl.Loads() {
+		fmt.Fprintf(b, "%4d  %9s %9s %9s  %9d %9d  %4d  %5d\n",
+			l.Rank, l.Elapsed.Round(time.Microsecond), l.Busy.Round(time.Microsecond),
+			l.Wait.Round(time.Microsecond), l.BytesSent, l.BytesRecv, l.MsgsSent, l.Collectives)
+	}
+}
+
 // parfmmTraceTable renders the per-rank load report, the per-pass
 // virtual-time breakdown, and a critical-path summary.
 func parfmmTraceTable(rep *ParfmmTraceReport) string {
@@ -99,12 +108,7 @@ func parfmmTraceTable(rep *ParfmmTraceReport) string {
 		rep.CriticalPathDur.Round(time.Microsecond), rep.Timeline.ImbalanceRatio())
 	fmt.Fprintf(&b, "comm: %d point-to-point messages, %d bytes\n\n", rep.CommMsgs, rep.CommBytes)
 
-	b.WriteString("rank   elapsed      busy      wait     sent(B)   recv(B)  msgs  colls\n")
-	for _, l := range rep.Timeline.Loads() {
-		fmt.Fprintf(&b, "%4d  %9s %9s %9s  %9d %9d  %4d  %5d\n",
-			l.Rank, l.Elapsed.Round(time.Microsecond), l.Busy.Round(time.Microsecond),
-			l.Wait.Round(time.Microsecond), l.BytesSent, l.BytesRecv, l.MsgsSent, l.Collectives)
-	}
+	writeLoads(&b, rep.Timeline)
 
 	// Per-pass virtual time per rank. Warm-up is reported as one row;
 	// its inner passes are not folded into the per-pass rows.
@@ -194,41 +198,23 @@ func parfmmTraceTable(rep *ParfmmTraceReport) string {
 	return b.String()
 }
 
-// ParfmmTrajectoryEntry converts a traced distributed run into a
-// trajectory sample carrying the distributed-run fields (ranks, traffic
-// and critical-path duration) alongside the usual shape and timing.
-func ParfmmTrajectoryEntry(rep *ParfmmTraceReport, label string) TrajectoryEntry {
-	res := rep.Result
-	e := TrajectoryEntry{
-		GitSHA:         GitSHA(),
-		Date:           time.Now().UTC().Format(time.RFC3339),
-		Label:          label,
-		N:              rep.Config.N,
-		Kernel:         kernels.Laplace{}.Name(),
-		Degree:         4,
-		Backend:        "fft",
-		Iterations:     rep.Config.Iterations,
-		WallMS:         ms(res.MaxTotal()),
-		StageMS:        make(map[string]float64, 6),
-		Ranks:          rep.Config.Ranks,
-		CommBytes:      rep.CommBytes,
-		CommMsgs:       rep.CommMsgs,
-		CriticalPathMS: ms(rep.CriticalPathDur),
+// runParfmmTrace is the parfmm-trace experiment: the report table, plus
+// the merged timeline as Chrome trace-event JSON when sc.TraceOut names
+// a file.
+func runParfmmTrace(sc Scale) (string, error) {
+	rep, err := RunParfmmTrace(ParfmmTraceConfig{Ranks: sc.TraceRanks, Iterations: sc.Iterations})
+	if err != nil {
+		return "", err
 	}
-	iters := time.Duration(rep.Config.Iterations)
-	var stages = map[string]time.Duration{}
-	for _, rs := range res.Ranks {
-		stages["up"] += rs.Stats.Up / iters
-		stages["down_u"] += rs.Stats.DownU / iters
-		stages["down_v"] += rs.Stats.DownV / iters
-		stages["down_w"] += rs.Stats.DownW / iters
-		stages["down_x"] += rs.Stats.DownX / iters
-		stages["eval"] += rs.Stats.Eval / iters
-		e.Flops += rs.Stats.Flops() / int64(rep.Config.Iterations)
+	if sc.TraceOut == "" {
+		return rep.Table, nil
 	}
-	for name, d := range stages {
-		e.StageMS[name] = ms(d)
+	var buf bytes.Buffer
+	if err := rep.Timeline.WriteChromeTrace(&buf); err != nil {
+		return "", err
 	}
-	e.NsPerPoint = float64(res.MaxTotal().Nanoseconds()) / float64(rep.Config.N)
-	return e
+	if err := os.WriteFile(sc.TraceOut, buf.Bytes(), 0o644); err != nil {
+		return "", err
+	}
+	return rep.Table + fmt.Sprintf("\nwrote Chrome trace to %s (load in Perfetto or chrome://tracing)\n", sc.TraceOut), nil
 }

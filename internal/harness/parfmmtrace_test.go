@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -55,56 +54,5 @@ func TestRunParfmmTrace(t *testing.T) {
 	}
 	if len(trace.TraceEvents) == 0 || trace.DisplayUnit != "ms" {
 		t.Fatalf("implausible Chrome trace: %d events, unit %q", len(trace.TraceEvents), trace.DisplayUnit)
-	}
-
-	// The trajectory sample carries the distributed fields and survives
-	// the append/load round trip.
-	entry := ParfmmTrajectoryEntry(rep, "test")
-	if entry.Ranks != 4 || entry.CommBytes != rep.CommBytes || entry.CommMsgs != rep.CommMsgs {
-		t.Fatalf("trajectory entry distributed fields: %+v", entry)
-	}
-	if entry.CriticalPathMS <= 0 {
-		t.Fatalf("CriticalPathMS = %v, want > 0", entry.CriticalPathMS)
-	}
-	path := filepath.Join(t.TempDir(), "traj.json")
-	if err := AppendTrajectory(path, entry); err != nil {
-		t.Fatalf("AppendTrajectory: %v", err)
-	}
-	f, err := LoadTrajectory(path)
-	if err != nil {
-		t.Fatalf("LoadTrajectory: %v", err)
-	}
-	if len(f.Entries) != 1 || f.Entries[0].Ranks != 4 {
-		t.Fatalf("round-tripped entries: %+v", f.Entries)
-	}
-	if f.Entries[0].CriticalPathMS != entry.CriticalPathMS {
-		t.Errorf("CriticalPathMS lost in round trip: %v vs %v",
-			f.Entries[0].CriticalPathMS, entry.CriticalPathMS)
-	}
-}
-
-// TestTrajectoryDistributedFieldsOmitted pins the schema compatibility
-// rule: single-process samples must not grow the new distributed keys.
-func TestTrajectoryDistributedFieldsOmitted(t *testing.T) {
-	raw, err := json.Marshal(TrajectoryEntry{N: 10, StageMS: map[string]float64{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"ranks", "comm_bytes", "comm_msgs", "critical_path_ms"} {
-		if strings.Contains(string(raw), `"`+key+`"`) {
-			t.Errorf("zero-valued %q serialized: %s", key, raw)
-		}
-	}
-	// And a distributed entry round-trips them.
-	raw, err = json.Marshal(TrajectoryEntry{Ranks: 4, CommBytes: 10, CommMsgs: 2, CriticalPathMS: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back TrajectoryEntry
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Ranks != 4 || back.CommBytes != 10 || back.CommMsgs != 2 || back.CriticalPathMS != 1.5 {
-		t.Errorf("distributed fields lost: %+v", back)
 	}
 }

@@ -13,8 +13,8 @@ import (
 //
 //   - context.Background() is banned — library code threads the
 //     caller's ctx so cancellation lands within one pass everywhere.
-//     The documented legacy ctx-free wrappers (Evaluate over
-//     EvaluateCtx and friends) carry //lint:allow ctxfirst
+//     The deliberate exceptions (the service's detached singleflight
+//     build, the simulated MPI ranks) carry //lint:allow ctxfirst
 //     annotations, which keeps every exception visible in the diff
 //     that introduces it.
 //   - an exported function or method that launches goroutines must
@@ -33,7 +33,7 @@ func runCtxFirst(pass *analysis.Pass) (interface{}, error) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok && isPkgFunc(pass.TypesInfo, call, "context", "Background") {
-				pass.Reportf(call.Pos(), "context.Background() in library code: thread the caller's ctx; documented legacy wrappers annotate with //lint:allow ctxfirst <reason>")
+				pass.Reportf(call.Pos(), "context.Background() in library code: thread the caller's ctx; a deliberate exception annotates with //lint:allow ctxfirst <reason>")
 			}
 			return true
 		})

@@ -7,8 +7,8 @@
 //     wall-clock or randomness inside the bitwise-deterministic engine
 //     packages.
 //   - ctxfirst: library code threads the caller's context — no
-//     context.Background() outside cmd/ and documented legacy
-//     wrappers; exported goroutine-launching functions take ctx first.
+//     context.Background() outside cmd/; exported
+//     goroutine-launching functions take ctx first.
 //   - errtaxonomy: errors escaping the service/cluster/client boundary
 //     carry an errs code.
 //   - nojsonhot: no encoding/json (or per-element fmt.Sprintf) on

@@ -20,17 +20,15 @@
 //
 // Basic use:
 //
-//	ev, err := kifmm.NewEvaluator(points, points, kifmm.Options{Kernel: kifmm.Laplace()})
+//	ev, err := kifmm.NewEvaluatorCtx(ctx, points, points, kifmm.Options{Kernel: kifmm.Laplace()})
 //	pot, err := ev.EvaluateCtx(ctx, densities)
 //
-// The API is context-first: NewEvaluatorCtx, EvaluateCtx,
-// EvaluateBatchCtx and SolveGMRESCtx are the real implementations —
-// cancelling the context aborts the work within one FMM pass and
-// returns a typed error (see Error and the Err* sentinels in errors.go)
-// that satisfies both kifmm.ErrCanceled and context.Canceled. Five
-// ctx-free names — NewEvaluator, Evaluate, SolveGMRES, SolveGMRESBatch,
-// SolveBiCGSTAB — are context.Background() wrappers kept for callers
-// that do not need cancellation; nothing below the root package has one.
+// The API is context-first (NewEvaluatorCtx, EvaluateCtx,
+// EvaluateBatchCtx, SolveGMRESCtx): cancelling the context aborts the
+// work within one FMM pass and returns a typed error (see Error and the
+// Err* sentinels in errors.go) that satisfies both kifmm.ErrCanceled and
+// context.Canceled. A caller that needs no cancellation passes
+// context.Background(); there are no ctx-free twins.
 //
 // Evaluation fans its per-box work over worker lanes leased per call
 // from an elastic pool (Options.Workers is the ceiling, Options.Pool
@@ -123,7 +121,7 @@ type Options struct {
 }
 
 // fmmOptions maps the public Options onto the engine options. It is the
-// single conversion point shared by NewEvaluator and the plan-key
+// single conversion point shared by NewEvaluatorCtx and the plan-key
 // normalization in plan.go, so a new Options field cannot be wired into
 // construction while silently missing the plan-key hash —
 // TestPlanKeyCoversOptions fails until the field is added to either
@@ -149,26 +147,20 @@ func optionsFromFMM(f fmm.Options) Options {
 
 // Evaluator is a prepared FMM: an adaptive octree over fixed source and
 // target points plus cached translation operators. Build once, call
-// Evaluate for every new density vector (e.g. per Krylov iteration).
+// EvaluateCtx for every new density vector (e.g. per Krylov iteration).
 // Evaluation is read-only on the prepared plan, so one Evaluator is
 // safe for concurrent callers.
 type Evaluator struct {
 	inner *fmm.Evaluator
 }
 
-// NewEvaluator builds the octree and operators over src and trg, flat
-// (x0,y0,z0,x1,...) coordinate slices which may be the same slice. It
-// is NewEvaluatorCtx with context.Background().
-func NewEvaluator(src, trg []float64, opt Options) (*Evaluator, error) {
-	return NewEvaluatorCtx(context.Background(), src, trg, opt) //lint:allow ctxfirst documented legacy ctx-free wrapper over NewEvaluatorCtx
-}
-
-// NewEvaluatorCtx is the context-aware plan build. Construction is the
-// expensive amortized step (octree plus translation-operator setup), so
-// ctx is checked at each internal stage boundary; a caller that gives
-// up — a disconnecting service client, a deadline — abandons the build
-// with a typed cancellation error instead of paying for a plan nobody
-// will use.
+// NewEvaluatorCtx builds the octree and operators over src and trg, flat
+// (x0,y0,z0,x1,...) coordinate slices which may be the same slice.
+// Construction is the expensive amortized step (octree plus
+// translation-operator setup), so ctx is checked at each internal stage
+// boundary; a caller that gives up — a disconnecting service client, a
+// deadline — abandons the build with a typed cancellation error instead
+// of paying for a plan nobody will use.
 func NewEvaluatorCtx(ctx context.Context, src, trg []float64, opt Options) (*Evaluator, error) {
 	inner, err := fmm.NewCtx(ctx, src, trg, opt.fmmOptions())
 	if err != nil {
@@ -177,14 +169,9 @@ func NewEvaluatorCtx(ctx context.Context, src, trg []float64, opt Options) (*Eva
 	return &Evaluator{inner: inner}, nil
 }
 
-// Evaluate computes the potentials induced by den (SourceDim components
-// per source, input order); the result has TargetDim components per
-// target in input order. It is EvaluateCtx with context.Background().
-func (e *Evaluator) Evaluate(den []float64) ([]float64, error) {
-	return e.EvaluateCtx(context.Background(), den) //lint:allow ctxfirst documented legacy ctx-free wrapper over EvaluateCtx
-}
-
-// EvaluateCtx is Evaluate under a context. The context is threaded into
+// EvaluateCtx computes the potentials induced by den (SourceDim
+// components per source, input order); the result has TargetDim
+// components per target in input order. The context is threaded into
 // every pass of the sweep and checked at each dispatch, level barrier
 // and work-chunk claim, so a cancellation or deadline aborts the
 // evaluation within one pass; the returned error then satisfies

@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -9,11 +10,11 @@ func TestPublicAPISequential(t *testing.T) {
 	patches := SpherePatches(1, 2000, 3, 0.25)
 	pts := FlattenPatches(patches)
 	den := RandomDensities(2, 2000, 1)
-	ev, err := NewEvaluator(pts, pts, Options{Kernel: Laplace(), Degree: 6, MaxPoints: 40})
+	ev, err := NewEvaluatorCtx(context.Background(), pts, pts, Options{Kernel: Laplace(), Degree: 6, MaxPoints: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pot, err := ev.Evaluate(den)
+	pot, err := ev.EvaluateCtx(context.Background(), den)
 	if err != nil {
 		t.Fatal(err)
 	}

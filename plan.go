@@ -27,7 +27,7 @@ func KernelFromSpec(s KernelSpec) (Kernel, error) { return kernels.FromSpec(s) }
 // shared implementation), so that zero-valued and explicit-default
 // Options produce the same plan key. The conversion in both directions
 // goes through the shared fmmOptions/optionsFromFMM helpers, the same
-// mapping NewEvaluator constructs with.
+// mapping NewEvaluatorCtx constructs with.
 func normalizeOptions(opt Options) Options {
 	return optionsFromFMM(fmm.ApplyDefaults(opt.fmmOptions()))
 }
@@ -49,8 +49,8 @@ var (
 )
 
 // PlanKey returns a content hash identifying a prepared Evaluator: two
-// calls agree exactly when NewEvaluator(src, trg, opt) would build an
-// identical plan. The hash covers the source and target geometry, the
+// calls agree exactly when NewEvaluatorCtx(ctx, src, trg, opt) would
+// build an identical plan. The hash covers the source and target geometry, the
 // kernel (by serialized spec, so parameters count) and every
 // tree/operator option; option zero values hash as their defaults. The
 // evaluation service uses this as its plan-cache key.

@@ -9,25 +9,14 @@ import (
 // The paper's applications wrap the FMM in a Krylov method: "at each
 // time step we solve a linear system that requires tens of interaction
 // calculations". These re-exports provide the solvers (the paper used
-// PETSc's). The ctx-first variants are the real implementations: the
-// context is checked before every operator application and handed to
-// the operator itself, so cancelling mid-solve aborts the in-flight FMM
-// evaluation within one pass instead of finishing the iteration sweep.
+// PETSc's). The context is checked before every operator application
+// and handed to the operator itself, so cancelling mid-solve aborts the
+// in-flight FMM evaluation within one pass instead of finishing the
+// iteration sweep.
 
-// MatVec is a ctx-oblivious operator application dst = A*x. dst and x
-// have equal length and do not alias.
-type MatVec func(dst, x []float64)
-
-// lift adapts a ctx-oblivious operator to the ctx-first solvers.
-func (apply MatVec) lift() MatVecCtx {
-	return func(_ context.Context, dst, x []float64) error {
-		apply(dst, x)
-		return nil
-	}
-}
-
-// MatVecCtx is a context-aware operator application dst = A*x; a
-// returned error aborts the solve. Evaluator.EvaluateCtx wraps directly:
+// MatVecCtx is a context-aware operator application dst = A*x; dst and
+// x have equal length and do not alias, and a returned error aborts the
+// solve. Evaluator.EvaluateCtx wraps directly:
 //
 //	mv := func(ctx context.Context, dst, x []float64) error {
 //		pot, err := ev.EvaluateCtx(ctx, x)
@@ -44,12 +33,8 @@ type SolverOptions = krylov.Options
 // SolverResult reports Krylov convergence.
 type SolverResult = krylov.Result
 
-// BatchMatVec applies the operator to many vectors at once,
-// ys[i] = A*xs[i], without a context.
-type BatchMatVec func(xs [][]float64) ([][]float64, error)
-
-// BatchMatVecCtx is the context-aware batched operator application —
-// the shape of Evaluator.EvaluateBatchCtx.
+// BatchMatVecCtx is the context-aware batched operator application,
+// ys[i] = A*xs[i] — the shape of Evaluator.EvaluateBatchCtx.
 type BatchMatVecCtx = krylov.BatchMatVecCtx
 
 // SolveGMRESCtx solves A x = b by restarted GMRES under ctx; x is the
@@ -59,12 +44,6 @@ type BatchMatVecCtx = krylov.BatchMatVecCtx
 // matching context sentinel.
 func SolveGMRESCtx(ctx context.Context, apply MatVecCtx, b, x []float64, opt SolverOptions) (SolverResult, error) {
 	return krylov.GMRESCtx(ctx, apply, b, x, opt)
-}
-
-// SolveGMRES solves A x = b by restarted GMRES; it is SolveGMRESCtx
-// with context.Background() and a ctx-oblivious operator.
-func SolveGMRES(apply MatVec, b, x []float64, opt SolverOptions) (SolverResult, error) {
-	return krylov.GMRESCtx(context.Background(), apply.lift(), b, x, opt) //lint:allow ctxfirst documented legacy ctx-free wrapper over SolveGMRESCtx
 }
 
 // SolveGMRESBatchCtx solves many systems sharing one operator (e.g. a
@@ -79,22 +58,8 @@ func SolveGMRESBatchCtx(ctx context.Context, apply BatchMatVecCtx, bs, xs [][]fl
 	return krylov.GMRESBatchCtx(ctx, apply, bs, xs, opt)
 }
 
-// SolveGMRESBatch is SolveGMRESBatchCtx with context.Background() and a
-// ctx-oblivious operator.
-func SolveGMRESBatch(apply BatchMatVec, bs, xs [][]float64, opt SolverOptions) ([]SolverResult, error) {
-	return krylov.GMRESBatchCtx(context.Background(), //lint:allow ctxfirst documented legacy ctx-free wrapper over SolveGMRESBatchCtx
-		func(_ context.Context, vs [][]float64) ([][]float64, error) { return apply(vs) },
-		bs, xs, opt)
-}
-
 // SolveBiCGSTABCtx solves A x = b by BiCGSTAB under ctx; cancellation
 // semantics match SolveGMRESCtx.
 func SolveBiCGSTABCtx(ctx context.Context, apply MatVecCtx, b, x []float64, opt SolverOptions) (SolverResult, error) {
 	return krylov.BiCGSTABCtx(ctx, apply, b, x, opt)
-}
-
-// SolveBiCGSTAB solves A x = b by BiCGSTAB; it is SolveBiCGSTABCtx with
-// context.Background() and a ctx-oblivious operator.
-func SolveBiCGSTAB(apply MatVec, b, x []float64, opt SolverOptions) (SolverResult, error) {
-	return krylov.BiCGSTABCtx(context.Background(), apply.lift(), b, x, opt) //lint:allow ctxfirst documented legacy ctx-free wrapper over SolveBiCGSTABCtx
 }

@@ -9,8 +9,8 @@ import (
 // testSystem returns a small symmetric positive-definite system
 // (diagonally dominant tridiagonal), its right-hand side for a known
 // solution, and an apply closure.
-func testSystem(n int) (apply MatVec, b, want []float64) {
-	apply = func(dst, x []float64) {
+func testSystem(n int) (apply MatVecCtx, b, want []float64) {
+	apply = func(_ context.Context, dst, x []float64) error {
 		for i := range dst {
 			v := 4 * x[i]
 			if i > 0 {
@@ -21,13 +21,14 @@ func testSystem(n int) (apply MatVec, b, want []float64) {
 			}
 			dst[i] = v
 		}
+		return nil
 	}
 	want = make([]float64, n)
 	for i := range want {
 		want[i] = math.Sin(float64(i + 1))
 	}
 	b = make([]float64, n)
-	apply(b, want)
+	apply(context.Background(), b, want)
 	return apply, b, want
 }
 
@@ -45,7 +46,7 @@ func TestSolveGMRES(t *testing.T) {
 	const n = 40
 	apply, b, want := testSystem(n)
 	x := make([]float64, n)
-	res, err := SolveGMRES(apply, b, x, SolverOptions{Tol: 1e-10})
+	res, err := SolveGMRESCtx(context.Background(), apply, b, x, SolverOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSolveBiCGSTAB(t *testing.T) {
 	const n = 40
 	apply, b, want := testSystem(n)
 	x := make([]float64, n)
-	res, err := SolveBiCGSTAB(apply, b, x, SolverOptions{Tol: 1e-10})
+	res, err := SolveBiCGSTABCtx(context.Background(), apply, b, x, SolverOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,18 +81,18 @@ func TestSolveBiCGSTAB(t *testing.T) {
 }
 
 // TestSolveGMRESBatchWithFMMOperator: many right-hand sides against one
-// FMM operator, the workload SolveGMRESBatch exists for. Every system
+// FMM operator, the workload SolveGMRESBatchCtx exists for. Every system
 // must converge to the accuracy its sequential counterpart reaches.
 func TestSolveGMRESBatchWithFMMOperator(t *testing.T) {
 	pts := FlattenPatches(UniformPatches(13, 120))
 	n := len(pts) / 3
-	ev, err := NewEvaluator(pts, pts, Options{Kernel: Laplace(), Degree: 4, MaxPoints: 30})
+	ev, err := NewEvaluatorCtx(context.Background(), pts, pts, Options{Kernel: Laplace(), Degree: 4, MaxPoints: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const shift = 1.0
-	apply := func(xs [][]float64) ([][]float64, error) {
-		pots, err := ev.EvaluateBatchCtx(context.Background(), xs)
+	apply := func(ctx context.Context, xs [][]float64) ([][]float64, error) {
+		pots, err := ev.EvaluateBatchCtx(ctx, xs)
 		if err != nil {
 			return nil, err
 		}
@@ -113,12 +114,12 @@ func TestSolveGMRESBatchWithFMMOperator(t *testing.T) {
 		}
 		xs[s] = make([]float64, n)
 	}
-	rhs, err := apply(wants)
+	rhs, err := apply(context.Background(), wants)
 	if err != nil {
 		t.Fatal(err)
 	}
 	copy(bs, rhs)
-	results, err := SolveGMRESBatch(apply, bs, xs, SolverOptions{Tol: 1e-8, MaxIters: 300})
+	results, err := SolveGMRESBatchCtx(context.Background(), apply, bs, xs, SolverOptions{Tol: 1e-8, MaxIters: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,28 +139,28 @@ func TestSolveGMRESBatchWithFMMOperator(t *testing.T) {
 func TestSolverWithFMMOperator(t *testing.T) {
 	pts := FlattenPatches(UniformPatches(11, 120))
 	n := len(pts) / 3
-	ev, err := NewEvaluator(pts, pts, Options{Kernel: Laplace(), Degree: 4, MaxPoints: 30})
+	ev, err := NewEvaluatorCtx(context.Background(), pts, pts, Options{Kernel: Laplace(), Degree: 4, MaxPoints: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const shift = 1.0
-	apply := func(dst, x []float64) {
-		pot, err := ev.Evaluate(x)
-		if err != nil {
-			t.Fatalf("evaluate inside solver: %v", err)
-		}
-		for i := range dst {
+	apply := func(ctx context.Context, dst, x []float64) error {
+		pot, err := ev.EvaluateCtx(ctx, x)
+		for i := range pot {
 			dst[i] = shift*x[i] + pot[i]
 		}
+		return err
 	}
 	want := make([]float64, n)
 	for i := range want {
 		want[i] = 1 + float64(i%7)/7
 	}
 	b := make([]float64, n)
-	apply(b, want)
+	if err := apply(context.Background(), b, want); err != nil {
+		t.Fatal(err)
+	}
 	x := make([]float64, n)
-	res, err := SolveGMRES(apply, b, x, SolverOptions{Tol: 1e-8, MaxIters: 300})
+	res, err := SolveGMRESCtx(context.Background(), apply, b, x, SolverOptions{Tol: 1e-8, MaxIters: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
