@@ -7,35 +7,44 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	kifmm "repro"
 	"repro/internal/buildinfo"
 )
 
-func main() {
-	n := flag.Int("n", 20000, "number of particles")
-	kernel := flag.String("kernel", "laplace", "laplace | modlaplace | stokes | kelvin")
-	dist := flag.String("dist", "spheres", "spheres | corners | uniform")
-	degree := flag.Int("p", 6, "surface degree")
-	maxPts := flag.Int("s", 60, "max points per leaf box")
-	procs := flag.Int("procs", 0, "simulated MPI ranks (0 = sequential)")
-	iters := flag.Int("iters", 1, "number of interaction evaluations")
-	dense := flag.Bool("dense-m2l", false, "use dense M2L instead of FFT")
-	seed := flag.Int64("seed", 1, "sampling seed")
-	version := flag.Bool("version", false, "print build identity and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, prints results to out and failures
+// to errOut, and returns the exit code.
+func run(args []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("kifmm-run", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	n := fs.Int("n", 20000, "number of particles")
+	kernel := fs.String("kernel", "laplace", "laplace | modlaplace | stokes | kelvin")
+	dist := fs.String("dist", "spheres", "spheres | corners | uniform")
+	degree := fs.Int("p", 6, "surface degree")
+	maxPts := fs.Int("s", 60, "max points per leaf box")
+	procs := fs.Int("procs", 0, "simulated MPI ranks (0 = sequential)")
+	iters := fs.Int("iters", 1, "number of interaction evaluations")
+	dense := fs.Bool("dense-m2l", false, "use dense M2L instead of FFT")
+	seed := fs.Int64("seed", 1, "sampling seed")
+	version := fs.Bool("version", false, "print build identity and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	ctx := context.Background()
 
 	if *version {
-		fmt.Println(buildinfo.String("kifmm-run"))
-		return
+		fmt.Fprintln(out, buildinfo.String("kifmm-run"))
+		return 0
 	}
 
 	k, err := kifmm.KernelByName(*kernel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(errOut, err)
+		return 1
 	}
 	var patches []kifmm.Patch
 	switch *dist {
@@ -54,22 +63,30 @@ func main() {
 	}
 
 	if *procs > 0 {
+		// Ranks own whole patches (weighted Morton partition), so ranks
+		// beyond the patch count get no points: -dist uniform is one
+		// patch and would put everything on rank 0.
+		if *procs > len(patches) {
+			fmt.Fprintf(errOut, "kifmm-run: -procs %d exceeds the %d patch(es) of -dist %s, and ranks partition whole patches; use -dist spheres or -dist corners\n",
+				*procs, len(patches), *dist)
+			return 1
+		}
 		res, err := kifmm.EvaluateParallel(patches, den, *procs, kifmm.ParallelOptions{
 			Options:    kifmm.Options{Kernel: k, Degree: *degree, MaxPoints: *maxPts, Backend: backend},
 			Iterations: *iters,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(errOut, err)
+			return 1
 		}
-		fmt.Printf("parallel KIFMM: N=%d kernel=%s P=%d tree: %d boxes, depth %d\n",
+		fmt.Fprintf(out, "parallel KIFMM: N=%d kernel=%s P=%d tree: %d boxes, depth %d\n",
 			*n, *kernel, *procs, res.Boxes, res.Depth)
-		fmt.Printf("T(P) = %v (virtual), load ratio %.2f\n", res.MaxTotal(), res.Ratio())
-		fmt.Printf("%4s %12s %12s %12s\n", "rank", "total", "comm", "bytes")
+		fmt.Fprintf(out, "T(P) = %v (virtual), load ratio %.2f\n", res.MaxTotal(), res.Ratio())
+		fmt.Fprintf(out, "%4s %12s %12s %12s\n", "rank", "total", "comm", "bytes")
 		for r, s := range res.Ranks {
-			fmt.Printf("%4d %12v %12v %12d\n", r, s.Total, s.Comm, s.BytesSent)
+			fmt.Fprintf(out, "%4d %12v %12v %12d\n", r, s.Total, s.Comm, s.BytesSent)
 		}
-		return
+		return 0
 	}
 
 	// Workers pinned to 1: this path prints per-stage wall times and a
@@ -79,19 +96,20 @@ func main() {
 		Kernel: k, Degree: *degree, MaxPoints: *maxPts, Backend: backend, Workers: 1,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(errOut, err)
+		return 1
 	}
-	fmt.Printf("sequential KIFMM: N=%d kernel=%s p=%d s=%d tree: %d boxes, depth %d\n",
+	fmt.Fprintf(out, "sequential KIFMM: N=%d kernel=%s p=%d s=%d tree: %d boxes, depth %d\n",
 		*n, *kernel, *degree, *maxPts, ev.Boxes(), ev.Depth())
 	for it := 0; it < *iters; it++ {
-		if _, err := ev.EvaluateCtx(ctx, den); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		_, s, _, err := ev.EvaluateBatchTracedCtx(ctx, [][]float64{den})
+		if err != nil {
+			fmt.Fprintln(errOut, err)
+			return 1
 		}
-		s := ev.Stats()
-		fmt.Printf("iter %d: total %v  (Up %v | DownU %v | DownV %v | DownW %v | DownX %v | Eval %v)  %.1f Mflop/s\n",
+		fmt.Fprintf(out, "iter %d: total %v  (Up %v | DownU %v | DownV %v | DownW %v | DownX %v | Eval %v)  %.1f Mflop/s\n",
 			it, s.Total(), s.Up, s.DownU, s.DownV, s.DownW, s.DownX, s.Eval,
 			float64(s.Flops())/s.Total().Seconds()/1e6)
 	}
+	return 0
 }

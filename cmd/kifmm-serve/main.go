@@ -36,11 +36,10 @@
 // Scheduling is adaptive: all requests share one elastic pool of
 // -max-workers lanes. An evaluation on an idle server fans out across
 // every lane; as concurrent requests arrive, running evaluations shed
-// lanes at chunk boundaries down to -min-lane-per-eval, and requests
-// that cannot get even the floor queue. Granted widths are reported
-// per response (granted_lanes) and aggregated under /metrics
-// (kifmm_lanes_in_use, kifmm_lanes_granted_total,
-// kifmm_granted_width_total).
+// lanes at chunk boundaries down to one each, and requests that cannot
+// get a lane queue. Granted widths are reported per response
+// (granted_lanes) and aggregated under /metrics (kifmm_lanes_in_use,
+// kifmm_lanes_granted_total, kifmm_granted_width_total).
 //
 // Shutdown is graceful: on SIGINT/SIGTERM the listener closes and
 // in-flight requests get -drain-timeout to finish; past the drain
@@ -79,7 +78,6 @@ func main() {
 	cacheSize := flag.Int("cache", 32, "maximum number of cached plans (LRU)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "bound the summed estimated plan footprint in bytes (0 = count bound only)")
 	maxWorkers := flag.Int("max-workers", runtime.GOMAXPROCS(0), "elastic pool capacity: total worker lanes across all concurrent evaluations (one idle request may use them all)")
-	minLane := flag.Int("min-lane-per-eval", 1, "admission floor: lanes every evaluation keeps under saturation; bounds concurrent evaluations at max-workers/min-lane-per-eval")
 	evalTimeout := flag.Duration("eval-timeout", 0, "per-request deadline; requests exceeding it fail with 504 and the evaluation stops (0 = none)")
 	readTimeout := flag.Duration("read-timeout", 5*time.Minute, "HTTP read timeout")
 	writeTimeout := flag.Duration("write-timeout", 5*time.Minute, "HTTP write timeout")
@@ -152,8 +150,7 @@ func main() {
 
 	svc := service.New(service.Config{
 		CacheSize: *cacheSize, CacheBytes: *cacheBytes,
-		MaxWorkers: *maxWorkers, MinLanePerEval: *minLane,
-		TraceRing: *traceRing, UploadBytes: *uploadBytes,
+		MaxWorkers: *maxWorkers, TraceRing: *traceRing, UploadBytes: *uploadBytes,
 		Cluster: coord, ClusterMinPoints: *clusterMinPoints,
 	})
 	opts := []service.ServerOption{
@@ -179,8 +176,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("kifmm-serve listening on %s (cache %d plans / %d bytes, %d elastic lanes, floor %d per eval, eval timeout %v)\n",
-			*addr, *cacheSize, *cacheBytes, *maxWorkers, *minLane, *evalTimeout)
+		fmt.Printf("kifmm-serve listening on %s (cache %d plans / %d bytes, %d elastic lanes, eval timeout %v)\n",
+			*addr, *cacheSize, *cacheBytes, *maxWorkers, *evalTimeout)
 		errc <- srv.ListenAndServe()
 	}()
 

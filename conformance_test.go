@@ -15,10 +15,19 @@ package kifmm
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fmm"
 )
 
 // conformanceTol is the expected relative accuracy of a degree-p
@@ -115,6 +124,29 @@ func drawConformanceCases(seed int64, iters int) []conformanceCase {
 	return cases
 }
 
+// evaluate builds the case's plan on pool and evaluates its seeded batch,
+// returning the densities, the potentials and the call's own Stats.
+func (c conformanceCase) evaluate(t *testing.T, pool *Pool) (dens, pots [][]float64, st fmm.Stats) {
+	t.Helper()
+	ev, err := NewEvaluatorCtx(context.Background(), c.pts, c.pts, Options{
+		Kernel: c.kernel, Degree: c.degree, MaxPoints: c.maxPts,
+		MaxDepth: c.maxDepth, Backend: c.backend,
+		Workers: c.workers, Pool: pool,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dens = make([][]float64, c.batch)
+	for q := range dens {
+		dens[q] = RandomDensities(int64(100+q), len(c.pts)/3, c.kernel.SourceDim())
+	}
+	pots, st, _, err = ev.EvaluateBatchTracedCtx(context.Background(), dens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dens, pots, st
+}
+
 // TestConformanceRandomizedVsDirect: every FMM potential in the seeded
 // sweep must match direct summation to the degree's expected accuracy,
 // on every vector of the batch.
@@ -127,23 +159,7 @@ func TestConformanceRandomizedVsDirect(t *testing.T) {
 	for _, c := range drawConformanceCases(7001, iters) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			ev, err := NewEvaluatorCtx(context.Background(), c.pts, c.pts, Options{
-				Kernel: c.kernel, Degree: c.degree, MaxPoints: c.maxPts,
-				MaxDepth: c.maxDepth, Backend: c.backend,
-				Workers: c.workers, Pool: pool,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := len(c.pts) / 3
-			dens := make([][]float64, c.batch)
-			for q := range dens {
-				dens[q] = RandomDensities(int64(100+q), n, c.kernel.SourceDim())
-			}
-			pots, err := ev.EvaluateBatchCtx(context.Background(), dens)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dens, pots, _ := c.evaluate(t, pool)
 			tol := conformanceTol(c.kernel, c.degree)
 			for q := range dens {
 				want, err := Direct(c.kernel, c.pts, c.pts, dens[q])
@@ -153,6 +169,81 @@ func TestConformanceRandomizedVsDirect(t *testing.T) {
 				if e := rel(pots[q], want); e > tol {
 					t.Errorf("rhs %d: relative error %.3e > %.0e vs direct summation", q, e, tol)
 				}
+			}
+		})
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/conformance.golden from this build's results")
+
+const conformanceGoldenPath = "testdata/conformance.golden"
+
+// TestConformanceGolden pins the bits: testdata/conformance.golden maps
+// each drawConformanceCases(7001, 12) case to the sha256 of its batch
+// result (every potential's float64 bits, little-endian, in order), its
+// flop count and its WDirect / XDirect counts. A PR that declares itself
+// bit-preserving leaves the file alone; one that re-associates or
+// approximates rewrites it with `go test -run ConformanceGolden -update .`
+// and says so in CHANGES.md. The file is pinned on amd64: the Go compiler
+// fuses multiply-adds on arm64, ppc64le and s390x and not there.
+func TestConformanceGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("conformance golden is pinned on amd64 (no fused multiply-add); this is %s", runtime.GOARCH)
+	}
+	iters := 12
+	if testing.Short() {
+		iters = 4
+	}
+	cases := drawConformanceCases(7001, iters)
+	line := func(t *testing.T, c conformanceCase) string {
+		_, pots, st := c.evaluate(t, NewPool(4))
+		h := sha256.New()
+		var b [8]byte
+		for _, pot := range pots {
+			for _, v := range pot {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+		return fmt.Sprintf("%x flops=%d wdirect=%d xdirect=%d", h.Sum(nil), st.Flops(), st.WDirect, st.XDirect)
+	}
+	if *updateGolden {
+		if testing.Short() {
+			t.Fatal("-update needs the full sweep: -short trims the seeded draw")
+		}
+		var out strings.Builder
+		for _, c := range cases {
+			fmt.Fprintf(&out, "%s %s\n", c.name, line(t, c))
+		}
+		if err := os.WriteFile(conformanceGoldenPath, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(conformanceGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, rest, _ := strings.Cut(l, " ")
+		golden[name] = rest
+	}
+	if !testing.Short() && len(golden) != len(cases) {
+		t.Errorf("golden holds %d cases, the sweep draws %d", len(golden), len(cases))
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			want, ok := golden[c.name]
+			if !ok && testing.Short() {
+				t.Skip("-short trimmed this case's degree; the golden holds the full draw")
+			}
+			if !ok {
+				t.Fatalf("no golden entry; rewrite %s with -update and declare the rounding class", conformanceGoldenPath)
+			}
+			if got := line(t, c); got != want {
+				t.Errorf("result bits moved\n got  %s\n want %s", got, want)
 			}
 		})
 	}
@@ -222,11 +313,12 @@ func TestConformanceShrinkMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ev.EvaluateCtx(context.Background(), den) // undisturbed: full width
+	wants, st, _, err := ev.EvaluateBatchTracedCtx(context.Background(), [][]float64{den}) // undisturbed: full width
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := ev.Stats(); st.Lanes != 4 {
+	want := wants[0]
+	if st.Lanes != 4 {
 		t.Fatalf("undisturbed evaluation granted %d lanes, want 4", st.Lanes)
 	}
 

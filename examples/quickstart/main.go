@@ -39,11 +39,13 @@ func main() {
 	// ...then evaluate as many density vectors as needed. A cancelled
 	// ctx would surface here as a typed error: errors.Is(err,
 	// kifmm.ErrCanceled) — and errors.Is(err, context.Canceled) — hold.
-	pot, err := ev.EvaluateCtx(ctx, densities)
+	// (EvaluateCtx returns the potentials alone; the traced batch form
+	// also returns this call's stage breakdown.)
+	pots, s, _, err := ev.EvaluateBatchTracedCtx(ctx, [][]float64{densities})
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := ev.Stats()
+	pot := pots[0]
 	fmt.Printf("FMM evaluation: %v (%.1f Mflop/s)\n",
 		s.Total(), float64(s.Flops())/s.Total().Seconds()/1e6)
 

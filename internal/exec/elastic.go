@@ -15,8 +15,7 @@ import (
 // decided at plan time), an Elastic sizes each call at runtime:
 // Acquire hands out a Lease whose width depends on current load — a
 // lone caller on an idle pool gets up to the full capacity, while under
-// saturation every caller degrades toward the configured per-lease
-// minimum (default 1).
+// saturation every caller degrades toward one lane.
 //
 // Leases are elastic in both directions while they run:
 //
@@ -35,8 +34,8 @@ import (
 //
 // Lane accounting is what Acquire admission-controls: the sum of lanes
 // held by live leases never exceeds the capacity, and a caller that
-// cannot get its minimum width queues (honoring ctx) until running
-// sweeps shed lanes. Do not acquire a second lease while holding one —
+// cannot get one lane queues (honoring ctx) until running sweeps shed
+// lanes. Do not acquire a second lease while holding one —
 // under saturation that deadlocks the same way nested locks do.
 //
 // Width never changes what a sweep computes: ForRange hands out worker
@@ -48,10 +47,9 @@ type Elastic struct {
 	capacity int
 
 	mu      sync.Mutex
-	min     int // admission floor per lease (SetMinGrant)
 	held    int // Σ lanes currently charged to live leases
 	leases  map[*Lease]struct{}
-	waiters map[*Lease]struct{} // Acquire callers queued for their floor
+	waiters map[*Lease]struct{} // Acquire callers queued for a lane
 	// changed is closed and replaced whenever lanes free up or targets
 	// drop; Acquire waiters select on it alongside their ctx.
 	changed chan struct{}
@@ -66,36 +64,17 @@ type Elastic struct {
 }
 
 // NewElastic returns an elastic pool with the given lane capacity;
-// maxWorkers <= 0 selects runtime.GOMAXPROCS(0). The per-lease
-// admission minimum starts at 1.
+// maxWorkers <= 0 selects runtime.GOMAXPROCS(0).
 func NewElastic(maxWorkers int) *Elastic {
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
 	}
 	return &Elastic{
 		capacity: maxWorkers,
-		min:      1,
 		leases:   make(map[*Lease]struct{}),
 		waiters:  make(map[*Lease]struct{}),
 		changed:  make(chan struct{}),
 	}
-}
-
-// SetMinGrant sets the per-lease admission floor: Acquire blocks until
-// it can grant at least min lanes (clamped to [1, capacity] and to the
-// caller's own want), and running leases are never revoked below it.
-// Raising it trades queueing for per-call latency. Call before the pool
-// is busy; in-flight leases keep the floor they were admitted with.
-func (e *Elastic) SetMinGrant(min int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if min < 1 {
-		min = 1
-	}
-	if min > e.capacity {
-		min = e.capacity
-	}
-	e.min = min
 }
 
 // Cap returns the pool's lane capacity.
@@ -148,7 +127,6 @@ func (e *Elastic) notifyLocked() {
 type Lease struct {
 	e       *Elastic
 	want    int   // width ceiling (clamped to capacity)
-	min     int   // revocation/admission floor: min(pool min, want)
 	seq     int64 // arrival order; ties in want allocate oldest-first
 	granted int   // width at admission, for metrics
 
@@ -172,10 +150,10 @@ func clamp(v, lo, hi int) int {
 
 // Acquire admits one evaluation, returning a lease sized by current
 // load: up to want lanes (want <= 0 means the full capacity) on an idle
-// pool, degrading toward the admission floor as concurrent leases pile
-// up. When fewer than the floor are free it first revokes running
-// leases toward the new fair share, then blocks — honoring ctx — until
-// their sweeps shed enough lanes. The returned lease must be Released.
+// pool, degrading toward one lane as concurrent leases pile up. When no
+// lane is free it first revokes running leases toward the new fair
+// share, then blocks — honoring ctx — until their sweeps shed one. The
+// returned lease must be Released.
 func (e *Elastic) Acquire(ctx context.Context, want int) (*Lease, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -185,12 +163,8 @@ func (e *Elastic) Acquire(ctx context.Context, want int) (*Lease, error) {
 	if want <= 0 || want > e.capacity {
 		want = e.capacity
 	}
-	min := e.min
-	if min > want {
-		min = want
-	}
 	e.nextSeq++
-	l := &Lease{e: e, want: want, min: min, seq: e.nextSeq}
+	l := &Lease{e: e, want: want, seq: e.nextSeq}
 	queued := false
 	for {
 		// Allocate fairly with this caller counted; revoke running
@@ -200,8 +174,8 @@ func (e *Elastic) Acquire(ctx context.Context, want int) (*Lease, error) {
 		for o := range e.leases {
 			o.lowerTargetLocked(alloc[o])
 		}
-		if free := e.capacity - e.held; free >= min {
-			grant := clamp(alloc[l], min, want)
+		if free := e.capacity - e.held; free >= 1 {
+			grant := clamp(alloc[l], 1, want)
 			if grant > free {
 				grant = free
 			}
@@ -250,7 +224,7 @@ func (e *Elastic) Acquire(ctx context.Context, want int) (*Lease, error) {
 // want, so a width-1 plan build claims one lane (not a full 1/n share)
 // and division remainders flow to the wider claimants instead of
 // sitting idle. Over-subscription (more claimants than lanes) floors
-// later shares at 0; callers clamp to each lease's own admission floor.
+// later shares at 0; callers clamp to the one lane a lease always keeps.
 func (e *Elastic) allocsLocked(extra *Lease, queued bool) map[*Lease]int {
 	claimants := make([]*Lease, 0, len(e.leases)+len(e.waiters)+1)
 	for o := range e.leases {
@@ -285,11 +259,11 @@ func (e *Elastic) allocsLocked(extra *Lease, queued bool) map[*Lease]int {
 }
 
 // lowerTargetLocked revokes this lease's width down to its allocation,
-// clamped to its own floor and ceiling. Lanes actually return when the
+// clamped to one lane and its ceiling. Lanes actually return when the
 // running sweep's excess workers hit their next chunk-claim boundary
 // (or at the next ForRange dispatch if no sweep is running).
 func (l *Lease) lowerTargetLocked(share int) {
-	t := clamp(share, l.min, l.want)
+	t := clamp(share, 1, l.want)
 	if cur := int(l.target.Load()); t < cur {
 		l.target.Store(int32(t))
 	}
@@ -317,7 +291,7 @@ func (l *Lease) resize() int {
 	if l.released {
 		return 1
 	}
-	t := clamp(e.allocsLocked(nil, false)[l], l.min, l.want)
+	t := clamp(e.allocsLocked(nil, false)[l], 1, l.want)
 	switch {
 	case t < l.held:
 		e.held -= l.held - t
@@ -349,7 +323,7 @@ func (l *Lease) tryGrow() int {
 	if l.released || int(l.target.Load()) != l.held {
 		return 0
 	}
-	t := clamp(e.allocsLocked(nil, false)[l], l.min, l.want)
+	t := clamp(e.allocsLocked(nil, false)[l], 1, l.want)
 	extra := t - l.held
 	if free := e.capacity - e.held; extra > free {
 		extra = free
@@ -382,15 +356,6 @@ func (l *Lease) shrinkTo(w int) int {
 	}
 	return l.held
 }
-
-// Sync settles the lease against current pool load outside a sweep:
-// lanes revoked since the last dispatch are returned immediately, and
-// on a drained pool the lease grows back toward its fair share.
-// ForRange does this at every dispatch — Sync is for leases held over
-// long stretches of caller-side work with no sweep running, which
-// would otherwise sit on revoked lanes until Release. Returns the
-// settled width. Must not be called while a ForRange is in flight.
-func (l *Lease) Sync() int { return l.resize() }
 
 // Granted returns the width this lease was admitted with (the quantity
 // the per-request width histogram records).

@@ -165,42 +165,6 @@ func TestLeaseGrowsBackAtDispatch(t *testing.T) {
 	l1.Release()
 }
 
-// TestSetMinGrantFloor: with a floor of 2 on a 4-lane pool, a third
-// concurrent lease cannot be admitted until one releases, and running
-// leases are never revoked below the floor.
-func TestSetMinGrantFloor(t *testing.T) {
-	e := NewElastic(4)
-	e.SetMinGrant(2)
-	l1, err := e.Acquire(bg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2 := acquireWhileSweeping(t, e, l1, 0)
-	if l2.Granted() < 2 {
-		t.Errorf("second lease granted %d, floor is 2", l2.Granted())
-	}
-	if w := l1.Width(); w < 2 {
-		t.Errorf("first lease revoked to %d, floor is 2", w)
-	}
-	// Third caller: 2+2 lanes held, floor 2 > 0 free — must queue until
-	// its deadline.
-	ctx, cancel := context.WithTimeout(bg, 30*time.Millisecond)
-	defer cancel()
-	if _, err := e.Acquire(ctx, 0); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("third Acquire on a saturated pool: err = %v, want DeadlineExceeded", err)
-	}
-	l1.Release()
-	l3, err := e.Acquire(bg, 0)
-	if err != nil {
-		t.Fatalf("Acquire after release: %v", err)
-	}
-	if l3.Granted() < 2 {
-		t.Errorf("post-release lease granted %d, floor is 2", l3.Granted())
-	}
-	l2.Release()
-	l3.Release()
-}
-
 // TestAcquirePreCancelled: a dead context never admits.
 func TestAcquirePreCancelled(t *testing.T) {
 	e := NewElastic(2)
@@ -366,51 +330,6 @@ func TestNarrowLeaseClaimsOnlyItsWant(t *testing.T) {
 	l1.Release()
 	l2.Release()
 	l3.Release()
-	if e.InUse() != 0 {
-		t.Errorf("InUse = %d after releases", e.InUse())
-	}
-}
-
-// TestSyncReturnsRevokedLanesWithoutSweep: a lease held over caller
-// work (no ForRange running) returns lanes revoked toward a waiter as
-// soon as it Syncs — the escape hatch for long-held embedder leases.
-func TestSyncReturnsRevokedLanesWithoutSweep(t *testing.T) {
-	e := NewElastic(4)
-	l1, err := e.Acquire(bg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	admitted := make(chan *Lease, 1)
-	go func() {
-		l2, err := e.Acquire(bg, 2)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		admitted <- l2
-	}()
-	// The waiter revokes l1's target; without a sweep, only Sync can
-	// hand the lanes back.
-	deadline := time.Now().Add(5 * time.Second)
-	for l1.Width() == 4 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never revoked the idle lease")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if w := l1.Sync(); w > 2 {
-		t.Errorf("Sync settled at width %d, want <= 2", w)
-	}
-	select {
-	case l2 := <-admitted:
-		if l2.Granted() < 1 {
-			t.Errorf("waiter granted %d lanes", l2.Granted())
-		}
-		l2.Release()
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter not admitted after Sync returned the lanes")
-	}
-	l1.Release()
 	if e.InUse() != 0 {
 		t.Errorf("InUse = %d after releases", e.InUse())
 	}

@@ -167,13 +167,6 @@ type Evaluator struct {
 	opt  Options
 	fft  *translate.FFTM2L
 	pool *exec.Elastic
-
-	// statsMu guards stats, the breakdown of the most recent completed
-	// evaluation (concurrent callers race benignly: last writer wins).
-	statsMu sync.Mutex
-	stats   Stats
-
-	closeOnce sync.Once
 }
 
 // ApplyDefaults fills zero-valued options with the paper-matching
@@ -289,24 +282,14 @@ func (e *Evaluator) Workers() int {
 	return e.pool.Cap()
 }
 
-// Stats returns the stage breakdown of the most recently completed
-// evaluation (with concurrent callers, the last one to finish).
-func (e *Evaluator) Stats() Stats {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.stats
-}
-
 // FootprintBytes estimates the resident memory of this prepared plan:
 // the octree (points, permutations, boxes, interaction lists) plus this
-// plan's share of the translation operators and FFT kernel tensors
-// currently cached for its kernel/degree/geometry. Operator caches are
-// shared process-wide and refcounted: N live plans sharing an operator
-// set each attribute 1/N of its bytes, so a byte-bounded plan cache
-// summing FootprintBytes across plans counts every shared byte exactly
-// once (the pre-refcount behavior attributed them once per plan). The
-// estimate is live — it grows as lazily built operators appear and
-// redistributes when sharing plans are closed.
+// plan's share of the operator-store entries it uses — each entry's dense
+// operators and FFT tensors divided by the number of open plans holding
+// it, so a byte-bounded plan cache summing FootprintBytes counts every
+// shared byte once and nothing a plan does not use. The estimate is live:
+// it grows as lazily built operators appear and moves when a sharing plan
+// is closed, and only then.
 func (e *Evaluator) FootprintBytes() int64 {
 	b := e.Tree.MemoryBytes()
 	b += e.Ops.CachedBytes()
@@ -316,19 +299,12 @@ func (e *Evaluator) FootprintBytes() int64 {
 	return b
 }
 
-// Close releases this plan's refcounted claim on the process-global
-// operator and FFT tensor caches. Accounting only: the caches keep
-// their entries and a closed evaluator remains fully usable (an evicted
-// service plan finishes its in-flight evaluations) — the shared bytes
-// are simply attributed to the plans still open. Idempotent.
-func (e *Evaluator) Close() {
-	e.closeOnce.Do(func() {
-		e.Ops.Close()
-		if e.fft != nil {
-			e.fft.Close()
-		}
-	})
-}
+// Close gives up this plan's hold on its operators: what no other open
+// plan uses leaves the operator store, and the heap, once it falls out of
+// the store's small fixed retention (translate.retainBytes). A closed
+// evaluator remains usable — an evicted service plan finishes its
+// in-flight evaluations — it just no longer pins anything. Idempotent.
+func (e *Evaluator) Close() { e.Ops.Close() }
 
 // Ghost supplies what the tree of a distributed rank does not hold. Such
 // a tree has every box of the global tree but only the rank's own points
@@ -443,7 +419,7 @@ func (sc *scratch) accBuf(n int) []complex128 {
 // per-pair kernel evaluations (U/W/X/S2M interactions materialize each
 // kernel block once and apply it to every right-hand side), and matches
 // per-vector calls to accumulation-order rounding. The returned Stats are
-// this call's own, so concurrent callers do not race on Stats().
+// this call's own.
 //
 // The call's worker-lane width is resolved here, not at plan time: a lease
 // is acquired from the elastic pool (admission — under saturation this is
@@ -452,8 +428,7 @@ func (sc *scratch) accBuf(n int) []complex128 {
 // growing back at pass boundaries when the pool drains. ctx flows into
 // every pool dispatch; on cancellation the current pass drains at its
 // barrier, the partially written run state is discarded, and the typed
-// cancellation error is returned (the most recent *completed*
-// evaluation's stats are left untouched).
+// cancellation error is returned.
 //
 // root, when non-nil, is the caller's open span and collects the trace:
 // wall-clock intervals for each pass (permute / up / down / leaf /
@@ -562,9 +537,6 @@ func (e *Evaluator) Evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 	downSp.SetAttr("x_direct", strconv.FormatInt(st.XDirect, 10))
 	leafSp.SetAttr("w_direct", strconv.FormatInt(st.WDirect, 10))
 	root.End()
-	e.statsMu.Lock()
-	e.stats = st
-	e.statsMu.Unlock()
 	return pots, st, nil
 }
 

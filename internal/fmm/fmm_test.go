@@ -391,10 +391,10 @@ func TestFMMStatsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eval(bg, e, geom.RandomDensities(rng, 3000, 1)); err != nil {
+	_, s, err := eval(bg, e, geom.RandomDensities(rng, 3000, 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := e.Stats()
 	if s.FlopsUp <= 0 || s.FlopsDownU <= 0 || s.FlopsDownV <= 0 || s.FlopsEval <= 0 {
 		t.Errorf("flop counters not populated: %+v", s)
 	}

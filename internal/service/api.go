@@ -108,10 +108,10 @@ type PlanInfo struct {
 	SourceDim int `json:"source_dim"`
 	TargetDim int `json:"target_dim"`
 	// FootprintBytes is the estimated resident size of the plan: the
-	// tree plus this plan's refcounted share of the process-global
-	// operator caches (shared bytes count once across plans). It is the
-	// quantity byte-bounded caching evicts by; lazily built operators
-	// make it grow after the first evaluation.
+	// tree plus this plan's share of the operators it uses (each shared
+	// entry divided by the plans holding it, so shared bytes count once
+	// across plans). It is the quantity byte-bounded caching evicts by;
+	// lazily built operators make it grow after the first evaluation.
 	FootprintBytes int64 `json:"footprint_bytes"`
 	// BuildNanos is the plan construction time (0 when Cached).
 	BuildNanos int64 `json:"build_ns,omitempty"`
@@ -146,8 +146,8 @@ type EvalStats struct {
 	Flops      int64 `json:"flops"`
 	// GrantedLanes is the worker-lane width this evaluation was
 	// admitted with by the elastic pool — MaxWorkers on an idle
-	// server, degrading toward MinLanePerEval under load. Widths never
-	// change results, only wall clock.
+	// server, degrading toward 1 under load. Widths never change
+	// results, only wall clock.
 	GrantedLanes int `json:"granted_lanes"`
 }
 

@@ -24,9 +24,9 @@ type plan struct {
 }
 
 // footprint is the plan's live estimated resident size. It is read on
-// demand (not snapshotted at build time) because operator attribution
-// is refcounted across plans: lazily built operators appear after the
-// first evaluation, and a sharing plan's eviction shifts bytes to the
+// demand (not snapshotted at build time) because operators are shared
+// between plans and built lazily: they appear after the first
+// evaluation, and a sharing plan's eviction shifts its share to the
 // survivors.
 func (p *plan) footprint() int64 { return p.ev.FootprintBytes() }
 
@@ -82,8 +82,9 @@ func (c *planCache) get(id string) (*plan, bool) {
 // existing key refreshes it and hands back the displaced plan.
 //
 // The bytes bound is checked against the live footprints: shared
-// operator bytes are refcounted across plans, so the total is the real
-// estimated residency, not the old once-per-plan double count.
+// operator bytes are divided among the plans holding them, and closing
+// a victim releases what it alone held, so the total is the estimated
+// residency of the plans still cached.
 func (c *planCache) add(p *plan) []*plan {
 	if el, ok := c.items[p.id]; ok {
 		c.ll.MoveToFront(el)

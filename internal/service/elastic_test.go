@@ -52,12 +52,12 @@ func TestAdaptiveWidthIdleFanout(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWidthSaturation: N parallel requests on a small pool with
-// a floor of 2 — every request is admitted at width >= the floor, the
+// TestAdaptiveWidthSaturation: more parallel requests than lanes on a
+// small pool — every request is admitted with at least one lane, the
 // lanes-in-use gauge never exceeds the capacity, and the histogram
 // records every admission.
 func TestAdaptiveWidthSaturation(t *testing.T) {
-	svc := New(Config{MaxWorkers: 4, MinLanePerEval: 2})
+	svc := New(Config{MaxWorkers: 4})
 	req := cloudRequest(22, 400)
 	info, err := svc.Register(bg, req)
 	if err != nil {
@@ -94,8 +94,8 @@ func TestAdaptiveWidthSaturation(t *testing.T) {
 				errc <- err
 				return
 			}
-			if st.GrantedLanes < 2 {
-				errc <- fmt.Errorf("caller %d granted %d lanes, floor is 2", c, st.GrantedLanes)
+			if st.GrantedLanes < 1 || st.GrantedLanes > 4 {
+				errc <- fmt.Errorf("caller %d granted %d lanes on a 4-lane pool", c, st.GrantedLanes)
 			}
 		}(c)
 	}
@@ -111,17 +111,11 @@ func TestAdaptiveWidthSaturation(t *testing.T) {
 	m := svc.MetricsRegistry().Snapshot()
 	var admitted int64
 	hist := svc.m.grantedWidth.Snapshot()
-	for w, n := range hist {
-		if w < "2" {
-			t.Errorf("histogram has width-%s admissions below the floor: %v", w, hist)
-		}
+	for _, n := range hist {
 		admitted += n
 	}
 	if admitted != callers {
 		t.Errorf("histogram admissions %d, want %d", admitted, callers)
-	}
-	if m["kifmm_min_lane_per_eval"] != 2 {
-		t.Errorf("MinLanePerEval = %v, want 2", m["kifmm_min_lane_per_eval"])
 	}
 	if m["kifmm_lanes_in_use"] != 0 {
 		t.Errorf("LanesInUse = %v after all evaluations returned", m["kifmm_lanes_in_use"])

@@ -106,9 +106,6 @@ func newMetrics(s *Service) *metrics {
 	r.GaugeFunc("kifmm_max_lanes",
 		"Lane capacity of the elastic pool (-max-workers).",
 		func() float64 { return float64(s.pool.MaxWorkers()) })
-	r.GaugeFunc("kifmm_min_lane_per_eval",
-		"Admission floor of the elastic pool (-min-lane-per-eval).",
-		func() float64 { return float64(s.cfg.MinLanePerEval) })
 	r.GaugeFunc("kifmm_lanes_in_use",
 		"Lanes currently leased by evaluations and plan builds.",
 		func() float64 { return float64(s.pool.LanesInUse()) })

@@ -52,10 +52,13 @@ type Config struct {
 	// but is no longer addressable by id.
 	CacheSize int
 	// CacheBytes additionally bounds the summed estimated footprint
-	// (tree + cached operators) of cached plans; 0 means no bytes
-	// bound. A near-body-limit geometry can pin ~GBs of operators per
-	// plan, so byte bounds are the defense the count bound alone is
-	// not. The most recent plan is always retained.
+	// (tree + the plan's share of the operators it uses) of cached
+	// plans; 0 means no bytes bound. A near-body-limit geometry can pin
+	// ~GBs of operators per plan, so byte bounds are the defense the
+	// count bound alone is not. Eviction closes the plan, which frees
+	// the operators no remaining plan uses (the operator store keeps a
+	// fixed 32 MiB of the most recently released ones warm, outside this
+	// bound). The most recent plan is always retained.
 	CacheBytes int64
 	// MaxWorkers is the lane capacity of the service's shared elastic
 	// pool (default GOMAXPROCS) — the total intra-evaluation
@@ -63,19 +66,12 @@ type Config struct {
 	// static Workers x EvalWorkers split, the width of each request is
 	// decided at admission by current load: a lone evaluation on an
 	// idle server is granted up to MaxWorkers lanes, while under
-	// saturation every request degrades toward MinLanePerEval and
-	// queues once even that floor is unavailable. Running evaluations
+	// saturation every request degrades toward one lane and queues
+	// once not even that is free. Running evaluations
 	// shed revoked lanes at chunk boundaries, so a long sweep shrinks
 	// as new requests arrive. Granted widths never change results
 	// (bitwise).
 	MaxWorkers int
-	// MinLanePerEval is the admission floor (default 1): every
-	// evaluation gets at least this many lanes once admitted and is
-	// never revoked below it, bounding concurrent evaluations at
-	// MaxWorkers/MinLanePerEval with the excess queuing. The default
-	// of 1 maximizes throughput; raise it to bound how far per-request
-	// latency degrades under load.
-	MinLanePerEval int
 	// TraceRing is how many recent evaluation span trees are retained
 	// for GET /v1/evals/recent (default 64). Memory is bounded: the
 	// ring holds at most this many finished trees, each a few spans
@@ -103,12 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWorkers <= 0 {
 		c.MaxWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.MinLanePerEval <= 0 {
-		c.MinLanePerEval = 1
-	}
-	if c.MinLanePerEval > c.MaxWorkers {
-		c.MinLanePerEval = c.MaxWorkers
 	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = 64
@@ -206,7 +196,6 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	pool := kifmm.NewPool(cfg.MaxWorkers)
-	pool.SetMinGrant(cfg.MinLanePerEval)
 	s := &Service{
 		cfg:      cfg,
 		cache:    newPlanCache(cfg.CacheSize, cfg.CacheBytes),
@@ -562,8 +551,8 @@ func checkDensities(dens [][]float64, srcCount, sourceDim int) error {
 
 // evaluatePlan runs one sweep on the local engine. Admission is lease
 // acquisition: the engine leases the call's lane width from the service
-// pool, queueing — and honoring ctx — when not even MinLanePerEval lanes
-// are free (a caller that disconnects while queued never occupies a
+// pool, queueing — and honoring ctx — when not even one lane
+// is free (a caller that disconnects while queued never occupies a
 // lane). Evaluation is read-only on plan state, so concurrent calls
 // sharing a plan need no per-plan serialization.
 func (s *Service) evaluatePlan(ctx context.Context, p *plan, dens [][]float64) (EvaluateBatchResponse, error) {

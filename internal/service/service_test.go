@@ -439,6 +439,42 @@ func TestBytesBoundedEviction(t *testing.T) {
 	}
 }
 
+// TestCacheBytesCountsLivePlansOnly: fourteen one-shot evaluations over
+// distinct geometries of a non-homogeneous kernel (every plan its own
+// operators) under a byte bound of four and a half plans. An evicted
+// plan's operators leave with it, so the cache settles at four plans and
+// its total stays within the bound plus the newest plan (admitted before
+// its first evaluation builds its operators). When footprints counted
+// everything ever built for the kernel and degree, the total only grew
+// and the bound evicted live plans, down to one, for bytes nothing could
+// free.
+func TestCacheBytesCountsLivePlansOnly(t *testing.T) {
+	req := func(seed int) OneShotRequest {
+		r := cloudRequest(seed, 600)
+		r.Kernel = kernels.Spec{Name: "modlaplace", Params: map[string]float64{"lambda": 0.4567891}}
+		r.MaxPoints = 20
+		return OneShotRequest{PlanRequest: r, Densities: densitiesFor(r, 1)}
+	}
+	probe := New(Config{})
+	if _, err := probe.EvaluateOnce(bg, req(100)); err != nil {
+		t.Fatal(err)
+	}
+	one := probe.PlansBytes()
+
+	svc := New(Config{CacheBytes: one * 9 / 2})
+	for seed := 1; seed <= 14; seed++ {
+		if _, err := svc.EvaluateOnce(bg, req(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if got := svc.PlansBytes(); got > svc.cfg.CacheBytes+one*5/4 {
+			t.Errorf("after %d registrations PlansBytes = %d, want <= budget %d + the newest plan (~%d)", seed, got, svc.cfg.CacheBytes, one)
+		}
+	}
+	if got := svc.Plans(); got < 3 {
+		t.Errorf("%d plans cached after 14 registrations under a budget of 4.5 plans, want >= 3", got)
+	}
+}
+
 func TestRegisterValidation(t *testing.T) {
 	svc := New(Config{})
 	cases := []struct {

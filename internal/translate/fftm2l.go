@@ -2,10 +2,8 @@ package translate
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fft"
-	"repro/internal/kernels"
 	"repro/internal/surface"
 )
 
@@ -41,63 +39,11 @@ type FFTM2L struct {
 	// vols recycles real-valued M³ volume buffers used to embed
 	// densities (forward) and read off check potentials (inverse).
 	vols sync.Pool
-	// closed marks that this backend released its refcount on the
-	// tensor cache (Close); accounting only, the backend keeps working.
-	closed bool
-	mu     sync.Mutex
-	// tabs is this backend's lock-free view of the global tensor cache,
-	// one table per operator cache key (index key+1: unitLevel, then
-	// levels 0..63, beyond which BoxHalfWidth's shift means nothing).
-	// The V-list sweep fetches a tensor per (target, source) pair; going
-	// through tensorCache there costs a read lock every lane contends on
-	// plus a hash of an interface-carrying key.
-	tabs [65]atomic.Pointer[tensorTable]
-}
-
-// tensorTable holds the transformed kernel tensors of one cache key by
-// V-list offset, (k+3) in base 7; entries fill from tensorCache on first
-// use and never change afterwards.
-type tensorTable [7 * 7 * 7]atomic.Pointer[[][]complex128]
-
-// tensorCache shares transformed kernel tensors process-wide, mirroring
-// the operator cache in translate.go: tensors depend only on (kernel,
-// degree, box half-width, offset), so evaluator sweeps and parallel
-// ranks reuse one copy. A backend consults it once per (key, offset) and
-// serves the per-pair lookups of the V-list sweep from its own table
-// (FFTM2L.tabs); lookups here take a read lock, builds serialize on
-// tensorBuildMu, keeping the first parallel evaluation from building the
-// same tensor on every worker.
-var (
-	tensorMu      sync.RWMutex
-	tensorBuildMu sync.Mutex
-	tensorCache   = map[tensorKey][][]complex128{}
-	// tensorRefs counts the live FFTM2L backends per (kernel, degree),
-	// the granularity CachedBytes attributes at; dividing by it makes
-	// the summed footprint of plans sharing tensors count each byte
-	// once. Guarded by tensorMu.
-	tensorRefs = map[tensorRefKey]int64{}
-)
-
-// tensorRefKey groups the tensors one backend attributes: CachedBytes
-// matches on kernel and degree (all radii), so refcounts do too.
-type tensorRefKey struct {
-	kern kernels.Kernel
-	p    int
-}
-
-type tensorKey struct {
-	kern   kernels.Kernel
-	p      int
-	radius float64
-	off    [3]int
 }
 
 // NewFFTM2L prepares the FFT M2L backend for an operator set.
 func NewFFTM2L(s *Set) *FFTM2L {
 	m := fft.NextSmooth(2*s.P - 1)
-	tensorMu.Lock()
-	tensorRefs[tensorRefKey{kern: s.Kern, p: s.P}]++
-	tensorMu.Unlock()
 	f := &FFTM2L{
 		set:  s,
 		M:    m,
@@ -111,23 +57,9 @@ func NewFFTM2L(s *Set) *FFTM2L {
 	return f
 }
 
-// Close releases this backend's claim on the process-global tensor
-// cache for footprint accounting; the tensors stay cached and the
-// backend keeps working. Idempotent.
-func (f *FFTM2L) Close() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	f.closed = true
-	tensorMu.Lock()
-	k := tensorRefKey{kern: f.set.Kern, p: f.set.P}
-	if tensorRefs[k] > 0 {
-		tensorRefs[k]--
-	}
-	tensorMu.Unlock()
-}
+// Close does nothing: the tensors live in the entries of the backend's
+// Set and leave with Set.Close.
+func (f *FFTM2L) Close() {}
 
 // GridLen returns the number of stored Fourier coefficients per grid
 // component: the half-spectrum length M·M·(M/2+1).
@@ -243,51 +175,22 @@ func (f *FFTM2L) ExtractGrids(acc []complex128, level int, check []float64) {
 }
 
 // tensor returns the forward-transformed kernel translation tensor for
-// cache key and offset k: one atomic load once this backend has seen the
-// pair, the shared cache (building if needed) the first time and for
-// offsets outside the V-list range.
+// operator key and offset k from the set's entry, building it on first
+// use.
 func (f *FFTM2L) tensor(key int, k [3]int) [][]complex128 {
-	x, y, z := uint(k[0]+3), uint(k[1]+3), uint(k[2]+3)
-	if x >= 7 || y >= 7 || z >= 7 {
-		return f.sharedTensor(key, k)
-	}
-	tab := f.tabs[key+1].Load()
-	if tab == nil {
-		f.tabs[key+1].CompareAndSwap(nil, new(tensorTable))
-		tab = f.tabs[key+1].Load()
-	}
-	slot := &tab[(x*7+y)*7+z]
+	e := f.set.entry(key)
+	slot := e.tensors.slot(k)
 	if t := slot.Load(); t != nil {
 		return *t
 	}
-	t := f.sharedTensor(key, k)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if t := slot.Load(); t != nil {
+		return *t
+	}
+	t := f.buildTensor(e.key.radius, k)
 	slot.Store(&t)
-	return t
-}
-
-// sharedTensor returns (building if needed) the tensor from the
-// process-wide cache.
-func (f *FFTM2L) sharedTensor(key int, k [3]int) [][]complex128 {
-	r := f.set.geomRadius(key)
-	tk := tensorKey{kern: f.set.Kern, p: f.set.P, radius: r, off: k}
-	tensorMu.RLock()
-	t, ok := tensorCache[tk]
-	tensorMu.RUnlock()
-	if ok {
-		return t
-	}
-	tensorBuildMu.Lock()
-	defer tensorBuildMu.Unlock()
-	tensorMu.RLock()
-	t, ok = tensorCache[tk]
-	tensorMu.RUnlock()
-	if ok {
-		return t
-	}
-	t = f.buildTensor(r, k)
-	tensorMu.Lock()
-	tensorCache[tk] = t
-	tensorMu.Unlock()
+	e.tensorBytes.Add(int64(len(t)) * int64(f.GridLen()) * 16)
 	return t
 }
 
@@ -330,29 +233,11 @@ func (f *FFTM2L) buildTensor(r float64, k [3]int) [][]complex128 {
 	return t
 }
 
-// CachedBytes estimates this backend's share of the transformed kernel
-// tensors cached for its kernel and degree. The cache is process-global
-// and the bytes are divided by the number of live backends over the
-// same kernel/degree, so the summed footprint of plans sharing tensors
-// counts each byte once; a backend surviving past Close falls back to
-// full attribution (conservative, never under-counting).
-func (f *FFTM2L) CachedBytes() int64 {
-	tensorMu.RLock()
-	defer tensorMu.RUnlock()
-	var b int64
-	for tk, t := range tensorCache {
-		if tk.kern != f.set.Kern || tk.p != f.set.P {
-			continue
-		}
-		for _, g := range t {
-			b += int64(len(g)) * 16
-		}
-	}
-	if refs := tensorRefs[tensorRefKey{kern: f.set.Kern, p: f.set.P}]; refs > 1 {
-		b /= refs
-	}
-	return b
-}
+// CachedBytes estimates this backend's share of the kernel tensors its
+// set's entries hold, divided like Set.CachedBytes. (A dense-backend plan
+// holding the same entries reports no tensor share, so plans of both
+// backends over one kernel and degree sum to less than the whole.)
+func (f *FFTM2L) CachedBytes() int64 { return f.set.share(true) }
 
 func wrap(d, m int) int {
 	d %= m

@@ -16,7 +16,15 @@
 // operators are built once at unit scale and rescaled analytically, since
 // G(s·x, s·y) = s^deg · G(x, y) makes every level's operator an exact
 // multiple of the unit one; non-homogeneous kernels (modified Laplace)
-// get per-level caches.
+// get one set of operators per level.
+//
+// Operators live in one process-wide store (store.go): one refcounted
+// entry per (kernel, degree, truncation, box half-width) holds the dense
+// operators and the FFT tensors of that box size. A Set holds the entries
+// it uses until Set.Close; an entry nobody holds leaves the store once it
+// falls out of a fixed retention (retainBytes, the most recently released
+// entry always kept), so closing the last plan over a geometry really
+// frees its operators.
 package translate
 
 import (
@@ -39,8 +47,10 @@ type Op struct {
 // Apply accumulates dst += Scale * M * x.
 func (o Op) Apply(dst, x []float64) { o.M.MatVecAddScaled(dst, x, o.Scale) }
 
-// Set caches every translation operator for one kernel, surface degree
-// and root box size. It is safe for concurrent use.
+// Set is one plan's view of the operator store for a kernel, surface
+// degree, truncation and root box size: it maps the entry of each level
+// it touches once, holds it until Close, and finds it afterwards with one
+// atomic load. It is safe for concurrent use.
 type Set struct {
 	Kern kernels.Kernel
 	Surf *surface.Surface
@@ -54,52 +64,22 @@ type Set struct {
 	homogeneous bool
 	homDeg      float64
 
+	// ents holds the mapped entries, one per operator key (index key+1:
+	// unitLevel, then levels 0..63, beyond which BoxHalfWidth's shift
+	// means nothing).
+	ents [65]atomic.Pointer[entry]
+	// mu serializes mapping an entry against Close.
 	mu     sync.Mutex
-	levels map[int]*levelOps
-	// closed marks that this set released its refcounts on the global
-	// caches (Close); entries mapped afterwards are not re-counted.
 	closed bool
 }
 
-type levelOps struct {
-	// refs counts the live Sets holding this entry, so footprint
-	// estimates can attribute the shared bytes once across plans
-	// (CachedBytes divides by it). Incremented under globalMu when a
-	// Set first maps the entry, decremented by Set.Close.
-	refs atomic.Int64
-
-	mu       sync.Mutex
-	pinvUp   *linalg.Dense // UC check potential -> UE equivalent density
-	pinvDown *linalg.Dense // DC check potential -> DE equivalent density
-	m2m      [8]*linalg.Dense
-	l2l      [8]*linalg.Dense
-	m2l      map[[3]int]*linalg.Dense
-}
-
-// globalCache shares level operator sets across all Sets in the process,
-// keyed by (kernel, degree, truncation, box half-width). The expensive
-// pseudo-inverse factorizations are therefore computed once per geometry
-// no matter how many evaluators a benchmark sweep creates. All built-in
-// kernels are comparable value types, so they key a map directly.
-var (
-	globalMu    sync.Mutex
-	globalCache = map[globalKey]*levelOps{}
-)
-
-type globalKey struct {
-	kern   kernels.Kernel
-	p      int
-	tol    float64
-	radius float64
-}
-
-// unitLevel is the cache key used for homogeneous kernels, whose single
-// operator set is built for a box of half-width 1.
+// unitLevel is the operator key of homogeneous kernels, whose single
+// entry is built for a box of half-width 1.
 const unitLevel = -1
 
-// NewSet prepares an operator cache. p is the surface degree (>= 3),
-// rootHalfWidth the level-0 box half-width, tol the pseudo-inverse
-// truncation (1e-10 is a good default).
+// NewSet prepares a view of the operator store. p is the surface degree
+// (>= 3), rootHalfWidth the level-0 box half-width, tol the
+// pseudo-inverse truncation (1e-10 is a good default).
 func NewSet(k kernels.Kernel, p int, rootHalfWidth, tol float64) (*Set, error) {
 	surf, err := surface.New(p)
 	if err != nil {
@@ -114,7 +94,6 @@ func NewSet(k kernels.Kernel, p int, rootHalfWidth, tol float64) (*Set, error) {
 	s := &Set{
 		Kern: k, Surf: surf, P: p,
 		RootHalfWidth: rootHalfWidth, Tol: tol,
-		levels: make(map[int]*levelOps),
 	}
 	s.homogeneous, s.homDeg = k.Homogeneity()
 	return s, nil
@@ -173,31 +152,31 @@ func abs(n int) int {
 	return n
 }
 
-func (s *Set) level(key int) *levelOps {
+// entry returns the operators for key, mapping (and holding) the store's
+// entry the first time.
+func (s *Set) entry(key int) *entry {
+	if e := s.ents[key+1].Load(); e != nil {
+		return e
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, ok := s.levels[key]
-	if !ok {
-		gk := globalKey{kern: s.Kern, p: s.P, tol: s.Tol, radius: s.geomRadius(key)}
-		globalMu.Lock()
-		l, ok = globalCache[gk]
-		if !ok {
-			l = &levelOps{m2l: make(map[[3]int]*linalg.Dense)}
-			globalCache[gk] = l
+	e := s.ents[key+1].Load()
+	if e == nil {
+		r := 1.0
+		if key != unitLevel {
+			r = s.BoxHalfWidth(key)
 		}
-		if !s.closed {
-			l.refs.Add(1)
-		}
-		globalMu.Unlock()
-		s.levels[key] = l
+		e = acquire(storeKey{kern: s.Kern, p: s.P, tol: s.Tol, radius: r}, !s.closed)
+		s.ents[key+1].Store(e)
 	}
-	return l
+	return e
 }
 
-// Close releases this set's claim on the process-global operator cache
-// for footprint accounting. The cache keeps its entries — a closed set
-// keeps working (evicted plans finish in-flight evaluations); only the
-// byte attribution shifts to the sets still open. Close is idempotent.
+// Close gives up this set's hold on its entries: operators no other set
+// holds leave the store (and the heap) once they fall out of its small
+// retention. A closed set keeps working — an evicted plan finishes its
+// in-flight evaluations on the entries it mapped, and builds privately
+// whatever it had not. Close is idempotent.
 func (s *Set) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,61 +184,48 @@ func (s *Set) Close() {
 		return
 	}
 	s.closed = true
-	for _, l := range s.levels {
-		l.refs.Add(-1)
+	var held []*entry
+	for i := range s.ents {
+		if e := s.ents[i].Load(); e != nil {
+			held = append(held, e)
+		}
 	}
+	release(held)
 }
 
-// geomRadius returns the box half-width the cached operators for cache
-// key are built with (1 for the homogeneous unit cache).
-func (s *Set) geomRadius(key int) float64 {
-	if key == unitLevel {
-		return 1
-	}
-	return s.BoxHalfWidth(key)
-}
-
-// denseBytes returns the data size of a cached operator (nil-safe).
-func denseBytes(m *linalg.Dense) int64 {
-	if m == nil {
-		return 0
-	}
-	return int64(m.Rows) * int64(m.Cols) * 8
-}
-
-// CachedBytes estimates this set's share of the cached translation
-// operators. Level operator sets are shared process-wide; each entry's
-// bytes are divided by its refcount (the number of live sets holding
-// it), so summing CachedBytes across all live plans attributes every
-// shared byte exactly once instead of once per plan. A set that mapped
-// an entry after Close (or a racing release) falls back to full
-// attribution — conservative, never under-counting.
-func (s *Set) CachedBytes() int64 {
-	s.mu.Lock()
-	levels := make([]*levelOps, 0, len(s.levels))
-	for _, l := range s.levels {
-		levels = append(levels, l) //lint:allow determinism integer byte totals are exact and order-independent
-	}
-	s.mu.Unlock()
+// share sums, over the entries this set mapped, each entry's dense or
+// tensor bytes divided by its holders.
+func (s *Set) share(tensors bool) int64 {
 	var b int64
-	for _, l := range levels {
-		var lb int64
-		l.mu.Lock()
-		lb += denseBytes(l.pinvUp) + denseBytes(l.pinvDown)
-		for o := 0; o < 8; o++ {
-			lb += denseBytes(l.m2m[o]) + denseBytes(l.l2l[o])
+	for i := range s.ents {
+		e := s.ents[i].Load()
+		if e == nil {
+			continue
 		}
-		for _, m := range l.m2l {
-			lb += denseBytes(m)
+		n := e.denseBytes.Load()
+		if tensors {
+			n = e.tensorBytes.Load()
 		}
-		l.mu.Unlock()
-		refs := l.refs.Load()
-		if refs < 1 {
-			refs = 1
-		}
-		b += lb / refs
+		b += n / max(e.holders.Load(), 1)
 	}
 	return b
+}
+
+// CachedBytes estimates this set's share of the dense operators it uses:
+// each mapped entry's bytes divided by the number of open sets holding
+// it, so summing over all live plans counts every shared byte once.
+// (FFTM2L.CachedBytes is the same sum over the FFT tensors.)
+func (s *Set) CachedBytes() int64 { return s.share(false) }
+
+// dense returns *slot, an operator of e, building it on first use.
+func (e *entry) dense(slot **linalg.Dense, build func(r float64) *linalg.Dense) *linalg.Dense {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if *slot == nil {
+		*slot = build(e.key.radius)
+		e.denseBytes.Add(int64(len((*slot).Data)) * 8)
+	}
+	return *slot
 }
 
 // kernelMatrix builds the dense interaction matrix from the source
@@ -277,30 +243,24 @@ func (s *Set) kernelMatrix(ct [3]float64, rt float64, cs [3]float64, rs float64)
 // box at the given level.
 func (s *Set) UpwardPinv(level int) Op {
 	key, _, pscale := s.scaleFor(level)
-	l := s.level(key)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.pinvUp == nil {
-		r := s.geomRadius(key)
+	e := s.entry(key)
+	m := e.dense(&e.pinvUp, func(r float64) *linalg.Dense {
 		m := s.kernelMatrix([3]float64{}, surface.CheckRadius(r), [3]float64{}, surface.EquivRadius(s.P, r))
-		l.pinvUp = linalg.PseudoInverse(m, s.Tol)
-	}
-	return Op{M: l.pinvUp, Scale: pscale}
+		return linalg.PseudoInverse(m, s.Tol)
+	})
+	return Op{M: m, Scale: pscale}
 }
 
 // DownwardPinv returns the operator that turns a downward check potential
 // (on DC) into the downward equivalent density (on DE).
 func (s *Set) DownwardPinv(level int) Op {
 	key, _, pscale := s.scaleFor(level)
-	l := s.level(key)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.pinvDown == nil {
-		r := s.geomRadius(key)
+	e := s.entry(key)
+	m := e.dense(&e.pinvDown, func(r float64) *linalg.Dense {
 		m := s.kernelMatrix([3]float64{}, surface.EquivRadius(s.P, r), [3]float64{}, surface.CheckRadius(r))
-		l.pinvDown = linalg.PseudoInverse(m, s.Tol)
-	}
-	return Op{M: l.pinvDown, Scale: pscale}
+		return linalg.PseudoInverse(m, s.Tol)
+	})
+	return Op{M: m, Scale: pscale}
 }
 
 // childCenter returns the center of child octant o for a parent of
@@ -322,18 +282,14 @@ func childCenter(o int, r float64) [3]float64 {
 // surface. The caller then applies UpwardPinv(parentLevel).
 func (s *Set) M2M(parentLevel, octant int) Op {
 	key, escale, _ := s.scaleFor(parentLevel)
-	l := s.level(key)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.m2m[octant] == nil {
-		r := s.geomRadius(key)
-		cc := childCenter(octant, r)
-		l.m2m[octant] = s.kernelMatrix(
+	e := s.entry(key)
+	m := e.dense(&e.m2m[octant], func(r float64) *linalg.Dense {
+		return s.kernelMatrix(
 			[3]float64{}, surface.CheckRadius(r),
-			cc, surface.EquivRadius(s.P, r/2),
+			childCenter(octant, r), surface.EquivRadius(s.P, r/2),
 		)
-	}
-	return Op{M: l.m2m[octant], Scale: escale}
+	})
+	return Op{M: m, Scale: escale}
 }
 
 // L2L returns the operator evaluating the parent's downward equivalent
@@ -342,18 +298,14 @@ func (s *Set) M2M(parentLevel, octant int) Op {
 // after accumulating all downward check contributions.
 func (s *Set) L2L(parentLevel, octant int) Op {
 	key, escale, _ := s.scaleFor(parentLevel)
-	l := s.level(key)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.l2l[octant] == nil {
-		r := s.geomRadius(key)
-		cc := childCenter(octant, r)
-		l.l2l[octant] = s.kernelMatrix(
-			cc, surface.EquivRadius(s.P, r/2),
+	e := s.entry(key)
+	m := e.dense(&e.l2l[octant], func(r float64) *linalg.Dense {
+		return s.kernelMatrix(
+			childCenter(octant, r), surface.EquivRadius(s.P, r/2),
 			[3]float64{}, surface.CheckRadius(r),
 		)
-	}
-	return Op{M: l.l2l[octant], Scale: escale}
+	})
+	return Op{M: m, Scale: escale}
 }
 
 // M2LDirect returns the dense operator evaluating a source box's upward
@@ -363,16 +315,20 @@ func (s *Set) L2L(parentLevel, octant int) Op {
 // Offsets must be V-list offsets: max |k| component in {2, 3}.
 func (s *Set) M2LDirect(level int, k [3]int) Op {
 	key, escale, _ := s.scaleFor(level)
-	l := s.level(key)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	m, ok := l.m2l[k]
-	if !ok {
-		r := s.geomRadius(key)
-		ct := [3]float64{2 * r * float64(k[0]), 2 * r * float64(k[1]), 2 * r * float64(k[2])}
-		re := surface.EquivRadius(s.P, r)
-		m = s.kernelMatrix(ct, re, [3]float64{}, re)
-		l.m2l[k] = m
+	e := s.entry(key)
+	slot := e.m2l.slot(k)
+	m := slot.Load()
+	if m == nil {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if m = slot.Load(); m == nil {
+			r := e.key.radius
+			ct := [3]float64{2 * r * float64(k[0]), 2 * r * float64(k[1]), 2 * r * float64(k[2])}
+			re := surface.EquivRadius(s.P, r)
+			m = s.kernelMatrix(ct, re, [3]float64{}, re)
+			slot.Store(m)
+			e.denseBytes.Add(int64(len(m.Data)) * 8)
+		}
 	}
 	return Op{M: m, Scale: escale}
 }

@@ -338,7 +338,7 @@ func TestFFTM2LHalfSpectrumMatchesFullSpectrum(t *testing.T) {
 		p, m := s.P, f.M
 		plan3 := fft.NewPlan3(m, m, m)
 		key, escale, _ := s.scaleFor(level)
-		h := surface.Spacing(p, s.geomRadius(key))
+		h := surface.Spacing(p, s.entry(key).key.radius)
 		tensor := make([][]complex128, td*sd)
 		for c := range tensor {
 			tensor[c] = make([]complex128, m*m*m)

@@ -176,7 +176,8 @@ func NewEvaluatorCtx(ctx context.Context, src, trg []float64, opt Options) (*Eva
 // and work-chunk claim, so a cancellation or deadline aborts the
 // evaluation within one pass; the returned error then satisfies
 // errors.Is against both ErrCanceled (or ErrDeadlineExceeded) and the
-// matching context sentinel. Stats() reports the call's stage breakdown.
+// matching context sentinel. EvaluateBatchTracedCtx also returns the
+// call's stage breakdown.
 func (e *Evaluator) EvaluateCtx(ctx context.Context, den []float64) ([]float64, error) {
 	pots, _, err := e.inner.Evaluate(ctx, [][]float64{den}, nil, nil)
 	if err != nil {
@@ -197,8 +198,7 @@ func (e *Evaluator) EvaluateBatchCtx(ctx context.Context, dens [][]float64) ([][
 }
 
 // EvaluateBatchTracedCtx is EvaluateBatchCtx returning this call's own
-// stage breakdown (concurrent callers do not race on Stats()) plus a
-// wall-clock trace: the span tree records the evaluation (root), each
+// stage breakdown plus a wall-clock trace: the span tree records the evaluation (root), each
 // pass (permute/up/down/leaf/unpermute) and each tree level within the
 // up and down passes. Pass spans are wall time of the parallel sweep,
 // while Stats stages sum compute time across lanes — they agree only at
@@ -213,27 +213,25 @@ func (e *Evaluator) EvaluateBatchTracedCtx(ctx context.Context, dens [][]float64
 	return pots, st, root, nil
 }
 
-// Stats returns the per-stage timing and flop breakdown of the most
-// recently completed evaluation.
-func (e *Evaluator) Stats() fmm.Stats { return e.inner.Stats() }
-
 // Workers returns the width ceiling of one evaluation (the widest lane
-// lease a call can be granted); Stats().Lanes reports what a specific
-// call actually got.
+// lease a call can be granted); the Stats.Lanes a call returns reports
+// what it actually got.
 func (e *Evaluator) Workers() int { return e.inner.Workers() }
 
 // FootprintBytes estimates the resident memory of the prepared plan:
-// the octree plus this plan's share of the process-global operator
-// caches (shared operators are refcounted, so summing FootprintBytes
-// over live plans counts each byte once). The evaluation service uses
-// it for byte-bounded plan caching.
+// the octree plus this plan's share of the operators it uses (operators
+// are shared between plans over the same kernel, degree and box size and
+// divided by the number of open plans holding them, so summing
+// FootprintBytes over live plans counts each byte once). The evaluation
+// service uses it for byte-bounded plan caching.
 func (e *Evaluator) FootprintBytes() int64 { return e.inner.FootprintBytes() }
 
-// Close releases the plan's claim on the shared operator caches for
-// footprint accounting. The evaluator remains usable afterwards —
-// Close only moves shared-byte attribution to the plans still open.
-// Call it when discarding an evaluator whose footprint should no longer
-// count (e.g. on cache eviction); idempotent.
+// Close gives up the plan's hold on its translation operators: those no
+// other open plan uses are freed, apart from a small fixed retention that
+// keeps the most recently released ones warm for the next plan. Call it
+// when discarding an evaluator (e.g. on cache eviction); an evaluator
+// never closed pins its operators for the life of the process. The
+// evaluator remains usable afterwards. Idempotent.
 func (e *Evaluator) Close() { e.inner.Close() }
 
 // Boxes returns the number of octree boxes (diagnostics).

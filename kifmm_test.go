@@ -14,7 +14,7 @@ func TestPublicAPISequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pot, err := ev.EvaluateCtx(context.Background(), den)
+	pots, st, _, err := ev.EvaluateBatchTracedCtx(context.Background(), [][]float64{den})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,13 +22,13 @@ func TestPublicAPISequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := rel(pot, want); e > 2e-3 {
+	if e := rel(pots[0], want); e > 2e-3 {
 		t.Errorf("public API error %v", e)
 	}
 	if ev.Boxes() <= 1 || ev.Depth() < 2 {
 		t.Errorf("implausible tree: %d boxes depth %d", ev.Boxes(), ev.Depth())
 	}
-	if ev.Stats().Total() <= 0 {
+	if st.Total() <= 0 {
 		t.Error("stats not recorded")
 	}
 }

@@ -12,11 +12,10 @@ import (
 // every evaluator constructed with it (Options.Pool). Each evaluation
 // leases its width from the pool at call time: a lone call on an idle
 // pool fans out up to min(Options.Workers, MaxWorkers) lanes, while
-// under concurrent load every call degrades toward the admission floor
-// (SetMinGrant), shedding lanes mid-run as competitors arrive and
-// growing back at pass boundaries as they finish. Admission itself is
-// the concurrency gate: a call that cannot get its floor queues,
-// honoring its context.
+// under concurrent load every call degrades toward one lane, shedding
+// lanes mid-run as competitors arrive and growing back as they finish.
+// Admission itself is the concurrency gate: a call that cannot get a
+// lane queues, honoring its context.
 //
 // Widths are pure scheduling: results are bitwise identical across
 // every granted width, including mid-run shrinks, so sharing a pool
@@ -55,14 +54,6 @@ func (p *Pool) elastic() *exec.Elastic {
 	return p.e
 }
 
-// SetMinGrant sets the admission floor: every evaluation is granted at
-// least min lanes (clamped to [1, MaxWorkers]) once admitted, and is
-// never revoked below it — so at most MaxWorkers/min evaluations run
-// concurrently and the rest queue. The default floor of 1 maximizes
-// concurrency; raising it bounds how far per-call latency degrades
-// under load.
-func (p *Pool) SetMinGrant(min int) { p.e.SetMinGrant(min) }
-
 // MaxWorkers returns the pool's lane capacity.
 func (p *Pool) MaxWorkers() int { return p.e.Cap() }
 
@@ -90,10 +81,10 @@ func (p *Pool) SetAcquireObserver(fn func(wait time.Duration, granted int)) {
 // work an embedder schedules alongside evaluations — e.g. the
 // evaluation service admits plan builds through the same pool so a
 // burst of registrations cannot saturate the machine. The call blocks,
-// honoring ctx, until the pool can grant at least the admission floor.
-// The returned lease must be Released; a lease held across long
-// stretches of work should call Sync periodically, otherwise lanes the
-// pool revokes toward other callers stay stuck with it until Release.
+// honoring ctx, until the pool can grant one lane. The returned lease
+// must be Released; lanes the pool revokes from it toward other callers
+// come back only then, so keep such leases narrow (the service's build
+// lease is one lane, which is never revoked).
 func (p *Pool) Acquire(ctx context.Context, want int) (*Lease, error) {
 	l, err := p.e.Acquire(ctx, want)
 	if err != nil {
@@ -114,13 +105,6 @@ func (l *Lease) Granted() int { return l.l.Granted() }
 // Width returns the current width (it shrinks when the pool revokes
 // lanes toward other callers).
 func (l *Lease) Width() int { return l.l.Width() }
-
-// Sync settles the lease against current pool load: lanes revoked
-// since the last Sync are returned to the pool immediately, and on a
-// drained pool the lease grows back toward its fair share. Call it at
-// natural checkpoints of long-running embedder work — a revoked lane
-// is otherwise only returned at Release. Returns the settled width.
-func (l *Lease) Sync() int { return l.l.Sync() }
 
 // Release returns the lanes to the pool. Idempotent.
 func (l *Lease) Release() { l.l.Release() }
