@@ -53,7 +53,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"time"
 
 	kifmm "repro"
 	"repro/internal/errs"
@@ -144,12 +143,11 @@ func (e *APIError) Unwrap() error {
 // Client talks to one kifmm-serve instance. It is safe for concurrent
 // use.
 type Client struct {
-	base         string
-	hc           *http.Client
-	retry        *RetryPolicy
-	binary       bool
-	chunkWords   int
-	chunkTimeout time.Duration
+	base       string
+	hc         *http.Client
+	retry      *RetryPolicy
+	binary     bool
+	chunkWords int
 }
 
 // Option customizes a Client.
@@ -175,14 +173,6 @@ func WithBinary() Option {
 // chunk (default 1<<20 words, 8 MiB).
 func WithChunkWords(n int) Option {
 	return func(c *Client) { c.chunkWords = n }
-}
-
-// WithChunkTimeout bounds each individual upload chunk request; a
-// chunk that times out is retried from the server-reported committed
-// offset rather than failing the whole transfer (default: bounded only
-// by the caller's context).
-func WithChunkTimeout(d time.Duration) Option {
-	return func(c *Client) { c.chunkTimeout = d }
 }
 
 // New returns a client for the server at base (e.g.
@@ -212,14 +202,9 @@ func (c *Client) RegisterPlan(ctx context.Context, req PlanRequest) (PlanInfo, e
 	if err != nil {
 		return info, err
 	}
-	attempt := func(ctx context.Context) error {
+	err = c.withRetry(ctx, func(ctx context.Context) error {
 		return c.postRaw(ctx, "/v1/plans", body, ct, &info)
-	}
-	if c.retry != nil {
-		err = c.withRetry(ctx, attempt)
-	} else {
-		err = attempt(ctx)
-	}
+	})
 	return info, err
 }
 
@@ -305,7 +290,7 @@ func (c *Client) evaluate(ctx context.Context, shape service.Shape, path string,
 	if c.retry != nil {
 		key = newIdempotencyKey()
 	}
-	attempt := func(ctx context.Context) error {
+	err = c.withRetry(ctx, func(ctx context.Context) error {
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 		if err != nil {
 			return err
@@ -320,12 +305,7 @@ func (c *Client) evaluate(ctx context.Context, shape service.Shape, path string,
 			resp, err = service.DecodeResponse(service.IsFrame(r.Header.Get("Content-Type")), shape, r.Body)
 			return err
 		})
-	}
-	if c.retry == nil {
-		err = attempt(ctx)
-	} else {
-		err = c.withRetry(ctx, attempt)
-	}
+	})
 	if err != nil {
 		return service.EvaluateBatchResponse{}, err
 	}
@@ -346,8 +326,8 @@ func newIdempotencyKey() string {
 // UploadArray streams data into a server-side chunked upload and
 // returns the upload id to reference as src_upload/trg_upload in a
 // plan registration. Chunks are bounded (WithChunkWords), individually
-// timed out (WithChunkTimeout), and on a retryable failure the
-// transfer resumes from the server-reported committed prefix — a chunk
+// timed out (RetryPolicy.PerAttemptTimeout), and on a retryable failure
+// the transfer resumes from the server-reported committed prefix — a chunk
 // whose response was lost in flight is never double-counted because
 // appends are idempotent on the committed range.
 func (c *Client) UploadArray(ctx context.Context, data []float64) (string, error) {
@@ -394,18 +374,15 @@ func (c *Client) UploadArray(ctx context.Context, data []float64) (string, error
 // 8 MiB on the wire.
 const defaultChunkWords = 1 << 20
 
-// uploadChunk sends one chunk under the per-chunk timeout and returns
+// uploadChunk sends one chunk under the per-attempt timeout and returns
 // the server's committed word count.
 func (c *Client) uploadChunk(ctx context.Context, id string, off int, chunk []float64) (int, error) {
-	cctx, cancel := ctx, context.CancelFunc(func() {})
-	if c.chunkTimeout > 0 {
-		cctx, cancel = context.WithTimeout(ctx, c.chunkTimeout)
-	}
+	ctx, cancel := c.attemptContext(ctx)
 	defer cancel()
 	var st UploadStatus
 	body, ct, err := service.EncodeRequest(true, service.ShapeChunk, service.Request{Offset: uint64(off), Vectors: [][]float64{chunk}})
 	if err == nil {
-		err = c.postRaw(cctx, "/v1/uploads/"+url.PathEscape(id), body, ct, &st)
+		err = c.postRaw(ctx, "/v1/uploads/"+url.PathEscape(id), body, ct, &st)
 	}
 	return st.ReceivedWords, err
 }
@@ -528,19 +505,14 @@ func (c *Client) postRaw(ctx context.Context, path string, body []byte, contentT
 }
 
 func (c *Client) get(ctx context.Context, path string, out any) error {
-	if c.retry != nil {
-		return c.getRetry(ctx, path, out)
-	}
-	return c.getOnce(ctx, path, out)
-}
-
-func (c *Client) getOnce(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Traceparent", traceparent(ctx))
-	return c.do(req, out)
+	return c.withRetry(ctx, func(ctx context.Context) error {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+		if err != nil {
+			return err
+		}
+		req.Header.Set("Traceparent", traceparent(ctx))
+		return c.do(req, out)
+	})
 }
 
 func (c *Client) do(req *http.Request, out any) error {

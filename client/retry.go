@@ -94,11 +94,23 @@ func retryable(err error) bool {
 	return true
 }
 
+// attemptContext bounds one attempt by the policy's PerAttemptTimeout,
+// when there is one.
+func (c *Client) attemptContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.retry != nil && c.retry.PerAttemptTimeout > 0 {
+		return context.WithTimeout(ctx, c.retry.PerAttemptTimeout)
+	}
+	return ctx, func() {}
+}
+
 // withRetry runs attempt under the client's retry policy: exponential
 // backoff with equal jitter between tries, an optional per-attempt
 // timeout, and an immediate stop when the error is final or the
-// caller's own context ends.
+// caller's own context ends. Without a policy it is one plain attempt.
 func (c *Client) withRetry(ctx context.Context, attempt func(ctx context.Context) error) error {
+	if c.retry == nil {
+		return attempt(ctx)
+	}
 	p := *c.retry
 	delay := p.BaseDelay
 	var err error
@@ -116,10 +128,7 @@ func (c *Client) withRetry(ctx context.Context, attempt func(ctx context.Context
 				delay = p.MaxDelay
 			}
 		}
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if p.PerAttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.PerAttemptTimeout)
-		}
+		actx, cancel := c.attemptContext(ctx)
 		err = attempt(actx)
 		cancel()
 		if err == nil || !retryable(err) {
@@ -133,11 +142,4 @@ func (c *Client) withRetry(ctx context.Context, attempt func(ctx context.Context
 		}
 	}
 	return err
-}
-
-// getRetry runs one GET under the retry policy.
-func (c *Client) getRetry(ctx context.Context, path string, out any) error {
-	return c.withRetry(ctx, func(ctx context.Context) error {
-		return c.getOnce(ctx, path, out)
-	})
 }

@@ -51,7 +51,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	hdr := &jobHeader{
 		Job: 7, Size: 4, RankLo: 2, RankHi: 4,
 		Peers:  []rankRange{{Addr: "a:1", Lo: 0, Hi: 2}, {Addr: "b:2", Lo: 2, Hi: 4}},
-		Kernel: kernels.Spec{Name: "laplace"}, Degree: 6, MaxPoints: 60, PinvTol: 1e-10, Trace: true,
+		Kernel: kernels.Spec{Name: "laplace"}, Degree: 6, MaxPoints: 60, PinvTol: 1e-10,
 	}
 	inputs := []*parfmm.RankInput{
 		{Pts: []float64{1, 2, 3}, Den: []float64{0.5}, GlobalIdx: []int32{9}},

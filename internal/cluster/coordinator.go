@@ -23,9 +23,6 @@ type CoordinatorConfig struct {
 	// Heartbeat is the expected worker heartbeat interval (default 2s).
 	// A worker silent for two intervals is declared lost.
 	Heartbeat time.Duration
-	// MaxRanksPerWorker caps how many ranks one worker hosts per job
-	// (0 = the worker's advertised lane count).
-	MaxRanksPerWorker int
 	// Logger receives lifecycle events; nil discards them.
 	Logger *slog.Logger
 }
@@ -33,7 +30,6 @@ type CoordinatorConfig struct {
 // workerConn is the coordinator's view of one joined worker.
 type workerConn struct {
 	id       int64
-	name     string
 	addr     string // mesh address
 	lanes    int
 	fc       *framedConn
@@ -206,7 +202,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 
-	wc := &workerConn{name: hello.Name, addr: hello.PeerAddr, lanes: hello.Lanes, fc: fc}
+	wc := &workerConn{addr: hello.PeerAddr, lanes: hello.Lanes, fc: fc}
 	wc.beat()
 	c.mu.Lock()
 	if c.closed {
@@ -224,7 +220,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		c.dropWorker(wc, err)
 		return
 	}
-	c.log.Info("cluster worker joined", "worker_id", wc.id, "name", wc.name, "mesh_addr", wc.addr, "lanes", wc.lanes)
+	c.log.Info("cluster worker joined", "worker_id", wc.id, "mesh_addr", wc.addr, "lanes", wc.lanes)
 
 	for {
 		ft, payload, err := fc.readFrame()
@@ -304,10 +300,10 @@ func (c *Coordinator) dropWorker(wc *workerConn, cause error) {
 	if !closed && !wc.drained.Load() {
 		// A drained worker disconnecting is a graceful exit, not a loss.
 		c.lost.Add(1)
-		c.log.Warn("cluster worker lost", "worker_id", wc.id, "name", wc.name, "cause", cause)
+		c.log.Warn("cluster worker lost", "worker_id", wc.id, "mesh_addr", wc.addr, "cause", cause)
 	}
 	for _, j := range victims {
-		err := errs.Newf(errs.CodeWorkerLost, "kifmm: worker %d (%s) lost during evaluation: %v", wc.id, wc.name, cause)
+		err := errs.Newf(errs.CodeWorkerLost, "kifmm: worker %d (%s) lost during evaluation: %v", wc.id, wc.addr, cause)
 		c.abortJob(j, err, wc)
 		j.finish(err)
 	}
@@ -497,7 +493,8 @@ type EvalReport struct {
 	ScatterBytes int64
 	GatherBytes  int64
 	// Timeline is the merged per-rank timeline from the real-transport
-	// ledger — the same shape the simulated runs produce.
+	// ledger — the same shape the simulated runs produce, on the wall
+	// clock: each rank's tree opens when its worker started the job.
 	Timeline *obs.Timeline
 	Wall     time.Duration
 }
@@ -535,9 +532,6 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 			continue
 		}
 		r := wc.lanes
-		if c.cfg.MaxRanksPerWorker > 0 && r > c.cfg.MaxRanksPerWorker {
-			r = c.cfg.MaxRanksPerWorker
-		}
 		if size+r > n {
 			r = n - size
 		}
@@ -584,9 +578,6 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 			Job: job.id, Size: size, RankLo: p.lo, RankHi: p.hi, Peers: peers,
 			Kernel: req.Kernel, Degree: req.Degree, MaxPoints: req.MaxPoints,
 			MaxDepth: req.MaxDepth, Backend: req.Backend, PinvTol: req.PinvTol,
-			// Always trace: the ledger is cheap at cluster scale and
-			// feeds the per-pass wire metrics and /v1 trace surfaces.
-			Trace: true,
 		}
 		payload, err := encodeJobStart(hdr, job.inputs[p.lo:p.hi])
 		if err != nil {
@@ -665,13 +656,13 @@ func (c *Coordinator) observePasses(tl *obs.Timeline) {
 	if fn == nil {
 		return
 	}
-	var walk func(s *obs.VSpan)
-	walk = func(s *obs.VSpan) {
-		if s == nil {
+	var walk func(s *obs.Span)
+	walk = func(s *obs.Span) {
+		if s == nil { // the tree came off the wire
 			return
 		}
 		if commPasses[s.Name] {
-			fn(s.Name, (s.End - s.Start).Seconds())
+			fn(s.Name, s.Duration.Seconds())
 		}
 		for _, ch := range s.Children {
 			walk(ch)

@@ -11,7 +11,6 @@ import (
 // helloMsg is the worker->coordinator handshake (JSON payload of
 // fHello): the worker's mesh listener address and its capabilities.
 type helloMsg struct {
-	Name     string `json:"name,omitempty"`
 	PeerAddr string `json:"peer_addr"`
 	Lanes    int    `json:"lanes"`
 }
@@ -40,7 +39,6 @@ type jobHeader struct {
 	MaxDepth  int          `json:"max_depth,omitempty"`
 	Backend   int          `json:"backend,omitempty"`
 	PinvTol   float64      `json:"pinv_tol,omitempty"`
-	Trace     bool         `json:"trace,omitempty"`
 }
 
 // rankRange is one worker's slice of the rank space.

@@ -26,15 +26,10 @@ type WorkerConfig struct {
 	// traffic (default "127.0.0.1:0" — loopback with an ephemeral port;
 	// set an externally reachable address for a real multi-host run).
 	Listen string
-	// Name labels the worker in coordinator logs and metrics.
-	Name string
 	// Lanes is the advertised capacity: how many ranks this worker
-	// accepts per job. Default: the pool's capacity, else GOMAXPROCS.
+	// accepts per job, and the width of the elastic pool job rank
+	// execution is admitted through. Default: GOMAXPROCS.
 	Lanes int
-	// Pool is the worker's local scheduler — the elastic lane pool job
-	// rank execution is admitted through. Default: a private pool of
-	// Lanes lanes.
-	Pool *exec.Elastic
 	// Logger receives lifecycle events; nil discards them.
 	Logger *slog.Logger
 }
@@ -44,7 +39,6 @@ type WorkerConfig struct {
 // from peer workers, and runs its contiguous rank range of each job via
 // parfmm.EvaluateRank over the wire transport.
 type Worker struct {
-	cfg  WorkerConfig
 	id   int64
 	ctrl *framedConn
 	ln   net.Listener
@@ -81,21 +75,13 @@ func StartWorker(ctx context.Context, cfg WorkerConfig) (*Worker, error) {
 		cfg.Listen = "127.0.0.1:0"
 	}
 	if cfg.Lanes <= 0 {
-		if cfg.Pool != nil {
-			cfg.Lanes = cfg.Pool.Cap()
-		} else {
-			cfg.Lanes = runtime.GOMAXPROCS(0)
-		}
+		cfg.Lanes = runtime.GOMAXPROCS(0)
 	}
 	w := &Worker{
-		cfg:   cfg,
-		pool:  cfg.Pool,
+		pool:  exec.NewElastic(cfg.Lanes),
 		log:   cfg.Logger,
 		jobs:  make(map[uint64]*workerJob),
 		peers: make(map[string]*framedConn),
-	}
-	if w.pool == nil {
-		w.pool = exec.NewElastic(cfg.Lanes)
 	}
 	if w.log == nil {
 		w.log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -114,7 +100,7 @@ func StartWorker(ctx context.Context, cfg WorkerConfig) (*Worker, error) {
 	}
 	w.ctrl = newFramedConn(conn)
 
-	hello, err := json.Marshal(helloMsg{Name: cfg.Name, PeerAddr: ln.Addr().String(), Lanes: cfg.Lanes})
+	hello, err := json.Marshal(helloMsg{PeerAddr: ln.Addr().String(), Lanes: cfg.Lanes})
 	if err == nil {
 		err = w.ctrl.writeFrame(fHello, hello)
 	}
@@ -408,7 +394,9 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 		MaxDepth:  hdr.MaxDepth,
 		Backend:   fmm.M2LBackend(hdr.Backend),
 		PinvTol:   hdr.PinvTol,
-		Trace:     hdr.Trace,
+		// Always trace: the ledger is cheap at cluster scale and feeds the
+		// per-pass wire metrics and the rank trees of /v1/evals/recent.
+		Trace: true,
 	}
 
 	results := make([]rankResultWire, nLocal)

@@ -120,13 +120,10 @@ func parfmmTraceTable(rep *ParfmmTraceReport) string {
 	byRank := make([]map[string]time.Duration, len(rep.Timeline.Ranks))
 	for i, rt := range rep.Timeline.Ranks {
 		byRank[i] = make(map[string]time.Duration)
-		var walk func(s *obs.VSpan)
-		walk = func(s *obs.VSpan) {
-			if s == nil {
-				return
-			}
+		var walk func(s *obs.Span)
+		walk = func(s *obs.Span) {
 			if s.Name != "rank" && s.Name != "iteration" {
-				byRank[i][s.Name] += s.Dur()
+				byRank[i][s.Name] += s.Duration
 			}
 			if s.Name == "warmup" {
 				return

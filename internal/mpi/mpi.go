@@ -89,33 +89,39 @@ func (k EventKind) String() string {
 }
 
 // Event is one communication-ledger record, delivered to the observer
-// installed with SetObserver as the operation completes. All times are
-// the recording rank's virtual clock (offsets from the run origin),
-// except Sent and DepTime, which are on the dependency rank's clock.
+// installed with SetObserver as the operation completes, and what a
+// rank's timeline (obs.RankTimeline) keeps and ships as JSON. All times
+// are offsets on the recording rank's clock (Transport.Elapsed), except
+// Sent and DepTime, which are on the dependency rank's clock.
 type Event struct {
-	Kind EventKind
+	Kind EventKind `json:"kind"`
 	// Rank is the recording rank; Peer the destination (send) or
 	// source (recv), -1 for collectives.
-	Rank, Peer int
+	Rank int `json:"rank"`
+	Peer int `json:"peer"`
 	// Tag is the point-to-point tag, or the collective sequence number.
-	Tag   int
-	Bytes int
+	Tag   int `json:"tag"`
+	Bytes int `json:"bytes"`
 	// Start/End delimit the operation on the recording rank's clock.
-	Start, End time.Duration
+	Start time.Duration `json:"start_ns"`
+	End   time.Duration `json:"end_ns"`
 	// Sent is the sender's clock at enqueue completion; Avail when the
 	// payload became deliverable (Sent + latency). Send events carry
 	// their own enqueue/delivery times here; collectives leave both 0.
-	Sent, Avail time.Duration
-	// Wait is the blocked virtual time: for a recv, until the payload
-	// arrived; for a collective, until the last rank entered and the
+	// Avail is for the observer only: no reader of a shipped ledger uses
+	// it, so it stays out of the JSON.
+	Sent  time.Duration `json:"sent_ns,omitempty"`
+	Avail time.Duration `json:"-"`
+	// Wait is the blocked time: for a recv, until the payload arrived;
+	// for a collective, until the last rank entered and the
 	// synchronization cost elapsed.
-	Wait time.Duration
+	Wait time.Duration `json:"wait_ns,omitempty"`
 	// DepRank/DepTime name the cross-rank dependency a blocked
 	// operation waited on (the sender at its enqueue time, or the last
 	// rank to enter a collective at its entry time); DepRank is -1 when
 	// the operation did not block on another rank.
-	DepRank int
-	DepTime time.Duration
+	DepRank int           `json:"dep_rank"`
+	DepTime time.Duration `json:"dep_time_ns,omitempty"`
 }
 
 // SetObserver installs fn as this rank's communication observer: every

@@ -1,7 +1,9 @@
-// Package obs is the zero-dependency observability core of the kifmm
-// service: a small concurrency-safe metrics registry rendered in the
-// Prometheus text exposition format, plus lightweight hierarchical
-// trace spans with a bounded in-memory ring (span.go).
+// Package obs is the observability core of the kifmm service: a small
+// concurrency-safe metrics registry rendered in the Prometheus text
+// exposition format, the module's one hierarchical span type with a
+// bounded in-memory ring (span.go), and the per-rank timelines of a
+// distributed run built from that span and mpi's message ledger
+// (timeline.go).
 //
 // The registry deliberately implements only what the service needs —
 // counters, gauges, fixed-bucket histograms, their labeled variants and

@@ -5,10 +5,14 @@ import (
 	"time"
 )
 
-// Span is one node of a lightweight trace: a named wall-clock interval
-// with optional string attributes and child spans. The evaluation
-// service records one root span per evaluation (children per FMM pass,
-// grandchildren per tree level) and serves recent roots from a SpanRing.
+// Span is one node of a lightweight trace: a named interval with optional
+// string attributes and child spans. It is the module's one span type: the
+// evaluation service records one root span per evaluation (children per
+// FMM pass, grandchildren per tree level) and serves recent roots from a
+// SpanRing, and a distributed run records one tree per rank
+// (RankTimeline). Which clock the interval is on is the root's choice and
+// its descendants inherit it: StartSpan reads the wall clock, a rank's
+// root reads its transport's.
 //
 // A span tree is built by a single goroutine (the FMM's passes are
 // sequential; levels within a pass are sequential too) and becomes
@@ -19,24 +23,37 @@ import (
 type Span struct {
 	Name  string    `json:"name"`
 	Start time.Time `json:"start"`
-	// Duration is the span's wall-clock length, 0 until End. It
+	// Duration is the span's length on its clock, 0 until End. It
 	// marshals as integer nanoseconds.
 	Duration time.Duration     `json:"duration_ns"`
 	Attrs    map[string]string `json:"attrs,omitempty"`
 	Children []*Span           `json:"children,omitempty"`
+
+	// clock is what StartChild and End read; nil (StartSpan, and any tree
+	// decoded from JSON) is time.Now.
+	clock func() time.Time
 }
 
-// StartSpan opens a root span.
+// StartSpan opens a root span on the wall clock.
 func StartSpan(name string) *Span {
 	return &Span{Name: name, Start: time.Now()}
 }
 
-// StartChild opens a child span under s (nil-safe: returns nil).
+// now reads the span's clock.
+func (s *Span) now() time.Time {
+	if s.clock != nil {
+		return s.clock()
+	}
+	return time.Now()
+}
+
+// StartChild opens a child span under s, on s's clock (nil-safe: returns
+// nil).
 func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{Name: name, Start: time.Now()}
+	c := &Span{Name: name, Start: s.now(), clock: s.clock}
 	s.Children = append(s.Children, c)
 	return c
 }
@@ -47,7 +64,7 @@ func (s *Span) End() {
 	if s == nil || s.Duration != 0 {
 		return
 	}
-	s.Duration = time.Since(s.Start)
+	s.Duration = s.now().Sub(s.Start)
 }
 
 // SetAttr attaches a string attribute (nil-safe).

@@ -5,193 +5,43 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
+
+	"repro/internal/mpi"
 )
 
-// This file is the distributed half of the tracing layer: per-rank
-// virtual-time span trees (VSpan/RankTimeline), the communication
-// ledger (MsgRecord), and the merged Timeline with critical-path
-// extraction, a load-imbalance report, and Chrome trace-event export.
-//
-// Distributed runs are simulated on virtual clocks (internal/mpi), so
-// these spans carry time.Duration offsets from the run origin rather
-// than the wall-clock time.Time of Span — a deliberate split: wall
-// spans serve live requests, virtual spans serve the rank timelines
-// whose absolute epoch is meaningless.
+// This file is the distributed view: one span tree (Span, on the rank's
+// transport clock) and one message ledger (mpi.Event) per rank, merged
+// into a Timeline with critical-path extraction, a load-imbalance report
+// and Chrome trace-event export.
 
-// VSpan is one node of a per-rank virtual-time span tree: a named
-// interval of a rank's virtual clock, with optional string attributes.
-// Methods are nil-safe so untraced runs thread nil spans at zero cost.
-type VSpan struct {
-	Name string `json:"name"`
-	Rank int    `json:"rank"`
-	// Start and End are virtual-clock offsets from the run origin.
-	Start    time.Duration     `json:"start_ns"`
-	End      time.Duration     `json:"end_ns"`
-	Attrs    map[string]string `json:"attrs,omitempty"`
-	Children []*VSpan          `json:"children,omitempty"`
-}
-
-// SetAttr attaches a string attribute (nil-safe).
-func (s *VSpan) SetAttr(k, v string) {
-	if s == nil {
-		return
-	}
-	if s.Attrs == nil {
-		s.Attrs = make(map[string]string)
-	}
-	s.Attrs[k] = v
-}
-
-// Dur returns the span's length (0 for nil or unclosed spans).
-func (s *VSpan) Dur() time.Duration {
-	if s == nil || s.End <= s.Start {
-		return 0
-	}
-	return s.End - s.Start
-}
-
-// Find returns the first descendant (depth-first, s included) with the
-// given name, or nil.
-func (s *VSpan) Find(name string) *VSpan {
-	if s == nil {
-		return nil
-	}
-	if s.Name == name {
-		return s
-	}
-	for _, c := range s.Children {
-		if m := c.Find(name); m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
-// MsgKind discriminates communication-ledger records.
-type MsgKind uint8
-
-// Ledger record kinds.
-const (
-	// MsgSend is a point-to-point send (non-blocking in the eager model).
-	MsgSend MsgKind = iota
-	// MsgRecv is a blocking point-to-point receive.
-	MsgRecv
-	// MsgCollective is one rank's participation in a collective.
-	MsgCollective
-)
-
-// String names the kind for reports and trace exports.
-func (k MsgKind) String() string {
-	switch k {
-	case MsgSend:
-		return "send"
-	case MsgRecv:
-		return "recv"
-	case MsgCollective:
-		return "collective"
-	}
-	return "unknown"
-}
-
-// MsgRecord is one entry of a rank's communication ledger: a send,
-// receive or collective with its virtual-time interval and — for
-// blocking operations — the cross-rank dependency that ended the wait.
-type MsgRecord struct {
-	Kind MsgKind `json:"kind"`
-	// Rank is the recording rank; Peer the destination (send) or source
-	// (recv), -1 for collectives.
-	Rank int `json:"rank"`
-	Peer int `json:"peer"`
-	// Tag is the point-to-point tag, or the collective sequence number.
-	Tag   int `json:"tag"`
-	Bytes int `json:"bytes"`
-	// Start/End delimit the operation on the recording rank's clock.
-	Start time.Duration `json:"start_ns"`
-	End   time.Duration `json:"end_ns"`
-	// Sent is the sender's clock when the payload finished enqueueing
-	// (recv records only); Sent + latency is the delivery time.
-	Sent time.Duration `json:"sent_ns,omitempty"`
-	// Wait is how long the operation blocked (recv: until the payload
-	// arrived; collective: until the last rank entered and the
-	// synchronization cost elapsed).
-	Wait time.Duration `json:"wait_ns,omitempty"`
-	// DepRank/DepTime name the cross-rank dependency a blocked
-	// operation waited on: the sender at its enqueue time, or the last
-	// rank to enter a collective at its entry time. DepRank is -1 when
-	// the operation did not block on another rank.
-	DepRank int           `json:"dep_rank"`
-	DepTime time.Duration `json:"dep_time_ns,omitempty"`
-}
-
-// RankTimeline accumulates one rank's span tree and message ledger
-// while the rank runs. It is used by a single rank goroutine; the
-// merged Timeline is read only after the run completes.
+// RankTimeline is one rank's span tree and message ledger. The rank's
+// goroutine builds it while the rank runs; the merged Timeline is read
+// only after the run completes. Root opens at the transport clock's zero,
+// so a span's offset on that clock — the scale the ledger's timestamps are
+// on — is its Start minus Root.Start, in memory and after a JSON round
+// trip alike.
 type RankTimeline struct {
 	Rank int         `json:"rank"`
-	Root *VSpan      `json:"root"`
-	Msgs []MsgRecord `json:"msgs"`
-
-	stack []*VSpan
+	Root *Span       `json:"root"`
+	Msgs []mpi.Event `json:"msgs"`
 }
 
-// NewRankTimeline opens a timeline for one rank, rooted at a "rank"
-// span starting at virtual time zero.
-func NewRankTimeline(rank int) *RankTimeline {
-	return &RankTimeline{Rank: rank, Root: &VSpan{Name: "rank", Rank: rank}}
+// NewRankTimeline opens a timeline whose "rank" root span, and every span
+// later started under it, reads elapsed — the rank transport's clock
+// (mpi.Transport.Elapsed): virtual time on the simulation, time since the
+// job started on a real one, where the tree therefore sits at its true
+// place on the wall clock.
+func NewRankTimeline(rank int, elapsed func() time.Duration) *RankTimeline {
+	origin := time.Now().Add(-elapsed())
+	root := &Span{Name: "rank", Start: origin, clock: func() time.Time { return origin.Add(elapsed()) }}
+	root.SetAttr("rank", strconv.Itoa(rank))
+	return &RankTimeline{Rank: rank, Root: root}
 }
 
-// Begin opens a child span at virtual time `at` under the innermost
-// open span (nil-safe: returns nil on a nil timeline).
-func (rt *RankTimeline) Begin(name string, at time.Duration) *VSpan {
-	if rt == nil {
-		return nil
-	}
-	parent := rt.Root
-	if n := len(rt.stack); n > 0 {
-		parent = rt.stack[n-1]
-	}
-	sp := &VSpan{Name: name, Rank: rt.Rank, Start: at}
-	parent.Children = append(parent.Children, sp)
-	rt.stack = append(rt.stack, sp)
-	return sp
-}
-
-// End closes sp at virtual time `at`, popping the open-span stack
-// through it (nil-safe).
-func (rt *RankTimeline) End(sp *VSpan, at time.Duration) {
-	if rt == nil || sp == nil {
-		return
-	}
-	sp.End = at
-	for n := len(rt.stack); n > 0; n-- {
-		top := rt.stack[n-1]
-		rt.stack = rt.stack[:n-1]
-		if top == sp {
-			break
-		}
-	}
-}
-
-// Record appends a ledger entry.
-func (rt *RankTimeline) Record(m MsgRecord) {
-	if rt == nil {
-		return
-	}
-	rt.Msgs = append(rt.Msgs, m)
-}
-
-// Close ends the root span (and anything left open) at virtual time at.
-func (rt *RankTimeline) Close(at time.Duration) {
-	if rt == nil {
-		return
-	}
-	for _, sp := range rt.stack {
-		sp.End = at
-	}
-	rt.stack = rt.stack[:0]
-	rt.Root.End = at
-}
+// offset places t on the rank's transport clock.
+func (rt *RankTimeline) offset(t time.Time) time.Duration { return t.Sub(rt.Root.Start) }
 
 // Timeline is the merged view of a distributed run: every rank's span
 // tree plus the global communication ledger.
@@ -218,9 +68,7 @@ func MergeTimeline(rts []*RankTimeline) *Timeline {
 func (t *Timeline) MaxEnd() time.Duration {
 	var m time.Duration
 	for _, rt := range t.Ranks {
-		if rt.Root != nil && rt.Root.End > m {
-			m = rt.Root.End
-		}
+		m = max(m, rt.Root.Duration)
 	}
 	return m
 }
@@ -230,7 +78,7 @@ func (t *Timeline) TotalBytes() int64 {
 	var b int64
 	for _, rt := range t.Ranks {
 		for _, m := range rt.Msgs {
-			if m.Kind == MsgSend {
+			if m.Kind == mpi.EventSend {
 				b += int64(m.Bytes)
 			}
 		}
@@ -243,7 +91,7 @@ func (t *Timeline) TotalMessages() int {
 	n := 0
 	for _, rt := range t.Ranks {
 		for _, m := range rt.Msgs {
-			if m.Kind == MsgSend {
+			if m.Kind == mpi.EventSend {
 				n++
 			}
 		}
@@ -293,11 +141,11 @@ func (t *Timeline) CriticalPath() []PathSegment {
 	byRank := make(map[int]*RankTimeline, len(t.Ranks))
 	// syncs[rank] are the blocking operations with a cross-rank (or
 	// collective self-) dependency, ordered by End time.
-	syncs := make(map[int][]MsgRecord, len(t.Ranks))
+	syncs := make(map[int][]mpi.Event, len(t.Ranks))
 	cur := t.Ranks[0]
 	for _, rt := range t.Ranks {
 		byRank[rt.Rank] = rt
-		if rt.Root.End > cur.Root.End {
+		if rt.Root.Duration > cur.Root.Duration {
 			cur = rt
 		}
 		for _, m := range rt.Msgs {
@@ -311,12 +159,12 @@ func (t *Timeline) CriticalPath() []PathSegment {
 	}
 
 	var rev []PathSegment
-	rank, now := cur.Rank, cur.Root.End
+	rank, now := cur.Rank, cur.Root.Duration
 	// now strictly decreases every iteration (DepTime < End <= now), so
 	// the walk terminates; the bound is a defense against a malformed
 	// ledger.
 	for iter := 0; now > 0 && iter < 1<<20; iter++ {
-		var dep *MsgRecord
+		var dep *mpi.Event
 		for i := len(syncs[rank]) - 1; i >= 0; i-- {
 			if s := syncs[rank][i]; s.End <= now {
 				dep = &s
@@ -330,14 +178,12 @@ func (t *Timeline) CriticalPath() []PathSegment {
 		if dep.End < now {
 			rev = append(rev, computeSegments(byRank[rank], dep.End, now)...)
 		}
-		kind := "recv"
 		name := fmt.Sprintf("msg %d->%d", dep.Peer, dep.Rank)
-		if dep.Kind == MsgCollective {
-			kind = "collective"
+		if dep.Kind == mpi.EventCollective {
 			name = fmt.Sprintf("collective #%d", dep.Tag)
 		}
 		rev = append(rev, PathSegment{
-			Rank: dep.Rank, Kind: kind, Name: name,
+			Rank: dep.Rank, Kind: dep.Kind.String(), Name: name,
 			Start: dep.DepTime, End: dep.End, Bytes: dep.Bytes,
 		})
 		rank, now = dep.DepRank, dep.DepTime
@@ -350,27 +196,34 @@ func (t *Timeline) CriticalPath() []PathSegment {
 }
 
 // computeSegments covers (from, to] on one rank with compute path
-// segments, newest first, split and named at the rank's span
-// boundaries (innermost span wins; gaps are named "compute").
+// segments, newest first, split and named at the rank's span boundaries
+// (innermost span wins; gaps are named "compute"). Names stop at the
+// passes (rank > iteration > pass): the engine's per-level spans under a
+// pass refine the Chrome trace, not the path.
 func computeSegments(rt *RankTimeline, from, to time.Duration) []PathSegment {
 	if rt == nil || to <= from {
 		return nil
 	}
-	type depthSpan struct {
-		s     *VSpan
-		depth int
+	const passDepth = 2
+	type interval struct {
+		name       string
+		start, end time.Duration
+		depth      int
 	}
-	var flat []depthSpan
-	var walk func(s *VSpan, d int)
-	walk = func(s *VSpan, d int) {
-		if s == nil {
+	var flat []interval
+	var walk func(s *Span, d int)
+	walk = func(s *Span, d int) {
+		if s == nil { // a decoded tree may hold a null child
 			return
 		}
-		if s.End > s.Start {
-			flat = append(flat, depthSpan{s, d})
+		if s.Duration > 0 {
+			at := rt.offset(s.Start)
+			flat = append(flat, interval{s.Name, at, at + s.Duration, d})
 		}
-		for _, c := range s.Children {
-			walk(c, d+1)
+		if d < passDepth {
+			for _, c := range s.Children {
+				walk(c, d+1)
+			}
 		}
 	}
 	walk(rt.Root, 0)
@@ -378,11 +231,11 @@ func computeSegments(rt *RankTimeline, from, to time.Duration) []PathSegment {
 	// Cut points: the interval bounds plus every span boundary inside.
 	cuts := []time.Duration{from, to}
 	for _, f := range flat {
-		if f.s.Start > from && f.s.Start < to {
-			cuts = append(cuts, f.s.Start)
+		if f.start > from && f.start < to {
+			cuts = append(cuts, f.start)
 		}
-		if f.s.End > from && f.s.End < to {
-			cuts = append(cuts, f.s.End)
+		if f.end > from && f.end < to {
+			cuts = append(cuts, f.end)
 		}
 	}
 	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
@@ -390,8 +243,8 @@ func computeSegments(rt *RankTimeline, from, to time.Duration) []PathSegment {
 	nameAt := func(at time.Duration) string {
 		name, depth := "compute", -1
 		for _, f := range flat {
-			if f.s.Start <= at && at < f.s.End && f.depth > depth {
-				name, depth = f.s.Name, f.depth
+			if f.start <= at && at < f.end && f.depth > depth {
+				name, depth = f.name, f.depth
 			}
 		}
 		return name
@@ -435,17 +288,17 @@ type RankLoad struct {
 func (t *Timeline) Loads() []RankLoad {
 	out := make([]RankLoad, 0, len(t.Ranks))
 	for _, rt := range t.Ranks {
-		l := RankLoad{Rank: rt.Rank, Elapsed: rt.Root.End}
+		l := RankLoad{Rank: rt.Rank, Elapsed: rt.Root.Duration}
 		for _, m := range rt.Msgs {
 			switch m.Kind {
-			case MsgSend:
+			case mpi.EventSend:
 				l.BytesSent += int64(m.Bytes)
 				l.MsgsSent++
-			case MsgRecv:
+			case mpi.EventRecv:
 				l.BytesRecv += int64(m.Bytes)
 				l.MsgsRecv++
 				l.Wait += m.Wait
-			case MsgCollective:
+			case mpi.EventCollective:
 				l.Collectives++
 				l.Wait += m.Wait
 			}
@@ -521,19 +374,19 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: rt.Rank,
 			Args: map[string]any{"name": fmt.Sprintf("rank %d", rt.Rank)},
 		})
-		var walk func(s *VSpan)
-		walk = func(s *VSpan) {
+		var walk func(s *Span)
+		walk = func(s *Span) {
 			if s == nil {
 				return
 			}
-			if s.End > s.Start {
+			if s.Duration > 0 {
 				args := make(map[string]any, len(s.Attrs))
 				for k, v := range s.Attrs {
 					args[k] = v
 				}
 				evs = append(evs, chromeEvent{
-					Name: s.Name, Ph: "X", Ts: usec(s.Start), Dur: usec(s.End - s.Start),
-					Pid: 0, Tid: s.Rank, Args: args,
+					Name: s.Name, Ph: "X", Ts: usec(rt.offset(s.Start)), Dur: usec(s.Duration),
+					Pid: 0, Tid: rt.Rank, Args: args,
 				})
 			}
 			for _, c := range s.Children {
@@ -542,7 +395,7 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 		}
 		walk(rt.Root)
 		for _, m := range rt.Msgs {
-			if m.Kind == MsgRecv && m.Wait > 0 {
+			if m.Kind == mpi.EventRecv && m.Wait > 0 {
 				evs = append(evs, chromeEvent{
 					Name: fmt.Sprintf("wait recv %d", m.Peer), Ph: "X", Cat: "wait",
 					Ts: usec(m.Start), Dur: usec(m.Wait), Pid: 0, Tid: m.Rank,

@@ -3,34 +3,61 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/mpi"
 )
 
 func msd(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+
+// testRank is a RankTimeline on a clock the test sets by hand.
+type testRank struct {
+	*RankTimeline
+	now time.Duration
+}
+
+func newTestRank(rank int) *testRank {
+	r := &testRank{}
+	r.RankTimeline = NewRankTimeline(rank, func() time.Duration { return r.now })
+	return r
+}
+
+// span records a closed child of the root over [from, to].
+func (r *testRank) span(name string, from, to time.Duration) {
+	r.now = from
+	sp := r.Root.StartChild(name)
+	r.now = to
+	sp.End()
+}
+
+// close ends the root span at the given clock reading.
+func (r *testRank) close(at time.Duration) *RankTimeline {
+	r.now = at
+	r.Root.End()
+	return r.RankTimeline
+}
 
 // twoRankTimeline builds a hand-crafted scenario with a known critical
 // path: rank 0 computes 30ms and sends; rank 1 computes 10ms, blocks
 // 25ms on the receive, then computes until 80ms.
 func twoRankTimeline() *Timeline {
-	r0 := NewRankTimeline(0)
-	r0.Record(MsgRecord{
-		Kind: MsgSend, Rank: 0, Peer: 1, Tag: 7, Bytes: 800,
+	r0 := newTestRank(0)
+	r0.Msgs = append(r0.Msgs, mpi.Event{
+		Kind: mpi.EventSend, Rank: 0, Peer: 1, Tag: 7, Bytes: 800,
 		Start: msd(29), End: msd(30), Sent: msd(30), DepRank: -1,
 	})
-	r0.Close(msd(60))
 
-	r1 := NewRankTimeline(1)
-	r1.Record(MsgRecord{
-		Kind: MsgRecv, Rank: 1, Peer: 0, Tag: 7, Bytes: 800,
+	r1 := newTestRank(1)
+	r1.Msgs = append(r1.Msgs, mpi.Event{
+		Kind: mpi.EventRecv, Rank: 1, Peer: 0, Tag: 7, Bytes: 800,
 		Start: msd(10), End: msd(36), Sent: msd(30),
 		Wait: msd(25), DepRank: 0, DepTime: msd(30),
 	})
-	sp := r1.Begin("work", msd(40))
-	r1.End(sp, msd(70))
-	r1.Close(msd(80))
+	r1.span("work", msd(40), msd(70))
 
-	return MergeTimeline([]*RankTimeline{r0, r1, nil})
+	return MergeTimeline([]*RankTimeline{r0.close(msd(60)), r1.close(msd(80)), nil})
 }
 
 func TestCriticalPathRecvHop(t *testing.T) {
@@ -86,19 +113,17 @@ func TestCriticalPathRecvHop(t *testing.T) {
 func TestCriticalPathCollectiveHop(t *testing.T) {
 	// Rank 1 is the straggler into a collective exiting at 70ms; rank 0
 	// then computes alone until 90ms. The path must hop to rank 1.
-	r0 := NewRankTimeline(0)
-	r0.Record(MsgRecord{
-		Kind: MsgCollective, Rank: 0, Peer: -1, Tag: 0, Bytes: 64,
+	r0 := newTestRank(0)
+	r0.Msgs = append(r0.Msgs, mpi.Event{
+		Kind: mpi.EventCollective, Rank: 0, Peer: -1, Tag: 0, Bytes: 64,
 		Start: msd(50), End: msd(70), Wait: msd(20), DepRank: 1, DepTime: msd(60),
 	})
-	r0.Close(msd(90))
-	r1 := NewRankTimeline(1)
-	r1.Record(MsgRecord{
-		Kind: MsgCollective, Rank: 1, Peer: -1, Tag: 0, Bytes: 64,
+	r1 := newTestRank(1)
+	r1.Msgs = append(r1.Msgs, mpi.Event{
+		Kind: mpi.EventCollective, Rank: 1, Peer: -1, Tag: 0, Bytes: 64,
 		Start: msd(60), End: msd(70), Wait: msd(10), DepRank: 1, DepTime: msd(60),
 	})
-	r1.Close(msd(70))
-	tl := MergeTimeline([]*RankTimeline{r0, r1})
+	tl := MergeTimeline([]*RankTimeline{r0.close(msd(90)), r1.close(msd(70))})
 
 	path := tl.CriticalPath()
 	if got := PathDuration(path); got != msd(90) {
@@ -186,5 +211,75 @@ func TestWriteChromeTraceValidJSON(t *testing.T) {
 		if !phases[ph] {
 			t.Errorf("no %q events in trace", ph)
 		}
+	}
+}
+
+// TestRankTimelineJSONRoundTrip: the cluster's result frame carries a
+// rank's timeline as JSON. The decoded copy must place every span at the
+// same nanosecond of the rank's clock and keep the ledger, so the
+// coordinator computes what the worker would have.
+func TestRankTimelineJSONRoundTrip(t *testing.T) {
+	r := newTestRank(3)
+	r.span("tree_build", 1234567, 2345678)
+	r.now = 3000001
+	it := r.Root.StartChild("iteration")
+	r.now = 3000017
+	up := it.StartChild("up")
+	up.SetAttr("bytes", "64")
+	r.now = 4999999
+	up.End()
+	r.now = 5000003
+	it.End()
+	r.Msgs = append(r.Msgs, mpi.Event{
+		Kind: mpi.EventCollective, Rank: 3, Peer: -1, Tag: 9, Bytes: 64,
+		Start: 3000020, End: 3000950, Sent: 2999000, Wait: 900, DepRank: 3, DepTime: 2999000,
+	})
+	want := r.close(7000001)
+
+	raw, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got RankTimeline
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Rank != 3 || got.Root.Attrs["rank"] != "3" {
+		t.Errorf("decoded rank %d, root attrs %v; want rank 3", got.Rank, got.Root.Attrs)
+	}
+	if !reflect.DeepEqual(got.Msgs, want.Msgs) {
+		t.Errorf("ledger changed in the round trip:\n got %+v\nwant %+v", got.Msgs, want.Msgs)
+	}
+	type placed struct {
+		name       string
+		start, dur time.Duration
+	}
+	flatten := func(rt *RankTimeline) (out []placed) {
+		var walk func(s *Span)
+		walk = func(s *Span) {
+			out = append(out, placed{s.Name, rt.offset(s.Start), s.Duration})
+			for _, c := range s.Children {
+				walk(c)
+			}
+		}
+		walk(rt.Root)
+		return out
+	}
+	w := flatten(want)
+	if g := flatten(&got); !reflect.DeepEqual(g, w) {
+		t.Errorf("span offsets changed in the round trip:\n got %v\nwant %v", g, w)
+	}
+	if w[0] != (placed{"rank", 0, 7000001}) || w[3] != (placed{"up", 3000017, 1999982}) {
+		t.Errorf("spans not on the test clock: %v", w)
+	}
+	// A tree off the wire may hold a null child; the walks step over it.
+	got.Root.Children = append(got.Root.Children, nil)
+	one := MergeTimeline([]*RankTimeline{&got})
+	if one.MaxEnd() != 7000001 || PathDuration(one.CriticalPath()) != 7000001 {
+		t.Errorf("decoded timeline: MaxEnd %v, critical path %v; want 7.000001ms",
+			one.MaxEnd(), PathDuration(one.CriticalPath()))
+	}
+	if err := one.WriteChromeTrace(&bytes.Buffer{}); err != nil {
+		t.Error(err)
 	}
 }

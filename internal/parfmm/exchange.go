@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/fmm"
-	"repro/internal/obs"
 )
 
 // Message tag phases (tag = boxIndex*4 + phase).
@@ -15,23 +14,21 @@ const (
 	tagDenScatter
 )
 
-// evaluate runs one interaction computation: the engine's passes over
-// the rank's tree, with the two ghost exchanges of paper Section 3.2
-// around them. The source sends are posted before the upward pass, so
-// their transfer overlaps it; everything else is exchanged at the
-// engine's barrier between the upward and the downward pass (Exchange).
-func (rk *rank) evaluate(ctx context.Context) (fmm.Stats, error) {
+// evaluate runs one interaction computation under a span of the given
+// name: the engine's passes over the rank's tree, with the two ghost
+// exchanges of paper Section 3.2 around them. The source sends are posted
+// before the upward pass, so their transfer overlaps it; everything else
+// is exchanged at the engine's barrier between the upward and the
+// downward pass (Exchange). The engine opens its pass spans under the
+// same span, so they are on the rank's clock like the exchanges'.
+func (rk *rank) evaluate(ctx context.Context, name string) (fmm.Stats, error) {
+	rk.iter = rk.root().StartChild(name)
+	defer rk.iter.End()
 	rk.commSpan("source_gather", rk.postSourceGather)
-	rk.trace, rk.grafted = nil, 0
-	if rk.tl != nil {
-		rk.trace = obs.StartSpan("evaluate")
-	}
-	rk.passStart = rk.c.Elapsed()
-	pots, st, err := rk.eng.Evaluate(ctx, [][]float64{rk.in.Den}, rk.trace, rk)
+	pots, st, err := rk.eng.Evaluate(ctx, [][]float64{rk.in.Den}, rk.iter, rk)
 	if err != nil {
 		return fmm.Stats{}, err
 	}
-	rk.graftPasses()
 	rk.pot = pots[0]
 	return st, nil
 }
@@ -40,11 +37,9 @@ func (rk *rank) evaluate(ctx context.Context) (fmm.Stats, error) {
 // this rank final, complete Algorithm 1 for the leaf sources, then run
 // it for the densities, and hand the engine the global ones.
 func (rk *rank) Exchange(phiU [][]float64) [][]float64 {
-	rk.graftPasses()
 	rk.commSpan("source_exchange", rk.exchangeSources)
 	rk.commSpan("density_gather", func() { rk.postDensityGather(phiU) })
 	rk.commSpan("density_exchange", func() { rk.exchangeDensities(phiU) })
-	rk.passStart = rk.c.Elapsed()
 	return rk.ghostPhi
 }
 
@@ -59,28 +54,6 @@ func (rk *rank) Sources(bi int32, _ int) (pos, den []float64) {
 func (rk *rank) Counts(bi int32) (src, trg int) {
 	n := int(rk.gCnt[bi])
 	return n, n
-}
-
-// graftPasses copies the pass spans the engine has opened since the last
-// call onto the rank's timeline. The engine measures wall time and the
-// timeline runs on the transport's clock, but between two exchanges the
-// two advance together (a simulated rank computes while it holds the
-// token), so each span keeps its distance from the first one, which
-// started at passStart.
-func (rk *rank) graftPasses() {
-	if rk.trace == nil {
-		return
-	}
-	passes := rk.trace.Children[rk.grafted:]
-	for _, p := range passes {
-		at := rk.passStart + p.Start.Sub(passes[0].Start)
-		sp := rk.tl.Begin(p.Name, at)
-		for k, v := range p.Attrs {
-			sp.SetAttr(k, v)
-		}
-		rk.tl.End(sp, at+p.Duration)
-	}
-	rk.grafted = len(rk.trace.Children)
 }
 
 // postSourceGather sends this rank's local source positions and

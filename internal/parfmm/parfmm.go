@@ -20,6 +20,7 @@ package parfmm
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/errs"
@@ -262,7 +263,7 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 			copy(pot[int(g)*td:(int(g)+1)*td], rk.pot[i*td:(i+1)*td])
 			pointWork[g] = work[i]
 		}
-		rk.tl.Close(c.Elapsed())
+		rk.root().End()
 	})
 	for _, err := range rankErr {
 		if err != nil {
@@ -303,10 +304,7 @@ func (rk *rank) simulate(ctx context.Context, iterations int, rs *RankStats) err
 	// use, and the paper's timings (like any FMM production setting, where
 	// the same tree serves tens of interaction evaluations) exclude that
 	// setup cost. The measured iterations below see only steady-state work.
-	sp := rk.beginSpan("warmup")
-	_, err := rk.evaluate(ctx)
-	rk.endSpan(sp)
-	if err != nil {
+	if _, err := rk.evaluate(ctx, "warmup"); err != nil {
 		return err
 	}
 
@@ -316,10 +314,8 @@ func (rk *rank) simulate(ctx context.Context, iterations int, rs *RankStats) err
 		t0 := c.Elapsed()
 		c0 := c.CommTime()
 		b0 := c.BytesSent()
-		sp = rk.beginSpan("iteration")
-		sp.SetAttr("iter", fmt.Sprint(it))
-		st, err := rk.evaluate(ctx)
-		rk.endSpan(sp)
+		st, err := rk.evaluate(ctx, "iteration")
+		rk.iter.SetAttr("iter", strconv.Itoa(it))
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/fmm"
@@ -24,9 +23,13 @@ type rank struct {
 	in  *RankInput
 	opt fmm.Options
 
-	// tl records this rank's span timeline and communication ledger
-	// when Options.Trace is set (nil otherwise; all helpers nil-safe).
-	tl *obs.RankTimeline
+	// tl is this rank's span tree, on the transport's clock, and its
+	// communication ledger when Options.Trace is set; iter is the open
+	// iteration (or warm-up) span, under which the exchange spans and the
+	// engine's pass spans nest. Both are nil on an untraced run, which
+	// costs nothing: every span method is nil-safe.
+	tl   *obs.RankTimeline
+	iter *obs.Span
 
 	// eng runs the passes over tree, the global tree array holding this
 	// rank's points only.
@@ -47,13 +50,6 @@ type rank struct {
 	ghostDen [][]float64 // leaf -> global source densities
 	ghostPhi [][]float64 // box -> global upward equivalent density
 
-	// trace is the engine's span tree of the evaluation in flight, of
-	// which grafted passes are on the timeline already; the next one
-	// starts at passStart on the transport's clock (see graftPasses).
-	trace     *obs.Span
-	grafted   int
-	passStart time.Duration
-
 	pot []float64 // local potentials, original local order
 }
 
@@ -66,71 +62,45 @@ func newRank(c mpi.Transport, in *RankInput, opt fmm.Options, trace bool) *rank 
 	opt.Pool = exec.NewElastic(1)
 	rk := &rank{c: c, in: in, opt: opt}
 	if trace {
-		rk.tl = obs.NewRankTimeline(c.Rank())
-		c.SetObserver(func(ev mpi.Event) { rk.tl.Record(msgRecord(ev)) })
+		rk.tl = obs.NewRankTimeline(c.Rank(), c.Elapsed)
+		c.SetObserver(func(ev mpi.Event) { rk.tl.Msgs = append(rk.tl.Msgs, ev) })
 	}
 	return rk
 }
 
-// prepare builds the rank's tree, its engine and the ownership tables.
-func (rk *rank) prepare(ctx context.Context) error {
-	sp := rk.beginSpan("tree_build")
-	err := rk.buildGlobalTree(ctx)
-	rk.endSpan(sp)
-	if err != nil {
-		return err
-	}
-	sp = rk.beginSpan("assign_owners")
-	rk.assignOwners()
-	rk.endSpan(sp)
-	return nil
-}
-
-// beginSpan opens a virtual-time span on the rank's timeline (nil when
-// tracing is off). Elapsed() folds pending wall time into the virtual
-// clock, so span edges line up with the communication ledger.
-func (rk *rank) beginSpan(name string) *obs.VSpan {
+// root is the rank's root span (nil when untraced).
+func (rk *rank) root() *obs.Span {
 	if rk.tl == nil {
 		return nil
 	}
-	return rk.tl.Begin(name, rk.c.Elapsed())
+	return rk.tl.Root
 }
 
-// endSpan closes sp at the current virtual time.
-func (rk *rank) endSpan(sp *obs.VSpan) {
-	if rk.tl == nil || sp == nil {
-		return
+// prepare builds the rank's tree, its engine and the ownership tables.
+func (rk *rank) prepare(ctx context.Context) error {
+	sp := rk.root().StartChild("tree_build")
+	err := rk.buildGlobalTree(ctx)
+	sp.End()
+	if err != nil {
+		return err
 	}
-	rk.tl.End(sp, rk.c.Elapsed())
+	sp = rk.root().StartChild("assign_owners")
+	rk.assignOwners()
+	sp.End()
+	return nil
 }
 
-// commSpan runs one step of an exchange under a timeline span carrying
-// the bytes it moved (sent + received) and the messages it sent.
+// commSpan runs one step of an exchange under a span of the open
+// iteration carrying the bytes it moved (sent + received) and the
+// messages it sent.
 func (rk *rank) commSpan(name string, step func()) {
 	c := rk.c
 	bytes, msgs := c.BytesSent()+c.BytesRecv(), c.Messages()
-	sp := rk.beginSpan(name)
+	sp := rk.iter.StartChild(name)
 	step()
 	sp.SetAttr("bytes", strconv.FormatInt(c.BytesSent()+c.BytesRecv()-bytes, 10))
 	sp.SetAttr("msgs", strconv.FormatInt(c.Messages()-msgs, 10))
-	rk.endSpan(sp)
-}
-
-// msgRecord converts an mpi ledger event into the obs representation
-// (parfmm owns the conversion so mpi stays observability-agnostic).
-func msgRecord(ev mpi.Event) obs.MsgRecord {
-	kind := obs.MsgSend
-	switch ev.Kind {
-	case mpi.EventRecv:
-		kind = obs.MsgRecv
-	case mpi.EventCollective:
-		kind = obs.MsgCollective
-	}
-	return obs.MsgRecord{
-		Kind: kind, Rank: ev.Rank, Peer: ev.Peer, Tag: ev.Tag, Bytes: ev.Bytes,
-		Start: ev.Start, End: ev.End, Sent: ev.Sent, Wait: ev.Wait,
-		DepRank: ev.DepRank, DepTime: ev.DepTime,
-	}
+	sp.End()
 }
 
 // contributes reports whether this rank has points in box bi.

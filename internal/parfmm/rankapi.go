@@ -93,13 +93,10 @@ func EvaluateRank(ctx context.Context, t mpi.Transport, in *RankInput, opt Optio
 		return nil, errs.FromContext(err)
 	}
 	defer rk.eng.Close()
-	sp := rk.beginSpan("iteration")
-	_, err = rk.evaluate(ctx)
-	rk.endSpan(sp)
-	if err != nil {
+	if _, err = rk.evaluate(ctx, "iteration"); err != nil {
 		return nil, err
 	}
-	rk.tl.Close(t.Elapsed())
+	rk.root().End()
 	return &RankOutput{
 		Pot:      rk.pot,
 		Boxes:    len(rk.tree.Boxes),

@@ -2,13 +2,16 @@ package parfmm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/kernels"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -74,9 +77,12 @@ func TestTraceSpanTree(t *testing.T) {
 		if rt.Root == nil || rt.Root.Name != "rank" {
 			t.Fatalf("rank %d root = %+v, want a closed \"rank\" span", rt.Rank, rt.Root)
 		}
-		if rt.Root.End <= rt.Root.Start {
-			t.Errorf("rank %d root not closed: [%v,%v]", rt.Rank, rt.Root.Start, rt.Root.End)
+		if rt.Root.Duration <= 0 {
+			t.Errorf("rank %d root not closed: duration %v", rt.Rank, rt.Root.Duration)
 		}
+		// start and end of a span on the rank's clock.
+		start := func(s *obs.Span) time.Duration { return s.Start.Sub(rt.Root.Start) }
+		end := func(s *obs.Span) time.Duration { return start(s) + s.Duration }
 		for _, name := range []string{
 			"tree_build", "assign_owners", "warmup", "iteration",
 			"source_gather", "up", "source_exchange",
@@ -87,8 +93,8 @@ func TestTraceSpanTree(t *testing.T) {
 				t.Errorf("rank %d has no %q span", rt.Rank, name)
 				continue
 			}
-			if sp.End < sp.Start {
-				t.Errorf("rank %d span %q has End %v < Start %v", rt.Rank, name, sp.End, sp.Start)
+			if sp.Duration < 0 || start(sp) < 0 || end(sp) > rt.Root.Duration {
+				t.Errorf("rank %d span %q [%v,%v] outside the rank's [0,%v]", rt.Rank, name, start(sp), end(sp), rt.Root.Duration)
 			}
 		}
 		// Exchange spans carry traffic attributes.
@@ -99,24 +105,27 @@ func TestTraceSpanTree(t *testing.T) {
 		if ex.Attrs["bytes"] == "" || ex.Attrs["msgs"] == "" {
 			t.Errorf("rank %d source_exchange attrs = %v, want bytes and msgs", rt.Rank, ex.Attrs)
 		}
-		// The compute spans are the engine's own pass spans, laid on the
-		// rank's clock around the exchanges: nothing downstream starts
-		// before the densities are in, and the passes stay inside the
-		// iteration.
+		// The compute spans are the engine's own pass spans, opened under
+		// the iteration on the rank's clock around the exchanges: nothing
+		// downstream starts before the densities are in, and the passes
+		// stay inside the iteration.
 		it := rt.Root.Find("iteration")
 		up, down, leaf := it.Find("up"), it.Find("down"), it.Find("leaf")
 		if up == nil || down == nil || leaf == nil {
 			t.Fatalf("rank %d iteration lacks a pass span", rt.Rank)
 		}
-		if up.Start < it.Find("source_gather").End || up.End > ex.Start {
-			t.Errorf("rank %d up [%v,%v] not between source_gather and source_exchange [%v,..]", rt.Rank, up.Start, up.End, ex.Start)
+		if start(up) < end(it.Find("source_gather")) || end(up) > start(ex) {
+			t.Errorf("rank %d up [%v,%v] not between source_gather and source_exchange [%v,..]", rt.Rank, start(up), end(up), start(ex))
 		}
-		if de := it.Find("density_exchange"); down.Start < de.End || leaf.Start < down.End || leaf.End > it.End {
+		if de := it.Find("density_exchange"); start(down) < end(de) || start(leaf) < end(down) || end(leaf) > end(it) {
 			t.Errorf("rank %d down [%v,%v] leaf [%v,%v] out of order after density_exchange ..%v] in iteration ..%v]",
-				rt.Rank, down.Start, down.End, leaf.Start, leaf.End, de.End, it.End)
+				rt.Rank, start(down), end(down), start(leaf), end(leaf), end(de), end(it))
 		}
 		if down.Attrs["x_direct"] == "" || leaf.Attrs["w_direct"] == "" {
 			t.Errorf("rank %d pass attrs: down %v leaf %v, want x_direct and w_direct", rt.Rank, down.Attrs, leaf.Attrs)
+		}
+		if lv := up.Find("level 2"); lv == nil || start(lv) < start(up) || end(lv) > end(up) {
+			t.Errorf("rank %d up has no per-level child inside it: %+v", rt.Rank, lv)
 		}
 		if len(rt.Msgs) == 0 {
 			t.Errorf("rank %d recorded no ledger entries", rt.Rank)
@@ -125,6 +134,65 @@ func TestTraceSpanTree(t *testing.T) {
 	if res.Timeline.TotalMessages() == 0 || res.Timeline.TotalBytes() == 0 {
 		t.Errorf("timeline totals: %d msgs / %d bytes, want > 0",
 			res.Timeline.TotalMessages(), res.Timeline.TotalBytes())
+	}
+}
+
+// TestPassSpansOnVirtualClock: the engine opens its pass spans under the
+// rank's iteration span, so they read the simulated transport's clock, not
+// the wall clock. A rank whose clock is an hour ahead when it evaluates has
+// its up span (and that span's levels) an hour into the rank's timeline —
+// where no wall-clock span of a sub-second run could be — and the critical
+// path over the skewed ranks still tiles [0, MaxEnd].
+func TestPassSpansOnVirtualClock(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	patches := geom.SphereGrid(rng, 1200, 4, 0.22)
+	pts := geom.Flatten(patches)
+	den := geom.RandomDensities(rng, len(pts)/3, 1)
+	eo, err := Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 30}.engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nproc = 3
+	skew := func(r int) time.Duration { return time.Duration(r+1) * time.Hour }
+	inputs := PartitionPoints(pts, den, 1, nproc)
+	tls := make([]*obs.RankTimeline, nproc)
+	comms := mpi.Run(nproc, fastMachine(), func(c *mpi.Comm) {
+		rk := newRank(c, inputs[c.Rank()], eo, true)
+		tls[c.Rank()] = rk.tl
+		if err := rk.prepare(context.Background()); err != nil {
+			t.Error(err)
+			return
+		}
+		defer rk.eng.Close()
+		c.AdvanceClock(skew(c.Rank()))
+		if _, err := rk.evaluate(context.Background(), "iteration"); err != nil {
+			t.Error(err)
+		}
+		rk.root().End()
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, rt := range tls {
+		up := rt.Root.Find("iteration").Find("up")
+		at := up.Start.Sub(rt.Root.Start)
+		if at < skew(rt.Rank) || at > skew(nproc) {
+			t.Errorf("rank %d: up starts %v into the timeline, want at or after the %v its clock was advanced", rt.Rank, at, skew(rt.Rank))
+		}
+		if lv := up.Find("level 2"); lv == nil || lv.Start.Before(up.Start) {
+			t.Errorf("rank %d: up's level span %+v not on the rank's clock", rt.Rank, lv)
+		}
+		if tb := rt.Root.Find("tree_build"); tb.Start.Sub(rt.Root.Start)+tb.Duration > time.Hour {
+			t.Errorf("rank %d: tree_build, before the advance, ends %v in", rt.Rank, tb.Start.Sub(rt.Root.Start)+tb.Duration)
+		}
+	}
+	tl := obs.MergeTimeline(tls)
+	dur := obs.PathDuration(tl.CriticalPath())
+	if dur != tl.MaxEnd() {
+		t.Errorf("PathDuration = %v, MaxEnd = %v; want equal", dur, tl.MaxEnd())
+	}
+	if me := mpi.MaxElapsed(comms); float64(me-dur) > 0.01*float64(me) || dur > me {
+		t.Errorf("critical path %v vs mpi.MaxElapsed %v: more than 1%% apart", dur, me)
 	}
 }
 

@@ -64,6 +64,19 @@ func TestEvaluateCancelMidSweep(t *testing.T) {
 	if m["kifmm_eval_errors_total"] != 0 {
 		t.Errorf("EvalErrors = %v; cancellations must not count as errors", m["kifmm_eval_errors_total"])
 	}
+	// The cancelled evaluation is in the recent-evaluations ring like a
+	// finished one: its ended, partial tree, under the code it failed with.
+	sp := svc.RecentSpans(1)[0]
+	if sp.Name != "evaluate" || sp.Attrs["error_code"] != "canceled" || sp.Attrs["plan_id"] != info.ID {
+		t.Errorf("newest recent span = %s %v, want the cancelled evaluate with error_code=canceled and plan_id=%s", sp.Name, sp.Attrs, info.ID)
+	}
+	if sp.Duration <= 0 || sp.Duration > aborted || sp.Find("permute") == nil || sp.Find("unpermute") != nil {
+		t.Errorf("cancelled tree: duration %v (call took %v), permute %v, unpermute %v; want an ended tree that stops mid-sweep",
+			sp.Duration, aborted, sp.Find("permute"), sp.Find("unpermute"))
+	}
+	if ok := svc.RecentSpans(2)[1]; ok.Attrs["error_code"] != "" {
+		t.Errorf("the uncancelled evaluation's span carries error_code=%q", ok.Attrs["error_code"])
+	}
 	if _, _, err := evalOne(bg, svc, info.ID, den); err != nil {
 		t.Errorf("evaluation after a cancelled one failed: %v", err)
 	}

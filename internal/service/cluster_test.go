@@ -2,9 +2,13 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -12,6 +16,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 )
 
 // clusterService builds a coordinator with two one-lane workers and a
@@ -102,6 +107,76 @@ func TestOneShotRoutesToCluster(t *testing.T) {
 	}
 	if coord.Evals() != 1 {
 		t.Errorf("sub-threshold request reached the cluster (evals=%d)", coord.Evals())
+	}
+}
+
+// TestClusterTraceNestsRankTrees: a cluster evaluation's recent-evals
+// entry is one tree from the coordinator down to the passes — the
+// cluster_evaluate root adopts each rank's own span tree, whose iteration
+// holds the engine's pass spans and the four exchange spans, every
+// interval inside its parent's — and ?trace_id= finds it whole.
+func TestClusterTraceNestsRankTrees(t *testing.T) {
+	req := cloudRequest(45, 300)
+	svc, _ := clusterService(t, len(req.Src)/3)
+	ts := httptest.NewServer(NewServer(svc))
+	defer ts.Close()
+	caller := obs.NewTraceContext()
+	tracedPost(t, ts.URL+"/v1/evaluate", OneShotRequest{PlanRequest: req, Densities: densitiesFor(req, 1)}, caller.Traceparent())
+
+	recent := svc.RecentSpans(1)
+	if len(recent) != 1 || recent[0].Name != "cluster_evaluate" {
+		t.Fatalf("RecentSpans(1) = %+v, want one cluster_evaluate span", recent)
+	}
+	root := recent[0]
+	var inside func(parent *obs.Span)
+	inside = func(parent *obs.Span) {
+		for _, c := range parent.Children {
+			if c.Start.Before(parent.Start) || c.Start.Add(c.Duration).After(parent.Start.Add(parent.Duration)) {
+				t.Errorf("%s [%v +%v] is not inside its parent %s [%v +%v]",
+					c.Name, c.Start, c.Duration, parent.Name, parent.Start, parent.Duration)
+			}
+			inside(c)
+		}
+	}
+	inside(root)
+	if len(root.Children) != 2 || root.Attrs["ranks"] != "2" {
+		t.Fatalf("cluster_evaluate has %d children, ranks=%q; want one child per rank of 2", len(root.Children), root.Attrs["ranks"])
+	}
+	for r, rk := range root.Children {
+		if rk.Name != "rank" || rk.Attrs["rank"] != strconv.Itoa(r) {
+			t.Fatalf("child %d = %s %v, want the rank span of rank %d", r, rk.Name, rk.Attrs, r)
+		}
+		if rk.Find("tree_build") == nil || rk.Find("assign_owners") == nil {
+			t.Errorf("rank %d lacks its set-up spans", r)
+		}
+		it := rk.Find("iteration")
+		if it == nil {
+			t.Fatalf("rank %d has no iteration span", r)
+		}
+		for _, name := range []string{
+			"source_gather", "up", "source_exchange", "density_gather", "density_exchange", "down", "leaf",
+		} {
+			if sp := it.Find(name); sp == nil || sp.Duration <= 0 {
+				t.Errorf("rank %d iteration: span %q = %+v, want a closed span", r, name, sp)
+			}
+		}
+		if it.Find("up").Find("level 2") == nil {
+			t.Errorf("rank %d up pass has no per-level children", r)
+		}
+	}
+
+	// The same tree over the wire, found by the caller's trace id.
+	resp, err := http.Get(ts.URL + "/v1/evals/recent?trace_id=" + caller.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var found RecentEvalsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&found); err != nil {
+		t.Fatal(err)
+	}
+	if len(found.Traces) != 1 || len(found.Traces[0].Children) != 2 || found.Traces[0].Find("density_exchange") == nil {
+		t.Errorf("?trace_id= returned %+v, want the one stitched cluster_evaluate tree", found.Traces)
 	}
 }
 

@@ -557,7 +557,7 @@ func checkDensities(dens [][]float64, srcCount, sourceDim int) error {
 // sharing a plan need no per-plan serialization.
 func (s *Service) evaluatePlan(ctx context.Context, p *plan, dens [][]float64) (EvaluateBatchResponse, error) {
 	if err := checkDensities(dens, p.srcCount, p.sourceDim); err != nil {
-		return s.evalFailed(err, errs.CodeInvalidInput)
+		return s.evalFailed(ctx, EvaluateBatchResponse{}, err, errs.CodeInvalidInput)
 	}
 	start := time.Now()
 	pots, st, span, err := func() (pots [][]float64, st fmm.Stats, span *obs.Span, err error) {
@@ -577,33 +577,47 @@ func (s *Service) evaluatePlan(ctx context.Context, p *plan, dens [][]float64) (
 }
 
 // evalFailed counts a failed evaluation, as cancelled (by the caller or a
-// deadline) or as an error, and types err with fallback when it carries no
-// code of its own.
-func (s *Service) evalFailed(err error, fallback errs.Code) (EvaluateBatchResponse, error) {
+// deadline) or as an error, types err with fallback when it carries no
+// code of its own, and publishes the span tree the evaluation got as far
+// as building (res.Trace, if any) under that code: the evaluations that
+// need explaining most are in /v1/evals/recent like the rest. The
+// response itself stays empty — an error carries no trace body.
+func (s *Service) evalFailed(ctx context.Context, res EvaluateBatchResponse, err error, fallback errs.Code) (EvaluateBatchResponse, error) {
 	if code, _ := errs.CodeOf(errs.FromContext(err)); code == errs.CodeCanceled || code == errs.CodeDeadlineExceeded {
 		s.m.evalCanceled.Inc()
 	} else {
 		s.m.evalErrors.Inc()
 	}
-	return EvaluateBatchResponse{}, errs.Typed(err, fallback)
+	err = errs.Typed(err, fallback)
+	code, _ := errs.CodeOf(err)
+	res.Trace.SetAttr("error_code", string(code))
+	s.publish(ctx, res)
+	return EvaluateBatchResponse{}, err
 }
 
 // finishEval is the tail every evaluation ends in, on the local engine or
-// across the cluster: count a failure, or record the sweep and publish its
-// span. Every evaluation is traced (a handful of small allocations per
-// call): the finished tree lands in the recent-evaluations ring and is
-// returned so the HTTP layer can echo it on ?trace=1.
+// across the cluster: count a failure, or record the sweep; either way
+// publish its span. Every evaluation is traced (a handful of small
+// allocations per call): the finished tree lands in the
+// recent-evaluations ring and is returned so the HTTP layer can echo it
+// on ?trace=1.
 func (s *Service) finishEval(ctx context.Context, start time.Time, res EvaluateBatchResponse, st fmm.Stats, points int, err error, fallback errs.Code) (EvaluateBatchResponse, error) {
 	if err != nil {
-		return s.evalFailed(err, fallback)
+		return s.evalFailed(ctx, res, err, fallback)
 	}
 	s.m.recordEval(st, len(res.Potentials), points, time.Since(start))
-	// The tree is still private to this goroutine: attach identifying
-	// attributes before publishing it to the ring makes it shared. The
-	// trace attributes link the span tree to the W3C trace context the
-	// request arrived under (or was assigned): the evaluate span's id,
-	// its parent (the caller's span, when a traceparent was sent), and
-	// the request id — the request-log ↔ /v1/evals/recent join keys.
+	s.publish(ctx, res)
+	return res, nil
+}
+
+// publish adds an evaluation's span tree to the recent-evaluations ring.
+// The tree is still private to this goroutine: the identifying attributes
+// go on before the ring makes it shared. The trace attributes link the
+// tree to the W3C trace context the request arrived under (or was
+// assigned): the evaluate span's id, its parent (the caller's span, when
+// a traceparent was sent), and the request id — the request-log ↔
+// /v1/evals/recent join keys.
+func (s *Service) publish(ctx context.Context, res EvaluateBatchResponse) {
 	span := res.Trace
 	if res.PlanID != "" {
 		span.SetAttr("plan_id", res.PlanID)
@@ -621,7 +635,6 @@ func (s *Service) finishEval(ctx context.Context, start time.Time, res EvaluateB
 		}
 	}
 	s.spans.Add(span)
-	return res, nil
 }
 
 // clusterSized reports whether a one-shot request should fan out
@@ -646,33 +659,33 @@ func (s *Service) evaluateCluster(ctx context.Context, req PlanRequest, dens [][
 	}
 	srcCount := len(src) / 3
 	if err := checkDensities(dens, srcCount, opt.Kernel.SourceDim()); err != nil {
-		return s.evalFailed(err, errs.CodeInvalidInput)
+		return s.evalFailed(ctx, EvaluateBatchResponse{}, err, errs.CodeInvalidInput)
 	}
-	start := time.Now()
+	span := obs.StartSpan("cluster_evaluate")
 	pot, rep, err := s.cfg.Cluster.Evaluate(ctx, cluster.EvalRequest{
 		Src: src, Den: dens[0], Kernel: spec,
 		Degree: opt.Degree, MaxPoints: opt.MaxPoints, MaxDepth: opt.MaxDepth,
 		Backend: int(opt.Backend), PinvTol: opt.PinvTol,
 	})
-	var res EvaluateBatchResponse
+	span.End()
+	res := EvaluateBatchResponse{Trace: span}
 	if err == nil {
-		// The cluster's own trace is the merged per-rank timeline; the
-		// span tree exposed through /v1/evals/recent carries the fan-out
-		// summary so cluster evaluations are visible next to local ones.
-		// The ranks' stage breakdown stays on the workers: the stats are
-		// wall time and the rank count.
-		span := &obs.Span{Name: "cluster_evaluate", Start: start, Duration: time.Since(start)}
+		// The root carries the fan-out summary and adopts each rank's own
+		// tree (rank > tree_build, assign_owners, iteration > the exchange
+		// and pass spans): cluster ranks run on wall time, so the trees
+		// nest under it as they are. The ranks' stage breakdown stays on
+		// the workers: the stats are wall time and the rank count.
 		span.SetAttr("ranks", strconv.Itoa(rep.Ranks))
 		span.SetAttr("workers", strconv.Itoa(rep.Workers))
 		span.SetAttr("scatter_bytes", strconv.FormatInt(rep.ScatterBytes, 10))
 		span.SetAttr("gather_bytes", strconv.FormatInt(rep.GatherBytes, 10))
-		res = EvaluateBatchResponse{
-			Potentials: [][]float64{pot},
-			Stats:      EvalStats{TotalNanos: span.Duration.Nanoseconds(), GrantedLanes: rep.Ranks},
-			Trace:      span,
+		for _, rt := range rep.Timeline.Ranks {
+			span.Children = append(span.Children, rt.Root)
 		}
+		res.Potentials = [][]float64{pot}
+		res.Stats = EvalStats{TotalNanos: span.Duration.Nanoseconds(), GrantedLanes: rep.Ranks}
 	}
-	return s.finishEval(ctx, start, res, fmm.Stats{}, srcCount, err, errs.CodeInternal)
+	return s.finishEval(ctx, span.Start, res, fmm.Stats{}, srcCount, err, errs.CodeInternal)
 }
 
 // Plans returns the number of live cached plans.

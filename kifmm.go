@@ -202,15 +202,15 @@ func (e *Evaluator) EvaluateBatchCtx(ctx context.Context, dens [][]float64) ([][
 // pass (permute/up/down/leaf/unpermute) and each tree level within the
 // up and down passes. Pass spans are wall time of the parallel sweep,
 // while Stats stages sum compute time across lanes — they agree only at
-// width 1. The tree is finished and owned by the caller; it is nil on
-// error. Tracing costs a handful of small allocations per call.
+// width 1. The tree is finished and owned by the caller; on error it holds
+// the passes the call got through, so a failed or cancelled evaluation
+// still shows where it stopped. Tracing costs a handful of small
+// allocations per call.
 func (e *Evaluator) EvaluateBatchTracedCtx(ctx context.Context, dens [][]float64) ([][]float64, fmm.Stats, *obs.Span, error) {
 	root := obs.StartSpan("evaluate")
 	pots, st, err := e.inner.Evaluate(ctx, dens, root, nil)
-	if err != nil {
-		return nil, fmm.Stats{}, nil, err
-	}
-	return pots, st, root, nil
+	root.End() // the engine ends it on success only
+	return pots, st, root, err
 }
 
 // Workers returns the width ceiling of one evaluation (the widest lane
