@@ -181,11 +181,14 @@ const conformanceGoldenPath = "testdata/conformance.golden"
 // TestConformanceGolden pins the bits: testdata/conformance.golden maps
 // each drawConformanceCases(7001, 12) case to the sha256 of its batch
 // result (every potential's float64 bits, little-endian, in order), its
-// flop count and its WDirect / XDirect counts. A PR that declares itself
-// bit-preserving leaves the file alone; one that re-associates or
-// approximates rewrites it with `go test -run ConformanceGolden -update .`
-// and says so in CHANGES.md. The file is pinned on amd64: the Go compiler
-// fuses multiply-adds on arm64, ppc64le and s390x and not there.
+// flop count, its WDirect / XDirect counts and its relative error against
+// direct summation (the worst vector of the batch, three significant
+// digits). A PR that declares itself bit-preserving leaves the file
+// alone; one that re-associates or approximates rewrites it with
+// `go test -run ConformanceGolden -update .` and says so in CHANGES.md,
+// where the err column shows how little (or how much) the results moved.
+// The file is pinned on amd64: the Go compiler fuses multiply-adds on
+// arm64, ppc64le and s390x and not there.
 func TestConformanceGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("conformance golden is pinned on amd64 (no fused multiply-add); this is %s", runtime.GOARCH)
@@ -196,16 +199,22 @@ func TestConformanceGolden(t *testing.T) {
 	}
 	cases := drawConformanceCases(7001, iters)
 	line := func(t *testing.T, c conformanceCase) string {
-		_, pots, st := c.evaluate(t, NewPool(4))
+		dens, pots, st := c.evaluate(t, NewPool(4))
 		h := sha256.New()
 		var b [8]byte
-		for _, pot := range pots {
+		worst := 0.0
+		for q, pot := range pots {
 			for _, v := range pot {
 				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 				h.Write(b[:])
 			}
+			want, err := Direct(c.kernel, c.pts, c.pts, dens[q])
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst = math.Max(worst, rel(pot, want))
 		}
-		return fmt.Sprintf("%x flops=%d wdirect=%d xdirect=%d", h.Sum(nil), st.Flops(), st.WDirect, st.XDirect)
+		return fmt.Sprintf("%x flops=%d wdirect=%d xdirect=%d err=%.2e", h.Sum(nil), st.Flops(), st.WDirect, st.XDirect, worst)
 	}
 	if *updateGolden {
 		if testing.Short() {

@@ -3,6 +3,7 @@ package kifmm
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -139,19 +140,22 @@ func TestCtxOverheadSanity(t *testing.T) {
 	}
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	const rounds = 3
-	var background, cancellable time.Duration
-	for i := 0; i < rounds; i++ {
+	// The minimum over the rounds, not their sum: under a loaded machine
+	// (go test ./... runs packages side by side) one stolen time slice
+	// lands on one side of a sum, while the fastest round of each side
+	// is the work itself.
+	const rounds = 5
+	timed := func(ctx context.Context) time.Duration {
 		s := time.Now()
-		if _, err := ev.EvaluateCtx(context.Background(), den); err != nil {
+		if _, err := ev.EvaluateCtx(ctx, den); err != nil {
 			t.Fatal(err)
 		}
-		background += time.Since(s)
-		s = time.Now()
-		if _, err := ev.EvaluateCtx(live, den); err != nil {
-			t.Fatal(err)
-		}
-		cancellable += time.Since(s)
+		return time.Since(s)
+	}
+	background, cancellable := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < rounds; i++ {
+		background = min(background, timed(context.Background()))
+		cancellable = min(cancellable, timed(live))
 	}
 	if cancellable > background*3/2 {
 		t.Errorf("cancellable-ctx evaluation %v vs Background %v — ctx checks are too hot", cancellable, background)

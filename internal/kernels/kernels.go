@@ -31,6 +31,11 @@ type Kernel interface {
 	// Eval writes the TargetDim x SourceDim kernel block for displacement
 	// r = x - y into out in row-major order. At r = 0 the block is zero
 	// (self interactions are excluded, as in all FMM codes).
+	//
+	// Eval(-r) must be the transpose of Eval(r), bit for bit (so SourceDim
+	// equals TargetDim): a single layer is reciprocal, and package
+	// translate inverts one check-to-equivalent matrix per box size and
+	// uses its transpose for the other direction.
 	Eval(rx, ry, rz float64, out []float64)
 	// Homogeneity reports whether G(s*x, s*y) = s^deg * G(x, y) for all
 	// s > 0, and the degree deg. Homogeneous kernels allow translation

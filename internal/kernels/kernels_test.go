@@ -11,6 +11,32 @@ func allKernels() []Kernel {
 	return []Kernel{Laplace{}, NewModLaplace(1.5), NewStokes(0.7)}
 }
 
+// TestEvalReflectionIsTranspose pins the Kernel contract the operator
+// set-up rests on: Eval(-r) is Eval(r) transposed, bitwise.
+func TestEvalReflectionIsTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, k := range append(allKernels(), NewKelvin(1.3, 0.3)) {
+		sd, td := k.SourceDim(), k.TargetDim()
+		if sd != td {
+			t.Fatalf("%s: SourceDim %d != TargetDim %d", k.Name(), sd, td)
+		}
+		fwd, rev := make([]float64, td*sd), make([]float64, td*sd)
+		for n := 0; n < 500; n++ {
+			rx, ry, rz := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+			k.Eval(rx, ry, rz, fwd)
+			k.Eval(-rx, -ry, -rz, rev)
+			for i := 0; i < td; i++ {
+				for j := 0; j < sd; j++ {
+					if a, b := fwd[i*sd+j], rev[j*sd+i]; math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("%s: Eval(r)[%d][%d] = %v but Eval(-r)[%d][%d] = %v at r = (%v, %v, %v)",
+							k.Name(), i, j, a, j, i, b, rx, ry, rz)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range []string{"laplace", "modlaplace", "stokes"} {
 		k, err := ByName(name)

@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -189,6 +190,39 @@ func TestSVDKnownValues(t *testing.T) {
 	if math.Abs(dec.S[0]-3) > 1e-12 || math.Abs(dec.S[1]-2) > 1e-12 {
 		t.Errorf("singular values of diag(3,2): %v", dec.S)
 	}
+}
+
+// TestSVDReportsSweepsAndConvergence: a factorization that stops at the
+// sweep limit, or that met a non-finite entry, must say so.
+func TestSVDReportsSweepsAndConvergence(t *testing.T) {
+	a := randomDense(rand.New(rand.NewSource(8)), 20, 12)
+	if dec := SVD(a); !dec.Converged || dec.Sweeps < 2 || dec.Sweeps >= maxSweeps {
+		t.Errorf("random 20x12: converged=%v after %d sweeps", dec.Converged, dec.Sweeps)
+	}
+	if dec := svd(a, 2); dec.Converged || dec.Sweeps != 2 {
+		t.Errorf("limit of 2 sweeps: converged=%v after %d sweeps, want false after 2", dec.Converged, dec.Sweeps)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := a.Clone()
+		b.Set(7, 3, bad)
+		if dec := SVD(b); dec.Converged || dec.Sweeps >= maxSweeps {
+			t.Errorf("entry %v: converged=%v after %d sweeps, want an early unconverged stop", bad, dec.Converged, dec.Sweeps)
+		}
+	}
+}
+
+// TestPseudoInversePanicsOnUnconvergedSVD: an operator built from a
+// factorization that did not converge must not be returned.
+func TestPseudoInversePanicsOnUnconvergedSVD(t *testing.T) {
+	a := randomDense(rand.New(rand.NewSource(9)), 6, 6)
+	a.Set(2, 4, math.NaN())
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "linalg: PseudoInverse") {
+			t.Errorf("PseudoInverse of a matrix with a NaN: recovered %q, want a linalg: panic", msg)
+		}
+	}()
+	PseudoInverse(a, 1e-10)
 }
 
 func TestPseudoInverseMoorePenrose(t *testing.T) {

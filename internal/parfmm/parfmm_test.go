@@ -491,9 +491,20 @@ func TestWorkEstimateFeedback(t *testing.T) {
 	if e := relErr(second.Pot, first.Pot); e > 1e-11 {
 		t.Errorf("re-partitioned run changed the results by %v", e)
 	}
-	t.Logf("imbalance ratio: count-weighted %.3f -> work-weighted %.3f", first.Ratio(), second.Ratio())
-	if second.Ratio() > first.Ratio()*1.5 {
-		t.Errorf("work-weighted partitioning degraded balance: %.3f -> %.3f", first.Ratio(), second.Ratio())
+	// The balance claim is asserted on the per-rank flop counts, which
+	// repeat exactly; Ratio() is a ratio of metered wall times and on a
+	// shared machine reads anything (7.5-11.8 -> 1.55-2.6 over three runs).
+	flopRatio := func(r *Result) float64 {
+		lo, hi := int64(math.MaxInt64), int64(0)
+		for _, rs := range r.Ranks {
+			lo, hi = min(lo, rs.Stats.Flops()), max(hi, rs.Stats.Flops())
+		}
+		return float64(hi) / float64(lo)
+	}
+	t.Logf("max/min flops per rank: count-weighted %.3f -> work-weighted %.3f (timed imbalance ratio %.3f -> %.3f)",
+		flopRatio(first), flopRatio(second), first.Ratio(), second.Ratio())
+	if flopRatio(second) > flopRatio(first) {
+		t.Errorf("work-weighted partitioning degraded the flop balance: %.3f -> %.3f", flopRatio(first), flopRatio(second))
 	}
 }
 

@@ -43,9 +43,13 @@ type entry struct {
 	// mu serializes builds (so the lanes of a first evaluation do not all
 	// build the same operator) and guards the plain pointers below; the
 	// two offset tables are read without it.
-	mu       sync.Mutex
-	pinvUp   *linalg.Dense // UC check potential -> UE equivalent density
-	pinvDown *linalg.Dense // DC check potential -> DE equivalent density
+	mu sync.Mutex
+	// pinvUp (UC check potential -> UE equivalent density) comes from the
+	// entry's one factorization; pinvDown (DC check potential -> DE
+	// equivalent density) is its transpose, stored row-major like every
+	// operator so that applying it walks rows. Set.pinvs fills both at once.
+	pinvUp   *linalg.Dense
+	pinvDown *linalg.Dense
 	m2m      [8]*linalg.Dense
 	l2l      [8]*linalg.Dense
 	m2l      offsetTable[linalg.Dense]
@@ -68,8 +72,8 @@ func (t *offsetTable[T]) slot(k [3]int) *atomic.Pointer[T] {
 // store is the process's one operator cache: plans over the same kernel,
 // degree, truncation and box size — every evaluator of a benchmark sweep,
 // every rank of a distributed run, every plan of a service — share one
-// entry, so the expensive factorizations run once. An entry stays while a
-// Set holds it and, after that, while it fits the retention.
+// entry, so its one expensive factorization runs once. An entry stays
+// while a Set holds it and, after that, while it fits the retention.
 var store = struct {
 	mu      sync.Mutex
 	entries map[storeKey]*entry

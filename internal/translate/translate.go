@@ -12,8 +12,18 @@
 //
 // The inversions are truncated-SVD pseudo-inverses (the regularization
 // the method needs: the integral equations are consistent but
-// ill-conditioned). For homogeneous kernels (Laplace, Stokes) all
-// operators are built once at unit scale and rescaled analytically, since
+// ill-conditioned), and each box size is factored once. The upward
+// equation maps UE densities to UC potentials, the downward one DE
+// densities to DC potentials; DE sits on UC's surface and DC on UE's, on
+// the same lattice, so entry (i, j) of one matrix is the kernel at r and
+// entry (j, i) of the other the kernel at -r. A single-layer kernel has
+// K(-r) = K(r)ᵀ (the kernels.Kernel contract), which makes the downward
+// matrix the transpose of the upward one bit for bit, and the transpose of
+// a pseudo-inverse is the pseudo-inverse of the transpose: the downward
+// operator is the upward operator transposed.
+//
+// For homogeneous kernels (Laplace, Stokes) all operators are built once
+// at unit scale and rescaled analytically, since
 // G(s·x, s·y) = s^deg · G(x, y) makes every level's operator an exact
 // multiple of the unit one; non-homogeneous kernels (modified Laplace)
 // get one set of operators per level.
@@ -238,29 +248,39 @@ func (s *Set) kernelMatrix(ct [3]float64, rt float64, cs [3]float64, rs float64)
 	return m
 }
 
+// pinvs returns both check-to-equivalent inverses of a level, factoring
+// the UC<-UE matrix on first use; the downward operator is the upward one
+// transposed (see the package comment). The two slots fill under one hold
+// of e.mu: e.dense takes that mutex, so one operator's build closure
+// cannot ask for the other.
+func (s *Set) pinvs(level int) (up, down Op) {
+	key, _, pscale := s.scaleFor(level)
+	e := s.entry(key)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.pinvUp == nil {
+		r := e.key.radius
+		a := s.kernelMatrix([3]float64{}, surface.CheckRadius(r), [3]float64{}, surface.EquivRadius(s.P, r))
+		e.pinvUp = linalg.PseudoInverse(a, s.Tol)
+		e.pinvDown = e.pinvUp.Transpose()
+		e.denseBytes.Add(2 * int64(len(e.pinvUp.Data)) * 8)
+	}
+	return Op{M: e.pinvUp, Scale: pscale}, Op{M: e.pinvDown, Scale: pscale}
+}
+
 // UpwardPinv returns the operator that turns an upward check potential
 // (on the UC surface) into the upward equivalent density (on UE) for a
 // box at the given level.
 func (s *Set) UpwardPinv(level int) Op {
-	key, _, pscale := s.scaleFor(level)
-	e := s.entry(key)
-	m := e.dense(&e.pinvUp, func(r float64) *linalg.Dense {
-		m := s.kernelMatrix([3]float64{}, surface.CheckRadius(r), [3]float64{}, surface.EquivRadius(s.P, r))
-		return linalg.PseudoInverse(m, s.Tol)
-	})
-	return Op{M: m, Scale: pscale}
+	up, _ := s.pinvs(level)
+	return up
 }
 
 // DownwardPinv returns the operator that turns a downward check potential
 // (on DC) into the downward equivalent density (on DE).
 func (s *Set) DownwardPinv(level int) Op {
-	key, _, pscale := s.scaleFor(level)
-	e := s.entry(key)
-	m := e.dense(&e.pinvDown, func(r float64) *linalg.Dense {
-		m := s.kernelMatrix([3]float64{}, surface.EquivRadius(s.P, r), [3]float64{}, surface.CheckRadius(r))
-		return linalg.PseudoInverse(m, s.Tol)
-	})
-	return Op{M: m, Scale: pscale}
+	_, down := s.pinvs(level)
+	return down
 }
 
 // childCenter returns the center of child octant o for a parent of

@@ -3,10 +3,12 @@ package translate
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fft"
 	"repro/internal/kernels"
+	"repro/internal/linalg"
 	"repro/internal/surface"
 )
 
@@ -486,6 +488,69 @@ func TestHomogeneousScalingMatchesExplicitBuild(t *testing.T) {
 	explicit.MatVec(want, x)
 	if e := relErr(got, want); e > 1e-13 {
 		t.Errorf("homogeneous rescaling error %v", e)
+	}
+}
+
+// builtinKernels returns the paper's three kernels and Kelvin.
+func builtinKernels() []kernels.Kernel {
+	return append(testKernels(), kernels.NewKelvin(1, 0.3))
+}
+
+func sameBits(a, b *linalg.Dense) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && slices.EqualFunc(a.Data, b.Data, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+// TestOneFactorizationServesBothDirections: the UC<-UE matrix is the
+// DC<-DE matrix transposed, bit for bit, for every built-in kernel, which
+// is what lets pinvs factor once; and the downward inverse handed out is
+// the upward one transposed. A kernel with K(-r) != K(r)ᵀ fails here
+// rather than as lost digits.
+func TestOneFactorizationServesBothDirections(t *testing.T) {
+	for _, k := range builtinKernels() {
+		for _, p := range []int{4, 6} {
+			s, _ := NewSet(k, p, 0.7, 0)
+			defer s.Close()
+			const level = 2
+			r := s.BoxHalfWidth(level)
+			rc, re := surface.CheckRadius(r), surface.EquivRadius(p, r)
+			up := s.kernelMatrix([3]float64{}, rc, [3]float64{}, re)
+			down := s.kernelMatrix([3]float64{}, re, [3]float64{}, rc)
+			if !sameBits(up, down.Transpose()) {
+				t.Errorf("%s p=%d: the UC<-UE matrix is not the DC<-DE matrix transposed", k.Name(), p)
+			}
+			pu, pd := s.UpwardPinv(level), s.DownwardPinv(level)
+			if !sameBits(pd.M, pu.M.Transpose()) || pd.Scale != pu.Scale {
+				t.Errorf("%s p=%d: DownwardPinv is not UpwardPinv transposed", k.Name(), p)
+			}
+		}
+	}
+}
+
+// TestCheckMatrixSweepCeiling: the one-sided Jacobi SVD of each kernel's
+// check-to-equivalent matrix converges, in the number of sweeps it takes
+// today (23 at n = 294, 21 at n = 152) plus a little slack for other
+// architectures' rounding. The factorization is the whole set-up cost, so
+// a convergence regression has to fail a test.
+func TestCheckMatrixSweepCeiling(t *testing.T) {
+	for _, c := range []struct {
+		k       kernels.Kernel
+		p, most int
+	}{
+		{kernels.Laplace{}, 6, 23},
+		{kernels.NewModLaplace(1), 6, 23},
+		{kernels.NewStokes(1), 5, 25},
+		{kernels.NewKelvin(1, 0.3), 5, 25},
+	} {
+		s, _ := NewSet(c.k, c.p, 1, 0)
+		a := s.kernelMatrix([3]float64{}, surface.CheckRadius(1), [3]float64{}, surface.EquivRadius(c.p, 1))
+		dec := linalg.SVD(a)
+		t.Logf("%s p=%d n=%d: %d sweeps", c.k.Name(), c.p, a.Cols, dec.Sweeps)
+		if !dec.Converged || dec.Sweeps > c.most {
+			t.Errorf("%s p=%d n=%d: converged=%v after %d sweeps, want convergence within %d",
+				c.k.Name(), c.p, a.Cols, dec.Converged, dec.Sweeps, c.most)
+		}
 	}
 }
 
