@@ -342,7 +342,7 @@ func TestClusterAbortStopsRankCompute(t *testing.T) {
 		_, _, err := coord.Evaluate(ctx, req)
 		errCh <- err
 	}()
-	for deadline := time.Now().Add(5 * time.Second); w.Pool().InUse() == 0; {
+	for deadline := time.Now().Add(5 * time.Second); w.Pool().LanesInUse() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("job never reached the worker's pool")
 		}
@@ -367,7 +367,7 @@ func TestClusterAbortStopsRankCompute(t *testing.T) {
 	case <-time.After(bound):
 		t.Fatalf("job runner still computing %v after the abort (a full evaluation takes %v)", bound, full)
 	}
-	if in := w.Pool().InUse(); in != 0 {
+	if in := w.Pool().LanesInUse(); in != 0 {
 		t.Errorf("worker pool still has %d lanes in use after the abort", in)
 	}
 

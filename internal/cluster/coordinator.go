@@ -379,12 +379,19 @@ func (c *Coordinator) handleColl(m *collMsg) {
 			last = r
 		}
 	}
+	for r := range cs.i64 {
+		// What the ranks sent came off a socket: mpi.Reduce wants it square.
+		if len(cs.i64[r]) != len(cs.i64[0]) || len(cs.f64[r]) != len(cs.f64[0]) {
+			c.failJob(j.id, errs.Newf(errs.CodeInternal, "kifmm: collective %d: rank %d disagrees with rank 0 on the vector length", m.Seq, r))
+			return
+		}
+	}
 	resp := &collRespMsg{Job: j.id, Seq: m.Seq, LastRank: last, LastEntryNS: cs.entryNS[last], Kind: cs.kind}
 	switch cs.kind {
 	case collInt64:
-		resp.I64 = reduceInt64(cs.op, cs.i64)
+		resp.I64 = mpi.Reduce(cs.op, cs.i64)
 	case collFloat64:
-		resp.F64 = reduceFloat64(cs.op, cs.f64)
+		resp.F64 = mpi.Reduce(cs.op, cs.f64)
 	}
 	for r := 0; r < j.size; r++ {
 		p := j.partOf(r)
@@ -396,48 +403,6 @@ func (c *Coordinator) handleColl(m *collMsg) {
 			c.dropWorker(p.wc, err)
 		}
 	}
-}
-
-func reduceInt64(op mpi.ReduceOp, all [][]int64) []int64 {
-	out := append([]int64(nil), all[0]...)
-	for _, in := range all[1:] {
-		for i, v := range in {
-			switch op {
-			case mpi.OpSum:
-				out[i] += v
-			case mpi.OpMax:
-				if v > out[i] {
-					out[i] = v
-				}
-			case mpi.OpMin:
-				if v < out[i] {
-					out[i] = v
-				}
-			}
-		}
-	}
-	return out
-}
-
-func reduceFloat64(op mpi.ReduceOp, all [][]float64) []float64 {
-	out := append([]float64(nil), all[0]...)
-	for _, in := range all[1:] {
-		for i, v := range in {
-			switch op {
-			case mpi.OpSum:
-				out[i] += v
-			case mpi.OpMax:
-				if v > out[i] {
-					out[i] = v
-				}
-			case mpi.OpMin:
-				if v < out[i] {
-					out[i] = v
-				}
-			}
-		}
-	}
-	return out
 }
 
 // handleResult records one worker's rank results; the last one resolves
@@ -573,13 +538,10 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 		peers[i] = rankRange{Addr: p.wc.addr, Lo: p.lo, Hi: p.hi}
 	}
 	var scatter int64
+	hdr := req.header(job.id, size, peers)
 	for _, p := range parts {
-		hdr := &jobHeader{
-			Job: job.id, Size: size, RankLo: p.lo, RankHi: p.hi, Peers: peers,
-			Kernel: req.Kernel, Degree: req.Degree, MaxPoints: req.MaxPoints,
-			MaxDepth: req.MaxDepth, Backend: req.Backend, PinvTol: req.PinvTol,
-		}
-		payload, err := encodeJobStart(hdr, job.inputs[p.lo:p.hi])
+		hdr.RankLo, hdr.RankHi = p.lo, p.hi
+		payload, err := encodeJobStart(&hdr, job.inputs[p.lo:p.hi])
 		if err != nil {
 			err = errs.Wrap(errs.CodeInternal, err)
 			c.abortJob(job, err, nil)

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"repro/internal/wire"
@@ -60,6 +61,9 @@ const maxFrameBytes = wire.MaxFrameBytes
 
 // frame header: u32 little-endian length of (type byte + payload).
 const frameHeaderBytes = 4
+
+// frameStep is the largest frame readFrame allocates in one piece.
+const frameStep = 1 << 20
 
 // framedConn is a net.Conn carrying length-prefixed frames; writes are
 // serialized by an internal mutex so any goroutine may send.
@@ -98,13 +102,20 @@ func (fc *framedConn) readFrame() (frameType, []byte, error) {
 	if _, err := io.ReadFull(fc.r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n < 1 || n > maxFrameBytes {
 		return 0, nil, fmt.Errorf("cluster: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(fc.r, body); err != nil {
-		return 0, nil, err
+	// The buffer grows as the bytes arrive: a peer commits this side to at
+	// most frameStep beyond what it actually sent, not to the gigabyte its
+	// length word may claim.
+	var body []byte
+	for len(body) < n {
+		step := min(n-len(body), max(len(body), frameStep))
+		body = slices.Grow(body, step)[:len(body)+step]
+		if _, err := io.ReadFull(fc.r, body[len(body)-step:]); err != nil {
+			return 0, nil, err
+		}
 	}
 	return frameType(body[0]), body[1:], nil
 }

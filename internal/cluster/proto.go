@@ -3,6 +3,8 @@ package cluster
 import (
 	"encoding/json"
 
+	"repro/internal/errs"
+	"repro/internal/fmm"
 	"repro/internal/kernels"
 	"repro/internal/parfmm"
 	"repro/internal/wire"
@@ -39,6 +41,33 @@ type jobHeader struct {
 	MaxDepth  int          `json:"max_depth,omitempty"`
 	Backend   int          `json:"backend,omitempty"`
 	PinvTol   float64      `json:"pinv_tol,omitempty"`
+}
+
+// header is the job header every worker of the job gets, short of its
+// own rank range: the request's options, field for field.
+func (req *EvalRequest) header(job uint64, size int, peers []rankRange) jobHeader {
+	return jobHeader{
+		Job: job, Size: size, Peers: peers,
+		Kernel: req.Kernel, Degree: req.Degree, MaxPoints: req.MaxPoints,
+		MaxDepth: req.MaxDepth, Backend: req.Backend, PinvTol: req.PinvTol,
+	}
+}
+
+// options resolves the header into what every local rank evaluates with.
+func (h *jobHeader) options() (parfmm.Options, error) {
+	kern, err := kernels.FromSpec(h.Kernel)
+	if err != nil {
+		return parfmm.Options{}, errs.Typed(err, errs.CodeInvalidInput)
+	}
+	return parfmm.Options{
+		Options: fmm.Options{
+			Kernel: kern, Degree: h.Degree, MaxPoints: h.MaxPoints, MaxDepth: h.MaxDepth,
+			Backend: fmm.M2LBackend(h.Backend), PinvTol: h.PinvTol,
+		},
+		// Always trace: the ledger is cheap at cluster scale and feeds the
+		// per-pass wire metrics and the rank trees of /v1/evals/recent.
+		Trace: true,
+	}, nil
 }
 
 // rankRange is one worker's slice of the rank space.
@@ -88,8 +117,10 @@ func decodeJobStart(p []byte) (*jobHeader, []*parfmm.RankInput, error) {
 	if err := json.Unmarshal(raw, &hdr); err != nil {
 		return nil, nil, err
 	}
+	// A rank input is three count words at the least; the header's word
+	// for how many follow is not taken on trust.
 	n := hdr.RankHi - hdr.RankLo
-	if n < 0 || n > hdr.Size {
+	if n < 0 || n > hdr.Size || n > r.Remaining()/24 {
 		return nil, nil, errMalformed()
 	}
 	inputs := make([]*parfmm.RankInput, n)

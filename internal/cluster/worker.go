@@ -13,8 +13,6 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/exec"
-	"repro/internal/fmm"
-	"repro/internal/kernels"
 	"repro/internal/parfmm"
 )
 
@@ -365,9 +363,9 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 	hdr := j.hdr
 	nLocal := hdr.RankHi - hdr.RankLo
 
-	kern, err := kernels.FromSpec(hdr.Kernel)
+	opt, err := hdr.options()
 	if err != nil {
-		w.reportJobError(j, errs.Typed(err, errs.CodeInvalidInput))
+		w.reportJobError(j, err)
 		return
 	}
 	// The job's ranks compute under ctx; abort cancels it, so an aborted
@@ -386,18 +384,6 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 		return
 	}
 	defer lease.Release()
-
-	opt := parfmm.Options{
-		Kernel:    kern,
-		Degree:    hdr.Degree,
-		MaxPoints: hdr.MaxPoints,
-		MaxDepth:  hdr.MaxDepth,
-		Backend:   fmm.M2LBackend(hdr.Backend),
-		PinvTol:   hdr.PinvTol,
-		// Always trace: the ledger is cheap at cluster scale and feeds the
-		// per-pass wire metrics and the rank trees of /v1/evals/recent.
-		Trace: true,
-	}
 
 	results := make([]rankResultWire, nLocal)
 	var (

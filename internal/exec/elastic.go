@@ -77,8 +77,8 @@ func NewElastic(maxWorkers int) *Elastic {
 	}
 }
 
-// Cap returns the pool's lane capacity.
-func (e *Elastic) Cap() int { return e.capacity }
+// MaxWorkers returns the pool's lane capacity.
+func (e *Elastic) MaxWorkers() int { return e.capacity }
 
 // SetAcquireObserver installs a callback run after each successful
 // Acquire with the admission wait time and granted width — the hook the
@@ -91,24 +91,24 @@ func (e *Elastic) SetAcquireObserver(fn func(wait time.Duration, granted int)) {
 	e.mu.Unlock()
 }
 
-// InUse returns the number of lanes currently held by live leases
-// (the lanes_in_use gauge; never exceeds Cap).
-func (e *Elastic) InUse() int {
+// LanesInUse returns the number of lanes currently held by live leases
+// (the lanes_in_use gauge; never exceeds MaxWorkers).
+func (e *Elastic) LanesInUse() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.held
 }
 
-// GrantedLanes returns the total number of lanes handed out at
+// LanesGranted returns the total number of lanes handed out at
 // admission across all Acquire calls (mid-run regrowth not counted).
-func (e *Elastic) GrantedLanes() int64 {
+func (e *Elastic) LanesGranted() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.grantedLanes
 }
 
-// GrantedLeases returns the number of leases admitted.
-func (e *Elastic) GrantedLeases() int64 {
+// LeasesGranted returns the number of leases admitted.
+func (e *Elastic) LeasesGranted() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.grantedLeases
@@ -152,8 +152,9 @@ func clamp(v, lo, hi int) int {
 // load: up to want lanes (want <= 0 means the full capacity) on an idle
 // pool, degrading toward one lane as concurrent leases pile up. When no
 // lane is free it first revokes running leases toward the new fair
-// share, then blocks — honoring ctx — until their sweeps shed one. The
-// returned lease must be Released.
+// share, then blocks — honoring ctx — until their sweeps shed one.
+// Callers are admitted in arrival order. The returned lease must be
+// Released.
 func (e *Elastic) Acquire(ctx context.Context, want int) (*Lease, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -174,7 +175,7 @@ func (e *Elastic) Acquire(ctx context.Context, want int) (*Lease, error) {
 		for o := range e.leases {
 			o.lowerTargetLocked(alloc[o])
 		}
-		if free := e.capacity - e.held; free >= 1 {
+		if free := e.capacity - e.held; free >= 1 && e.firstInLineLocked(l) {
 			grant := clamp(alloc[l], 1, want)
 			if grant > free {
 				grant = free
@@ -188,6 +189,7 @@ func (e *Elastic) Acquire(ctx context.Context, want int) (*Lease, error) {
 			e.grantedLeases++
 			if queued {
 				delete(e.waiters, l)
+				e.notifyLocked() // the next in line re-checks what is left
 			}
 			obs := e.acquireObs
 			e.mu.Unlock()
@@ -210,11 +212,25 @@ func (e *Elastic) Acquire(ctx context.Context, want int) (*Lease, error) {
 		case <-ctx.Done():
 			e.mu.Lock()
 			delete(e.waiters, l)
+			e.notifyLocked() // whoever queued behind us may be first now
 			e.mu.Unlock()
 			return nil, ctx.Err()
 		}
 		e.mu.Lock()
 	}
+}
+
+// firstInLineLocked reports whether no caller that arrived before l is
+// still queued. Admission is in arrival order: without it a caller that
+// releases and at once re-acquires finds its own lane free and takes it
+// again, and the one queued meanwhile waits out every such round.
+func (e *Elastic) firstInLineLocked(l *Lease) bool {
+	for o := range e.waiters {
+		if o.seq < l.seq {
+			return false
+		}
+	}
+	return true
 }
 
 // allocsLocked water-fills the capacity over every current claimant —

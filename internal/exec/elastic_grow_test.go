@@ -51,8 +51,8 @@ func TestLeaseRegrowsMidSweep(t *testing.T) {
 		t.Errorf("l1 width %d after mid-sweep regrowth, want 4", w)
 	}
 	l1.Release()
-	if e.InUse() != 0 {
-		t.Errorf("InUse = %d after release", e.InUse())
+	if e.LanesInUse() != 0 {
+		t.Errorf("LanesInUse = %d after release", e.LanesInUse())
 	}
 }
 
@@ -193,8 +193,8 @@ func TestForRangeWidthDeterminism(t *testing.T) {
 		})
 		check("shrink+regrow", out)
 		l.Release()
-		if e.InUse() != 0 {
-			t.Errorf("InUse = %d after all releases", e.InUse())
+		if e.LanesInUse() != 0 {
+			t.Errorf("LanesInUse = %d after all releases", e.LanesInUse())
 		}
 	}
 }

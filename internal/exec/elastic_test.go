@@ -56,16 +56,16 @@ func TestAcquireIdleGrantsFullWant(t *testing.T) {
 		if l.Granted() != tc.grant {
 			t.Errorf("Acquire(want=%d) granted %d, want %d", tc.want, l.Granted(), tc.grant)
 		}
-		if got := e.InUse(); got != tc.grant {
-			t.Errorf("InUse = %d after grant of %d", got, tc.grant)
+		if got := e.LanesInUse(); got != tc.grant {
+			t.Errorf("LanesInUse = %d after grant of %d", got, tc.grant)
 		}
 		l.Release()
-		if got := e.InUse(); got != 0 {
-			t.Errorf("InUse = %d after release", got)
+		if got := e.LanesInUse(); got != 0 {
+			t.Errorf("LanesInUse = %d after release", got)
 		}
 	}
-	if e.GrantedLeases() != 5 {
-		t.Errorf("GrantedLeases = %d, want 5", e.GrantedLeases())
+	if e.LeasesGranted() != 5 {
+		t.Errorf("LeasesGranted = %d, want 5", e.LeasesGranted())
 	}
 }
 
@@ -87,8 +87,8 @@ func TestAcquireDegradesUnderLoad(t *testing.T) {
 	if g := l2.Granted(); g < 1 || g > 2 {
 		t.Errorf("second lease granted %d lanes, want 1..2 (fair share of 4 across 2)", g)
 	}
-	if in := e.InUse(); in > e.Cap() {
-		t.Errorf("InUse %d exceeds capacity %d", in, e.Cap())
+	if in := e.LanesInUse(); in > e.MaxWorkers() {
+		t.Errorf("LanesInUse %d exceeds capacity %d", in, e.MaxWorkers())
 	}
 	l1.Release()
 	l2.Release()
@@ -138,8 +138,8 @@ func TestLeaseShedsLanesMidSweep(t *testing.T) {
 	}
 	l1.Release()
 	l2.Release()
-	if e.InUse() != 0 {
-		t.Errorf("InUse = %d after all releases", e.InUse())
+	if e.LanesInUse() != 0 {
+		t.Errorf("LanesInUse = %d after all releases", e.LanesInUse())
 	}
 }
 
@@ -173,8 +173,8 @@ func TestAcquirePreCancelled(t *testing.T) {
 	if _, err := e.Acquire(ctx, 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	if e.InUse() != 0 {
-		t.Errorf("InUse = %d after failed Acquire", e.InUse())
+	if e.LanesInUse() != 0 {
+		t.Errorf("LanesInUse = %d after failed Acquire", e.LanesInUse())
 	}
 }
 
@@ -203,7 +203,7 @@ func TestElasticSoak(t *testing.T) {
 				return
 			default:
 			}
-			if in := e.InUse(); in < 0 || in > capacity {
+			if in := e.LanesInUse(); in < 0 || in > capacity {
 				probeBad.Add(1)
 			}
 			runtime.Gosched()
@@ -265,8 +265,8 @@ func TestElasticSoak(t *testing.T) {
 	if probeBad.Load() != 0 {
 		t.Errorf("InUse left [0, %d] %d times during soak", capacity, probeBad.Load())
 	}
-	if in := e.InUse(); in != 0 {
-		t.Errorf("InUse = %d after every lease released", in)
+	if in := e.LanesInUse(); in != 0 {
+		t.Errorf("LanesInUse = %d after every lease released", in)
 	}
 
 	deadline := time.Now().Add(2 * time.Second)
@@ -330,8 +330,8 @@ func TestNarrowLeaseClaimsOnlyItsWant(t *testing.T) {
 	l1.Release()
 	l2.Release()
 	l3.Release()
-	if e.InUse() != 0 {
-		t.Errorf("InUse = %d after releases", e.InUse())
+	if e.LanesInUse() != 0 {
+		t.Errorf("LanesInUse = %d after releases", e.LanesInUse())
 	}
 }
 
@@ -342,10 +342,92 @@ func TestReleaseIdempotent(t *testing.T) {
 	l, _ := e.Acquire(bg, 2)
 	l.Release()
 	l.Release()
-	if e.InUse() != 0 {
-		t.Errorf("InUse = %d", e.InUse())
+	if e.LanesInUse() != 0 {
+		t.Errorf("LanesInUse = %d", e.LanesInUse())
 	}
 	if l2, err := e.Acquire(bg, 3); err != nil || l2.Granted() != 3 {
 		t.Errorf("pool unusable after double release: %v, granted %d", err, l2.Granted())
+	}
+}
+
+// queueAcquire starts an Acquire(ctx, 1) on a full pool and returns once
+// it is queued; the lease, or nil if ctx ended the wait, arrives on the
+// returned channel.
+func queueAcquire(t *testing.T, e *Elastic, ctx context.Context) <-chan *Lease {
+	t.Helper()
+	e.mu.Lock()
+	queued := len(e.waiters)
+	e.mu.Unlock()
+	got := make(chan *Lease, 1)
+	go func() {
+		l, _ := e.Acquire(ctx, 1)
+		got <- l
+	}()
+	for {
+		e.mu.Lock()
+		n := len(e.waiters)
+		e.mu.Unlock()
+		if n > queued {
+			return got
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestAcquireAdmitsInArrivalOrder: callers queued on a full pool are
+// admitted in the order they arrived — a caller that releases and at once
+// re-acquires goes behind the ones already waiting — and a queued caller
+// giving up does not strand the one behind it.
+func TestAcquireAdmitsInArrivalOrder(t *testing.T) {
+	// next returns want's lease, failing if o1 or o2 (nil for none) is
+	// admitted before it.
+	next := func(round int, want <-chan *Lease, name string, o1, o2 <-chan *Lease) *Lease {
+		t.Helper()
+		select {
+		case l := <-want:
+			return l
+		case <-o1:
+		case <-o2:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: %s was not admitted", round, name)
+		}
+		t.Fatalf("round %d: a later caller was admitted before %s", round, name)
+		return nil
+	}
+	for round := 0; round < 50; round++ {
+		e := NewElastic(1)
+		hold, err := e.Acquire(bg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := queueAcquire(t, e, bg)
+		c := queueAcquire(t, e, bg)
+		d := make(chan *Lease, 1)
+		go func() { // the closed-loop caller: release, re-acquire at once
+			hold.Release()
+			l, _ := e.Acquire(bg, 1)
+			d <- l
+		}()
+		next(round, b, "B", c, d).Release()
+		next(round, c, "C", d, nil).Release()
+		next(round, d, "the re-acquiring caller", nil, nil).Release()
+		if in := e.LanesInUse(); in != 0 {
+			t.Fatalf("round %d: LanesInUse = %d after all releases", round, in)
+		}
+
+		// B gives up just as the lane frees: C is first in line now.
+		hold, err = e.Acquire(bg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(bg)
+		b = queueAcquire(t, e, ctx)
+		c = queueAcquire(t, e, bg)
+		go cancel()
+		hold.Release()
+		if l := <-b; l != nil { // B may win the race with its own cancel
+			l.Release()
+		}
+		next(round, c, "the caller behind a cancelled one", nil, nil).Release()
 	}
 }

@@ -6,8 +6,8 @@
 //
 // Lanes come from a process-wide Elastic pool rather than a per-caller
 // fixed-width pool: each evaluation Acquires a lease sized by current
-// load (the whole machine when idle, degrading toward a configured
-// floor under saturation), and running sweeps shed revoked lanes at
+// load (the whole machine when idle, degrading toward one lane under
+// saturation), and running sweeps shed revoked lanes at
 // chunk-claim boundaries so long evaluations shrink as new callers
 // arrive. See Elastic for the scheduling contract.
 //

@@ -25,12 +25,12 @@ func leaseOf(t testing.TB, w int) *Lease {
 
 func TestNewElasticDefaultsToGOMAXPROCS(t *testing.T) {
 	for _, w := range []int{0, -3} {
-		if got := NewElastic(w).Cap(); got != runtime.GOMAXPROCS(0) {
-			t.Errorf("NewElastic(%d).Cap() = %d, want GOMAXPROCS", w, got)
+		if got := NewElastic(w).MaxWorkers(); got != runtime.GOMAXPROCS(0) {
+			t.Errorf("NewElastic(%d).MaxWorkers() = %d, want GOMAXPROCS", w, got)
 		}
 	}
-	if got := NewElastic(5).Cap(); got != 5 {
-		t.Errorf("NewElastic(5).Cap() = %d", got)
+	if got := NewElastic(5).MaxWorkers(); got != 5 {
+		t.Errorf("NewElastic(5).MaxWorkers() = %d", got)
 	}
 }
 

@@ -13,7 +13,7 @@
 // rests on — so the engine fans each level out over worker lanes leased
 // per call from a shared elastic pool (internal/exec): an evaluation on
 // an idle process runs as wide as Options.Workers allows, degrades
-// toward a floor under concurrent load, and sheds lanes mid-run as
+// toward one lane under concurrent load, and sheds lanes mid-run as
 // competitors arrive — without ever changing its bitwise result.
 // Evaluation is read-only on the prepared plan (tree + operators): one
 // Evaluator serves concurrent callers.
@@ -73,7 +73,11 @@ const (
 	M2LDense
 )
 
-// Options configure an Evaluator.
+// Options configure an Evaluator; zero values select the paper-matching
+// defaults (ApplyDefaults). This is the one declaration of the method's
+// parameters: the root package exports it as kifmm.Options, the parallel
+// driver and the paper harness embed it, and the cluster's job header
+// carries every field but the scheduling pair to the ranks.
 type Options struct {
 	// Kernel is the interaction kernel (required).
 	Kernel kernels.Kernel
@@ -172,9 +176,10 @@ type Evaluator struct {
 // ApplyDefaults fills zero-valued options with the paper-matching
 // defaults (degree 6, leaf threshold 60, pinv tolerance 1e-10, one
 // worker per logical CPU). It is the single source of truth for
-// defaulting: NewCtx and FromTree apply it, and the plan-key hashing in the
-// root package uses it so that options which build identical evaluators
-// identify the same plan. For that reason it mirrors the exact coercion
+// defaulting: NewCtx and FromTree apply it, every rank of a parallel run
+// gets its options through it, and kifmm.PlanKey hashes its result, so
+// that options which build identical evaluators identify the same plan.
+// For that reason it mirrors the exact coercion
 // rules of the downstream construction: tree.BuildCtx treats MaxPoints <= 0
 // as 60 and clamps MaxDepth to (0, morton.MaxLevel], and
 // translate.NewSet treats PinvTol <= 0 as 1e-10. (Negative Degree is not
@@ -276,10 +281,10 @@ func FromTree(tr *tree.Tree, opt Options) (*Evaluator, error) {
 // decided at evaluation time by the pool's load; Stats.Lanes reports
 // what a specific call was granted.
 func (e *Evaluator) Workers() int {
-	if e.opt.Workers < e.pool.Cap() {
+	if e.opt.Workers < e.pool.MaxWorkers() {
 		return e.opt.Workers
 	}
-	return e.pool.Cap()
+	return e.pool.MaxWorkers()
 }
 
 // FootprintBytes estimates the resident memory of this prepared plan:

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/fmm"
 	"repro/internal/geom"
 	"repro/internal/kernels"
 	"repro/internal/parfmm"
@@ -30,7 +31,7 @@ func runLoadBalance(sc Scale) (string, error) {
 	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewStokes(1)} {
 		den := geom.RandomDensities(rng, n, k.SourceDim())
 		for _, p := range []int{8, 16} {
-			opt := parfmm.Options{Kernel: k, Degree: 6, MaxPoints: 60, Iterations: sc.Iterations}
+			opt := parfmm.Options{Options: fmm.Options{Kernel: k, Degree: 6, MaxPoints: 60}, Iterations: sc.Iterations}
 			first, err := parfmm.Evaluate(patches, den, p, opt)
 			if err != nil {
 				return "", err

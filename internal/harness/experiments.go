@@ -146,13 +146,13 @@ func fixedConfigs(sc Scale) []struct {
 		cfg  Config
 	}{
 		{"Laplacian kernel, uniform particle distribution", Config{
-			Kernel: kernels.Laplace{}, Distribution: "spheres",
+			Options: fmm.Options{Kernel: kernels.Laplace{}}, Distribution: "spheres",
 			N: sc.FixedN, Procs: sc.FixedProcs, Iterations: sc.Iterations}},
 		{"Modified Laplacian kernel, uniform particle distribution", Config{
-			Kernel: kernels.NewModLaplace(1), Distribution: "spheres",
+			Options: fmm.Options{Kernel: kernels.NewModLaplace(1)}, Distribution: "spheres",
 			N: sc.FixedN, Procs: sc.FixedProcs, Iterations: sc.Iterations}},
 		{"Stokes kernel, non-uniform particle distribution", Config{
-			Kernel: kernels.NewStokes(1), Distribution: "corners",
+			Options: fmm.Options{Kernel: kernels.NewStokes(1)}, Distribution: "corners",
 			N: sc.FixedN, Procs: sc.FixedProcs, Iterations: sc.Iterations}},
 	}
 }
@@ -197,13 +197,13 @@ func isoConfigs(sc Scale) []struct {
 		cfg  Config
 	}{
 		{"Laplacian kernel, uniform particle distribution", Config{
-			Kernel: kernels.Laplace{}, Distribution: "spheres",
+			Options: fmm.Options{Kernel: kernels.Laplace{}}, Distribution: "spheres",
 			Grain: sc.Grain, Procs: sc.IsoProcs, Iterations: sc.Iterations}},
 		{"Stokes kernel, uniform particle distribution", Config{
-			Kernel: kernels.NewStokes(1), Distribution: "spheres",
+			Options: fmm.Options{Kernel: kernels.NewStokes(1)}, Distribution: "spheres",
 			Grain: sc.Grain, Procs: sc.IsoProcs, Iterations: sc.Iterations}},
 		{"Stokes kernel, non-uniform particle distribution", Config{
-			Kernel: kernels.NewStokes(1), Distribution: "corners",
+			Options: fmm.Options{Kernel: kernels.NewStokes(1)}, Distribution: "corners",
 			Grain: sc.Grain, Procs: sc.IsoProcs, Iterations: sc.Iterations}},
 	}
 }
@@ -247,17 +247,14 @@ func runTable43(sc Scale) (string, error) {
 		cfg  Config
 	}{
 		{"Laplace, 512 spheres", Config{
-			Kernel: kernels.Laplace{}, Distribution: "spheres",
-			N: sc.LargeGrains[0] * sc.LargeProcs, Procs: []int{sc.LargeProcs},
-			MaxPoints: 120, Iterations: sc.Iterations}},
+			Options: fmm.Options{Kernel: kernels.Laplace{}, MaxPoints: 120}, Distribution: "spheres",
+			N: sc.LargeGrains[0] * sc.LargeProcs, Procs: []int{sc.LargeProcs}, Iterations: sc.Iterations}},
 		{"Laplace (larger), 512 spheres", Config{
-			Kernel: kernels.Laplace{}, Distribution: "spheres",
-			N: sc.LargeGrains[1] * sc.LargeProcs, Procs: []int{sc.LargeProcs},
-			MaxPoints: 120, Iterations: sc.Iterations}},
+			Options: fmm.Options{Kernel: kernels.Laplace{}, MaxPoints: 120}, Distribution: "spheres",
+			N: sc.LargeGrains[1] * sc.LargeProcs, Procs: []int{sc.LargeProcs}, Iterations: sc.Iterations}},
 		{"Stokes, 512 spheres", Config{
-			Kernel: kernels.NewStokes(1), Distribution: "spheres",
-			N: sc.LargeGrains[2] * sc.LargeProcs, Procs: []int{sc.LargeProcs},
-			MaxPoints: 120, Iterations: sc.Iterations}},
+			Options: fmm.Options{Kernel: kernels.NewStokes(1), MaxPoints: 120}, Distribution: "spheres",
+			N: sc.LargeGrains[2] * sc.LargeProcs, Procs: []int{sc.LargeProcs}, Iterations: sc.Iterations}},
 	}
 	var b strings.Builder
 	b.WriteString("Table 4.3 reproduction — largest runs\n")
@@ -291,8 +288,8 @@ func runAblationM2L(sc Scale) (string, error) {
 			b    fmm.M2LBackend
 		}{{"fft", fmm.M2LFFT}, {"dense", fmm.M2LDense}} {
 			cfg := Config{
-				Kernel: k, Distribution: "spheres", N: sc.FixedN,
-				Procs: []int{1}, Backend: be.b, Iterations: sc.Iterations,
+				Options: fmm.Options{Kernel: k, Backend: be.b}, Distribution: "spheres", N: sc.FixedN,
+				Procs: []int{1}, Iterations: sc.Iterations,
 			}
 			rows, err := FixedSize(cfg)
 			if err != nil {

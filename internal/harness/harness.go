@@ -16,14 +16,15 @@ import (
 
 	"repro/internal/fmm"
 	"repro/internal/geom"
-	"repro/internal/kernels"
 	"repro/internal/parfmm"
 )
 
 // Config describes one scalability sweep.
 type Config struct {
-	// Kernel under test.
-	Kernel kernels.Kernel
+	// Options are the evaluator options of every rank: the kernel under
+	// test, the surface degree p, the leaf threshold s (paper: 60, largest
+	// runs 120), the M2L path. Zero values take the engine's defaults.
+	fmm.Options
 	// Distribution is "spheres" (the 512-sphere grid), "corners" (the
 	// non-uniform corner clusters) or "uniform".
 	Distribution string
@@ -33,28 +34,16 @@ type Config struct {
 	Grain int
 	// Procs are the simulated processor counts to sweep.
 	Procs []int
-	// MaxPoints is the leaf threshold s (paper: 60, largest runs 120).
-	MaxPoints int
-	// Degree is the surface degree p.
-	Degree int
 	// Iterations averages the interaction evaluation (paper: "averaged
 	// over several iterations").
 	Iterations int
 	// Seed fixes the particle sampling.
 	Seed int64
-	// Backend selects the M2L path.
-	Backend fmm.M2LBackend
 }
 
 func (c *Config) fill() {
 	if c.Distribution == "" {
 		c.Distribution = "spheres"
-	}
-	if c.MaxPoints == 0 {
-		c.MaxPoints = 60
-	}
-	if c.Degree == 0 {
-		c.Degree = 6
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 1
@@ -98,10 +87,7 @@ func (c Config) runOne(p, n int) (Row, error) {
 	patches := c.Points(n)
 	rng := rand.New(rand.NewSource(c.Seed ^ 0x5eed))
 	den := geom.RandomDensities(rng, geom.TotalCount(patches), c.Kernel.SourceDim())
-	res, err := parfmm.Evaluate(patches, den, p, parfmm.Options{
-		Kernel: c.Kernel, Degree: c.Degree, MaxPoints: c.MaxPoints,
-		Backend: c.Backend, Iterations: c.Iterations,
-	})
+	res, err := parfmm.Evaluate(patches, den, p, parfmm.Options{Options: c.Options, Iterations: c.Iterations})
 	if err != nil {
 		return Row{}, err
 	}

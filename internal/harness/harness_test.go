@@ -7,14 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fmm"
 	"repro/internal/kernels"
 )
 
 func tinyConfig() Config {
 	return Config{
-		Kernel: kernels.Laplace{}, Distribution: "uniform",
-		N: 1500, Grain: 400, Procs: []int{1, 2},
-		MaxPoints: 40, Degree: 4,
+		Options:      fmm.Options{Kernel: kernels.Laplace{}, MaxPoints: 40, Degree: 4},
+		Distribution: "uniform", N: 1500, Grain: 400, Procs: []int{1, 2},
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/fmm"
 	"repro/internal/geom"
 	"repro/internal/kernels"
 	"repro/internal/obs"
@@ -67,8 +68,8 @@ func RunParfmmTrace(cfg ParfmmTraceConfig) (*ParfmmTraceReport, error) {
 	den := geom.RandomDensities(rng, geom.TotalCount(patches), k.SourceDim())
 
 	res, err := parfmm.Evaluate(patches, den, cfg.Ranks, parfmm.Options{
-		Kernel: k, Degree: 4, MaxPoints: 40, Iterations: cfg.Iterations,
-		Trace: true,
+		Options:    fmm.Options{Kernel: k, Degree: 4, MaxPoints: 40},
+		Iterations: cfg.Iterations, Trace: true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("parfmm trace: %w", err)

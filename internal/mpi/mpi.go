@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing library with the subset
 // of MPI semantics the paper's parallel algorithm needs: eager
 // point-to-point sends with (source, tag) matching, blocking receives,
-// and the collectives MPI_Allreduce / MPI_Allgather / MPI_Barrier /
-// MPI_Bcast. It replaces the MPI dependency the Go port lacks.
+// and the collectives MPI_Allreduce / MPI_Barrier. It replaces the MPI
+// dependency the Go port lacks.
 //
 // Ranks are goroutines, but execution is serialized by a token so that
 // exactly one rank computes at a time. That makes the simulation
@@ -18,7 +18,6 @@ package mpi
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -56,7 +55,7 @@ func (m Machine) transferTime(n int) time.Duration {
 
 type message struct {
 	src, tag int
-	data     any
+	data     []float64
 	bytes    int
 	sent     time.Duration // sender's virtual clock at enqueue completion
 	avail    time.Duration // virtual time at which the payload is available
@@ -242,18 +241,6 @@ func MaxElapsed(comms []*Comm) time.Duration {
 	var m time.Duration
 	for _, c := range comms {
 		if c.clock > m {
-			m = c.clock
-		}
-	}
-	return m
-}
-
-// MinElapsed returns the smallest per-rank virtual time, used for the
-// paper's load-imbalance "Ratio" metric (max/min).
-func MinElapsed(comms []*Comm) time.Duration {
-	m := time.Duration(math.MaxInt64)
-	for _, c := range comms {
-		if c.clock < m {
 			m = c.clock
 		}
 	}

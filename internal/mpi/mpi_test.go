@@ -125,35 +125,71 @@ func TestAllreduceFloat64(t *testing.T) {
 	})
 }
 
-func TestAllgather(t *testing.T) {
-	Run(3, fastMachine(), func(c *Comm) {
-		in := make([]int64, c.Rank()+1) // ragged sizes
-		for i := range in {
-			in[i] = int64(10*c.Rank() + i)
-		}
-		got := c.AllgatherInt64(in)
-		if len(got) != 3 {
-			t.Fatalf("want 3 slices, got %d", len(got))
-		}
-		for r := 0; r < 3; r++ {
-			if len(got[r]) != r+1 || got[r][0] != int64(10*r) {
-				t.Errorf("rank %d: slice %d = %v", c.Rank(), r, got[r])
+// reduceCase checks Reduce over one element type against a per-element
+// fold written out by hand, for every operator and for 1 and 5 ranks.
+func reduceCase[T int64 | float64](t *testing.T, name string, gen func(*rand.Rand) T) {
+	for _, ranks := range []int{1, 5} {
+		rng := rand.New(rand.NewSource(int64(ranks)))
+		all := make([][]T, ranks)
+		for r := range all {
+			all[r] = make([]T, 7)
+			for i := range all[r] {
+				all[r][i] = gen(rng)
 			}
 		}
-	})
+		first := append([]T(nil), all[0]...)
+		for _, tc := range []struct {
+			op   ReduceOp
+			fold func(acc, v T) T
+		}{
+			{OpSum, func(acc, v T) T { return acc + v }},
+			{OpMax, func(acc, v T) T {
+				if v > acc {
+					return v
+				}
+				return acc
+			}},
+			{OpMin, func(acc, v T) T {
+				if v < acc {
+					return v
+				}
+				return acc
+			}},
+		} {
+			got := Reduce(tc.op, all)
+			for i := range got {
+				want := all[0][i]
+				for _, v := range all[1:] {
+					want = tc.fold(want, v[i]) // rank order, like the sum
+				}
+				if got[i] != want {
+					t.Errorf("%s op=%d ranks=%d: element %d = %v, want %v", name, tc.op, ranks, i, got[i], want)
+				}
+			}
+			got[0]++ // the result must be a fresh slice, not rank 0's
+			for i := range first {
+				if all[0][i] != first[i] {
+					t.Fatalf("%s op=%d ranks=%d: Reduce wrote into rank 0's input", name, tc.op, ranks)
+				}
+			}
+		}
+	}
 }
 
-func TestBcast(t *testing.T) {
-	Run(5, fastMachine(), func(c *Comm) {
-		var in []float64
-		if c.Rank() == 2 {
-			in = []float64{3.5, -1}
+// TestReduce covers the one reduction both drivers use — the simulated
+// Allreduce (this package) and the TCP coordinator's collective broker
+// (internal/cluster) — for both element types, and its contract on ragged
+// input.
+func TestReduce(t *testing.T) {
+	reduceCase(t, "int64", func(rng *rand.Rand) int64 { return int64(rng.Intn(1000) - 500) })
+	reduceCase(t, "float64", func(rng *rand.Rand) float64 { return rng.NormFloat64() })
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Reduce over vectors of different lengths must panic")
 		}
-		got := c.Bcast(2, in)
-		if len(got) != 2 || got[0] != 3.5 || got[1] != -1 {
-			t.Errorf("rank %d: bcast got %v", c.Rank(), got)
-		}
-	})
+	}()
+	Reduce(OpSum, [][]int64{{1, 2}, {1, 2}, {1}})
 }
 
 func TestBarrierSynchronizesClocks(t *testing.T) {

@@ -1,7 +1,7 @@
 package mpi
 
 import (
-	"sort"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -51,14 +51,14 @@ func newNetwork(size int, m Machine) *network {
 func (n *network) acquireToken() { <-n.token }
 func (n *network) releaseToken() { n.token <- struct{}{} }
 
-// Send delivers data (already a private copy) of the given payload size
-// to dst with a matching tag. It never blocks (eager buffering), which
-// keeps the paper's send-before-receive gather/scatter pattern
-// deadlock-free.
-func (c *Comm) Send(dst, tag int, data any, bytes int) {
+// SendFloat64s delivers a copy of data to dst under tag. It never blocks
+// (eager buffering), which keeps the paper's send-before-receive
+// gather/scatter pattern deadlock-free.
+func (c *Comm) SendFloat64s(dst, tag int, data []float64) {
 	if dst < 0 || dst >= c.size {
 		panic("mpi: Send destination out of range")
 	}
+	data, bytes := append([]float64(nil), data...), 8*len(data)
 	c.tick()
 	start := c.clock
 	c.clock += c.net.machine.SendOverhead + c.net.machine.transferTime(bytes)
@@ -84,10 +84,10 @@ func (c *Comm) Send(dst, tag int, data any, bytes int) {
 	}
 }
 
-// Recv blocks until a message from src with the given tag arrives and
-// returns its payload. Messages from one (src, tag) pair are delivered
-// in send order.
-func (c *Comm) Recv(src, tag int) any {
+// RecvFloat64s blocks until a message from src with the given tag
+// arrives and returns its payload. Messages from one (src, tag) pair are
+// delivered in send order.
+func (c *Comm) RecvFloat64s(src, tag int) []float64 {
 	if src < 0 || src >= c.size {
 		panic("mpi: Recv source out of range")
 	}
@@ -221,129 +221,53 @@ const (
 	OpMin
 )
 
-// AllreduceInt64 performs an elementwise MPI_Allreduce over int64 slices
-// and returns the reduced vector (all ranks receive the same result).
-func (c *Comm) AllreduceInt64(op ReduceOp, in []int64) []int64 {
-	cp := append([]int64(nil), in...)
-	res := c.runCollective(cp, func(all []any) (any, int) {
-		out := append([]int64(nil), all[0].([]int64)...)
-		for _, a := range all[1:] {
-			v := a.([]int64)
-			for i := range out {
-				switch op {
-				case OpSum:
-					out[i] += v[i]
-				case OpMax:
-					if v[i] > out[i] {
-						out[i] = v[i]
-					}
-				case OpMin:
-					if v[i] < out[i] {
-						out[i] = v[i]
-					}
+// Reduce combines one vector per rank elementwise under op: the
+// arithmetic of MPI_Allreduce, shared by the simulated collective below
+// and the cluster coordinator's broker. Ranks are folded in rank order
+// into a fresh slice, so a float64 sum is reproducible. Every vector must
+// be as long as rank 0's; a ragged input panics.
+func Reduce[T int64 | float64](op ReduceOp, all [][]T) []T {
+	out := append([]T(nil), all[0]...)
+	for r, in := range all[1:] {
+		if len(in) != len(out) {
+			panic(fmt.Sprintf("mpi: Reduce: rank %d has %d elements, rank 0 has %d", r+1, len(in), len(out)))
+		}
+		for i, v := range in {
+			switch op {
+			case OpSum:
+				out[i] += v
+			case OpMax:
+				if v > out[i] {
+					out[i] = v
+				}
+			case OpMin:
+				if v < out[i] {
+					out[i] = v
 				}
 			}
 		}
+	}
+	return out
+}
+
+// allreduce is MPI_Allreduce over either element type: every rank
+// receives its own copy of Reduce over all ranks' vectors.
+func allreduce[T int64 | float64](c *Comm, op ReduceOp, in []T) []T {
+	res := c.runCollective(append([]T(nil), in...), func(all []any) (any, int) {
+		vecs := make([][]T, len(all))
+		for r, a := range all {
+			vecs[r] = a.([]T)
+		}
+		out := Reduce(op, vecs)
 		return out, 8 * len(out)
 	})
-	return append([]int64(nil), res.([]int64)...)
+	return append([]T(nil), res.([]T)...)
 }
+
+// AllreduceInt64 performs an elementwise MPI_Allreduce over int64 slices
+// and returns the reduced vector (all ranks receive the same result).
+func (c *Comm) AllreduceInt64(op ReduceOp, in []int64) []int64 { return allreduce(c, op, in) }
 
 // AllreduceFloat64 performs an elementwise MPI_Allreduce over float64
 // slices.
-func (c *Comm) AllreduceFloat64(op ReduceOp, in []float64) []float64 {
-	cp := append([]float64(nil), in...)
-	res := c.runCollective(cp, func(all []any) (any, int) {
-		out := append([]float64(nil), all[0].([]float64)...)
-		for _, a := range all[1:] {
-			v := a.([]float64)
-			for i := range out {
-				switch op {
-				case OpSum:
-					out[i] += v[i]
-				case OpMax:
-					if v[i] > out[i] {
-						out[i] = v[i]
-					}
-				case OpMin:
-					if v[i] < out[i] {
-						out[i] = v[i]
-					}
-				}
-			}
-		}
-		return out, 8 * len(out)
-	})
-	return append([]float64(nil), res.([]float64)...)
-}
-
-// AllgatherInt64 gathers each rank's slice on every rank, indexed by
-// rank (MPI_Allgatherv).
-func (c *Comm) AllgatherInt64(in []int64) [][]int64 {
-	cp := append([]int64(nil), in...)
-	total := 0
-	res := c.runCollective(cp, func(all []any) (any, int) {
-		out := make([][]int64, len(all))
-		for r, a := range all {
-			out[r] = a.([]int64)
-			total += len(out[r])
-		}
-		return out, 8 * total
-	})
-	src := res.([][]int64)
-	out := make([][]int64, len(src))
-	for r := range src {
-		out[r] = append([]int64(nil), src[r]...)
-	}
-	return out
-}
-
-// Bcast distributes root's slice to every rank (MPI_Bcast).
-func (c *Comm) Bcast(root int, in []float64) []float64 {
-	var cp []float64
-	if c.rank == root {
-		cp = append([]float64(nil), in...)
-	}
-	res := c.runCollective(cp, func(all []any) (any, int) {
-		v := all[root].([]float64)
-		return v, 8 * len(v)
-	})
-	return append([]float64(nil), res.([]float64)...)
-}
-
-// SendFloat64s sends a copy of data to dst.
-func (c *Comm) SendFloat64s(dst, tag int, data []float64) {
-	c.Send(dst, tag, append([]float64(nil), data...), 8*len(data))
-}
-
-// RecvFloat64s receives a float64 slice from src.
-func (c *Comm) RecvFloat64s(src, tag int) []float64 {
-	return c.Recv(src, tag).([]float64)
-}
-
-// SendInt32s sends a copy of data to dst.
-func (c *Comm) SendInt32s(dst, tag int, data []int32) {
-	c.Send(dst, tag, append([]int32(nil), data...), 4*len(data))
-}
-
-// RecvInt32s receives an int32 slice from src.
-func (c *Comm) RecvInt32s(src, tag int) []int32 {
-	return c.Recv(src, tag).([]int32)
-}
-
-// PendingFrom reports the sources with queued messages for this rank
-// (diagnostic; sorted, deduplicated).
-func (c *Comm) PendingFrom() []int {
-	c.net.mu.Lock()
-	defer c.net.mu.Unlock()
-	set := map[int]bool{}
-	for _, m := range c.net.boxes[c.rank] {
-		set[m.src] = true
-	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
+func (c *Comm) AllreduceFloat64(op ReduceOp, in []float64) []float64 { return allreduce(c, op, in) }

@@ -26,7 +26,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/fmm"
 	"repro/internal/geom"
-	"repro/internal/kernels"
 	"repro/internal/morton"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -35,18 +34,10 @@ import (
 
 // Options configure a parallel evaluation.
 type Options struct {
-	// Kernel is the interaction kernel (required).
-	Kernel kernels.Kernel
-	// Degree is the equivalent-surface degree p (default 6).
-	Degree int
-	// MaxPoints is the leaf threshold s (default 60).
-	MaxPoints int
-	// MaxDepth caps the octree depth.
-	MaxDepth int
-	// Backend selects the M2L path (default fmm.M2LFFT).
-	Backend fmm.M2LBackend
-	// PinvTol is the pseudo-inverse truncation (default 1e-10).
-	PinvTol float64
+	// Options are the evaluator options every rank builds its engine
+	// with. Workers and Pool are ignored: a rank runs one lane on a pool
+	// of its own (newRank).
+	fmm.Options
 	// Machine is the communication model (default mpi.DefaultMachine).
 	Machine mpi.Machine
 	// Iterations repeats the interaction evaluation (the paper reports a
@@ -175,10 +166,7 @@ func (opt Options) engine() (fmm.Options, error) {
 	if opt.Kernel == nil {
 		return fmm.Options{}, errs.New(errs.CodeInvalidInput, "parfmm: Options.Kernel is required")
 	}
-	eo := fmm.ApplyDefaults(fmm.Options{
-		Kernel: opt.Kernel, Degree: opt.Degree, MaxPoints: opt.MaxPoints, MaxDepth: opt.MaxDepth,
-		Backend: opt.Backend, PinvTol: opt.PinvTol, Workers: 1,
-	})
+	eo := fmm.ApplyDefaults(opt.Options)
 	if _, err := translate.NewSet(eo.Kernel, eo.Degree, 1, eo.PinvTol); err != nil {
 		return fmm.Options{}, errs.Typed(err, errs.CodeInvalidInput)
 	}

@@ -87,7 +87,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 			}
 			res, err := Evaluate(tc.patches, den, nproc, Options{
-				Kernel: tc.kernel, Degree: tc.degree, MaxPoints: tc.s, Backend: tc.backend, Machine: fastMachine(),
+				Options: fmm.Options{Kernel: tc.kernel, Degree: tc.degree, MaxPoints: tc.s, Backend: tc.backend},
+				Machine: fastMachine(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -211,7 +212,8 @@ func TestParallelAccuracyAllKernels(t *testing.T) {
 	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewModLaplace(1), kernels.NewStokes(1)} {
 		den := geom.RandomDensities(rng, 900, k.SourceDim())
 		res, err := Evaluate(patches, den, 4, Options{
-			Kernel: k, Degree: 6, MaxPoints: 25, Machine: fastMachine(),
+			Options: fmm.Options{Kernel: k, Degree: 6, MaxPoints: 25},
+			Machine: fastMachine(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -235,8 +237,8 @@ func TestParallelBackendsAgree(t *testing.T) {
 	var results [][]float64
 	for _, backend := range []fmm.M2LBackend{fmm.M2LFFT, fmm.M2LDense} {
 		res, err := Evaluate(patches, den, 3, Options{
-			Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 20,
-			Backend: backend, Machine: fastMachine(),
+			Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 20, Backend: backend},
+			Machine: fastMachine(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -255,7 +257,7 @@ func TestStatsAndMetrics(t *testing.T) {
 	patches := geom.SphereGrid(rng, 2000, 2, 0.3)
 	den := geom.RandomDensities(rng, 2000, 1)
 	res, err := Evaluate(patches, den, 4, Options{
-		Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 30,
+		Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 30},
 		Machine: mpi.DefaultMachine(), Iterations: 2,
 	})
 	if err != nil {
@@ -306,7 +308,8 @@ func TestSingleRankHasNoComm(t *testing.T) {
 	patches := geom.UniformCube(rng, 500)
 	den := geom.RandomDensities(rng, 500, 1)
 	res, err := Evaluate(patches, den, 1, Options{
-		Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 25, Machine: fastMachine(),
+		Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 25},
+		Machine: fastMachine(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +335,8 @@ func TestOwnershipInvariants(t *testing.T) {
 	}
 	for _, nproc := range []int{2, 7} {
 		res, err := Evaluate(patches, den, nproc, Options{
-			Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 15, Machine: fastMachine(),
+			Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 15},
+			Machine: fastMachine(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -350,17 +354,17 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Evaluate(patches, make([]float64, 10), 2, Options{}); err == nil {
 		t.Error("missing kernel must error")
 	}
-	if _, err := Evaluate(patches, make([]float64, 3), 2, Options{Kernel: kernels.Laplace{}}); err == nil {
+	if _, err := Evaluate(patches, make([]float64, 3), 2, Options{Options: fmm.Options{Kernel: kernels.Laplace{}}}); err == nil {
 		t.Error("wrong density length must error")
 	}
-	if _, err := Evaluate(patches, make([]float64, 10), 0, Options{Kernel: kernels.Laplace{}}); err == nil {
+	if _, err := Evaluate(patches, make([]float64, 10), 0, Options{Options: fmm.Options{Kernel: kernels.Laplace{}}}); err == nil {
 		t.Error("zero ranks must error")
 	}
 	// A degree no surface exists for is the caller's mistake: a typed
 	// error before any rank starts, from both entry points — not a rank
 	// panicking alone while its peers wait in a collective.
 	for _, degree := range []int{-1, 2} {
-		opt := Options{Kernel: kernels.Laplace{}, Degree: degree}
+		opt := Options{Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: degree}}
 		_, err := Evaluate(patches, make([]float64, 10), 2, opt)
 		if code, _ := errs.CodeOf(err); code != errs.CodeInvalidInput {
 			t.Errorf("Evaluate degree %d: error %v, want invalid_input", degree, err)
@@ -387,7 +391,8 @@ func TestDefaultsMatchSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := Evaluate(patches, den, 2, Options{
-				Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: maxPoints, MaxDepth: maxDepth, Machine: fastMachine(),
+				Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: maxPoints, MaxDepth: maxDepth},
+				Machine: fastMachine(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -407,7 +412,8 @@ func TestMoreRanksThanPatches(t *testing.T) {
 	patches := geom.UniformCube(rng, 300) // a single patch
 	den := geom.RandomDensities(rng, 300, 1)
 	res, err := Evaluate(patches, den, 3, Options{
-		Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 30, Machine: fastMachine(),
+		Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 30},
+		Machine: fastMachine(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +434,7 @@ func TestWorkEstimateFeedback(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	patches := geom.CornerClusters(rng, 2400, 0.3, 8)
 	den := geom.RandomDensities(rng, 2400, 1)
-	opt := Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 20, Machine: fastMachine()}
+	opt := Options{Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 20}, Machine: fastMachine()}
 	first, err := Evaluate(patches, den, 6, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -514,8 +520,8 @@ func TestPatchWeightsValidation(t *testing.T) {
 	patches := geom.UniformCube(rng, 50)
 	den := geom.RandomDensities(rng, 50, 1)
 	_, err := Evaluate(patches, den, 2, Options{
-		Kernel: kernels.Laplace{}, Machine: fastMachine(),
-		PatchWeights: []int64{1, 2, 3},
+		Options: fmm.Options{Kernel: kernels.Laplace{}},
+		Machine: fastMachine(), PatchWeights: []int64{1, 2, 3},
 	})
 	if err == nil {
 		t.Error("wrong PatchWeights length must error")

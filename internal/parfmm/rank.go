@@ -59,7 +59,7 @@ type rank struct {
 // must not hold a shared lane meanwhile, and the simulated clock meters
 // one goroutine.
 func newRank(c mpi.Transport, in *RankInput, opt fmm.Options, trace bool) *rank {
-	opt.Pool = exec.NewElastic(1)
+	opt.Workers, opt.Pool = 1, exec.NewElastic(1)
 	rk := &rank{c: c, in: in, opt: opt}
 	if trace {
 		rk.tl = obs.NewRankTimeline(c.Rank(), c.Elapsed)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fmm"
 	"repro/internal/geom"
 	"repro/internal/kernels"
 	"repro/internal/mpi"
@@ -23,7 +24,7 @@ func traceRun(t *testing.T, seed int64) *Result {
 	patches := geom.SphereGrid(rng, 2000, 4, 0.22)
 	den := geom.RandomDensities(rng, geom.TotalCount(patches), 1)
 	res, err := Evaluate(patches, den, 4, Options{
-		Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 30,
+		Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 30},
 		Machine: fastMachine(), Iterations: 1, Trace: true,
 	})
 	if err != nil {
@@ -148,7 +149,7 @@ func TestPassSpansOnVirtualClock(t *testing.T) {
 	patches := geom.SphereGrid(rng, 1200, 4, 0.22)
 	pts := geom.Flatten(patches)
 	den := geom.RandomDensities(rng, len(pts)/3, 1)
-	eo, err := Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 30}.engine()
+	eo, err := Options{Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 30}}.engine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestUntracedRunHasNoTimeline(t *testing.T) {
 	patches := geom.SphereGrid(rng, 800, 4, 0.22)
 	den := geom.RandomDensities(rng, geom.TotalCount(patches), 1)
 	res, err := Evaluate(patches, den, 2, Options{
-		Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 30,
+		Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 30},
 		Machine: fastMachine(),
 	})
 	if err != nil {

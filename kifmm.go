@@ -42,6 +42,12 @@
 // The parallel algorithm of the paper (local essential trees, global
 // tree array, owner-coordinated ghost exchange) runs on simulated MPI
 // ranks via EvaluateParallel.
+//
+// This package is a view of the engine, not a copy of it: Options, Pool,
+// Lease and ParallelOptions — like Kernel, M2LBackend, Patch, Machine,
+// KernelSpec and ParallelResult — are aliases of the types the engine
+// itself uses (fmm.Options, exec.Elastic, exec.Lease, parfmm.Options),
+// so their fields and methods are documented there, once.
 package kifmm
 
 import (
@@ -87,63 +93,12 @@ const (
 	M2LDense = fmm.M2LDense
 )
 
-// Options configure an Evaluator. Zero values select the paper-matching
-// defaults: degree 6 surfaces (~1e-5 relative error for Laplace), leaf
-// threshold s=60, FFT M2L, one worker per logical CPU.
-type Options struct {
-	// Kernel is required.
-	Kernel Kernel
-	// Degree is the equivalent-surface degree p (points per cube edge).
-	Degree int
-	// MaxPoints is the maximum number of points per leaf box (s).
-	MaxPoints int
-	// MaxDepth caps the octree depth.
-	MaxDepth int
-	// Backend selects the M2L path.
-	Backend M2LBackend
-	// PinvTol is the pseudo-inverse truncation threshold.
-	PinvTol float64
-	// Workers is the width ceiling of one evaluation (default
-	// GOMAXPROCS; 1 forces sequential evaluation). The actual width of
-	// each call is leased from the elastic pool at evaluation time —
-	// the full ceiling when the pool is idle, less under concurrent
-	// load. Results are bitwise identical for every granted width.
-	// Workers does not change what an evaluator computes, so PlanKey
-	// deliberately excludes it.
-	Workers int
-	// Pool is the elastic lane pool evaluations lease their width from
-	// (nil selects the process-wide default, capacity GOMAXPROCS).
-	// Evaluators sharing a Pool form one scheduling domain: admission
-	// and per-call width are negotiated across all their concurrent
-	// evaluations. Like Workers, Pool is pure scheduling policy and is
-	// excluded from PlanKey.
-	Pool *Pool
-}
-
-// fmmOptions maps the public Options onto the engine options. It is the
-// single conversion point shared by NewEvaluatorCtx and the plan-key
-// normalization in plan.go, so a new Options field cannot be wired into
-// construction while silently missing the plan-key hash —
-// TestPlanKeyCoversOptions fails until the field is added to either
-// planKeyHashedOptionFields or planKeyResultNeutralOptionFields.
-func (o Options) fmmOptions() fmm.Options {
-	return fmm.Options{
-		Kernel: o.Kernel, Degree: o.Degree, MaxPoints: o.MaxPoints,
-		MaxDepth: o.MaxDepth, Backend: o.Backend, PinvTol: o.PinvTol,
-		Workers: o.Workers, Pool: o.Pool.elastic(),
-	}
-}
-
-// optionsFromFMM is the inverse of fmmOptions, used to surface the
-// engine's defaulting rules (fmm.ApplyDefaults) back through the public
-// type.
-func optionsFromFMM(f fmm.Options) Options {
-	return Options{
-		Kernel: f.Kernel, Degree: f.Degree, MaxPoints: f.MaxPoints,
-		MaxDepth: f.MaxDepth, Backend: f.Backend, PinvTol: f.PinvTol,
-		Workers: f.Workers, Pool: poolFromElastic(f.Pool),
-	}
-}
+// Options configure an Evaluator. It is the engine's own type: the
+// fields, their defaults (fmm.ApplyDefaults: degree 6 surfaces for ~1e-5
+// relative error with Laplace, leaf threshold s=60, FFT M2L, one worker
+// per logical CPU) and which of them PlanKey hashes are documented on
+// fmm.Options.
+type Options = fmm.Options
 
 // Evaluator is a prepared FMM: an adaptive octree over fixed source and
 // target points plus cached translation operators. Build once, call
@@ -162,7 +117,7 @@ type Evaluator struct {
 // deadline — abandons the build with a typed cancellation error instead
 // of paying for a plan nobody will use.
 func NewEvaluatorCtx(ctx context.Context, src, trg []float64, opt Options) (*Evaluator, error) {
-	inner, err := fmm.NewCtx(ctx, src, trg, opt.fmmOptions())
+	inner, err := fmm.NewCtx(ctx, src, trg, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -255,14 +210,12 @@ type Machine = mpi.Machine
 // TCS-1 platform).
 func DefaultMachine() Machine { return mpi.DefaultMachine() }
 
-// ParallelOptions configure EvaluateParallel.
-type ParallelOptions struct {
-	Options
-	// Machine models the interconnect (DefaultMachine when zero).
-	Machine Machine
-	// Iterations repeats and averages the interaction evaluation.
-	Iterations int
-}
+// ParallelOptions configure EvaluateParallel: the evaluator Options
+// (embedded, so ParallelOptions{Options: ..., Machine: ...} reads as
+// before) plus the interconnect model, the iteration count, the
+// partitioning weights a previous ParallelResult.PatchWork feeds and the
+// trace switch. It is the parallel driver's own type; see parfmm.Options.
+type ParallelOptions = parfmm.Options
 
 // ParallelResult re-exports the parallel run result (potentials plus
 // per-rank statistics).
@@ -274,11 +227,7 @@ type ParallelResult = parfmm.Result
 // in the order of FlattenPatches(patches). Source and target sets are
 // identical, as in the paper's experiments.
 func EvaluateParallel(patches []Patch, den []float64, nproc int, opt ParallelOptions) (*ParallelResult, error) {
-	return parfmm.Evaluate(patches, den, nproc, parfmm.Options{
-		Kernel: opt.Kernel, Degree: opt.Degree, MaxPoints: opt.MaxPoints,
-		MaxDepth: opt.MaxDepth, Backend: opt.Backend, PinvTol: opt.PinvTol,
-		Machine: opt.Machine, Iterations: opt.Iterations,
-	})
+	return parfmm.Evaluate(patches, den, nproc, opt)
 }
 
 // FlattenPatches concatenates patch points into one flat slice.

@@ -23,15 +23,6 @@ func KernelSpecFor(k Kernel) (KernelSpec, error) { return kernels.SpecFor(k) }
 // KernelFromSpec reconstructs a kernel from its serialized description.
 func KernelFromSpec(s KernelSpec) (Kernel, error) { return kernels.FromSpec(s) }
 
-// normalizeOptions applies the exact defaults fmm.NewCtx applies (one
-// shared implementation), so that zero-valued and explicit-default
-// Options produce the same plan key. The conversion in both directions
-// goes through the shared fmmOptions/optionsFromFMM helpers, the same
-// mapping NewEvaluatorCtx constructs with.
-func normalizeOptions(opt Options) Options {
-	return optionsFromFMM(fmm.ApplyDefaults(opt.fmmOptions()))
-}
-
 // planKeyHashedOptionFields and planKeyResultNeutralOptionFields
 // together must name every field of Options: the first lists fields
 // PlanKey hashes, the second fields deliberately excluded because they
@@ -62,7 +53,7 @@ func PlanKey(src, trg []float64, opt Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	opt = normalizeOptions(opt)
+	opt = fmm.ApplyDefaults(opt) // zero-valued and explicit-default options: one key
 	h := sha256.New()
 	var buf [8]byte
 	writeF64 := func(v float64) {
