@@ -50,8 +50,9 @@
 // Cluster mode (see README "Cluster mode"): -role coordinator makes
 // this process fan one-shot evaluations of at least -cluster-min-points
 // sources across connected workers over TCP; -role worker joins a
-// coordinator (-join) and contributes its elastic lanes as KIFMM ranks
-// — workers serve no HTTP API, so several can share a machine.
+// coordinator (-join) and runs one KIFMM rank of every job over its
+// elastic lanes (-max-workers) — workers serve no HTTP API, so several
+// can share a machine.
 package main
 
 import (
@@ -136,7 +137,7 @@ func main() {
 		fmt.Printf("cluster worker %d joined %s (mesh on %s, %d lanes)\n", worker.ID(), *join, worker.Addr(), *maxWorkers)
 		// Workers are pure compute nodes: no HTTP API, so several can
 		// share a machine without -addr colliding. Block until signalled,
-		// then drain (finish in-flight ranks, tell the coordinator).
+		// then drain (finish the in-flight rank, tell the coordinator).
 		stop := make(chan os.Signal, 2)
 		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 		sig := <-stop

@@ -15,6 +15,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/kernels"
 	"repro/internal/parfmm"
+	"repro/internal/wire"
 )
 
 func relErr(got, want []float64) float64 {
@@ -49,15 +50,10 @@ func checkGoroutines(t *testing.T, base int) {
 // the encoders produce, the decoders must reproduce exactly.
 func TestCodecRoundTrips(t *testing.T) {
 	hdr := &jobHeader{
-		Job: 7, Size: 4, RankLo: 2, RankHi: 4,
-		Peers:  []rankRange{{Addr: "a:1", Lo: 0, Hi: 2}, {Addr: "b:2", Lo: 2, Hi: 4}},
+		Job: 7, Size: 2, Rank: 1, Peers: []string{"a:1", "b:2"},
 		Kernel: kernels.Spec{Name: "laplace"}, Degree: 6, MaxPoints: 60, PinvTol: 1e-10,
 	}
-	inputs := []*parfmm.RankInput{
-		{Pts: []float64{1, 2, 3}, Den: []float64{0.5}, GlobalIdx: []int32{9}},
-		{Pts: nil, Den: nil, GlobalIdx: nil},
-	}
-	payload, err := encodeJobStart(hdr, inputs)
+	payload, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 2, 3}, Den: []float64{0.5}, GlobalIdx: []int32{9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +61,24 @@ func TestCodecRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotHdr.Job != 7 || gotHdr.Size != 4 || gotHdr.RankLo != 2 || gotHdr.addrOfRank(1) != "a:1" || gotHdr.addrOfRank(3) != "b:2" {
+	if gotHdr.Job != 7 || gotHdr.Size != 2 || gotHdr.Rank != 1 || gotHdr.Peers[0] != "a:1" || gotHdr.Peers[1] != "b:2" {
 		t.Fatalf("job header mangled: %+v", gotHdr)
 	}
-	if len(gotIn) != 2 || gotIn[0].Pts[2] != 3 || gotIn[0].GlobalIdx[0] != 9 || len(gotIn[1].Pts) != 0 {
-		t.Fatalf("rank inputs mangled: %+v", gotIn)
+	if gotIn.Pts[2] != 3 || gotIn.Den[0] != 0.5 || gotIn.GlobalIdx[0] != 9 {
+		t.Fatalf("rank input mangled: %+v", gotIn)
+	}
+	// An empty share (a rank with no points) is still one rank input.
+	payload, err = encodeJobStart(hdr, &parfmm.RankInput{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, gotIn, err = decodeJobStart(payload); err != nil || len(gotIn.Pts) != 0 {
+		t.Fatalf("empty rank input: %+v, %v", gotIn, err)
+	}
+
+	job, rr, err := decodeJobResult(encodeJobResult(7, rankResultWire{Rank: 1, Pot: []float64{1.5}, TL: []byte(`{"rank":1}`)}))
+	if err != nil || job != 7 || rr.Rank != 1 || rr.Pot[0] != 1.5 || string(rr.TL) != `{"rank":1}` {
+		t.Fatalf("job result mangled: %d %+v %v", job, rr, err)
 	}
 
 	p2p := &p2pMsg{Job: 7, Src: 1, Dst: 3, Tag: 42, SentNS: 12345, Data: []float64{1.5, -2.5}}
@@ -101,6 +110,28 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 }
 
+// TestJobStartRejectsMalformedHeader: a job header off the socket whose
+// rank is not one of its ranks, that has no ranks, or that does not name
+// one mesh address per rank is malformed, whatever follows it.
+func TestJobStartRejectsMalformedHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hdr  jobHeader
+	}{
+		{"rank outside size", jobHeader{Size: 2, Rank: 2, Peers: []string{"a:1", "b:2"}}},
+		{"no ranks", jobHeader{Size: 0, Rank: 0, Peers: []string{}}},
+		{"peers not one per rank", jobHeader{Size: 2, Rank: 0, Peers: []string{"a:1"}}},
+	} {
+		payload, err := encodeJobStart(&tc.hdr, &parfmm.RankInput{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodeJobStart(payload); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: decodeJobStart = %v, want a malformed-payload error", tc.name, err)
+		}
+	}
+}
+
 // startCluster brings up a coordinator and workers on loopback, each
 // with its own listener, and tears everything down at test end.
 func startCluster(t *testing.T, hb time.Duration, lanes ...int) (*Coordinator, []*Worker) {
@@ -126,10 +157,12 @@ func startCluster(t *testing.T, hb time.Duration, lanes ...int) (*Coordinator, [
 }
 
 // TestClusterMatchesSingleNode is the tentpole conformance check: a
-// real-TCP loopback cluster (coordinator + 2 workers, 2 ranks each)
-// must reproduce the single-node evaluator on a cluster-sized Laplace
-// problem to accumulation accuracy, and the real-transport ledger must
-// support the same timeline analyses as the simulated one.
+// real-TCP loopback cluster (coordinator + 3 workers, one of them with two
+// lanes, one rank each) must reproduce the single-node evaluator on a
+// cluster-sized Laplace problem to accumulation accuracy, and the
+// real-transport ledger must support the same timeline analyses as the
+// simulated one. The two-lane rank's engine reads its ghost sources from
+// both lanes.
 func TestClusterMatchesSingleNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster conformance is not a -short test")
@@ -140,7 +173,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	pts := geom.Flatten(geom.SphereGrid(rng, n, 2, 0.3))
 	den := geom.RandomDensities(rng, n, 1)
 
-	coord, workers := startCluster(t, 500*time.Millisecond, 2, 2)
+	coord, workers := startCluster(t, 500*time.Millisecond, 2, 1, 1)
 
 	// Degree 4 keeps the equivalent-surface pseudo-inverse well enough
 	// conditioned that the cluster and the single-node engine agree to
@@ -153,8 +186,8 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Ranks != 4 || report.Workers != 2 {
-		t.Fatalf("report: %d ranks on %d workers, want 4 on 2", report.Ranks, report.Workers)
+	if report.Ranks != 3 || report.Workers != 3 {
+		t.Fatalf("report: %d ranks on %d workers, want 3 on 3", report.Ranks, report.Workers)
 	}
 
 	ev, err := kifmm.NewEvaluatorCtx(context.Background(), pts, pts, kifmm.Options{Kernel: kifmm.Laplace(), Degree: 4, MaxPoints: 60})
@@ -172,8 +205,8 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 
 	// The real-transport ledger feeds the same observability surfaces.
 	tl := report.Timeline
-	if tl == nil || len(tl.Ranks) != 4 {
-		t.Fatalf("timeline: %+v, want 4 ranks", tl)
+	if tl == nil || len(tl.Ranks) != 3 {
+		t.Fatalf("timeline: %+v, want 3 ranks", tl)
 	}
 	if tl.TotalMessages() == 0 || tl.TotalBytes() == 0 {
 		t.Error("real-transport ledger recorded no messages")
@@ -234,10 +267,17 @@ func TestClusterWorkerLost(t *testing.T) {
 	}()
 
 	// Let the scatter land and the ranks get to work, then kill one
-	// worker hard (no drain — its connections just die).
+	// worker hard (no drain — its connections just die). Kill waits for the
+	// dying worker's rank to unwind, which can take as long as an
+	// uncancellable operator build, so it runs on its own goroutine: the
+	// clock below measures the coordinator's detection, not the victim.
 	time.Sleep(100 * time.Millisecond)
 	killAt := time.Now()
-	workers[1].Kill()
+	killed := make(chan struct{})
+	go func() {
+		workers[1].Kill()
+		close(killed)
+	}()
 
 	select {
 	case err := <-errCh:
@@ -264,8 +304,70 @@ func TestClusterWorkerLost(t *testing.T) {
 		t.Errorf("no-worker evaluation returned %v, want worker_lost", err)
 	}
 
+	<-killed
 	coord.Close()
 	checkGoroutines(t, base)
+}
+
+// TestClusterLanesDoNotChangeResult: a worker's lanes are its rank's
+// engine width, not more ranks. Two one-lane and two two-lane workers run
+// the same two ranks on the same partition, and the engine is
+// width-deterministic, so the potentials are the same bits.
+func TestClusterLanesDoNotChangeResult(t *testing.T) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(8))
+	req := EvalRequest{
+		Src: geom.Flatten(geom.SphereGrid(rng, n, 2, 0.3)), Den: geom.RandomDensities(rng, n, 1),
+		Kernel: kernels.Spec{Name: "laplace"}, Degree: 4, MaxPoints: 60,
+	}
+	var pots [][]float64
+	for _, lanes := range [][]int{{1, 1}, {2, 2}} {
+		coord, workers := startCluster(t, 250*time.Millisecond, lanes...)
+		pot, rep, err := coord.Evaluate(context.Background(), req)
+		for _, w := range workers {
+			w.Close()
+		}
+		coord.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Ranks != 2 {
+			t.Fatalf("workers of %v lanes ran %d ranks, want 2", lanes, rep.Ranks)
+		}
+		pots = append(pots, pot)
+	}
+	for i := range pots[0] {
+		if math.Float64bits(pots[0][i]) != math.Float64bits(pots[1][i]) {
+			t.Fatalf("potential %d: %v on one-lane workers, %v on two-lane ones", i, pots[0][i], pots[1][i])
+		}
+	}
+}
+
+// TestClusterFewerPointsThanWorkers: a job has no more ranks than points.
+// Two Laplace points at distance 1 on three workers run as two ranks of
+// one point each, and each potential is 1/(4π).
+func TestClusterFewerPointsThanWorkers(t *testing.T) {
+	coord, workers := startCluster(t, 250*time.Millisecond, 1, 1, 1)
+	defer coord.Close()
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	pot, rep, err := coord.Evaluate(context.Background(), EvalRequest{
+		Src: []float64{0, 0, 0, 1, 0, 0}, Den: []float64{1, 1}, Kernel: kernels.Spec{Name: "laplace"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ranks != 2 || rep.Workers != 2 {
+		t.Errorf("two points ran as %d ranks on %d workers, want 2 on 2", rep.Ranks, rep.Workers)
+	}
+	for i, p := range pot {
+		if want := 1 / (4 * math.Pi); math.Abs(p-want) > 1e-15 {
+			t.Errorf("potential %d = %v, want 1/(4π) = %v", i, p, want)
+		}
+	}
 }
 
 // TestClusterDrainExcludesWorker: after a graceful drain the departed

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,19 +33,12 @@ type CoordinatorConfig struct {
 type workerConn struct {
 	id       int64
 	addr     string // mesh address
-	lanes    int
 	fc       *framedConn
 	lastBeat atomic.Int64 // unix nanos of the last frame received
 	drained  atomic.Bool
 }
 
 func (wc *workerConn) beat() { wc.lastBeat.Store(time.Now().UnixNano()) }
-
-// jobPart is one worker's contiguous rank range in a job.
-type jobPart struct {
-	wc     *workerConn
-	lo, hi int
-}
 
 // collState accumulates one collective's contributions across ranks.
 type collState struct {
@@ -58,9 +53,8 @@ type collState struct {
 // coordJob is one in-flight distributed evaluation.
 type coordJob struct {
 	id     uint64
-	size   int
 	inputs []*parfmm.RankInput
-	parts  []jobPart
+	ranks  []*workerConn // the worker hosting each rank
 
 	mu        sync.Mutex
 	colls     map[uint64]*collState
@@ -86,31 +80,14 @@ func (j *coordJob) finish(err error) {
 	close(j.done)
 }
 
-// owns reports whether wc hosts any of the job's ranks.
-func (j *coordJob) owns(wc *workerConn) bool {
-	for _, p := range j.parts {
-		if p.wc == wc {
-			return true
-		}
-	}
-	return false
-}
-
-// partOf returns the part hosting rank r.
-func (j *coordJob) partOf(r int) *jobPart {
-	for i := range j.parts {
-		if r >= j.parts[i].lo && r < j.parts[i].hi {
-			return &j.parts[i]
-		}
-	}
-	return nil
-}
+// owns reports whether wc hosts one of the job's ranks.
+func (j *coordJob) owns(wc *workerConn) bool { return slices.Contains(j.ranks, wc) }
 
 // Coordinator accepts worker connections, tracks their health, and
 // scatters cluster-sized evaluations across them: it Morton-partitions
-// the request geometry into contiguous rank ranges (one per worker),
-// streams each worker its share, brokers the algorithm's collectives,
-// and gathers potentials and per-rank timelines back.
+// the request geometry into one rank per worker, streams each worker its
+// share, brokers the algorithm's collectives, and gathers potentials and
+// per-rank timelines back.
 type Coordinator struct {
 	cfg CoordinatorConfig
 	ln  net.Listener
@@ -125,9 +102,10 @@ type Coordinator struct {
 	passObs    func(pass string, seconds float64)
 
 	// evalMu serializes cluster evaluations: the collective broker and
-	// the workers' rank goroutines assume one job's traffic at a time,
-	// and a single 1-coordinator cluster gains nothing from interleaving
-	// two scatter/gather cycles. Queued requests wait here.
+	// the workers' ranks assume one job's traffic at a time (a rank holds
+	// its worker's whole lane pool until the job ends), and a single
+	// 1-coordinator cluster gains nothing from interleaving two
+	// scatter/gather cycles. Queued requests wait here.
 	evalMu sync.Mutex
 
 	scatterBytes atomic.Int64
@@ -196,13 +174,13 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		return
 	}
 	var hello helloMsg
-	if err := json.Unmarshal(payload, &hello); err != nil || hello.PeerAddr == "" || hello.Lanes < 1 {
+	if err := json.Unmarshal(payload, &hello); err != nil || hello.PeerAddr == "" {
 		fc.Close()
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 
-	wc := &workerConn{addr: hello.PeerAddr, lanes: hello.Lanes, fc: fc}
+	wc := &workerConn{addr: hello.PeerAddr, fc: fc}
 	wc.beat()
 	c.mu.Lock()
 	if c.closed {
@@ -220,7 +198,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		c.dropWorker(wc, err)
 		return
 	}
-	c.log.Info("cluster worker joined", "worker_id", wc.id, "mesh_addr", wc.addr, "lanes", wc.lanes)
+	c.log.Info("cluster worker joined", "worker_id", wc.id, "mesh_addr", wc.addr)
 
 	for {
 		ft, payload, err := fc.readFrame()
@@ -239,9 +217,9 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 				c.handleColl(m)
 			}
 		case fJobResult:
-			if job, ranks, err := decodeJobResult(payload); err == nil {
+			if job, rr, err := decodeJobResult(payload); err == nil {
 				c.gatherBytes.Add(int64(len(payload)))
-				c.handleResult(job, ranks)
+				c.handleResult(job, rr)
 			}
 		case fJobError:
 			if job, code, msg, err := decodeJobStatus(payload); err == nil {
@@ -316,11 +294,10 @@ func (c *Coordinator) abortJob(j *coordJob, err error, except *workerConn) {
 		code = cd
 	}
 	payload := encodeJobStatus(j.id, string(code), err.Error())
-	for _, p := range j.parts {
-		if p.wc == except {
-			continue
+	for _, wc := range j.ranks {
+		if wc != except {
+			_ = wc.fc.writeFrame(fJobAbort, payload)
 		}
-		_ = p.wc.fc.writeFrame(fJobAbort, payload)
 	}
 }
 
@@ -345,18 +322,19 @@ func (c *Coordinator) failJob(id uint64, err error) {
 // rank to enter (the synchronization dependency for the critical path).
 func (c *Coordinator) handleColl(m *collMsg) {
 	j := c.jobByID(m.Job)
-	if j == nil || m.Rank < 0 || m.Rank >= j.size {
+	if j == nil || m.Rank < 0 || m.Rank >= len(j.ranks) {
 		return
 	}
+	size := len(j.ranks)
 	j.mu.Lock()
 	cs := j.colls[m.Seq]
 	if cs == nil {
 		cs = &collState{
 			kind:    m.Kind,
 			op:      mpi.ReduceOp(m.Op),
-			entryNS: make([]int64, j.size),
-			i64:     make([][]int64, j.size),
-			f64:     make([][]float64, j.size),
+			entryNS: make([]int64, size),
+			i64:     make([][]int64, size),
+			f64:     make([][]float64, size),
 		}
 		j.colls[m.Seq] = cs
 	}
@@ -364,7 +342,7 @@ func (c *Coordinator) handleColl(m *collMsg) {
 	cs.i64[m.Rank] = m.I64
 	cs.f64[m.Rank] = m.F64
 	cs.arrived++
-	ready := cs.arrived == j.size
+	ready := cs.arrived == size
 	if ready {
 		delete(j.colls, m.Seq)
 	}
@@ -393,40 +371,34 @@ func (c *Coordinator) handleColl(m *collMsg) {
 	case collFloat64:
 		resp.F64 = mpi.Reduce(cs.op, cs.f64)
 	}
-	for r := 0; r < j.size; r++ {
-		p := j.partOf(r)
-		if p == nil {
-			continue
-		}
+	for r, wc := range j.ranks {
 		resp.Rank = r
-		if err := p.wc.fc.writeFrame(fCollResp, encodeCollResp(resp)); err != nil {
-			c.dropWorker(p.wc, err)
+		if err := wc.fc.writeFrame(fCollResp, encodeCollResp(resp)); err != nil {
+			c.dropWorker(wc, err)
 		}
 	}
 }
 
-// handleResult records one worker's rank results; the last one resolves
-// the job.
-func (c *Coordinator) handleResult(id uint64, ranks []rankResultWire) {
+// handleResult records one rank's result; the last one resolves the job.
+func (c *Coordinator) handleResult(id uint64, rr rankResultWire) {
 	j := c.jobByID(id)
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
-	for _, rr := range ranks {
-		if rr.Rank < 0 || rr.Rank >= j.size || j.reported[rr.Rank] {
-			continue
-		}
-		j.reported[rr.Rank] = true
-		j.pots[rr.Rank] = rr.Pot
-		if len(rr.TL) > 0 {
-			var tl obs.RankTimeline
-			if err := json.Unmarshal(rr.TL, &tl); err == nil {
-				j.tls[rr.Rank] = &tl
-			}
-		}
-		j.remaining--
+	if rr.Rank < 0 || rr.Rank >= len(j.ranks) || j.reported[rr.Rank] {
+		j.mu.Unlock()
+		return
 	}
+	j.reported[rr.Rank] = true
+	j.pots[rr.Rank] = rr.Pot
+	if len(rr.TL) > 0 {
+		var tl obs.RankTimeline
+		if err := json.Unmarshal(rr.TL, &tl); err == nil {
+			j.tls[rr.Rank] = &tl
+		}
+	}
+	j.remaining--
 	doneNow := j.remaining == 0
 	j.mu.Unlock()
 	if doneNow {
@@ -450,7 +422,9 @@ type EvalRequest struct {
 
 // EvalReport describes how a cluster evaluation ran.
 type EvalReport struct {
-	// Ranks is the job's rank count, Workers how many nodes hosted them.
+	// Ranks is the job's rank count, Workers how many nodes hosted them:
+	// one rank per worker, so the two are equal (both stay, bench/ reads
+	// them).
 	Ranks   int
 	Workers int
 	// ScatterBytes/GatherBytes are this job's control-plane volumes
@@ -488,33 +462,26 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 	start := time.Now()
 	gather0 := c.gatherBytes.Load() // jobs are serialized, so the growth is this job's
 
-	// Plan rank ranges over the live, undrained workers.
+	// One rank per live, undrained worker, in join order, and no more
+	// ranks than points.
 	c.mu.Lock()
-	var parts []jobPart
-	size := 0
+	var ranks []*workerConn
 	for _, wc := range c.workers {
-		if wc.drained.Load() {
-			continue
+		if !wc.drained.Load() {
+			ranks = append(ranks, wc)
 		}
-		r := wc.lanes
-		if size+r > n {
-			r = n - size
-		}
-		if r < 1 {
-			continue
-		}
-		parts = append(parts, jobPart{wc: wc, lo: size, hi: size + r})
-		size += r
 	}
-	if len(parts) == 0 {
+	slices.SortFunc(ranks, func(a, b *workerConn) int { return cmp.Compare(a.id, b.id) })
+	ranks = ranks[:min(len(ranks), n)]
+	size := len(ranks)
+	if size == 0 {
 		c.mu.Unlock()
 		return nil, nil, errs.New(errs.CodeWorkerLost, "kifmm: no cluster workers connected")
 	}
 	c.nextJob++
 	job := &coordJob{
 		id:       c.nextJob,
-		size:     size,
-		parts:    parts,
+		ranks:    ranks,
 		colls:    make(map[uint64]*collState),
 		pots:     make([][]float64, size),
 		tls:      make([]*obs.RankTimeline, size),
@@ -532,24 +499,24 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 
 	job.inputs = parfmm.PartitionPoints(req.Src, req.Den, sd, size)
 
-	// Scatter: each worker gets the shared header plus its own shares.
-	peers := make([]rankRange, len(parts))
-	for i, p := range parts {
-		peers[i] = rankRange{Addr: p.wc.addr, Lo: p.lo, Hi: p.hi}
+	// Scatter: each worker gets the shared header plus its rank's share.
+	peers := make([]string, size)
+	for r, wc := range ranks {
+		peers[r] = wc.addr
 	}
 	var scatter int64
-	hdr := req.header(job.id, size, peers)
-	for _, p := range parts {
-		hdr.RankLo, hdr.RankHi = p.lo, p.hi
-		payload, err := encodeJobStart(&hdr, job.inputs[p.lo:p.hi])
+	hdr := req.header(job.id, peers)
+	for r, wc := range ranks {
+		hdr.Rank = r
+		payload, err := encodeJobStart(&hdr, job.inputs[r])
 		if err != nil {
 			err = errs.Wrap(errs.CodeInternal, err)
 			c.abortJob(job, err, nil)
 			job.finish(err)
 			return nil, nil, err
 		}
-		if werr := p.wc.fc.writeFrame(fJobStart, payload); werr != nil {
-			c.dropWorker(p.wc, werr)
+		if werr := wc.fc.writeFrame(fJobStart, payload); werr != nil {
+			c.dropWorker(wc, werr)
 			break // dropWorker already failed the job
 		}
 		scatter += int64(len(payload))
@@ -585,7 +552,7 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 	tl := obs.MergeTimeline(job.tls)
 	c.observePasses(tl)
 	report := &EvalReport{
-		Ranks: size, Workers: len(parts),
+		Ranks: size, Workers: size,
 		ScatterBytes: scatter, GatherBytes: c.gatherBytes.Load() - gather0,
 		Timeline: tl, Wall: time.Since(start),
 	}

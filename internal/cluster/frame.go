@@ -3,9 +3,9 @@
 // point-to-point ghost exchanges and collectives between processes,
 // plus the node lifecycle around it — workers dial a coordinator, join
 // with a hello/capabilities handshake, heartbeat, and drain gracefully;
-// the coordinator Morton-partitions request geometry, assigns each
-// worker a contiguous rank range and drives internal/parfmm's passes
-// over the wire.
+// the coordinator Morton-partitions request geometry into one rank per
+// worker, and each worker runs its rank's internal/parfmm evaluation over
+// its whole lane pool, exchanging ghosts over the wire.
 //
 // Topology: control traffic (handshake, heartbeats, job dispatch,
 // collectives, results) flows on each worker's single connection to the

@@ -11,10 +11,9 @@ import (
 )
 
 // helloMsg is the worker->coordinator handshake (JSON payload of
-// fHello): the worker's mesh listener address and its capabilities.
+// fHello): the worker's mesh listener address.
 type helloMsg struct {
 	PeerAddr string `json:"peer_addr"`
-	Lanes    int    `json:"lanes"`
 }
 
 // helloAck is the coordinator's handshake reply (JSON payload of
@@ -28,12 +27,11 @@ type helloAck struct {
 // job except the bulk rank inputs.
 type jobHeader struct {
 	Job  uint64 `json:"job"`
-	Size int    `json:"size"` // total ranks
-	// RankLo/RankHi is the receiving worker's contiguous range.
-	RankLo int `json:"rank_lo"`
-	RankHi int `json:"rank_hi"`
-	// Peers maps every rank range to its worker's mesh address.
-	Peers []rankRange `json:"peers"`
+	Size int    `json:"size"` // total ranks, one per worker
+	// Rank is the receiving worker's rank.
+	Rank int `json:"rank"`
+	// Peers is the mesh address of every rank's worker, by rank.
+	Peers []string `json:"peers"`
 
 	Kernel    kernels.Spec `json:"kernel"`
 	Degree    int          `json:"degree,omitempty"`
@@ -44,16 +42,16 @@ type jobHeader struct {
 }
 
 // header is the job header every worker of the job gets, short of its
-// own rank range: the request's options, field for field.
-func (req *EvalRequest) header(job uint64, size int, peers []rankRange) jobHeader {
+// own rank: the request's options, field for field.
+func (req *EvalRequest) header(job uint64, peers []string) jobHeader {
 	return jobHeader{
-		Job: job, Size: size, Peers: peers,
+		Job: job, Size: len(peers), Peers: peers,
 		Kernel: req.Kernel, Degree: req.Degree, MaxPoints: req.MaxPoints,
 		MaxDepth: req.MaxDepth, Backend: req.Backend, PinvTol: req.PinvTol,
 	}
 }
 
-// options resolves the header into what every local rank evaluates with.
+// options resolves the header into what the worker's rank evaluates with.
 func (h *jobHeader) options() (parfmm.Options, error) {
 	kern, err := kernels.FromSpec(h.Kernel)
 	if err != nil {
@@ -70,44 +68,25 @@ func (h *jobHeader) options() (parfmm.Options, error) {
 	}, nil
 }
 
-// rankRange is one worker's slice of the rank space.
-type rankRange struct {
-	Addr string `json:"addr"`
-	Lo   int    `json:"lo"`
-	Hi   int    `json:"hi"`
-}
-
-// addrOfRank resolves the mesh address owning a rank.
-func (h *jobHeader) addrOfRank(rank int) string {
-	for _, p := range h.Peers {
-		if rank >= p.Lo && rank < p.Hi {
-			return p.Addr
-		}
-	}
-	return ""
-}
-
 // encodeJobStart assembles a job-start payload: the JSON header plus
-// the receiving worker's rank inputs ([RankLo, RankHi)) as raw binary
-// arrays.
-func encodeJobStart(hdr *jobHeader, inputs []*parfmm.RankInput) ([]byte, error) {
+// the receiving worker's rank input as raw binary arrays.
+func encodeJobStart(hdr *jobHeader, in *parfmm.RankInput) ([]byte, error) {
 	raw, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, err
 	}
 	var w wire.Writer
 	w.Raw(raw)
-	for _, in := range inputs {
-		w.F64s(in.Pts)
-		w.F64s(in.Den)
-		w.I32s(in.GlobalIdx)
-	}
+	w.F64s(in.Pts)
+	w.F64s(in.Den)
+	w.I32s(in.GlobalIdx)
 	return w.Bytes(), nil
 }
 
 // decodeJobStart parses a job-start payload into the header and the
-// local rank inputs.
-func decodeJobStart(p []byte) (*jobHeader, []*parfmm.RankInput, error) {
+// worker's rank input. A header whose rank is not one of its ranks, or
+// that does not name a mesh address for every rank, is malformed.
+func decodeJobStart(p []byte) (*jobHeader, *parfmm.RankInput, error) {
 	r := wire.NewReader(p)
 	raw := r.Raw()
 	if err := frameErr(r); err != nil {
@@ -117,23 +96,17 @@ func decodeJobStart(p []byte) (*jobHeader, []*parfmm.RankInput, error) {
 	if err := json.Unmarshal(raw, &hdr); err != nil {
 		return nil, nil, err
 	}
-	// A rank input is three count words at the least; the header's word
-	// for how many follow is not taken on trust.
-	n := hdr.RankHi - hdr.RankLo
-	if n < 0 || n > hdr.Size || n > r.Remaining()/24 {
+	if hdr.Size < 1 || hdr.Rank < 0 || hdr.Rank >= hdr.Size || len(hdr.Peers) != hdr.Size {
 		return nil, nil, errMalformed()
 	}
-	inputs := make([]*parfmm.RankInput, n)
-	for i := range inputs {
-		inputs[i] = &parfmm.RankInput{Pts: r.F64s(), Den: r.F64s(), GlobalIdx: r.I32s()}
-	}
+	in := &parfmm.RankInput{Pts: r.F64s(), Den: r.F64s(), GlobalIdx: r.I32s()}
 	if err := frameErr(r); err != nil {
 		return nil, nil, err
 	}
-	return &hdr, inputs, nil
+	return &hdr, in, nil
 }
 
-// rankResultWire is one rank's result inside a job-result frame.
+// rankResultWire is the one rank's result a job-result frame carries.
 type rankResultWire struct {
 	Rank int
 	Pot  []float64
@@ -142,32 +115,22 @@ type rankResultWire struct {
 	TL []byte
 }
 
-func encodeJobResult(job uint64, ranks []rankResultWire) []byte {
+func encodeJobResult(job uint64, rr rankResultWire) []byte {
 	var w wire.Writer
 	w.U64(job)
-	w.U32(uint32(len(ranks)))
-	for _, rr := range ranks {
-		w.U32(uint32(rr.Rank))
-		w.F64s(rr.Pot)
-		w.Raw(rr.TL)
-	}
+	w.U32(uint32(rr.Rank))
+	w.F64s(rr.Pot)
+	w.Raw(rr.TL)
 	return w.Bytes()
 }
 
-func decodeJobResult(p []byte) (job uint64, ranks []rankResultWire, err error) {
+func decodeJobResult(p []byte) (job uint64, rr rankResultWire, err error) {
 	r := wire.NewReader(p)
 	job = r.U64()
-	n := int(r.U32())
-	if r.Err() != nil || n < 0 || n > len(p) {
-		return 0, nil, errMalformed()
-	}
-	ranks = make([]rankResultWire, n)
-	for i := range ranks {
-		ranks[i].Rank = int(r.U32())
-		ranks[i].Pot = r.F64s()
-		ranks[i].TL = append([]byte(nil), r.Raw()...)
-	}
-	return job, ranks, frameErr(r)
+	rr.Rank = int(r.U32())
+	rr.Pot = r.F64s()
+	rr.TL = append([]byte(nil), r.Raw()...)
+	return job, rr, frameErr(r)
 }
 
 // encodeJobStatus covers job-error (worker->coordinator) and job-abort

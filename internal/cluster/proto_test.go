@@ -44,8 +44,8 @@ func TestJobHeaderCarriesEveryOption(t *testing.T) {
 		default:
 			t.Fatalf("EvalRequest.%s: the test cannot set a %s", name, f.Kind())
 		}
-		hdr := req.header(1, 1, nil)
-		payload, err := encodeJobStart(&hdr, nil)
+		hdr := req.header(1, []string{"a:1"})
+		payload, err := encodeJobStart(&hdr, &parfmm.RankInput{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,20 +98,17 @@ func TestReadFrameDoesNotTrustLength(t *testing.T) {
 // cleanly must encode back to the bytes it came from.
 func FuzzProto(f *testing.F) {
 	hdr := &jobHeader{
-		Job: 7, Size: 4, RankLo: 2, RankHi: 4,
-		Peers:  []rankRange{{Addr: "a:1", Lo: 0, Hi: 2}, {Addr: "b:2", Lo: 2, Hi: 4}},
+		Job: 7, Size: 2, Rank: 1, Peers: []string{"a:1", "b:2"},
 		Kernel: kernels.Spec{Name: "modlaplace", Params: map[string]float64{"lambda": 2}},
 		Degree: 6, MaxPoints: 60, MaxDepth: 9, Backend: 1, PinvTol: 1e-10,
 	}
-	start, err := encodeJobStart(hdr, []*parfmm.RankInput{
-		{Pts: []float64{1, 2, 3}, Den: []float64{0.5}, GlobalIdx: []int32{9}}, {},
-	})
+	start, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 2, 3}, Den: []float64{0.5}, GlobalIdx: []int32{9}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	seeds := [][]byte{
 		start,
-		encodeJobResult(7, []rankResultWire{{Rank: 2, Pot: []float64{1.5}, TL: []byte(`{"rank":2}`)}, {Rank: 3}}),
+		encodeJobResult(7, rankResultWire{Rank: 1, Pot: []float64{1.5}, TL: []byte(`{"rank":1}`)}),
 		encodeJobStatus(7, "worker_lost", "gone"),
 		encodeColl(&collMsg{Job: 7, Rank: 2, Kind: collFloat64, Op: 1, Seq: 5, EntryNS: 99, F64: []float64{3.25}}),
 		encodeColl(&collMsg{Job: 7, Rank: 1, Kind: collInt64, Seq: 6, I64: []int64{-4, 1 << 40}}),
@@ -129,8 +126,8 @@ func FuzzProto(f *testing.F) {
 		f.Add(framed[:len(framed)/2])
 	}
 	f.Add(binary.LittleEndian.AppendUint32(nil, maxFrameBytes+1))
-	var huge wire.Writer // a header promising two billion rank inputs
-	huge.Raw([]byte(`{"size":2000000000,"rank_hi":2000000000}`))
+	var huge wire.Writer // a header promising two billion ranks and naming one
+	huge.Raw([]byte(`{"size":2000000000,"rank":5,"peers":["a:1"]}`))
 	f.Add(huge.Bytes())
 
 	f.Fuzz(func(t *testing.T, p []byte) {
@@ -143,8 +140,8 @@ func FuzzProto(f *testing.F) {
 				t.Fatalf("%s: decode then encode changed the bytes:\n got % x\nfrom % x", what, enc, p)
 			}
 		}
-		if job, ranks, err := decodeJobResult(p); err == nil {
-			canonical("job result", encodeJobResult(job, ranks))
+		if job, rr, err := decodeJobResult(p); err == nil {
+			canonical("job result", encodeJobResult(job, rr))
 		}
 		if job, code, msg, err := decodeJobStatus(p); err == nil {
 			canonical("job status", encodeJobStatus(job, code, msg))
@@ -159,7 +156,7 @@ func FuzzProto(f *testing.F) {
 			canonical("p2p", encodeP2P(m))
 		}
 		// A job start opens with a JSON header, which has many spellings:
-		// the header must survive a round trip as a value, the rank inputs
+		// the header must survive a round trip as a value, the rank input
 		// behind it as bytes.
 		if h, in, err := decodeJobStart(p); err == nil {
 			enc, err := encodeJobStart(h, in)
@@ -171,7 +168,7 @@ func FuzzProto(f *testing.F) {
 			}
 			inputs := func(b []byte) []byte { return b[4+len(wire.NewReader(b).Raw()):] }
 			if !bytes.HasPrefix(inputs(p), inputs(enc)) {
-				t.Fatalf("rank inputs: decode then encode changed the bytes:\n got % x\nfrom % x", inputs(enc), inputs(p))
+				t.Fatalf("rank input: decode then encode changed the bytes:\n got % x\nfrom % x", inputs(enc), inputs(p))
 			}
 		}
 

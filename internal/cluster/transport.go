@@ -36,10 +36,10 @@ type collKey struct {
 }
 
 // workerJob is the per-job rendezvous state on a worker: the mailboxes
-// local ranks receive from, the collective responses they wait for, and
-// the abort latch that poisons every blocked operation when the
+// the worker's rank receives from, the collective responses it waits for,
+// and the abort latch that poisons every blocked operation when the
 // coordinator cancels the job or a peer is lost. One mutex + condition
-// serializes all of it; rank goroutines block on the condition.
+// serializes all of it; the rank blocks on the condition.
 type workerJob struct {
 	id    uint64
 	hdr   *jobHeader
@@ -50,7 +50,7 @@ type workerJob struct {
 	mail     map[mailKey][]wireMsg
 	colls    map[collKey]*collRespMsg
 	abortErr error
-	// cancel stops the compute of the job's local ranks (set by runJob).
+	// cancel stops the compute of the worker's rank (set by runJob).
 	cancel context.CancelFunc
 }
 
@@ -84,10 +84,10 @@ func (j *workerJob) deliverCollResp(m *collRespMsg) {
 	j.mu.Unlock()
 }
 
-// abort poisons the job: every blocked Recv/collective wakes and panics
-// with err, unwinding its rank goroutine, and a rank in the middle of a
-// pass sees its context cancelled. It reports whether err is the one that
-// aborted the job (false when the job was aborted already).
+// abort poisons the job: a blocked Recv/collective wakes and panics with
+// err, unwinding the rank, and a rank in the middle of a pass sees its
+// context cancelled. It reports whether err is the one that aborted the
+// job (false when the job was aborted already).
 func (j *workerJob) abort(err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -103,12 +103,11 @@ func (j *workerJob) abort(err error) bool {
 }
 
 // wireTransport is one rank's mpi.Transport over TCP: point-to-point
-// payloads ride the worker mesh (or short-circuit in memory when source
-// and destination ranks share a worker), collectives rendezvous at the
-// coordinator. It reproduces the in-process transport's ledger events —
-// same kinds, same dependency attribution — so obs.Timeline,
-// critical-path extraction and the Chrome trace work unchanged on a
-// real cluster.
+// payloads ride the worker mesh (a rank never sends to itself),
+// collectives rendezvous at the coordinator. It reproduces the in-process
+// transport's ledger events — same kinds, same dependency attribution —
+// so obs.Timeline, critical-path extraction and the Chrome trace work
+// unchanged on a real cluster.
 type wireTransport struct {
 	w    *Worker
 	j    *workerJob
@@ -136,32 +135,18 @@ func (t *wireTransport) Messages() int64         { return t.msgs }
 
 func (t *wireTransport) SetObserver(fn func(mpi.Event)) { t.observer = fn }
 
-// localRank reports whether rank r lives on this worker.
-func (t *wireTransport) localRank(r int) bool {
-	return r >= t.j.hdr.RankLo && r < t.j.hdr.RankHi
-}
-
-// SendFloat64s is eager: it enqueues locally or writes the frame to the
-// peer's mesh connection and returns without waiting for the receiver.
+// SendFloat64s is eager: it writes the frame to the peer's mesh
+// connection and returns without waiting for the receiver.
 func (t *wireTransport) SendFloat64s(dst, tag int, data []float64) {
 	start := t.j.elapsed()
 	bytes := 8 * len(data)
-	m := &p2pMsg{Job: t.j.id, Src: t.rank, Dst: dst, Tag: tag, SentNS: int64(start)}
-	if t.localRank(dst) {
-		// Same-worker ranks short-circuit through the job mailbox; the
-		// payload still must not alias the sender's buffer (parfmm
-		// reuses scratch), so copy like the wire would.
-		m.Data = append([]float64(nil), data...)
-		t.j.deliverP2P(m)
-	} else {
-		m.Data = data
-		pc, err := t.w.peerConn(t.j.hdr.addrOfRank(dst))
-		if err == nil {
-			err = pc.writeFrame(fP2P, encodeP2P(m))
-		}
-		if err != nil {
-			panic(wireFailure{fmt.Errorf("cluster: rank %d send to rank %d: %w", t.rank, dst, err)})
-		}
+	m := &p2pMsg{Job: t.j.id, Src: t.rank, Dst: dst, Tag: tag, SentNS: int64(start), Data: data}
+	pc, err := t.w.peerConn(t.j.hdr.Peers[dst])
+	if err == nil {
+		err = pc.writeFrame(fP2P, encodeP2P(m))
+	}
+	if err != nil {
+		panic(wireFailure{fmt.Errorf("cluster: rank %d send to rank %d: %w", t.rank, dst, err)})
 	}
 	end := t.j.elapsed()
 	t.commTime += end - start

@@ -24,18 +24,18 @@ type WorkerConfig struct {
 	// traffic (default "127.0.0.1:0" — loopback with an ephemeral port;
 	// set an externally reachable address for a real multi-host run).
 	Listen string
-	// Lanes is the advertised capacity: how many ranks this worker
-	// accepts per job, and the width of the elastic pool job rank
-	// execution is admitted through. Default: GOMAXPROCS.
+	// Lanes is the width of the worker's elastic pool, which its one
+	// rank of every job fans the engine's passes out over. It does not
+	// change how many ranks a job has. Default: GOMAXPROCS.
 	Lanes int
 	// Logger receives lifecycle events; nil discards them.
 	Logger *slog.Logger
 }
 
 // Worker is a cluster worker node: it dials the coordinator, joins with
-// a hello/capabilities handshake, heartbeats, accepts mesh connections
-// from peer workers, and runs its contiguous rank range of each job via
-// parfmm.EvaluateRank over the wire transport.
+// a hello handshake, heartbeats, accepts mesh connections from peer
+// workers, and runs its one rank of each job via parfmm.EvaluateRank over
+// the wire transport.
 type Worker struct {
 	id   int64
 	ctrl *framedConn
@@ -98,7 +98,7 @@ func StartWorker(ctx context.Context, cfg WorkerConfig) (*Worker, error) {
 	}
 	w.ctrl = newFramedConn(conn)
 
-	hello, err := json.Marshal(helloMsg{PeerAddr: ln.Addr().String(), Lanes: cfg.Lanes})
+	hello, err := json.Marshal(helloMsg{PeerAddr: ln.Addr().String()})
 	if err == nil {
 		err = w.ctrl.writeFrame(fHello, hello)
 	}
@@ -163,12 +163,12 @@ func (w *Worker) ctrlLoop() {
 		}
 		switch ft {
 		case fJobStart:
-			hdr, inputs, err := decodeJobStart(payload)
+			hdr, in, err := decodeJobStart(payload)
 			if err != nil {
 				w.log.Warn("cluster worker: bad job start", "err", err)
 				continue
 			}
-			w.startJob(hdr, inputs)
+			w.startJob(hdr, in)
 		case fJobAbort:
 			job, code, msg, err := decodeJobStatus(payload)
 			if err != nil {
@@ -340,7 +340,7 @@ func (w *Worker) peerConn(addr string) (*framedConn, error) {
 }
 
 // startJob sets the job's header and launches its runner.
-func (w *Worker) startJob(hdr *jobHeader, inputs []*parfmm.RankInput) {
+func (w *Worker) startJob(hdr *jobHeader, in *parfmm.RankInput) {
 	j := w.jobFor(hdr.Job)
 	if j == nil {
 		return
@@ -349,27 +349,26 @@ func (w *Worker) startJob(hdr *jobHeader, inputs []*parfmm.RankInput) {
 	j.hdr = hdr
 	j.mu.Unlock()
 	w.jobWG.Add(1)
-	go w.runJob(j, inputs)
+	go w.runJob(j, in)
 }
 
-// runJob executes this worker's rank range: admission through the
-// elastic pool (the worker's local scheduler), then one goroutine per
-// local rank — ranks exchange data mid-pass, so they must all be
-// resident; the pool lease accounts the job's lane footprint and queues
-// it behind local load.
-func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
+// runJob executes this worker's rank of the job and reports its result,
+// or the failure that aborted the job when it was the rank's own.
+func (w *Worker) runJob(j *workerJob, in *parfmm.RankInput) {
 	defer w.jobWG.Done()
 	defer w.finishJob(j.id)
-	hdr := j.hdr
-	nLocal := hdr.RankHi - hdr.RankLo
-
-	opt, err := hdr.options()
+	opt, err := j.hdr.options()
 	if err != nil {
 		w.reportJobError(j, err)
 		return
 	}
-	// The job's ranks compute under ctx; abort cancels it, so an aborted
-	// job stops within one chunk of a pass instead of at its next receive.
+	// The engine fans out over the worker's whole pool and holds its lease
+	// across Ghost.Exchange, blocked in receives. Nothing waits on those
+	// lanes meanwhile: the pool is this worker's own, its only user is the
+	// job's one rank, and the coordinator runs one job at a time (evalMu).
+	opt.Pool, opt.Workers = w.pool, w.pool.MaxWorkers()
+	// The rank computes under ctx; abort cancels it, so an aborted job
+	// stops within one chunk of a pass instead of at its next receive.
 	ctx, cancel := context.WithCancel(w.runCtx)
 	defer cancel()
 	j.mu.Lock()
@@ -378,68 +377,39 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 		cancel()
 	}
 	j.mu.Unlock()
-	lease, err := w.pool.Acquire(ctx, nLocal)
+
+	out, err := w.runRank(ctx, j, in, opt)
 	if err != nil {
-		w.reportJobError(j, err)
-		return
-	}
-	defer lease.Release()
-
-	results := make([]rankResultWire, nLocal)
-	var (
-		rankWG sync.WaitGroup
-		jobErr error // the failure that aborted the job, when it was a local rank's
-	)
-	fail := func(err error) {
-		// Unblock sibling ranks waiting on the failed rank's sends. Only
-		// the first failure of a job aborts it, so at most one rank
-		// writes jobErr; later ones are echoes of that abort.
+		// Only a failure of this rank is reported; an abort's echo is not.
 		if j.abort(err) {
-			jobErr = err
+			w.reportJobError(j, err)
 		}
-	}
-	for i := 0; i < nLocal; i++ {
-		rankWG.Add(1)
-		go func(i int) {
-			defer rankWG.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if wf, ok := r.(wireFailure); ok {
-						fail(wf.err)
-						return
-					}
-					fail(errs.Newf(errs.CodeInternal, "kifmm: cluster rank %d panic: %v", hdr.RankLo+i, r))
-				}
-			}()
-			t := &wireTransport{w: w, j: j, rank: hdr.RankLo + i}
-			out, err := parfmm.EvaluateRank(ctx, t, inputs[i], opt)
-			if err != nil {
-				fail(errs.Typed(err, errs.CodeInvalidInput))
-				return
-			}
-			var tl []byte
-			if out.Timeline != nil {
-				tl, _ = json.Marshal(out.Timeline)
-			}
-			results[i] = rankResultWire{Rank: hdr.RankLo + i, Pot: out.Pot, TL: tl}
-		}(i)
-	}
-	rankWG.Wait()
-
-	if jobErr != nil {
-		w.reportJobError(j, jobErr)
 		return
 	}
-	j.mu.Lock()
-	aborted := j.abortErr != nil
-	j.mu.Unlock()
-	if aborted {
-		// The coordinator aborted us (or is gone): nothing to report.
-		return
+	var tl []byte
+	if out.Timeline != nil {
+		tl, _ = json.Marshal(out.Timeline)
 	}
-	if err := w.ctrl.writeFrame(fJobResult, encodeJobResult(j.id, results)); err != nil {
+	rr := rankResultWire{Rank: j.hdr.Rank, Pot: out.Pot, TL: tl}
+	if err := w.ctrl.writeFrame(fJobResult, encodeJobResult(j.id, rr)); err != nil {
 		w.log.Warn("cluster worker: result send failed", "job", j.id, "err", err)
 	}
+}
+
+// runRank evaluates the rank, turning the transport's panics (a broken
+// peer connection, the job's abort) and any other panic into errors.
+func (w *Worker) runRank(ctx context.Context, j *workerJob, in *parfmm.RankInput, opt parfmm.Options) (out *parfmm.RankOutput, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if wf, ok := r.(wireFailure); ok {
+				err = wf.err
+				return
+			}
+			err = errs.Newf(errs.CodeInternal, "kifmm: cluster rank %d panic: %v", j.hdr.Rank, r)
+		}
+	}()
+	out, err = parfmm.EvaluateRank(ctx, &wireTransport{w: w, j: j, rank: j.hdr.Rank}, in, opt)
+	return out, errs.Typed(err, errs.CodeInvalidInput)
 }
 
 func (w *Worker) reportJobError(j *workerJob, err error) {
@@ -469,8 +439,8 @@ func (w *Worker) Close() error {
 	return nil
 }
 
-// Kill tears the worker down immediately — no drain, no waiting for
-// jobs. In-flight local ranks abort; the coordinator notices via the
+// Kill tears the worker down immediately — no drain. The in-flight rank
+// aborts and Kill waits for it to unwind; the coordinator notices via the
 // dropped connection or a missed heartbeat. Test hook for failure
 // injection, and the path crash shutdowns take.
 func (w *Worker) Kill() {

@@ -256,8 +256,9 @@ func NewCtx(ctx context.Context, src, trg []float64, opt Options) (*Evaluator, e
 }
 
 // FromTree wraps an existing octree. The parallel driver calls it on the
-// tree every rank assembles from the global tree array (tree.Assemble),
-// with a private one-lane Options.Pool.
+// tree every rank assembles from the global tree array (tree.Assemble):
+// a cluster rank with its worker's lane pool, a simulated rank with a
+// private one-lane Options.Pool.
 func FromTree(tr *tree.Tree, opt Options) (*Evaluator, error) {
 	opt = ApplyDefaults(opt)
 	ops, err := translate.NewSet(opt.Kernel, opt.Degree, tr.HalfWidth, opt.PinvTol)

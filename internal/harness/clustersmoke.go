@@ -18,8 +18,9 @@ import (
 // ClusterSmokeConfig shapes the cluster smoke run: a real-TCP loopback
 // cluster (coordinator + workers, each with its own listener, all in
 // one process tree) evaluates a Laplace problem and is checked against
-// the single-node engine: smokeWorkers workers of smokeLanes lanes each
-// over N sphere-grid points (0 = 12000, fixed seed).
+// the single-node engine: smokeWorkers workers of smokeLanes lanes each,
+// one rank per worker over its lane pool, over N sphere-grid points
+// (0 = 12000, fixed seed).
 type ClusterSmokeConfig struct {
 	N int
 }
@@ -142,8 +143,8 @@ func RunClusterSmoke(ctx context.Context, cfg ClusterSmokeConfig) (*ClusterSmoke
 func clusterSmokeTable(rep *ClusterSmokeReport) string {
 	var b strings.Builder
 	cfg := rep.Config
-	fmt.Fprintf(&b, "cluster smoke: %d workers x %d lanes = %d ranks over TCP loopback, N=%d\n",
-		smokeWorkers, smokeLanes, rep.Ranks, cfg.N)
+	fmt.Fprintf(&b, "cluster smoke: %d ranks over TCP loopback, one per worker of %d lanes, N=%d\n",
+		rep.Ranks, smokeLanes, cfg.N)
 	fmt.Fprintf(&b, "round trip %s, rel L2 error vs single node %.3g (tolerance %g)\n",
 		rep.Wall.Round(time.Millisecond), rep.RelErr, smokeTol)
 	fmt.Fprintf(&b, "control plane: scatter %d B, gather %d B; mesh: %d msgs, %d B; critical path %.1fms\n",

@@ -13,8 +13,8 @@ func TestRunClusterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Ranks != 4 {
-		t.Errorf("Ranks = %d, want 4 (2 workers x 2 lanes)", rep.Ranks)
+	if rep.Ranks != smokeWorkers {
+		t.Errorf("Ranks = %d, want %d (one per worker)", rep.Ranks, smokeWorkers)
 	}
 	if rep.RelErr > smokeTol {
 		t.Errorf("RelErr = %g, want <= %g", rep.RelErr, smokeTol)

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/errs"
+	"repro/internal/exec"
 	"repro/internal/fmm"
 	"repro/internal/geom"
 	"repro/internal/morton"
@@ -35,8 +36,9 @@ import (
 // Options configure a parallel evaluation.
 type Options struct {
 	// Options are the evaluator options every rank builds its engine
-	// with. Workers and Pool are ignored: a rank runs one lane on a pool
-	// of its own (newRank).
+	// with. EvaluateRank honours Workers and Pool: the rank's engine fans
+	// out over the caller's lanes. The simulated Evaluate ignores them and
+	// runs every rank on one lane of a pool of its own.
 	fmm.Options
 	// Machine is the communication model (default mpi.DefaultMachine).
 	Machine mpi.Machine
@@ -235,7 +237,11 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 	// one would leave its peers blocked in a receive.
 	ctx := context.TODO()
 	comms := mpi.Run(nproc, opt.Machine, func(c *mpi.Comm) {
-		rk := newRank(c, inputs[c.Rank()], eo, opt.Trace)
+		// One lane on a pool of its own: the token clock meters one
+		// goroutine, and ranks sharing a pool would deadlock in receives.
+		ro := eo
+		ro.Workers, ro.Pool = 1, exec.NewElastic(1)
+		rk := newRank(c, inputs[c.Rank()], ro, opt.Trace)
 		timelines[c.Rank()] = rk.tl
 		err := rk.simulate(ctx, opt.Iterations, &stats[c.Rank()])
 		if rankErr[c.Rank()] = err; err != nil {

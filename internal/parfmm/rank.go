@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"strconv"
 
-	"repro/internal/exec"
 	"repro/internal/fmm"
 	"repro/internal/kernels"
 	"repro/internal/morton"
@@ -53,13 +52,10 @@ type rank struct {
 	pot []float64 // local potentials, original local order
 }
 
-// newRank prepares a rank over transport c; trace installs the span
-// timeline and the communication-ledger observer. The rank's engine gets
-// a private one-lane pool: a rank blocks in receives between passes and
-// must not hold a shared lane meanwhile, and the simulated clock meters
-// one goroutine.
+// newRank prepares a rank over transport c whose engine fans out as
+// opt.Workers and opt.Pool allow; trace installs the span timeline and the
+// communication-ledger observer.
 func newRank(c mpi.Transport, in *RankInput, opt fmm.Options, trace bool) *rank {
-	opt.Workers, opt.Pool = 1, exec.NewElastic(1)
 	rk := &rank{c: c, in: in, opt: opt}
 	if trace {
 		rk.tl = obs.NewRankTimeline(c.Rank(), c.Elapsed)

@@ -71,7 +71,8 @@ func PartitionPoints(src, den []float64, sd, nproc int) []*RankInput {
 // evaluation (the engine's passes, with the Algorithm-1 ghost exchanges
 // on the wire when t is a network transport). It is the entry point
 // cluster workers drive; the simulated Evaluate keeps its own loop for
-// the warmup/iteration timing protocol.
+// the warmup/iteration timing protocol. The engine holds its lease from
+// opt.Pool across the ghost exchange: no other rank may wait on that pool.
 //
 // Cancelling ctx stops the rank's compute within one chunk of a pass and
 // returns the typed context error. A rank blocked in a receive is not

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/fmm"
 	"repro/internal/geom"
 	"repro/internal/kernels"
@@ -158,7 +159,9 @@ func TestPassSpansOnVirtualClock(t *testing.T) {
 	inputs := PartitionPoints(pts, den, 1, nproc)
 	tls := make([]*obs.RankTimeline, nproc)
 	comms := mpi.Run(nproc, fastMachine(), func(c *mpi.Comm) {
-		rk := newRank(c, inputs[c.Rank()], eo, true)
+		ro := eo
+		ro.Workers, ro.Pool = 1, exec.NewElastic(1)
+		rk := newRank(c, inputs[c.Rank()], ro, true)
 		tls[c.Rank()] = rk.tl
 		if err := rk.prepare(context.Background()); err != nil {
 			t.Error(err)

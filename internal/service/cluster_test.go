@@ -19,17 +19,21 @@ import (
 	"repro/internal/obs"
 )
 
-// clusterService builds a coordinator with two one-lane workers and a
-// Service that routes one-shot requests of >= minPoints sources to it.
-func clusterService(t *testing.T, minPoints int) (*Service, *cluster.Coordinator) {
+// clusterService builds a coordinator with one worker of each lane count
+// in lanes (two one-lane workers when none are given) and a Service that
+// routes one-shot requests of >= minPoints sources to it.
+func clusterService(t *testing.T, minPoints int, lanes ...int) (*Service, *cluster.Coordinator) {
 	t.Helper()
 	coord, err := cluster.StartCoordinator(context.Background(), "127.0.0.1:0", cluster.CoordinatorConfig{Heartbeat: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	for i := 0; i < 2; i++ {
-		w, err := cluster.StartWorker(context.Background(), cluster.WorkerConfig{Coordinator: coord.Addr(), Lanes: 1})
+	if len(lanes) == 0 {
+		lanes = []int{1, 1}
+	}
+	for _, l := range lanes {
+		w, err := cluster.StartWorker(context.Background(), cluster.WorkerConfig{Coordinator: coord.Addr(), Lanes: l})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,9 +44,11 @@ func clusterService(t *testing.T, minPoints int) (*Service, *cluster.Coordinator
 
 // TestOneShotRoutesToCluster: a cluster-sized one-shot fans out over
 // the workers and matches the local engine to near machine precision,
-// while a sub-threshold request keeps the single-node plan path.
+// while a sub-threshold request keeps the single-node plan path. The
+// evaluation reports the lanes its ranks were granted: a two-lane and a
+// one-lane worker run two ranks on three lanes.
 func TestOneShotRoutesToCluster(t *testing.T) {
-	svc, coord := clusterService(t, 4000)
+	svc, coord := clusterService(t, 4000, 2, 1)
 
 	rng := rand.New(rand.NewSource(11))
 	const n = 6000
@@ -72,8 +78,8 @@ func TestOneShotRoutesToCluster(t *testing.T) {
 	if coord.Evals() != 1 {
 		t.Errorf("coordinator ran %d evals, want 1", coord.Evals())
 	}
-	if st.GrantedLanes != 2 {
-		t.Errorf("cluster eval used %d ranks, want 2", st.GrantedLanes)
+	if st.GrantedLanes != 3 {
+		t.Errorf("cluster eval granted %d lanes, want 3 (2 + 1)", st.GrantedLanes)
 	}
 
 	// Local reference through the ordinary plan path on a second

@@ -674,16 +674,22 @@ func (s *Service) evaluateCluster(ctx context.Context, req PlanRequest, dens [][
 		// tree (rank > tree_build, assign_owners, iteration > the exchange
 		// and pass spans): cluster ranks run on wall time, so the trees
 		// nest under it as they are. The ranks' stage breakdown stays on
-		// the workers: the stats are wall time and the rank count.
+		// the workers: the stats are wall time and the lanes granted to the
+		// ranks' engines, summed from each iteration span's granted_lanes.
 		span.SetAttr("ranks", strconv.Itoa(rep.Ranks))
 		span.SetAttr("workers", strconv.Itoa(rep.Workers))
 		span.SetAttr("scatter_bytes", strconv.FormatInt(rep.ScatterBytes, 10))
 		span.SetAttr("gather_bytes", strconv.FormatInt(rep.GatherBytes, 10))
+		lanes := 0
 		for _, rt := range rep.Timeline.Ranks {
 			span.Children = append(span.Children, rt.Root)
+			if it := rt.Root.Find("iteration"); it != nil {
+				n, _ := strconv.Atoi(it.Attrs["granted_lanes"])
+				lanes += n
+			}
 		}
 		res.Potentials = [][]float64{pot}
-		res.Stats = EvalStats{TotalNanos: span.Duration.Nanoseconds(), GrantedLanes: rep.Ranks}
+		res.Stats = EvalStats{TotalNanos: span.Duration.Nanoseconds(), GrantedLanes: lanes}
 	}
 	return s.finishEval(ctx, span.Start, res, fmm.Stats{}, srcCount, err, errs.CodeInternal)
 }
