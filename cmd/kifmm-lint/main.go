@@ -1,35 +1,29 @@
-// kifmm-lint is the repository's static-analysis multichecker: it runs
-// the internal/lint analyzer suite over package patterns and reports
-// every invariant violation that is not annotated with a
-// //lint:allow <analyzer> <reason> comment.
+// kifmm-lint is the repository's static-analysis driver: it runs the
+// internal/lint suite (determinism, ctxfirst, errtaxonomy, nojsonhot)
+// over package patterns and reports every invariant violation that is
+// not annotated with a //lint:allow <analyzer> <reason> comment.
 //
 // Usage:
 //
 //	go run ./cmd/kifmm-lint ./...
-//	go run ./cmd/kifmm-lint -run determinism,nojsonhot ./internal/...
-//	go run ./cmd/kifmm-lint -list
 //
-// Exit status: 0 when clean, 1 when findings were reported, 2 on a
-// load or configuration error. Stale or malformed //lint:allow
-// annotations are findings too, so suppressions cannot outlive the
-// code they excuse.
+// With no patterns it checks ./... . Exit status: 0 when clean, 1 when
+// findings were reported, 2 on a load error. Stale or malformed
+// //lint:allow annotations are findings too, so suppressions cannot
+// outlive the code they excuse.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/buildinfo"
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
 	"repro/internal/lint/load"
 )
 
 func main() {
-	listFlag := flag.Bool("list", false, "list analyzers and the invariants they enforce, then exit")
-	runFlag := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	version := flag.Bool("version", false, "print version information and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: kifmm-lint [flags] [packages]\n\n")
@@ -42,39 +36,13 @@ func main() {
 		fmt.Println(buildinfo.String("kifmm-lint"))
 		return
 	}
-	if *listFlag {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
-	analyzers, err := selectAnalyzers(*runFlag)
+	pkgs, err := load.Load("", flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kifmm-lint:", err)
 		os.Exit(2)
 	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kifmm-lint:", err)
-		os.Exit(2)
-	}
-	pkgs, err := load.Load(wd, patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kifmm-lint:", err)
-		os.Exit(2)
-	}
-
-	findings, err := lint.Run(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kifmm-lint:", err)
-		os.Exit(2)
-	}
+	findings := lint.Run(pkgs)
 	for _, f := range findings {
 		fmt.Println(f)
 	}
@@ -82,25 +50,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kifmm-lint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
 		os.Exit(1)
 	}
-}
-
-func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
-	all := lint.Analyzers()
-	if names == "" {
-		return all, nil
-	}
-	byName := make(map[string]*analysis.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (use -list)", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

@@ -9,11 +9,7 @@
 // calls Eval, which is the heart of the paper's method.
 package kernels
 
-import (
-	"math"
-
-	"repro/internal/errs"
-)
+import "math"
 
 // Kernel is a translation-invariant fundamental solution G(x, y) = G(x-y).
 //
@@ -47,24 +43,9 @@ type Kernel interface {
 }
 
 // ByName constructs one of the built-in kernels from its name
-// ("laplace", "modlaplace", "stokes", "kelvin"). The Stokes kernel uses
-// viscosity mu = 1, the modified Laplace kernel lambda = 1, and the
-// Kelvin elasticity kernel mu = 1, nu = 0.3; use the typed constructors
-// to control parameters.
-func ByName(name string) (Kernel, error) {
-	switch name {
-	case "laplace":
-		return Laplace{}, nil
-	case "modlaplace":
-		return NewModLaplace(1), nil
-	case "stokes":
-		return NewStokes(1), nil
-	case "kelvin":
-		return NewKelvin(1, 0.3), nil
-	default:
-		return nil, errs.Newf(errs.CodeUnknownKernel, "kernels: unknown kernel %q", name)
-	}
-}
+// ("laplace", "modlaplace", "stokes", "kelvin") with FromSpec's default
+// parameters; use the typed constructors or a Spec to control them.
+func ByName(name string) (Kernel, error) { return FromSpec(Spec{Name: name}) }
 
 const fourPiInv = 1.0 / (4 * math.Pi)
 

@@ -8,14 +8,14 @@ import (
 )
 
 func allKernels() []Kernel {
-	return []Kernel{Laplace{}, NewModLaplace(1.5), NewStokes(0.7)}
+	return []Kernel{Laplace{}, NewModLaplace(1.5), NewStokes(0.7), NewKelvin(1.3, 0.3)}
 }
 
 // TestEvalReflectionIsTranspose pins the Kernel contract the operator
 // set-up rests on: Eval(-r) is Eval(r) transposed, bitwise.
 func TestEvalReflectionIsTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, k := range append(allKernels(), NewKelvin(1.3, 0.3)) {
+	for _, k := range allKernels() {
 		sd, td := k.SourceDim(), k.TargetDim()
 		if sd != td {
 			t.Fatalf("%s: SourceDim %d != TargetDim %d", k.Name(), sd, td)
@@ -38,7 +38,7 @@ func TestEvalReflectionIsTranspose(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"laplace", "modlaplace", "stokes"} {
+	for _, name := range []string{"laplace", "modlaplace", "stokes", "kelvin"} {
 		k, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -118,9 +118,15 @@ func TestZeroDisplacementGivesZeroBlock(t *testing.T) {
 }
 
 func TestHomogeneityProperty(t *testing.T) {
+	// The declared homogeneity is pinned per kernel, so a kernel cannot
+	// escape the numeric check by declaring itself non-homogeneous.
+	homogeneous := map[string]bool{"laplace": true, "modlaplace": false, "stokes": true, "kelvin": true}
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range allKernels() {
 		hom, deg := k.Homogeneity()
+		if hom != homogeneous[k.Name()] || (hom && deg != -1) {
+			t.Fatalf("%s: Homogeneity() = (%v, %v), want (%v, -1)", k.Name(), hom, deg, homogeneous[k.Name()])
+		}
 		if !hom {
 			continue
 		}
@@ -143,7 +149,7 @@ func TestHomogeneityProperty(t *testing.T) {
 }
 
 func TestKernelSymmetryUnderNegation(t *testing.T) {
-	// All three kernels are even in r: G(-r) = G(r).
+	// Every kernel is even in r: G(-r) = G(r).
 	f := func(rx, ry, rz float64) bool {
 		for _, k := range allKernels() {
 			n := k.SourceDim() * k.TargetDim()

@@ -20,7 +20,7 @@ type Spec struct {
 	Name string `json:"name"`
 	// Params holds the kernel parameters by field name (e.g. "lambda"
 	// for modlaplace, "mu" for stokes, "mu"/"nu" for kelvin). Missing
-	// entries take the ByName defaults.
+	// entries take the defaults lambda = 1, mu = 1, nu = 0.3.
 	Params map[string]float64 `json:"params,omitempty"`
 }
 

@@ -49,22 +49,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSpecDefaultsMatchByName(t *testing.T) {
-	for _, name := range []string{"laplace", "modlaplace", "stokes", "kelvin"} {
-		want, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FromSpec(Spec{Name: name})
-		if err != nil {
-			t.Fatalf("FromSpec(%s): %v", name, err)
-		}
-		if got != want {
-			t.Errorf("%s: FromSpec default %#v != ByName %#v", name, got, want)
-		}
-	}
-}
-
 // normalize round-trips a spec through the kernel it describes, the
 // way production code canonicalizes client-submitted specs.
 func normalize(t *testing.T, s Spec) Spec {

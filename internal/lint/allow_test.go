@@ -7,19 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
-	"repro/internal/lint/analysistest"
 	"repro/internal/lint/load"
 )
 
 const allowFixture = "testdata/src/repro/internal/parfmm/fixture.go"
 
-// lineOf locates a marker substring in the fixture source so the
+// lineOf locates the first fixture line ending in marker so the
 // assertions survive edits that shift line numbers.
 func lineOf(t *testing.T, src []byte, marker string) int {
 	t.Helper()
 	for i, l := range strings.Split(string(src), "\n") {
-		if strings.Contains(l, marker) {
+		if strings.HasSuffix(l, marker) {
 			return i + 1
 		}
 	}
@@ -37,10 +35,11 @@ func TestAllowSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg := analysistest.Load(t, "testdata", "repro/internal/parfmm")
-	findings, err := lint.Run([]*load.Package{pkg}, lint.Analyzers())
-	if err != nil {
-		t.Fatal(err)
+	var findings []lint.Finding
+	for _, pkg := range loadFixtures(t) {
+		if pkg.Path == allowPkg {
+			findings = lint.Run([]*load.Package{pkg})
+		}
 	}
 
 	type key struct {
@@ -59,26 +58,11 @@ func TestAllowSuppression(t *testing.T) {
 	}{
 		{"determinism", "marker: reported finding", "time.Now"},
 		{lint.AllowAnalyzer, "marker: stale annotation", "stale //lint:allow determinism"},
-		{lint.AllowAnalyzer, "//lint:allow\n", "malformed //lint:allow comment"},
+		{lint.AllowAnalyzer, "//lint:allow", "malformed //lint:allow comment"},
 		{lint.AllowAnalyzer, "marker: unknown analyzer", `unknown analyzer "nosuchanalyzer"`},
 	}
-	// The malformed annotation is the only line consisting of exactly
-	// the bare prefix; find it by exact trimmed match instead.
 	for _, e := range expect {
-		var line int
-		if e.marker == "//lint:allow\n" {
-			for i, l := range strings.Split(string(src), "\n") {
-				if strings.TrimSpace(l) == "//lint:allow" {
-					line = i + 1
-					break
-				}
-			}
-			if line == 0 {
-				t.Fatal("bare //lint:allow line not found in fixture")
-			}
-		} else {
-			line = lineOf(t, src, e.marker)
-		}
+		line := lineOf(t, src, e.marker)
 		msg, ok := got[key{e.analyzer, line}]
 		if !ok {
 			t.Errorf("missing %s finding at line %d (%s); got %v", e.analyzer, line, e.marker, findings)
@@ -105,30 +89,6 @@ func TestAllowSuppression(t *testing.T) {
 			if k.line == line || k.line == line+1 {
 				t.Errorf("finding near suppressed line %d (%s): %s", line, marker, got[k])
 			}
-		}
-	}
-}
-
-// TestAllowStaleOnlyForRanAnalyzers: an annotation is only stale with
-// respect to analyzers that actually ran — running a subset must not
-// flag allows belonging to the analyzers that sat out.
-func TestAllowStaleOnlyForRanAnalyzers(t *testing.T) {
-	pkg := analysistest.Load(t, "testdata", "repro/internal/parfmm")
-	findings, err := lint.Run([]*load.Package{pkg}, []*analysis.Analyzer{lint.NoJSONHot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Malformed and unknown-analyzer annotations are structural and
-	// always reported; the determinism allows must not be called stale.
-	if len(findings) != 2 {
-		t.Fatalf("got %d findings, want 2 (malformed + unknown):\n%v", len(findings), findings)
-	}
-	for _, f := range findings {
-		if f.Analyzer != lint.AllowAnalyzer {
-			t.Errorf("unexpected analyzer %s: %s", f.Analyzer, f)
-		}
-		if strings.Contains(f.Message, "stale") {
-			t.Errorf("stale finding for an analyzer that did not run: %s", f)
 		}
 	}
 }

@@ -3,11 +3,9 @@ package lint
 import (
 	"go/ast"
 	"strings"
-
-	"repro/internal/lint/analysis"
 )
 
-// CtxFirst enforces the repository's context-first convention in
+// ctxFirst enforces the repository's context-first convention in
 // library packages (everything that is not a main package or under
 // cmd/):
 //
@@ -20,15 +18,14 @@ import (
 //   - an exported function or method that launches goroutines must
 //     take a context.Context as its first (non-receiver) parameter:
 //     whoever starts concurrent work must be able to stop it.
-var CtxFirst = &analysis.Analyzer{
+var ctxFirst = &Analyzer{
 	Name: "ctxfirst",
-	Doc:  "ban context.Background() in library code and require ctx-first signatures on exported goroutine-launching functions",
 	Run:  runCtxFirst,
 }
 
-func runCtxFirst(pass *analysis.Pass) (interface{}, error) {
-	if pass.Pkg.Name() == "main" || strings.Contains(pass.Pkg.Path(), "/cmd/") {
-		return nil, nil
+func runCtxFirst(pass *Pass) {
+	if pass.Types.Name() == "main" || strings.Contains(pass.Path, "/cmd/") {
+		return
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -47,7 +44,6 @@ func runCtxFirst(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	}
-	return nil, nil
 }
 
 // launchesGoroutine reports whether the body contains a go statement,

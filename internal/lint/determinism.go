@@ -5,8 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strconv"
-
-	"repro/internal/lint/analysis"
 )
 
 // deterministicPkgs are the engine packages whose results must be
@@ -21,7 +19,7 @@ var deterministicPkgs = []string{
 	"internal/fft",
 }
 
-// Determinism flags constructs that break bitwise reproducibility in
+// determinism flags constructs that break bitwise reproducibility in
 // the deterministic engine packages:
 //
 //   - ranging over a map while accumulating into floats or complexes,
@@ -32,27 +30,26 @@ var deterministicPkgs = []string{
 //     annotated, keeping each exception visible);
 //   - importing math/rand or math/rand/v2 (randomness belongs to
 //     callers and test harnesses, not the engine).
-var Determinism = &analysis.Analyzer{
+var determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "flag map-iteration-order-dependent accumulation, wall-clock reads and randomness inside the bitwise-deterministic engine packages",
 	Run:  runDeterminism,
 }
 
-func runDeterminism(pass *analysis.Pass) (interface{}, error) {
-	if !pathMatches(pass.Pkg.Path(), deterministicPkgs...) {
-		return nil, nil
+func runDeterminism(pass *Pass) {
+	if !pathMatches(pass.Path, deterministicPkgs...) {
+		return
 	}
 	for _, file := range pass.Files {
 		for _, imp := range file.Imports {
 			if p, err := strconv.Unquote(imp.Path.Value); err == nil && (p == "math/rand" || p == "math/rand/v2") {
-				pass.Reportf(imp.Pos(), "import of %s in deterministic package %s: randomness breaks bitwise reproducibility; inject a seeded source from outside the engine", p, pass.Pkg.Name())
+				pass.Reportf(imp.Pos(), "import of %s in deterministic package %s: randomness breaks bitwise reproducibility; inject a seeded source from outside the engine", p, pass.Types.Name())
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				if isPkgFunc(pass.TypesInfo, n, "time", "Now") {
-					pass.Reportf(n.Pos(), "time.Now in deterministic package %s: wall-clock reads are nondeterministic; annotate timing-only observability uses with //lint:allow determinism <reason>", pass.Pkg.Name())
+					pass.Reportf(n.Pos(), "time.Now in deterministic package %s: wall-clock reads are nondeterministic; annotate timing-only observability uses with //lint:allow determinism <reason>", pass.Types.Name())
 				}
 			case *ast.RangeStmt:
 				if isMapRange(pass.TypesInfo, n) {
@@ -62,7 +59,6 @@ func runDeterminism(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 func isMapRange(info *types.Info, rs *ast.RangeStmt) bool {
@@ -78,7 +74,7 @@ func isMapRange(info *types.Info, rs *ast.RangeStmt) bool {
 // map-range loop. Nested map ranges are skipped — they report their own
 // bodies — but nested slice loops are walked, since their work still
 // runs once per (randomly ordered) map element.
-func reportMapRangeBody(pass *analysis.Pass, rs *ast.RangeStmt) {
+func reportMapRangeBody(pass *Pass, rs *ast.RangeStmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:

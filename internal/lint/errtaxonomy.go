@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-
-	"repro/internal/lint/analysis"
-)
+import "go/ast"
 
 // boundaryPkgs are the packages whose exported surface is the API
 // boundary: every error they let escape must carry an errs code so the
@@ -16,21 +12,20 @@ var boundaryPkgs = []string{
 	"client",
 }
 
-// ErrTaxonomy flags fmt.Errorf and errors.New calls returned directly
+// errTaxonomy flags fmt.Errorf and errors.New calls returned directly
 // from exported functions in the boundary packages. An untyped error
 // there surfaces as a generic 500 instead of its real class (400, 404,
 // 413, 499, 503, 504) and breaks errors.Is branching on the client.
 // Wrap with errs.Newf/errs.Wrap, or errs.Typed when the cause may
 // already carry a code.
-var ErrTaxonomy = &analysis.Analyzer{
+var errTaxonomy = &Analyzer{
 	Name: "errtaxonomy",
-	Doc:  "errors escaping exported functions of the service/cluster/client boundary must be errs-typed",
 	Run:  runErrTaxonomy,
 }
 
-func runErrTaxonomy(pass *analysis.Pass) (interface{}, error) {
-	if !pathMatches(pass.Pkg.Path(), boundaryPkgs...) {
-		return nil, nil
+func runErrTaxonomy(pass *Pass) {
+	if !pathMatches(pass.Path, boundaryPkgs...) {
+		return
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -59,5 +54,4 @@ func runErrTaxonomy(pass *analysis.Pass) (interface{}, error) {
 			})
 		}
 	}
-	return nil, nil
 }

@@ -1,7 +1,6 @@
-// Package lint is the kifmm repository's static-analysis suite: custom
-// analyzers (written against the go/analysis API, see
-// internal/lint/analysis) that enforce invariants the codebase
-// otherwise only checks at runtime, or not at all:
+// Package lint is the kifmm repository's static-analysis suite: four
+// analyzers that enforce invariants the codebase otherwise only checks
+// at runtime, or not at all:
 //
 //   - determinism: no map-iteration-order-dependent accumulation, no
 //     wall-clock or randomness inside the bitwise-deterministic engine
@@ -13,9 +12,10 @@
 //     carry an errs code.
 //   - nojsonhot: no encoding/json (or per-element fmt.Sprintf) on
 //     compute or wire hot paths.
-//   - metricnames: obs metric registrations use snake_case kifmm_*
-//     literal names with help text, mirroring the runtime README
-//     catalog test at compile time.
+//
+// Packages come from load.Load, the same loader for the kifmm-lint
+// command and for the fixture tests, whose packages live under
+// testdata/src.
 //
 // Intentional exceptions are annotated in the source with
 //
@@ -35,20 +35,29 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/lint/analysis"
 	"repro/internal/lint/load"
 )
 
-// Analyzers returns the full suite, in stable order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		Determinism,
-		CtxFirst,
-		ErrTaxonomy,
-		NoJSONHot,
-		MetricNames,
-	}
+// An Analyzer is one rule: a name, used in findings and in
+// //lint:allow comments, and a Run function called once per package.
+type Analyzer struct {
+	Name string
+	Run  func(*Pass)
 }
+
+// A Pass is one analyzer's run over one package.
+type Pass struct {
+	*load.Package
+	report func(token.Pos, string)
+}
+
+// Reportf reports a formatted finding at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.report(pos, fmt.Sprintf(format, args...))
+}
+
+// suite is every analyzer, in stable order.
+var suite = []*Analyzer{determinism, ctxFirst, errTaxonomy, noJSONHot}
 
 // AllowAnalyzer is the pseudo-analyzer name under which suite-level
 // findings about //lint:allow comments themselves (stale, malformed,
@@ -67,28 +76,22 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// Run applies the analyzers to every package, honors //lint:allow
+// Run applies the whole suite to every package, honors //lint:allow
 // suppression comments, and returns the surviving findings sorted by
 // position. Suppression comments that are malformed, name an unknown
 // analyzer, or no longer match a finding are reported as AllowAnalyzer
 // findings.
-func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	known := make(map[string]bool)
-	for _, a := range Analyzers() {
-		known[a.Name] = true
-	}
-	ran := make(map[string]bool)
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-
+func Run(pkgs []*load.Package) []Finding {
 	var findings []Finding
 	for _, pkg := range pkgs {
-		raw, err := runAnalyzers(pkg, analyzers)
-		if err != nil {
-			return nil, err
+		var raw []Finding
+		for _, a := range suite {
+			name := a.Name
+			a.Run(&Pass{Package: pkg, report: func(pos token.Pos, msg string) {
+				raw = append(raw, Finding{Analyzer: name, Pos: pkg.Fset.Position(pos), Message: msg})
+			}})
 		}
-		findings = append(findings, applyAllows(pkg, raw, known, ran)...)
+		findings = append(findings, applyAllows(pkg, raw)...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -103,34 +106,7 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return findings, nil
-}
-
-// runAnalyzers applies each analyzer to one package, collecting raw
-// (pre-suppression) findings.
-func runAnalyzers(pkg *load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	var raw []Finding
-	for _, a := range analyzers {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-		}
-		name := a.Name
-		pass.Report = func(d analysis.Diagnostic) {
-			raw = append(raw, Finding{
-				Analyzer: name,
-				Pos:      pkg.Fset.Position(d.Pos),
-				Message:  d.Message,
-			})
-		}
-		if _, err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("lint: analyzer %s on %s: %v", a.Name, pkg.Path, err)
-		}
-	}
-	return raw, nil
+	return findings
 }
 
 // allowComment is one parsed //lint:allow comment.
@@ -150,7 +126,7 @@ const allowPrefix = "//lint:allow"
 // An allow comment matches a finding when both are in the same file and
 // the comment sits on the finding's line, or above it separated only by
 // comment lines (so stacked annotations and doc comments work).
-func applyAllows(pkg *load.Package, raw []Finding, known, ran map[string]bool) []Finding {
+func applyAllows(pkg *load.Package, raw []Finding) []Finding {
 	allows := make(map[string][]*allowComment) // filename -> comments
 	commentLines := make(map[string]map[int]bool)
 	for _, file := range pkg.Files {
@@ -185,12 +161,12 @@ func applyAllows(pkg *load.Package, raw []Finding, known, ran map[string]bool) [
 			switch {
 			case ac.bad != "":
 				out = append(out, Finding{Analyzer: AllowAnalyzer, Pos: ac.pos, Message: ac.bad})
-			case !known[ac.analyzer]:
+			case !known(ac.analyzer):
 				out = append(out, Finding{
 					Analyzer: AllowAnalyzer, Pos: ac.pos,
 					Message: fmt.Sprintf("unknown analyzer %q in %s comment", ac.analyzer, allowPrefix),
 				})
-			case ran[ac.analyzer] && !ac.used:
+			case !ac.used:
 				out = append(out, Finding{
 					Analyzer: AllowAnalyzer, Pos: ac.pos,
 					Message: fmt.Sprintf("stale %s %s: no %s finding here — remove the annotation", allowPrefix, ac.analyzer, ac.analyzer),
@@ -199,6 +175,16 @@ func applyAllows(pkg *load.Package, raw []Finding, known, ran map[string]bool) [
 		}
 	}
 	return out
+}
+
+// known reports whether name is an analyzer of the suite.
+func known(name string) bool {
+	for _, a := range suite {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // parseAllow recognizes //lint:allow comments; nil means the comment is
@@ -263,8 +249,8 @@ func reachesThroughComments(from, to int, comments map[int]bool) bool {
 
 // pathMatches reports whether pkgPath equals or ends with one of the
 // given path suffixes on an element boundary, so configured names like
-// "internal/fmm" match both "repro/internal/fmm" and analysistest
-// fixture paths.
+// "internal/fmm" match both "repro/internal/fmm" and the fixture package
+// ".../testdata/src/repro/internal/fmm".
 func pathMatches(pkgPath string, suffixes ...string) bool {
 	for _, s := range suffixes {
 		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) {

@@ -28,13 +28,11 @@ import (
 	"strings"
 )
 
-// A Package is one type-checked target package, carrying everything an
-// analysis.Pass needs.
+// A Package is one type-checked target package, carrying everything a
+// lint analyzer reads.
 type Package struct {
 	// Path is the package's full import path (e.g. "repro/internal/fmm").
 	Path string
-	// Dir is the directory holding the package's source files.
-	Dir string
 	// Fset maps positions for Files.
 	Fset *token.FileSet
 	// Files are the parsed non-test Go files, with comments.
@@ -60,9 +58,10 @@ type listError struct {
 	Err string
 }
 
-// Load resolves patterns (e.g. "./...") relative to dir into
-// type-checked packages. Packages that are only dependencies of the
-// matched set are loaded from export data, not returned.
+// Load resolves patterns (default "./...") relative to dir (the current
+// directory when empty) into type-checked packages. Packages that are
+// only dependencies of the matched set are loaded from export data, not
+// returned.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -87,7 +86,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports)
+	imp := exportImporter(fset, exports)
 	var pkgs []*Package
 	for _, t := range targets {
 		if len(t.GoFiles) == 0 {
@@ -96,7 +95,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if len(t.CgoFiles) > 0 {
 			return nil, fmt.Errorf("load: %s: cgo packages are not supported", t.ImportPath)
 		}
-		pkg, err := Check(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
+		pkg, err := check(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -136,32 +135,9 @@ func goList(dir string, patterns []string) ([]listEntry, error) {
 	return entries, nil
 }
 
-// ExportData maps the listed import paths (and their transitive
-// dependencies) to gc export-data files, compiling them into the build
-// cache if needed. analysistest uses it to resolve fixture imports.
-func ExportData(dir string, importPaths ...string) (map[string]string, error) {
-	if len(importPaths) == 0 {
-		return map[string]string{}, nil
-	}
-	entries, err := goList(dir, importPaths)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string)
-	for _, e := range entries {
-		if e.Error != nil {
-			return nil, fmt.Errorf("load: %s: %s", e.ImportPath, e.Error.Err)
-		}
-		if e.Export != "" {
-			exports[e.ImportPath] = e.Export
-		}
-	}
-	return exports, nil
-}
-
-// ExportImporter returns a types.Importer that resolves import paths
+// exportImporter returns a types.Importer that resolves import paths
 // through gc export-data files (as produced by `go list -export`).
-func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
@@ -172,9 +148,9 @@ func ExportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// Check parses goFiles under dir (with comments) and type-checks them
+// check parses goFiles under dir (with comments) and type-checks them
 // as package path, resolving imports through imp.
-func Check(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
+func check(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, gf := range goFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, gf), nil, parser.ParseComments)
@@ -196,7 +172,6 @@ func Check(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []
 	}
 	return &Package{
 		Path:      path,
-		Dir:       dir,
 		Fset:      fset,
 		Files:     files,
 		Types:     tpkg,

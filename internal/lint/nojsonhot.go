@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"strconv"
-
-	"repro/internal/lint/analysis"
 )
 
 // jsonBanPkgs are the compute hot-path packages where encoding/json
@@ -33,28 +31,27 @@ var bulkWirePkgs = []string{
 	"repro/client",
 }
 
-// NoJSONHot bans encoding/json from the compute hot-path packages
+// noJSONHot bans encoding/json from the compute hot-path packages
 // outright, bans it from bulk-wire-layer functions that handle raw
 // float64 arrays, and flags fmt.Sprintf inside loops in any of
 // those packages (per-element formatting allocates on paths that run
 // per point).
-var NoJSONHot = &analysis.Analyzer{
+var noJSONHot = &Analyzer{
 	Name: "nojsonhot",
-	Doc:  "no encoding/json on compute or bulk-wire hot paths, and no per-element fmt.Sprintf in hot-path loops",
 	Run:  runNoJSONHot,
 }
 
-func runNoJSONHot(pass *analysis.Pass) (interface{}, error) {
-	full := pathMatches(pass.Pkg.Path(), jsonBanPkgs...)
-	bulk := pathMatches(pass.Pkg.Path(), bulkWirePkgs...)
+func runNoJSONHot(pass *Pass) {
+	full := pathMatches(pass.Path, jsonBanPkgs...)
+	bulk := pathMatches(pass.Path, bulkWirePkgs...)
 	if !full && !bulk {
-		return nil, nil
+		return
 	}
 	for _, file := range pass.Files {
 		if full {
 			for _, imp := range file.Imports {
 				if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == "encoding/json" {
-					pass.Reportf(imp.Pos(), "encoding/json import in hot-path package %s: serialization belongs in the service/control layers", pass.Pkg.Name())
+					pass.Reportf(imp.Pos(), "encoding/json import in hot-path package %s: serialization belongs in the service/control layers", pass.Types.Name())
 				}
 			}
 		}
@@ -71,7 +68,6 @@ func runNoJSONHot(pass *analysis.Pass) (interface{}, error) {
 		}
 		reportSprintfInLoops(pass, file)
 	}
-	return nil, nil
 }
 
 // handlesBulkFloats reports whether any parameter or result is (a
@@ -120,7 +116,7 @@ func isBulkFloatType(t types.Type) bool {
 // reportSprintfInLoops flags fmt.Sprintf calls lexically inside any
 // for/range loop in the file. Positions are deduplicated so nested
 // loops report once.
-func reportSprintfInLoops(pass *analysis.Pass, file *ast.File) {
+func reportSprintfInLoops(pass *Pass, file *ast.File) {
 	seen := make(map[ast.Node]bool)
 	ast.Inspect(file, func(n ast.Node) bool {
 		var body *ast.BlockStmt
@@ -139,7 +135,7 @@ func reportSprintfInLoops(pass *analysis.Pass, file *ast.File) {
 			}
 			if isPkgFunc(pass.TypesInfo, call, "fmt", "Sprintf") {
 				seen[call] = true
-				pass.Reportf(call.Pos(), "fmt.Sprintf inside a loop in hot-path package %s: per-element formatting allocates; hoist it out of the loop or format lazily", pass.Pkg.Name())
+				pass.Reportf(call.Pos(), "fmt.Sprintf inside a loop in hot-path package %s: per-element formatting allocates; hoist it out of the loop or format lazily", pass.Types.Name())
 			}
 			return true
 		})

@@ -1,6 +1,6 @@
 // Command enginetool is the ctxfirst negative fixture: main packages
 // under cmd/ own the process lifetime, so context.Background is legal
-// and goroutine launches need no ctx-first signature. The analyzer must
+// and goroutine launches need no ctx-first signature. The suite must
 // stay silent on this package.
 package main
 

@@ -1,6 +1,7 @@
 // Package engine is the ctxfirst fixture: a library package, so both
 // the context.Background ban and the ctx-first rule for exported
-// goroutine-launching functions apply.
+// goroutine-launching functions apply. It is neither a deterministic,
+// boundary nor hot-path package, so the scoped analyzers stay silent.
 package engine
 
 import (
