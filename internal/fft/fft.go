@@ -208,8 +208,8 @@ func (p *Plan) ForwardRealScratch(dst []complex128, src []float64, scratch []com
 			zmk = zf[m-k]
 		}
 		cz := complex(real(zmk), -imag(zmk))
-		e := (zk + cz) / 2
-		o := (zk - cz) / 2
+		e := scale(zk+cz, 0.5)
+		o := scale(zk-cz, 0.5)
 		o = complex(imag(o), -real(o)) // -i * o
 		dst[k] = e + p.w[k]*o
 	}
@@ -261,8 +261,8 @@ func (p *Plan) InverseRealScratch(dst []float64, src []complex128, scratch []com
 		xk := src[k]
 		xmk := src[m-k]
 		cx := complex(real(xmk), -imag(xmk))
-		e := (xk + cx) / 2
-		o := (xk - cx) / 2 * p.winv[k]
+		e := scale(xk+cx, 0.5)
+		o := scale(xk-cx, 0.5) * p.winv[k]
 		zf[k] = e + complex(-imag(o), real(o)) // e + i*o
 	}
 	z := scratch[m : 2*m]
@@ -361,7 +361,7 @@ func leaf3(dst, src []complex128, stride int, sign float64) {
 	x0, x1, x2 := src[0], src[stride], src[2*stride]
 	s := x1 + x2
 	d := muli(scale(x1-x2, sin60), sign)
-	u := x0 - s/2
+	u := x0 - scale(s, 0.5)
 	dst[0] = x0 + s
 	dst[1] = u + d
 	dst[2] = u - d
@@ -426,7 +426,7 @@ func combine3(dst []complex128, m, wstep int, w []complex128, sign float64) {
 		x0 := dst[c]
 		s := t1 + t2
 		d := muli(scale(t1-t2, sin60), sign)
-		u := x0 - s/2
+		u := x0 - scale(s, 0.5)
 		dst[c] = x0 + s
 		dst[m+c] = u + d
 		dst[2*m+c] = u - d
@@ -604,7 +604,11 @@ func (p *Plan3) apply(x []complex128, inverse bool) {
 // convolution pays ~half the Hadamard, storage and inverse-transform
 // cost of the full complex grid. Multiplying two half spectra
 // element-wise and inverse-transforming computes the circular
-// convolution of the real inputs exactly.
+// convolution of the real inputs exactly. ForwardCorner and
+// InverseCorner serve a zero-padded convolution, whose input and wanted
+// output occupy only a leading corner of the grid: they skip the lines
+// that are known zero or not wanted, with results bitwise equal to the
+// full transforms.
 //
 // A Plan3R is immutable and safe for concurrent use (per-call work
 // buffers are pooled internally).
@@ -650,66 +654,99 @@ func (p *Plan3R) FreqLen() int { return p.m * p.m * p.k }
 
 // Forward computes the half spectrum of the real grid src (length
 // RealLen) into dst (length FreqLen). src is read-only.
-func (p *Plan3R) Forward(dst []complex128, src []float64) {
-	if len(dst) != p.FreqLen() || len(src) != p.RealLen() {
-		panic("fft: grid length does not match 3-D real plan")
-	}
+func (p *Plan3R) Forward(dst []complex128, src []float64) { p.ForwardCorner(dst, src, p.m) }
+
+// ForwardCorner is Forward for a grid that is zero outside its leading
+// n×n×n corner, bitwise equal to Forward of that grid. Only the n² z-lines
+// with x, y < n are read (each in full, so their entries z >= n must be
+// zero); the rest of src is taken as zero and may hold anything. A zero
+// z-line transforms to exact zeros, so those lines are written as zeros,
+// and the y pass over the all-zero planes x >= n is skipped: the M2L
+// embeds a p³ density in an M³ grid with M ≈ 2p, so the z and y passes
+// shrink to about a quarter and a half. 1 <= n <= m.
+//
+// Forward's butterflies can leave -0 where ForwardCorner writes +0, so
+// the bitwise equality is checked rather than derived: for every 5-smooth
+// m through 32 (the M2L grids up to degree 16) and every n.
+func (p *Plan3R) ForwardCorner(dst []complex128, src []float64, n int) {
+	p.check(len(dst), len(src), n)
 	m, k := p.m, p.k
 	sc := p.pool.Get().(*r3scratch)
 	defer p.pool.Put(sc)
 	// Along z: real-to-complex, contiguous on both sides.
-	for xy := 0; xy < m*m; xy++ {
-		p.p.ForwardRealScratch(dst[xy*k:xy*k+k], src[xy*m:xy*m+m], sc.aux)
+	for x := 0; x < m; x++ {
+		for y := 0; y < m; y++ {
+			xy := x*m + y
+			if x < n && y < n {
+				p.p.ForwardRealScratch(dst[xy*k:xy*k+k], src[xy*m:xy*m+m], sc.aux)
+			} else {
+				clear(dst[xy*k : xy*k+k])
+			}
+		}
 	}
-	// Along y, then x: full complex transforms of the stored lines.
-	p.complexPass(dst, sc, false)
+	// Along y on the planes x < n, then along x everywhere.
+	p.pass(dst, sc, n, m*k, k, false)
+	p.pass(dst, sc, m, k, m*k, false)
 }
 
 // Inverse computes the real inverse transform (scaled by 1/m³) of the
 // half spectrum src into dst, so that Inverse(Forward(x)) == x.
 // src is used as workspace and is garbage afterwards.
-func (p *Plan3R) Inverse(dst []float64, src []complex128) {
-	if len(dst) != p.RealLen() || len(src) != p.FreqLen() {
-		panic("fft: grid length does not match 3-D real plan")
-	}
+func (p *Plan3R) Inverse(dst []float64, src []complex128) { p.InverseCorner(dst, src, p.m) }
+
+// InverseCorner is Inverse restricted to the leading n×n×n corner of dst:
+// it writes the n² z-lines with x, y < n, bitwise equal to Inverse there,
+// and leaves the rest of dst untouched. The y pass runs in full (every
+// x-line reads every plane), the x pass only for y < n and the
+// complex-to-real z pass only for the n² lines. Transforming x before y
+// would let the y pass shrink too, but changes the rounding of the result.
+// src is used as workspace and is garbage afterwards. 1 <= n <= m.
+func (p *Plan3R) InverseCorner(dst []float64, src []complex128, n int) {
+	p.check(len(src), len(dst), n)
 	m, k := p.m, p.k
 	sc := p.pool.Get().(*r3scratch)
 	defer p.pool.Put(sc)
-	p.complexPass(src, sc, true)
+	p.pass(src, sc, m, m*k, k, true)
+	p.pass(src, sc, n, k, m*k, true)
 	// Along z: complex-to-real reconstruction via conjugate symmetry.
-	for xy := 0; xy < m*m; xy++ {
-		p.p.InverseRealScratch(dst[xy*m:xy*m+m], src[xy*k:xy*k+k], sc.aux)
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			xy := x*m + y
+			p.p.InverseRealScratch(dst[xy*m:xy*m+m], src[xy*k:xy*k+k], sc.aux)
+		}
 	}
 }
 
-// complexPass runs the full complex y- and x-dimension transforms over
-// the k stored z-frequency lines of grid g (in place), using the
-// caller's scratch set.
-func (p *Plan3R) complexPass(g []complex128, sc *r3scratch, inverse bool) {
+func (p *Plan3R) check(freqLen, realLen, n int) {
+	if freqLen != p.FreqLen() || realLen != p.RealLen() {
+		panic("fft: grid length does not match 3-D real plan")
+	}
+	if n < 1 || n > p.m {
+		panic("fft: corner edge out of range for 3-D real plan")
+	}
+}
+
+// pass runs full complex transforms, in place, over lines of g with
+// element stride `stride`: one per stored z-frequency in each of the
+// first `planes` planes of the other complex axis (plane stride
+// planeStride). The y pass is (planeStride, stride) = (m·k, k), the x
+// pass (k, m·k).
+func (p *Plan3R) pass(g []complex128, sc *r3scratch, planes, planeStride, stride int, inverse bool) {
 	m, k := p.m, p.k
-	line := func(base, stride int) {
-		for i := 0; i < m; i++ {
-			sc.in[i] = g[base+i*stride]
-		}
-		if inverse {
-			p.p.InverseScratch(sc.out, sc.in, sc.aux)
-		} else {
-			p.p.ForwardScratch(sc.out, sc.in, sc.aux)
-		}
-		for i := 0; i < m; i++ {
-			g[base+i*stride] = sc.out[i]
-		}
-	}
-	// Along y.
-	for ix := 0; ix < m; ix++ {
+	for a := 0; a < planes; a++ {
 		for iz := 0; iz < k; iz++ {
-			line(ix*m*k+iz, k)
-		}
-	}
-	// Along x.
-	for iy := 0; iy < m; iy++ {
-		for iz := 0; iz < k; iz++ {
-			line(iy*k+iz, m*k)
+			base := a*planeStride + iz
+			for i := 0; i < m; i++ {
+				sc.in[i] = g[base+i*stride]
+			}
+			if inverse {
+				p.p.InverseScratch(sc.out, sc.in, sc.aux)
+			} else {
+				p.p.ForwardScratch(sc.out, sc.in, sc.aux)
+			}
+			for i := 0; i < m; i++ {
+				g[base+i*stride] = sc.out[i]
+			}
 		}
 	}
 }

@@ -350,6 +350,84 @@ func TestPlan3RMatchesConvolve3(t *testing.T) {
 	}
 }
 
+// TestPlan3RCornerMatchesFull: the corner transforms are the full ones
+// with known-zero and unwanted lines skipped, so they must agree bit for
+// bit — ForwardCorner with Forward on a grid supported on the leading n³
+// corner (reading none of the lines outside it), InverseCorner with
+// Inverse on that corner (writing nothing outside it). The grid edges
+// run through 32, the M2L grid of degree 16, which is the largest the
+// service admits.
+func TestPlan3RCornerMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for m := 5; m <= 32; m++ {
+		if NextSmooth(m) != m {
+			continue
+		}
+		p := NewPlan3R(m)
+		for n := 1; n <= m; n++ {
+			full := make([]float64, p.RealLen())
+			corner := make([]float64, p.RealLen())
+			for i := range corner {
+				corner[i] = math.NaN()
+			}
+			for x := 0; x < n; x++ {
+				for y := 0; y < n; y++ {
+					for z := 0; z < m; z++ {
+						i := (x*m+y)*m + z
+						corner[i] = 0
+						if z < n {
+							full[i] = rng.NormFloat64()
+							corner[i] = full[i]
+						}
+					}
+				}
+			}
+			want := make([]complex128, p.FreqLen())
+			got := make([]complex128, p.FreqLen())
+			for i := range got {
+				got[i] = cmplx.NaN()
+			}
+			p.Forward(want, full)
+			p.ForwardCorner(got, corner, n)
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("m=%d n=%d: ForwardCorner[%d] = %v, Forward %v", m, n, i, got[i], want[i])
+				}
+			}
+
+			spec := randomSignal(rng, p.FreqLen())
+			work := append([]complex128(nil), spec...)
+			wantR := make([]float64, p.RealLen())
+			p.Inverse(wantR, work)
+			copy(work, spec)
+			gotR := make([]float64, p.RealLen())
+			for i := range gotR {
+				gotR[i] = -1
+			}
+			p.InverseCorner(gotR, work, n)
+			for x := 0; x < m; x++ {
+				for y := 0; y < m; y++ {
+					for z := 0; z < m; z++ {
+						i := (x*m+y)*m + z
+						inside := x < n && y < n
+						if inside && math.Float64bits(gotR[i]) != math.Float64bits(wantR[i]) {
+							t.Fatalf("m=%d n=%d: InverseCorner[%d,%d,%d] = %v, Inverse %v", m, n, x, y, z, gotR[i], wantR[i])
+						}
+						if !inside && gotR[i] != -1 {
+							t.Fatalf("m=%d n=%d: InverseCorner wrote [%d,%d,%d] outside the corner lines", m, n, x, y, z)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
 // TestPlan3RConcurrency: one Plan3R must serve concurrent transforms
 // (the FMM fans box transforms out over a worker pool).
 func TestPlan3RConcurrency(t *testing.T) {

@@ -25,7 +25,11 @@ import (
 // full complex spectrum. Per V-list offset k the kernel tensor's
 // forward transform is precomputed; each source box needs one forward
 // FFT, each target box accumulates Hadamard products in Fourier space
-// and performs a single inverse FFT.
+// and performs a single inverse FFT. The box transforms are the corner
+// forms (Plan3R.ForwardCorner / InverseCorner with n = p), which skip
+// the zero padding on the way in and the unread lattice on the way out;
+// the Hadamard loop runs on a vector body where the CPU has one
+// (hadamardAdd). Both are bitwise equal to the plain forms.
 //
 // The batch entry points (ForwardDensityBatch, AccumulateBatch) lay
 // grids out rhs-major so one pass over a kernel tensor serves every
@@ -71,13 +75,17 @@ func (f *FFTM2L) volBuf() *[]float64 {
 }
 
 // embedForward zero-pads one real density component into a volume grid
-// and forward-transforms it into the half-spectrum grid dst.
+// and forward-transforms it into the half-spectrum grid dst. The density
+// occupies the leading p³ corner, and ForwardCorner reads only the p²
+// z-lines through it, so only those are cleared.
 func (f *FFTM2L) embedForward(phi []float64, c, sd int, dst []complex128) {
 	p, m := f.set.P, f.M
 	vp := f.volBuf()
 	vol := *vp
-	for i := range vol {
-		vol[i] = 0
+	for x := 0; x < p; x++ {
+		for y := 0; y < p; y++ {
+			clear(vol[(x*m+y)*m : (x*m+y+1)*m])
+		}
 	}
 	for si, vi := range f.set.Surf.VolIdx {
 		// vi indexes the p³ volume: (x*p+y)*p+z.
@@ -86,19 +94,20 @@ func (f *FFTM2L) embedForward(phi []float64, c, sd int, dst []complex128) {
 		z := vi % p
 		vol[(x*m+y)*m+z] = phi[si*sd+c]
 	}
-	f.plan.Forward(dst, vol)
+	f.plan.ForwardCorner(dst, vol, p)
 	f.vols.Put(vp)
 }
 
 // extractAdd inverse-transforms one half-spectrum component grid g
 // (destroying it) and adds escale times its surface values into check
-// at component a.
+// at component a. The surface lies in the leading p³ corner, the only
+// part InverseCorner computes.
 func (f *FFTM2L) extractAdd(g []complex128, a int, escale float64, check []float64) {
 	p, m := f.set.P, f.M
 	td := f.set.Kern.TargetDim()
 	vp := f.volBuf()
 	vol := *vp
-	f.plan.Inverse(vol, g)
+	f.plan.InverseCorner(vol, g, p)
 	for si, vi := range f.set.Surf.VolIdx {
 		x := vi / (p * p)
 		y := vi / p % p
@@ -120,16 +129,6 @@ func (f *FFTM2L) ForwardDensityBatch(phi []float64, nq int, dst []complex128) {
 		for c := 0; c < sd; c++ {
 			f.embedForward(phi[q*ne:(q+1)*ne], c, sd, dst[(q*sd+c)*gl:(q*sd+c+1)*gl])
 		}
-	}
-}
-
-// hadamardAdd accumulates dst[i] += t[i]*s[i]. It is the innermost loop
-// of the V-list sweep — the single hottest loop of an evaluation.
-func hadamardAdd(dst, t, s []complex128) {
-	t = t[:len(dst)]
-	s = s[:len(dst)]
-	for i := range dst {
-		dst[i] += t[i] * s[i]
 	}
 }
 
