@@ -1,6 +1,6 @@
 // Command kifmm-bench regenerates the paper's evaluation artifacts
-// (Tables 4.1-4.3, Figures 4.2-4.3 and the M2L and load-balance
-// ablations) at a configurable scale, plus two distributed-run checks.
+// (Tables 4.1-4.3, Figures 4.2-4.3 and the load-balance ablation) at a
+// configurable scale, plus two distributed-run checks.
 // Performance numbers are not its business: those come from the
 // repository benchmark (bench/run.sh, BENCHMARK.json).
 //

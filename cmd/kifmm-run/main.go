@@ -28,7 +28,6 @@ func run(args []string, out, errOut io.Writer) int {
 	maxPts := fs.Int("s", 60, "max points per leaf box")
 	procs := fs.Int("procs", 0, "simulated MPI ranks (0 = sequential)")
 	iters := fs.Int("iters", 1, "number of interaction evaluations")
-	dense := fs.Bool("dense-m2l", false, "use dense M2L instead of FFT")
 	seed := fs.Int64("seed", 1, "sampling seed")
 	version := fs.Bool("version", false, "print build identity and exit")
 	if err := fs.Parse(args); err != nil {
@@ -57,10 +56,6 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	pts := kifmm.FlattenPatches(patches)
 	den := kifmm.RandomDensities(*seed+1, len(pts)/3, k.SourceDim())
-	backend := kifmm.M2LFFT
-	if *dense {
-		backend = kifmm.M2LDense
-	}
 
 	if *procs > 0 {
 		// Ranks own whole patches (weighted Morton partition), so ranks
@@ -72,7 +67,7 @@ func run(args []string, out, errOut io.Writer) int {
 			return 1
 		}
 		res, err := kifmm.EvaluateParallel(patches, den, *procs, kifmm.ParallelOptions{
-			Options:    kifmm.Options{Kernel: k, Degree: *degree, MaxPoints: *maxPts, Backend: backend},
+			Options:    kifmm.Options{Kernel: k, Degree: *degree, MaxPoints: *maxPts},
 			Iterations: *iters,
 		})
 		if err != nil {
@@ -93,7 +88,7 @@ func run(args []string, out, errOut io.Writer) int {
 	// Mflop/s rate labeled "sequential", which only mean that on a
 	// single worker (with more, Stats sums compute time across workers).
 	ev, err := kifmm.NewEvaluatorCtx(ctx, pts, pts, kifmm.Options{
-		Kernel: k, Degree: *degree, MaxPoints: *maxPts, Backend: backend, Workers: 1,
+		Kernel: k, Degree: *degree, MaxPoints: *maxPts, Workers: 1,
 	})
 	if err != nil {
 		fmt.Fprintln(errOut, err)

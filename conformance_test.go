@@ -59,7 +59,6 @@ type conformanceCase struct {
 	degree   int
 	maxPts   int
 	maxDepth int
-	backend  M2LBackend
 	workers  int
 	batch    int
 }
@@ -106,19 +105,20 @@ func drawConformanceCases(seed int64, iters int) []conformanceCase {
 		if rng.Intn(3) == 0 {
 			maxDepth = 2 + rng.Intn(2) // shallow trees skip/stress the downward pass
 		}
-		backend := M2LFFT
+		// The retired M2L-backend draw keeps every later field of every
+		// case as drawn, and its -b segment keeps every case's name.
+		b := 0
 		if rng.Intn(3) == 0 {
-			backend = M2LDense
+			b = 1
 		}
 		c := conformanceCase{
 			kernel: k.k, pts: pts,
 			degree: degree, maxPts: 15 + rng.Intn(40), maxDepth: maxDepth,
-			backend: backend,
 			workers: 1 + rng.Intn(4),
 			batch:   1 + rng.Intn(3),
 		}
 		c.name = fmt.Sprintf("%02d-%s-%s-n%d-d%d-s%d-depth%d-b%d-w%d-rhs%d",
-			i, k.name, dist, n, c.degree, c.maxPts, c.maxDepth, int(c.backend), c.workers, c.batch)
+			i, k.name, dist, n, c.degree, c.maxPts, c.maxDepth, b, c.workers, c.batch)
 		cases = append(cases, c)
 	}
 	return cases
@@ -130,8 +130,7 @@ func (c conformanceCase) evaluate(t *testing.T, pool *Pool) (dens, pots [][]floa
 	t.Helper()
 	ev, err := NewEvaluatorCtx(context.Background(), c.pts, c.pts, Options{
 		Kernel: c.kernel, Degree: c.degree, MaxPoints: c.maxPts,
-		MaxDepth: c.maxDepth, Backend: c.backend,
-		Workers: c.workers, Pool: pool,
+		MaxDepth: c.maxDepth, Workers: c.workers, Pool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,9 +258,9 @@ func TestConformanceGolden(t *testing.T) {
 }
 
 // TestConformanceBitwiseAcrossElasticWidths: identical plans evaluated
-// at granted widths 1, 2 and the full pool must agree bit for bit, on
-// both M2L backends and on the batch path — the guarantee that lets the
-// scheduler pick widths freely.
+// at granted widths 1, 2 and the full pool must agree bit for bit, on the
+// batch path too — the guarantee that lets the scheduler pick widths
+// freely.
 func TestConformanceBitwiseAcrossElasticWidths(t *testing.T) {
 	pts := FlattenPatches(CornerPatches(41, 900, 0.35))
 	n := len(pts) / 3
@@ -272,35 +271,32 @@ func TestConformanceBitwiseAcrossElasticWidths(t *testing.T) {
 	if testing.Short() {
 		dens = dens[:1]
 	}
-	for _, backend := range []M2LBackend{M2LFFT, M2LDense} {
-		var want [][]float64
-		for _, workers := range []int{1, 2, 8} {
-			// A fresh idle pool per run grants exactly the requested
-			// width even on a single-core machine.
-			ev, err := NewEvaluatorCtx(context.Background(), pts, pts, Options{
-				Kernel: Laplace(), Degree: 4, MaxPoints: 25,
-				Backend: backend, Workers: workers, Pool: NewPool(8),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, st, _, err := ev.EvaluateBatchTracedCtx(context.Background(), dens)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Lanes != workers {
-				t.Fatalf("backend %v: idle pool granted %d lanes, want %d", backend, st.Lanes, workers)
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			for q := range got {
-				for i := range got[q] {
-					if got[q][i] != want[q][i] {
-						t.Fatalf("backend %v: width %d differs from width 1 at rhs %d index %d",
-							backend, workers, q, i)
-					}
+	var want [][]float64
+	for _, workers := range []int{1, 2, 8} {
+		// A fresh idle pool per run grants exactly the requested width
+		// even on a single-core machine.
+		ev, err := NewEvaluatorCtx(context.Background(), pts, pts, Options{
+			Kernel: Laplace(), Degree: 4, MaxPoints: 25,
+			Workers: workers, Pool: NewPool(8),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, _, err := ev.EvaluateBatchTracedCtx(context.Background(), dens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Lanes != workers {
+			t.Fatalf("idle pool granted %d lanes, want %d", st.Lanes, workers)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for q := range got {
+			for i := range got[q] {
+				if got[q][i] != want[q][i] {
+					t.Fatalf("width %d differs from width 1 at rhs %d index %d", workers, q, i)
 				}
 			}
 		}

@@ -416,7 +416,6 @@ type EvalRequest struct {
 	Degree    int
 	MaxPoints int
 	MaxDepth  int
-	Backend   int
 	PinvTol   float64
 }
 

@@ -37,7 +37,6 @@ type jobHeader struct {
 	Degree    int          `json:"degree,omitempty"`
 	MaxPoints int          `json:"max_points,omitempty"`
 	MaxDepth  int          `json:"max_depth,omitempty"`
-	Backend   int          `json:"backend,omitempty"`
 	PinvTol   float64      `json:"pinv_tol,omitempty"`
 }
 
@@ -47,7 +46,7 @@ func (req *EvalRequest) header(job uint64, peers []string) jobHeader {
 	return jobHeader{
 		Job: job, Size: len(peers), Peers: peers,
 		Kernel: req.Kernel, Degree: req.Degree, MaxPoints: req.MaxPoints,
-		MaxDepth: req.MaxDepth, Backend: req.Backend, PinvTol: req.PinvTol,
+		MaxDepth: req.MaxDepth, PinvTol: req.PinvTol,
 	}
 }
 
@@ -60,7 +59,7 @@ func (h *jobHeader) options() (parfmm.Options, error) {
 	return parfmm.Options{
 		Options: fmm.Options{
 			Kernel: kern, Degree: h.Degree, MaxPoints: h.MaxPoints, MaxDepth: h.MaxDepth,
-			Backend: fmm.M2LBackend(h.Backend), PinvTol: h.PinvTol,
+			PinvTol: h.PinvTol,
 		},
 		// Always trace: the ledger is cheap at cluster scale and feeds the
 		// per-pass wire metrics and the rank trees of /v1/evals/recent.

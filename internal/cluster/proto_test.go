@@ -37,7 +37,7 @@ func TestJobHeaderCarriesEveryOption(t *testing.T) {
 		}
 		switch f.Kind() {
 		case reflect.Int:
-			f.SetInt(1) // also a valid M2L backend (dense)
+			f.SetInt(1)
 		case reflect.Float64:
 			f.SetFloat(0.5)
 		case reflect.Struct: // Kernel: the spec stands for the interface
@@ -100,7 +100,7 @@ func FuzzProto(f *testing.F) {
 	hdr := &jobHeader{
 		Job: 7, Size: 2, Rank: 1, Peers: []string{"a:1", "b:2"},
 		Kernel: kernels.Spec{Name: "modlaplace", Params: map[string]float64{"lambda": 2}},
-		Degree: 6, MaxPoints: 60, MaxDepth: 9, Backend: 1, PinvTol: 1e-10,
+		Degree: 6, MaxPoints: 60, MaxDepth: 9, PinvTol: 1e-10,
 	}
 	start, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 2, 3}, Den: []float64{0.5}, GlobalIdx: []int32{9}})
 	if err != nil {

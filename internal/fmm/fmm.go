@@ -61,18 +61,6 @@ import (
 	"repro/internal/tree"
 )
 
-// M2LBackend selects how V-list translations are computed.
-type M2LBackend int
-
-const (
-	// M2LFFT uses the Fourier-space convolution path (the paper's
-	// default; footnote 5 notes direct evaluation has higher flop rates
-	// but loses algorithmically).
-	M2LFFT M2LBackend = iota
-	// M2LDense applies cached dense translation matrices.
-	M2LDense
-)
-
 // Options configure an Evaluator; zero values select the paper-matching
 // defaults (ApplyDefaults). This is the one declaration of the method's
 // parameters: the root package exports it as kifmm.Options, the parallel
@@ -89,8 +77,6 @@ type Options struct {
 	MaxPoints int
 	// MaxDepth caps the octree depth.
 	MaxDepth int
-	// Backend selects the M2L path (default M2LFFT).
-	Backend M2LBackend
 	// PinvTol is the pseudo-inverse truncation (default 1e-10).
 	PinvTol float64
 	// Workers is the widest a single evaluation may fan its per-box
@@ -198,12 +184,6 @@ func ApplyDefaults(opt Options) Options {
 	if opt.PinvTol <= 0 {
 		opt.PinvTol = 1e-10
 	}
-	// Every backend other than M2LFFT takes the dense path (FromTree
-	// only checks == M2LFFT), so out-of-range values collapse onto
-	// M2LDense and hash identically to it.
-	if opt.Backend != M2LFFT {
-		opt.Backend = M2LDense
-	}
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -269,11 +249,7 @@ func FromTree(tr *tree.Tree, opt Options) (*Evaluator, error) {
 	if pool == nil {
 		pool = DefaultPool()
 	}
-	e := &Evaluator{Tree: tr, Ops: ops, opt: opt, pool: pool}
-	if opt.Backend == M2LFFT {
-		e.fft = translate.NewFFTM2L(ops)
-	}
-	return e, nil
+	return &Evaluator{Tree: tr, Ops: ops, opt: opt, fft: translate.NewFFTM2L(ops), pool: pool}, nil
 }
 
 // Workers returns the width ceiling of one evaluation: the widest lane
@@ -297,12 +273,7 @@ func (e *Evaluator) Workers() int {
 // it grows as lazily built operators appear and moves when a sharing plan
 // is closed, and only then.
 func (e *Evaluator) FootprintBytes() int64 {
-	b := e.Tree.MemoryBytes()
-	b += e.Ops.CachedBytes()
-	if e.fft != nil {
-		b += e.fft.CachedBytes()
-	}
-	return b
+	return e.Tree.MemoryBytes() + e.Ops.CachedBytes() + e.fft.CachedBytes()
 }
 
 // Close gives up this plan's hold on its operators: what no other open
@@ -691,13 +662,7 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 	for l := 2; l < t.Depth(); l++ {
 		ls := sp.StartChild("level " + strconv.Itoa(l))
 		// V list: M2L translations, batched per level.
-		var err error
-		if r.e.fft != nil {
-			err = r.applyM2LFFT(ctx, l)
-		} else {
-			err = r.applyM2LDense(ctx, l)
-		}
-		if err != nil {
+		if err := r.applyM2LFFT(ctx, l); err != nil {
 			ls.End()
 			return err
 		}
@@ -713,7 +678,7 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 		}
 		radius := t.BoxHalfWidth(l)
 		surfN := r.e.Ops.Surf.N
-		err = r.pool.ForRange(ctx, t.LevelStart[l], t.LevelStart[l+1], func(w, bi int) {
+		err := r.pool.ForRange(ctx, t.LevelStart[l], t.LevelStart[l+1], func(w, bi int) {
 			b := &t.Boxes[bi]
 			if b.TrgCount == 0 {
 				// No targets anywhere below: the local expansion is
@@ -772,36 +737,6 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 	return nil
 }
 
-// applyM2LDense applies cached dense M2L operators, fanned out over the
-// level's target boxes.
-func (r *runState) applyM2LDense(ctx context.Context, l int) error {
-	t := r.e.Tree
-	ne, nc := r.ne, r.nc
-	return r.pool.ForRange(ctx, t.LevelStart[l], t.LevelStart[l+1], func(w, bi int) {
-		b := &t.Boxes[bi]
-		if b.TrgCount == 0 || len(b.V) == 0 {
-			return
-		}
-		sc := &r.ws[w]
-		start := stageStart()
-		check := r.getCheck(int32(bi))
-		bx, by, bz := b.Key.Decode()
-		for _, a := range b.V {
-			if r.phiU[a] == nil {
-				continue
-			}
-			ax, ay, az := t.Boxes[a].Key.Decode()
-			off := [3]int{int(bx) - int(ax), int(by) - int(ay), int(bz) - int(az)}
-			op := r.e.Ops.M2LDirect(l, off)
-			for q := 0; q < r.nrhs; q++ {
-				op.Apply(check[q*nc:(q+1)*nc], r.phiU[a][q*ne:(q+1)*ne])
-			}
-			sc.stats.FlopsDownV += int64(2*nc*ne) * int64(r.nrhs)
-		}
-		sc.stats.DownV += time.Since(start)
-	})
-}
-
 // rhsChunk picks how many right-hand sides the V-list sweep processes
 // per pass: a chunk shares one kernel-tensor load per (target, source)
 // pair (a small gain as measured, see applyM2LFFT) and is bounded so the
@@ -837,12 +772,10 @@ func rhsChunk(nrhs, nused, sd, gl int) int {
 // grid is ready. The batch is walked in rhs chunks with rhs-major grids
 // (see rhsChunk): within a chunk each kernel tensor is loaded once per
 // (target, source) pair and applied to every RHS while cache-hot. The
-// repository benchmark puts a number on it: the Hadamard accumulation
-// costs the same per pair and RHS at four right-hand sides as at one
-// (translate.m2l_accumulate_ns_per_pair_nq4 ≈ _nq1), and a batch of four
-// is 1.09-1.17 times faster than four single evaluations on the
-// FFT-dominated workloads (fmm.batch_amortization) — what a batch shares
-// is the traversal and the near-field kernel matrices, not the far field.
+// repository benchmark measures what that buys: the per-pair, per-RHS
+// Hadamard cost at four right-hand sides against one
+// (translate.m2l_accumulate_ns_per_pair_nq4 vs _nq1), and a batch of four
+// against four single evaluations (fmm.batch_amortization).
 func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 	t := r.e.Tree
 	f := r.e.fft

@@ -64,7 +64,7 @@ func checkAgainstDirect(t *testing.T, k kernels.Kernel, src, trg []float64, opt 
 }
 
 // TestFMMAccuracyUniform: all three kernels on the uniform distribution,
-// identical source and target sets, both M2L backends.
+// identical source and target sets.
 func TestFMMAccuracyUniform(t *testing.T) {
 	if testing.Short() {
 		t.Skip("accuracy sweep skipped in -short mode")
@@ -72,10 +72,7 @@ func TestFMMAccuracyUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := geom.Flatten(geom.UniformCube(rng, 1200))
 	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewModLaplace(1), kernels.NewStokes(1)} {
-		for _, backend := range []M2LBackend{M2LFFT, M2LDense} {
-			checkAgainstDirect(t, k, pts, pts,
-				Options{Degree: 6, MaxPoints: 30, Backend: backend}, 2e-3)
-		}
+		checkAgainstDirect(t, k, pts, pts, Options{Degree: 6, MaxPoints: 30}, 2e-3)
 	}
 }
 
@@ -87,7 +84,7 @@ func TestFMMAccuracyClustered(t *testing.T) {
 	pts := geom.Flatten(geom.CornerClusters(rng, 1500, 0.35, 1))
 	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewStokes(1)} {
 		checkAgainstDirect(t, k, pts, pts,
-			Options{Degree: 6, MaxPoints: 20, Backend: M2LFFT}, 2e-3)
+			Options{Degree: 6, MaxPoints: 20}, 2e-3)
 	}
 }
 
@@ -127,29 +124,6 @@ func TestFMMConvergenceInDegree(t *testing.T) {
 	}
 	if errs[2] > 1e-5 {
 		t.Errorf("p=8 should reach the paper's 1e-5 accuracy, got %v", errs[2])
-	}
-}
-
-// TestFMMBackendsAgree: FFT and dense M2L must produce nearly identical
-// results (they evaluate the same operators).
-func TestFMMBackendsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pts := geom.Flatten(geom.UniformCube(rng, 1000))
-	den := geom.RandomDensities(rng, 1000, 1)
-	var results [][]float64
-	for _, backend := range []M2LBackend{M2LFFT, M2LDense} {
-		e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 25, Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := eval(bg, e, den)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, got)
-	}
-	if e := relErr(results[0], results[1]); e > 1e-10 {
-		t.Errorf("backends disagree: %v", e)
 	}
 }
 
@@ -239,32 +213,28 @@ func TestFMMWorkersBitwiseReproducible(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	pts := geom.Flatten(geom.CornerClusters(rng, 2000, 0.35, 1))
 	den := geom.RandomDensities(rng, 2000, 1)
-	for _, backend := range []M2LBackend{M2LFFT, M2LDense} {
-		var want []float64
-		for _, workers := range []int{1, 2, 3, 8} {
-			// Explicit pools make the widths real even on a single-core
-			// machine, where the default pool would grant width 1
-			// throughout.
-			e, err := NewCtx(bg, pts, pts, Options{
-				Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 25,
-				Backend: backend, Workers: workers, Pool: exec.NewElastic(8),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := eval(bg, e, den)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("backend %v: workers=%d differs from workers=1 at %d: %g vs %g",
-						backend, workers, i, got[i], want[i])
-				}
+	var want []float64
+	for _, workers := range []int{1, 2, 3, 8} {
+		// Explicit pools make the widths real even on a single-core
+		// machine, where the default pool would grant width 1 throughout.
+		e, err := NewCtx(bg, pts, pts, Options{
+			Kernel: kernels.Laplace{}, Degree: 5, MaxPoints: 25,
+			Workers: workers, Pool: exec.NewElastic(8),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := eval(bg, e, den)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d differs from workers=1 at %d: %g vs %g", workers, i, got[i], want[i])
 			}
 		}
 	}

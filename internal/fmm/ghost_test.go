@@ -48,20 +48,19 @@ func (g *mirrorGhost) Counts(bi int32) (src, trg int) {
 // ghost path with the tree as provider: a nil ghost and a ghost serving
 // copies of the same tree give bitwise-identical potentials and the same
 // counters, on a clustered set that takes U, X and both W paths, for a
-// scalar and a tensor kernel and both M2L backends.
+// scalar and a tensor kernel.
 func TestGhostOverOwnTreeIsBitwiseLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const n = 1500
 	pts := geom.Flatten(geom.CornerClusters(rng, n, 0.3, 1))
 	for _, tc := range []struct {
-		name    string
-		k       kernels.Kernel
-		backend M2LBackend
+		name string
+		k    kernels.Kernel
 	}{
-		{"laplace-fft", kernels.Laplace{}, M2LFFT},
-		{"stokes-dense", kernels.NewStokes(1), M2LDense},
+		{"laplace", kernels.Laplace{}},
+		{"stokes", kernels.NewStokes(1)},
 	} {
-		e, err := NewCtx(bg, pts, pts, Options{Kernel: tc.k, Degree: 4, MaxPoints: 80, Backend: tc.backend})
+		e, err := NewCtx(bg, pts, pts, Options{Kernel: tc.k, Degree: 4, MaxPoints: 80})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,7 +100,7 @@ func RunClusterSmoke(ctx context.Context, cfg ClusterSmokeConfig) (*ClusterSmoke
 
 	// Single-node reference on the identical problem and options.
 	ev, err := fmm.NewCtx(ctx, pts, pts, fmm.Options{
-		Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 60, Backend: fmm.M2LFFT,
+		Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 60,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster smoke: reference build: %w", err)

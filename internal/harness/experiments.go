@@ -96,11 +96,6 @@ func Experiments() []Experiment {
 			Run:         simulated(runTable43),
 		},
 		{
-			ID:          "ablation-m2l",
-			Description: "FFT vs dense M2L (paper footnote 5)",
-			Run:         simulated(runAblationM2L),
-		},
-		{
 			ID:          "ablation-loadbalance",
 			Description: "Load imbalance on non-uniform inputs and the work-estimate fix (Discussion item 6 / future work)",
 			Run:         simulated(runLoadBalance),
@@ -272,40 +267,5 @@ func runTable43(sc Scale) (string, error) {
 			c.name, unknowns, r.Total.Seconds(), r.Ratio, r.Comm.Seconds(),
 			r.Up.Seconds(), r.Down.Seconds(), r.AvgGF, r.PeakGF, r.Tree.Seconds())
 	}
-	return b.String(), nil
-}
-
-// runAblationM2L reproduces the trade-off of the paper's footnote 5: the
-// dense M2L runs at a higher flop rate but performs asymptotically more
-// work than the FFT path.
-func runAblationM2L(sc Scale) (string, error) {
-	var b strings.Builder
-	b.WriteString("M2L backend ablation (paper footnote 5)\n\n")
-	fmt.Fprintf(&b, "%-8s %-8s %12s %14s %14s\n", "kernel", "backend", "DownV(s)", "V flops", "V Mflop/s")
-	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewStokes(1)} {
-		for _, be := range []struct {
-			name string
-			b    fmm.M2LBackend
-		}{{"fft", fmm.M2LFFT}, {"dense", fmm.M2LDense}} {
-			cfg := Config{
-				Options: fmm.Options{Kernel: k, Backend: be.b}, Distribution: "spheres", N: sc.FixedN,
-				Procs: []int{1}, Iterations: sc.Iterations,
-			}
-			rows, err := FixedSize(cfg)
-			if err != nil {
-				return "", err
-			}
-			r := rows[0]
-			rate := 0.0
-			if r.Stage.DownV > 0 {
-				rate = float64(r.Stage.FlopsDownV) / r.Stage.DownV.Seconds() / 1e6
-			}
-			fmt.Fprintf(&b, "%-8s %-8s %12.3f %14d %14.1f\n",
-				k.Name(), be.name, r.Stage.DownV.Seconds(), r.Stage.FlopsDownV, rate)
-		}
-	}
-	b.WriteString("\nNote: flop counts are algorithmic (the FFT path counts ~n log n grid work),\n")
-	b.WriteString("so compare the DownV wall-clock columns: the FFT backend wins while its\n")
-	b.WriteString("nominal flop rate is lower, exactly the paper's observation.\n")
 	return b.String(), nil
 }

@@ -94,7 +94,7 @@ func TestExperimentsEnumerateAllArtifacts(t *testing.T) {
 	}
 	for _, want := range []string{
 		"table4.1", "table4.2", "table4.3", "fig4.2", "fig4.3",
-		"ablation-m2l", "ablation-loadbalance", "parfmm-trace", "cluster-smoke",
+		"ablation-loadbalance", "parfmm-trace", "cluster-smoke",
 	} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)

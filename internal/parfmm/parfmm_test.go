@@ -35,8 +35,8 @@ func relErr(got, want []float64) float64 {
 // accumulation accuracy (identical operators, identical tree, and — both
 // being internal/fmm — identical passes). The clustered case runs the
 // point-to-point W/X rule on leaves whose points sit on two ranks, next
-// to W members that keep the surface path; the Stokes and dense-M2L
-// cases take the engine's tensor-kernel and M2LDense paths over ghosts.
+// to W members that keep the surface path; the Stokes case takes the
+// engine's tensor-kernel paths over ghosts.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	spheres := geom.SphereGrid(rng, 1200, 2, 0.3)
@@ -44,24 +44,21 @@ func TestParallelMatchesSequential(t *testing.T) {
 	// every rank count a partition boundary falls inside a cluster and
 	// its leaves have contributors on both sides.
 	clusters := geom.CornerClusters(rng, 2400, 0.3, 3)[3:]
-	few := []int{2, 3, 5}
 	for _, tc := range []struct {
 		name      string
 		patches   []geom.Patch
 		kernel    kernels.Kernel
-		backend   fmm.M2LBackend
 		degree, s int
 		nprocs    []int
 		shared    bool // small-leaf W members must span two ranks
 	}{
-		{"spheres", spheres, kernels.Laplace{}, fmm.M2LFFT, 6, 30, []int{1, 2, 3, 5, 8}, false},
-		{"clusters", clusters, kernels.Laplace{}, fmm.M2LFFT, 4, 80, []int{1, 2, 3, 5, 8}, true},
-		{"stokes", spheres, kernels.NewStokes(1), fmm.M2LFFT, 4, 30, few, false},
-		{"dense", clusters, kernels.Laplace{}, fmm.M2LDense, 4, 80, few, false},
+		{"spheres", spheres, kernels.Laplace{}, 6, 30, []int{1, 2, 3, 5, 8}, false},
+		{"clusters", clusters, kernels.Laplace{}, 4, 80, []int{1, 2, 3, 5, 8}, true},
+		{"stokes", spheres, kernels.NewStokes(1), 4, 30, []int{2, 3, 5}, false},
 	} {
 		pts := geom.Flatten(tc.patches)
 		den := geom.RandomDensities(rng, len(pts)/3, tc.kernel.SourceDim())
-		seq, err := fmm.NewCtx(context.Background(), pts, pts, fmm.Options{Kernel: tc.kernel, Degree: tc.degree, MaxPoints: tc.s, Backend: tc.backend})
+		seq, err := fmm.NewCtx(context.Background(), pts, pts, fmm.Options{Kernel: tc.kernel, Degree: tc.degree, MaxPoints: tc.s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +84,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 			}
 			res, err := Evaluate(tc.patches, den, nproc, Options{
-				Options: fmm.Options{Kernel: tc.kernel, Degree: tc.degree, MaxPoints: tc.s, Backend: tc.backend},
+				Options: fmm.Options{Kernel: tc.kernel, Degree: tc.degree, MaxPoints: tc.s},
 				Machine: fastMachine(),
 			})
 			if err != nil {
@@ -225,28 +222,6 @@ func TestParallelAccuracyAllKernels(t *testing.T) {
 		if e := relErr(res.Pot, want); e > 2e-3 {
 			t.Errorf("%s: parallel FMM error %v vs direct", k.Name(), e)
 		}
-	}
-}
-
-// TestParallelBackendsAgree: dense and FFT M2L must agree in parallel
-// just as they do sequentially.
-func TestParallelBackendsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	patches := geom.UniformCube(rng, 800)
-	den := geom.RandomDensities(rng, 800, 1)
-	var results [][]float64
-	for _, backend := range []fmm.M2LBackend{fmm.M2LFFT, fmm.M2LDense} {
-		res, err := Evaluate(patches, den, 3, Options{
-			Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 6, MaxPoints: 20, Backend: backend},
-			Machine: fastMachine(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res.Pot)
-	}
-	if e := relErr(results[0], results[1]); e > 1e-10 {
-		t.Errorf("parallel backends disagree: %v", e)
 	}
 }
 

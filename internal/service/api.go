@@ -19,7 +19,6 @@ package service
 
 import (
 	kifmm "repro"
-	"repro/internal/errs"
 	"repro/internal/fmm"
 	"repro/internal/kernels"
 	"repro/internal/obs"
@@ -60,31 +59,20 @@ type PlanRequest struct {
 	MaxPoints int `json:"max_points,omitempty"`
 	// MaxDepth caps the octree depth (0 = uncapped).
 	MaxDepth int `json:"max_depth,omitempty"`
-	// Backend selects the M2L path: "", "fft" or "dense".
-	Backend string `json:"backend,omitempty"`
 	// PinvTol is the pseudo-inverse truncation (0 = default 1e-10).
 	PinvTol float64 `json:"pinv_tol,omitempty"`
 }
 
 // options converts the request into library options, validating the
-// kernel spec and backend name.
+// kernel spec.
 func (r *PlanRequest) options() (kifmm.Options, error) {
 	k, err := kernels.FromSpec(r.Kernel)
 	if err != nil {
 		return kifmm.Options{}, err
 	}
-	var backend kifmm.M2LBackend
-	switch r.Backend {
-	case "", "fft":
-		backend = kifmm.M2LFFT
-	case "dense":
-		backend = kifmm.M2LDense
-	default:
-		return kifmm.Options{}, errs.Newf(errs.CodeInvalidInput, "service: unknown M2L backend %q (want \"fft\" or \"dense\")", r.Backend)
-	}
 	return kifmm.Options{
 		Kernel: k, Degree: r.Degree, MaxPoints: r.MaxPoints,
-		MaxDepth: r.MaxDepth, Backend: backend, PinvTol: r.PinvTol,
+		MaxDepth: r.MaxDepth, PinvTol: r.PinvTol,
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -45,7 +46,7 @@ func goldenPlan(vals []float64) PlanRequest {
 		Src:    vals,
 		Trg:    []float64{1, 2, 3, 4, 5, 6},
 		Kernel: KernelSpec{Name: "stokes", Params: map[string]float64{"mu": 2}},
-		Degree: 4, MaxPoints: 40, MaxDepth: 7, Backend: "dense", PinvTol: 1e-9,
+		Degree: 4, MaxPoints: 40, MaxDepth: 7, PinvTol: 1e-9,
 	}
 }
 
@@ -200,6 +201,65 @@ func TestGoldenWireBytes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// parentPlanJSON is req_plan.json as it was before the dense M2L
+// translation went: it still names the retired "backend".
+const parentPlanJSON = `{"src":[0,0.5,-1.25,1e-300,3,-0,7.5,1.7976931348623157e+308,5e-324],"trg":[1,2,3,4,5,6],"kernel":{"name":"stokes","params":{"mu":2}},"degree":4,"max_points":40,"max_depth":7,"backend":"dense","pinv_tol":1e-9}`
+
+// TestRetiredBackendKeyIgnored: a plan request that still carries the
+// retired "backend" key decodes on both codecs to the request without it,
+// and registers as the same plan.
+func TestRetiredBackendKeyIgnored(t *testing.T) {
+	const retired = `"backend":"dense",`
+	// The frame body is the golden one with the key put back into its JSON
+	// meta: magic, u32 meta length, meta, binary arrays.
+	frame := readGolden(t, "req_plan.frame")
+	n := binary.LittleEndian.Uint32(frame[4:8])
+	meta := string(frame[8 : 8+n])
+	at := strings.Index(meta, `"pinv_tol"`)
+	meta = meta[:at] + retired + meta[at:]
+	parentFrame := binary.LittleEndian.AppendUint32([]byte("KFM1"), uint32(len(meta)))
+	parentFrame = append(append(parentFrame, meta...), frame[8+n:]...)
+	for _, tc := range []struct {
+		frame bool
+		body  []byte
+		vals  []float64
+	}{
+		{false, []byte(parentPlanJSON), goldenFinite()},
+		{true, parentFrame, goldenSpecial()},
+	} {
+		got, err := decodeRequest(tc.frame, ShapePlan, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("frame=%v: %v", tc.frame, err)
+		}
+		if g, w := bitsJSON(t, got), bitsJSON(t, Request{PlanRequest: goldenPlan(tc.vals)}); g != w {
+			t.Errorf("frame=%v: decoded\n got %s\nwant %s", tc.frame, g, w)
+		}
+	}
+
+	// The golden geometry has a coordinate beyond the service's bound;
+	// register both bodies with that one replaced.
+	ts := httptest.NewServer(NewServer(New(Config{})))
+	defer ts.Close()
+	register := func(body string) PlanInfo {
+		body = strings.Replace(body, "1.7976931348623157e+308", "1", 1)
+		resp, err := http.Post(ts.URL+"/v1/plans", contentTypeJSON, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var info PlanInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || resp.StatusCode/100 != 2 {
+			t.Fatalf("register: status %d, %v", resp.StatusCode, err)
+		}
+		return info
+	}
+	old := register(parentPlanJSON)
+	cur := register(string(readGolden(t, "req_plan.json")))
+	if cur.ID != old.ID || !cur.Cached {
+		t.Errorf("the body without backend registered %s (cached %v), the parent's body %s", cur.ID, cur.Cached, old.ID)
 	}
 }
 

@@ -665,7 +665,7 @@ func (s *Service) evaluateCluster(ctx context.Context, req PlanRequest, dens [][
 	pot, rep, err := s.cfg.Cluster.Evaluate(ctx, cluster.EvalRequest{
 		Src: src, Den: dens[0], Kernel: spec,
 		Degree: opt.Degree, MaxPoints: opt.MaxPoints, MaxDepth: opt.MaxDepth,
-		Backend: int(opt.Backend), PinvTol: opt.PinvTol,
+		PinvTol: opt.PinvTol,
 	})
 	span.End()
 	res := EvaluateBatchResponse{Trace: span}

@@ -481,11 +481,10 @@ func TestRegisterValidation(t *testing.T) {
 		req  PlanRequest
 		want error
 	}{
-		{PlanRequest{Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest},                                              // no geometry
-		{PlanRequest{Src: []float64{1, 2}, Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest},                        // not 3k
-		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "nope"}}, kifmm.ErrUnknownKernel},               // bad kernel
-		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, Backend: "quantum"}, ErrBadRequest}, // bad backend
-		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, Degree: 1000000}, ErrTooLarge},      // degree bomb
+		{PlanRequest{Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest},                                         // no geometry
+		{PlanRequest{Src: []float64{1, 2}, Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest},                   // not 3k
+		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "nope"}}, kifmm.ErrUnknownKernel},          // bad kernel
+		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, Degree: 1000000}, ErrTooLarge}, // degree bomb
 		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, Degree: -1}, ErrBadRequest},
 		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, MaxPoints: -5}, ErrBadRequest},
 		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, MaxDepth: 99}, ErrTooLarge},

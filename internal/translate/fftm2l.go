@@ -45,7 +45,7 @@ type FFTM2L struct {
 	vols sync.Pool
 }
 
-// NewFFTM2L prepares the FFT M2L backend for an operator set.
+// NewFFTM2L prepares the FFT M2L translation for an operator set.
 func NewFFTM2L(s *Set) *FFTM2L {
 	m := fft.NextSmooth(2*s.P - 1)
 	f := &FFTM2L{
@@ -61,8 +61,8 @@ func NewFFTM2L(s *Set) *FFTM2L {
 	return f
 }
 
-// Close does nothing: the tensors live in the entries of the backend's
-// Set and leave with Set.Close.
+// Close does nothing: the tensors live in the entries of its Set and
+// leave with Set.Close.
 func (f *FFTM2L) Close() {}
 
 // GridLen returns the number of stored Fourier coefficients per grid
@@ -232,10 +232,8 @@ func (f *FFTM2L) buildTensor(r float64, k [3]int) [][]complex128 {
 	return t
 }
 
-// CachedBytes estimates this backend's share of the kernel tensors its
-// set's entries hold, divided like Set.CachedBytes. (A dense-backend plan
-// holding the same entries reports no tensor share, so plans of both
-// backends over one kernel and degree sum to less than the whole.)
+// CachedBytes estimates this translation's share of the kernel tensors its
+// set's entries hold, divided like Set.CachedBytes.
 func (f *FFTM2L) CachedBytes() int64 { return f.set.share(true) }
 
 func wrap(d, m int) int {

@@ -42,7 +42,7 @@ type entry struct {
 
 	// mu serializes builds (so the lanes of a first evaluation do not all
 	// build the same operator) and guards the plain pointers below; the
-	// two offset tables are read without it.
+	// tensor table is read without it.
 	mu sync.Mutex
 	// pinvUp (UC check potential -> UE equivalent density) comes from the
 	// entry's one factorization; pinvDown (DC check potential -> DE
@@ -52,16 +52,15 @@ type entry struct {
 	pinvDown *linalg.Dense
 	m2m      [8]*linalg.Dense
 	l2l      [8]*linalg.Dense
-	m2l      offsetTable[linalg.Dense]
-	tensors  offsetTable[[][]complex128]
+	tensors  offsetTable
 }
 
-// offsetTable holds one value per V-list offset, (k+3) in base 7. The
-// V-list sweep fetches an operator per (target, source) pair from every
-// lane, so a filled slot costs one atomic load.
-type offsetTable[T any] [7 * 7 * 7]atomic.Pointer[T]
+// offsetTable holds one FFT kernel tensor per V-list offset, (k+3) in
+// base 7. The V-list sweep fetches a tensor per (target, source) pair from
+// every lane, so a filled slot costs one atomic load.
+type offsetTable [7 * 7 * 7]atomic.Pointer[[][]complex128]
 
-func (t *offsetTable[T]) slot(k [3]int) *atomic.Pointer[T] {
+func (t *offsetTable) slot(k [3]int) *atomic.Pointer[[][]complex128] {
 	x, y, z := uint(k[0]+3), uint(k[1]+3), uint(k[2]+3)
 	if x >= 7 || y >= 7 || z >= 7 {
 		panic(fmt.Sprintf("translate: %v is not a V-list offset", k))

@@ -25,17 +25,21 @@ func storeBytes(k kernels.Kernel) (b int64, entries int) {
 	return b, entries
 }
 
-// fill builds about 9 MB of level-2 operators at degree 6: one face of
-// dense M2L offsets and an M2M (kernel matrices, the cheapest bytes to
-// build) and an FFT tensor.
+// fill builds about 6.7 MB of operators at degree 6: every M2M and L2L of
+// levels 2 and 3 (kernel matrices, the cheapest bytes to build) and one
+// face of level-2 FFT tensors.
 func fill(s *Set, f *FFTM2L) {
-	for y := -3; y <= 3; y++ {
-		for z := -3; z <= 3; z++ {
-			s.M2LDirect(2, [3]int{3, y, z})
+	for l := 2; l <= 3; l++ {
+		for o := 0; o < 8; o++ {
+			s.M2M(l, o)
+			s.L2L(l, o)
 		}
 	}
-	s.M2M(2, 0)
-	f.AccumulateBatch(make([]complex128, f.GridLen()), make([]complex128, f.GridLen()), 1, 2, [3]int{3, 0, 0})
+	for y := -3; y <= 3; y++ {
+		for z := -3; z <= 3; z++ {
+			f.tensor(2, [3]int{3, y, z})
+		}
+	}
 }
 
 func heapAlloc() int64 {
@@ -140,7 +144,7 @@ func TestStoreConcurrentMapUseClose(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				off := [3]int{2, g%3 - 1, -3}
+				off, o := [3]int{2, g%3 - 1, -3}, g%8
 				for i := 0; i < 20; i++ {
 					s, err := NewSet(k, 4, 0.6, 0)
 					if err != nil {
@@ -148,8 +152,9 @@ func TestStoreConcurrentMapUseClose(t *testing.T) {
 						return
 					}
 					f := NewFFTM2L(s)
-					up, m2l, ten := s.UpwardPinv(2), s.M2LDirect(2, off), f.tensor(2, off)
-					if anchored && (s.entry(2) != e || up.M != anchor.UpwardPinv(2).M || m2l.M != anchor.M2LDirect(2, off).M || ten == nil) {
+					up, m2m, l2l, ten := s.UpwardPinv(2), s.M2M(2, o), s.L2L(2, o), f.tensor(2, off)
+					if anchored && (s.entry(2) != e || up.M != anchor.UpwardPinv(2).M || m2m.M != anchor.M2M(2, o).M ||
+						l2l.M != anchor.L2L(2, o).M || &ten[0][0] != &NewFFTM2L(anchor).tensor(2, off)[0][0]) {
 						t.Errorf("goroutine %d: set %d did not share the anchored entry", g, i)
 					}
 					if s.CachedBytes() <= 0 || f.CachedBytes() <= 0 {

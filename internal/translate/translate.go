@@ -328,31 +328,6 @@ func (s *Set) L2L(parentLevel, octant int) Op {
 	return Op{M: m, Scale: escale}
 }
 
-// M2LDirect returns the dense operator evaluating a source box's upward
-// equivalent density on the downward check surface of a target box at
-// the same level, where k = targetCell - sourceCell is the integer
-// center offset in box widths (target center = source center + 2r*k).
-// Offsets must be V-list offsets: max |k| component in {2, 3}.
-func (s *Set) M2LDirect(level int, k [3]int) Op {
-	key, escale, _ := s.scaleFor(level)
-	e := s.entry(key)
-	slot := e.m2l.slot(k)
-	m := slot.Load()
-	if m == nil {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if m = slot.Load(); m == nil {
-			r := e.key.radius
-			ct := [3]float64{2 * r * float64(k[0]), 2 * r * float64(k[1]), 2 * r * float64(k[2])}
-			re := surface.EquivRadius(s.P, r)
-			m = s.kernelMatrix(ct, re, [3]float64{}, re)
-			slot.Store(m)
-			e.denseBytes.Add(int64(len(m.Data)) * 8)
-		}
-	}
-	return Op{M: m, Scale: escale}
-}
-
 // UpwardEquivPoints writes the UE surface points of a box (center c,
 // half-width r) into dst (allocating if nil).
 func (s *Set) UpwardEquivPoints(c [3]float64, r float64, dst []float64) []float64 {

@@ -135,11 +135,19 @@ func TestM2MPreservesFarField(t *testing.T) {
 	}
 }
 
-// applyM2LDirect computes the downward check potential of a target box
-// from a source box's upward density via the dense path.
+// applyM2LDirect is the dense M2L reference: the kernel matrix from a
+// source box's UE surface (at the origin) to the DC surface of the target
+// box at offset k (center 2r·k), both at the level's own half-width, applied
+// to the source's upward density. It is built from the real geometry, so
+// it does not share the homogeneous rescaling (scaleFor) of the path it
+// checks.
 func applyM2LDirect(s *Set, level int, k [3]int, phi []float64) []float64 {
+	r := s.BoxHalfWidth(level)
+	ct := [3]float64{2 * r * float64(k[0]), 2 * r * float64(k[1]), 2 * r * float64(k[2])}
+	m := linalg.NewDense(s.CheckCount(), s.EquivCount())
+	kernels.Matrix(s.Kern, s.DownwardCheckPoints(ct, r, nil), s.UpwardEquivPoints([3]float64{}, r, nil), m.Data)
 	check := make([]float64, s.CheckCount())
-	s.M2LDirect(level, k).Apply(check, phi)
+	m.MatVec(check, phi)
 	return check
 }
 
@@ -298,7 +306,9 @@ func TestFFTM2LAccumulatesMultipleSources(t *testing.T) {
 			phi[i] = rng.NormFloat64()
 		}
 		f.AccumulateBatch(acc, forward1(f, phi), 1, level, off)
-		s.M2LDirect(level, off).Apply(want, phi)
+		for i, v := range applyM2LDirect(s, level, off, phi) {
+			want[i] += v
+		}
 	}
 	got := make([]float64, s.CheckCount())
 	f.ExtractGrids(acc, level, got)
@@ -470,13 +480,14 @@ func TestHomogeneousScalingMatchesExplicitBuild(t *testing.T) {
 	s, _ := NewSet(k, 6, 0.8, 0)
 	level := 4
 	r := s.BoxHalfWidth(level)
-	// Explicit M2L at the level geometry: target DC at +2r*k, source UE
-	// at the origin (k = targetCell - sourceCell).
-	off := [3]int{2, -2, 3}
-	ct := [3]float64{2 * r * float64(off[0]), 2 * r * float64(off[1]), 2 * r * float64(off[2])}
-	re := surface.EquivRadius(s.P, r)
-	explicit := s.kernelMatrix(ct, re, [3]float64{}, re)
-	op := s.M2LDirect(level, off)
+	// Explicit M2M at the level geometry: the child's UE surface (octant
+	// 5, half-width r/2) evaluated on the parent's UC surface.
+	const octant = 5
+	explicit := s.kernelMatrix(
+		[3]float64{}, surface.CheckRadius(r),
+		childCenter(octant, r), surface.EquivRadius(s.P, r/2),
+	)
+	op := s.M2M(level, octant)
 	rng := rand.New(rand.NewSource(7))
 	x := make([]float64, s.EquivCount())
 	for i := range x {

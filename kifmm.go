@@ -44,10 +44,10 @@
 // ranks via EvaluateParallel.
 //
 // This package is a view of the engine, not a copy of it: Options, Pool,
-// Lease and ParallelOptions — like Kernel, M2LBackend, Patch, Machine,
-// KernelSpec and ParallelResult — are aliases of the types the engine
-// itself uses (fmm.Options, exec.Elastic, exec.Lease, parfmm.Options),
-// so their fields and methods are documented there, once.
+// Lease and ParallelOptions — like Kernel, Patch, Machine, KernelSpec and
+// ParallelResult — are aliases of the types the engine itself uses
+// (fmm.Options, exec.Elastic, exec.Lease, parfmm.Options), so their
+// fields and methods are documented there, once.
 package kifmm
 
 import (
@@ -83,20 +83,10 @@ func Kelvin(mu, nu float64) Kernel { return kernels.NewKelvin(mu, nu) }
 // KernelByName resolves "laplace", "modlaplace", "stokes" or "kelvin".
 func KernelByName(name string) (Kernel, error) { return kernels.ByName(name) }
 
-// M2LBackend selects the multipole-to-local translation implementation.
-type M2LBackend = fmm.M2LBackend
-
-// M2L backends: the FFT path is the paper's choice; the dense path
-// trades higher flop rates for asymptotically more work (footnote 5).
-const (
-	M2LFFT   = fmm.M2LFFT
-	M2LDense = fmm.M2LDense
-)
-
 // Options configure an Evaluator. It is the engine's own type: the
 // fields, their defaults (fmm.ApplyDefaults: degree 6 surfaces for ~1e-5
-// relative error with Laplace, leaf threshold s=60, FFT M2L, one worker
-// per logical CPU) and which of them PlanKey hashes are documented on
+// relative error with Laplace, leaf threshold s=60, one worker per
+// logical CPU) and which of them PlanKey hashes are documented on
 // fmm.Options.
 type Options = fmm.Options
 

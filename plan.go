@@ -34,7 +34,7 @@ func KernelFromSpec(s KernelSpec) (Kernel, error) { return kernels.FromSpec(s) }
 // in neither list, so it cannot silently miss the hash.
 var (
 	planKeyHashedOptionFields = []string{
-		"Kernel", "Degree", "MaxPoints", "MaxDepth", "Backend", "PinvTol",
+		"Kernel", "Degree", "MaxPoints", "MaxDepth", "PinvTol",
 	}
 	planKeyResultNeutralOptionFields = []string{"Workers", "Pool"}
 )
@@ -91,7 +91,6 @@ func PlanKey(src, trg []float64, opt Options) (string, error) {
 	writeInt(opt.Degree)
 	writeInt(opt.MaxPoints)
 	writeInt(opt.MaxDepth)
-	writeInt(int(opt.Backend))
 	writeF64(opt.PinvTol)
 	writeInt(len(src))
 	writeF64s(src)

@@ -70,20 +70,6 @@ func TestPlanKeyMatchesBuildCoercion(t *testing.T) {
 			t.Errorf("variant %d (%+v) hashes differently from defaults despite building the same evaluator", i, opt)
 		}
 	}
-
-	// Any backend other than M2LFFT builds the dense path, so
-	// out-of-range backend values must hash like M2LDense.
-	dense, err := PlanKey(pts, pts, Options{Kernel: Laplace(), Backend: M2LDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	odd, err := PlanKey(pts, pts, Options{Kernel: Laplace(), Backend: M2LBackend(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if odd != dense {
-		t.Errorf("backend 7 hashes differently from M2LDense despite identical construction")
-	}
 }
 
 func TestPlanKeyDiscriminates(t *testing.T) {
@@ -98,7 +84,6 @@ func TestPlanKeyDiscriminates(t *testing.T) {
 		{Kernel: Laplace(), Degree: 8},
 		{Kernel: Laplace(), MaxPoints: 120},
 		{Kernel: Laplace(), MaxDepth: 3},
-		{Kernel: Laplace(), Backend: M2LDense},
 		{Kernel: Laplace(), PinvTol: 1e-8},
 	}
 	seen := map[string]int{base: -1}
