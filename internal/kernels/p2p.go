@@ -1,6 +1,10 @@
 package kernels
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/cpu"
+)
 
 // P2P accumulates the direct particle-to-particle interaction
 //
@@ -10,9 +14,13 @@ import "math"
 // SourceDim components per source and pot has TargetDim components per
 // target. Self interactions (zero displacement) contribute nothing.
 //
-// The Laplace and Stokes kernels dispatch to hand-unrolled inner loops;
-// every other kernel goes through the generic Eval path. Both paths
-// produce identical results (see TestP2PSpecializationsAgree).
+// The Laplace, Stokes and modified Laplace kernels dispatch to
+// hand-unrolled inner loops; every other kernel goes through the generic
+// Eval path. Both paths produce identical results up to rounding (see
+// TestP2PSpecializationsAgree). On amd64 CPUs with AVX2 the Laplace loop
+// runs an assembly body that rounds exactly like its Go loop, which runs
+// everywhere else (see laplaceP2P); the result never depends on which
+// body ran.
 func P2P(k Kernel, trg, src, den, pot []float64) {
 	switch kk := k.(type) {
 	case Laplace:
@@ -48,9 +56,23 @@ func GenericP2P(k Kernel, trg, src, den, pot []float64) {
 	}
 }
 
+// laplaceP2P is the Laplace inner loop. On a CPU with AVX2 (cpu.AVX2) the
+// vector body (p2p_amd64.s) takes the targets in blocks of four, one per
+// YMM lane, and this Go loop only the last nt%4; elsewhere the Go loop is
+// the only body. The vector body computes each pair with the same
+// operations in the same order: separate multiplies and adds (no FMA),
+// a correctly rounded square root and division (no reciprocal
+// estimate), sources summed in order, and the skipped r2 == 0 pair
+// replaced by an added +0, which leaves a sum started at +0 unchanged. So
+// the two bodies agree bit for bit (TestLaplaceP2PBodiesAgree) and the
+// choice, made only from the CPU, never changes a result.
 func laplaceP2P(trg, src, den, pot []float64) {
 	nt, ns := len(trg)/3, len(src)/3
-	for i := 0; i < nt; i++ {
+	i := 0
+	if cpu.AVX2 {
+		i = laplaceP2PAVX2(trg, src, den, pot)
+	}
+	for ; i < nt; i++ {
 		tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
 		sum := 0.0
 		for j := 0; j < ns; j++ {
@@ -120,15 +142,19 @@ func stokesP2P(mu float64, trg, src, den, pot []float64) {
 // source points src, so that pot = out * den reproduces P2P. out must
 // have length (nt*td)*(ns*sd).
 //
-// Like P2P, the built-in scalar kernels dispatch to unrolled loops —
-// batched near-field evaluation materializes these blocks on its hot
-// path — and every other kernel goes through the generic Eval path.
+// Like P2P, Laplace, modified Laplace and Stokes dispatch to unrolled
+// loops — batched near-field evaluation materializes these blocks on its
+// hot path — and every other kernel goes through the generic Eval path.
+// Each unrolled loop writes the expressions of its kernel's Eval, so the
+// two paths agree bit for bit (TestMatrixSpecializationsAgree).
 func Matrix(k Kernel, trg, src, out []float64) {
 	switch kk := k.(type) {
 	case Laplace:
 		laplaceMatrix(trg, src, out)
 	case ModLaplace:
 		modLaplaceMatrix(kk.Lambda, trg, src, out)
+	case Stokes:
+		stokesMatrix(kk, trg, src, out)
 	default:
 		genericMatrix(k, trg, src, out)
 	}
@@ -188,6 +214,40 @@ func modLaplaceMatrix(lambda float64, trg, src, out []float64) {
 			}
 			r := math.Sqrt(r2)
 			row[j] = fourPiInv * math.Exp(-lambda*r) / r
+		}
+	}
+}
+
+// stokesMatrix writes the expressions of Stokes.Eval straight into the
+// 3×3 blocks of out, without an interface call per pair.
+func stokesMatrix(k Stokes, trg, src, out []float64) {
+	nt, ns := len(trg)/3, len(src)/3
+	cols := 3 * ns
+	c := 1.0 / (8 * math.Pi * k.Mu)
+	for i := 0; i < nt; i++ {
+		tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
+		r0 := out[(3*i)*cols:][:cols]
+		r1 := out[(3*i+1)*cols:][:cols]
+		r2 := out[(3*i+2)*cols:][:cols]
+		for j := 0; j < ns; j++ {
+			rx := tx - src[3*j]
+			ry := ty - src[3*j+1]
+			rz := tz - src[3*j+2]
+			b0, b1, b2 := r0[3*j:3*j+3], r1[3*j:3*j+3], r2[3*j:3*j+3]
+			d2 := rx*rx + ry*ry + rz*rz
+			if d2 == 0 {
+				b0[0], b0[1], b0[2] = 0, 0, 0
+				b1[0], b1[1], b1[2] = 0, 0, 0
+				b2[0], b2[1], b2[2] = 0, 0, 0
+				continue
+			}
+			inv := 1 / math.Sqrt(d2)
+			inv3 := inv * inv * inv
+			diag := c * inv
+			xy, xz, yz := c*inv3*rx*ry, c*inv3*rx*rz, c*inv3*ry*rz
+			b0[0], b0[1], b0[2] = diag+c*inv3*rx*rx, xy, xz
+			b1[0], b1[1], b1[2] = xy, diag+c*inv3*ry*ry, yz
+			b2[0], b2[1], b2[2] = xz, yz, diag+c*inv3*rz*rz
 		}
 	}
 }

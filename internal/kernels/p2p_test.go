@@ -1,9 +1,12 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 func randomCloud(rng *rand.Rand, n int) []float64 {
@@ -56,6 +59,102 @@ func TestMatrixSpecializationsAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLaplaceP2PBodiesAgree holds laplaceP2P's AVX2 body to its Go loop
+// bit for bit: every target and source count from 0 to 40 (full blocks
+// of four and every tail), a 200×200 leaf pair, and inputs with a
+// coincident source, ±0 and subnormal densities, NaN and ±Inf
+// coordinates, and coordinates of 1e±150 and beyond, where r2 overflows
+// to +Inf or underflows to 0 between distinct points. An FMA, a
+// reciprocal square-root estimate, a re-association or a wrong r2 == 0
+// mask fails it, and so does a store past the end of pot: three sentinel
+// elements after it must keep their bits.
+func TestLaplaceP2PBodiesAgree(t *testing.T) {
+	if !cpu.AVX2 {
+		t.Skip("CPU without AVX2: laplaceP2P runs only the Go body")
+	}
+	t.Cleanup(func() { cpu.AVX2 = true })
+	rng := rand.New(rand.NewSource(29))
+	coordSpecial := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	denSpecial := []float64{0, math.Copysign(0, -1), 5e-324, -4.9e-322, 2.2e-308, math.Inf(1), math.NaN()}
+	scales := []float64{1, 1e150, 1e-150, 1e160, 1e-170}
+	// cloud draws n points at one scale; with special set, about one
+	// coordinate in 16 is NaN, ±Inf or ±0.
+	cloud := func(n int, scale float64, special bool) []float64 {
+		p := make([]float64, 3*n)
+		for i := range p {
+			p[i] = scale * rng.NormFloat64()
+			if special && rng.Intn(16) == 0 {
+				p[i] = coordSpecial[rng.Intn(len(coordSpecial))]
+			}
+		}
+		return p
+	}
+	check := func(name string, trg, src, den []float64) {
+		t.Helper()
+		const tail = 3
+		nt := len(trg) / 3
+		pot := make([]float64, nt+tail)
+		for i := range pot {
+			pot[i] = rng.NormFloat64()
+		}
+		want := append([]float64(nil), pot...)
+		cpu.AVX2 = false
+		P2P(Laplace{}, trg, src, den, want[:nt])
+		cpu.AVX2 = true
+		P2P(Laplace{}, trg, src, den, pot[:nt])
+		for i := range pot {
+			if !sameFloatBits(pot[i], want[i]) {
+				t.Fatalf("%s: pot[%d] = %v (%#x), Go loop %v (%#x)",
+					name, i, pot[i], math.Float64bits(pot[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	for nt := 0; nt <= 40; nt++ {
+		for ns := 0; ns <= 40; ns++ {
+			scale := scales[rng.Intn(len(scales))]
+			special := rng.Intn(2) == 0
+			trg, src := cloud(nt, scale, special), cloud(ns, scale, special)
+			den := make([]float64, ns)
+			for j := range den {
+				den[j] = rng.NormFloat64()
+				if special && rng.Intn(4) == 0 {
+					den[j] = denSpecial[rng.Intn(len(denSpecial))]
+				}
+			}
+			// A source on a target: the r2 == 0 pair both bodies skip.
+			if nt > 0 && ns > 0 {
+				i, j := rng.Intn(nt), rng.Intn(ns)
+				copy(src[3*j:3*j+3], trg[3*i:3*i+3])
+			}
+			check(fmt.Sprintf("nt=%d ns=%d scale=%g special=%v", nt, ns, scale, special), trg, src, den)
+		}
+	}
+	for _, scale := range scales {
+		trg, src := cloud(200, scale, false), cloud(200, scale, false)
+		copy(src[3*17:3*18], trg[3*101:3*102])
+		check(fmt.Sprintf("200x200 scale=%g", scale), trg, src, randomCloud(rng, 200)[:200])
+	}
+}
+
+// TestP2PAllocatesNothing: the Laplace vector body keeps its block
+// buffers on the stack.
+func TestP2PAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	trg, src := randomCloud(rng, 37), randomCloud(rng, 41)
+	den, pot := make([]float64, 41), make([]float64, 37)
+	if a := testing.AllocsPerRun(10, func() { P2P(Laplace{}, trg, src, den, pot) }); a != 0 {
+		t.Errorf("Laplace P2P allocates %v times per call", a)
+	}
+}
+
+// sameFloatBits is bitwise equality, with any two NaNs equal: the payload
+// of a NaN combined with another NaN depends on operand order, which the
+// Go compiler picks for commutative operations as register allocation
+// falls.
+func sameFloatBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
 
 func TestP2PAccumulates(t *testing.T) {

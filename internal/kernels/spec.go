@@ -108,9 +108,10 @@ func SpecFor(k Kernel) (Spec, error) {
 func (s Spec) Canonical() string {
 	var b strings.Builder
 	b.WriteString(s.Name)
-	keys := make([]string, 0, len(s.Params))
+	keys, n := make([]string, len(s.Params)), 0
 	for k := range s.Params {
-		keys = append(keys, k)
+		keys[n] = k
+		n++
 	}
 	sort.Strings(keys)
 	for _, k := range keys {

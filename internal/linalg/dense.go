@@ -13,6 +13,8 @@ package linalg
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/cpu"
 )
 
 // Dense is a row-major matrix.
@@ -102,9 +104,21 @@ func (m *Dense) checkShape(op string, dst, x []float64) {
 // from zero, so the result is bitwise that of the plain one-row loop
 // (alpha = 1 multiplies exactly, and a sum started at +0 is never -0, so
 // MatVec's zero-then-add equals assignment).
+//
+// On a CPU with AVX2 (cpu.AVX2) the vector body (dense_amd64.s) first
+// takes the rows in blocks of eight, one YMM lane per row, over the
+// columns in steps of four; these Go loops then finish the last Rows%8
+// rows, and elsewhere they are the only body. The vector lanes do what
+// a row does here — from +0, one multiply and one add per column (no
+// FMA), j in order, the last Cols%4 columns and alpha in Go — so the two
+// bodies agree bit for bit (TestMatVecBitwiseEqualsReference) and the
+// choice, made only from the CPU, never changes a result.
 func (m *Dense) mulAdd(dst, x []float64, alpha float64) {
 	cols := m.Cols
 	i := 0
+	if cpu.AVX2 {
+		i = m.mulAddAVX2(dst, x, alpha)
+	}
 	for ; i+4 <= m.Rows; i += 4 {
 		// Reslicing every row to len(x) lets the compiler drop the
 		// bounds checks of the inner loop.

@@ -17,6 +17,8 @@ var deterministicPkgs = []string{
 	"internal/parfmm",
 	"internal/translate",
 	"internal/fft",
+	"internal/kernels",
+	"internal/linalg",
 }
 
 // determinism flags constructs that break bitwise reproducibility in

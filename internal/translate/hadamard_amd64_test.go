@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/kernels"
 )
 
@@ -21,7 +22,7 @@ import (
 // Go compiler puts either operand of a commutative add or multiply
 // first, as register allocation falls.
 func TestHadamardAddBodiesAgree(t *testing.T) {
-	if !hasAVX2 {
+	if !cpu.AVX2 {
 		t.Skip("CPU without AVX2: hadamardAdd runs only the Go body")
 	}
 	special := []float64{
@@ -70,10 +71,10 @@ func TestHadamardAddBodiesAgree(t *testing.T) {
 // scalar and a 3×3 kernel with a batch of right-hand sides, and requires
 // bitwise-equal check potentials.
 func TestFFTM2LSameUnderBothBodies(t *testing.T) {
-	if !hasAVX2 {
+	if !cpu.AVX2 {
 		t.Skip("CPU without AVX2: hadamardAdd runs only the Go body")
 	}
-	t.Cleanup(func() { hasAVX2 = true })
+	t.Cleanup(func() { cpu.AVX2 = true })
 	rng := rand.New(rand.NewSource(27))
 	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewStokes(1)} {
 		s, err := NewSet(k, 6, 0.5, 0)
@@ -89,7 +90,7 @@ func TestFFTM2LSameUnderBothBodies(t *testing.T) {
 			phi[i] = rng.NormFloat64()
 		}
 		run := func(avx2 bool) []float64 {
-			hasAVX2 = avx2
+			cpu.AVX2 = avx2
 			src := make([]complex128, nq*k.SourceDim()*gl)
 			f.ForwardDensityBatch(phi, nq, src)
 			acc := make([]complex128, nq*k.TargetDim()*gl)
