@@ -51,7 +51,7 @@ func checkGoroutines(t *testing.T, base int) {
 func TestCodecRoundTrips(t *testing.T) {
 	hdr := &jobHeader{
 		Job: 7, Size: 2, Rank: 1, Peers: []string{"a:1", "b:2"},
-		Kernel: kernels.Spec{Name: "laplace"}, Degree: 6, MaxPoints: 60, PinvTol: 1e-10,
+		Kernel: kernels.Spec{Name: "laplace"}, Degree: 6, MaxPoints: 60,
 	}
 	payload, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 2, 3}, Den: []float64{0.5}, GlobalIdx: []int32{9}})
 	if err != nil {

@@ -416,7 +416,6 @@ type EvalRequest struct {
 	Degree    int
 	MaxPoints int
 	MaxDepth  int
-	PinvTol   float64
 }
 
 // EvalReport describes how a cluster evaluation ran.

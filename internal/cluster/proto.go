@@ -37,7 +37,6 @@ type jobHeader struct {
 	Degree    int          `json:"degree,omitempty"`
 	MaxPoints int          `json:"max_points,omitempty"`
 	MaxDepth  int          `json:"max_depth,omitempty"`
-	PinvTol   float64      `json:"pinv_tol,omitempty"`
 }
 
 // header is the job header every worker of the job gets, short of its
@@ -45,8 +44,7 @@ type jobHeader struct {
 func (req *EvalRequest) header(job uint64, peers []string) jobHeader {
 	return jobHeader{
 		Job: job, Size: len(peers), Peers: peers,
-		Kernel: req.Kernel, Degree: req.Degree, MaxPoints: req.MaxPoints,
-		MaxDepth: req.MaxDepth, PinvTol: req.PinvTol,
+		Kernel: req.Kernel, Degree: req.Degree, MaxPoints: req.MaxPoints, MaxDepth: req.MaxDepth,
 	}
 }
 
@@ -59,7 +57,6 @@ func (h *jobHeader) options() (parfmm.Options, error) {
 	return parfmm.Options{
 		Options: fmm.Options{
 			Kernel: kern, Degree: h.Degree, MaxPoints: h.MaxPoints, MaxDepth: h.MaxDepth,
-			PinvTol: h.PinvTol,
 		},
 		// Always trace: the ledger is cheap at cluster scale and feeds the
 		// per-pass wire metrics and the rank trees of /v1/evals/recent.

@@ -65,7 +65,8 @@ import (
 // defaults (ApplyDefaults). This is the one declaration of the method's
 // parameters: the root package exports it as kifmm.Options, the parallel
 // driver and the paper harness embed it, and the cluster's job header
-// carries every field but the scheduling pair to the ranks.
+// carries every field but the scheduling pair to the ranks. The
+// pseudo-inverse cut is not a parameter: translate.NewSet decides it.
 type Options struct {
 	// Kernel is the interaction kernel (required).
 	Kernel kernels.Kernel
@@ -77,8 +78,6 @@ type Options struct {
 	MaxPoints int
 	// MaxDepth caps the octree depth.
 	MaxDepth int
-	// PinvTol is the pseudo-inverse truncation (default 1e-10).
-	PinvTol float64
 	// Workers is the widest a single evaluation may fan its per-box
 	// work out (default GOMAXPROCS; 1 forces the sequential path). It
 	// is a ceiling, not a fixed width: the actual width of each call is
@@ -160,17 +159,16 @@ type Evaluator struct {
 }
 
 // ApplyDefaults fills zero-valued options with the paper-matching
-// defaults (degree 6, leaf threshold 60, pinv tolerance 1e-10, one
-// worker per logical CPU). It is the single source of truth for
-// defaulting: NewCtx and FromTree apply it, every rank of a parallel run
-// gets its options through it, and kifmm.PlanKey hashes its result, so
-// that options which build identical evaluators identify the same plan.
-// For that reason it mirrors the exact coercion
-// rules of the downstream construction: tree.BuildCtx treats MaxPoints <= 0
-// as 60 and clamps MaxDepth to (0, morton.MaxLevel], and
-// translate.NewSet treats PinvTol <= 0 as 1e-10. (Negative Degree is not
-// coerced anywhere; it fails surface construction and never produces an
-// evaluator. Workers is machine-dependent and never hashed.)
+// defaults (degree 6, leaf threshold 60, one worker per logical CPU).
+// It is the single source of truth for defaulting: NewCtx and FromTree
+// apply it, every rank of a parallel run gets its options through it,
+// and kifmm.PlanKey hashes its result, so that options which build
+// identical evaluators identify the same plan. For that reason it
+// mirrors the exact coercion rules of the downstream construction:
+// tree.BuildCtx treats MaxPoints <= 0 as 60 and clamps MaxDepth to
+// (0, morton.MaxLevel]. (Negative Degree is not coerced anywhere; it
+// fails surface construction and never produces an evaluator. Workers
+// is machine-dependent and never hashed.)
 func ApplyDefaults(opt Options) Options {
 	if opt.Degree == 0 {
 		opt.Degree = 6
@@ -180,9 +178,6 @@ func ApplyDefaults(opt Options) Options {
 	}
 	if opt.MaxDepth <= 0 || opt.MaxDepth > morton.MaxLevel {
 		opt.MaxDepth = morton.MaxLevel
-	}
-	if opt.PinvTol <= 0 {
-		opt.PinvTol = 1e-10
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
@@ -241,7 +236,7 @@ func NewCtx(ctx context.Context, src, trg []float64, opt Options) (*Evaluator, e
 // private one-lane Options.Pool.
 func FromTree(tr *tree.Tree, opt Options) (*Evaluator, error) {
 	opt = ApplyDefaults(opt)
-	ops, err := translate.NewSet(opt.Kernel, opt.Degree, tr.HalfWidth, opt.PinvTol)
+	ops, err := translate.NewSet(opt.Kernel, opt.Degree, tr.HalfWidth, 0)
 	if err != nil {
 		return nil, errs.Typed(err, errs.CodeInvalidInput)
 	}

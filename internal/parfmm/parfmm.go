@@ -169,7 +169,7 @@ func (opt Options) engine() (fmm.Options, error) {
 		return fmm.Options{}, errs.New(errs.CodeInvalidInput, "parfmm: Options.Kernel is required")
 	}
 	eo := fmm.ApplyDefaults(opt.Options)
-	if _, err := translate.NewSet(eo.Kernel, eo.Degree, 1, eo.PinvTol); err != nil {
+	if _, err := translate.NewSet(eo.Kernel, eo.Degree, 1, 0); err != nil {
 		return fmm.Options{}, errs.Typed(err, errs.CodeInvalidInput)
 	}
 	return eo, nil

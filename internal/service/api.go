@@ -59,8 +59,6 @@ type PlanRequest struct {
 	MaxPoints int `json:"max_points,omitempty"`
 	// MaxDepth caps the octree depth (0 = uncapped).
 	MaxDepth int `json:"max_depth,omitempty"`
-	// PinvTol is the pseudo-inverse truncation (0 = default 1e-10).
-	PinvTol float64 `json:"pinv_tol,omitempty"`
 }
 
 // options converts the request into library options, validating the
@@ -71,8 +69,7 @@ func (r *PlanRequest) options() (kifmm.Options, error) {
 		return kifmm.Options{}, err
 	}
 	return kifmm.Options{
-		Kernel: k, Degree: r.Degree, MaxPoints: r.MaxPoints,
-		MaxDepth: r.MaxDepth, PinvTol: r.PinvTol,
+		Kernel: k, Degree: r.Degree, MaxPoints: r.MaxPoints, MaxDepth: r.MaxDepth,
 	}, nil
 }
 

@@ -116,6 +116,51 @@ func TestOneShotRoutesToCluster(t *testing.T) {
 	}
 }
 
+// TestOneShotTrgUploadStaysLocal: a one-shot whose targets come from an
+// upload runs on the single node even when its inline src is
+// cluster-sized, because the distributed engine evaluates at the sources
+// only. The answer is the one a service without a cluster gives, bit for
+// bit, at the uploaded targets.
+func TestOneShotTrgUploadStaysLocal(t *testing.T) {
+	svc, coord := clusterService(t, 1000)
+	rng := rand.New(rand.NewSource(12))
+	const n, m = 1500, 200
+	src := geom.Flatten(geom.SphereGrid(rng, n, 1, 0.05))
+	trg := geom.Flatten(geom.UniformCube(rng, m))
+	req := OneShotRequest{
+		PlanRequest: PlanRequest{Src: src, Kernel: kernels.Spec{Name: "laplace"}, Degree: 4},
+		Densities:   geom.RandomDensities(rng, n, 1),
+	}
+	var pots [2][]float64
+	for i, s := range []*Service{svc, New(Config{})} {
+		up, err := s.uploads.create(len(trg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.uploads.append(up.ID, 0, trg); err != nil {
+			t.Fatal(err)
+		}
+		r := req
+		r.TrgUpload = up.ID
+		res, err := s.EvaluateOnce(context.Background(), r)
+		if err != nil {
+			t.Fatalf("service %d: %v", i, err)
+		}
+		pots[i] = res.Potentials[0]
+	}
+	if coord.Evals() != 0 {
+		t.Errorf("a trg_upload one-shot reached the cluster (evals=%d)", coord.Evals())
+	}
+	if len(pots[0]) != m || len(pots[1]) != m {
+		t.Fatalf("%d and %d potentials, want %d (one per uploaded target)", len(pots[0]), len(pots[1]), m)
+	}
+	for i := range pots[1] {
+		if math.Float64bits(pots[0][i]) != math.Float64bits(pots[1][i]) {
+			t.Fatalf("target %d: %v with a cluster attached, %v without", i, pots[0][i], pots[1][i])
+		}
+	}
+}
+
 // TestClusterTraceNestsRankTrees: a cluster evaluation's recent-evals
 // entry is one tree from the coordinator down to the passes — the
 // cluster_evaluate root adopts each rank's own span tree, whose iteration

@@ -46,7 +46,7 @@ func goldenPlan(vals []float64) PlanRequest {
 		Src:    vals,
 		Trg:    []float64{1, 2, 3, 4, 5, 6},
 		Kernel: KernelSpec{Name: "stokes", Params: map[string]float64{"mu": 2}},
-		Degree: 4, MaxPoints: 40, MaxDepth: 7, PinvTol: 1e-9,
+		Degree: 4, MaxPoints: 40, MaxDepth: 7,
 	}
 }
 
@@ -204,62 +204,90 @@ func TestGoldenWireBytes(t *testing.T) {
 	}
 }
 
-// parentPlanJSON is req_plan.json as it was before the dense M2L
-// translation went: it still names the retired "backend".
-const parentPlanJSON = `{"src":[0,0.5,-1.25,1e-300,3,-0,7.5,1.7976931348623157e+308,5e-324],"trg":[1,2,3,4,5,6],"kernel":{"name":"stokes","params":{"mu":2}},"degree":4,"max_points":40,"max_depth":7,"backend":"dense","pinv_tol":1e-9}`
+// retiredKeys are request keys the service once read and now ignores:
+// the dense M2L translation's "backend" and the pseudo-inverse cut
+// "pinv_tol", which translate.NewSet decides alone.
+var retiredKeys = []string{`"backend":"dense"`, `"pinv_tol":1e-9`}
 
-// TestRetiredBackendKeyIgnored: a plan request that still carries the
-// retired "backend" key decodes on both codecs to the request without it,
-// and registers as the same plan.
-func TestRetiredBackendKeyIgnored(t *testing.T) {
-	const retired = `"backend":"dense",`
-	// The frame body is the golden one with the key put back into its JSON
-	// meta: magic, u32 meta length, meta, binary arrays.
-	frame := readGolden(t, "req_plan.frame")
-	n := binary.LittleEndian.Uint32(frame[4:8])
-	meta := string(frame[8 : 8+n])
-	at := strings.Index(meta, `"pinv_tol"`)
-	meta = meta[:at] + retired + meta[at:]
-	parentFrame := binary.LittleEndian.AppendUint32([]byte("KFM1"), uint32(len(meta)))
-	parentFrame = append(append(parentFrame, meta...), frame[8+n:]...)
-	for _, tc := range []struct {
-		frame bool
-		body  []byte
-		vals  []float64
-	}{
-		{false, []byte(parentPlanJSON), goldenFinite()},
-		{true, parentFrame, goldenSpecial()},
-	} {
-		got, err := decodeRequest(tc.frame, ShapePlan, bytes.NewReader(tc.body))
-		if err != nil {
-			t.Fatalf("frame=%v: %v", tc.frame, err)
-		}
-		if g, w := bitsJSON(t, got), bitsJSON(t, Request{PlanRequest: goldenPlan(tc.vals)}); g != w {
-			t.Errorf("frame=%v: decoded\n got %s\nwant %s", tc.frame, g, w)
-		}
+// withKey puts key back into a request body before the closing brace of
+// its JSON: the whole body, or a frame's meta (magic, u32 meta length,
+// meta, binary arrays).
+func withKey(frame bool, body []byte, key string) []byte {
+	if !frame {
+		at := bytes.LastIndexByte(body, '}')
+		return append(append(append([]byte{}, body[:at]...), ","+key...), body[at:]...)
 	}
+	n := binary.LittleEndian.Uint32(body[4:8])
+	meta := withKey(false, body[8:8+n], key)
+	out := binary.LittleEndian.AppendUint32(append([]byte{}, body[:4]...), uint32(len(meta)))
+	return append(append(out, meta...), body[8+n:]...)
+}
 
-	// The golden geometry has a coordinate beyond the service's bound;
-	// register both bodies with that one replaced.
+// TestRetiredKeysIgnored: a plan or one-shot request that still carries a
+// retired key decodes on both codecs to the request without it, and
+// registers as the same plan.
+func TestRetiredKeysIgnored(t *testing.T) {
 	ts := httptest.NewServer(NewServer(New(Config{})))
 	defer ts.Close()
-	register := func(body string) PlanInfo {
-		body = strings.Replace(body, "1.7976931348623157e+308", "1", 1)
-		resp, err := http.Post(ts.URL+"/v1/plans", contentTypeJSON, strings.NewReader(body))
+	planID := func(frame bool, shape Shape, body []byte) string {
+		route, ct := "/v1/plans", contentTypeJSON
+		if shape == ShapeOneShot {
+			route = "/v1/evaluate"
+		}
+		if frame {
+			ct = ContentTypeFrame
+		}
+		resp, err := http.Post(ts.URL+route, ct, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var info PlanInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || resp.StatusCode/100 != 2 {
-			t.Fatalf("register: status %d, %v", resp.StatusCode, err)
+		var got struct {
+			ID string `json:"plan_id"`
 		}
-		return info
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode/100 != 2 {
+			t.Fatalf("%s: status %d, %v", route, resp.StatusCode, err)
+		}
+		return got.ID
 	}
-	old := register(parentPlanJSON)
-	cur := register(string(readGolden(t, "req_plan.json")))
-	if cur.ID != old.ID || !cur.Cached {
-		t.Errorf("the body without backend registered %s (cached %v), the parent's body %s", cur.ID, cur.Cached, old.ID)
+	// The golden geometry has a coordinate beyond the service's bound (and
+	// the frame's holds NaNs): register a copy with finite, bounded values.
+	bounded := goldenFinite()
+	bounded[7] = 1
+	for _, frame := range []bool{false, true} {
+		ext, vals := ".json", goldenFinite()
+		if frame {
+			ext, vals = ".frame", goldenSpecial()
+		}
+		for _, tc := range []struct {
+			file  string
+			shape Shape
+			req   func(vals []float64) Request
+		}{
+			{"req_plan", ShapePlan, func(vals []float64) Request { return Request{PlanRequest: goldenPlan(vals)} }},
+			{"req_oneshot", ShapeOneShot, func(vals []float64) Request {
+				return Request{PlanRequest: goldenPlan(vals), Vectors: [][]float64{vals}}
+			}},
+		} {
+			cur, _, err := EncodeRequest(frame, tc.shape, tc.req(bounded))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := planID(frame, tc.shape, cur)
+			for _, key := range retiredKeys {
+				name := tc.file + ext + " with " + key
+				got, err := decodeRequest(frame, tc.shape, bytes.NewReader(withKey(frame, readGolden(t, tc.file+ext), key)))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if g, w := bitsJSON(t, got), bitsJSON(t, tc.req(vals)); g != w {
+					t.Errorf("%s: decoded\n got %s\nwant %s", name, g, w)
+				}
+				if id := planID(frame, tc.shape, withKey(frame, cur, key)); id != want {
+					t.Errorf("%s: registered plan %s, the body without the key %s", name, id, want)
+				}
+			}
+		}
 	}
 }
 

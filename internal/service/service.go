@@ -449,9 +449,6 @@ func checkOptionBounds(req PlanRequest) error {
 	if req.MaxDepth > maxRequestMaxDepth {
 		return tooLarge("max_depth %d exceeds the limit %d", req.MaxDepth, maxRequestMaxDepth)
 	}
-	if math.IsNaN(req.PinvTol) || req.PinvTol < 0 || req.PinvTol >= 1 {
-		return badRequest("pinv_tol %g outside [0, 1)", req.PinvTol)
-	}
 	return nil
 }
 
@@ -638,11 +635,13 @@ func (s *Service) publish(ctx context.Context, res EvaluateBatchResponse) {
 }
 
 // clusterSized reports whether a one-shot request should fan out
-// across the cluster: a coordinator is configured, the geometry has at
-// least ClusterMinPoints sources, and the targets default to the
-// sources (the distributed engine evaluates at source points).
+// across the cluster: a coordinator is configured, the inline src holds
+// at least ClusterMinPoints sources, and the targets default to the
+// sources, neither inline nor uploaded (the distributed engine
+// evaluates at source points). A src_upload one-shot has no inline src
+// and runs locally.
 func (s *Service) clusterSized(req PlanRequest) bool {
-	return s.cfg.Cluster != nil && len(req.Trg) == 0 &&
+	return s.cfg.Cluster != nil && len(req.Trg) == 0 && req.TrgUpload == "" &&
 		len(req.Src)/3 >= s.cfg.ClusterMinPoints
 }
 
@@ -665,7 +664,6 @@ func (s *Service) evaluateCluster(ctx context.Context, req PlanRequest, dens [][
 	pot, rep, err := s.cfg.Cluster.Evaluate(ctx, cluster.EvalRequest{
 		Src: src, Den: dens[0], Kernel: spec,
 		Degree: opt.Degree, MaxPoints: opt.MaxPoints, MaxDepth: opt.MaxDepth,
-		PinvTol: opt.PinvTol,
 	})
 	span.End()
 	res := EvaluateBatchResponse{Trace: span}

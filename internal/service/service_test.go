@@ -488,7 +488,6 @@ func TestRegisterValidation(t *testing.T) {
 		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, Degree: -1}, ErrBadRequest},
 		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, MaxPoints: -5}, ErrBadRequest},
 		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, MaxDepth: 99}, ErrTooLarge},
-		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, PinvTol: 2}, ErrBadRequest},
 		{PlanRequest{Src: []float64{1e308, 0, 0, -1e308, 0, 0}, Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest},            // bounding cube overflows
 		{PlanRequest{Src: []float64{math.NaN(), 0, 0}, Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest},                     // NaN coordinate
 		{PlanRequest{Src: []float64{0, 0, 0}, Trg: []float64{1e308, 0, 0}, Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest}, // bad trg

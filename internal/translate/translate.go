@@ -87,9 +87,9 @@ type Set struct {
 // entry is built for a box of half-width 1.
 const unitLevel = -1
 
-// NewSet prepares a view of the operator store. p is the surface degree
-// (>= 3), rootHalfWidth the level-0 box half-width, tol the
-// pseudo-inverse truncation (1e-10 is a good default).
+// NewSet prepares a view of the operator store (surface degree p >= 3,
+// level-0 box half-width rootHalfWidth) and decides the pseudo-inverse
+// cut: every in-tree caller passes tol 0 (1e-10); bench/ is why tol stays.
 func NewSet(k kernels.Kernel, p int, rootHalfWidth, tol float64) (*Set, error) {
 	surf, err := surface.New(p)
 	if err != nil {

@@ -34,7 +34,7 @@ func KernelFromSpec(s KernelSpec) (Kernel, error) { return kernels.FromSpec(s) }
 // in neither list, so it cannot silently miss the hash.
 var (
 	planKeyHashedOptionFields = []string{
-		"Kernel", "Degree", "MaxPoints", "MaxDepth", "PinvTol",
+		"Kernel", "Degree", "MaxPoints", "MaxDepth",
 	}
 	planKeyResultNeutralOptionFields = []string{"Workers", "Pool"}
 )
@@ -42,8 +42,9 @@ var (
 // PlanKey returns a content hash identifying a prepared Evaluator: two
 // calls agree exactly when NewEvaluatorCtx(ctx, src, trg, opt) would
 // build an identical plan. The hash covers the source and target geometry, the
-// kernel (by serialized spec, so parameters count) and every
-// tree/operator option; option zero values hash as their defaults. The
+// kernel (by serialized spec, so parameters count), the degree and the
+// tree options; option zero values hash as their defaults. The
+// pseudo-inverse cut is not an option: translate.NewSet decides it. The
 // evaluation service uses this as its plan-cache key.
 func PlanKey(src, trg []float64, opt Options) (string, error) {
 	if opt.Kernel == nil {
@@ -56,13 +57,6 @@ func PlanKey(src, trg []float64, opt Options) (string, error) {
 	opt = fmm.ApplyDefaults(opt) // zero-valued and explicit-default options: one key
 	h := sha256.New()
 	var buf [8]byte
-	writeF64 := func(v float64) {
-		if v == 0 {
-			v = 0 // collapse -0.0 onto +0.0: identical geometry, one key
-		}
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
 	writeInt := func(v int) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
 		h.Write(buf[:])
@@ -74,7 +68,7 @@ func PlanKey(src, trg []float64, opt Options) (string, error) {
 	writeF64s := func(vs []float64) {
 		for _, v := range vs {
 			if v == 0 {
-				v = 0
+				v = 0 // collapse -0.0 onto +0.0: identical geometry, one key
 			}
 			chunk = binary.LittleEndian.AppendUint64(chunk, math.Float64bits(v))
 			if len(chunk) == cap(chunk) {
@@ -91,7 +85,6 @@ func PlanKey(src, trg []float64, opt Options) (string, error) {
 	writeInt(opt.Degree)
 	writeInt(opt.MaxPoints)
 	writeInt(opt.MaxDepth)
-	writeF64(opt.PinvTol)
 	writeInt(len(src))
 	writeF64s(src)
 	writeInt(len(trg))

@@ -35,7 +35,7 @@ func TestPlanKeyNormalizesDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	explicit, err := PlanKey(pts, pts, Options{
-		Kernel: Laplace(), Degree: 6, MaxPoints: 60, PinvTol: 1e-10,
+		Kernel: Laplace(), Degree: 6, MaxPoints: 60,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +48,7 @@ func TestPlanKeyNormalizesDefaults(t *testing.T) {
 func TestPlanKeyMatchesBuildCoercion(t *testing.T) {
 	// Options that the construction path coerces to the same evaluator
 	// must hash to the same key: tree.BuildCtx treats MaxPoints <= 0 as 60
-	// and clamps MaxDepth to (0, 21], translate.NewSet treats
-	// PinvTol <= 0 as 1e-10.
+	// and clamps MaxDepth to (0, 21].
 	pts := somePoints(50)
 	base, err := PlanKey(pts, pts, Options{Kernel: Laplace()})
 	if err != nil {
@@ -59,7 +58,6 @@ func TestPlanKeyMatchesBuildCoercion(t *testing.T) {
 		{Kernel: Laplace(), MaxPoints: -1},
 		{Kernel: Laplace(), MaxDepth: 21},
 		{Kernel: Laplace(), MaxDepth: 9999},
-		{Kernel: Laplace(), PinvTol: -1},
 	}
 	for i, opt := range equivalent {
 		key, err := PlanKey(pts, pts, opt)
@@ -84,7 +82,6 @@ func TestPlanKeyDiscriminates(t *testing.T) {
 		{Kernel: Laplace(), Degree: 8},
 		{Kernel: Laplace(), MaxPoints: 120},
 		{Kernel: Laplace(), MaxDepth: 3},
-		{Kernel: Laplace(), PinvTol: 1e-8},
 	}
 	seen := map[string]int{base: -1}
 	for i, opt := range variants {
