@@ -331,12 +331,14 @@ func (l *Lease) resize() int {
 // worker returns its lane before retiring, so equality means none are
 // in flight) and the pool's current allocation grants this lease more
 // than it holds, the free lanes are claimed and the target raised.
-// Returns how many new worker goroutines the sweep should start.
+// Returns how many new worker goroutines the sweep should start. A lease
+// already at its ceiling returns at once: the allocation could not
+// grant it more, and computing it costs a sort and a map per poll.
 func (l *Lease) tryGrow() int {
 	e := l.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if l.released || int(l.target.Load()) != l.held {
+	if l.released || int(l.target.Load()) != l.held || l.held >= l.want {
 		return 0
 	}
 	t := clamp(e.allocsLocked(nil, false)[l], 1, l.want)

@@ -156,6 +156,9 @@ type Evaluator struct {
 	opt  Options
 	fft  *translate.FFTM2L
 	pool *exec.Elastic
+	// work recycles the per-call workspaces (*workspace) across
+	// evaluations; see Evaluate.
+	work sync.Pool
 }
 
 // ApplyDefaults fills zero-valued options with the paper-matching
@@ -266,7 +269,9 @@ func (e *Evaluator) Workers() int {
 // it, so a byte-bounded plan cache summing FootprintBytes counts every
 // shared byte once and nothing a plan does not use. The estimate is live:
 // it grows as lazily built operators appear and moves when a sharing plan
-// is closed, and only then.
+// is closed, and only then. It is what the plan pins, not the transient
+// per-call state: the workspaces Evaluate recycles sit in a sync.Pool the
+// GC may empty, and are not counted.
 func (e *Evaluator) FootprintBytes() int64 {
 	return e.Tree.MemoryBytes() + e.Ops.CachedBytes() + e.fft.CachedBytes()
 }
@@ -319,8 +324,8 @@ func (g treeGhost) Counts(bi int32) (src, trg int) {
 }
 
 // runState carries one evaluation's transient state: the engine reads
-// the Evaluator but writes only here, which is what makes concurrent
-// evaluations of one plan safe.
+// the Evaluator but writes only here and in the call's workspace, which
+// is what makes concurrent evaluations of one plan safe.
 type runState struct {
 	e    *Evaluator
 	pool *exec.Lease
@@ -329,13 +334,107 @@ type runState struct {
 
 	sd, td, ne, nc int
 
+	// phiU holds the per-box upward equivalent densities the downward
+	// and leaf passes read: the workspace's localU as the Ghost returns
+	// it from Exchange.
+	phiU [][]float64
+
+	*workspace
+}
+
+// workspace is everything one evaluation writes except the potentials it
+// returns. An Evaluator keeps its workspaces in a sync.Pool: a call takes
+// one for its whole run, so concurrent calls never share one, and the
+// buffers of an idle plan stay reclaimable by the GC. Every buffer grows
+// on demand (a workspace first used by a batch of four later serves
+// single vectors) and is either cleared or fully overwritten before it is
+// read, so reuse never shows in a result.
+type workspace struct {
+	// upSlot and downSlot number the boxes that can hold an upward
+	// density (sources below them) and a downward density or check
+	// potential (targets below them, level 2 or deeper); -1 for none. A
+	// box's view of the matching slab is its slot times the per-box
+	// stride, so placement is fixed by the tree and needs no lock.
+	upSlot, downSlot []int32
+	nUp, nDown       int
+
 	pdens  [][]float64 // per-RHS densities, Morton order
 	ppots  [][]float64 // per-RHS potentials, Morton order
-	phiU   [][]float64 // per-box upward equivalent densities (nrhs*ne)
-	phiD   [][]float64 // per-box downward equivalent densities (nrhs*ne)
-	checks [][]float64 // per-box downward check potentials (nrhs*nc)
+	localU [][]float64 // per-box upward equivalent densities of the call's own sources (nrhs*ne), nil for none
+	phiD   [][]float64 // per-box downward equivalent densities (nrhs*ne), nil for none
+	checks [][]float64 // per-box downward check potentials (nrhs*nc), nil for none
 
-	ws []scratch // per-worker scratch and stats
+	upSlab, downSlab, checkSlab []float64 // backing of localU, phiD, checks
+
+	// The V-list sweep's source grids, one slab reused level after level,
+	// and its index of the source boxes they belong to (applyM2LFFT).
+	grids        []complex128
+	gridOf, used []int32
+
+	lanes []scratch // per-worker scratch and stats
+}
+
+// grow returns buf resliced to n elements, reallocated when too short.
+// The contents are not cleared.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// newWorkspace numbers the boxes of t that can need a slab view.
+func newWorkspace(t *tree.Tree) *workspace {
+	w := &workspace{upSlot: make([]int32, len(t.Boxes)), downSlot: make([]int32, len(t.Boxes))}
+	for bi := range t.Boxes {
+		b := &t.Boxes[bi]
+		w.upSlot[bi], w.downSlot[bi] = -1, -1
+		if b.SrcCount > 0 {
+			w.upSlot[bi] = int32(w.nUp)
+			w.nUp++
+		}
+		if b.TrgCount > 0 && b.Level() >= 2 {
+			w.downSlot[bi] = int32(w.nDown)
+			w.nDown++
+		}
+	}
+	return w
+}
+
+// resetWorkspace sizes the call's workspace for its batch on width lanes
+// and forgets the previous call: no box has a view, no lane has counted
+// anything, and the Morton-order potentials are zero (passes accumulate
+// into them). The densities are overwritten by the permutation.
+func (r *runState) resetWorkspace(nSrc, nTrg, width int) {
+	w, nrhs := r.workspace, r.nrhs
+	w.pdens, w.ppots = grow(w.pdens, nrhs), grow(w.ppots, nrhs)
+	for q := 0; q < nrhs; q++ {
+		w.pdens[q] = grow(w.pdens[q], nSrc*r.sd)
+		w.ppots[q] = grow(w.ppots[q], nTrg*r.td)
+		clear(w.ppots[q])
+	}
+	nb := len(w.upSlot)
+	w.localU, w.phiD, w.checks = grow(w.localU, nb), grow(w.phiD, nb), grow(w.checks, nb)
+	clear(w.localU)
+	clear(w.phiD)
+	clear(w.checks)
+	w.upSlab = grow(w.upSlab, w.nUp*nrhs*r.ne)
+	w.downSlab = grow(w.downSlab, w.nDown*nrhs*r.ne)
+	w.checkSlab = grow(w.checkSlab, w.nDown*nrhs*r.nc)
+	if cap(w.lanes) < width {
+		w.lanes = append(w.lanes[:cap(w.lanes)], make([]scratch, width-cap(w.lanes))...)
+	}
+	w.lanes = w.lanes[:width]
+	for i := range w.lanes {
+		w.lanes[i].stats = Stats{}
+	}
+}
+
+// view hands out box bi's zeroed view of a slab of per-box stride n.
+func view(slab []float64, slot int32, n int) []float64 {
+	v := slab[int(slot)*n : (int(slot)+1)*n]
+	clear(v)
+	return v
 }
 
 // scratch is one worker's private buffers; ForRange hands every
@@ -402,6 +501,14 @@ func (sc *scratch) accBuf(n int) []complex128 {
 // barrier, the partially written run state is discarded, and the typed
 // cancellation error is returned.
 //
+// The returned potentials are the only memory a warm call allocates in
+// proportion to the problem. Everything else it writes — the Morton-order
+// densities and potentials, the per-box upward and downward densities and
+// check potentials, the V-list Fourier grids and the per-lane scratch —
+// lives in a workspace the call takes from the Evaluator's pool at entry
+// and returns on every exit path, cancellation included. Concurrent calls
+// each hold their own, and reuse never changes a bit of the result.
+//
 // root, when non-nil, is the caller's open span and collects the trace:
 // wall-clock intervals for each pass (permute / up / down / leaf /
 // unpermute) and each tree level within the up and down passes, plus the
@@ -438,15 +545,21 @@ func (e *Evaluator) Evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 		return nil, Stats{}, errs.FromContext(err)
 	}
 	defer lease.Release()
+	w, _ := e.work.Get().(*workspace)
+	if w == nil {
+		w = newWorkspace(t)
+	}
+	// Every pass has drained at its barrier by the time this runs, on
+	// every exit path, so no lane still writes into the workspace.
+	defer e.work.Put(w)
 	r := &runState{
 		e: e, pool: lease, nrhs: len(dens),
 		sd: sd, td: td, ne: e.Ops.EquivCount(), nc: e.Ops.CheckCount(),
-		pdens: make([][]float64, len(dens)),
-		ppots: make([][]float64, len(dens)),
-		// Scratch is sized off the lease ceiling, not the granted
-		// width: a shrunken call can fan back out at a pass boundary.
-		ws: make([]scratch, lease.MaxWidth()),
+		workspace: w,
 	}
+	// Scratch is sized off the lease ceiling, not the granted width: a
+	// shrunken call can fan back out at a pass boundary.
+	r.resetWorkspace(nSrc, nTrg, lease.MaxWidth())
 	if r.g = g; g == nil {
 		r.g = treeGhost{r}
 	}
@@ -455,13 +568,11 @@ func (e *Evaluator) Evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 	// Permute densities into Morton order (fanned out across the batch).
 	sp := root.StartChild("permute")
 	err = r.pool.ForRange(ctx, 0, r.nrhs, func(_, q int) {
-		p := make([]float64, nSrc*sd)
+		p := r.pdens[q]
 		for i, orig := range t.SrcPerm {
 			o := int(orig)
 			copy(p[i*sd:(i+1)*sd], dens[q][o*sd:(o+1)*sd])
 		}
-		r.pdens[q] = p
-		r.ppots[q] = make([]float64, nTrg*td)
 	})
 	sp.End()
 	if err == nil {
@@ -470,7 +581,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 		sp.End()
 	}
 	if err == nil {
-		r.phiU = r.g.Exchange(r.phiU)
+		r.phiU = r.g.Exchange(r.localU)
 	}
 	var downSp, leafSp *obs.Span
 	if err == nil {
@@ -502,8 +613,8 @@ func (e *Evaluator) Evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 		return nil, Stats{}, errs.FromContext(err)
 	}
 	var st Stats
-	for i := range r.ws {
-		st.Add(r.ws[i].stats)
+	for i := range r.lanes {
+		st.Add(r.lanes[i].stats)
 	}
 	st.Lanes = lease.Granted()
 	downSp.SetAttr("x_direct", strconv.FormatInt(st.XDirect, 10))
@@ -566,6 +677,15 @@ func stageStart() time.Time {
 	return time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
 }
 
+// levelSpan opens the span of tree level l under a pass span; an
+// untraced call (nil sp) does not even build the name.
+func levelSpan(sp *obs.Span, l int) *obs.Span {
+	if sp == nil {
+		return nil
+	}
+	return sp.StartChild("level " + strconv.Itoa(l))
+}
+
 // upwardPass computes upward equivalent densities for every box that
 // contains sources, deepest level first (S2M at leaves, M2M inside).
 // Levels run in sequence — a parent needs its children — and the boxes
@@ -573,9 +693,8 @@ func stageStart() time.Time {
 func (r *runState) upwardPass(ctx context.Context, sp *obs.Span) error {
 	t := r.e.Tree
 	ne, nc := r.ne, r.nc
-	r.phiU = make([][]float64, len(t.Boxes))
 	for l := t.Depth() - 1; l >= 0; l-- {
-		ls := sp.StartChild("level " + strconv.Itoa(l))
+		ls := levelSpan(sp, l)
 		radius := t.BoxHalfWidth(l)
 		// Fetch the level's operators once, outside the parallel region,
 		// so workers apply them lock-free. Internal boxes exist at level
@@ -592,7 +711,7 @@ func (r *runState) upwardPass(ctx context.Context, sp *obs.Span) error {
 			if b.SrcCount == 0 {
 				return
 			}
-			sc := &r.ws[w]
+			sc := &r.lanes[w]
 			start := stageStart()
 			check := sc.checkBuf(r.nrhs * nc)
 			for i := range check {
@@ -605,21 +724,21 @@ func (r *runState) upwardPass(ctx context.Context, sp *obs.Span) error {
 				r.addP2P(sc, ucPts, src, den, sliceAt(check, nc), &sc.stats.FlopsUp)
 			} else {
 				for o, ci := range b.Children {
-					if ci == tree.Nil || r.phiU[ci] == nil {
+					if ci == tree.Nil || r.localU[ci] == nil {
 						continue
 					}
 					for q := 0; q < r.nrhs; q++ {
-						m2m[o].Apply(check[q*nc:(q+1)*nc], r.phiU[ci][q*ne:(q+1)*ne])
+						m2m[o].Apply(check[q*nc:(q+1)*nc], r.localU[ci][q*ne:(q+1)*ne])
 					}
 					sc.stats.FlopsUp += int64(2*nc*ne) * int64(r.nrhs)
 				}
 			}
-			phi := make([]float64, r.nrhs*ne)
+			phi := view(r.upSlab, r.upSlot[bi], r.nrhs*ne)
 			for q := 0; q < r.nrhs; q++ {
 				upPinv.Apply(phi[q*ne:(q+1)*ne], check[q*nc:(q+1)*nc])
 			}
 			sc.stats.FlopsUp += int64(2*ne*nc) * int64(r.nrhs)
-			r.phiU[bi] = phi
+			r.localU[bi] = phi
 			sc.stats.Up += time.Since(start)
 		})
 		ls.End()
@@ -630,12 +749,13 @@ func (r *runState) upwardPass(ctx context.Context, sp *obs.Span) error {
 	return nil
 }
 
-// getCheck lazily allocates a box's downward check potentials. Within
-// each parallel phase a box is visited by exactly one worker, and phases
-// are separated by pool barriers, so no lock is needed.
+// getCheck hands out a box's downward check potentials, zeroed on first
+// use in this call. Within each parallel phase a box is visited by
+// exactly one worker, and phases are separated by pool barriers, so no
+// lock is needed.
 func (r *runState) getCheck(bi int32) []float64 {
 	if r.checks[bi] == nil {
-		r.checks[bi] = make([]float64, r.nrhs*r.nc)
+		r.checks[bi] = view(r.checkSlab, r.downSlot[bi], r.nrhs*r.nc)
 	}
 	return r.checks[bi]
 }
@@ -649,13 +769,11 @@ func (r *runState) getCheck(bi int32) []float64 {
 func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 	t := r.e.Tree
 	ne, nc := r.ne, r.nc
-	r.phiD = make([][]float64, len(t.Boxes))
 	if t.Depth() <= 2 {
 		return nil
 	}
-	r.checks = make([][]float64, len(t.Boxes))
 	for l := 2; l < t.Depth(); l++ {
-		ls := sp.StartChild("level " + strconv.Itoa(l))
+		ls := levelSpan(sp, l)
 		// V list: M2L translations, batched per level.
 		if err := r.applyM2LFFT(ctx, l); err != nil {
 			ls.End()
@@ -681,7 +799,7 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 				// can hold sources only.)
 				return
 			}
-			sc := &r.ws[w]
+			sc := &r.lanes[w]
 			// X list: sources of coarser leaves evaluated on the DC surface
 			// (S2L) — or, for a leaf with fewer targets than the surface has
 			// points, straight at those targets; a box whose only downward
@@ -715,7 +833,7 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 				sc.stats.FlopsEval += int64(2*nc*ne) * int64(r.nrhs)
 			}
 			if r.checks[bi] != nil {
-				phi := make([]float64, r.nrhs*ne)
+				phi := view(r.downSlab, r.downSlot[bi], r.nrhs*ne)
 				for q := 0; q < r.nrhs; q++ {
 					downPinv.Apply(phi[q*ne:(q+1)*ne], r.checks[bi][q*nc:(q+1)*nc])
 				}
@@ -735,7 +853,8 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 // rhsChunk picks how many right-hand sides the V-list sweep processes
 // per pass: a chunk shares one kernel-tensor load per (target, source)
 // pair (a small gain as measured, see applyM2LFFT) and is bounded so the
-// in-flight Fourier grids of a level stay within a fixed memory budget.
+// in-flight Fourier grids of a level — the workspace's one grid slab,
+// reused level after level — stay within a fixed memory budget.
 // The choice depends only on the plan and the batch — never on the
 // worker count — so batched results stay deterministic across machines.
 func rhsChunk(nrhs, nused, sd, gl int) int {
@@ -782,11 +901,11 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 	// (RHS-independent; read-only inside the parallel sweeps). V-list
 	// members share the level, so the grid slot of box a is gridOf[a-lo],
 	// -1 for a box no list uses.
-	gridOf := make([]int32, hi-lo)
+	gridOf := grow(r.gridOf, hi-lo)
 	for i := range gridOf {
 		gridOf[i] = -1
 	}
-	var used []int32
+	used := r.used[:0]
 	for bi := lo; bi < hi; bi++ {
 		b := &t.Boxes[bi]
 		if b.TrgCount == 0 {
@@ -802,11 +921,17 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 			}
 		}
 	}
+	r.gridOf, r.used = gridOf, used
 	if len(used) == 0 {
 		return nil
 	}
 	chunk := rhsChunk(r.nrhs, len(used), sd, gl)
-	grids := make([][]complex128, len(used))
+	// Grid i, the rhs-major grids of source box used[i], starts at
+	// i*stride. ForwardDensityBatch overwrites every coefficient it
+	// hands on, so the reused slab needs no clearing.
+	stride := chunk * sd * gl
+	r.grids = grow(r.grids, len(used)*stride)
+	grids := r.grids
 	for q0 := 0; q0 < r.nrhs; q0 += chunk {
 		nq := chunk
 		if q0+nq > r.nrhs {
@@ -815,12 +940,9 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 		// Forward-transform every contributing source box for this rhs
 		// chunk (grid buffers are reused across chunks).
 		err := r.pool.ForRange(ctx, 0, len(used), func(w, i int) {
-			sc := &r.ws[w]
+			sc := &r.lanes[w]
 			start := stageStart()
-			if grids[i] == nil {
-				grids[i] = make([]complex128, chunk*sd*gl)
-			}
-			f.ForwardDensityBatch(r.phiU[used[i]][q0*ne:(q0+nq)*ne], nq, grids[i])
+			f.ForwardDensityBatch(r.phiU[used[i]][q0*ne:(q0+nq)*ne], nq, grids[i*stride:(i+1)*stride])
 			sc.stats.FlopsDownV += int64(5*gl*sd) * int64(nq) // ~5 n log n per grid
 			sc.stats.DownV += time.Since(start)
 		})
@@ -832,7 +954,7 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 			if b.TrgCount == 0 || len(b.V) == 0 {
 				return
 			}
-			sc := &r.ws[w]
+			sc := &r.lanes[w]
 			start := stageStart()
 			acc := sc.accBuf(nq * td * gl)
 			bx, by, bz := b.Key.Decode()
@@ -844,7 +966,7 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 				}
 				ax, ay, az := t.Boxes[a].Key.Decode()
 				off := [3]int{int(bx) - int(ax), int(by) - int(ay), int(bz) - int(az)}
-				f.AccumulateBatch(acc, grids[gi][:nq*sd*gl], nq, l, off)
+				f.AccumulateBatch(acc, grids[int(gi)*stride:int(gi)*stride+nq*sd*gl], nq, l, off)
 				sc.stats.FlopsDownV += int64(8*gl*sd*td) * int64(nq)
 				any = true
 			}
@@ -878,7 +1000,7 @@ func (r *runState) leafEvaluation(ctx context.Context) error {
 		if !b.Leaf || b.TrgCount == 0 {
 			return
 		}
-		sc := &r.ws[w]
+		sc := &r.lanes[w]
 		trg := t.TrgSlice(int32(bi))
 		pot := r.potAt(b)
 		// U list: direct interactions with adjacent leaves (and itself).

@@ -117,7 +117,8 @@ func TestWorkerSlotWaitHonorsContext(t *testing.T) {
 }
 
 // TestRegisterCancelledBuild: a cancelled registration returns the
-// typed error, does not poison the cache, and a retry builds cleanly.
+// typed error, starts no build (one that finished before its caller
+// left could be cached), and a retry builds cleanly.
 func TestRegisterCancelledBuild(t *testing.T) {
 	svc := New(Config{})
 	req := cloudRequest(18, 800)
@@ -125,6 +126,9 @@ func TestRegisterCancelledBuild(t *testing.T) {
 	cancel()
 	if _, err := svc.Register(ctx, req); !errors.Is(err, kifmm.ErrCanceled) {
 		t.Fatalf("cancelled register: err = %v, want ErrCanceled", err)
+	}
+	if n := svc.m.cacheMisses.Value(); n != 0 {
+		t.Errorf("cancelled register started %d builds", n)
 	}
 	if n := svc.Plans(); n != 0 {
 		t.Errorf("cancelled build cached %d plans", n)

@@ -241,10 +241,16 @@ func (s *Service) Register(ctx context.Context, req PlanRequest) (PlanInfo, erro
 // The build runs detached from any single caller's ctx (see buildCall):
 // a caller's own ctx only abandons its wait, and the build is cancelled
 // only when the initiator and every coalesced waiter have walked away.
+// A caller whose ctx is already done gets its typed cancellation before
+// the cache is read or a build joined or started: a build it started
+// could finish before its leaving cancelled it, and be cached.
 func (s *Service) register(ctx context.Context, req PlanRequest) (*plan, bool, error) {
 	src, trg, opt, spec, key, err := s.resolve(req)
 	if err != nil {
 		return nil, false, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, false, errs.FromContext(err)
 	}
 
 	s.mu.Lock()
