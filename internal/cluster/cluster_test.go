@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -88,15 +90,6 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 	if got.Src != 1 || got.Dst != 3 || got.Tag != 42 || got.SentNS != 12345 || got.Data[1] != -2.5 {
 		t.Fatalf("p2p mangled: %+v", got)
-	}
-
-	coll := &collMsg{Job: 7, Rank: 2, Kind: collFloat64, Op: 1, Seq: 5, EntryNS: 99, F64: []float64{3.25}}
-	gotColl, err := decodeColl(encodeColl(coll))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotColl.Rank != 2 || gotColl.Kind != collFloat64 || gotColl.Seq != 5 || gotColl.F64[0] != 3.25 {
-		t.Fatalf("coll mangled: %+v", gotColl)
 	}
 
 	job, code, msg, err := decodeJobStatus(encodeJobStatus(7, "worker_lost", "gone"))
@@ -244,11 +237,20 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 // TestClusterWorkerLost kills one worker mid-evaluation: the blocked
 // Evaluate must resolve with the typed worker_lost error within two
 // heartbeat intervals (no hang), nothing may leak, and the degraded
-// coordinator must keep rejecting cluster requests crisply.
+// coordinator must keep rejecting cluster requests crisply. Rank 0 roots
+// every collective, so losing its worker is a case of its own.
 func TestClusterWorkerLost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster failure injection is not a -short test")
 	}
+	for _, victim := range []int{1, 0} {
+		t.Run(fmt.Sprintf("rank_%d", victim), func(t *testing.T) { workerLost(t, victim) })
+	}
+}
+
+// workerLost runs TestClusterWorkerLost on two workers, killing the one
+// that hosts rank victim (ranks follow join order).
+func workerLost(t *testing.T, victim int) {
 	base := runtime.NumGoroutine()
 	const hb = 250 * time.Millisecond
 	const n = 16000
@@ -275,7 +277,7 @@ func TestClusterWorkerLost(t *testing.T) {
 	killAt := time.Now()
 	killed := make(chan struct{})
 	go func() {
-		workers[1].Kill()
+		workers[victim].Kill()
 		close(killed)
 	}()
 
@@ -296,7 +298,7 @@ func TestClusterWorkerLost(t *testing.T) {
 
 	// Degraded mode: with the survivors gone too, cluster-sized requests
 	// fail fast with the same typed error instead of hanging.
-	workers[0].Close()
+	workers[1-victim].Close()
 	_, _, err := coord.Evaluate(context.Background(), EvalRequest{
 		Src: pts[:30], Den: den[:10], Kernel: kernels.Spec{Name: "laplace"},
 	})
@@ -307,6 +309,50 @@ func TestClusterWorkerLost(t *testing.T) {
 	<-killed
 	coord.Close()
 	checkGoroutines(t, base)
+}
+
+// TestClusterAbortOvertakingStart: a worker lost mid-scatter fails the
+// job, and the abort can reach a later rank's worker before that rank's
+// job start does. The rank the start then launches must unwind at once,
+// not wait for a collective nobody will answer while holding its
+// worker's lanes.
+func TestClusterAbortOvertakingStart(t *testing.T) {
+	coord, workers := startCluster(t, 250*time.Millisecond, 1, 1)
+	defer coord.Close()
+	w := workers[1]
+	coord.mu.Lock()
+	wc := coord.workers[w.ID()]
+	coord.mu.Unlock()
+
+	const job = 1 << 40 // not one of the coordinator's
+	hdr := &jobHeader{Job: job, Size: 2, Rank: 1, Peers: []string{workers[0].Addr(), w.Addr()}, Kernel: kernels.Spec{Name: "laplace"}}
+	start, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 0, 0}, Den: []float64{1}, GlobalIdx: []int32{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.fc.writeFrame(fJobAbort, encodeJobStatus(job, string(errs.CodeWorkerLost), "gone")); err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.fc.writeFrame(fJobStart, start); err != nil {
+		t.Fatal(err)
+	}
+	// A job's runner retires its id when the rank ends.
+	retired := func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return slices.Contains(w.done, job)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !retired(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			for _, w := range workers {
+				w.Kill() // unwinds the stuck rank
+			}
+			t.Fatal("the rank of an aborted job is still running")
+		}
+	}
+	for _, w := range workers {
+		w.Close()
+	}
 }
 
 // TestClusterLanesDoNotChangeResult: a worker's lanes are its rank's

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/kernels"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/parfmm"
 )
@@ -40,16 +39,6 @@ type workerConn struct {
 
 func (wc *workerConn) beat() { wc.lastBeat.Store(time.Now().UnixNano()) }
 
-// collState accumulates one collective's contributions across ranks.
-type collState struct {
-	kind    byte
-	op      mpi.ReduceOp
-	arrived int
-	entryNS []int64
-	i64     [][]int64
-	f64     [][]float64
-}
-
 // coordJob is one in-flight distributed evaluation.
 type coordJob struct {
 	id     uint64
@@ -57,7 +46,6 @@ type coordJob struct {
 	ranks  []*workerConn // the worker hosting each rank
 
 	mu        sync.Mutex
-	colls     map[uint64]*collState
 	pots      [][]float64
 	tls       []*obs.RankTimeline
 	reported  []bool // per rank: result received (a rank's Pot may be empty)
@@ -86,8 +74,9 @@ func (j *coordJob) owns(wc *workerConn) bool { return slices.Contains(j.ranks, w
 // Coordinator accepts worker connections, tracks their health, and
 // scatters cluster-sized evaluations across them: it Morton-partitions
 // the request geometry into one rank per worker, streams each worker its
-// share, brokers the algorithm's collectives, and gathers potentials and
-// per-rank timelines back.
+// share, and gathers potentials and per-rank timelines back. It is the
+// control plane only: the ranks exchange ghosts and reduce their
+// collectives over the worker mesh.
 type Coordinator struct {
 	cfg CoordinatorConfig
 	ln  net.Listener
@@ -101,11 +90,10 @@ type Coordinator struct {
 	closed     bool
 	passObs    func(pass string, seconds float64)
 
-	// evalMu serializes cluster evaluations: the collective broker and
-	// the workers' ranks assume one job's traffic at a time (a rank holds
-	// its worker's whole lane pool until the job ends), and a single
-	// 1-coordinator cluster gains nothing from interleaving two
-	// scatter/gather cycles. Queued requests wait here.
+	// evalMu serializes cluster evaluations: a rank holds its worker's
+	// whole lane pool until its job ends, blocked receives included, so
+	// two jobs spread over the same workers could each wait for lanes the
+	// other holds. Queued requests wait here.
 	evalMu sync.Mutex
 
 	scatterBytes atomic.Int64
@@ -212,10 +200,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			// beat() above is the whole point.
 		case fDrain:
 			wc.drained.Store(true)
-		case fColl:
-			if m, err := decodeColl(payload); err == nil {
-				c.handleColl(m)
-			}
 		case fJobResult:
 			if job, rr, err := decodeJobResult(payload); err == nil {
 				c.gatherBytes.Add(int64(len(payload)))
@@ -314,69 +298,6 @@ func (c *Coordinator) failJob(id uint64, err error) {
 	}
 	c.abortJob(j, err, nil)
 	j.finish(err)
-}
-
-// handleColl is the collective broker: it accumulates one contribution
-// per rank, and once all ranks arrived combines elementwise and answers
-// each rank through its worker's control connection, naming the last
-// rank to enter (the synchronization dependency for the critical path).
-func (c *Coordinator) handleColl(m *collMsg) {
-	j := c.jobByID(m.Job)
-	if j == nil || m.Rank < 0 || m.Rank >= len(j.ranks) {
-		return
-	}
-	size := len(j.ranks)
-	j.mu.Lock()
-	cs := j.colls[m.Seq]
-	if cs == nil {
-		cs = &collState{
-			kind:    m.Kind,
-			op:      mpi.ReduceOp(m.Op),
-			entryNS: make([]int64, size),
-			i64:     make([][]int64, size),
-			f64:     make([][]float64, size),
-		}
-		j.colls[m.Seq] = cs
-	}
-	cs.entryNS[m.Rank] = m.EntryNS
-	cs.i64[m.Rank] = m.I64
-	cs.f64[m.Rank] = m.F64
-	cs.arrived++
-	ready := cs.arrived == size
-	if ready {
-		delete(j.colls, m.Seq)
-	}
-	j.mu.Unlock()
-	if !ready {
-		return
-	}
-
-	last := 0
-	for r, e := range cs.entryNS {
-		if e > cs.entryNS[last] {
-			last = r
-		}
-	}
-	for r := range cs.i64 {
-		// What the ranks sent came off a socket: mpi.Reduce wants it square.
-		if len(cs.i64[r]) != len(cs.i64[0]) || len(cs.f64[r]) != len(cs.f64[0]) {
-			c.failJob(j.id, errs.Newf(errs.CodeInternal, "kifmm: collective %d: rank %d disagrees with rank 0 on the vector length", m.Seq, r))
-			return
-		}
-	}
-	resp := &collRespMsg{Job: j.id, Seq: m.Seq, LastRank: last, LastEntryNS: cs.entryNS[last], Kind: cs.kind}
-	switch cs.kind {
-	case collInt64:
-		resp.I64 = mpi.Reduce(cs.op, cs.i64)
-	case collFloat64:
-		resp.F64 = mpi.Reduce(cs.op, cs.f64)
-	}
-	for r, wc := range j.ranks {
-		resp.Rank = r
-		if err := wc.fc.writeFrame(fCollResp, encodeCollResp(resp)); err != nil {
-			c.dropWorker(wc, err)
-		}
-	}
 }
 
 // handleResult records one rank's result; the last one resolves the job.
@@ -480,7 +401,6 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 	job := &coordJob{
 		id:       c.nextJob,
 		ranks:    ranks,
-		colls:    make(map[uint64]*collState),
 		pots:     make([][]float64, size),
 		tls:      make([]*obs.RankTimeline, size),
 		reported: make([]bool, size),

@@ -7,12 +7,13 @@
 // worker, and each worker runs its rank's internal/parfmm evaluation over
 // its whole lane pool, exchanging ghosts over the wire.
 //
-// Topology: control traffic (handshake, heartbeats, job dispatch,
-// collectives, results) flows on each worker's single connection to the
-// coordinator; point-to-point rank traffic (the Algorithm-1
-// gather/scatter payloads) flows over a lazily-dialed worker↔worker
-// mesh, so the coordinator is not a bandwidth bottleneck on the hot
-// path. Every node has its own listener.
+// Topology: control traffic (handshake, heartbeats, job dispatch and
+// abort, drain, results) flows on each worker's single connection to the
+// coordinator, and that is all the coordinator carries. Rank traffic —
+// the Algorithm-1 gather/scatter payloads, and the collectives the ranks
+// reduce among themselves at rank 0 in place of the paper's
+// MPI_Allreduce — flows over a lazily-dialed worker↔worker mesh. Every
+// node has its own listener.
 //
 // Wire format: length-prefixed little-endian binary frames following
 // the shared internal/wire conventions. Bulk float64/int32 arrays
@@ -44,12 +45,10 @@ const (
 	fDrain
 	fJobResult
 	fJobError
-	fColl
 	// Coordinator -> worker control frames.
 	fHelloAck
 	fJobStart
 	fJobAbort
-	fCollResp
 	// Worker -> worker mesh frames.
 	fP2P
 )
@@ -140,10 +139,3 @@ func frameErr(r *wire.Reader) error {
 	}
 	return nil
 }
-
-// Collective element kinds on the wire.
-const (
-	collInt64 = iota
-	collFloat64
-	collBarrier
-)

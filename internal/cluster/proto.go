@@ -147,101 +147,6 @@ func decodeJobStatus(p []byte) (job uint64, code, msg string, err error) {
 	return job, code, msg, frameErr(r)
 }
 
-// collMsg is one rank's collective contribution (fColl payload).
-type collMsg struct {
-	Job     uint64
-	Rank    int
-	Kind    byte // collInt64 / collFloat64 / collBarrier
-	Op      byte // mpi.ReduceOp
-	Seq     uint64
-	EntryNS int64
-	I64     []int64
-	F64     []float64
-}
-
-func encodeColl(m *collMsg) []byte {
-	var w wire.Writer
-	w.U64(m.Job)
-	w.U32(uint32(m.Rank))
-	w.U8(m.Kind)
-	w.U8(m.Op)
-	w.U64(m.Seq)
-	w.I64(m.EntryNS)
-	switch m.Kind {
-	case collInt64:
-		w.I64s(m.I64)
-	case collFloat64:
-		w.F64s(m.F64)
-	}
-	return w.Bytes()
-}
-
-func decodeColl(p []byte) (*collMsg, error) {
-	r := wire.NewReader(p)
-	m := &collMsg{
-		Job:  r.U64(),
-		Rank: int(r.U32()),
-		Kind: r.U8(),
-		Op:   r.U8(),
-	}
-	m.Seq = r.U64()
-	m.EntryNS = r.I64()
-	switch m.Kind {
-	case collInt64:
-		m.I64 = r.I64s()
-	case collFloat64:
-		m.F64 = r.F64s()
-	}
-	return m, frameErr(r)
-}
-
-// collRespMsg is the coordinator's combined answer to one rank (the
-// fCollResp payload). LastRank/LastEntryNS name the last rank to enter
-// — the synchronization dependency the critical-path walk follows.
-type collRespMsg struct {
-	Job         uint64
-	Rank        int
-	Seq         uint64
-	LastRank    int
-	LastEntryNS int64
-	I64         []int64
-	F64         []float64
-	Kind        byte
-}
-
-func encodeCollResp(m *collRespMsg) []byte {
-	var w wire.Writer
-	w.U64(m.Job)
-	w.U32(uint32(m.Rank))
-	w.U64(m.Seq)
-	w.U32(uint32(m.LastRank))
-	w.I64(m.LastEntryNS)
-	w.U8(m.Kind)
-	switch m.Kind {
-	case collInt64:
-		w.I64s(m.I64)
-	case collFloat64:
-		w.F64s(m.F64)
-	}
-	return w.Bytes()
-}
-
-func decodeCollResp(p []byte) (*collRespMsg, error) {
-	r := wire.NewReader(p)
-	m := &collRespMsg{Job: r.U64(), Rank: int(r.U32())}
-	m.Seq = r.U64()
-	m.LastRank = int(r.U32())
-	m.LastEntryNS = r.I64()
-	m.Kind = r.U8()
-	switch m.Kind {
-	case collInt64:
-		m.I64 = r.I64s()
-	case collFloat64:
-		m.F64 = r.F64s()
-	}
-	return m, frameErr(r)
-}
-
 // p2pMsg is one rank-to-rank payload on the mesh (fP2P). SentNS is the
 // sender's clock offset at send completion (its job-origin wall clock),
 // carried so the receiver's ledger event gets a cross-rank dependency

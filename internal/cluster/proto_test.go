@@ -108,11 +108,15 @@ func FuzzProto(f *testing.F) {
 		start,
 		encodeJobResult(7, rankResultWire{Rank: 1, Pot: []float64{1.5}, TL: []byte(`{"rank":1}`)}),
 		encodeJobStatus(7, "worker_lost", "gone"),
-		encodeColl(&collMsg{Job: 7, Rank: 2, Kind: collFloat64, Op: 1, Seq: 5, EntryNS: 99, F64: []float64{3.25}}),
-		encodeColl(&collMsg{Job: 7, Rank: 1, Kind: collInt64, Seq: 6, I64: []int64{-4, 1 << 40}}),
-		encodeColl(&collMsg{Job: 7, Kind: collBarrier, Seq: 8}),
-		encodeCollResp(&collRespMsg{Job: 7, Rank: 2, Seq: 5, LastRank: 1, LastEntryNS: 98, Kind: collInt64, I64: []int64{3}}),
 		encodeP2P(&p2pMsg{Job: 7, Src: 1, Dst: 3, Tag: 42, SentNS: 12345, Data: []float64{1.5, -2.5}}),
+		// Collective traffic, under the tag -1 - seq: a float64 and a
+		// bit-cast int64 contribution to rank 0 (-1 is a NaN's bits), and
+		// rank 0's answers, the result followed by the last rank to enter
+		// and its entry time (an empty vector's answer is those two alone).
+		encodeP2P(&p2pMsg{Job: 7, Src: 2, Tag: -6, SentNS: 99, Data: []float64{3.25}}),
+		encodeP2P(&p2pMsg{Job: 7, Src: 1, Tag: -7, SentNS: 98, Data: int64Words([]int64{-4, 1 << 40, -1})}),
+		encodeP2P(&p2pMsg{Job: 7, Dst: 2, Tag: -6, SentNS: 120, Data: append([]float64{3.25}, int64Words([]int64{1, 98})...)}),
+		encodeP2P(&p2pMsg{Job: 7, Dst: 1, Tag: -1, SentNS: 5, Data: int64Words([]int64{2, 4})}),
 		{}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 	}
 	for _, s := range seeds {
@@ -143,12 +147,6 @@ func FuzzProto(f *testing.F) {
 		}
 		if job, code, msg, err := decodeJobStatus(p); err == nil {
 			canonical("job status", encodeJobStatus(job, code, msg))
-		}
-		if m, err := decodeColl(p); err == nil {
-			canonical("collective", encodeColl(m))
-		}
-		if m, err := decodeCollResp(p); err == nil {
-			canonical("collective response", encodeCollResp(m))
 		}
 		if m, err := decodeP2P(p); err == nil {
 			canonical("p2p", encodeP2P(m))

@@ -2,10 +2,11 @@ package cluster
 
 import (
 	"context"
-	"fmt"
+	"math"
 	"sync"
 	"time"
 
+	"repro/internal/errs"
 	"repro/internal/mpi"
 )
 
@@ -17,29 +18,23 @@ type wireFailure struct{ err error }
 
 func (f wireFailure) Error() string { return f.err.Error() }
 
-// mailKey addresses a point-to-point mailbox: messages from src to dst
-// under one tag.
+// mailKey addresses a mesh mailbox: messages from src to dst under one
+// tag.
 type mailKey struct{ dst, src, tag int }
 
-// wireMsg is one delivered point-to-point payload with the sender's and
-// receiver's clock offsets (ns since their job start) for the ledger.
+// wireMsg is one delivered mesh payload with the sender's and receiver's
+// clock offsets (ns since their job start) for the ledger.
 type wireMsg struct {
 	data    []float64
 	sentNS  int64
 	availNS int64
 }
 
-// collKey addresses one rank's pending collective response.
-type collKey struct {
-	rank int
-	seq  uint64
-}
-
 // workerJob is the per-job rendezvous state on a worker: the mailboxes
-// the worker's rank receives from, the collective responses it waits for,
-// and the abort latch that poisons every blocked operation when the
-// coordinator cancels the job or a peer is lost. One mutex + condition
-// serializes all of it; the rank blocks on the condition.
+// the worker's rank receives from, and the abort latch that poisons every
+// blocked receive when the coordinator cancels the job or a peer is lost.
+// One mutex + condition serializes all of it; the rank blocks on the
+// condition.
 type workerJob struct {
 	id    uint64
 	hdr   *jobHeader
@@ -48,18 +43,13 @@ type workerJob struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	mail     map[mailKey][]wireMsg
-	colls    map[collKey]*collRespMsg
 	abortErr error
 	// cancel stops the compute of the worker's rank (set by runJob).
 	cancel context.CancelFunc
 }
 
 func newWorkerJob(id uint64) *workerJob {
-	j := &workerJob{
-		id:    id,
-		mail:  make(map[mailKey][]wireMsg),
-		colls: make(map[collKey]*collRespMsg),
-	}
+	j := &workerJob{id: id, mail: make(map[mailKey][]wireMsg)}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
@@ -77,15 +67,8 @@ func (j *workerJob) deliverP2P(m *p2pMsg) {
 	j.mu.Unlock()
 }
 
-func (j *workerJob) deliverCollResp(m *collRespMsg) {
-	j.mu.Lock()
-	j.colls[collKey{rank: m.Rank, seq: m.Seq}] = m
-	j.cond.Broadcast()
-	j.mu.Unlock()
-}
-
-// abort poisons the job: a blocked Recv/collective wakes and panics with
-// err, unwinding the rank, and a rank in the middle of a pass sees its
+// abort poisons the job: a blocked receive wakes and panics with err,
+// unwinding the rank, and a rank in the middle of a pass sees its
 // context cancelled. It reports whether err is the one that aborted the
 // job (false when the job was aborted already).
 func (j *workerJob) abort(err error) bool {
@@ -102,19 +85,20 @@ func (j *workerJob) abort(err error) bool {
 	return true
 }
 
-// wireTransport is one rank's mpi.Transport over TCP: point-to-point
-// payloads ride the worker mesh (a rank never sends to itself),
-// collectives rendezvous at the coordinator. It reproduces the in-process
-// transport's ledger events — same kinds, same dependency attribution —
-// so obs.Timeline, critical-path extraction and the Chrome trace work
-// unchanged on a real cluster.
+// wireTransport is one rank's mpi.Transport over TCP: every payload
+// rides the worker mesh (a rank never sends to itself), point-to-point
+// messages under their tags ≥ 0 and collectives under reserved negative
+// tags, rooted at rank 0. It reproduces the in-process transport's ledger
+// events — same kinds, same dependency attribution — so obs.Timeline,
+// critical-path extraction and the Chrome trace work unchanged on a real
+// cluster.
 type wireTransport struct {
 	w    *Worker
 	j    *workerJob
 	rank int
 
 	observer func(mpi.Event)
-	collSeq  uint64
+	collSeq  int
 
 	commTime  time.Duration
 	bytesSent int64
@@ -135,135 +119,175 @@ func (t *wireTransport) Messages() int64         { return t.msgs }
 
 func (t *wireTransport) SetObserver(fn func(mpi.Event)) { t.observer = fn }
 
-// SendFloat64s is eager: it writes the frame to the peer's mesh
-// connection and returns without waiting for the receiver.
-func (t *wireTransport) SendFloat64s(dst, tag int, data []float64) {
-	start := t.j.elapsed()
-	bytes := 8 * len(data)
-	m := &p2pMsg{Job: t.j.id, Src: t.rank, Dst: dst, Tag: tag, SentNS: int64(start), Data: data}
+// send writes one payload to dst's mesh connection, stamped with sent on
+// this rank's clock. A peer it cannot reach is a lost worker: the
+// typed error panics, unwinding the rank.
+func (t *wireTransport) send(dst, tag int, data []float64, sent time.Duration) {
+	m := &p2pMsg{Job: t.j.id, Src: t.rank, Dst: dst, Tag: tag, SentNS: int64(sent), Data: data}
 	pc, err := t.w.peerConn(t.j.hdr.Peers[dst])
 	if err == nil {
 		err = pc.writeFrame(fP2P, encodeP2P(m))
 	}
 	if err != nil {
-		panic(wireFailure{fmt.Errorf("cluster: rank %d send to rank %d: %w", t.rank, dst, err)})
+		panic(wireFailure{errs.Newf(errs.CodeWorkerLost, "kifmm: rank %d send to rank %d: %w", t.rank, dst, err)})
 	}
-	end := t.j.elapsed()
-	t.commTime += end - start
-	t.bytesSent += int64(bytes)
+}
+
+// recv blocks until a payload from src under tag is delivered, and
+// reports whether it had to wait. The job's abort panics, unwinding the
+// rank.
+func (t *wireTransport) recv(src, tag int) (msg wireMsg, waited bool) {
+	key := mailKey{dst: t.rank, src: src, tag: tag}
+	j := t.j
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for len(j.mail[key]) == 0 {
+		if j.abortErr != nil {
+			panic(wireFailure{j.abortErr})
+		}
+		waited = true
+		j.cond.Wait()
+	}
+	q := j.mail[key]
+	msg = q[0]
+	if len(q) == 1 {
+		delete(j.mail, key)
+	} else {
+		j.mail[key] = q[1:]
+	}
+	return msg, waited
+}
+
+// record books one finished operation in the counters and hands its
+// ledger event to the observer.
+func (t *wireTransport) record(ev mpi.Event) {
+	t.commTime += ev.End - ev.Start
 	t.msgs++
-	if t.observer != nil {
-		t.observer(mpi.Event{
-			Kind: mpi.EventSend, Rank: t.rank, Peer: dst, Tag: tag, Bytes: bytes,
-			Start: start, End: end, Sent: end, Avail: end, DepRank: -1,
-		})
+	switch ev.Kind {
+	case mpi.EventSend:
+		t.bytesSent += int64(ev.Bytes)
+	case mpi.EventRecv:
+		t.bytesRecv += int64(ev.Bytes)
 	}
+	if t.observer != nil {
+		t.observer(ev)
+	}
+}
+
+// SendFloat64s is eager: it writes the frame to the peer's mesh
+// connection and returns without waiting for the receiver.
+func (t *wireTransport) SendFloat64s(dst, tag int, data []float64) {
+	start := t.j.elapsed()
+	t.send(dst, tag, data, start)
+	end := t.j.elapsed()
+	t.record(mpi.Event{
+		Kind: mpi.EventSend, Rank: t.rank, Peer: dst, Tag: tag, Bytes: 8 * len(data),
+		Start: start, End: end, Sent: end, Avail: end, DepRank: -1,
+	})
 }
 
 // RecvFloat64s blocks until a payload from src under tag is delivered,
 // or the job is aborted (which panics to unwind the rank).
 func (t *wireTransport) RecvFloat64s(src, tag int) []float64 {
 	start := t.j.elapsed()
-	key := mailKey{dst: t.rank, src: src, tag: tag}
-	j := t.j
-	j.mu.Lock()
-	waited := false
-	for len(j.mail[key]) == 0 {
-		if j.abortErr != nil {
-			err := j.abortErr
-			j.mu.Unlock()
-			panic(wireFailure{err})
-		}
-		waited = true
-		j.cond.Wait()
-	}
-	q := j.mail[key]
-	msg := q[0]
-	if len(q) == 1 {
-		delete(j.mail, key)
-	} else {
-		j.mail[key] = q[1:]
-	}
-	j.mu.Unlock()
-
+	msg, waited := t.recv(src, tag)
 	end := t.j.elapsed()
-	bytes := 8 * len(msg.data)
-	t.commTime += end - start
-	t.bytesRecv += int64(bytes)
-	t.msgs++
-	if t.observer != nil {
-		ev := mpi.Event{
-			Kind: mpi.EventRecv, Rank: t.rank, Peer: src, Tag: tag, Bytes: bytes,
-			Start: start, End: end,
-			Sent: time.Duration(msg.sentNS), Avail: time.Duration(msg.availNS),
-			DepRank: -1,
-		}
-		if waited {
-			ev.Wait = end - start
-			ev.DepRank = src
-			ev.DepTime = time.Duration(msg.sentNS)
-		}
-		t.observer(ev)
+	ev := mpi.Event{
+		Kind: mpi.EventRecv, Rank: t.rank, Peer: src, Tag: tag, Bytes: 8 * len(msg.data),
+		Start: start, End: end,
+		Sent: time.Duration(msg.sentNS), Avail: time.Duration(msg.availNS),
+		DepRank: -1,
 	}
+	if waited {
+		ev.Wait = end - start
+		ev.DepRank = src
+		ev.DepTime = time.Duration(msg.sentNS)
+	}
+	t.record(ev)
 	return msg.data
 }
 
-// runCollective ships this rank's contribution to the coordinator and
-// blocks for the combined response. Sequence numbers advance identically
-// on every rank (the algorithm is deterministic), which is what matches
-// contributions of the same collective across ranks.
-func (t *wireTransport) runCollective(kind byte, op mpi.ReduceOp, i64 []int64, f64 []float64) *collRespMsg {
+// allreduce is one collective over the mesh, under the tag -1 - seq (the
+// point-to-point tags are ≥ 0). Every other rank sends rank 0 its vector,
+// stamped with its entry time; rank 0 checks the lengths, folds the
+// vectors in rank order with fold and answers each rank with the result
+// followed by the last rank to enter and that rank's entry time, both
+// bit-cast. Sequence numbers advance identically on every rank (the
+// algorithm is deterministic), which is what matches contributions of the
+// same collective. The mesh frames are not sends or receives of the
+// ledger: the rank records one collective event.
+func (t *wireTransport) allreduce(in []float64, fold func(all [][]float64) []float64) []float64 {
 	seq := t.collSeq
 	t.collSeq++
+	tag := -1 - seq
 	start := t.j.elapsed()
-	msg := &collMsg{
-		Job: t.j.id, Rank: t.rank, Kind: kind, Op: byte(op),
-		Seq: seq, EntryNS: int64(start), I64: i64, F64: f64,
-	}
-	if err := t.w.ctrl.writeFrame(fColl, encodeColl(msg)); err != nil {
-		panic(wireFailure{fmt.Errorf("cluster: rank %d collective %d: %w", t.rank, seq, err)})
-	}
-
-	key := collKey{rank: t.rank, seq: seq}
-	j := t.j
-	j.mu.Lock()
-	for j.colls[key] == nil {
-		if j.abortErr != nil {
-			err := j.abortErr
-			j.mu.Unlock()
-			panic(wireFailure{err})
+	var out []float64
+	last, lastEntry := 0, start
+	if t.rank != 0 {
+		t.send(0, tag, in, start)
+		resp, _ := t.recv(0, tag)
+		n := len(resp.data) - 2
+		out = resp.data[:n]
+		last = int(math.Float64bits(resp.data[n]))
+		lastEntry = time.Duration(math.Float64bits(resp.data[n+1]))
+	} else {
+		all := make([][]float64, t.Size())
+		all[0] = in
+		for r := 1; r < len(all); r++ {
+			m, _ := t.recv(r, tag)
+			if len(m.data) != len(in) {
+				// What the ranks sent came off a socket: mpi.Reduce wants it square.
+				panic(wireFailure{errs.Newf(errs.CodeInternal, "kifmm: collective %d: rank %d disagrees with rank 0 on the vector length", seq, r)})
+			}
+			all[r] = m.data
+			if e := time.Duration(m.sentNS); e > lastEntry {
+				last, lastEntry = r, e
+			}
 		}
-		j.cond.Wait()
+		out = fold(all)
+		resp := append(out[:len(out):len(out)], math.Float64frombits(uint64(last)), math.Float64frombits(uint64(lastEntry)))
+		for r := 1; r < len(all); r++ {
+			t.send(r, tag, resp, t.j.elapsed())
+		}
 	}
-	resp := j.colls[key]
-	delete(j.colls, key)
-	j.mu.Unlock()
-
 	end := t.j.elapsed()
-	bytes := 8 * (len(i64) + len(f64))
-	if kind == collBarrier {
-		bytes = 8
-	}
-	t.commTime += end - start
-	t.msgs++
-	if t.observer != nil {
-		t.observer(mpi.Event{
-			Kind: mpi.EventCollective, Rank: t.rank, Peer: -1, Tag: int(seq), Bytes: bytes,
-			Start: start, End: end, Wait: end - start,
-			DepRank: resp.LastRank, DepTime: time.Duration(resp.LastEntryNS),
-		})
-	}
-	return resp
-}
-
-func (t *wireTransport) AllreduceInt64(op mpi.ReduceOp, in []int64) []int64 {
-	return t.runCollective(collInt64, op, in, nil).I64
+	t.record(mpi.Event{
+		Kind: mpi.EventCollective, Rank: t.rank, Peer: -1, Tag: seq, Bytes: 8 * len(in),
+		Start: start, End: end, Wait: end - start,
+		DepRank: last, DepTime: lastEntry,
+	})
+	return out
 }
 
 func (t *wireTransport) AllreduceFloat64(op mpi.ReduceOp, in []float64) []float64 {
-	return t.runCollective(collFloat64, op, nil, in).F64
+	return t.allreduce(in, func(all [][]float64) []float64 { return mpi.Reduce(op, all) })
 }
 
-func (t *wireTransport) Barrier() {
-	t.runCollective(collBarrier, 0, nil, nil)
+// AllreduceInt64 carries the int64s in the mesh's float64 words bit-cast,
+// never converted.
+func (t *wireTransport) AllreduceInt64(op mpi.ReduceOp, in []int64) []int64 {
+	out := t.allreduce(int64Words(in), func(all [][]float64) []float64 {
+		vecs := make([][]int64, len(all))
+		for r, a := range all {
+			vecs[r] = wordsInt64(a)
+		}
+		return int64Words(mpi.Reduce(op, vecs))
+	})
+	return wordsInt64(out)
+}
+
+func int64Words(v []int64) []float64 {
+	w := make([]float64, len(v))
+	for i, x := range v {
+		w[i] = math.Float64frombits(uint64(x))
+	}
+	return w
+}
+
+func wordsInt64(w []float64) []int64 {
+	v := make([]int64, len(w))
+	for i, x := range w {
+		v[i] = int64(math.Float64bits(x))
+	}
+	return v
 }

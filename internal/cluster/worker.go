@@ -150,9 +150,8 @@ func (w *Worker) Addr() string { return w.ln.Addr().String() }
 // Pool exposes the worker's local scheduler.
 func (w *Worker) Pool() *exec.Elastic { return w.pool }
 
-// ctrlLoop reads coordinator frames: job dispatch, aborts, collective
-// responses. A read error means the coordinator is gone — every
-// in-flight job aborts.
+// ctrlLoop reads coordinator frames: job dispatch and aborts. A read
+// error means the coordinator is gone — every in-flight job aborts.
 func (w *Worker) ctrlLoop() {
 	defer w.wg.Done()
 	for {
@@ -174,16 +173,11 @@ func (w *Worker) ctrlLoop() {
 			if err != nil {
 				continue
 			}
-			if j := w.lookupJob(job); j != nil {
+			// An abort can overtake its job's start (a worker lost
+			// mid-scatter): jobFor latches it on a placeholder, and the
+			// start that follows finds its job aborted.
+			if j := w.jobFor(job); j != nil {
 				j.abort(errs.New(errs.Code(code), msg))
-			}
-		case fCollResp:
-			m, err := decodeCollResp(payload)
-			if err != nil {
-				continue
-			}
-			if j := w.lookupJob(m.Job); j != nil {
-				j.deliverCollResp(m)
 			}
 		}
 	}
@@ -245,17 +239,9 @@ func (w *Worker) acceptLoop() {
 	}
 }
 
-// lookupJob returns an existing job, nil otherwise.
-func (w *Worker) lookupJob(id uint64) *workerJob {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.jobs[id]
-}
-
-// jobFor returns the job, creating a placeholder when a peer's frame
-// outruns the coordinator's job-start frame (the mesh is a separate
-// connection, so that race is expected). Frames for recently finished
-// jobs are dropped.
+// jobFor returns the job, creating a placeholder when a peer's frame or
+// the job's abort outruns the coordinator's job-start frame. Frames for
+// recently finished jobs are dropped.
 func (w *Worker) jobFor(id uint64) *workerJob {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -348,6 +334,13 @@ func (w *Worker) startJob(hdr *jobHeader, in *parfmm.RankInput) {
 	j.mu.Lock()
 	j.hdr = hdr
 	j.mu.Unlock()
+	// The runner is counted under w.mu, where teardown marks the worker
+	// closed: Kill's wait for runners never overlaps a runner's start.
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return
+	}
 	w.jobWG.Add(1)
 	go w.runJob(j, in)
 }

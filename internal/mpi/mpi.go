@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing library with the subset
 // of MPI semantics the paper's parallel algorithm needs: eager
 // point-to-point sends with (source, tag) matching, blocking receives,
-// and the collectives MPI_Allreduce / MPI_Barrier. It replaces the MPI
-// dependency the Go port lacks.
+// and the collective MPI_Allreduce. It replaces the MPI dependency the Go
+// port lacks.
 //
 // Ranks are goroutines, but execution is serialized by a token so that
 // exactly one rank computes at a time. That makes the simulation

@@ -177,8 +177,8 @@ func reduceCase[T int64 | float64](t *testing.T, name string, gen func(*rand.Ran
 }
 
 // TestReduce covers the one reduction both drivers use — the simulated
-// Allreduce (this package) and the TCP coordinator's collective broker
-// (internal/cluster) — for both element types, and its contract on ragged
+// Allreduce (this package) and rank 0's fold in the TCP transport's mesh
+// collective (internal/cluster) — for both element types, and its contract on ragged
 // input.
 func TestReduce(t *testing.T) {
 	reduceCase(t, "int64", func(rng *rand.Rand) int64 { return int64(rng.Intn(1000) - 500) })
@@ -192,15 +192,15 @@ func TestReduce(t *testing.T) {
 	Reduce(OpSum, [][]int64{{1, 2}, {1, 2}, {1}})
 }
 
-func TestBarrierSynchronizesClocks(t *testing.T) {
+func TestCollectiveSynchronizesClocks(t *testing.T) {
 	comms := Run(3, fastMachine(), func(c *Comm) {
-		// Rank 2 does extra modeled work before the barrier.
+		// Rank 2 does extra modeled work before the collective.
 		if c.Rank() == 2 {
 			c.AdvanceClock(time.Second)
 		}
-		c.Barrier()
+		c.AllreduceInt64(OpSum, []int64{1})
 		if c.Elapsed() < time.Second {
-			t.Errorf("rank %d: barrier exit before slowest entrant: %v", c.Rank(), c.Elapsed())
+			t.Errorf("rank %d: collective exit before slowest entrant: %v", c.Rank(), c.Elapsed())
 		}
 	})
 	if MaxElapsed(comms) < time.Second {
@@ -237,7 +237,7 @@ func TestCommTimeSeparatesFromCompute(t *testing.T) {
 			s += float64(i % 7)
 		}
 		_ = s
-		c.Barrier()
+		c.AllreduceInt64(OpSum, []int64{1})
 	})
 	for _, c := range comms {
 		if c.Elapsed() <= c.CommTime() {
@@ -274,7 +274,7 @@ func TestDeterministicAccounting(t *testing.T) {
 			left := (c.Rank() + 3) % 4
 			c.SendFloat64s(right, 0, make([]float64, 100))
 			c.RecvFloat64s(left, 0)
-			c.Barrier()
+			c.AllreduceInt64(OpSum, []int64{1})
 		})
 		bytes := make([]int64, 4)
 		msgs := make([]int64, 4)
@@ -305,7 +305,6 @@ func TestSingleRank(t *testing.T) {
 		if got[0] != 42 {
 			t.Errorf("self allreduce %v", got)
 		}
-		c.Barrier()
 	})
 	if comms[0].Size() != 1 {
 		t.Error("size must be 1")

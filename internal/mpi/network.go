@@ -206,11 +206,6 @@ func ceilLog2(n int) int {
 	return s
 }
 
-// Barrier synchronizes all ranks (MPI_Barrier).
-func (c *Comm) Barrier() {
-	c.runCollective(nil, func([]any) (any, int) { return nil, 8 })
-}
-
 // ReduceOp selects the elementwise reduction of Allreduce.
 type ReduceOp int
 
@@ -223,9 +218,9 @@ const (
 
 // Reduce combines one vector per rank elementwise under op: the
 // arithmetic of MPI_Allreduce, shared by the simulated collective below
-// and the cluster coordinator's broker. Ranks are folded in rank order
-// into a fresh slice, so a float64 sum is reproducible. Every vector must
-// be as long as rank 0's; a ragged input panics.
+// and rank 0 of the TCP transport's mesh collective. Ranks are folded in
+// rank order into a fresh slice, so a float64 sum is reproducible. Every
+// vector must be as long as rank 0's; a ragged input panics.
 func Reduce[T int64 | float64](op ReduceOp, all [][]T) []T {
 	out := append([]T(nil), all[0]...)
 	for r, in := range all[1:] {

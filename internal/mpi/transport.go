@@ -37,7 +37,6 @@ type Transport interface {
 
 	AllreduceInt64(op ReduceOp, in []int64) []int64
 	AllreduceFloat64(op ReduceOp, in []float64) []float64
-	Barrier()
 
 	Elapsed() time.Duration
 	CommTime() time.Duration
