@@ -1,6 +1,6 @@
 // Command kifmm-bench regenerates the paper's evaluation artifacts
 // (Tables 4.1-4.3, Figures 4.2-4.3 and the load-balance ablation) at a
-// configurable scale, plus two distributed-run checks.
+// configurable scale, plus a traced distributed run.
 // Performance numbers are not its business: those come from the
 // repository benchmark (bench/run.sh, BENCHMARK.json).
 //
@@ -15,15 +15,9 @@
 // breakdown and critical-path summary, and writes the merged timeline
 // as Chrome trace-event JSON (-trace-out; load it in Perfetto or
 // chrome://tracing).
-//
-// `kifmm-bench -exp cluster-smoke` boots a real-TCP loopback cluster
-// (coordinator + two workers in one process tree), runs one evaluation
-// round-trip over the wire, and verifies the result against the
-// single-node engine to 1e-12 relative L2.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +35,6 @@ func main() {
 	maxP := flag.Int("maxp", 0, "cap the processor sweep at this rank count (0 = default sweep)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	traceOut := flag.String("trace-out", "parfmm-trace.json", "Chrome trace-event output file of parfmm-trace")
-	traceRanks := flag.Int("trace-ranks", 0, "simulated rank count of parfmm-trace (0 = default 4)")
 	version := flag.Bool("version", false, "print build identity and exit")
 	flag.Parse()
 
@@ -69,7 +62,6 @@ func main() {
 		}
 	}
 	sc.TraceOut = *traceOut
-	sc.TraceRanks = *traceRanks
 
 	ran := false
 	for _, e := range harness.Experiments() {
@@ -79,7 +71,7 @@ func main() {
 		ran = true
 		start := time.Now()
 		fmt.Printf("== %s: %s\n\n", e.ID, e.Description)
-		out, err := e.Run(context.Background(), sc)
+		out, err := e.Run(sc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			os.Exit(1)

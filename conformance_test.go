@@ -10,20 +10,15 @@ package kifmm
 // changes are exactly where determinism and correctness bugs hide;
 // anything that breaks either fails here before it ships.
 //
-// CI runs `go test -run Conformance -short` as a dedicated job; the
-// full sweep runs with the normal test suite.
+// The case table is shared with conformance_golden_test.go (through
+// export_test.go), which runs every case through every path a caller
+// can take and pins the bits. CI runs `go test -run Conformance -short`
+// as a dedicated job; the full sweep runs with the normal test suite.
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"flag"
 	"fmt"
-	"math"
 	"math/rand"
-	"os"
-	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -51,16 +46,19 @@ func conformanceTol(k Kernel, degree int) float64 {
 	}
 }
 
-// conformanceCase is one randomized plan configuration.
+// conformanceCase is one randomized plan configuration. Patches are kept
+// for the parallel driver, which partitions whole patches; Pts is their
+// flattening.
 type conformanceCase struct {
-	name     string
-	kernel   Kernel
-	pts      []float64
-	degree   int
-	maxPts   int
-	maxDepth int
-	workers  int
-	batch    int
+	Name     string
+	Kernel   Kernel
+	Patches  []Patch
+	Pts      []float64
+	Degree   int
+	MaxPts   int
+	MaxDepth int
+	Workers  int
+	Batch    int
 }
 
 // drawConformanceCases derives the sweep from a seeded generator: same
@@ -82,14 +80,14 @@ func drawConformanceCases(seed int64, iters int) []conformanceCase {
 		k := kernels[rng.Intn(len(kernels))]
 		dist := distributions[rng.Intn(len(distributions))]
 		n := 300 + rng.Intn(400)
-		var pts []float64
+		var patches []Patch
 		switch dist {
 		case "uniform":
-			pts = FlattenPatches(UniformPatches(rng.Int63(), n))
+			patches = UniformPatches(rng.Int63(), n)
 		case "corner":
-			pts = FlattenPatches(CornerPatches(rng.Int63(), n, 0.3))
+			patches = CornerPatches(rng.Int63(), n, 0.3)
 		case "sphere":
-			pts = FlattenPatches(SpherePatches(rng.Int63(), n, 3, 0.2))
+			patches = SpherePatches(rng.Int63(), n, 3, 0.2)
 		}
 		degree := 4
 		if rng.Intn(3) == 0 {
@@ -112,32 +110,32 @@ func drawConformanceCases(seed int64, iters int) []conformanceCase {
 			b = 1
 		}
 		c := conformanceCase{
-			kernel: k.k, pts: pts,
-			degree: degree, maxPts: 15 + rng.Intn(40), maxDepth: maxDepth,
-			workers: 1 + rng.Intn(4),
-			batch:   1 + rng.Intn(3),
+			Kernel: k.k, Patches: patches, Pts: FlattenPatches(patches),
+			Degree: degree, MaxPts: 15 + rng.Intn(40), MaxDepth: maxDepth,
+			Workers: 1 + rng.Intn(4),
+			Batch:   1 + rng.Intn(3),
 		}
-		c.name = fmt.Sprintf("%02d-%s-%s-n%d-d%d-s%d-depth%d-b%d-w%d-rhs%d",
-			i, k.name, dist, n, c.degree, c.maxPts, c.maxDepth, b, c.workers, c.batch)
+		c.Name = fmt.Sprintf("%02d-%s-%s-n%d-d%d-s%d-depth%d-b%d-w%d-rhs%d",
+			i, k.name, dist, n, c.Degree, c.MaxPts, c.MaxDepth, b, c.Workers, c.Batch)
 		cases = append(cases, c)
 	}
 	return cases
 }
 
-// evaluate builds the case's plan on pool and evaluates its seeded batch,
+// Evaluate builds the case's plan on pool and evaluates its seeded batch,
 // returning the densities, the potentials and the call's own Stats.
-func (c conformanceCase) evaluate(t *testing.T, pool *Pool) (dens, pots [][]float64, st fmm.Stats) {
+func (c conformanceCase) Evaluate(t *testing.T, pool *Pool) (dens, pots [][]float64, st fmm.Stats) {
 	t.Helper()
-	ev, err := NewEvaluatorCtx(context.Background(), c.pts, c.pts, Options{
-		Kernel: c.kernel, Degree: c.degree, MaxPoints: c.maxPts,
-		MaxDepth: c.maxDepth, Workers: c.workers, Pool: pool,
+	ev, err := NewEvaluatorCtx(context.Background(), c.Pts, c.Pts, Options{
+		Kernel: c.Kernel, Degree: c.Degree, MaxPoints: c.MaxPts,
+		MaxDepth: c.MaxDepth, Workers: c.Workers, Pool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dens = make([][]float64, c.batch)
+	dens = make([][]float64, c.Batch)
 	for q := range dens {
-		dens[q] = RandomDensities(int64(100+q), len(c.pts)/3, c.kernel.SourceDim())
+		dens[q] = RandomDensities(int64(100+q), len(c.Pts)/3, c.Kernel.SourceDim())
 	}
 	pots, st, _, err = ev.EvaluateBatchTracedCtx(context.Background(), dens)
 	if err != nil {
@@ -157,101 +155,17 @@ func TestConformanceRandomizedVsDirect(t *testing.T) {
 	pool := NewPool(4)
 	for _, c := range drawConformanceCases(7001, iters) {
 		c := c
-		t.Run(c.name, func(t *testing.T) {
-			dens, pots, _ := c.evaluate(t, pool)
-			tol := conformanceTol(c.kernel, c.degree)
+		t.Run(c.Name, func(t *testing.T) {
+			dens, pots, _ := c.Evaluate(t, pool)
+			tol := conformanceTol(c.Kernel, c.Degree)
 			for q := range dens {
-				want, err := Direct(c.kernel, c.pts, c.pts, dens[q])
+				want, err := Direct(c.Kernel, c.Pts, c.Pts, dens[q])
 				if err != nil {
 					t.Fatal(err)
 				}
 				if e := rel(pots[q], want); e > tol {
 					t.Errorf("rhs %d: relative error %.3e > %.0e vs direct summation", q, e, tol)
 				}
-			}
-		})
-	}
-}
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/conformance.golden from this build's results")
-
-const conformanceGoldenPath = "testdata/conformance.golden"
-
-// TestConformanceGolden pins the bits: testdata/conformance.golden maps
-// each drawConformanceCases(7001, 12) case to the sha256 of its batch
-// result (every potential's float64 bits, little-endian, in order), its
-// flop count, its WDirect / XDirect counts and its relative error against
-// direct summation (the worst vector of the batch, three significant
-// digits). A PR that declares itself bit-preserving leaves the file
-// alone; one that re-associates or approximates rewrites it with
-// `go test -run ConformanceGolden -update .` and says so in CHANGES.md,
-// where the err column shows how little (or how much) the results moved.
-// The file is pinned on amd64: the Go compiler fuses multiply-adds on
-// arm64, ppc64le and s390x and not there.
-func TestConformanceGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("conformance golden is pinned on amd64 (no fused multiply-add); this is %s", runtime.GOARCH)
-	}
-	iters := 12
-	if testing.Short() {
-		iters = 4
-	}
-	cases := drawConformanceCases(7001, iters)
-	line := func(t *testing.T, c conformanceCase) string {
-		dens, pots, st := c.evaluate(t, NewPool(4))
-		h := sha256.New()
-		var b [8]byte
-		worst := 0.0
-		for q, pot := range pots {
-			for _, v := range pot {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				h.Write(b[:])
-			}
-			want, err := Direct(c.kernel, c.pts, c.pts, dens[q])
-			if err != nil {
-				t.Fatal(err)
-			}
-			worst = math.Max(worst, rel(pot, want))
-		}
-		return fmt.Sprintf("%x flops=%d wdirect=%d xdirect=%d err=%.2e", h.Sum(nil), st.Flops(), st.WDirect, st.XDirect, worst)
-	}
-	if *updateGolden {
-		if testing.Short() {
-			t.Fatal("-update needs the full sweep: -short trims the seeded draw")
-		}
-		var out strings.Builder
-		for _, c := range cases {
-			fmt.Fprintf(&out, "%s %s\n", c.name, line(t, c))
-		}
-		if err := os.WriteFile(conformanceGoldenPath, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	data, err := os.ReadFile(conformanceGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := map[string]string{}
-	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		name, rest, _ := strings.Cut(l, " ")
-		golden[name] = rest
-	}
-	if !testing.Short() && len(golden) != len(cases) {
-		t.Errorf("golden holds %d cases, the sweep draws %d", len(golden), len(cases))
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			want, ok := golden[c.name]
-			if !ok && testing.Short() {
-				t.Skip("-short trimmed this case's degree; the golden holds the full draw")
-			}
-			if !ok {
-				t.Fatalf("no golden entry; rewrite %s with -update and declare the rounding class", conformanceGoldenPath)
-			}
-			if got := line(t, c); got != want {
-				t.Errorf("result bits moved\n got  %s\n want %s", got, want)
 			}
 		})
 	}

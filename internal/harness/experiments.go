@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -30,10 +29,9 @@ type Scale struct {
 	LargeGrains [3]int
 	// Iterations averages each measurement.
 	Iterations int
-	// TraceRanks is the simulated rank count of parfmm-trace (0 = 4) and
-	// TraceOut the file its Chrome trace-event JSON goes to ("" = none).
-	TraceRanks int
-	TraceOut   string
+	// TraceOut is the file parfmm-trace writes its Chrome trace-event
+	// JSON to ("" = none).
+	TraceOut string
 }
 
 // DefaultScale finishes the full suite in minutes on one core.
@@ -56,14 +54,10 @@ type Experiment struct {
 	ID string
 	// Description summarizes the paper content being reproduced.
 	Description string
-	// Run produces the formatted reproduction.
-	Run func(ctx context.Context, sc Scale) (string, error)
-}
-
-// simulated adapts an experiment over the MPI simulation, whose ranks run
-// to completion by design (mpi.Run takes no context).
-func simulated(run func(Scale) (string, error)) func(context.Context, Scale) (string, error) {
-	return func(_ context.Context, sc Scale) (string, error) { return run(sc) }
+	// Run produces the formatted reproduction. Every experiment runs on
+	// the MPI simulation, whose ranks run to completion by design
+	// (mpi.Run takes no context).
+	Run func(sc Scale) (string, error)
 }
 
 // Experiments enumerates every table and figure of the paper's
@@ -73,42 +67,37 @@ func Experiments() []Experiment {
 		{
 			ID:          "table4.1",
 			Description: "Fixed-size scalability (3.2M particles in the paper): Laplacian, modified Laplacian, Stokes (non-uniform)",
-			Run:         simulated(runTable41),
+			Run:         runTable41,
 		},
 		{
 			ID:          "fig4.2",
 			Description: "Fixed-size per-stage cycles/particle and Mflop/s per processor",
-			Run:         simulated(runFig42),
+			Run:         runFig42,
 		},
 		{
 			ID:          "table4.2",
 			Description: "Isogranular scalability (200k particles/proc in the paper): Laplace uniform, Stokes uniform, Stokes non-uniform",
-			Run:         simulated(runTable42),
+			Run:         runTable42,
 		},
 		{
 			ID:          "fig4.3",
 			Description: "Isogranular per-stage cycles/particle and Mflop/s per processor",
-			Run:         simulated(runFig43),
+			Run:         runFig43,
 		},
 		{
 			ID:          "table4.3",
 			Description: "Largest runs (3000 processors in the paper), s=120",
-			Run:         simulated(runTable43),
+			Run:         runTable43,
 		},
 		{
 			ID:          "ablation-loadbalance",
 			Description: "Load imbalance on non-uniform inputs and the work-estimate fix (Discussion item 6 / future work)",
-			Run:         simulated(runLoadBalance),
+			Run:         runLoadBalance,
 		},
 		{
 			ID:          "parfmm-trace",
 			Description: "Traced 4-rank distributed run: per-pass breakdown, critical path, Chrome trace JSON",
-			Run:         simulated(runParfmmTrace),
-		},
-		{
-			ID:          "cluster-smoke",
-			Description: "Real-TCP loopback cluster (coordinator + 2 workers): one round-trip checked against single node",
-			Run:         runClusterSmoke,
+			Run:         runParfmmTrace,
 		},
 	}
 }

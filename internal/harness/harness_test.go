@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,8 +77,8 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
-// TestExperimentsEnumerateAllArtifacts: every paper artifact and both
-// distributed-run checks are rows of the one table, and what kifmm-bench
+// TestExperimentsEnumerateAllArtifacts: every paper artifact and the
+// traced distributed run are rows of the one table, and what kifmm-bench
 // prints for -list and in the -exp usage text is generated from it.
 func TestExperimentsEnumerateAllArtifacts(t *testing.T) {
 	ids := map[string]bool{}
@@ -94,7 +93,7 @@ func TestExperimentsEnumerateAllArtifacts(t *testing.T) {
 	}
 	for _, want := range []string{
 		"table4.1", "table4.2", "table4.3", "fig4.2", "fig4.3",
-		"ablation-loadbalance", "parfmm-trace", "cluster-smoke",
+		"ablation-loadbalance", "parfmm-trace",
 	} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)
@@ -131,8 +130,8 @@ func TestDistributionsResolve(t *testing.T) {
 }
 
 // TestTinyEndToEndSuite runs a miniature of the full experiment suite to
-// guarantee every artifact regenerates without error (parfmm-trace and
-// cluster-smoke have a fixed shape and run at it).
+// guarantee every artifact regenerates without error (parfmm-trace has a
+// fixed shape and runs at it).
 func TestTinyEndToEndSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run skipped in -short mode")
@@ -145,7 +144,7 @@ func TestTinyEndToEndSuite(t *testing.T) {
 		TraceOut:   filepath.Join(t.TempDir(), "trace.json"),
 	}
 	for _, e := range Experiments() {
-		out, err := e.Run(context.Background(), sc)
+		out, err := e.Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}

@@ -89,16 +89,6 @@ func RunParfmmTrace(cfg ParfmmTraceConfig) (*ParfmmTraceReport, error) {
 	return rep, nil
 }
 
-// writeLoads renders the per-rank load report of a merged timeline.
-func writeLoads(b *strings.Builder, tl *obs.Timeline) {
-	b.WriteString("rank   elapsed      busy      wait     sent(B)   recv(B)  msgs  colls\n")
-	for _, l := range tl.Loads() {
-		fmt.Fprintf(b, "%4d  %9s %9s %9s  %9d %9d  %4d  %5d\n",
-			l.Rank, l.Elapsed.Round(time.Microsecond), l.Busy.Round(time.Microsecond),
-			l.Wait.Round(time.Microsecond), l.BytesSent, l.BytesRecv, l.MsgsSent, l.Collectives)
-	}
-}
-
 // parfmmTraceTable renders the per-rank load report, the per-pass
 // virtual-time breakdown, and a critical-path summary.
 func parfmmTraceTable(rep *ParfmmTraceReport) string {
@@ -109,7 +99,12 @@ func parfmmTraceTable(rep *ParfmmTraceReport) string {
 		rep.CriticalPathDur.Round(time.Microsecond), rep.Timeline.ImbalanceRatio())
 	fmt.Fprintf(&b, "comm: %d point-to-point messages, %d bytes\n\n", rep.CommMsgs, rep.CommBytes)
 
-	writeLoads(&b, rep.Timeline)
+	b.WriteString("rank   elapsed      busy      wait     sent(B)   recv(B)  msgs  colls\n")
+	for _, l := range rep.Timeline.Loads() {
+		fmt.Fprintf(&b, "%4d  %9s %9s %9s  %9d %9d  %4d  %5d\n",
+			l.Rank, l.Elapsed.Round(time.Microsecond), l.Busy.Round(time.Microsecond),
+			l.Wait.Round(time.Microsecond), l.BytesSent, l.BytesRecv, l.MsgsSent, l.Collectives)
+	}
 
 	// Per-pass virtual time per rank. Warm-up is reported as one row;
 	// its inner passes are not folded into the per-pass rows.
@@ -200,7 +195,7 @@ func parfmmTraceTable(rep *ParfmmTraceReport) string {
 // the merged timeline as Chrome trace-event JSON when sc.TraceOut names
 // a file.
 func runParfmmTrace(sc Scale) (string, error) {
-	rep, err := RunParfmmTrace(ParfmmTraceConfig{Ranks: sc.TraceRanks, Iterations: sc.Iterations})
+	rep, err := RunParfmmTrace(ParfmmTraceConfig{Iterations: sc.Iterations})
 	if err != nil {
 		return "", err
 	}

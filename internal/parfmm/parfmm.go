@@ -19,7 +19,6 @@ package parfmm
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"time"
 
@@ -191,16 +190,16 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 		opt.Machine = mpi.DefaultMachine()
 	}
 	if nproc < 1 {
-		return nil, fmt.Errorf("parfmm: need at least one rank")
+		return nil, errs.New(errs.CodeInvalidInput, "parfmm: need at least one rank")
 	}
 	sd := opt.Kernel.SourceDim()
 	total := geom.TotalCount(patches)
 	if len(den) != total*sd {
-		return nil, fmt.Errorf("parfmm: density length %d, want %d", len(den), total*sd)
+		return nil, errs.Newf(errs.CodeInvalidInput, "parfmm: density length %d, want %d", len(den), total*sd)
 	}
 
 	if opt.PatchWeights != nil && len(opt.PatchWeights) != len(patches) {
-		return nil, fmt.Errorf("parfmm: PatchWeights length %d, want %d", len(opt.PatchWeights), len(patches))
+		return nil, errs.Newf(errs.CodeInvalidInput, "parfmm: PatchWeights length %d, want %d", len(opt.PatchWeights), len(patches))
 	}
 	parts := partitionPatches(patches, opt.PatchWeights, nproc)
 

@@ -2,6 +2,7 @@ package kifmm
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -49,6 +50,29 @@ func TestPublicAPIParallel(t *testing.T) {
 	}
 	if e := rel(res.Pot, want); e > 2e-3 {
 		t.Errorf("parallel public API error %v", e)
+	}
+}
+
+// TestEvaluateParallelInvalidInput: every argument EvaluateParallel
+// rejects comes back typed, as errors.go promises of the public API.
+func TestEvaluateParallelInvalidInput(t *testing.T) {
+	patches := CornerPatches(3, 200, 0.35)
+	den := RandomDensities(4, 200, 1)
+	opt := ParallelOptions{Options: Options{Kernel: Laplace(), Degree: 4}}
+	for _, tc := range []struct {
+		name  string
+		den   []float64
+		nproc int
+		opt   ParallelOptions
+	}{
+		{"no ranks", den, 0, opt},
+		{"density length", den[:199], 2, opt},
+		{"patch weights length", den, 2, ParallelOptions{Options: opt.Options, PatchWeights: []int64{1}}},
+		{"nil kernel", den, 2, ParallelOptions{Options: Options{Degree: 4}}},
+	} {
+		if _, err := EvaluateParallel(patches, tc.den, tc.nproc, tc.opt); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: err = %v, want ErrInvalidInput", tc.name, err)
+		}
 	}
 }
 
