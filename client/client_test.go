@@ -99,7 +99,7 @@ func TestEndToEndRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Batched evaluation agrees with the single path per vector.
+	// A batch is its vectors, bit for bit.
 	pots, bstats, err := c.EvaluateBatch(ctx, plan.ID, [][]float64{den, den})
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +111,10 @@ func TestEndToEndRoundTrip(t *testing.T) {
 		t.Fatalf("batch returned %d vectors, want 2", len(pots))
 	}
 	for q := range pots {
-		num, denom = 0, 0
 		for i := range pots[q] {
-			d := pots[q][i] - got[i]
-			num += d * d
-			denom += got[i] * got[i]
-		}
-		if e := math.Sqrt(num / denom); e > 1e-11 {
-			t.Errorf("batch vector %d differs from single evaluation by %.3e", q, e)
+			if math.Float64bits(pots[q][i]) != math.Float64bits(got[i]) {
+				t.Fatalf("batch vector %d differs from the single evaluation at %d: %v vs %v", q, i, pots[q][i], got[i])
+			}
 		}
 	}
 

@@ -102,6 +102,7 @@ func evaluateRangeCtx(ctx context.Context, k kernels.Kernel, trg, src, den, pot 
 func evaluateRange(k kernels.Kernel, trg, src, den, pot []float64, lo, hi int) {
 	sd, td := k.SourceDim(), k.TargetDim()
 	ns := len(src) / 3
+	block := make([]float64, sd*td)
 	for tb := lo; tb < hi; tb += blockSize {
 		te := min(tb+blockSize, hi)
 		for sb := 0; sb < ns; sb += blockSize {
@@ -109,8 +110,9 @@ func evaluateRange(k kernels.Kernel, trg, src, den, pot []float64, lo, hi int) {
 			kernels.P2P(k,
 				trg[3*tb:3*te],
 				src[3*sb:3*se],
-				den[sd*sb:sd*se],
-				pot[td*tb:td*te],
+				[][]float64{den[sd*sb : sd*se]},
+				[][]float64{pot[td*tb : td*te]},
+				block,
 			)
 		}
 	}

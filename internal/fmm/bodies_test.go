@@ -13,8 +13,7 @@ import (
 // on eight corner clusters at degree 6 — U, W and X lists, S2M and L2T
 // all doing work — once with the AVX2 bodies (P2P, the dense operator
 // matvec, the Hadamard) and once with the Go loops, as a single vector
-// and as a batch of two (materialized near-field blocks), and requires
-// bitwise-equal potentials.
+// and as a batch of two, and requires bitwise-equal potentials.
 func TestEvaluationSameUnderBothBodies(t *testing.T) {
 	if !cpu.AVX2 {
 		t.Skip("CPU without AVX2: only the Go bodies run")

@@ -20,9 +20,10 @@
 //
 // There is one way to run an evaluation, (*Evaluator).Evaluate: a batch of
 // density vectors in, one potential vector per density out, with this
-// call's Stats. A single vector is a batch of one; a batch amortizes tree
-// traversal and near-field kernel evaluations across its vectors, the
-// shape Krylov solvers and the evaluation service need.
+// call's Stats. A single vector is a batch of one, and a batch is its
+// vectors bit for bit; it shares the traversal and the per-box work that
+// does not depend on the density across its vectors, the shape Krylov
+// solvers and the evaluation service need.
 //
 // The engine records per-stage compute time and flop counts matching the
 // stages the paper charts in Figures 4.2/4.3 (Up, DownU, DownV, DownW,
@@ -54,7 +55,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/exec"
 	"repro/internal/kernels"
-	"repro/internal/linalg"
 	"repro/internal/morton"
 	"repro/internal/obs"
 	"repro/internal/translate"
@@ -426,7 +426,10 @@ func (r *runState) resetWorkspace(nSrc, nTrg, width int) {
 	}
 	w.lanes = w.lanes[:width]
 	for i := range w.lanes {
-		w.lanes[i].stats = Stats{}
+		sc := &w.lanes[i]
+		sc.stats = Stats{}
+		sc.dens, sc.pots = grow(sc.dens, nrhs), grow(sc.pots, nrhs)
+		sc.block = grow(sc.block, r.sd*r.td)
 	}
 }
 
@@ -443,8 +446,11 @@ type scratch struct {
 	stats Stats
 	check []float64
 	pts   []float64
-	mat   []float64
 	acc   []complex128
+	// dens and pots hold addP2P's per-RHS views for one kernels.P2P
+	// call, and block is that call's kernel-block scratch.
+	dens, pots [][]float64
+	block      []float64
 }
 
 func (sc *scratch) checkBuf(n int) []float64 {
@@ -459,13 +465,6 @@ func (sc *scratch) ptsBuf(n int) []float64 {
 		sc.pts = make([]float64, n)
 	}
 	return sc.pts[:n]
-}
-
-func (sc *scratch) matBuf(n int) []float64 {
-	if cap(sc.mat) < n {
-		sc.mat = make([]float64, n)
-	}
-	return sc.mat[:n]
 }
 
 // accBuf returns a zeroed flat accumulator of n Fourier grids (the
@@ -485,12 +484,13 @@ func (sc *scratch) accBuf(n int) []complex128 {
 // it computes pot[i] = Σ_j G(trg_i, src_j) den_j over all targets, in one
 // sweep of the tree. A density holds SourceDim components per source in
 // the original input order; its potential has TargetDim components per
-// target in input order. A single vector is a batch of one; a larger batch
-// amortizes traversal, operator fetches and — dominating the near field —
-// per-pair kernel evaluations (U/W/X/S2M interactions materialize each
-// kernel block once and apply it to every right-hand side), and matches
-// per-vector calls to accumulation-order rounding. The returned Stats are
-// this call's own.
+// target in input order. A single vector is a batch of one, and each
+// vector of a larger batch comes out bit for bit as it would alone: every
+// stage runs the single-vector arithmetic once per right-hand side. The
+// batch shares the traversal, the operator fetches, the FFT M2L tensor
+// loads (rhsChunk) and, for every kernel but Laplace, the near-field pair
+// geometry (kernels.P2P). The returned Stats are this call's own; their
+// flop counts are the sum over its single evaluations.
 //
 // The call's worker-lane width is resolved here, not at plan time: a lease
 // is acquired from the elastic pool (admission — under saturation this is
@@ -646,28 +646,17 @@ func sliceAt(buf []float64, stride int) func(q int) []float64 {
 }
 
 // addP2P accumulates the direct interaction of one (targets, sources)
-// pair into dst(q) for every right-hand side. With one RHS it takes the
-// specialized P2P loops; for batches it materializes the kernel block
-// once into worker scratch and applies it per RHS, so the kernel
-// evaluations — the dominant near-field cost — are paid once per batch.
-// (Kernels return a zero block at zero displacement, so self
-// interactions vanish on both paths.)
+// pair into dst(q) for every right-hand side, in one kernels.P2P call: a
+// batch shares the pair geometry and each vector still comes out bit for
+// bit as it would alone, so its flops are those of nrhs single calls.
+// (Self interactions vanish: kernels skip zero displacement.)
 func (r *runState) addP2P(sc *scratch, trg, src []float64, den, dst func(q int) []float64, flops *int64) {
 	k := r.e.opt.Kernel
-	nt, ns := len(trg)/3, len(src)/3
-	if r.nrhs == 1 {
-		kernels.P2P(k, trg, src, den(0), dst(0))
-		*flops += kernels.P2PFlops(k, nt, ns)
-		return
+	for q := range sc.dens {
+		sc.dens[q], sc.pots[q] = den(q), dst(q)
 	}
-	rows, cols := nt*r.td, ns*r.sd
-	m := linalg.Dense{Rows: rows, Cols: cols, Data: sc.matBuf(rows * cols)}
-	kernels.Matrix(k, trg, src, m.Data)
-	*flops += kernels.P2PFlops(k, nt, ns)
-	for q := 0; q < r.nrhs; q++ {
-		m.MatVecAdd(dst(q), den(q))
-		*flops += int64(2 * rows * cols)
-	}
+	kernels.P2P(k, trg, src, sc.dens, sc.pots, sc.block)
+	*flops += int64(r.nrhs) * kernels.P2PFlops(k, len(trg)/3, len(src)/3)
 }
 
 // stageStart reads the wall clock for a per-stage timer. Stage times feed

@@ -294,14 +294,13 @@ func TestFMMConcurrentEvaluations(t *testing.T) {
 	}
 }
 
-// TestFMMEvaluateBatch: the batched sweep must agree with per-vector
-// evaluations (to accumulation-order rounding: the batch materializes
-// near-field kernel blocks, the single path runs specialized loops) and
-// be exactly linear like them.
+// TestFMMEvaluateBatch: a batch is its vectors, bit for bit, for every
+// built-in kernel, and it counts the flops of the single evaluations it
+// stands for.
 func TestFMMEvaluateBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	pts := geom.Flatten(geom.CornerClusters(rng, 1500, 0.35, 1))
-	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewStokes(1)} {
+	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewStokes(1), kernels.NewModLaplace(2), kernels.NewKelvin(1, 0.3)} {
 		e, err := NewCtx(bg, pts, pts, Options{Kernel: k, Degree: 5, MaxPoints: 20})
 		if err != nil {
 			t.Fatal(err)
@@ -309,12 +308,15 @@ func TestFMMEvaluateBatch(t *testing.T) {
 		const nrhs = 5
 		dens := make([][]float64, nrhs)
 		want := make([][]float64, nrhs)
+		var flops int64
 		for q := range dens {
 			dens[q] = geom.RandomDensities(rng, 1500, k.SourceDim())
-			want[q], _, err = eval(bg, e, dens[q])
+			var st Stats
+			want[q], st, err = eval(bg, e, dens[q])
 			if err != nil {
 				t.Fatal(err)
 			}
+			flops += st.Flops()
 		}
 		got, st, err := e.Evaluate(bg, dens, nil, nil)
 		if err != nil {
@@ -323,12 +325,15 @@ func TestFMMEvaluateBatch(t *testing.T) {
 		if len(got) != nrhs {
 			t.Fatalf("%s: got %d vectors, want %d", k.Name(), len(got), nrhs)
 		}
-		if st.Flops() <= 0 || st.Total() <= 0 {
+		if st.Total() <= 0 {
 			t.Errorf("%s: batch stats not populated: %+v", k.Name(), st)
 		}
+		if st.Flops() != flops {
+			t.Errorf("%s: batch counts %d flops, its single vectors %d", k.Name(), st.Flops(), flops)
+		}
 		for q := range got {
-			if e := relErr(got[q], want[q]); e > 1e-12 {
-				t.Errorf("%s: batch vector %d differs from single evaluation: %.3e", k.Name(), q, e)
+			if err := assertSameBits(fmt.Sprintf("%s: batch vector %d", k.Name(), q), got[q], want[q]); err != nil {
+				t.Error(err)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package fmm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 // TestSmallLeafRuleClustered: on a clustered set where W and X entries
 // take the point-to-point path next to entries that keep their surface,
 // the result stays within the clustered-accuracy tolerance of direct
-// summation, is bitwise identical for every lane width, and a batch
-// agrees with single evaluations.
+// summation, is bitwise identical for every lane width, and a batch is
+// its single evaluations bit for bit.
 func TestSmallLeafRuleClustered(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	const n = 3000
@@ -72,25 +73,14 @@ func TestSmallLeafRuleClustered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for q := range batch {
-		// Accumulation-order rounding only (TestFMMEvaluateBatch): the
-		// batch applies materialized kernel blocks.
-		if e := relErr(batch[q], singles[q]); e > 1e-12 {
-			t.Errorf("batch vector %d differs from its single evaluation by %v", q, e)
+		if err := assertSameBits(fmt.Sprintf("batch vector %d", q), batch[q], singles[q]); err != nil {
+			t.Error(err)
 		}
 	}
 	// One batch takes each list entry's path once, not once per
 	// right-hand side.
 	if bst.WDirect != st.WDirect || bst.XDirect != st.XDirect {
 		t.Errorf("batch counters W %d X %d, single W %d X %d", bst.WDirect, bst.XDirect, st.WDirect, st.XDirect)
-	}
-	// Each right-hand side of a batch is computed independently of its
-	// companions, bit for bit.
-	rot, _, err := e.Evaluate(bg, [][]float64{dens[2], dens[0], dens[1]}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range batch {
-		assertBitwise(t, "rotated batch", rot[(q+1)%3], batch[q])
 	}
 }
 

@@ -129,10 +129,13 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 // TestWarmEvaluateAllocationIsFlat: once a plan is warm, an evaluation
 // allocates its output and a fixed set of small objects — the lease, the
 // run state, the closures and bookkeeping of each pass — however many
-// boxes and points the tree holds. The two uniform trees run the same
-// passes (same depth, V-list work on the same levels), so that fixed set
-// is the same, while their boxes differ threefold and their points
-// 3.4-fold: one allocation per box would add hundreds.
+// boxes and points the tree holds, whatever the kernel and the batch. The
+// two uniform trees run the same passes (same depth, V-list work on the
+// same levels), so that fixed set is the same, while their boxes differ
+// threefold and their points 3.4-fold: one allocation per box would add
+// hundreds. A kernel without a specialized near-field loop (Kelvin)
+// evaluates its blocks into lane scratch, so it allocates as few objects
+// as Laplace at the same batch.
 func TestWarmEvaluateAllocationIsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool.Put drops items at random, so a warm call may build a new workspace")
@@ -142,38 +145,56 @@ func TestWarmEvaluateAllocationIsFlat(t *testing.T) {
 		vLevels string
 	}
 	sizes := []int{3500, 12000}
-	allocs := make([]float64, len(sizes))
-	shapes := make([]shape, len(sizes))
-	for i, n := range sizes {
-		rng := rand.New(rand.NewSource(7))
-		pts := geom.Flatten(geom.UniformCube(rng, n))
-		e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 60, Workers: 1, Pool: exec.NewElastic(1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := make([]bool, e.Tree.Depth())
-		for bi := range e.Tree.Boxes {
-			b := &e.Tree.Boxes[bi]
-			v[b.Level()] = v[b.Level()] || len(b.V) > 0
-		}
-		shapes[i] = shape{e.Tree.Depth(), fmt.Sprint(v)}
-		den := [][]float64{geom.RandomDensities(rng, n, 1)}
-		if _, _, err := e.Evaluate(bg, den, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		allocs[i] = testing.AllocsPerRun(20, func() {
-			if _, _, err := e.Evaluate(bg, den, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("N=%d: %d boxes, %+v, %v allocations per warm evaluation", n, len(e.Tree.Boxes), shapes[i], allocs[i])
-	}
-	if shapes[0] != shapes[1] {
-		t.Fatalf("the trees run different passes (%+v vs %+v): pick sizes of one shape", shapes[0], shapes[1])
-	}
 	// The runtime itself now and then adds an allocation or two to a call.
 	const slack = 8
-	if d := allocs[1] - allocs[0]; d > slack || d < -slack {
-		t.Errorf("warm evaluation allocates %v objects at N=%d but %v at N=%d", allocs[0], sizes[0], allocs[1], sizes[1])
+	laplace := map[int][]float64{} // per batch, Laplace's allocations per size
+	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewKelvin(1, 0.3)} {
+		for _, nrhs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/rhs%d", k.Name(), nrhs), func(t *testing.T) {
+				allocs := make([]float64, len(sizes))
+				shapes := make([]shape, len(sizes))
+				for i, n := range sizes {
+					rng := rand.New(rand.NewSource(7))
+					pts := geom.Flatten(geom.UniformCube(rng, n))
+					e, err := NewCtx(bg, pts, pts, Options{Kernel: k, Degree: 4, MaxPoints: 60, Workers: 1, Pool: exec.NewElastic(1)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					v := make([]bool, e.Tree.Depth())
+					for bi := range e.Tree.Boxes {
+						b := &e.Tree.Boxes[bi]
+						v[b.Level()] = v[b.Level()] || len(b.V) > 0
+					}
+					shapes[i] = shape{e.Tree.Depth(), fmt.Sprint(v)}
+					den := make([][]float64, nrhs)
+					for q := range den {
+						den[q] = geom.RandomDensities(rng, n, k.SourceDim())
+					}
+					// AllocsPerRun's warm-up call builds the lazy operators.
+					allocs[i] = testing.AllocsPerRun(2, func() {
+						if _, _, err := e.Evaluate(bg, den, nil, nil); err != nil {
+							t.Fatal(err)
+						}
+					})
+					t.Logf("N=%d: %d boxes, %+v, %v allocations per warm evaluation", n, len(e.Tree.Boxes), shapes[i], allocs[i])
+				}
+				if shapes[0] != shapes[1] {
+					t.Fatalf("the trees run different passes (%+v vs %+v): pick sizes of one shape", shapes[0], shapes[1])
+				}
+				if d := allocs[1] - allocs[0]; d > slack || d < -slack {
+					t.Errorf("warm evaluation allocates %v objects at N=%d but %v at N=%d", allocs[0], sizes[0], allocs[1], sizes[1])
+				}
+				base, ok := laplace[nrhs]
+				if !ok {
+					laplace[nrhs] = allocs
+					return
+				}
+				for i := range sizes {
+					if allocs[i] > base[i]+slack {
+						t.Errorf("warm evaluation at N=%d allocates %v objects, Laplace %v", sizes[i], allocs[i], base[i])
+					}
+				}
+			})
+		}
 	}
 }

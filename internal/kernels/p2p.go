@@ -8,49 +8,73 @@ import (
 
 // P2P accumulates the direct particle-to-particle interaction
 //
-//	pot[i] += Σ_j G(trg_i, src_j) den_j
+//	pots[q][i] += Σ_j G(trg_i, src_j) dens[q][j]
 //
-// into pot. Positions are flat (x0,y0,z0,x1,...) slices; den has
-// SourceDim components per source and pot has TargetDim components per
-// target. Self interactions (zero displacement) contribute nothing.
+// into every right-hand side q of one call. Positions are flat
+// (x0,y0,z0,x1,...) slices; each density has SourceDim components per
+// source and each potential TargetDim components per target. Self
+// interactions (zero displacement) contribute nothing.
 //
-// The Laplace, Stokes and modified Laplace kernels dispatch to
-// hand-unrolled inner loops; every other kernel goes through the generic
-// Eval path. Both paths produce identical results up to rounding (see
-// TestP2PSpecializationsAgree). On amd64 CPUs with AVX2 the Laplace loop
-// runs an assembly body that rounds exactly like its Go loop, which runs
-// everywhere else (see laplaceP2P); the result never depends on which
-// body ran.
-func P2P(k Kernel, trg, src, den, pot []float64) {
+// A single vector is a batch of one, and a batch is its vectors bit for
+// bit: pots[q] ends exactly as a call with dens[q] alone leaves it
+// (TestP2PBatchIsItsVectors). The Stokes and modified Laplace loops and
+// the generic Eval path compute each pair's geometry once (the square
+// root, the reciprocal powers, the exponential, or the Eval block) and
+// accumulate every right-hand side with the one-vector expression in the
+// one-vector order. The Laplace loop runs once per right-hand side: a
+// shared square root would still leave a division per vector, and its
+// vector body beats that. Specialized loops and the generic path agree up
+// to rounding (TestP2PSpecializationsAgree). On amd64 CPUs with AVX2 the
+// Laplace loop runs an assembly body that rounds exactly like its Go
+// loop, which runs everywhere else (see laplaceP2P); the result never
+// depends on which body ran.
+//
+// block is scratch for kernels without a specialized loop, at least
+// SourceDim·TargetDim long: Eval is an interface call, so a block of
+// P2P's own would escape to the heap. With a shorter one (nil) such a
+// kernel allocates its block per call.
+func P2P(k Kernel, trg, src []float64, dens, pots [][]float64, block []float64) {
 	switch kk := k.(type) {
 	case Laplace:
-		laplaceP2P(trg, src, den, pot)
+		for q, den := range dens {
+			laplaceP2P(trg, src, den, pots[q])
+		}
 	case Stokes:
-		stokesP2P(kk.Mu, trg, src, den, pot)
+		stokesP2P(kk.Mu, trg, src, dens, pots)
 	case ModLaplace:
-		modLaplaceP2P(kk.Lambda, trg, src, den, pot)
+		modLaplaceP2P(kk.Lambda, trg, src, dens, pots)
 	default:
-		GenericP2P(k, trg, src, den, pot)
+		genericP2P(k, trg, src, dens, pots, block)
 	}
 }
 
-// GenericP2P is the kernel-agnostic direct interaction loop used by P2P
-// for kernels without a specialized implementation. It is exported so
-// tests can verify the specialized loops against it.
-func GenericP2P(k Kernel, trg, src, den, pot []float64) {
+// rhsBlock is how many right-hand sides the Stokes and modified Laplace
+// loops carry per sweep over the pairs: their per-target sums live in
+// stack arrays of this length, and a longer batch recomputes the pair
+// geometry once per block.
+const rhsBlock = 4
+
+// genericP2P is the kernel-agnostic direct interaction loop P2P runs for
+// kernels without a specialized one.
+func genericP2P(k Kernel, trg, src []float64, dens, pots [][]float64, block []float64) {
 	sd, td := k.SourceDim(), k.TargetDim()
-	block := make([]float64, sd*td)
+	if len(block) < sd*td {
+		block = make([]float64, sd*td)
+	}
 	nt, ns := len(trg)/3, len(src)/3
 	for i := 0; i < nt; i++ {
 		tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
 		for j := 0; j < ns; j++ {
 			k.Eval(tx-src[3*j], ty-src[3*j+1], tz-src[3*j+2], block)
-			for a := 0; a < td; a++ {
-				s := 0.0
-				for b := 0; b < sd; b++ {
-					s += block[a*sd+b] * den[j*sd+b]
+			for q, den := range dens {
+				pot := pots[q]
+				for a := 0; a < td; a++ {
+					s := 0.0
+					for b := 0; b < sd; b++ {
+						s += block[a*sd+b] * den[j*sd+b]
+					}
+					pot[i*td+a] += s
 				}
-				pot[i*td+a] += s
 			}
 		}
 	}
@@ -89,78 +113,113 @@ func laplaceP2P(trg, src, den, pot []float64) {
 	}
 }
 
-func modLaplaceP2P(lambda float64, trg, src, den, pot []float64) {
+func modLaplaceP2P(lambda float64, trg, src []float64, dens, pots [][]float64) {
 	nt, ns := len(trg)/3, len(src)/3
-	for i := 0; i < nt; i++ {
-		tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
-		sum := 0.0
-		for j := 0; j < ns; j++ {
-			rx := tx - src[3*j]
-			ry := ty - src[3*j+1]
-			rz := tz - src[3*j+2]
-			r2 := rx*rx + ry*ry + rz*rz
-			if r2 == 0 {
-				continue
+	for q0 := 0; q0 < len(dens); q0 += rhsBlock {
+		d := dens[q0:min(q0+rhsBlock, len(dens))]
+		for i := 0; i < nt; i++ {
+			tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
+			var sum [rhsBlock]float64
+			for j := 0; j < ns; j++ {
+				rx := tx - src[3*j]
+				ry := ty - src[3*j+1]
+				rz := tz - src[3*j+2]
+				r2 := rx*rx + ry*ry + rz*rz
+				if r2 == 0 {
+					continue
+				}
+				r := math.Sqrt(r2)
+				g := math.Exp(-lambda * r)
+				for q, den := range d {
+					sum[q] += den[j] * g / r
+				}
 			}
-			r := math.Sqrt(r2)
-			sum += den[j] * math.Exp(-lambda*r) / r
+			for q := range d {
+				pots[q0+q][i] += fourPiInv * sum[q]
+			}
 		}
-		pot[i] += fourPiInv * sum
 	}
 }
 
-func stokesP2P(mu float64, trg, src, den, pot []float64) {
+// stokesP2P keeps a lone right-hand side's sums in registers and a
+// batch's in stack arrays, which would slow a lone vector by a quarter.
+// Both paths add each pair through stokesTerm, so a batch vector sums the
+// same terms in the same order as its single call.
+func stokesP2P(mu float64, trg, src []float64, dens, pots [][]float64) {
 	c := 1.0 / (8 * math.Pi * mu)
 	nt, ns := len(trg)/3, len(src)/3
-	for i := 0; i < nt; i++ {
-		tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
-		var sx, sy, sz float64
-		for j := 0; j < ns; j++ {
-			rx := tx - src[3*j]
-			ry := ty - src[3*j+1]
-			rz := tz - src[3*j+2]
-			r2 := rx*rx + ry*ry + rz*rz
-			if r2 == 0 {
-				continue
+	if len(dens) == 1 {
+		den, pot := dens[0], pots[0]
+		for i := 0; i < nt; i++ {
+			tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
+			var sx, sy, sz float64
+			for j := 0; j < ns; j++ {
+				rx := tx - src[3*j]
+				ry := ty - src[3*j+1]
+				rz := tz - src[3*j+2]
+				r2 := rx*rx + ry*ry + rz*rz
+				if r2 == 0 {
+					continue
+				}
+				inv := 1 / math.Sqrt(r2)
+				dx, dy, dz := stokesTerm(rx, ry, rz, inv, inv*inv*inv, den[3*j], den[3*j+1], den[3*j+2])
+				sx += dx
+				sy += dy
+				sz += dz
 			}
-			inv := 1 / math.Sqrt(r2)
-			inv3 := inv * inv * inv
-			fx, fy, fz := den[3*j], den[3*j+1], den[3*j+2]
-			rdotf := rx*fx + ry*fy + rz*fz
-			sx += inv*fx + inv3*rdotf*rx
-			sy += inv*fy + inv3*rdotf*ry
-			sz += inv*fz + inv3*rdotf*rz
+			pot[3*i] += c * sx
+			pot[3*i+1] += c * sy
+			pot[3*i+2] += c * sz
 		}
-		pot[3*i] += c * sx
-		pot[3*i+1] += c * sy
-		pot[3*i+2] += c * sz
+		return
 	}
+	for q0 := 0; q0 < len(dens); q0 += rhsBlock {
+		d := dens[q0:min(q0+rhsBlock, len(dens))]
+		for i := 0; i < nt; i++ {
+			tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
+			var sx, sy, sz [rhsBlock]float64
+			for j := 0; j < ns; j++ {
+				rx := tx - src[3*j]
+				ry := ty - src[3*j+1]
+				rz := tz - src[3*j+2]
+				r2 := rx*rx + ry*ry + rz*rz
+				if r2 == 0 {
+					continue
+				}
+				inv := 1 / math.Sqrt(r2)
+				inv3 := inv * inv * inv
+				for q, den := range d {
+					dx, dy, dz := stokesTerm(rx, ry, rz, inv, inv3, den[3*j], den[3*j+1], den[3*j+2])
+					sx[q] += dx
+					sy[q] += dy
+					sz[q] += dz
+				}
+			}
+			for q := range d {
+				pot := pots[q0+q]
+				pot[3*i] += c * sx[q]
+				pot[3*i+1] += c * sy[q]
+				pot[3*i+2] += c * sz[q]
+			}
+		}
+	}
+}
+
+// stokesTerm is one pair's Stokeslet applied to the force f, for
+// displacement r with inv = 1/|r| and inv3 = inv³, without the 1/(8πμ)
+// the sums are scaled by once.
+func stokesTerm(rx, ry, rz, inv, inv3, fx, fy, fz float64) (x, y, z float64) {
+	rdotf := rx*fx + ry*fy + rz*fz
+	return inv*fx + inv3*rdotf*rx, inv*fy + inv3*rdotf*ry, inv*fz + inv3*rdotf*rz
 }
 
 // Matrix fills out (row-major, nt*TargetDim rows by ns*SourceDim columns)
 // with the dense interaction matrix between the target points trg and the
-// source points src, so that pot = out * den reproduces P2P. out must
-// have length (nt*td)*(ns*sd).
-//
-// Like P2P, Laplace, modified Laplace and Stokes dispatch to unrolled
-// loops — batched near-field evaluation materializes these blocks on its
-// hot path — and every other kernel goes through the generic Eval path.
-// Each unrolled loop writes the expressions of its kernel's Eval, so the
-// two paths agree bit for bit (TestMatrixSpecializationsAgree).
+// source points src, so that pot = out * den reproduces P2P up to
+// rounding. out must have length (nt*td)*(ns*sd). It calls Eval once per
+// pair; package translate builds its operators with it, once per box
+// size.
 func Matrix(k Kernel, trg, src, out []float64) {
-	switch kk := k.(type) {
-	case Laplace:
-		laplaceMatrix(trg, src, out)
-	case ModLaplace:
-		modLaplaceMatrix(kk.Lambda, trg, src, out)
-	case Stokes:
-		stokesMatrix(kk, trg, src, out)
-	default:
-		genericMatrix(k, trg, src, out)
-	}
-}
-
-func genericMatrix(k Kernel, trg, src, out []float64) {
 	sd, td := k.SourceDim(), k.TargetDim()
 	nt, ns := len(trg)/3, len(src)/3
 	cols := ns * sd
@@ -170,84 +229,8 @@ func genericMatrix(k Kernel, trg, src, out []float64) {
 		for j := 0; j < ns; j++ {
 			k.Eval(tx-src[3*j], ty-src[3*j+1], tz-src[3*j+2], block)
 			for a := 0; a < td; a++ {
-				row := (i*td + a) * cols
-				for b := 0; b < sd; b++ {
-					out[row+j*sd+b] = block[a*sd+b]
-				}
+				copy(out[(i*td+a)*cols+j*sd:][:sd], block[a*sd:])
 			}
-		}
-	}
-}
-
-func laplaceMatrix(trg, src, out []float64) {
-	nt, ns := len(trg)/3, len(src)/3
-	for i := 0; i < nt; i++ {
-		tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
-		row := out[i*ns : (i+1)*ns]
-		for j := 0; j < ns; j++ {
-			rx := tx - src[3*j]
-			ry := ty - src[3*j+1]
-			rz := tz - src[3*j+2]
-			r2 := rx*rx + ry*ry + rz*rz
-			if r2 == 0 {
-				row[j] = 0
-				continue
-			}
-			row[j] = fourPiInv / math.Sqrt(r2)
-		}
-	}
-}
-
-func modLaplaceMatrix(lambda float64, trg, src, out []float64) {
-	nt, ns := len(trg)/3, len(src)/3
-	for i := 0; i < nt; i++ {
-		tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
-		row := out[i*ns : (i+1)*ns]
-		for j := 0; j < ns; j++ {
-			rx := tx - src[3*j]
-			ry := ty - src[3*j+1]
-			rz := tz - src[3*j+2]
-			r2 := rx*rx + ry*ry + rz*rz
-			if r2 == 0 {
-				row[j] = 0
-				continue
-			}
-			r := math.Sqrt(r2)
-			row[j] = fourPiInv * math.Exp(-lambda*r) / r
-		}
-	}
-}
-
-// stokesMatrix writes the expressions of Stokes.Eval straight into the
-// 3×3 blocks of out, without an interface call per pair.
-func stokesMatrix(k Stokes, trg, src, out []float64) {
-	nt, ns := len(trg)/3, len(src)/3
-	cols := 3 * ns
-	c := 1.0 / (8 * math.Pi * k.Mu)
-	for i := 0; i < nt; i++ {
-		tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
-		r0 := out[(3*i)*cols:][:cols]
-		r1 := out[(3*i+1)*cols:][:cols]
-		r2 := out[(3*i+2)*cols:][:cols]
-		for j := 0; j < ns; j++ {
-			rx := tx - src[3*j]
-			ry := ty - src[3*j+1]
-			rz := tz - src[3*j+2]
-			b0, b1, b2 := r0[3*j:3*j+3], r1[3*j:3*j+3], r2[3*j:3*j+3]
-			d2 := rx*rx + ry*ry + rz*rz
-			if d2 == 0 {
-				b0[0], b0[1], b0[2] = 0, 0, 0
-				b1[0], b1[1], b1[2] = 0, 0, 0
-				b2[0], b2[1], b2[2] = 0, 0, 0
-				continue
-			}
-			inv := 1 / math.Sqrt(d2)
-			inv3 := inv * inv * inv
-			diag := c * inv
-			xy, xz, yz := c*inv3*rx*ry, c*inv3*rx*rz, c*inv3*ry*rz
-			b0[0], b0[1], b0[2] = diag+c*inv3*rx*rx, xy, xz
-			b1[0], b1[1], b1[2] = xy, diag+c*inv3*ry*ry, yz
-			b2[0], b2[1], b2[2] = xz, yz, diag+c*inv3*rz*rz
 		}
 	}
 }

@@ -29,8 +29,8 @@ func TestP2PSpecializationsAgree(t *testing.T) {
 		}
 		fast := make([]float64, nt*k.TargetDim())
 		slow := make([]float64, nt*k.TargetDim())
-		P2P(k, trg, src, den, fast)
-		GenericP2P(k, trg, src, den, slow)
+		p2p(k, trg, src, den, fast)
+		genericP2P(k, trg, src, [][]float64{den}, [][]float64{slow}, nil)
 		for i := range fast {
 			if math.Abs(fast[i]-slow[i]) > 1e-12*(math.Abs(slow[i])+1) {
 				t.Fatalf("%s: specialized P2P disagrees at %d: %v vs %v", k.Name(), i, fast[i], slow[i])
@@ -39,23 +39,39 @@ func TestP2PSpecializationsAgree(t *testing.T) {
 	}
 }
 
-// TestMatrixSpecializationsAgree: the unrolled matrix fills must be
-// bitwise identical to the generic Eval path (they write the same
-// expression Eval computes).
-func TestMatrixSpecializationsAgree(t *testing.T) {
+// p2p accumulates one density vector's direct interaction into pot.
+func p2p(k Kernel, trg, src, den, pot []float64) {
+	P2P(k, trg, src, [][]float64{den}, [][]float64{pot}, nil)
+}
+
+// TestP2PBatchIsItsVectors: every right-hand side of a batch ends bit for
+// bit as a call with it alone leaves it, for batches shorter and longer
+// than rhsBlock, with a coincident point and potentials that do not
+// start at zero.
+func TestP2PBatchIsItsVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, k := range allKernels() {
-		nt, ns := 11, 14
-		trg := randomCloud(rng, nt)
-		// Include a coincident point: self interactions must zero out.
-		src := append(randomCloud(rng, ns-1), trg[0], trg[1], trg[2])
-		fast := make([]float64, nt*k.TargetDim()*ns*k.SourceDim())
-		slow := make([]float64, len(fast))
-		Matrix(k, trg, src, fast)
-		genericMatrix(k, trg, src, slow)
-		for i := range fast {
-			if fast[i] != slow[i] {
-				t.Fatalf("%s: specialized Matrix disagrees at %d: %v vs %v", k.Name(), i, fast[i], slow[i])
+		for _, nrhs := range []int{1, 2, 4, 5, 9} {
+			nt, ns := 11, 14
+			sd, td := k.SourceDim(), k.TargetDim()
+			trg := randomCloud(rng, nt)
+			src := append(randomCloud(rng, ns-1), trg[0], trg[1], trg[2])
+			dens := make([][]float64, nrhs)
+			pots := make([][]float64, nrhs)
+			want := make([][]float64, nrhs)
+			for q := range dens {
+				dens[q] = randomCloud(rng, ns*sd)[:ns*sd]
+				pots[q] = randomCloud(rng, nt*td)[:nt*td]
+				want[q] = append([]float64(nil), pots[q]...)
+				p2p(k, trg, src, dens[q], want[q])
+			}
+			P2P(k, trg, src, dens, pots, make([]float64, sd*td))
+			for q := range pots {
+				for i := range pots[q] {
+					if math.Float64bits(pots[q][i]) != math.Float64bits(want[q][i]) {
+						t.Fatalf("%s nrhs=%d: pots[%d][%d] = %v, alone %v", k.Name(), nrhs, q, i, pots[q][i], want[q][i])
+					}
+				}
 			}
 		}
 	}
@@ -101,9 +117,9 @@ func TestLaplaceP2PBodiesAgree(t *testing.T) {
 		}
 		want := append([]float64(nil), pot...)
 		cpu.AVX2 = false
-		P2P(Laplace{}, trg, src, den, want[:nt])
+		p2p(Laplace{}, trg, src, den, want[:nt])
 		cpu.AVX2 = true
-		P2P(Laplace{}, trg, src, den, pot[:nt])
+		p2p(Laplace{}, trg, src, den, pot[:nt])
 		for i := range pot {
 			if !sameFloatBits(pot[i], want[i]) {
 				t.Fatalf("%s: pot[%d] = %v (%#x), Go loop %v (%#x)",
@@ -139,13 +155,22 @@ func TestLaplaceP2PBodiesAgree(t *testing.T) {
 }
 
 // TestP2PAllocatesNothing: the Laplace vector body keeps its block
-// buffers on the stack.
+// buffers on the stack, the Stokes and modified Laplace loops their sums,
+// and a generic kernel evaluates into the caller's block.
 func TestP2PAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	trg, src := randomCloud(rng, 37), randomCloud(rng, 41)
-	den, pot := make([]float64, 41), make([]float64, 37)
-	if a := testing.AllocsPerRun(10, func() { P2P(Laplace{}, trg, src, den, pot) }); a != 0 {
-		t.Errorf("Laplace P2P allocates %v times per call", a)
+	for _, k := range allKernels() {
+		for _, nrhs := range []int{1, 4} {
+			dens, pots := make([][]float64, nrhs), make([][]float64, nrhs)
+			for q := range dens {
+				dens[q], pots[q] = make([]float64, 41*k.SourceDim()), make([]float64, 37*k.TargetDim())
+			}
+			block := make([]float64, k.SourceDim()*k.TargetDim())
+			if a := testing.AllocsPerRun(10, func() { P2P(k, trg, src, dens, pots, block) }); a != 0 {
+				t.Errorf("%s P2P of %d right-hand sides allocates %v times per call", k.Name(), nrhs, a)
+			}
+		}
 	}
 }
 
@@ -165,8 +190,8 @@ func TestP2PAccumulates(t *testing.T) {
 	den := []float64{1, 2, 3, 4, 5}
 	pot := []float64{10, 20, 30, 40}
 	once := make([]float64, 4)
-	P2P(k, trg, src, den, once)
-	P2P(k, trg, src, den, pot)
+	p2p(k, trg, src, den, once)
+	p2p(k, trg, src, den, pot)
 	for i := range pot {
 		want := once[i] + float64(10*(i+1))
 		if math.Abs(pot[i]-want) > 1e-12 {
@@ -183,7 +208,7 @@ func TestP2PSkipsSelfInteraction(t *testing.T) {
 			den[i] = 1
 		}
 		pot := make([]float64, k.TargetDim())
-		P2P(k, pts, pts, den, pot)
+		p2p(k, pts, pts, den, pot)
 		for i, v := range pot {
 			if !(v == 0) || math.IsNaN(v) {
 				t.Errorf("%s: self interaction leaked: pot[%d]=%v", k.Name(), i, v)
@@ -215,7 +240,7 @@ func TestMatrixMatchesP2P(t *testing.T) {
 			viaMat[r] = s
 		}
 		direct := make([]float64, nt*td)
-		P2P(k, trg, src, den, direct)
+		p2p(k, trg, src, den, direct)
 		for i := range direct {
 			if math.Abs(direct[i]-viaMat[i]) > 1e-12*(math.Abs(direct[i])+1) {
 				t.Fatalf("%s: Matrix path disagrees with P2P at %d", k.Name(), i)
@@ -246,7 +271,7 @@ func BenchmarkP2PLaplace(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		P2P(Laplace{}, trg, src, den, pot)
+		p2p(Laplace{}, trg, src, den, pot)
 	}
 }
 
@@ -261,6 +286,22 @@ func BenchmarkP2PStokes(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		P2P(NewStokes(1), trg, src, den, pot)
+		p2p(NewStokes(1), trg, src, den, pot)
+	}
+}
+
+// BenchmarkP2PStokesBatch4 is one 100×100 pair with four right-hand
+// sides in one call, against four calls of BenchmarkP2PStokes.
+func BenchmarkP2PStokesBatch4(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	trg := randomCloud(rng, 100)
+	src := randomCloud(rng, 100)
+	dens, pots := make([][]float64, 4), make([][]float64, 4)
+	for q := range dens {
+		dens[q], pots[q] = randomCloud(rng, 100), make([]float64, 300)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		P2P(NewStokes(1), trg, src, dens, pots, nil)
 	}
 }

@@ -77,12 +77,6 @@ func (m *Dense) MatVec(dst, x []float64) {
 	m.mulAdd(dst, x, 1)
 }
 
-// MatVecAdd computes dst += m * x.
-func (m *Dense) MatVecAdd(dst, x []float64) {
-	m.checkShape("MatVecAdd", dst, x)
-	m.mulAdd(dst, x, 1)
-}
-
 // MatVecAddScaled computes dst += alpha * (m * x). The FMM uses it to
 // apply unit-scale translation operators rescaled analytically for
 // homogeneous kernels.

@@ -33,14 +33,6 @@ func TestMatVecAgainstNaive(t *testing.T) {
 			t.Fatalf("MatVec[%d] = %v want %v", i, dst[i], s)
 		}
 	}
-	// MatVecAdd accumulates.
-	before := append([]float64(nil), dst...)
-	a.MatVecAdd(dst, x)
-	for i := range dst {
-		if math.Abs(dst[i]-2*before[i]) > 1e-12 {
-			t.Fatal("MatVecAdd must accumulate")
-		}
-	}
 }
 
 func TestMulAssociativityAndIdentity(t *testing.T) {
@@ -73,7 +65,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 	a := NewDense(3, 4)
 	for _, f := range []func(){
 		func() { a.MatVec(make([]float64, 3), make([]float64, 3)) },
-		func() { a.MatVecAdd(make([]float64, 2), make([]float64, 4)) },
 		func() { Mul(a, NewDense(3, 3)) },
 		func() { Sub(a, NewDense(4, 3)) },
 		func() { NewDense(-1, 2) },

@@ -23,7 +23,7 @@ func refMatVecAddScaled(m *Dense, dst, x []float64, alpha float64) {
 }
 
 // TestMatVecBitwiseEqualsReference holds mulAdd to the plain loop bit for
-// bit through all three entry points, once on the Go loops and, on a CPU
+// bit through both entry points, once on the Go loops and, on a CPU
 // with AVX2, once on the vector body: every row and column count from 0
 // to 40 (whole eight-row blocks and every row tail, whole four-column
 // steps and every column tail) and the FMM's 152- and 294-point surfaces,
@@ -94,12 +94,6 @@ func TestMatVecBitwiseEqualsReference(t *testing.T) {
 				}
 				check("MatVec", got, want)
 
-				got = append([]float64(nil), init...)
-				want = append([]float64(nil), init...)
-				m.MatVecAdd(got[:rows], x)
-				refMatVecAddScaled(m, want[:rows], x, 1)
-				check("MatVecAdd", got, want)
-
 				for _, alpha := range []float64{1, -0.5, 1 / r} {
 					got = append([]float64(nil), init...)
 					want = append([]float64(nil), init...)
@@ -132,13 +126,12 @@ func sameFloatBits(a, b float64) bool {
 }
 
 // TestMatVecPanicMessagesNameTheEntryPoint pins the panic text callers
-// see in a stack trace: one shape check serves all three entry points but
+// see in a stack trace: one shape check serves both entry points but
 // still names the one that was called.
 func TestMatVecPanicMessagesNameTheEntryPoint(t *testing.T) {
 	a := NewDense(3, 4)
 	for name, f := range map[string]func(){
 		"MatVec":          func() { a.MatVec(make([]float64, 3), make([]float64, 3)) },
-		"MatVecAdd":       func() { a.MatVecAdd(make([]float64, 2), make([]float64, 4)) },
 		"MatVecAddScaled": func() { a.MatVecAddScaled(make([]float64, 3), make([]float64, 5), 1) },
 	} {
 		func() {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -102,8 +103,10 @@ func TestHTTPEvaluateBatch(t *testing.T) {
 		t.Fatalf("batch returned %d vectors, want 2", len(batch.Potentials))
 	}
 	for q, pot := range batch.Potentials {
-		if e := relErr(pot, single.Potentials); e > 1e-11 {
-			t.Errorf("batch vector %d differs from single evaluation: %.3e", q, e)
+		for i := range pot {
+			if math.Float64bits(pot[i]) != math.Float64bits(single.Potentials[i]) {
+				t.Fatalf("batch vector %d differs from the single evaluation at %d: %v vs %v", q, i, pot[i], single.Potentials[i])
+			}
 		}
 	}
 

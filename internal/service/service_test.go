@@ -363,8 +363,10 @@ func TestEvaluateBatch(t *testing.T) {
 		t.Errorf("batch stats empty: %+v", st)
 	}
 	for q := range pots {
-		if e := relErr(pots[q], want[q]); e > 1e-11 {
-			t.Errorf("batch vector %d differs from single evaluation: %.3e", q, e)
+		for i := range pots[q] {
+			if math.Float64bits(pots[q][i]) != math.Float64bits(want[q][i]) {
+				t.Fatalf("batch vector %d differs from its single evaluation at %d: %v vs %v", q, i, pots[q][i], want[q][i])
+			}
 		}
 	}
 	if got := svc.MetricsRegistry().Snapshot()["kifmm_evaluations_total"] - evalsBefore; got != k {

@@ -40,13 +40,18 @@ func relErr(got, want []float64) float64 {
 	return math.Sqrt(num / den)
 }
 
+// p2p accumulates one density vector's direct interaction into pot.
+func p2p(k kernels.Kernel, trg, src, den, pot []float64) {
+	kernels.P2P(k, trg, src, [][]float64{den}, [][]float64{pot}, nil)
+}
+
 // upwardDensity builds a box's upward equivalent density from sources via
 // S2M: evaluate the upward check potential, then invert.
 func upwardDensity(s *Set, level int, c [3]float64, src, den []float64) []float64 {
 	r := s.BoxHalfWidth(level)
 	uc := s.UpwardCheckPoints(c, r, nil)
 	check := make([]float64, s.CheckCount())
-	kernels.P2P(s.Kern, uc, src, den, check)
+	p2p(s.Kern, uc, src, den, check)
 	phi := make([]float64, s.EquivCount())
 	s.UpwardPinv(level).Apply(phi, check)
 	return phi
@@ -82,10 +87,10 @@ func TestS2MRepresentsFarField(t *testing.T) {
 				c[0], c[1], c[2] + 8*r,
 			}
 			want := make([]float64, 3*k.TargetDim())
-			kernels.P2P(k, far, src, den, want)
+			p2p(k, far, src, den, want)
 			got := make([]float64, 3*k.TargetDim())
 			ue := s.UpwardEquivPoints(c, r, nil)
-			kernels.P2P(k, far, ue, phi, got)
+			p2p(k, far, ue, phi, got)
 			tol := 1e-3
 			if p == 8 {
 				tol = 1e-5
@@ -125,10 +130,10 @@ func TestM2MPreservesFarField(t *testing.T) {
 		s.UpwardPinv(parentLevel).Apply(phiParent, check)
 		far := []float64{pc[0] + 7*rp, pc[1] - 5*rp, pc[2]}
 		want := make([]float64, k.TargetDim())
-		kernels.P2P(k, far, src, den, want)
+		p2p(k, far, src, den, want)
 		got := make([]float64, k.TargetDim())
 		ue := s.UpwardEquivPoints(pc, rp, nil)
-		kernels.P2P(k, far, ue, phiParent, got)
+		p2p(k, far, ue, phiParent, got)
 		if e := relErr(got, want); e > 5e-4 {
 			t.Errorf("%s: M2M far-field error %v", k.Name(), e)
 		}
@@ -177,10 +182,10 @@ func TestM2LThenDownwardReproducesPotential(t *testing.T) {
 		s.DownwardPinv(level).Apply(phiD, check)
 		trg := randomInBox(rng, trgC, 0.9*r, 10)
 		want := make([]float64, 10*k.TargetDim())
-		kernels.P2P(k, trg, src, den, want)
+		p2p(k, trg, src, den, want)
 		got := make([]float64, 10*k.TargetDim())
 		de := s.DownwardEquivPoints(trgC, r, nil)
-		kernels.P2P(k, trg, de, phiD, got)
+		p2p(k, trg, de, phiD, got)
 		if e := relErr(got, want); e > 3e-3 {
 			t.Errorf("%s: M2L+L2T error %v", k.Name(), e)
 		}
@@ -210,7 +215,7 @@ func TestL2LPreservesInteriorField(t *testing.T) {
 		// check potential, invert.
 		dc := s.DownwardCheckPoints(trgC, r, nil)
 		check := make([]float64, s.CheckCount())
-		kernels.P2P(k, dc, src, den, check)
+		p2p(k, dc, src, den, check)
 		phiParent := make([]float64, s.EquivCount())
 		s.DownwardPinv(level).Apply(phiParent, check)
 		// L2L to child octant 2.
@@ -223,10 +228,10 @@ func TestL2LPreservesInteriorField(t *testing.T) {
 		s.DownwardPinv(level+1).Apply(phiChild, childCheck)
 		trg := randomInBox(rng, childC, 0.9*r/2, 8)
 		want := make([]float64, 8*k.TargetDim())
-		kernels.P2P(k, trg, src, den, want)
+		p2p(k, trg, src, den, want)
 		got := make([]float64, 8*k.TargetDim())
 		de := s.DownwardEquivPoints(childC, r/2, nil)
-		kernels.P2P(k, trg, de, phiChild, got)
+		p2p(k, trg, de, phiChild, got)
 		if e := relErr(got, want); e > 3e-3 {
 			t.Errorf("%s: L2L interior error %v", k.Name(), e)
 		}

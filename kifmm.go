@@ -35,9 +35,11 @@
 // the scheduling domain): one call on an idle pool uses the whole
 // machine, concurrent calls negotiate their widths — with bitwise
 // identical results at every width. Evaluation is read-only on the
-// prepared plan, so one Evaluator serves concurrent callers;
-// EvaluateBatchCtx amortizes tree traversal and near-field kernel
-// evaluations over many density vectors at once.
+// prepared plan, so one Evaluator serves concurrent callers.
+// EvaluateBatchCtx takes many density vectors in one sweep and returns,
+// for each, bit for bit what EvaluateCtx returns for it alone; the batch
+// shares the tree traversal, the operator fetches, the FFT M2L tensor
+// loads and, for every kernel but Laplace, the near-field pair geometry.
 //
 // The parallel algorithm of the paper (local essential trees, global
 // tree array, owner-coordinated ghost exchange) runs on simulated MPI
@@ -132,10 +134,11 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, den []float64) ([]float64, 
 }
 
 // EvaluateBatchCtx evaluates several density vectors in one sweep of the
-// tree, amortizing traversal and near-field kernel evaluations across
-// the batch — the shape Krylov solvers with multiple right-hand sides
-// and the evaluation service's batch endpoint use. Results match
-// per-vector EvaluateCtx calls to accumulation-order rounding; see
+// tree — the shape Krylov solvers with multiple right-hand sides and the
+// evaluation service's batch endpoint use. Each result is bit for bit
+// what EvaluateCtx returns for its vector alone. The batch shares the
+// tree traversal, the operator fetches, the FFT M2L tensor loads and,
+// for every kernel but Laplace, the near-field pair geometry; see
 // EvaluateCtx for the cancellation contract.
 func (e *Evaluator) EvaluateBatchCtx(ctx context.Context, dens [][]float64) ([][]float64, error) {
 	pots, _, err := e.inner.Evaluate(ctx, dens, nil, nil)

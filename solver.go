@@ -49,9 +49,11 @@ func SolveGMRESCtx(ctx context.Context, apply MatVecCtx, b, x []float64, opt Sol
 // SolveGMRESBatchCtx solves many systems sharing one operator (e.g. a
 // boundary integral equation with many boundary conditions), running
 // the per-system GMRES iterations in lockstep so each round of operator
-// applications becomes a single batched call. With an FMM operator the
-// tree traversal and near-field kernel evaluations are then paid once
-// per round instead of once per system; see Evaluator.EvaluateBatchCtx.
+// applications becomes a single batched call. With an FMM operator each
+// system gets the bits of its own evaluation, while the tree traversal,
+// operator fetches, FFT M2L tensor loads and (for every kernel but
+// Laplace) near-field pair geometry are paid once per round instead of
+// once per system; see Evaluator.EvaluateBatchCtx.
 // xs[i] is the initial guess of system i, overwritten with its
 // solution. Cancelling ctx aborts every in-flight system.
 func SolveGMRESBatchCtx(ctx context.Context, apply BatchMatVecCtx, bs, xs [][]float64, opt SolverOptions) ([]SolverResult, error) {
