@@ -447,8 +447,9 @@ type scratch struct {
 	check []float64
 	pts   []float64
 	acc   []complex128
-	// dens and pots hold addP2P's per-RHS views for one kernels.P2P
-	// call, and block is that call's kernel-block scratch.
+	// dens and pots hold addP2P's per-RHS views for the length of one
+	// kernels.P2P call (nil between calls), and block is that call's
+	// kernel-block scratch.
 	dens, pots [][]float64
 	block      []float64
 }
@@ -656,6 +657,10 @@ func (r *runState) addP2P(sc *scratch, trg, src []float64, den, dst func(q int) 
 		sc.dens[q], sc.pots[q] = den(q), dst(q)
 	}
 	kernels.P2P(k, trg, src, sc.dens, sc.pots, sc.block)
+	// The views may alias caller densities or a Ghost's buffers; a pooled
+	// workspace must not keep them alive.
+	clear(sc.dens)
+	clear(sc.pots)
 	*flops += int64(r.nrhs) * kernels.P2PFlops(k, len(trg)/3, len(src)/3)
 }
 

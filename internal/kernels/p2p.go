@@ -141,38 +141,9 @@ func modLaplaceP2P(lambda float64, trg, src []float64, dens, pots [][]float64) {
 	}
 }
 
-// stokesP2P keeps a lone right-hand side's sums in registers and a
-// batch's in stack arrays, which would slow a lone vector by a quarter.
-// Both paths add each pair through stokesTerm, so a batch vector sums the
-// same terms in the same order as its single call.
 func stokesP2P(mu float64, trg, src []float64, dens, pots [][]float64) {
 	c := 1.0 / (8 * math.Pi * mu)
 	nt, ns := len(trg)/3, len(src)/3
-	if len(dens) == 1 {
-		den, pot := dens[0], pots[0]
-		for i := 0; i < nt; i++ {
-			tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
-			var sx, sy, sz float64
-			for j := 0; j < ns; j++ {
-				rx := tx - src[3*j]
-				ry := ty - src[3*j+1]
-				rz := tz - src[3*j+2]
-				r2 := rx*rx + ry*ry + rz*rz
-				if r2 == 0 {
-					continue
-				}
-				inv := 1 / math.Sqrt(r2)
-				dx, dy, dz := stokesTerm(rx, ry, rz, inv, inv*inv*inv, den[3*j], den[3*j+1], den[3*j+2])
-				sx += dx
-				sy += dy
-				sz += dz
-			}
-			pot[3*i] += c * sx
-			pot[3*i+1] += c * sy
-			pot[3*i+2] += c * sz
-		}
-		return
-	}
 	for q0 := 0; q0 < len(dens); q0 += rhsBlock {
 		d := dens[q0:min(q0+rhsBlock, len(dens))]
 		for i := 0; i < nt; i++ {
@@ -189,10 +160,11 @@ func stokesP2P(mu float64, trg, src []float64, dens, pots [][]float64) {
 				inv := 1 / math.Sqrt(r2)
 				inv3 := inv * inv * inv
 				for q, den := range d {
-					dx, dy, dz := stokesTerm(rx, ry, rz, inv, inv3, den[3*j], den[3*j+1], den[3*j+2])
-					sx[q] += dx
-					sy[q] += dy
-					sz[q] += dz
+					fx, fy, fz := den[3*j], den[3*j+1], den[3*j+2]
+					rdotf := rx*fx + ry*fy + rz*fz
+					sx[q] += inv*fx + inv3*rdotf*rx
+					sy[q] += inv*fy + inv3*rdotf*ry
+					sz[q] += inv*fz + inv3*rdotf*rz
 				}
 			}
 			for q := range d {
@@ -203,14 +175,6 @@ func stokesP2P(mu float64, trg, src []float64, dens, pots [][]float64) {
 			}
 		}
 	}
-}
-
-// stokesTerm is one pair's Stokeslet applied to the force f, for
-// displacement r with inv = 1/|r| and inv3 = inv³, without the 1/(8πμ)
-// the sums are scaled by once.
-func stokesTerm(rx, ry, rz, inv, inv3, fx, fy, fz float64) (x, y, z float64) {
-	rdotf := rx*fx + ry*fy + rz*fz
-	return inv*fx + inv3*rdotf*rx, inv*fy + inv3*rdotf*ry, inv*fz + inv3*rdotf*rz
 }
 
 // Matrix fills out (row-major, nt*TargetDim rows by ns*SourceDim columns)
