@@ -721,16 +721,12 @@ func (r *runState) upwardPass(ctx context.Context, sp *obs.Span) error {
 					if ci == tree.Nil || r.localU[ci] == nil {
 						continue
 					}
-					for q := 0; q < r.nrhs; q++ {
-						m2m[o].Apply(check[q*nc:(q+1)*nc], r.localU[ci][q*ne:(q+1)*ne])
-					}
+					m2m[o].Apply(check, r.localU[ci], r.nrhs)
 					sc.stats.FlopsUp += int64(2*nc*ne) * int64(r.nrhs)
 				}
 			}
 			phi := view(r.upSlab, r.upSlot[bi], r.nrhs*ne)
-			for q := 0; q < r.nrhs; q++ {
-				upPinv.Apply(phi[q*ne:(q+1)*ne], check[q*nc:(q+1)*nc])
-			}
+			upPinv.Apply(phi, check, r.nrhs)
 			sc.stats.FlopsUp += int64(2*ne*nc) * int64(r.nrhs)
 			r.localU[bi] = phi
 			sc.stats.Up += time.Since(start)
@@ -820,17 +816,12 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 			startE := stageStart()
 			if p := b.Parent; p != tree.Nil && r.phiD[p] != nil {
 				check := r.getCheck(int32(bi))
-				op := l2l[b.Key.Octant()]
-				for q := 0; q < r.nrhs; q++ {
-					op.Apply(check[q*nc:(q+1)*nc], r.phiD[p][q*ne:(q+1)*ne])
-				}
+				l2l[b.Key.Octant()].Apply(check, r.phiD[p], r.nrhs)
 				sc.stats.FlopsEval += int64(2*nc*ne) * int64(r.nrhs)
 			}
 			if r.checks[bi] != nil {
 				phi := view(r.downSlab, r.downSlot[bi], r.nrhs*ne)
-				for q := 0; q < r.nrhs; q++ {
-					downPinv.Apply(phi[q*ne:(q+1)*ne], r.checks[bi][q*nc:(q+1)*nc])
-				}
+				downPinv.Apply(phi, r.checks[bi], r.nrhs)
 				sc.stats.FlopsEval += int64(2*ne*nc) * int64(r.nrhs)
 				r.phiD[bi] = phi
 			}

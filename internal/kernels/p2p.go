@@ -25,9 +25,9 @@ import (
 // shared square root would still leave a division per vector, and its
 // vector body beats that. Specialized loops and the generic path agree up
 // to rounding (TestP2PSpecializationsAgree). On amd64 CPUs with AVX2 the
-// Laplace loop runs an assembly body that rounds exactly like its Go
-// loop, which runs everywhere else (see laplaceP2P); the result never
-// depends on which body ran.
+// Laplace and Stokes loops run assembly bodies that round exactly like
+// their Go loops, which run everywhere else (see laplaceP2P and
+// stokesP2P); the result never depends on which body ran.
 //
 // block is scratch for kernels without a specialized loop, at least
 // SourceDim·TargetDim long: Eval is an interface call, so a block of
@@ -141,12 +141,27 @@ func modLaplaceP2P(lambda float64, trg, src []float64, dens, pots [][]float64) {
 	}
 }
 
+// stokesP2P is the Stokes inner loop. On a CPU with AVX2 (cpu.AVX2) the
+// vector body (p2p_amd64.s) takes the targets in blocks of four, one per
+// YMM lane, with up to rhsBlock right-hand sides per sweep over the
+// sources, and this Go loop only the last nt%4; elsewhere the Go loop is
+// the only body. The vector body shares each pair's geometry among the
+// vectors as this loop does and computes it, and every vector's term,
+// with the same operations in the same order: separate multiplies and
+// adds (no FMA), a correctly rounded square root and division (no
+// reciprocal estimate), sources summed in order, and the skipped
+// r2 == 0 pair replaced by an added +0. So the two bodies agree bit for
+// bit (TestStokesP2PBodiesAgree).
 func stokesP2P(mu float64, trg, src []float64, dens, pots [][]float64) {
 	c := 1.0 / (8 * math.Pi * mu)
 	nt, ns := len(trg)/3, len(src)/3
 	for q0 := 0; q0 < len(dens); q0 += rhsBlock {
 		d := dens[q0:min(q0+rhsBlock, len(dens))]
-		for i := 0; i < nt; i++ {
+		i := 0
+		if cpu.AVX2 {
+			i = stokesP2PAVX2(c, trg, src, d, pots[q0:q0+len(d)])
+		}
+		for ; i < nt; i++ {
 			tx, ty, tz := trg[3*i], trg[3*i+1], trg[3*i+2]
 			var sx, sy, sz [rhsBlock]float64
 			for j := 0; j < ns; j++ {

@@ -77,81 +77,131 @@ func TestP2PBatchIsItsVectors(t *testing.T) {
 	}
 }
 
+// bodyCases calls run with the inputs the vector-body tests hold the
+// AVX2 bodies to their Go loops on: every target and source count from 0
+// to 40 (full blocks of four and every tail) and a 200×200 leaf pair per
+// scale. Coordinates are drawn at scales of 1e±150 and beyond, where r2
+// overflows to +Inf or underflows to 0 between distinct points; half of
+// the small cases mix NaN, ±Inf and ±0 into about one coordinate in 16
+// and ±0, subnormal, +Inf and NaN into about one density component in
+// four. Every case has a source on a target: the r2 == 0 pair both bodies
+// skip. dens draws n density components.
+func bodyCases(rng *rand.Rand, run func(name string, trg, src []float64, dens func(n int) []float64)) {
+	coordSpecial := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	denSpecial := []float64{0, math.Copysign(0, -1), 5e-324, -4.9e-322, 2.2e-308, math.Inf(1), math.NaN()}
+	scales := []float64{1, 1e150, 1e-150, 1e160, 1e-170}
+	one := func(nt, ns int, scale float64, special bool) {
+		cloud := func(n int) []float64 {
+			p := make([]float64, 3*n)
+			for i := range p {
+				p[i] = scale * rng.NormFloat64()
+				if special && rng.Intn(16) == 0 {
+					p[i] = coordSpecial[rng.Intn(len(coordSpecial))]
+				}
+			}
+			return p
+		}
+		dens := func(n int) []float64 {
+			d := make([]float64, n)
+			for j := range d {
+				d[j] = rng.NormFloat64()
+				if special && rng.Intn(4) == 0 {
+					d[j] = denSpecial[rng.Intn(len(denSpecial))]
+				}
+			}
+			return d
+		}
+		trg, src := cloud(nt), cloud(ns)
+		if nt > 0 && ns > 0 {
+			i, j := rng.Intn(nt), rng.Intn(ns)
+			copy(src[3*j:3*j+3], trg[3*i:3*i+3])
+		}
+		run(fmt.Sprintf("nt=%d ns=%d scale=%g special=%v", nt, ns, scale, special), trg, src, dens)
+	}
+	for nt := 0; nt <= 40; nt++ {
+		for ns := 0; ns <= 40; ns++ {
+			one(nt, ns, scales[rng.Intn(len(scales))], rng.Intn(2) == 0)
+		}
+	}
+	for _, scale := range scales {
+		one(200, 200, scale, false)
+	}
+}
+
+// checkBodies runs one P2P call on the Go loops (want) and one on the
+// AVX2 bodies (pots) and requires equal bits in every element, including
+// the three sentinel elements after each potential, which a store past
+// its end would change.
+func checkBodies(t *testing.T, rng *rand.Rand, name string, k Kernel, trg, src []float64, dens [][]float64) {
+	t.Helper()
+	const tail = 3
+	n := len(trg) / 3 * k.TargetDim()
+	pots, want := make([][]float64, len(dens)), make([][]float64, len(dens))
+	for q := range pots {
+		pots[q] = make([]float64, n+tail)
+		for i := range pots[q] {
+			pots[q][i] = rng.NormFloat64()
+		}
+		want[q] = append([]float64(nil), pots[q]...)
+	}
+	views := func(p [][]float64) [][]float64 {
+		v := make([][]float64, len(p))
+		for q := range p {
+			v[q] = p[q][:n]
+		}
+		return v
+	}
+	cpu.AVX2 = false
+	P2P(k, trg, src, dens, views(want), nil)
+	cpu.AVX2 = true
+	P2P(k, trg, src, dens, views(pots), nil)
+	for q := range pots {
+		for i, v := range pots[q] {
+			if w := want[q][i]; !sameFloatBits(v, w) {
+				t.Fatalf("%s %s nrhs=%d: pots[%d][%d] = %v (%#x), Go loop %v (%#x)",
+					k.Name(), name, len(dens), q, i, v, math.Float64bits(v), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
 // TestLaplaceP2PBodiesAgree holds laplaceP2P's AVX2 body to its Go loop
-// bit for bit: every target and source count from 0 to 40 (full blocks
-// of four and every tail), a 200×200 leaf pair, and inputs with a
-// coincident source, ±0 and subnormal densities, NaN and ±Inf
-// coordinates, and coordinates of 1e±150 and beyond, where r2 overflows
-// to +Inf or underflows to 0 between distinct points. An FMA, a
-// reciprocal square-root estimate, a re-association or a wrong r2 == 0
-// mask fails it, and so does a store past the end of pot: three sentinel
-// elements after it must keep their bits.
+// bit for bit on bodyCases. An FMA, a reciprocal square-root estimate, a
+// re-association, a wrong r2 == 0 mask or a store past the end of a
+// potential fails it.
 func TestLaplaceP2PBodiesAgree(t *testing.T) {
 	if !cpu.AVX2 {
 		t.Skip("CPU without AVX2: laplaceP2P runs only the Go body")
 	}
 	t.Cleanup(func() { cpu.AVX2 = true })
 	rng := rand.New(rand.NewSource(29))
-	coordSpecial := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
-	denSpecial := []float64{0, math.Copysign(0, -1), 5e-324, -4.9e-322, 2.2e-308, math.Inf(1), math.NaN()}
-	scales := []float64{1, 1e150, 1e-150, 1e160, 1e-170}
-	// cloud draws n points at one scale; with special set, about one
-	// coordinate in 16 is NaN, ±Inf or ±0.
-	cloud := func(n int, scale float64, special bool) []float64 {
-		p := make([]float64, 3*n)
-		for i := range p {
-			p[i] = scale * rng.NormFloat64()
-			if special && rng.Intn(16) == 0 {
-				p[i] = coordSpecial[rng.Intn(len(coordSpecial))]
-			}
-		}
-		return p
+	bodyCases(rng, func(name string, trg, src []float64, dens func(int) []float64) {
+		checkBodies(t, rng, name, Laplace{}, trg, src, [][]float64{dens(len(src) / 3)})
+	})
+}
+
+// TestStokesP2PBodiesAgree holds stokesP2P's AVX2 body to its Go loop bit
+// for bit on bodyCases, in batches of 1, 2, 4, 5 and 9 right-hand sides:
+// whole rhsBlock sweeps and every shorter last one. An FMA, a reciprocal
+// estimate, a re-association, a wrong r2 == 0 mask, a vector reading
+// another's densities or sums, or a store past the end of a potential
+// fails it.
+func TestStokesP2PBodiesAgree(t *testing.T) {
+	if !cpu.AVX2 {
+		t.Skip("CPU without AVX2: stokesP2P runs only the Go body")
 	}
-	check := func(name string, trg, src, den []float64) {
-		t.Helper()
-		const tail = 3
-		nt := len(trg) / 3
-		pot := make([]float64, nt+tail)
-		for i := range pot {
-			pot[i] = rng.NormFloat64()
-		}
-		want := append([]float64(nil), pot...)
-		cpu.AVX2 = false
-		p2p(Laplace{}, trg, src, den, want[:nt])
-		cpu.AVX2 = true
-		p2p(Laplace{}, trg, src, den, pot[:nt])
-		for i := range pot {
-			if !sameFloatBits(pot[i], want[i]) {
-				t.Fatalf("%s: pot[%d] = %v (%#x), Go loop %v (%#x)",
-					name, i, pot[i], math.Float64bits(pot[i]), want[i], math.Float64bits(want[i]))
+	t.Cleanup(func() { cpu.AVX2 = true })
+	k := NewStokes(0.7)
+	rng := rand.New(rand.NewSource(31))
+	bodyCases(rng, func(name string, trg, src []float64, dens func(int) []float64) {
+		for _, nrhs := range []int{1, 2, 4, 5, 9} {
+			d := make([][]float64, nrhs)
+			for q := range d {
+				d[q] = dens(len(src)) // three components per source
 			}
+			checkBodies(t, rng, name, k, trg, src, d)
 		}
-	}
-	for nt := 0; nt <= 40; nt++ {
-		for ns := 0; ns <= 40; ns++ {
-			scale := scales[rng.Intn(len(scales))]
-			special := rng.Intn(2) == 0
-			trg, src := cloud(nt, scale, special), cloud(ns, scale, special)
-			den := make([]float64, ns)
-			for j := range den {
-				den[j] = rng.NormFloat64()
-				if special && rng.Intn(4) == 0 {
-					den[j] = denSpecial[rng.Intn(len(denSpecial))]
-				}
-			}
-			// A source on a target: the r2 == 0 pair both bodies skip.
-			if nt > 0 && ns > 0 {
-				i, j := rng.Intn(nt), rng.Intn(ns)
-				copy(src[3*j:3*j+3], trg[3*i:3*i+3])
-			}
-			check(fmt.Sprintf("nt=%d ns=%d scale=%g special=%v", nt, ns, scale, special), trg, src, den)
-		}
-	}
-	for _, scale := range scales {
-		trg, src := cloud(200, scale, false), cloud(200, scale, false)
-		copy(src[3*17:3*18], trg[3*101:3*102])
-		check(fmt.Sprintf("200x200 scale=%g", scale), trg, src, randomCloud(rng, 200)[:200])
-	}
+	})
 }
 
 // TestP2PAllocatesNothing: the Laplace vector body keeps its block
@@ -284,9 +334,13 @@ func BenchmarkP2PStokes(b *testing.B) {
 	for i := range den {
 		den[i] = rng.Float64()
 	}
+	// One interface value for the whole loop: converting the Stokes struct
+	// to a Kernel allocates, P2P does not.
+	var k Kernel = NewStokes(1)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p2p(NewStokes(1), trg, src, den, pot)
+		p2p(k, trg, src, den, pot)
 	}
 }
 
@@ -300,8 +354,10 @@ func BenchmarkP2PStokesBatch4(b *testing.B) {
 	for q := range dens {
 		dens[q], pots[q] = randomCloud(rng, 100), make([]float64, 300)
 	}
+	var k Kernel = NewStokes(1)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		P2P(NewStokes(1), trg, src, dens, pots, nil)
+		P2P(k, trg, src, dens, pots, nil)
 	}
 }

@@ -70,49 +70,76 @@ func (m *Dense) Transpose() *Dense {
 // MatVec computes dst = m * x. dst must have length m.Rows and x length
 // m.Cols; dst and x must not alias.
 func (m *Dense) MatVec(dst, x []float64) {
-	m.checkShape("MatVec", dst, x)
+	m.checkShape("MatVec", dst, x, 1)
 	for i := range dst {
 		dst[i] = 0
 	}
 	m.mulAdd(dst, x, 1)
 }
 
-// MatVecAddScaled computes dst += alpha * (m * x). The FMM uses it to
-// apply unit-scale translation operators rescaled analytically for
-// homogeneous kernels.
-func (m *Dense) MatVecAddScaled(dst, x []float64, alpha float64) {
-	m.checkShape("MatVecAddScaled", dst, x)
-	m.mulAdd(dst, x, alpha)
-}
-
-func (m *Dense) checkShape(op string, dst, x []float64) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("linalg: %s shape mismatch (%dx%d)*%d->%d", op, m.Rows, m.Cols, len(x), len(dst)))
+// MulAddCols computes dst_c += alpha * (m * x_c) for the k columns
+// c = 0..k-1 of x and dst, stored right-hand-side-major: x_c is
+// x[c*m.Cols:(c+1)*m.Cols] and dst_c is dst[c*m.Rows:(c+1)*m.Rows]. The
+// FMM applies its unit-scale translation operators with it, rescaled
+// analytically for homogeneous kernels, to every right-hand side of a box
+// in one call. Each column comes out bit for bit as mulAdd leaves it
+// alone: on a CPU with AVX2 the columns go four at a time through a
+// vector body that reads and transposes each tile of m once for all four
+// (dense_amd64.s) and computes every column as mulAdd's vector body does;
+// the last k%4 columns, and every column elsewhere, go through mulAdd.
+func (m *Dense) MulAddCols(dst, x []float64, k int, alpha float64) {
+	m.checkShape("MulAddCols", dst, x, k)
+	rows, cols := m.Rows, m.Cols
+	c := 0
+	if cpu.AVX2 {
+		for ; c+4 <= k; c += 4 {
+			d, xs := dst[c*rows:(c+4)*rows], x[c*cols:(c+4)*cols]
+			i := m.mulAdd4AVX2(d, xs, alpha)
+			for q := 0; q < 4; q++ {
+				m.mulAddRows(d[q*rows:(q+1)*rows], xs[q*cols:(q+1)*cols], alpha, i)
+			}
+		}
+	}
+	for ; c < k; c++ {
+		m.mulAdd(dst[c*rows:(c+1)*rows], x[c*cols:(c+1)*cols], alpha)
 	}
 }
 
-// mulAdd is the one matrix-vector kernel: dst += alpha * (m * x). It
-// walks four rows per pass, so each x[j] is loaded once for four
-// independent accumulators instead of once per row behind a single
-// dependent add chain. Every row still sums j = 0..Cols-1 left to right
-// from zero, so the result is bitwise that of the plain one-row loop
-// (alpha = 1 multiplies exactly, and a sum started at +0 is never -0, so
-// MatVec's zero-then-add equals assignment).
+func (m *Dense) checkShape(op string, dst, x []float64, k int) {
+	if k < 0 || len(x) != k*m.Cols || len(dst) != k*m.Rows {
+		panic(fmt.Sprintf("linalg: %s shape mismatch (%dx%d)*%d->%d over %d columns", op, m.Rows, m.Cols, len(x), len(dst), k))
+	}
+}
+
+// mulAdd is the one-column matrix-vector kernel: dst += alpha * (m * x).
+// Every row sums j = 0..Cols-1 left to right from +0, one multiply and
+// one add per element, and then adds alpha times the sum to dst, so the
+// result is bitwise that of the plain one-row loop (alpha = 1 multiplies
+// exactly, and a sum started at +0 is never -0, so MatVec's zero-then-add
+// equals assignment).
 //
 // On a CPU with AVX2 (cpu.AVX2) the vector body (dense_amd64.s) first
 // takes the rows in blocks of eight, one YMM lane per row, over the
-// columns in steps of four; these Go loops then finish the last Rows%8
-// rows, and elsewhere they are the only body. The vector lanes do what
-// a row does here — from +0, one multiply and one add per column (no
+// columns in steps of four; mulAddRows then finishes the last Rows%8
+// rows, and elsewhere it is the only body. The vector lanes do what a
+// row does there — from +0, one multiply and one add per column (no
 // FMA), j in order, the last Cols%4 columns and alpha in Go — so the two
 // bodies agree bit for bit (TestMatVecBitwiseEqualsReference) and the
 // choice, made only from the CPU, never changes a result.
 func (m *Dense) mulAdd(dst, x []float64, alpha float64) {
-	cols := m.Cols
 	i := 0
 	if cpu.AVX2 {
 		i = m.mulAddAVX2(dst, x, alpha)
 	}
+	m.mulAddRows(dst, x, alpha, i)
+}
+
+// mulAddRows is mulAdd's Go body over the rows from i on. It walks four
+// rows per pass, so each x[j] is loaded once for four independent
+// accumulators instead of once per row behind a single dependent add
+// chain; every row still sums in the plain loop's order.
+func (m *Dense) mulAddRows(dst, x []float64, alpha float64, i int) {
+	cols := m.Cols
 	for ; i+4 <= m.Rows; i += 4 {
 		// Reslicing every row to len(x) lets the compiler drop the
 		// bounds checks of the inner loop.

@@ -10,9 +10,9 @@ import (
 	"repro/internal/cpu"
 )
 
-// refMatVecAddScaled is the plain one-row, one-accumulator loop every
-// body of the row-blocked kernel must reproduce bit for bit.
-func refMatVecAddScaled(m *Dense, dst, x []float64, alpha float64) {
+// refMulAdd is the plain one-row, one-accumulator loop every body of
+// the row-blocked kernel must reproduce bit for bit, for one column.
+func refMulAdd(m *Dense, dst, x []float64, alpha float64) {
 	for i := 0; i < m.Rows; i++ {
 		s := 0.0
 		for j := 0; j < m.Cols; j++ {
@@ -22,15 +22,17 @@ func refMatVecAddScaled(m *Dense, dst, x []float64, alpha float64) {
 	}
 }
 
-// TestMatVecBitwiseEqualsReference holds mulAdd to the plain loop bit for
-// bit through both entry points, once on the Go loops and, on a CPU
-// with AVX2, once on the vector body: every row and column count from 0
-// to 40 (whole eight-row blocks and every row tail, whole four-column
-// steps and every column tail) and the FMM's 152- and 294-point surfaces,
-// half of the cases with ±0, ±Inf, NaN, subnormals and 1e±300 mixed into
-// the matrix, x and dst. An FMA or a re-association in the vector body
-// fails it, and so does a store past the end of dst: the three elements
-// after it are sentinels that must keep their bits.
+// TestMatVecBitwiseEqualsReference holds MatVec and MulAddCols to the
+// plain loop bit for bit, once on the Go loops and, on a CPU with AVX2,
+// once on the vector bodies: every row and column count from 0 to 40
+// (whole eight-row blocks and every row tail, whole four-column steps and
+// every column tail) and the FMM's 152- and 294-point surfaces, half of
+// the cases with ±0, ±Inf, NaN, subnormals and 1e±300 mixed into the
+// matrix, x and dst. MulAddCols runs k = 1, 2, 3, 4, 5 and 8 columns
+// (whole groups of four and every remainder) against k one-column calls
+// of the plain loop. An FMA, a re-association or a column read from
+// another column fails it, and so does a store past the end of dst: the
+// three elements after it are sentinels that must keep their bits.
 func TestMatVecBitwiseEqualsReference(t *testing.T) {
 	detected := cpu.AVX2
 	t.Cleanup(func() { cpu.AVX2 = detected })
@@ -57,13 +59,13 @@ func TestMatVecBitwiseEqualsReference(t *testing.T) {
 		sizes = append(sizes, n)
 	}
 	sizes = append(sizes, 152, 294)
-	const r, tail = 0.37, 3
+	const r, tail, maxK = 0.37, 3, 8
 	for _, rows := range sizes {
 		for _, cols := range sizes {
 			withSpecial := rng.Intn(2) == 0
 			m := &Dense{Rows: rows, Cols: cols, Data: fill(make([]float64, rows*cols), withSpecial)}
-			x := fill(make([]float64, cols), withSpecial)
-			init := fill(make([]float64, rows+tail), withSpecial)
+			x := fill(make([]float64, maxK*cols), withSpecial)
+			init := fill(make([]float64, maxK*rows+tail), withSpecial)
 			for _, avx2 := range bodies {
 				cpu.AVX2 = avx2
 				check := func(name string, got, want []float64) {
@@ -77,11 +79,11 @@ func TestMatVecBitwiseEqualsReference(t *testing.T) {
 				}
 
 				// MatVec overwrites whatever dst held.
-				got := append([]float64(nil), init...)
-				want := append([]float64(nil), init...)
+				got := append([]float64(nil), init[:rows+tail]...)
+				want := append([]float64(nil), init[:rows+tail]...)
 				clear(want[:rows])
-				m.MatVec(got[:rows], x)
-				refMatVecAddScaled(m, want[:rows], x, 1)
+				m.MatVec(got[:rows], x[:cols])
+				refMulAdd(m, want[:rows], x[:cols], 1)
 				for i := 0; i < rows; i++ {
 					// The reference's 0 + 1*s must itself be the plain sum.
 					s := 0.0
@@ -95,25 +97,31 @@ func TestMatVecBitwiseEqualsReference(t *testing.T) {
 				check("MatVec", got, want)
 
 				for _, alpha := range []float64{1, -0.5, 1 / r} {
-					got = append([]float64(nil), init...)
-					want = append([]float64(nil), init...)
-					m.MatVecAddScaled(got[:rows], x, alpha)
-					refMatVecAddScaled(m, want[:rows], x, alpha)
-					check(fmt.Sprintf("MatVecAddScaled(alpha=%v)", alpha), got, want)
+					for _, k := range []int{1, 2, 3, 4, 5, maxK} {
+						got = append([]float64(nil), init[:k*rows+tail]...)
+						want = append([]float64(nil), init[:k*rows+tail]...)
+						m.MulAddCols(got[:k*rows], x[:k*cols], k, alpha)
+						for c := 0; c < k; c++ {
+							refMulAdd(m, want[c*rows:(c+1)*rows], x[c*cols:(c+1)*cols], alpha)
+						}
+						check(fmt.Sprintf("MulAddCols(k=%d, alpha=%v)", k, alpha), got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestMatVecAllocatesNothing: the vector body keeps its row sums on the
-// stack.
+// TestMatVecAllocatesNothing: the vector bodies keep their row sums on
+// the stack, for one column and for a group of four.
 func TestMatVecAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := randomDense(rng, 37, 29)
-	x, dst := make([]float64, 29), make([]float64, 37)
-	if a := testing.AllocsPerRun(10, func() { m.MatVecAddScaled(dst, x, 0.5) }); a != 0 {
-		t.Errorf("MatVecAddScaled allocates %v times per call", a)
+	for _, k := range []int{1, 4, 5} {
+		x, dst := make([]float64, k*29), make([]float64, k*37)
+		if a := testing.AllocsPerRun(10, func() { m.MulAddCols(dst, x, k, 0.5) }); a != 0 {
+			t.Errorf("MulAddCols of %d columns allocates %v times per call", k, a)
+		}
 	}
 }
 
@@ -131,8 +139,8 @@ func sameFloatBits(a, b float64) bool {
 func TestMatVecPanicMessagesNameTheEntryPoint(t *testing.T) {
 	a := NewDense(3, 4)
 	for name, f := range map[string]func(){
-		"MatVec":          func() { a.MatVec(make([]float64, 3), make([]float64, 3)) },
-		"MatVecAddScaled": func() { a.MatVecAddScaled(make([]float64, 3), make([]float64, 5), 1) },
+		"MatVec":     func() { a.MatVec(make([]float64, 3), make([]float64, 3)) },
+		"MulAddCols": func() { a.MulAddCols(make([]float64, 6), make([]float64, 10), 2, 1) },
 	} {
 		func() {
 			defer func() {
@@ -146,21 +154,23 @@ func TestMatVecPanicMessagesNameTheEntryPoint(t *testing.T) {
 	}
 }
 
-// BenchmarkMatVecAddScaled times one square operator application at the
-// FMM's two usual surface sizes (degree 6: 152 points, degree 8: 294).
-func BenchmarkMatVecAddScaled(b *testing.B) {
-	for _, n := range []int{152, 294} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
+// BenchmarkMulAddCols times square operator applications at the FMM's
+// two usual surface sizes (degree 6: 152 points, degree 8: 294), one
+// column and four columns per call.
+func BenchmarkMulAddCols(b *testing.B) {
+	for _, c := range []struct{ n, k int }{{152, 1}, {294, 1}, {294, 4}} {
+		b.Run(fmt.Sprintf("n=%d/k=%d", c.n, c.k), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			m := randomDense(rng, n, n)
-			x := make([]float64, n)
+			m := randomDense(rng, c.n, c.n)
+			x := make([]float64, c.k*c.n)
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
-			dst := make([]float64, n)
+			dst := make([]float64, c.k*c.n)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.MatVecAddScaled(dst, x, 0.5)
+				m.MulAddCols(dst, x, c.k, 0.5)
 			}
 		})
 	}

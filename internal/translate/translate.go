@@ -54,8 +54,11 @@ type Op struct {
 	Scale float64
 }
 
-// Apply accumulates dst += Scale * M * x.
-func (o Op) Apply(dst, x []float64) { o.M.MatVecAddScaled(dst, x, o.Scale) }
+// Apply accumulates dst_c += Scale * M * x_c for the k right-hand sides
+// of a box, stored right-hand-side-major (each vector's values
+// contiguous, one vector after another), in one linalg.MulAddCols call:
+// every vector comes out bit for bit as a call with k = 1 leaves it.
+func (o Op) Apply(dst, x []float64, k int) { o.M.MulAddCols(dst, x, k, o.Scale) }
 
 // Set is one plan's view of the operator store for a kernel, surface
 // degree, truncation and root box size: it maps the entry of each level

@@ -53,7 +53,7 @@ func upwardDensity(s *Set, level int, c [3]float64, src, den []float64) []float6
 	check := make([]float64, s.CheckCount())
 	p2p(s.Kern, uc, src, den, check)
 	phi := make([]float64, s.EquivCount())
-	s.UpwardPinv(level).Apply(phi, check)
+	s.UpwardPinv(level).Apply(phi, check, 1)
 	return phi
 }
 
@@ -125,9 +125,9 @@ func TestM2MPreservesFarField(t *testing.T) {
 		phiChild := upwardDensity(s, parentLevel+1, childC, src, den)
 		// M2M: evaluate child density on parent's UC, invert.
 		check := make([]float64, s.CheckCount())
-		s.M2M(parentLevel, octant).Apply(check, phiChild)
+		s.M2M(parentLevel, octant).Apply(check, phiChild, 1)
 		phiParent := make([]float64, s.EquivCount())
-		s.UpwardPinv(parentLevel).Apply(phiParent, check)
+		s.UpwardPinv(parentLevel).Apply(phiParent, check, 1)
 		far := []float64{pc[0] + 7*rp, pc[1] - 5*rp, pc[2]}
 		want := make([]float64, k.TargetDim())
 		p2p(k, far, src, den, want)
@@ -179,7 +179,7 @@ func TestM2LThenDownwardReproducesPotential(t *testing.T) {
 		phiU := upwardDensity(s, level, srcC, src, den)
 		check := applyM2LDirect(s, level, off, phiU)
 		phiD := make([]float64, s.EquivCount())
-		s.DownwardPinv(level).Apply(phiD, check)
+		s.DownwardPinv(level).Apply(phiD, check, 1)
 		trg := randomInBox(rng, trgC, 0.9*r, 10)
 		want := make([]float64, 10*k.TargetDim())
 		p2p(k, trg, src, den, want)
@@ -217,15 +217,15 @@ func TestL2LPreservesInteriorField(t *testing.T) {
 		check := make([]float64, s.CheckCount())
 		p2p(k, dc, src, den, check)
 		phiParent := make([]float64, s.EquivCount())
-		s.DownwardPinv(level).Apply(phiParent, check)
+		s.DownwardPinv(level).Apply(phiParent, check, 1)
 		// L2L to child octant 2.
 		octant := 2
 		cc := childCenter(octant, r)
 		childC := [3]float64{trgC[0] + cc[0], trgC[1] + cc[1], trgC[2] + cc[2]}
 		childCheck := make([]float64, s.CheckCount())
-		s.L2L(level, octant).Apply(childCheck, phiParent)
+		s.L2L(level, octant).Apply(childCheck, phiParent, 1)
 		phiChild := make([]float64, s.EquivCount())
-		s.DownwardPinv(level+1).Apply(phiChild, childCheck)
+		s.DownwardPinv(level+1).Apply(phiChild, childCheck, 1)
 		trg := randomInBox(rng, childC, 0.9*r/2, 8)
 		want := make([]float64, 8*k.TargetDim())
 		p2p(k, trg, src, den, want)
@@ -499,7 +499,7 @@ func TestHomogeneousScalingMatchesExplicitBuild(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	got := make([]float64, s.CheckCount())
-	op.Apply(got, x)
+	op.Apply(got, x, 1)
 	want := make([]float64, s.CheckCount())
 	explicit.MatVec(want, x)
 	if e := relErr(got, want); e > 1e-13 {
