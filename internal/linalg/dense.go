@@ -107,7 +107,7 @@ func (m *Dense) MulAddCols(dst, x []float64, k int, alpha float64) {
 
 func (m *Dense) checkShape(op string, dst, x []float64, k int) {
 	if k < 0 || len(x) != k*m.Cols || len(dst) != k*m.Rows {
-		panic(fmt.Sprintf("linalg: %s shape mismatch (%dx%d)*%d->%d over %d columns", op, m.Rows, m.Cols, len(x), len(dst), k))
+		panic(fmt.Sprintf("linalg: %s shape mismatch (%dx%d)*%d->%d, k=%d", op, m.Rows, m.Cols, len(x), len(dst), k))
 	}
 }
 
