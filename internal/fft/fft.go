@@ -5,12 +5,18 @@
 // regular equivalent-surface lattice (paper Section 1: "the
 // multipole-to-local translations are accelerated using local FFTs").
 //
-// The transform is a recursive mixed-radix Cooley–Tukey decomposition.
-// The FMM always chooses 5-smooth grid sizes, so the hot path runs
-// entirely on hardcoded radix-2/3/4/5 butterfly kernels (twiddles read
-// straight from the precomputed root table, no modular index
-// arithmetic); other lengths are supported for generality through a
-// generic combine step and an O(p²) direct DFT for prime factors >= 7.
+// The transform is a mixed-radix Cooley–Tukey decomposition that runs
+// many lines at once: the lines sit side by side in rows, row j holding
+// element j of every line, and every butterfly is a loop along a row, so
+// a pass of a 3-D transform is one recursion over all of its lines
+// rather than one per line. Each element keeps the expression, operand
+// order and rounding of a one-line transform; the 1-D API is the same
+// engine at a width of one line. The FMM always chooses 5-smooth grid
+// sizes, so the hot path runs entirely on hardcoded radix-2/3/4/5
+// butterfly kernels (twiddles read straight from the precomputed root
+// table, once per row, no modular index arithmetic); other lengths are
+// supported for generality through a generic combine step and an O(p²)
+// direct DFT for prime factors >= 7.
 //
 // Densities and kernel tensors in the FMM are purely real, so the
 // package also provides real-to-complex transforms (ForwardReal /
@@ -110,12 +116,13 @@ func (p *Plan) Len() int { return p.n }
 func (p *Plan) HalfLen() int { return p.n/2 + 1 }
 
 // ScratchLen returns the gather-scratch length one transform of this
-// plan needs (see ForwardScratch). It is zero for 5-smooth lengths,
-// whose butterflies are all hardcoded.
+// plan needs (see ForwardScratch); w lines side by side need w times as
+// much. It is zero for 5-smooth lengths, whose butterflies are all
+// hardcoded.
 func (p *Plan) ScratchLen() int { return p.scratch }
 
 // RealScratchLen returns the scratch length ForwardRealScratch and
-// InverseRealScratch need.
+// InverseRealScratch need; w lines side by side need w times as much.
 func (p *Plan) RealScratchLen() int {
 	if p.half != nil {
 		return p.n + p.half.scratch
@@ -130,11 +137,11 @@ func (p *Plan) Forward(dst, src []complex128) {
 }
 
 // ForwardScratch is Forward with caller-provided gather scratch (length
-// >= ScratchLen()); bulk transforms like Plan3 reuse one buffer across
-// thousands of lines instead of allocating per call.
+// >= ScratchLen()); bulk callers reuse one buffer instead of allocating
+// per call.
 func (p *Plan) ForwardScratch(dst, src, scratch []complex128) {
 	p.check(dst, src)
-	p.rec(dst, src, p.n, 1, 1, 0, p.w, -1, scratch)
+	p.transform(dst, src, 1, 1, false, scratch)
 }
 
 // Inverse computes dst = IDFT(src), scaled by 1/n so that
@@ -147,11 +154,8 @@ func (p *Plan) Inverse(dst, src []complex128) {
 // >= ScratchLen()).
 func (p *Plan) InverseScratch(dst, src, scratch []complex128) {
 	p.check(dst, src)
-	p.rec(dst, src, p.n, 1, 1, 0, p.winv, 1, scratch)
-	inv := complex(1/float64(p.n), 0)
-	for i := range dst {
-		dst[i] *= inv
-	}
+	p.transform(dst, src, 1, 1, true, scratch)
+	scaleRows(dst, 0, dst, 0, p.n, 1, complex(1/float64(p.n), 0))
 }
 
 // ForwardReal computes the first HalfLen() coefficients of the DFT of a
@@ -163,56 +167,11 @@ func (p *Plan) ForwardReal(dst []complex128, src []float64) {
 
 // ForwardRealScratch is ForwardReal with caller-provided scratch
 // (length >= RealScratchLen()).
-//
-// For even n the real line is packed into a half-length complex signal
-// (z[j] = x[2j] + i·x[2j+1]), transformed with the half-length plan and
-// unpacked — a real transform at roughly half the complex cost. Odd
-// lengths fall back to a full complex transform.
 func (p *Plan) ForwardRealScratch(dst []complex128, src []float64, scratch []complex128) {
-	n := p.n
-	if len(dst) != p.HalfLen() || len(src) != n {
+	if len(dst) != p.HalfLen() || len(src) != p.n {
 		panic("fft: slice length does not match plan")
 	}
-	if n == 1 {
-		dst[0] = complex(src[0], 0)
-		return
-	}
-	if p.half == nil {
-		// Odd length: widen to complex and keep the first half spectrum.
-		in := scratch[:n]
-		out := scratch[n : 2*n]
-		for j, v := range src {
-			in[j] = complex(v, 0)
-		}
-		p.rec(out, in, n, 1, 1, 0, p.w, -1, scratch[2*n:])
-		copy(dst, out[:len(dst)])
-		return
-	}
-	m := n / 2
-	z := scratch[:m]
-	for j := 0; j < m; j++ {
-		z[j] = complex(src[2*j], src[2*j+1])
-	}
-	zf := scratch[m : 2*m]
-	p.half.rec(zf, z, m, 1, 1, 0, p.half.w, -1, scratch[2*m:])
-	// Unpack: with E/O the spectra of the even/odd samples,
-	// E[k] = (Z[k]+conj(Z[m-k]))/2, O[k] = -i(Z[k]-conj(Z[m-k]))/2 and
-	// X[k] = E[k] + w_n^k O[k] for k = 0..m (indices mod m).
-	for k := 0; k <= m; k++ {
-		zk := zf[0]
-		if k < m {
-			zk = zf[k]
-		}
-		zmk := zf[0]
-		if k > 0 && k < m {
-			zmk = zf[m-k]
-		}
-		cz := complex(real(zmk), -imag(zmk))
-		e := scale(zk+cz, 0.5)
-		o := scale(zk-cz, 0.5)
-		o = complex(imag(o), -real(o)) // -i * o
-		dst[k] = e + p.w[k]*o
-	}
+	p.forwardReal(dst, src, 1, scratch)
 }
 
 // InverseReal computes the real inverse DFT (scaled by 1/n) of a
@@ -226,52 +185,10 @@ func (p *Plan) InverseReal(dst []float64, src []complex128) {
 // InverseRealScratch is InverseReal with caller-provided scratch
 // (length >= RealScratchLen()).
 func (p *Plan) InverseRealScratch(dst []float64, src []complex128, scratch []complex128) {
-	n := p.n
-	if len(dst) != n || len(src) != p.HalfLen() {
+	if len(dst) != p.n || len(src) != p.HalfLen() {
 		panic("fft: slice length does not match plan")
 	}
-	if n == 1 {
-		dst[0] = real(src[0])
-		return
-	}
-	if p.half == nil {
-		// Odd length: rebuild the full spectrum by symmetry and take the
-		// real part of a complex inverse.
-		full := scratch[:n]
-		copy(full, src)
-		for j := len(src); j < n; j++ {
-			v := src[n-j]
-			full[j] = complex(real(v), -imag(v))
-		}
-		out := scratch[n : 2*n]
-		p.rec(out, full, n, 1, 1, 0, p.winv, 1, scratch[2*n:])
-		inv := 1 / float64(n)
-		for j := 0; j < n; j++ {
-			dst[j] = real(out[j]) * inv
-		}
-		return
-	}
-	// Repack: Z[k] = E[k] + i·O[k] with E[k] = (X[k]+conj(X[m-k]))/2 and
-	// O[k] = w_n^{-k}(X[k]-conj(X[m-k]))/2; the half-length inverse then
-	// yields z[j] = x[2j] + i·x[2j+1] (its 1/m scaling is exactly the 1/n
-	// the full inverse needs).
-	m := n / 2
-	zf := scratch[:m]
-	for k := 0; k < m; k++ {
-		xk := src[k]
-		xmk := src[m-k]
-		cx := complex(real(xmk), -imag(xmk))
-		e := scale(xk+cx, 0.5)
-		o := scale(xk-cx, 0.5) * p.winv[k]
-		zf[k] = e + complex(-imag(o), real(o)) // e + i*o
-	}
-	z := scratch[m : 2*m]
-	p.half.rec(z, zf, m, 1, 1, 0, p.half.winv, 1, scratch[2*m:])
-	inv := 1 / float64(m)
-	for j := 0; j < m; j++ {
-		dst[2*j] = real(z[j]) * inv
-		dst[2*j+1] = imag(z[j]) * inv
-	}
+	p.inverseReal(dst, src, 1, scratch)
 }
 
 func (p *Plan) check(dst, src []complex128) {
@@ -283,59 +200,226 @@ func (p *Plan) check(dst, src []complex128) {
 	}
 }
 
-// rec computes an n-point DFT of src (elements src[0], src[stride], ...)
-// into dst (contiguous). wstep is N/n where N is the plan length; depth
-// indexes into the factor list; sign is -1 for the forward direction
-// and +1 for the inverse (it orients the hardcoded butterflies; the
-// matching root table w is passed alongside); buf is gather scratch for
-// the generic combine of factors >= 7.
-func (p *Plan) rec(dst, src []complex128, n, stride, wstep, depth int, w []complex128, sign float64, buf []complex128) {
+// lines transforms, in place, w lines of g that sit side by side:
+// element j of line l is g[j*rs+l]. sc is scratch of length
+// >= (n+ScratchLen())·w; the transform lands in its first n·w values and
+// is copied back (scaled by 1/n when inverse).
+func (p *Plan) lines(g []complex128, w, rs int, inverse bool, sc []complex128) {
+	n := p.n
+	out := sc[:n*w]
+	p.transform(out, g, w, rs, inverse, sc[n*w:])
+	if inverse {
+		scaleRows(g, rs, out, w, w, n, complex(1/float64(n), 0))
+		return
+	}
+	for j := 0; j < n; j++ {
+		copy(g[j*rs:][:w], out[j*w:])
+	}
+}
+
+// scaleRows sets the rows j < rows of g, g[j*gs:][:w], to inv times the
+// rows src[j*ss:][:w]: the complex product with 1/n + 0i that closes
+// every inverse transform of length n. g and src may be the same rows.
+func scaleRows(g []complex128, gs int, src []complex128, ss, w, rows int, inv complex128) {
+	for j := 0; j < rows; j++ {
+		row := src[j*ss:][:w]
+		gj := g[j*gs:][:len(row)]
+		for l, v := range row {
+			gj[l] = v * inv
+		}
+	}
+}
+
+// forwardReal computes the half spectra of the n² real lines with
+// x, y < n of an m×m×m grid, m the plan length: line (x, y) is
+// src[(x·m+y)·m:][:m], and its HalfLen() coefficients go to
+// dst[(y·n+x)·HalfLen():], so that row y of dst holds the lines of every
+// x side by side. With n = 1 it is the transform of one line. Line
+// l = x·n+y is transposed into column l of the rows of sc (length
+// >= RealScratchLen()·n²), the n² lines are transformed side by side,
+// and the result is transposed back.
+//
+// For even m each real line is packed into a half-length complex signal
+// (z[j] = x[2j] + i·x[2j+1]), transformed with the half-length plan and
+// unpacked — a real transform at roughly half the complex cost. Odd
+// lengths fall back to a full complex transform.
+func (p *Plan) forwardReal(dst []complex128, src []float64, n int, sc []complex128) {
+	m, h, w := p.n, p.HalfLen(), n*n
+	if p.half == nil {
+		// Odd length: widen to complex and keep the first half spectrum.
+		in, out := sc[:m*w], sc[m*w:2*m*w]
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				l := x*n + y
+				for j, v := range src[(x*m+y)*m:][:m] {
+					in[j*w+l] = complex(v, 0)
+				}
+			}
+		}
+		p.transform(out, in, w, w, false, sc[2*m*w:])
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				l, line := x*n+y, dst[(y*n+x)*h:][:h]
+				for k := range line {
+					line[k] = out[k*w+l]
+				}
+			}
+		}
+		return
+	}
+	hm := m / 2
+	z, zf := sc[:hm*w], sc[hm*w:2*hm*w]
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			l, line := x*n+y, src[(x*m+y)*m:][:m]
+			for j := 0; j < hm; j++ {
+				z[j*w+l] = complex(line[2*j], line[2*j+1])
+			}
+		}
+	}
+	p.half.transform(zf, z, w, w, false, sc[2*hm*w:])
+	// Unpack: with E/O the spectra of the even/odd samples,
+	// E[k] = (Z[k]+conj(Z[hm-k]))/2, O[k] = -i(Z[k]-conj(Z[hm-k]))/2 and
+	// X[k] = E[k] + w_m^k O[k] for k = 0..hm (indices mod hm).
+	for k := 0; k <= hm; k++ {
+		zk := zf[k%hm*w:][:w]
+		zmk := zf[(hm-k)%hm*w:][:len(zk)]
+		tw := p.w[k]
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				l := x*n + y
+				a, b := zk[l], zmk[l]
+				cz := complex(real(b), -imag(b))
+				e := scale(a+cz, 0.5)
+				o := scale(a-cz, 0.5)
+				o = complex(imag(o), -real(o)) // -i * o
+				dst[(y*n+x)*h+k] = e + tw*o
+			}
+		}
+	}
+}
+
+// inverseReal rebuilds the n² real lines with x, y < n of an m×m×m grid
+// (scaled by 1/m), m the plan length, from their half spectra: line
+// (x, y) is dst[(x·m+y)·m:][:m], its spectrum src[(x·n+y)·HalfLen():].
+// Every other line of dst is left untouched. sc has length
+// >= RealScratchLen()·n².
+func (p *Plan) inverseReal(dst []float64, src []complex128, n int, sc []complex128) {
+	m, h, w := p.n, p.HalfLen(), n*n
+	if p.half == nil {
+		// Odd length: rebuild the full spectrum by symmetry and take the
+		// real part of a complex inverse.
+		full, out := sc[:m*w], sc[m*w:2*m*w]
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				l, line := x*n+y, src[(x*n+y)*h:][:h]
+				for j, v := range line {
+					full[j*w+l] = v
+				}
+				for j := h; j < m; j++ {
+					v := line[m-j]
+					full[j*w+l] = complex(real(v), -imag(v))
+				}
+			}
+		}
+		p.transform(out, full, w, w, true, sc[2*m*w:])
+		inv := 1 / float64(m)
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				l, line := x*n+y, dst[(x*m+y)*m:][:m]
+				for j := range line {
+					line[j] = real(out[j*w+l]) * inv
+				}
+			}
+		}
+		return
+	}
+	// Repack: Z[k] = E[k] + i·O[k] with E[k] = (X[k]+conj(X[hm-k]))/2 and
+	// O[k] = w_m^{-k}(X[k]-conj(X[hm-k]))/2; the half-length inverse then
+	// yields z[j] = x[2j] + i·x[2j+1] (its 1/hm scaling is exactly the 1/m
+	// the full inverse needs).
+	hm := m / 2
+	zf, z := sc[:hm*w], sc[hm*w:2*hm*w]
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			l, line := x*n+y, src[(x*n+y)*h:][:h]
+			for k, xk := range line[:hm] {
+				xmk := line[hm-k]
+				cx := complex(real(xmk), -imag(xmk))
+				e := scale(xk+cx, 0.5)
+				o := scale(xk-cx, 0.5) * p.winv[k]
+				zf[k*w+l] = e + complex(-imag(o), real(o)) // e + i*o
+			}
+		}
+	}
+	p.half.transform(z, zf, w, w, true, sc[2*hm*w:])
+	inv := 1 / float64(hm)
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			l, line := x*n+y, dst[(x*m+y)*m:][:m]
+			for j := 0; j < hm; j++ {
+				v := z[j*w+l]
+				line[2*j] = real(v) * inv
+				line[2*j+1] = imag(v) * inv
+			}
+		}
+	}
+}
+
+// transform computes the DFT of w lines at once (see rows): unscaled,
+// with the negative exponent, or the positive one when inverse.
+func (p *Plan) transform(dst, src []complex128, w, rs int, inverse bool, buf []complex128) {
+	if inverse {
+		p.rows(dst, src, w, rs, p.n, 1, 0, p.winv, 1, buf)
+		return
+	}
+	p.rows(dst, src, w, rs, p.n, 1, 0, p.w, -1, buf)
+}
+
+// rows computes the n-point DFT of w lines at once. Row j of the input,
+// element j of every line, is src[j*rs : j*rs+w]; row j of the output is
+// dst[j*w : j*w+w]. Every butterfly is thus a loop along contiguous rows,
+// with its twiddles loaded once per row. wstep is N/n where N is the plan
+// length; depth indexes into the factor list; sign is -1 for the forward
+// direction and +1 for the inverse (it orients the hardcoded butterflies;
+// the matching root table tw is passed alongside); buf is gather scratch
+// of length >= ScratchLen()·w for the generic combine of factors >= 7.
+// dst and src must not overlap.
+func (p *Plan) rows(dst, src []complex128, w, rs, n, wstep, depth int, tw []complex128, sign float64, buf []complex128) {
 	switch n {
 	case 1:
-		dst[0] = src[0]
+		copy(dst[:w], src[:w])
 		return
-	case 2:
-		leaf2(dst, src, stride)
-		return
-	case 3:
-		leaf3(dst, src, stride, sign)
-		return
-	case 4:
-		leaf4(dst, src, stride, sign)
-		return
-	case 5:
-		leaf5(dst, src, stride, sign)
+	case 2, 3, 4, 5:
+		butterflies(n, dst, w, src, rs, w, nil, sign)
 		return
 	}
 	f := p.factors[depth]
 	m := n / f
 	if m == 1 {
-		// Direct DFT for a prime length >= 7.
-		for k := 0; k < n; k++ {
-			s := complex(0, 0)
-			for j := 0; j < n; j++ {
-				s += src[j*stride] * w[(j*k%n)*wstep]
-			}
-			dst[k] = s
-		}
+		dft(dst, src, w, rs, n, wstep, tw)
 		return
 	}
 	// Decimation in time: f interleaved sub-transforms of length m,
 	// combined with f-point butterflies.
 	for a := 0; a < f; a++ {
-		p.rec(dst[a*m:(a+1)*m], src[a*stride:], m, stride*f, wstep*f, depth+1, w, sign, buf)
+		p.rows(dst[a*m*w:(a+1)*m*w], src[a*rs:], w, rs*f, m, wstep*f, depth+1, tw, sign, buf)
 	}
-	switch f {
-	case 2:
-		combine2(dst, m, wstep, w)
-	case 3:
-		combine3(dst, m, wstep, w, sign)
-	case 4:
-		combine4(dst, m, wstep, w, sign)
-	case 5:
-		combine5(dst, m, wstep, w, sign)
-	default:
-		combineGeneric(dst, n, f, m, wstep, w, buf)
+	if f > 5 {
+		combineGeneric(dst, w, n, f, m, wstep, tw, buf)
+		return
+	}
+	// The Cooley–Tukey recombination X[c+d*m] = Σ_a ω_f^{ad} (w_n^{ac} Y_a[c]),
+	// in place on the rows c, m+c, … of the sub-transforms. Twiddle
+	// indices a*c*wstep stay below the table length by construction
+	// (a*c <= (f-1)(m-1) < n), so no modular reduction is needed.
+	var t [4]complex128
+	for c := 0; c < m; c++ {
+		for a := 1; a < f; a++ {
+			t[a-1] = tw[a*c*wstep]
+		}
+		row := dst[c*w:]
+		butterflies(f, row, m*w, row, m*w, w, &t, sign)
 	}
 }
 
@@ -349,33 +433,88 @@ func scale(z complex128, s float64) complex128 {
 	return complex(s*real(z), s*imag(z))
 }
 
-func leaf2(dst, src []complex128, stride int) {
-	x0, x1 := src[0], src[stride]
-	dst[0] = x0 + x1
-	dst[1] = x0 - x1
+// butterflies applies the f-point DFT, f = 2..5, to each of w columns:
+// the inputs are the rows in[a*is:][:w] and the outputs the rows
+// out[d*os:][:w], a, d < f. At the recursion's leaves t is nil; in a
+// combine the inputs x_a, a >= 1, are first twiddled to t[a-1]·x_a.
+// in and out may be the same rows: each column is read in full before
+// it is written. Both forms run the radix's one butterfly, bfly2 …
+// bfly5; all but bfly5, which is over the inliner's budget, are inlined
+// into the loops.
+func butterflies(f int, out []complex128, os int, in []complex128, is, w int, t *[4]complex128, sign float64) {
+	x0 := in[:w]
+	x1, y0, y1 := in[is:][:len(x0)], out[:len(x0)], out[os:][:len(x0)]
+	switch f {
+	case 2:
+		if t == nil {
+			for l, v := range x0 {
+				y0[l], y1[l] = bfly2(v, x1[l])
+			}
+			return
+		}
+		w1 := t[0]
+		for l, v := range x0 {
+			y0[l], y1[l] = bfly2(v, w1*x1[l])
+		}
+	case 3:
+		x2, y2 := in[2*is:][:len(x0)], out[2*os:][:len(x0)]
+		if t == nil {
+			for l, v := range x0 {
+				y0[l], y1[l], y2[l] = bfly3(v, x1[l], x2[l], sign)
+			}
+			return
+		}
+		w1, w2 := t[0], t[1]
+		for l, v := range x0 {
+			y0[l], y1[l], y2[l] = bfly3(v, w1*x1[l], w2*x2[l], sign)
+		}
+	case 4:
+		x2, y2 := in[2*is:][:len(x0)], out[2*os:][:len(x0)]
+		x3, y3 := in[3*is:][:len(x0)], out[3*os:][:len(x0)]
+		if t == nil {
+			for l, v := range x0 {
+				y0[l], y1[l], y2[l], y3[l] = bfly4(v, x1[l], x2[l], x3[l], sign)
+			}
+			return
+		}
+		w1, w2, w3 := t[0], t[1], t[2]
+		for l, v := range x0 {
+			y0[l], y1[l], y2[l], y3[l] = bfly4(v, w1*x1[l], w2*x2[l], w3*x3[l], sign)
+		}
+	case 5:
+		x2, y2 := in[2*is:][:len(x0)], out[2*os:][:len(x0)]
+		x3, y3 := in[3*is:][:len(x0)], out[3*os:][:len(x0)]
+		x4, y4 := in[4*is:][:len(x0)], out[4*os:][:len(x0)]
+		if t == nil {
+			for l, v := range x0 {
+				y0[l], y1[l], y2[l], y3[l], y4[l] = bfly5(v, x1[l], x2[l], x3[l], x4[l], sign)
+			}
+			return
+		}
+		w1, w2, w3, w4 := t[0], t[1], t[2], t[3]
+		for l, v := range x0 {
+			y0[l], y1[l], y2[l], y3[l], y4[l] = bfly5(v, w1*x1[l], w2*x2[l], w3*x3[l], w4*x4[l], sign)
+		}
+	}
+}
+
+func bfly2(x0, x1 complex128) (complex128, complex128) {
+	return x0 + x1, x0 - x1
 }
 
 const sin60 = 0.8660254037844386 // sin(π/3)
 
-func leaf3(dst, src []complex128, stride int, sign float64) {
-	x0, x1, x2 := src[0], src[stride], src[2*stride]
+func bfly3(x0, x1, x2 complex128, sign float64) (complex128, complex128, complex128) {
 	s := x1 + x2
 	d := muli(scale(x1-x2, sin60), sign)
 	u := x0 - scale(s, 0.5)
-	dst[0] = x0 + s
-	dst[1] = u + d
-	dst[2] = u - d
+	return x0 + s, u + d, u - d
 }
 
-func leaf4(dst, src []complex128, stride int, sign float64) {
-	x0, x1 := src[0], src[stride]
-	x2, x3 := src[2*stride], src[3*stride]
+func bfly4(x0, x1, x2, x3 complex128, sign float64) (complex128, complex128, complex128, complex128) {
 	a, b := x0+x2, x0-x2
 	c, d := x1+x3, muli(x1-x3, sign)
-	dst[0] = a + c
-	dst[1] = b + d
-	dst[2] = a - c
-	dst[3] = b - d
+	return a + c, b + d, a - c, b - d
 }
 
 // 5th roots of unity: cos/sin of 2π/5 and 4π/5.
@@ -386,104 +525,50 @@ const (
 	sin5b = 0.5877852522924731
 )
 
-func leaf5(dst, src []complex128, stride int, sign float64) {
-	x0 := src[0]
-	x1, x2 := src[stride], src[2*stride]
-	x3, x4 := src[3*stride], src[4*stride]
+func bfly5(x0, x1, x2, x3, x4 complex128, sign float64) (complex128, complex128, complex128, complex128, complex128) {
 	p1, m1 := x1+x4, x1-x4
 	p2, m2 := x2+x3, x2-x3
 	u1 := x0 + scale(p1, cos5a) + scale(p2, cos5b)
 	u2 := x0 + scale(p1, cos5b) + scale(p2, cos5a)
 	v1 := muli(scale(m1, sin5a)+scale(m2, sin5b), sign)
 	v2 := muli(scale(m1, sin5b)-scale(m2, sin5a), sign)
-	dst[0] = x0 + p1 + p2
-	dst[1] = u1 + v1
-	dst[2] = u2 + v2
-	dst[3] = u2 - v2
-	dst[4] = u1 - v1
+	return x0 + p1 + p2, u1 + v1, u2 + v2, u2 - v2, u1 - v1
 }
 
-// The combine kernels implement the Cooley–Tukey recombination
-// X[c+d*m] = Σ_a ω_f^{ad} (w_n^{ac} Y_a[c]) for one hardcoded radix f:
-// twiddle each sub-transform output, then apply the same butterfly as
-// the matching leaf kernel. Twiddle indices a*c*wstep stay below the
-// table length by construction (a*c <= (f-1)(m-1) < n), so no modular
-// reduction is needed.
-
-func combine2(dst []complex128, m, wstep int, w []complex128) {
-	for c := 0; c < m; c++ {
-		t := w[c*wstep] * dst[m+c]
-		x := dst[c]
-		dst[c] = x + t
-		dst[m+c] = x - t
-	}
-}
-
-func combine3(dst []complex128, m, wstep int, w []complex128, sign float64) {
-	for c := 0; c < m; c++ {
-		t1 := w[c*wstep] * dst[m+c]
-		t2 := w[2*c*wstep] * dst[2*m+c]
-		x0 := dst[c]
-		s := t1 + t2
-		d := muli(scale(t1-t2, sin60), sign)
-		u := x0 - scale(s, 0.5)
-		dst[c] = x0 + s
-		dst[m+c] = u + d
-		dst[2*m+c] = u - d
-	}
-}
-
-func combine4(dst []complex128, m, wstep int, w []complex128, sign float64) {
-	for c := 0; c < m; c++ {
-		t1 := w[c*wstep] * dst[m+c]
-		t2 := w[2*c*wstep] * dst[2*m+c]
-		t3 := w[3*c*wstep] * dst[3*m+c]
-		x0 := dst[c]
-		a, b := x0+t2, x0-t2
-		s, d := t1+t3, muli(t1-t3, sign)
-		dst[c] = a + s
-		dst[m+c] = b + d
-		dst[2*m+c] = a - s
-		dst[3*m+c] = b - d
-	}
-}
-
-func combine5(dst []complex128, m, wstep int, w []complex128, sign float64) {
-	for c := 0; c < m; c++ {
-		t1 := w[c*wstep] * dst[m+c]
-		t2 := w[2*c*wstep] * dst[2*m+c]
-		t3 := w[3*c*wstep] * dst[3*m+c]
-		t4 := w[4*c*wstep] * dst[4*m+c]
-		x0 := dst[c]
-		p1, m1 := t1+t4, t1-t4
-		p2, m2 := t2+t3, t2-t3
-		u1 := x0 + scale(p1, cos5a) + scale(p2, cos5b)
-		u2 := x0 + scale(p1, cos5b) + scale(p2, cos5a)
-		v1 := muli(scale(m1, sin5a)+scale(m2, sin5b), sign)
-		v2 := muli(scale(m1, sin5b)-scale(m2, sin5a), sign)
-		dst[c] = x0 + p1 + p2
-		dst[m+c] = u1 + v1
-		dst[2*m+c] = u2 + v2
-		dst[3*m+c] = u2 - v2
-		dst[4*m+c] = u1 - v1
+// dft is the direct transform of a prime length n >= 7.
+func dft(dst, src []complex128, w, rs, n, wstep int, tw []complex128) {
+	for k := 0; k < n; k++ {
+		row := dst[k*w:][:w]
+		clear(row)
+		for j := 0; j < n; j++ {
+			t := tw[(j*k%n)*wstep]
+			sj := src[j*rs:][:len(row)]
+			for l := range row {
+				row[l] += sj[l] * t
+			}
+		}
 	}
 }
 
 // combineGeneric is the fallback recombination for prime factors >= 7;
-// g is gather scratch of length >= f.
-func combineGeneric(dst []complex128, n, f, m, wstep int, w []complex128, g []complex128) {
-	g = g[:f]
+// g is gather scratch of length >= f·w.
+func combineGeneric(dst []complex128, w, n, f, m, wstep int, tw, g []complex128) {
+	g = g[:f*w]
 	for c := 0; c < m; c++ {
 		for a := 0; a < f; a++ {
-			g[a] = dst[a*m+c]
+			copy(g[a*w:(a+1)*w], dst[(a*m+c)*w:])
 		}
 		for d := 0; d < f; d++ {
 			k := c + d*m
-			s := g[0]
+			row := dst[k*w:][:w]
+			copy(row, g[:w])
 			for a := 1; a < f; a++ {
-				s += g[a] * w[(a*k%n)*wstep]
+				t := tw[(a*k%n)*wstep]
+				ga := g[a*w:][:len(row)]
+				for l := range row {
+					row[l] += ga[l] * t
+				}
 			}
-			dst[k] = s
 		}
 	}
 }
@@ -546,54 +631,18 @@ func (p *Plan3) apply(x []complex128, inverse bool) {
 	if len(x) != p.Size() {
 		panic("fft: grid length does not match 3-D plan")
 	}
-	maxN := p.nx
-	if p.ny > maxN {
-		maxN = p.ny
+	nyz := p.ny * p.nz
+	sc := make([]complex128, max(p.nz+p.pz.scratch, (p.ny+p.py.scratch)*p.nz, (p.nx+p.px.scratch)*nyz))
+	// Along z: each contiguous line on its own.
+	for b := 0; b < p.nx*p.ny; b++ {
+		p.pz.lines(x[b*p.nz:], 1, 1, inverse, sc)
 	}
-	if p.nz > maxN {
-		maxN = p.nz
-	}
-	in := make([]complex128, maxN)
-	out := make([]complex128, maxN)
-	maxScratch := p.px.scratch
-	if p.py.scratch > maxScratch {
-		maxScratch = p.py.scratch
-	}
-	if p.pz.scratch > maxScratch {
-		maxScratch = p.pz.scratch
-	}
-	scratch := make([]complex128, maxScratch)
-	line := func(pl *Plan, base, stride, n int) {
-		for i := 0; i < n; i++ {
-			in[i] = x[base+i*stride]
-		}
-		if inverse {
-			pl.InverseScratch(out[:n], in[:n], scratch)
-		} else {
-			pl.ForwardScratch(out[:n], in[:n], scratch)
-		}
-		for i := 0; i < n; i++ {
-			x[base+i*stride] = out[i]
-		}
-	}
-	// Along z (contiguous).
+	// Along y: the nz lines of each x-plane side by side.
 	for ix := 0; ix < p.nx; ix++ {
-		for iy := 0; iy < p.ny; iy++ {
-			line(p.pz, (ix*p.ny+iy)*p.nz, 1, p.nz)
-		}
+		p.py.lines(x[ix*nyz:], p.nz, p.nz, inverse, sc)
 	}
-	// Along y.
-	for ix := 0; ix < p.nx; ix++ {
-		for iz := 0; iz < p.nz; iz++ {
-			line(p.py, ix*p.ny*p.nz+iz, p.nz, p.ny)
-		}
-	}
-	// Along x.
-	for iy := 0; iy < p.ny; iy++ {
-		for iz := 0; iz < p.nz; iz++ {
-			line(p.px, iy*p.nz+iz, p.ny*p.nz, p.nx)
-		}
-	}
+	// Along x: all ny·nz lines side by side.
+	p.px.lines(x, nyz, nyz, inverse, sc)
 }
 
 // Plan3R performs real-input 3-D transforms on a cubic m×m×m grid.
@@ -610,32 +659,31 @@ func (p *Plan3) apply(x []complex128, inverse bool) {
 // that are known zero or not wanted, with results bitwise equal to the
 // full transforms.
 //
+// Every pass transforms all of its lines side by side, so that each
+// butterfly is a loop along one row of them (see Plan.rows). The x pass
+// finds its lines side by side in the half-spectrum grid: at each x, all
+// m·k lines are contiguous. The z lines are contiguous along z, and the
+// y lines of different x-planes are m·k apart, so those passes run on
+// transposed copies in pooled scratch; the forward z pass writes its
+// result straight into the rows the y pass reads.
+//
 // A Plan3R is immutable and safe for concurrent use (per-call work
 // buffers are pooled internally).
 type Plan3R struct {
 	m, k int
 	p    *Plan
-	pool sync.Pool
-}
-
-// r3scratch carries one in-flight transform's line buffers.
-type r3scratch struct {
-	in, out, aux []complex128
+	pool sync.Pool // *[]complex128 row scratch for one in-flight transform
 }
 
 // NewPlan3R creates a real-input 3-D plan for an m×m×m grid.
 func NewPlan3R(m int) *Plan3R {
 	p3 := &Plan3R{m: m, k: m/2 + 1, p: NewPlan(m)}
+	// One transform's scratch: the y pass's input rows (up to m²·k), then
+	// either its output rows and gather scratch or the z pass's scratch.
+	size := m*m*p3.k + max((m+p3.p.scratch)*m*p3.k, p3.p.RealScratchLen()*m*m)
 	p3.pool.New = func() any {
-		aux := p3.p.RealScratchLen()
-		if s := p3.p.ScratchLen(); s > aux {
-			aux = s
-		}
-		return &r3scratch{
-			in:  make([]complex128, m),
-			out: make([]complex128, m),
-			aux: make([]complex128, aux),
-		}
+		sc := make([]complex128, size)
+		return &sc
 	}
 	return p3
 }
@@ -670,23 +718,30 @@ func (p *Plan3R) Forward(dst []complex128, src []float64) { p.ForwardCorner(dst,
 // m through 32 (the M2L grids up to degree 16) and every n.
 func (p *Plan3R) ForwardCorner(dst []complex128, src []float64, n int) {
 	p.check(len(dst), len(src), n)
-	m, k := p.m, p.k
-	sc := p.pool.Get().(*r3scratch)
-	defer p.pool.Put(sc)
-	// Along z: real-to-complex, contiguous on both sides.
-	for x := 0; x < m; x++ {
+	m, k, pl := p.m, p.k, p.p
+	sp := p.pool.Get().(*[]complex128)
+	defer p.pool.Put(sp)
+	sc := *sp
+	// Along z, real-to-complex over the n² lines through the corner,
+	// straight into the y pass's input: row y of t holds the n·k lines of
+	// the planes x < n. The lines y >= n are zero. t lies in the first
+	// m²·k values of sc, which the x pass's input g reuses.
+	mk, w := m*k, n*k
+	t, out := sc[:m*w], sc[m*mk:m*mk+m*w]
+	pl.forwardReal(t, src, n, sc[m*mk:])
+	clear(t[n*w:])
+	// Along y on the planes x < n, scattered into g, the grid the x pass
+	// reads; its planes x >= n are zero.
+	pl.transform(out, t, w, w, false, sc[m*mk+m*w:])
+	g := sc[:m*mk]
+	for x := 0; x < n; x++ {
 		for y := 0; y < m; y++ {
-			xy := x*m + y
-			if x < n && y < n {
-				p.p.ForwardRealScratch(dst[xy*k:xy*k+k], src[xy*m:xy*m+m], sc.aux)
-			} else {
-				clear(dst[xy*k : xy*k+k])
-			}
+			copy(g[(x*m+y)*k:][:k], out[y*w+x*k:])
 		}
 	}
-	// Along y on the planes x < n, then along x everywhere.
-	p.pass(dst, sc, n, m*k, k, false)
-	p.pass(dst, sc, m, k, m*k, false)
+	clear(g[n*mk:])
+	// Along x: all m·k lines side by side, into dst.
+	pl.transform(dst, g, mk, mk, false, sc[m*mk:])
 }
 
 // Inverse computes the real inverse transform (scaled by 1/m³) of the
@@ -698,23 +753,38 @@ func (p *Plan3R) Inverse(dst []float64, src []complex128) { p.InverseCorner(dst,
 // it writes the n² z-lines with x, y < n, bitwise equal to Inverse there,
 // and leaves the rest of dst untouched. The y pass runs in full (every
 // x-line reads every plane), the x pass only for y < n and the
-// complex-to-real z pass only for the n² lines. Transforming x before y
+// complex-to-real z pass only for the n² lines, and of each complex pass
+// only the lines read on are scaled by 1/m. Transforming x before y
 // would let the y pass shrink too, but changes the rounding of the result.
 // src is used as workspace and is garbage afterwards. 1 <= n <= m.
 func (p *Plan3R) InverseCorner(dst []float64, src []complex128, n int) {
 	p.check(len(src), len(dst), n)
-	m, k := p.m, p.k
-	sc := p.pool.Get().(*r3scratch)
-	defer p.pool.Put(sc)
-	p.pass(src, sc, m, m*k, k, true)
-	p.pass(src, sc, n, k, m*k, true)
-	// Along z: complex-to-real reconstruction via conjugate symmetry.
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			xy := x*m + y
-			p.p.InverseRealScratch(dst[xy*m:xy*m+m], src[xy*k:xy*k+k], sc.aux)
+	m, k, pl := p.m, p.k, p.p
+	sp := p.pool.Get().(*[]complex128)
+	defer p.pool.Put(sp)
+	sc := *sp
+	// Along y: gather the k lines of every x-plane into the rows of t,
+	// m·k lines side by side.
+	mk, w := m*k, n*k
+	t, out := sc[:m*mk], sc[m*mk:2*m*mk]
+	for x := 0; x < m; x++ {
+		for y := 0; y < m; y++ {
+			copy(t[y*mk+x*k:][:k], src[(x*m+y)*k:][:k])
 		}
 	}
+	pl.transform(out, t, mk, mk, true, sc[2*m*mk:])
+	// Only the rows y < n are read on: scaled, they go back into src, the
+	// n·k lines of each x-plane side by side.
+	inv := complex(1/float64(m), 0)
+	for x := 0; x < m; x++ {
+		scaleRows(src[x*w:], k, out[x*k:], mk, k, n, inv)
+	}
+	// Along x on those lines, of which the z pass reads the planes x < n.
+	xo := sc[:m*w]
+	pl.transform(xo, src, w, w, true, sc[m*w:])
+	scaleRows(xo, w, xo, w, w, n, inv)
+	// Along z: complex-to-real reconstruction via conjugate symmetry.
+	pl.inverseReal(dst, xo, n, sc[m*w:])
 }
 
 func (p *Plan3R) check(freqLen, realLen, n int) {
@@ -723,31 +793,6 @@ func (p *Plan3R) check(freqLen, realLen, n int) {
 	}
 	if n < 1 || n > p.m {
 		panic("fft: corner edge out of range for 3-D real plan")
-	}
-}
-
-// pass runs full complex transforms, in place, over lines of g with
-// element stride `stride`: one per stored z-frequency in each of the
-// first `planes` planes of the other complex axis (plane stride
-// planeStride). The y pass is (planeStride, stride) = (m·k, k), the x
-// pass (k, m·k).
-func (p *Plan3R) pass(g []complex128, sc *r3scratch, planes, planeStride, stride int, inverse bool) {
-	m, k := p.m, p.k
-	for a := 0; a < planes; a++ {
-		for iz := 0; iz < k; iz++ {
-			base := a*planeStride + iz
-			for i := 0; i < m; i++ {
-				sc.in[i] = g[base+i*stride]
-			}
-			if inverse {
-				p.p.InverseScratch(sc.out, sc.in, sc.aux)
-			} else {
-				p.p.ForwardScratch(sc.out, sc.in, sc.aux)
-			}
-			for i := 0; i < m; i++ {
-				g[base+i*stride] = sc.out[i]
-			}
-		}
 	}
 }
 

@@ -704,3 +704,38 @@ func TestPlan3ROddLengths(t *testing.T) {
 		}
 	}
 }
+
+// The corner transforms at the M2L's own shapes: M = 9 serves degree 5
+// (a 5³ density corner), M = 12 degree 6 (a 6³ corner).
+func BenchmarkPlan3RCorner9Forward(b *testing.B)  { benchCorner(b, 9, 5, false) }
+func BenchmarkPlan3RCorner9Inverse(b *testing.B)  { benchCorner(b, 9, 5, true) }
+func BenchmarkPlan3RCorner12Forward(b *testing.B) { benchCorner(b, 12, 6, false) }
+func BenchmarkPlan3RCorner12Inverse(b *testing.B) { benchCorner(b, 12, 6, true) }
+
+func benchCorner(b *testing.B, m, n int, inverse bool) {
+	p := NewPlan3R(m)
+	rng := rand.New(rand.NewSource(1))
+	vol := make([]float64, p.RealLen())
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			for z := 0; z < n; z++ {
+				vol[(x*m+y)*m+z] = rng.NormFloat64()
+			}
+		}
+	}
+	freq := make([]complex128, p.FreqLen())
+	p.ForwardCorner(freq, vol, n)
+	// InverseCorner destroys its input; every call gets a fresh copy of
+	// the spectrum, whose cost the forward benchmark pays too.
+	spectrum := append([]complex128(nil), freq...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(freq, spectrum)
+		if inverse {
+			p.InverseCorner(vol, freq, n)
+		} else {
+			p.ForwardCorner(freq, vol, n)
+		}
+	}
+}

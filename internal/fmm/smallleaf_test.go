@@ -2,6 +2,7 @@ package fmm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -84,10 +85,15 @@ func TestSmallLeafRuleClustered(t *testing.T) {
 	}
 }
 
+// assertBitwise fails unless got and want hold the same bits at every
+// index: +0 and -0 differ, and any two NaNs agree.
 func assertBitwise(t *testing.T, what string, got, want []float64) {
 	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
 	for i := range want {
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
 			t.Fatalf("%s: differs at %d: %g vs %g", what, i, got[i], want[i])
 		}
 	}

@@ -40,6 +40,9 @@ type FFTM2L struct {
 	M    int // padded grid edge
 	K    int // stored z-frequency lines, M/2+1
 	plan *fft.Plan3R
+	// grid[si] is the offset (x*M+y)*M+z of surface point si in an M³
+	// volume, from its (x, y, z) in the p³ lattice.
+	grid []int
 	// vols recycles real-valued M³ volume buffers used to embed
 	// densities (forward) and read off check potentials (inverse).
 	vols sync.Pool
@@ -53,6 +56,13 @@ func NewFFTM2L(s *Set) *FFTM2L {
 		M:    m,
 		K:    m/2 + 1,
 		plan: fft.NewPlan3R(m),
+	}
+	p := s.P
+	f.grid = make([]int, len(s.Surf.VolIdx))
+	for si, vi := range s.Surf.VolIdx {
+		// vi indexes the p³ volume: (x*p+y)*p+z.
+		x, y, z := vi/(p*p), vi/p%p, vi%p
+		f.grid[si] = (x*m+y)*m + z
 	}
 	f.vols.New = func() any {
 		v := make([]float64, m*m*m)
@@ -87,12 +97,8 @@ func (f *FFTM2L) embedForward(phi []float64, c, sd int, dst []complex128) {
 			clear(vol[(x*m+y)*m : (x*m+y+1)*m])
 		}
 	}
-	for si, vi := range f.set.Surf.VolIdx {
-		// vi indexes the p³ volume: (x*p+y)*p+z.
-		x := vi / (p * p)
-		y := vi / p % p
-		z := vi % p
-		vol[(x*m+y)*m+z] = phi[si*sd+c]
+	for si, gi := range f.grid {
+		vol[gi] = phi[si*sd+c]
 	}
 	f.plan.ForwardCorner(dst, vol, p)
 	f.vols.Put(vp)
@@ -103,16 +109,12 @@ func (f *FFTM2L) embedForward(phi []float64, c, sd int, dst []complex128) {
 // at component a. The surface lies in the leading p³ corner, the only
 // part InverseCorner computes.
 func (f *FFTM2L) extractAdd(g []complex128, a int, escale float64, check []float64) {
-	p, m := f.set.P, f.M
 	td := f.set.Kern.TargetDim()
 	vp := f.volBuf()
 	vol := *vp
-	f.plan.InverseCorner(vol, g, p)
-	for si, vi := range f.set.Surf.VolIdx {
-		x := vi / (p * p)
-		y := vi / p % p
-		z := vi % p
-		check[si*td+a] += escale * vol[(x*m+y)*m+z]
+	f.plan.InverseCorner(vol, g, f.set.P)
+	for si, gi := range f.grid {
+		check[si*td+a] += escale * vol[gi]
 	}
 	f.vols.Put(vp)
 }
