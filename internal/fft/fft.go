@@ -27,7 +27,6 @@ package fft
 
 import (
 	"math"
-	"math/cmplx"
 	"sync"
 )
 
@@ -116,13 +115,12 @@ func (p *Plan) Len() int { return p.n }
 func (p *Plan) HalfLen() int { return p.n/2 + 1 }
 
 // ScratchLen returns the gather-scratch length one transform of this
-// plan needs (see ForwardScratch); w lines side by side need w times as
-// much. It is zero for 5-smooth lengths, whose butterflies are all
-// hardcoded.
+// plan needs; w lines side by side need w times as much. It is zero for
+// 5-smooth lengths, whose butterflies are all hardcoded.
 func (p *Plan) ScratchLen() int { return p.scratch }
 
-// RealScratchLen returns the scratch length ForwardRealScratch and
-// InverseRealScratch need; w lines side by side need w times as much.
+// RealScratchLen returns the scratch length one real transform of this
+// plan needs; w lines side by side need w times as much.
 func (p *Plan) RealScratchLen() int {
 	if p.half != nil {
 		return p.n + p.half.scratch
@@ -133,28 +131,15 @@ func (p *Plan) RealScratchLen() int {
 // Forward computes dst = DFT(src) (negative exponent, unscaled).
 // dst and src must both have length n and must not alias.
 func (p *Plan) Forward(dst, src []complex128) {
-	p.ForwardScratch(dst, src, make([]complex128, p.scratch))
-}
-
-// ForwardScratch is Forward with caller-provided gather scratch (length
-// >= ScratchLen()); bulk callers reuse one buffer instead of allocating
-// per call.
-func (p *Plan) ForwardScratch(dst, src, scratch []complex128) {
 	p.check(dst, src)
-	p.transform(dst, src, 1, 1, false, scratch)
+	p.transform(dst, src, 1, 1, false, make([]complex128, p.scratch))
 }
 
 // Inverse computes dst = IDFT(src), scaled by 1/n so that
 // Inverse(Forward(x)) == x. dst and src must not alias.
 func (p *Plan) Inverse(dst, src []complex128) {
-	p.InverseScratch(dst, src, make([]complex128, p.scratch))
-}
-
-// InverseScratch is Inverse with caller-provided gather scratch (length
-// >= ScratchLen()).
-func (p *Plan) InverseScratch(dst, src, scratch []complex128) {
 	p.check(dst, src)
-	p.transform(dst, src, 1, 1, true, scratch)
+	p.transform(dst, src, 1, 1, true, make([]complex128, p.scratch))
 	scaleRows(dst, 0, dst, 0, p.n, 1, complex(1/float64(p.n), 0))
 }
 
@@ -162,16 +147,10 @@ func (p *Plan) InverseScratch(dst, src, scratch []complex128) {
 // real signal (the remaining ones follow from X[n-k] = conj(X[k])).
 // dst must have length HalfLen(), src length n.
 func (p *Plan) ForwardReal(dst []complex128, src []float64) {
-	p.ForwardRealScratch(dst, src, make([]complex128, p.RealScratchLen()))
-}
-
-// ForwardRealScratch is ForwardReal with caller-provided scratch
-// (length >= RealScratchLen()).
-func (p *Plan) ForwardRealScratch(dst []complex128, src []float64, scratch []complex128) {
 	if len(dst) != p.HalfLen() || len(src) != p.n {
 		panic("fft: slice length does not match plan")
 	}
-	p.forwardReal(dst, src, 1, scratch)
+	p.forwardReal(dst, src, 1, make([]complex128, p.RealScratchLen()))
 }
 
 // InverseReal computes the real inverse DFT (scaled by 1/n) of a
@@ -179,16 +158,10 @@ func (p *Plan) ForwardRealScratch(dst []complex128, src []float64, scratch []com
 // coefficients, so that InverseReal(ForwardReal(x)) == x. dst must have
 // length n, src length HalfLen(). src is read-only.
 func (p *Plan) InverseReal(dst []float64, src []complex128) {
-	p.InverseRealScratch(dst, src, make([]complex128, p.RealScratchLen()))
-}
-
-// InverseRealScratch is InverseReal with caller-provided scratch
-// (length >= RealScratchLen()).
-func (p *Plan) InverseRealScratch(dst []float64, src []complex128, scratch []complex128) {
 	if len(dst) != p.n || len(src) != p.HalfLen() {
 		panic("fft: slice length does not match plan")
 	}
-	p.inverseReal(dst, src, 1, scratch)
+	p.inverseReal(dst, src, 1, make([]complex128, p.RealScratchLen()))
 }
 
 func (p *Plan) check(dst, src []complex128) {
@@ -827,6 +800,3 @@ func mod(a, n int) int {
 	}
 	return a
 }
-
-// Abs returns |z| (convenience re-export used by tests and the harness).
-func Abs(z complex128) float64 { return cmplx.Abs(z) }

@@ -173,21 +173,44 @@ func TotalCount(patches []Patch) int {
 // contains every point, padded by a small factor so no point lies exactly
 // on the domain boundary.
 func BoundingCube(pts []float64) (center [3]float64, halfWidth float64) {
-	if len(pts) == 0 {
-		return [3]float64{}, 1
-	}
-	lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
-	hi := [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
-	for i := 0; i+2 < len(pts); i += 3 {
-		for d := 0; d < 3; d++ {
-			v := pts[i+d]
-			if v < lo[d] {
-				lo[d] = v
-			}
-			if v > hi[d] {
-				hi[d] = v
+	lo, hi, _ := Bounds(pts)
+	return Cube(lo, hi)
+}
+
+// Bounds returns the per-axis minimum and maximum over the points of the
+// sets (flat x,y,z slices), taken in order, and whether every coordinate
+// is finite. A NaN coordinate widens nothing; with no points lo is +Inf
+// and hi is -Inf.
+func Bounds(sets ...[]float64) (lo, hi [3]float64, finite bool) {
+	lo = [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+	hi = [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+	finite = true
+	for _, pts := range sets {
+		for i := 0; i+2 < len(pts); i += 3 {
+			for d := 0; d < 3; d++ {
+				v := pts[i+d]
+				if v < lo[d] {
+					lo[d] = v
+				}
+				if v > hi[d] {
+					hi[d] = v
+				}
+				if v-v != 0 { // NaN or ±Inf
+					finite = false
+				}
 			}
 		}
+	}
+	return lo, hi, finite
+}
+
+// Cube is the domain rule: the cube centered on the box [lo, hi] whose
+// half-width is the box's largest half-extent — 1 when that is zero (the
+// points coincide) — padded by a factor 1+1e-10. An empty box (lo > hi,
+// no points) gives the unit cube at the origin.
+func Cube(lo, hi [3]float64) (center [3]float64, halfWidth float64) {
+	if lo[0] > hi[0] {
+		return [3]float64{}, 1
 	}
 	for d := 0; d < 3; d++ {
 		center[d] = (lo[d] + hi[d]) / 2

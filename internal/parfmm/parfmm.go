@@ -1,8 +1,9 @@
 // Package parfmm implements what is distributed in the paper's parallel
 // algorithm (Section 3): Morton-curve partitioning of input surface
-// patches, level-by-level construction of the global tree array via
-// MPI_Allreduce, contributor/owner/user roles, and the gather/scatter
-// ghost exchange of Algorithm 1.
+// patches, contributor/owner/user roles, and the gather/scatter ghost
+// exchange of Algorithm 1. The level-by-level construction of the global
+// tree array is internal/tree's one builder, run over the rank's
+// transport (tree.BuildGlobal): the local octree is its one-rank case.
 //
 // It owns no pass. "A processor performs its own computation ignoring
 // the existence of other processors": a rank is an internal/fmm

@@ -2,13 +2,11 @@ package parfmm
 
 import (
 	"context"
-	"math"
 	"math/bits"
 	"strconv"
 
 	"repro/internal/fmm"
 	"repro/internal/kernels"
-	"repro/internal/morton"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/tree"
@@ -75,7 +73,7 @@ func (rk *rank) root() *obs.Span {
 // prepare builds the rank's tree, its engine and the ownership tables.
 func (rk *rank) prepare(ctx context.Context) error {
 	sp := rk.root().StartChild("tree_build")
-	err := rk.buildGlobalTree(ctx)
+	err := rk.buildTree(ctx)
 	sp.End()
 	if err != nil {
 		return err
@@ -108,117 +106,19 @@ func (rk *rank) smallLeaf(bi int32) bool {
 	return rk.tree.Boxes[bi].SmallLeaf(int(rk.gCnt[bi]), rk.eng.Ops.Surf.N)
 }
 
-// buildGlobalTree performs the level-by-level construction of paper
-// Section 3.1: each rank fills its local point counts into the level's
-// slab of the global tree array, an MPI_Allreduce sums them, and every
-// rank derives the identical next level from the global counts. The tree
-// is then wrapped into the rank's engine.
-func (rk *rank) buildGlobalTree(ctx context.Context) error {
-	c := rk.c
-	// Globally agreed computational domain.
-	lo := []float64{math.Inf(1), math.Inf(1), math.Inf(1)}
-	hi := []float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
-	for i := 0; i+2 < len(rk.in.Pts); i += 3 {
-		for d := 0; d < 3; d++ {
-			if v := rk.in.Pts[i+d]; v < lo[d] {
-				lo[d] = v
-			}
-			if v := rk.in.Pts[i+d]; v > hi[d] {
-				hi[d] = v
-			}
-		}
-	}
-	lo = c.AllreduceFloat64(mpi.OpMin, lo)
-	hi = c.AllreduceFloat64(mpi.OpMax, hi)
-	var center [3]float64
-	hw := 0.0
-	for d := 0; d < 3; d++ {
-		center[d] = (lo[d] + hi[d]) / 2
-		if w := (hi[d] - lo[d]) / 2; w > hw {
-			hw = w
-		}
-	}
-	if hw <= 0 || math.IsInf(hw, 0) {
-		hw = 1
-	}
-	hw *= 1 + 1e-10
-
-	sorted, perm, keys := tree.SortPointsByKey(rk.in.Pts, center, hw)
-	n := len(keys)
-
-	maxDepth, s := rk.opt.MaxDepth, int64(rk.opt.MaxPoints)
-
-	root := tree.Box{Key: morton.Key{}, Parent: tree.Nil, Leaf: true, SrcCount: n, TrgCount: n}
-	for i := range root.Children {
-		root.Children[i] = tree.Nil
-	}
-	boxes := []tree.Box{root}
-	gRoot := c.AllreduceInt64(mpi.OpSum, []int64{int64(n)})
-	gCnt := []int64{gRoot[0]}
-	levelStart := []int{0, 1}
-
-	for l := 0; ; l++ {
-		start, end := levelStart[l], levelStart[l+1]
-		// Decide which level-l boxes split, from their global counts.
-		var splitting []int32
-		for bi := start; bi < end; bi++ {
-			if gCnt[bi] > s && l < maxDepth {
-				splitting = append(splitting, int32(bi))
-			}
-		}
-		if len(splitting) == 0 {
-			break
-		}
-		// Local child counts for every splitting box, in octant order.
-		local := make([]int64, 8*len(splitting))
-		for si, bi := range splitting {
-			b := &boxes[bi]
-			off := b.SrcStart
-			for o := 0; o < 8; o++ {
-				ck := b.Key.Child(o)
-				cnt := tree.CountRange(keys, off, b.SrcStart+b.SrcCount, ck)
-				local[8*si+o] = int64(cnt)
-				off += cnt
-			}
-		}
-		global := c.AllreduceInt64(mpi.OpSum, local)
-		// Materialize children that exist globally (possibly with empty
-		// local ranges), identically on every rank.
-		for si, bi := range splitting {
-			boxes[bi].Leaf = false
-			off := boxes[bi].SrcStart
-			for o := 0; o < 8; o++ {
-				lc := int(local[8*si+o])
-				gc := global[8*si+o]
-				if gc == 0 {
-					continue
-				}
-				child := tree.Box{
-					Key: boxes[bi].Key.Child(o), Parent: bi, Leaf: true,
-					SrcStart: off, SrcCount: lc,
-					TrgStart: off, TrgCount: lc,
-				}
-				for i := range child.Children {
-					child.Children[i] = tree.Nil
-				}
-				ci := int32(len(boxes))
-				boxes = append(boxes, child)
-				gCnt = append(gCnt, gc)
-				boxes[bi].Children[o] = ci
-				off += lc
-			}
-		}
-		levelStart = append(levelStart, len(boxes))
-	}
-	rk.gCnt = gCnt
+// buildTree builds the rank's copy of the global tree array (paper
+// Section 3.1, tree.BuildGlobal over the rank's transport), permutes the
+// local densities into its Morton order and wraps the tree into the
+// rank's engine.
+func (rk *rank) buildTree(ctx context.Context) error {
 	var err error
-	if rk.tree, err = tree.Assemble(ctx, center, hw, boxes, levelStart, sorted, perm, rk.opt.MaxPoints); err != nil {
+	cfg := tree.Config{MaxPoints: rk.opt.MaxPoints, MaxDepth: rk.opt.MaxDepth}
+	if rk.tree, rk.gCnt, err = tree.BuildGlobal(ctx, rk.c, rk.in.Pts, cfg); err != nil {
 		return err
 	}
-	// Permute densities into Morton order.
 	sd := rk.opt.Kernel.SourceDim()
 	rk.pden = make([]float64, len(rk.in.Den))
-	for i, orig := range perm {
+	for i, orig := range rk.tree.SrcPerm {
 		copy(rk.pden[i*sd:(i+1)*sd], rk.in.Den[int(orig)*sd:(int(orig)+1)*sd])
 	}
 	rk.eng, err = fmm.FromTree(rk.tree, rk.opt)

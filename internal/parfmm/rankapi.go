@@ -67,18 +67,22 @@ func PartitionPoints(src, den []float64, sd, nproc int) []*RankInput {
 }
 
 // EvaluateRank runs one rank of the parallel algorithm over transport t:
-// global tree construction, owner assignment and a single interaction
-// evaluation (the engine's passes, with the Algorithm-1 ghost exchanges
-// on the wire when t is a network transport). It is the entry point
-// cluster workers drive; the simulated Evaluate keeps its own loop for
-// the warmup/iteration timing protocol. The engine holds its lease from
-// opt.Pool across the ghost exchange: no other rank may wait on that pool.
+// the global tree construction (tree.BuildGlobal, which issues the same
+// collectives in the same order on every rank and so does not validate
+// the rank's points; the service checks coordinates before it fans a
+// request out), owner assignment and a single
+// interaction evaluation (the engine's passes, with the Algorithm-1
+// ghost exchanges on the wire when t is a network transport). It is the
+// entry point cluster workers drive; the simulated Evaluate keeps its own
+// loop for the warmup/iteration timing protocol. The engine holds its
+// lease from opt.Pool across the ghost exchange: no other rank may wait
+// on that pool.
 //
-// Cancelling ctx stops the rank's compute within one chunk of a pass and
-// returns the typed context error. A rank blocked in a receive is not
-// woken by ctx; the transport's owner aborts it. Transport failures
-// surface as panics (the Transport contract); the caller recovers at the
-// rank boundary.
+// Cancelling ctx stops the rank's tree construction within one level and
+// its compute within one chunk of a pass, and returns the typed context
+// error. A rank blocked in a receive or a collective is not woken by ctx;
+// the transport's owner aborts it. Transport failures surface as panics
+// (the Transport contract); the caller recovers at the rank boundary.
 func EvaluateRank(ctx context.Context, t mpi.Transport, in *RankInput, opt Options) (*RankOutput, error) {
 	eo, err := opt.engine()
 	if err != nil {

@@ -10,17 +10,22 @@
 //
 // Boxes are stored in level-by-level (breadth-first) order, matching the
 // "global tree array" layout the parallel algorithm communicates with.
-// Points are permuted into Morton order so every box owns a contiguous
-// range of the source and target arrays.
+// One level loop builds every tree: BuildGlobal builds a rank's copy of
+// the global tree array from counts summed across the ranks, and BuildCtx
+// is its one-rank case. Points are permuted into Morton order so every
+// box owns a contiguous range of the source and target arrays.
 package tree
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"unsafe"
 
+	"repro/internal/geom"
 	"repro/internal/morton"
+	"repro/internal/mpi"
 )
 
 // Nil marks an absent box index.
@@ -63,7 +68,8 @@ type Tree struct {
 	MaxPoints int
 	// SrcPoints and TrgPoints are the coordinates permuted into Morton
 	// order; SrcPerm[i] (TrgPerm[i]) is the original index of permuted
-	// point i.
+	// point i. When the targets are the sources, TrgPoints and TrgPerm
+	// are SrcPoints and SrcPerm.
 	SrcPoints, TrgPoints []float64
 	SrcPerm, TrgPerm     []int32
 
@@ -78,11 +84,14 @@ type Config struct {
 	MaxPoints int
 	// MaxDepth caps the tree depth (default and maximum morton.MaxLevel).
 	MaxDepth int
-	// Center/HalfWidth force the root cube; when HalfWidth is zero the
-	// bounding cube of all points is used. The parallel algorithm passes
-	// the globally agreed domain here.
-	Center    [3]float64
-	HalfWidth float64
+}
+
+// Reducer combines values across the ranks that build one global tree,
+// as the paper's MPI_Allreduce: it sums their counts and takes the
+// minimum and maximum of their bounds. mpi.Transport satisfies it.
+type Reducer interface {
+	AllreduceInt64(op mpi.ReduceOp, in []int64) []int64
+	AllreduceFloat64(op mpi.ReduceOp, in []float64) []float64
 }
 
 type keyed struct {
@@ -91,17 +100,49 @@ type keyed struct {
 }
 
 // BuildCtx constructs the adaptive octree over src and trg (flat x,y,z
-// coordinate slices) and computes all four interaction lists. ctx is
-// checked between the expensive stages (Morton sort, box construction,
-// interaction lists) and inside the per-level loops of the latter two,
-// so cancelling a pathological build (hundreds of millions of points,
-// or an adversarial deep tree) lands within one level instead of after
-// the whole construction. On cancellation the partial tree is discarded
-// and ctx.Err() is returned.
+// coordinate slices) and computes all four interaction lists. It is the
+// one-rank case of BuildGlobal. When trg is src, the same slice, the
+// points are sorted and permuted once and the tree's target arrays are
+// its source arrays. A NaN or infinite coordinate, or points spread too
+// far for the domain's half-width to be finite, is an error.
+//
+// ctx is checked between the expensive stages (Morton sort, box
+// construction, interaction lists) and inside the per-level loops of the
+// latter two, so cancelling a pathological build (hundreds of millions of
+// points, or an adversarial deep tree) lands within one level instead of
+// after the whole construction. On cancellation the partial tree is
+// discarded and ctx.Err() is returned.
 func BuildCtx(ctx context.Context, src, trg []float64, cfg Config) (*Tree, error) {
 	if len(src)%3 != 0 || len(trg)%3 != 0 {
 		return nil, fmt.Errorf("tree: coordinate slices must have length divisible by 3")
 	}
+	t, _, err := build(ctx, nil, src, trg, cfg)
+	return t, err
+}
+
+// BuildGlobal is one rank's share of the level-by-level construction of
+// paper Section 3.1. pts are the rank's points, its sources and targets
+// alike. Every rank calls it with the same cfg and issues, through red,
+// the same collectives in the same order: the minimum and the maximum of
+// its local bounds, which fix the domain; the root's point count; then,
+// per level, the eight child counts of every box that splits, in octant
+// order. Each rank so derives the identical global tree array: every box
+// that holds a point on some rank, with this rank's points only. The
+// interaction lists follow locally. BuildGlobal returns that tree and the
+// global point count of every box.
+//
+// The input is not checked: a rank that rejected its share would leave
+// its peers blocked between collectives. ctx is checked as in BuildCtx; a
+// rank that returns on it leaves its peers likewise, which is safe
+// because a cluster rank's error or cancellation aborts its whole job,
+// and simulated ranks run under context.TODO.
+func BuildGlobal(ctx context.Context, red Reducer, pts []float64, cfg Config) (*Tree, []int64, error) {
+	return build(ctx, red, pts, pts, cfg)
+}
+
+// build is the one construction behind BuildCtx (red nil: the counts and
+// bounds are this process's own) and BuildGlobal.
+func build(ctx context.Context, red Reducer, src, trg []float64, cfg Config) (*Tree, []int64, error) {
 	if cfg.MaxPoints <= 0 {
 		cfg.MaxPoints = 60
 	}
@@ -109,61 +150,51 @@ func BuildCtx(ctx context.Context, src, trg []float64, cfg Config) (*Tree, error
 		cfg.MaxDepth = morton.MaxLevel
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	same := len(src) == len(trg) && (len(src) == 0 || &src[0] == &trg[0])
+	sets := [][]float64{src}
+	if !same {
+		sets = append(sets, trg)
+	}
+	lo, hi, finite := geom.Bounds(sets...)
+	if red != nil {
+		copy(lo[:], red.AllreduceFloat64(mpi.OpMin, lo[:]))
+		copy(hi[:], red.AllreduceFloat64(mpi.OpMax, hi[:]))
 	}
 	t := &Tree{MaxPoints: cfg.MaxPoints}
-	if cfg.HalfWidth > 0 {
-		t.Center, t.HalfWidth = cfg.Center, cfg.HalfWidth
-	} else {
-		all := make([]float64, 0, len(src)+len(trg))
-		all = append(all, src...)
-		all = append(all, trg...)
-		t.Center, t.HalfWidth = boundingCube(all)
+	t.Center, t.HalfWidth = geom.Cube(lo, hi)
+	if red == nil && !finite {
+		return nil, nil, fmt.Errorf("tree: coordinates must be finite, got NaN or ±Inf")
+	}
+	if red == nil && math.IsInf(t.HalfWidth, 0) {
+		return nil, nil, fmt.Errorf("tree: points spread too far: the domain half-width overflows float64")
 	}
 	srcKeys := sortByKey(src, t.Center, t.HalfWidth)
-	trgKeys := sortByKey(trg, t.Center, t.HalfWidth)
+	trgKeys := srcKeys
+	if !same {
+		trgKeys = sortByKey(trg, t.Center, t.HalfWidth)
+	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	t.SrcPoints, t.SrcPerm = permute(src, srcKeys)
-	t.TrgPoints, t.TrgPerm = permute(trg, trgKeys)
-	if err := t.build(ctx, srcKeys, trgKeys, cfg.MaxDepth); err != nil {
-		return nil, err
+	t.TrgPoints, t.TrgPerm = t.SrcPoints, t.SrcPerm
+	if !same {
+		t.TrgPoints, t.TrgPerm = permute(trg, trgKeys)
+	}
+	counts := []int64{int64(len(srcKeys))}
+	if red != nil {
+		counts = red.AllreduceInt64(mpi.OpSum, counts)
+	}
+	counts, err := t.grow(ctx, red, srcKeys, trgKeys, same, counts, cfg.MaxDepth)
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := t.buildLists(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return t, nil
-}
-
-func boundingCube(pts []float64) ([3]float64, float64) {
-	if len(pts) == 0 {
-		return [3]float64{}, 1
-	}
-	lo := [3]float64{pts[0], pts[1], pts[2]}
-	hi := lo
-	for i := 0; i+2 < len(pts); i += 3 {
-		for d := 0; d < 3; d++ {
-			if pts[i+d] < lo[d] {
-				lo[d] = pts[i+d]
-			}
-			if pts[i+d] > hi[d] {
-				hi[d] = pts[i+d]
-			}
-		}
-	}
-	var c [3]float64
-	hw := 0.0
-	for d := 0; d < 3; d++ {
-		c[d] = (lo[d] + hi[d]) / 2
-		if w := (hi[d] - lo[d]) / 2; w > hw {
-			hw = w
-		}
-	}
-	if hw == 0 {
-		hw = 1
-	}
-	return c, hw * (1 + 1e-10)
+	return t, counts, nil
 }
 
 func sortByKey(pts []float64, c [3]float64, hw float64) []keyed {
@@ -197,83 +228,95 @@ func permute(pts []float64, ks []keyed) ([]float64, []int32) {
 // atomic load never shows up in profiles.
 const buildCheckEvery = 1 << 12
 
-// build creates boxes breadth-first, splitting every box whose source or
-// target count exceeds MaxPoints, pruning empty octants. ctx is checked
-// once per level and every buildCheckEvery boxes within a level.
-func (t *Tree) build(ctx context.Context, srcKeys, trgKeys []keyed, maxDepth int) error {
-	t.index = make(map[morton.Key]int32)
-	root := Box{
-		Key: morton.Key{}, Parent: Nil, Leaf: true,
-		SrcStart: 0, SrcCount: len(srcKeys),
-		TrgStart: 0, TrgCount: len(trgKeys),
-	}
-	for i := range root.Children {
-		root.Children[i] = Nil
-	}
-	t.Boxes = []Box{root}
-	t.index[root.Key] = 0
-	t.LevelStart = []int{0}
-	level := 0
-	for start, end := 0, 1; start < end; start, end = end, len(t.Boxes) {
-		t.LevelStart = append(t.LevelStart, end)
-		level++
-		if level > maxDepth {
-			break
-		}
+// grow creates the boxes breadth-first. A box above level maxDepth
+// splits when its global source count (gCnt, which holds the root's on
+// entry) or, for separate targets, its target count exceeds MaxPoints.
+// The level's local child counts, eight per splitting box, are summed by
+// red; a child exists when its global count is nonzero (or it holds
+// targets), so empty octants are pruned the same way on every rank. The
+// Morton sort makes every child a contiguous subrange of its parent.
+// grow returns gCnt extended to every box. ctx is checked once per level
+// and every buildCheckEvery boxes within a level.
+func (t *Tree) grow(ctx context.Context, red Reducer, srcKeys, trgKeys []keyed, same bool, gCnt []int64, maxDepth int) ([]int64, error) {
+	s := int64(t.MaxPoints)
+	t.Boxes = []Box{newBox(morton.Key{}, Nil, 0, len(srcKeys), 0, len(trgKeys))}
+	t.index = map[morton.Key]int32{{}: 0}
+	t.LevelStart = []int{0, 1}
+	var splitting []int32
+	for l := 0; l < maxDepth; l++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
+		start, end := t.LevelStart[l], t.LevelStart[l+1]
+		childLevel := uint8(l + 1)
+		splitting = splitting[:0]
+		var local []int64
 		for bi := start; bi < end; bi++ {
 			if (bi-start)%buildCheckEvery == buildCheckEvery-1 {
 				if err := ctx.Err(); err != nil {
-					return err
+					return nil, err
 				}
 			}
 			b := &t.Boxes[bi]
-			if b.SrcCount <= t.MaxPoints && b.TrgCount <= t.MaxPoints {
+			if gCnt[bi] <= s && (same || int64(b.TrgCount) <= s) {
 				continue
 			}
-			b.Leaf = false
-			childLevel := uint8(b.Level() + 1)
-			// Split this box's contiguous ranges by child octant; the
-			// Morton sort makes each child a contiguous subrange.
-			srcSeg := srcKeys[b.SrcStart : b.SrcStart+b.SrcCount]
+			splitting = append(splitting, int32(bi))
+			seg := srcKeys[b.SrcStart : b.SrcStart+b.SrcCount]
+			for o := 0; o < 8; o++ {
+				n := countPrefix(seg, b.Key.Child(o), childLevel)
+				local = append(local, int64(n))
+				seg = seg[n:]
+			}
+		}
+		if len(splitting) == 0 {
+			break
+		}
+		global := local
+		if red != nil {
+			global = red.AllreduceInt64(mpi.OpSum, local)
+		}
+		for si, bi := range splitting {
+			b := t.Boxes[bi]
+			t.Boxes[bi].Leaf = false
+			so, to := b.SrcStart, b.TrgStart
 			trgSeg := trgKeys[b.TrgStart : b.TrgStart+b.TrgCount]
-			srcOff, trgOff := b.SrcStart, b.TrgStart
-			so, to := 0, 0
 			for o := 0; o < 8; o++ {
 				ck := b.Key.Child(o)
-				sn := countPrefix(srcSeg[so:], ck, childLevel)
-				tn := countPrefix(trgSeg[to:], ck, childLevel)
-				if sn == 0 && tn == 0 {
+				sn := int(local[8*si+o])
+				tn := sn
+				if !same {
+					tn = countPrefix(trgSeg, ck, childLevel)
+					trgSeg = trgSeg[tn:]
+				}
+				if global[8*si+o] == 0 && tn == 0 {
 					continue
 				}
-				child := Box{
-					Key: ck, Parent: int32(bi), Leaf: true,
-					SrcStart: srcOff + so, SrcCount: sn,
-					TrgStart: trgOff + to, TrgCount: tn,
-				}
-				for i := range child.Children {
-					child.Children[i] = Nil
-				}
 				ci := int32(len(t.Boxes))
-				t.Boxes = append(t.Boxes, child)
+				t.Boxes = append(t.Boxes, newBox(ck, bi, so, sn, to, tn))
 				t.index[ck] = ci
 				t.Boxes[bi].Children[o] = ci
-				b = &t.Boxes[bi] // re-take: append may have moved the slice
+				gCnt = append(gCnt, global[8*si+o])
 				so += sn
 				to += tn
 			}
 		}
-	}
-	// Normalize LevelStart to end with len(Boxes) exactly once.
-	for len(t.LevelStart) > 1 && t.LevelStart[len(t.LevelStart)-1] == t.LevelStart[len(t.LevelStart)-2] {
-		t.LevelStart = t.LevelStart[:len(t.LevelStart)-1]
-	}
-	if t.LevelStart[len(t.LevelStart)-1] != len(t.Boxes) {
 		t.LevelStart = append(t.LevelStart, len(t.Boxes))
 	}
-	return nil
+	return gCnt, nil
+}
+
+// newBox returns a leaf with no children.
+func newBox(k morton.Key, parent int32, srcStart, srcCount, trgStart, trgCount int) Box {
+	b := Box{
+		Key: k, Parent: parent, Leaf: true,
+		SrcStart: srcStart, SrcCount: srcCount,
+		TrgStart: trgStart, TrgCount: trgCount,
+	}
+	for i := range b.Children {
+		b.Children[i] = Nil
+	}
+	return b
 }
 
 // countPrefix returns how many leading keys in seg are descendants of (or
@@ -282,63 +325,6 @@ func countPrefix(seg []keyed, ck morton.Key, level uint8) int {
 	n := 0
 	for n < len(seg) && seg[n].key.AtLevel(level) == ck {
 		n++
-	}
-	return n
-}
-
-// Assemble wraps an externally built box topology into a Tree and
-// computes the interaction lists. The parallel algorithm uses it: every
-// rank constructs the identical global tree array level by level (paper
-// Section 3.1) with its own local point ranges in SrcStart/SrcCount (and
-// TrgStart/TrgCount), then assembles the lists locally. Boxes must be in
-// breadth-first order with levelStart offsets as produced by that
-// construction; srcPoints/srcPerm are the rank's Morton-sorted local
-// points (sources and targets are the same set in the parallel driver).
-// ctx is checked during list construction as in BuildCtx.
-func Assemble(ctx context.Context, center [3]float64, halfWidth float64, boxes []Box, levelStart []int, srcPoints []float64, srcPerm []int32, maxPoints int) (*Tree, error) {
-	t := &Tree{
-		Center: center, HalfWidth: halfWidth,
-		Boxes: boxes, LevelStart: levelStart,
-		MaxPoints: maxPoints,
-		SrcPoints: srcPoints, TrgPoints: srcPoints,
-		SrcPerm: srcPerm, TrgPerm: srcPerm,
-		index: make(map[morton.Key]int32, len(boxes)),
-	}
-	for i := range boxes {
-		t.index[boxes[i].Key] = int32(i)
-	}
-	if err := t.buildLists(ctx); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// SortPointsByKey Morton-sorts pts against the cube (center, halfWidth)
-// and returns the permuted coordinates, the permutation (original index
-// of each sorted point), and the sorted leaf-level keys. It is exported
-// for the parallel tree construction, which must sort local points
-// against the globally agreed domain.
-func SortPointsByKey(pts []float64, center [3]float64, halfWidth float64) (sorted []float64, perm []int32, keys []morton.Key) {
-	ks := sortByKey(pts, center, halfWidth)
-	sorted, perm = permute(pts, ks)
-	keys = make([]morton.Key, len(ks))
-	for i := range ks {
-		keys[i] = ks[i].key
-	}
-	return sorted, perm, keys
-}
-
-// CountRange returns how many keys in the sorted slice fall under the
-// box key b (descendants at leaf resolution), searching within
-// keys[lo:hi]. Keys must be Morton-sorted.
-func CountRange(keys []morton.Key, lo, hi int, b morton.Key) int {
-	n := 0
-	for i := lo; i < hi; i++ {
-		if keys[i].AtLevel(b.Level) == b {
-			n++
-		} else if n > 0 {
-			break
-		}
 	}
 	return n
 }
@@ -395,11 +381,14 @@ func (t *Tree) Leaves() []int32 {
 }
 
 // MemoryBytes estimates the resident size of the tree: coordinates,
-// permutations, the box array with its interaction lists, and the key
-// index. The evaluation service uses it for byte-bounded plan caching.
+// permutations (target arrays shared with the sources count once), the
+// box array with its interaction lists, and the key index. The
+// evaluation service uses it for byte-bounded plan caching.
 func (t *Tree) MemoryBytes() int64 {
-	b := int64(len(t.SrcPoints)+len(t.TrgPoints)) * 8
-	b += int64(len(t.SrcPerm)+len(t.TrgPerm)) * 4
+	b := int64(len(t.SrcPoints))*8 + int64(len(t.SrcPerm))*4
+	if !t.sharesTargets() {
+		b += int64(len(t.TrgPoints))*8 + int64(len(t.TrgPerm))*4
+	}
 	b += int64(len(t.LevelStart)) * 8
 	b += int64(len(t.Boxes)) * int64(unsafe.Sizeof(Box{}))
 	for i := range t.Boxes {
@@ -409,4 +398,9 @@ func (t *Tree) MemoryBytes() int64 {
 	// Key index: ~key + value + bucket overhead per entry.
 	b += int64(len(t.index)) * 24
 	return b
+}
+
+// sharesTargets reports whether the target arrays are the source arrays.
+func (t *Tree) sharesTargets() bool {
+	return len(t.TrgPoints) == len(t.SrcPoints) && (len(t.SrcPoints) == 0 || &t.TrgPoints[0] == &t.SrcPoints[0])
 }

@@ -3,7 +3,9 @@ package tree
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -428,6 +430,72 @@ func TestSmallLeafBoundary(t *testing.T) {
 	} {
 		if got := tc.b.SmallLeaf(tc.count, surfN); got != tc.want {
 			t.Errorf("SmallLeaf(leaf=%v, count=%d) = %v, want %v", tc.b.Leaf, tc.count, got, tc.want)
+		}
+	}
+}
+
+// TestSameSliceSharesTargets: when the targets are the sources, the same
+// slice, the tree sorts once and its target arrays are its source
+// arrays; the tree is bit for bit the one a copied target slice builds,
+// and MemoryBytes counts the shared arrays once.
+func TestSameSliceSharesTargets(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pts := geom.Flatten(geom.CornerClusters(rng, 1500, 0.3, 1))
+	cfg := Config{MaxPoints: 20}
+	shared, err := BuildCtx(context.Background(), pts, pts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := BuildCtx(context.Background(), pts, append([]float64(nil), pts...), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &shared.TrgPoints[0] != &shared.SrcPoints[0] || &shared.TrgPerm[0] != &shared.SrcPerm[0] {
+		t.Error("same-slice build does not share its target arrays")
+	}
+	if &copied.TrgPoints[0] == &copied.SrcPoints[0] {
+		t.Error("copied-target build shares its target arrays")
+	}
+	if !reflect.DeepEqual(shared, copied) {
+		t.Error("same-slice tree differs from the copied-target tree")
+	}
+	for _, tr := range []*Tree{shared, copied} {
+		for i, v := range tr.TrgPoints {
+			if math.Float64bits(v) != math.Float64bits(shared.SrcPoints[i]) {
+				t.Fatalf("target coordinate %d: %v, want the bits of %v", i, v, shared.SrcPoints[i])
+			}
+		}
+	}
+	n := int64(len(pts) / 3)
+	if got, want := copied.MemoryBytes()-shared.MemoryBytes(), 8*3*n+4*n; got != want {
+		t.Errorf("MemoryBytes: copied - shared = %d, want %d (one coordinate and permutation array)", got, want)
+	}
+}
+
+// TestBuildCtxRejectsNonFinite: a NaN or infinite coordinate, among the
+// sources or the targets, or a domain half-width that overflows, is an
+// error.
+func TestBuildCtxRejectsNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	pts := geom.Flatten(geom.UniformCube(rng, 100))
+	for _, tc := range []struct {
+		name string
+		set  map[int]float64 // coordinate index -> value
+	}{
+		{"NaN", map[int]float64{5: math.NaN()}},
+		{"+Inf", map[int]float64{0: math.Inf(1)}},
+		{"-Inf", map[int]float64{299: math.Inf(-1)}},
+		{"overflowing spread", map[int]float64{2: math.MaxFloat64, 5: -math.MaxFloat64}},
+	} {
+		bad := append([]float64(nil), pts...)
+		for i, v := range tc.set {
+			bad[i] = v
+		}
+		if tr, err := BuildCtx(context.Background(), bad, bad, Config{}); err == nil || tr != nil {
+			t.Errorf("%s sources: BuildCtx returned a tree (%v) and err %v, want only an error", tc.name, tr != nil, err)
+		}
+		if tr, err := BuildCtx(context.Background(), pts, bad, Config{}); err == nil || tr != nil {
+			t.Errorf("%s targets: BuildCtx returned a tree (%v) and err %v, want only an error", tc.name, tr != nil, err)
 		}
 	}
 }

@@ -126,3 +126,33 @@ func rel(got, want []float64) float64 {
 	}
 	return math.Sqrt(num / den)
 }
+
+// TestNewEvaluatorRejectsNonFinite: a NaN or infinite coordinate, or
+// points spread too far for a finite domain, is invalid input, not a plan
+// that returns garbage.
+func TestNewEvaluatorRejectsNonFinite(t *testing.T) {
+	pts := FlattenPatches(UniformPatches(25, 200))
+	opt := Options{Kernel: Laplace(), Degree: 4, Workers: 1}
+	for _, tc := range []struct {
+		name string
+		set  map[int]float64 // coordinate index -> value
+	}{
+		{"NaN", map[int]float64{7: math.NaN()}},
+		{"+Inf", map[int]float64{0: math.Inf(1)}},
+		{"-Inf", map[int]float64{599: math.Inf(-1)}},
+		{"overflowing spread", map[int]float64{1: math.MaxFloat64, 4: -math.MaxFloat64}},
+	} {
+		bad := append([]float64(nil), pts...)
+		for i, v := range tc.set {
+			bad[i] = v
+		}
+		_, err := NewEvaluatorCtx(context.Background(), bad, bad, opt)
+		if code, _ := ErrorCodeOf(err); code != CodeInvalidInput {
+			t.Errorf("%s sources: err = %v (code %q), want %q", tc.name, err, code, CodeInvalidInput)
+		}
+		_, err = NewEvaluatorCtx(context.Background(), pts, bad, opt)
+		if code, _ := ErrorCodeOf(err); code != CodeInvalidInput {
+			t.Errorf("%s targets: err = %v (code %q), want %q", tc.name, err, code, CodeInvalidInput)
+		}
+	}
+}
