@@ -34,9 +34,13 @@ const conformanceGoldenPath = "testdata/conformance.golden"
 //     its WDirect / XDirect counts and its relative error against direct
 //     summation (the worst vector of the batch, three significant digits).
 //   - <case>@cluster2: the loopback TCP cluster, two workers of 1 and 2
-//     lanes, one evaluation per vector; sha256 and err as above.
-//   - <case>@parfmm2: the simulated parallel driver at P = 2, one
-//     evaluation per vector; sha256 and err as above.
+//     lanes, one evaluation per vector; sha256 and err as above. The
+//     coordinator partitions with every point its own patch, so the row
+//     is also the simulated driver at P = 2 over one-point patches, and
+//     the test checks that bit for bit. Under -short that socket-free
+//     evaluation alone is checked against the row.
+//   - <case>@parfmm2: the simulated parallel driver at P = 2 over the
+//     case's patches, one evaluation per vector; sha256 and err as above.
 //   - parfmm-trace: the default `kifmm-bench -exp parfmm-trace` run, the
 //     sha256 of its potentials and its message and byte counts.
 //
@@ -48,7 +52,10 @@ const conformanceGoldenPath = "testdata/conformance.golden"
 // A library batch is its single vectors bit for bit, so where a rank
 // reproduces the single-node bits the hashes match: the @parfmm2 rows
 // equal the library rows for every case but 00 and 04 (Kelvin on a
-// sphere at degree 6), and the @cluster2 rows for 00 and 06 only.
+// sphere at degree 6), and the @cluster2 rows for 00 and 06 only. The
+// TCP path adds no ordering of its own: @cluster2 is the simulated driver
+// over one-point patches bit for bit, so what separates it from @parfmm2
+// is the partition alone.
 // A failing row prints its largest ulp distance from the library result.
 //
 // A PR that declares itself bit-preserving leaves the file alone; one
@@ -56,8 +63,8 @@ const conformanceGoldenPath = "testdata/conformance.golden"
 // `go test -run ConformanceGolden -update .` and says so in CHANGES.md,
 // where the err column shows how little (or how much) the results moved.
 // The file is pinned on amd64: the Go compiler fuses multiply-adds on
-// arm64, ppc64le and s390x and not there. Under -short the cluster rows
-// skip (real TCP) and so do the cases whose degree -short trims.
+// arm64, ppc64le and s390x and not there. Under -short no cluster starts
+// (real TCP) and the cases whose degree -short trims skip.
 func TestConformanceGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("conformance golden is pinned on amd64 (no fused multiply-add); this is %s", runtime.GOARCH)
@@ -169,13 +176,25 @@ func TestConformanceGolden(t *testing.T) {
 			})
 		}
 	}
+	parallel := func(t *testing.T, c kifmm.ConformanceCase, patches []kifmm.Patch, den []float64) []float64 {
+		res, err := kifmm.EvaluateParallel(patches, den, 2, kifmm.ParallelOptions{Options: kifmm.Options{
+			Kernel: c.Kernel, Degree: c.Degree, MaxPoints: c.MaxPts, MaxDepth: c.MaxDepth,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Pot
+	}
 	var coord *cluster.Coordinator
 	if !testing.Short() {
 		coord = startCluster(t, 1, 2)
 	}
 	distributed("@cluster2", func(t *testing.T, c kifmm.ConformanceCase, den []float64) []float64 {
+		// The cluster is the simulated driver over one-point patches, so
+		// the row is pinned without sockets too.
+		sim := parallel(t, c, onePointPatches(c.Pts), den)
 		if coord == nil {
-			t.Skip("the real-TCP cluster rows are not -short tests")
+			return sim
 		}
 		req := planRequest(t, c)
 		pot, _, err := coord.Evaluate(context.Background(), cluster.EvalRequest{
@@ -185,16 +204,13 @@ func TestConformanceGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !sameBits([][]float64{pot}, [][]float64{sim}) {
+			t.Errorf("cluster result differs from the simulated driver's over one-point patches%s", ulpNote([][]float64{pot}, [][]float64{sim}))
+		}
 		return pot
 	})
 	distributed("@parfmm2", func(t *testing.T, c kifmm.ConformanceCase, den []float64) []float64 {
-		res, err := kifmm.EvaluateParallel(c.Patches, den, 2, kifmm.ParallelOptions{Options: kifmm.Options{
-			Kernel: c.Kernel, Degree: c.Degree, MaxPoints: c.MaxPts, MaxDepth: c.MaxDepth,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Pot
+		return parallel(t, c, c.Patches, den)
 	})
 
 	t.Run("parfmm-trace", func(t *testing.T) {
@@ -250,6 +266,17 @@ func startCluster(t *testing.T, lanes ...int) *cluster.Coordinator {
 		t.Cleanup(func() { w.Close() })
 	}
 	return coord
+}
+
+// onePointPatches makes every point of pts its own patch: the partition
+// the cluster's coordinator runs.
+func onePointPatches(pts []float64) []kifmm.Patch {
+	patches := make([]kifmm.Patch, len(pts)/3)
+	for i := range patches {
+		p := pts[3*i : 3*i+3 : 3*i+3]
+		patches[i] = kifmm.Patch{Center: [3]float64(p), Points: p}
+	}
+	return patches
 }
 
 // directs is the O(N²) reference for each vector of the batch.

@@ -9,13 +9,17 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	kifmm "repro"
 	"repro/internal/errs"
+	"repro/internal/fmm"
 	"repro/internal/geom"
 	"repro/internal/kernels"
+	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/parfmm"
 	"repro/internal/wire"
 )
@@ -55,7 +59,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		Job: 7, Size: 2, Rank: 1, Peers: []string{"a:1", "b:2"},
 		Kernel: kernels.Spec{Name: "laplace"}, Degree: 6, MaxPoints: 60,
 	}
-	payload, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 2, 3}, Den: []float64{0.5}, GlobalIdx: []int32{9}})
+	payload, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 2, 3}, Den: []float64{0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	if gotHdr.Job != 7 || gotHdr.Size != 2 || gotHdr.Rank != 1 || gotHdr.Peers[0] != "a:1" || gotHdr.Peers[1] != "b:2" {
 		t.Fatalf("job header mangled: %+v", gotHdr)
 	}
-	if gotIn.Pts[2] != 3 || gotIn.Den[0] != 0.5 || gotIn.GlobalIdx[0] != 9 {
+	if gotIn.Pts[2] != 3 || gotIn.Den[0] != 0.5 {
 		t.Fatalf("rank input mangled: %+v", gotIn)
 	}
 	// An empty share (a rank with no points) is still one rank input.
@@ -326,7 +330,7 @@ func TestClusterAbortOvertakingStart(t *testing.T) {
 
 	const job = 1 << 40 // not one of the coordinator's
 	hdr := &jobHeader{Job: job, Size: 2, Rank: 1, Peers: []string{workers[0].Addr(), w.Addr()}, Kernel: kernels.Spec{Name: "laplace"}}
-	start, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 0, 0}, Den: []float64{1}, GlobalIdx: []int32{1}})
+	start, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 0, 0}, Den: []float64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,5 +550,66 @@ func TestClusterBadDegreeIsInvalidInput(t *testing.T) {
 	})
 	if code, _ := errs.CodeOf(err); code != errs.CodeInvalidInput {
 		t.Errorf("degree -1 on the cluster path: %v, want invalid_input", err)
+	}
+}
+
+// TestExchangeMsgsCountSends: on both transports, the msgs attributes of
+// a rank's exchange spans add up to the sends in its ledger. A receive or
+// a collective is not a message, on the wire as in the simulation.
+func TestExchangeMsgsCountSends(t *testing.T) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(21))
+	patches := geom.SphereGrid(rng, n, 2, 0.3)
+	den := geom.RandomDensities(rng, n, 1)
+
+	coord, workers := startCluster(t, 250*time.Millisecond, 1, 1)
+	defer coord.Close()
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	_, rep, err := coord.Evaluate(context.Background(), EvalRequest{
+		Src: geom.Flatten(patches), Den: den, Kernel: kernels.Spec{Name: "laplace"}, Degree: 4, MaxPoints: 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := parfmm.Evaluate(patches, den, 2, parfmm.Options{
+		Options: fmm.Options{Kernel: kernels.Laplace{}, Degree: 4, MaxPoints: 60}, Trace: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		tl   *obs.Timeline
+	}{{"tcp", rep.Timeline}, {"simulated", sim.Timeline}} {
+		for _, rt := range run.tl.Ranks {
+			var msgs int64
+			var walk func(s *obs.Span)
+			walk = func(s *obs.Span) {
+				if commPasses[s.Name] {
+					v, err := strconv.ParseInt(s.Attrs["msgs"], 10, 64)
+					if err != nil {
+						t.Errorf("%s rank %d %s: msgs attribute %q", run.name, rt.Rank, s.Name, s.Attrs["msgs"])
+					}
+					msgs += v
+				}
+				for _, ch := range s.Children {
+					walk(ch)
+				}
+			}
+			walk(rt.Root)
+			var sends int64
+			for _, ev := range rt.Msgs {
+				if ev.Kind == mpi.EventSend {
+					sends++
+				}
+			}
+			if sends == 0 || msgs != sends {
+				t.Errorf("%s rank %d: exchange spans count %d msgs, the ledger %d sends", run.name, rt.Rank, msgs, sends)
+			}
+		}
 	}
 }

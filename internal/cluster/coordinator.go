@@ -41,9 +41,8 @@ func (wc *workerConn) beat() { wc.lastBeat.Store(time.Now().UnixNano()) }
 
 // coordJob is one in-flight distributed evaluation.
 type coordJob struct {
-	id     uint64
-	inputs []*parfmm.RankInput
-	ranks  []*workerConn // the worker hosting each rank
+	id    uint64
+	ranks []*workerConn // the worker hosting each rank
 
 	mu        sync.Mutex
 	pots      [][]float64
@@ -367,7 +366,7 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 	if err != nil {
 		return nil, nil, err
 	}
-	sd, td := kern.SourceDim(), kern.TargetDim()
+	sd := kern.SourceDim()
 	n := len(req.Src) / 3
 	if n == 0 || len(req.Src) != 3*n {
 		return nil, nil, errs.Newf(errs.CodeInvalidInput, "kifmm: cluster evaluation needs flat xyz sources, got length %d", len(req.Src))
@@ -415,7 +414,7 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 		c.mu.Unlock()
 	}()
 
-	job.inputs = parfmm.PartitionPoints(req.Src, req.Den, sd, size)
+	inputs, idx := parfmm.PartitionPoints(req.Src, req.Den, sd, size)
 
 	// Scatter: each worker gets the shared header plus its rank's share.
 	peers := make([]string, size)
@@ -426,7 +425,7 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 	hdr := req.header(job.id, peers)
 	for r, wc := range ranks {
 		hdr.Rank = r
-		payload, err := encodeJobStart(&hdr, job.inputs[r])
+		payload, err := encodeJobStart(&hdr, inputs[r])
 		if err != nil {
 			err = errs.Wrap(errs.CodeInternal, err)
 			c.abortJob(job, err, nil)
@@ -454,17 +453,9 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 	}
 	c.evals.Add(1)
 
-	// Gather: scatter each rank's potentials back to global point order.
-	pot := make([]float64, n*td)
-	for r := 0; r < size; r++ {
-		idx := job.inputs[r].GlobalIdx
-		rp := job.pots[r]
-		if len(rp) != len(idx)*td {
-			return nil, nil, errs.Newf(errs.CodeInternal, "kifmm: rank %d returned %d potentials, want %d", r, len(rp), len(idx)*td)
-		}
-		for i, g := range idx {
-			copy(pot[int(g)*td:(int(g)+1)*td], rp[i*td:(i+1)*td])
-		}
+	pot, err := parfmm.Gather(idx, kern.TargetDim(), job.pots)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	tl := obs.MergeTimeline(job.tls)

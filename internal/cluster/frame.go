@@ -3,9 +3,10 @@
 // point-to-point ghost exchanges and collectives between processes,
 // plus the node lifecycle around it — workers dial a coordinator, join
 // with a hello/capabilities handshake, heartbeat, and drain gracefully;
-// the coordinator Morton-partitions request geometry into one rank per
-// worker, and each worker runs its rank's internal/parfmm evaluation over
-// its whole lane pool, exchanging ghosts over the wire.
+// the coordinator partitions request geometry into one rank per worker
+// (parfmm's patch partition, every point its own patch), and each worker
+// runs its rank's internal/parfmm evaluation over its whole lane pool,
+// exchanging ghosts over the wire.
 //
 // Topology: control traffic (handshake, heartbeats, job dispatch and
 // abort, drain, results) flows on each worker's single connection to the

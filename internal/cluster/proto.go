@@ -75,7 +75,6 @@ func encodeJobStart(hdr *jobHeader, in *parfmm.RankInput) ([]byte, error) {
 	w.Raw(raw)
 	w.F64s(in.Pts)
 	w.F64s(in.Den)
-	w.I32s(in.GlobalIdx)
 	return w.Bytes(), nil
 }
 
@@ -95,7 +94,7 @@ func decodeJobStart(p []byte) (*jobHeader, *parfmm.RankInput, error) {
 	if hdr.Size < 1 || hdr.Rank < 0 || hdr.Rank >= hdr.Size || len(hdr.Peers) != hdr.Size {
 		return nil, nil, errMalformed()
 	}
-	in := &parfmm.RankInput{Pts: r.F64s(), Den: r.F64s(), GlobalIdx: r.I32s()}
+	in := &parfmm.RankInput{Pts: r.F64s(), Den: r.F64s()}
 	if err := frameErr(r); err != nil {
 		return nil, nil, err
 	}

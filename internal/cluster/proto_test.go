@@ -100,7 +100,7 @@ func FuzzProto(f *testing.F) {
 		Kernel: kernels.Spec{Name: "modlaplace", Params: map[string]float64{"lambda": 2}},
 		Degree: 6, MaxPoints: 60, MaxDepth: 9,
 	}
-	start, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 2, 3}, Den: []float64{0.5}, GlobalIdx: []int32{9}})
+	start, err := encodeJobStart(hdr, &parfmm.RankInput{Pts: []float64{1, 2, 3}, Den: []float64{0.5}})
 	if err != nil {
 		f.Fatal(err)
 	}

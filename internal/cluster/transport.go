@@ -89,21 +89,16 @@ func (j *workerJob) abort(err error) bool {
 // rides the worker mesh (a rank never sends to itself), point-to-point
 // messages under their tags ≥ 0 and collectives under reserved negative
 // tags, rooted at rank 0. It reproduces the in-process transport's ledger
-// events — same kinds, same dependency attribution — so obs.Timeline,
-// critical-path extraction and the Chrome trace work unchanged on a real
-// cluster.
+// events — same kinds, same dependency attribution — and records them
+// through the same mpi.Meter, so the counters, obs.Timeline, critical-path
+// extraction and the Chrome trace work unchanged on a real cluster.
 type wireTransport struct {
+	mpi.Meter
 	w    *Worker
 	j    *workerJob
 	rank int
 
-	observer func(mpi.Event)
-	collSeq  int
-
-	commTime  time.Duration
-	bytesSent int64
-	bytesRecv int64
-	msgs      int64
+	collSeq int
 }
 
 var _ mpi.Transport = (*wireTransport)(nil)
@@ -111,13 +106,7 @@ var _ mpi.Transport = (*wireTransport)(nil)
 func (t *wireTransport) Rank() int { return t.rank }
 func (t *wireTransport) Size() int { return t.j.hdr.Size }
 
-func (t *wireTransport) Elapsed() time.Duration  { return t.j.elapsed() }
-func (t *wireTransport) CommTime() time.Duration { return t.commTime }
-func (t *wireTransport) BytesSent() int64        { return t.bytesSent }
-func (t *wireTransport) BytesRecv() int64        { return t.bytesRecv }
-func (t *wireTransport) Messages() int64         { return t.msgs }
-
-func (t *wireTransport) SetObserver(fn func(mpi.Event)) { t.observer = fn }
+func (t *wireTransport) Elapsed() time.Duration { return t.j.elapsed() }
 
 // send writes one payload to dst's mesh connection, stamped with sent on
 // this rank's clock. A peer it cannot reach is a lost worker: the
@@ -158,29 +147,13 @@ func (t *wireTransport) recv(src, tag int) (msg wireMsg, waited bool) {
 	return msg, waited
 }
 
-// record books one finished operation in the counters and hands its
-// ledger event to the observer.
-func (t *wireTransport) record(ev mpi.Event) {
-	t.commTime += ev.End - ev.Start
-	t.msgs++
-	switch ev.Kind {
-	case mpi.EventSend:
-		t.bytesSent += int64(ev.Bytes)
-	case mpi.EventRecv:
-		t.bytesRecv += int64(ev.Bytes)
-	}
-	if t.observer != nil {
-		t.observer(ev)
-	}
-}
-
 // SendFloat64s is eager: it writes the frame to the peer's mesh
 // connection and returns without waiting for the receiver.
 func (t *wireTransport) SendFloat64s(dst, tag int, data []float64) {
 	start := t.j.elapsed()
 	t.send(dst, tag, data, start)
 	end := t.j.elapsed()
-	t.record(mpi.Event{
+	t.Record(mpi.Event{
 		Kind: mpi.EventSend, Rank: t.rank, Peer: dst, Tag: tag, Bytes: 8 * len(data),
 		Start: start, End: end, Sent: end, Avail: end, DepRank: -1,
 	})
@@ -203,7 +176,7 @@ func (t *wireTransport) RecvFloat64s(src, tag int) []float64 {
 		ev.DepRank = src
 		ev.DepTime = time.Duration(msg.sentNS)
 	}
-	t.record(ev)
+	t.Record(ev)
 	return msg.data
 }
 
@@ -251,7 +224,7 @@ func (t *wireTransport) allreduce(in []float64, fold func(all [][]float64) []flo
 		}
 	}
 	end := t.j.elapsed()
-	t.record(mpi.Event{
+	t.Record(mpi.Event{
 		Kind: mpi.EventCollective, Rank: t.rank, Peer: -1, Tag: seq, Bytes: 8 * len(in),
 		Start: start, End: end, Wait: end - start,
 		DepRank: last, DepTime: lastEntry,

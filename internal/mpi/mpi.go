@@ -123,30 +123,66 @@ type Event struct {
 	DepTime time.Duration `json:"dep_time_ns,omitempty"`
 }
 
+// Meter is one rank's communication accounting, the same on every
+// transport, which embeds it and records each finished operation's
+// ledger Event. Its methods must be called from the rank's goroutine.
+type Meter struct {
+	commTime  time.Duration
+	bytesSent int64
+	bytesRecv int64
+	msgsSent  int64
+	observer  func(Event)
+}
+
+// Record books one finished operation: its span as communication time,
+// a send's payload and message, a receive's payload (a collective's
+// payload in neither), and hands it to the observer.
+func (m *Meter) Record(ev Event) {
+	m.commTime += ev.End - ev.Start
+	switch ev.Kind {
+	case EventSend:
+		m.bytesSent += int64(ev.Bytes)
+		m.msgsSent++
+	case EventRecv:
+		m.bytesRecv += int64(ev.Bytes)
+	}
+	if m.observer != nil {
+		m.observer(ev)
+	}
+}
+
+// CommTime returns the portion of the rank's clock spent in
+// communication.
+func (m *Meter) CommTime() time.Duration { return m.commTime }
+
+// BytesSent returns the total payload bytes this rank has sent.
+func (m *Meter) BytesSent() int64 { return m.bytesSent }
+
+// BytesRecv returns the total payload bytes this rank has received.
+func (m *Meter) BytesRecv() int64 { return m.bytesRecv }
+
+// Messages returns the number of point-to-point messages sent.
+func (m *Meter) Messages() int64 { return m.msgsSent }
+
 // SetObserver installs fn as this rank's communication observer: every
 // Send, Recv and collective reports an Event as it completes, on the
 // rank's own goroutine (mirroring Elastic.SetAcquireObserver — the
 // callback must be cheap and non-blocking). A nil fn removes the
-// observer. Must be called from the rank's goroutine.
-func (c *Comm) SetObserver(fn func(Event)) { c.observer = fn }
+// observer.
+func (m *Meter) SetObserver(fn func(Event)) { m.observer = fn }
 
 // Comm is one rank's communicator handle. Methods must only be called
 // from the rank's own goroutine.
 type Comm struct {
+	Meter
 	rank, size int
 	net        *network
 
 	clock    time.Duration // virtual time of this rank
 	lastReal time.Time     // wall time when the token was (re)acquired
 
-	commTime  time.Duration
-	bytesSent int64
-	bytesRecv int64
-	msgsSent  int64
-	collSeq   int
-	done      bool
-
-	observer func(Event)
+	collSeq int
+	done    bool
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -164,18 +200,6 @@ func (c *Comm) Elapsed() time.Duration {
 	}
 	return c.clock
 }
-
-// CommTime returns the portion of virtual time spent in communication.
-func (c *Comm) CommTime() time.Duration { return c.commTime }
-
-// BytesSent returns the total payload bytes this rank has sent.
-func (c *Comm) BytesSent() int64 { return c.bytesSent }
-
-// BytesRecv returns the total payload bytes this rank has received.
-func (c *Comm) BytesRecv() int64 { return c.bytesRecv }
-
-// Messages returns the number of point-to-point messages sent.
-func (c *Comm) Messages() int64 { return c.msgsSent }
 
 // AdvanceClock adds d of modeled compute time to the rank's virtual
 // clock (used by tests; real compute is metered automatically).

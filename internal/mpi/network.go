@@ -63,16 +63,11 @@ func (c *Comm) SendFloat64s(dst, tag int, data []float64) {
 	start := c.clock
 	c.clock += c.net.machine.SendOverhead + c.net.machine.transferTime(bytes)
 	avail := c.clock + c.net.machine.Latency
-	c.commTime += c.clock - start
-	c.bytesSent += int64(bytes)
-	c.msgsSent++
 	c.lastReal = time.Now()
-	if c.observer != nil {
-		c.observer(Event{
-			Kind: EventSend, Rank: c.rank, Peer: dst, Tag: tag, Bytes: bytes,
-			Start: start, End: c.clock, Sent: c.clock, Avail: avail, DepRank: -1,
-		})
-	}
+	c.Record(Event{
+		Kind: EventSend, Rank: c.rank, Peer: dst, Tag: tag, Bytes: bytes,
+		Start: start, End: c.clock, Sent: c.clock, Avail: avail, DepRank: -1,
+	})
 
 	n := c.net
 	n.mu.Lock()
@@ -108,20 +103,16 @@ func (c *Comm) RecvFloat64s(src, tag int) []float64 {
 					c.clock = msg.avail
 				}
 				c.clock += n.machine.RecvOverhead
-				c.commTime += c.clock - start
-				c.bytesRecv += int64(msg.bytes)
 				c.lastReal = time.Now()
-				if c.observer != nil {
-					ev := Event{
-						Kind: EventRecv, Rank: c.rank, Peer: src, Tag: tag, Bytes: msg.bytes,
-						Start: start, End: c.clock, Sent: msg.sent, Avail: msg.avail,
-						Wait: wait, DepRank: -1,
-					}
-					if wait > 0 {
-						ev.DepRank, ev.DepTime = msg.src, msg.sent
-					}
-					c.observer(ev)
+				ev := Event{
+					Kind: EventRecv, Rank: c.rank, Peer: src, Tag: tag, Bytes: msg.bytes,
+					Start: start, End: c.clock, Sent: msg.sent, Avail: msg.avail,
+					Wait: wait, DepRank: -1,
 				}
+				if wait > 0 {
+					ev.DepRank, ev.DepTime = msg.src, msg.sent
+				}
+				c.Record(ev)
 				return msg.data
 			}
 		}
@@ -186,15 +177,12 @@ func (c *Comm) runCollective(inputs any, combine func(all []any) (any, int)) any
 		n.acquireToken()
 	}
 	c.clock = coll.exit
-	c.commTime += c.clock - start
 	c.lastReal = time.Now()
-	if c.observer != nil {
-		c.observer(Event{
-			Kind: EventCollective, Rank: c.rank, Peer: -1, Tag: seq, Bytes: coll.bytes,
-			Start: start, End: c.clock, Wait: c.clock - start,
-			DepRank: coll.last, DepTime: coll.entries[coll.last],
-		})
-	}
+	c.Record(Event{
+		Kind: EventCollective, Rank: c.rank, Peer: -1, Tag: seq, Bytes: coll.bytes,
+		Start: start, End: c.clock, Wait: c.clock - start,
+		DepRank: coll.last, DepTime: coll.entries[coll.last],
+	})
 	return coll.result
 }
 

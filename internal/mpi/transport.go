@@ -11,7 +11,10 @@ import "time"
 // virtual clocks (this package), and the TCP transport of
 // internal/cluster, which carries the same operations over
 // length-prefixed binary frames between real processes. Algorithm code
-// written against Transport runs unchanged on either.
+// written against Transport runs unchanged on either. Both embed a
+// Meter and record every finished operation through it, so the counters
+// and the ledger mean the same on both: what differs is only how a
+// message moves and which clock stamps it.
 //
 // Semantics every implementation must provide:
 //
@@ -26,8 +29,10 @@ import "time"
 //   - Elapsed is the rank's running clock since the job origin (virtual
 //     for the simulation, wall for real transports); Event timestamps
 //     are offsets on that clock.
-//   - SetObserver installs the communication-ledger callback; it runs on
-//     the rank's goroutine and must be cheap and non-blocking.
+//   - CommTime, BytesSent, BytesRecv, Messages and SetObserver are the
+//     Meter's: time in any operation, point-to-point payload bytes, and
+//     point-to-point sends; the observer runs on the rank's goroutine and
+//     must be cheap and non-blocking.
 type Transport interface {
 	Rank() int
 	Size() int

@@ -34,7 +34,7 @@ func TestGlobalTreeMatchesLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, nproc := range []int{1, 3} {
-			inputs := PartitionPoints(set.pts, make([]float64, len(set.pts)/3), 1, nproc)
+			inputs, _ := PartitionPoints(set.pts, make([]float64, len(set.pts)/3), 1, nproc)
 			if nproc == 1 {
 				inputs[0].Pts = set.pts // the caller's order, for the bitwise check
 			}

@@ -14,6 +14,14 @@
 // leaves the near field reads. Up, U, V, W, X, L2L and L2T, their
 // scratch, their cancellation checks and fmm.Stats are the engine's.
 //
+// Two drivers run the one program over two transports. Evaluate
+// simulates nproc ranks on the in-process machine (mpi.Run); a cluster
+// coordinator scatters EvaluateRank over TCP workers. Both partition
+// with the one patch partition (a cluster request's points are one-point
+// patches, PartitionPoints), run the one rank body, and place the ranks'
+// potentials with Gather. The simulated driver adds only a warm-up
+// evaluation and the averaging of Options.Iterations.
+//
 // As in the paper's experiments, the source and target point sets are
 // identical.
 package parfmm
@@ -27,7 +35,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fmm"
 	"repro/internal/geom"
-	"repro/internal/morton"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/translate"
@@ -130,35 +137,6 @@ func (r *Result) Ratio() float64 {
 	return float64(max) / float64(min)
 }
 
-// partitionPatches assigns whole patches to nproc ranks along the Morton
-// curve of their centers (Section 3.1), weighted by particle count or,
-// when weights is non-nil, by weights (floored at 1). The cube for the
-// partitioning keys is the bounding cube of the patch centers; only
-// relative order matters. It returns each rank's patch indices.
-func partitionPatches(patches []geom.Patch, weights []int64, nproc int) [][]int {
-	items := make([]morton.Weighted, len(patches))
-	centers := make([]float64, 0, 3*len(patches))
-	for i := range patches {
-		centers = append(centers, patches[i].Center[0], patches[i].Center[1], patches[i].Center[2])
-	}
-	cc, chw := geom.BoundingCube(centers)
-	for i := range patches {
-		w := int64(patches[i].Count())
-		if weights != nil {
-			w = weights[i]
-			if w < 1 {
-				w = 1
-			}
-		}
-		items[i] = morton.Weighted{
-			Key:    morton.PointKey(patches[i].Center[0], patches[i].Center[1], patches[i].Center[2], cc, chw),
-			Weight: w,
-			Index:  i,
-		}
-	}
-	return morton.Partition(items, nproc)
-}
-
 // engine validates opt and resolves it into the options every rank builds
 // its engine with. fmm.ApplyDefaults is the call the sequential evaluator
 // makes, so both drivers split the same boxes. The operator set is
@@ -202,79 +180,52 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 	if opt.PatchWeights != nil && len(opt.PatchWeights) != len(patches) {
 		return nil, errs.Newf(errs.CodeInvalidInput, "parfmm: PatchWeights length %d, want %d", len(opt.PatchWeights), len(patches))
 	}
-	parts := partitionPatches(patches, opt.PatchWeights, nproc)
+	pts, centers, starts := patchLayout(patches)
+	inputs, idx := partition(pts, centers, starts, den, sd, opt.PatchWeights, nproc)
 
-	// Patch start offsets in the flattened global order.
-	starts := make([]int, len(patches)+1)
-	for i := range patches {
-		starts[i+1] = starts[i] + patches[i].Count()
-	}
-
-	inputs := make([]*RankInput, nproc)
-	for r := 0; r < nproc; r++ {
-		in := &RankInput{}
-		for _, pi := range parts[r] {
-			in.Pts = append(in.Pts, patches[pi].Points...)
-			for j := 0; j < patches[pi].Count(); j++ {
-				g := starts[pi] + j
-				in.GlobalIdx = append(in.GlobalIdx, int32(g))
-				in.Den = append(in.Den, den[g*sd:(g+1)*sd]...)
-			}
-		}
-		inputs[r] = in
-	}
-
-	td := opt.Kernel.TargetDim()
-	pot := make([]float64, total*td)
-	pointWork := make([]int64, total)
 	stats := make([]RankStats, nproc)
-	treeBoxes := make([]int, nproc)
-	treeDepth := make([]int, nproc)
-
+	pots := make([][]float64, nproc)
+	works := make([][]int64, nproc)
 	timelines := make([]*obs.RankTimeline, nproc)
 	rankErr := make([]error, nproc)
+	var boxes, depth int
 	// Simulated ranks run to completion by design (mpi.Run): cancelling
 	// one would leave its peers blocked in a receive.
 	ctx := context.TODO()
 	comms := mpi.Run(nproc, opt.Machine, func(c *mpi.Comm) {
+		r := c.Rank()
 		// One lane on a pool of its own: the token clock meters one
 		// goroutine, and ranks sharing a pool would deadlock in receives.
 		ro := eo
 		ro.Workers, ro.Pool = 1, exec.NewElastic(1)
-		rk := newRank(c, inputs[c.Rank()], ro, opt.Trace)
-		timelines[c.Rank()] = rk.tl
-		err := rk.simulate(ctx, opt.Iterations, &stats[c.Rank()])
-		if rankErr[c.Rank()] = err; err != nil {
+		rk := newRank(c, inputs[r], ro, opt.Trace)
+		timelines[r] = rk.tl
+		rankErr[r] = rk.run(ctx, func() error { return rk.iterate(ctx, opt.Iterations, &stats[r]) })
+		if rankErr[r] != nil {
 			return
 		}
-		treeBoxes[c.Rank()] = len(rk.tree.Boxes)
-		treeDepth[c.Rank()] = rk.tree.Depth()
-		// Write local potentials and per-point work estimates into the
-		// shared result (serialized by the token; indices are disjoint
-		// across ranks).
-		work := rk.pointWorkEstimate()
-		for i, g := range rk.in.GlobalIdx {
-			copy(pot[int(g)*td:(int(g)+1)*td], rk.pot[i*td:(i+1)*td])
-			pointWork[g] = work[i]
+		pots[r], works[r] = rk.pot, rk.pointWorkEstimate()
+		if r == 0 {
+			boxes, depth = len(rk.tree.Boxes), rk.tree.Depth()
 		}
-		rk.root().End()
 	})
 	for _, err := range rankErr {
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	// Aggregate point work into per-patch totals.
+	// A simulated rank's results match its share: Gather cannot fail.
+	pot, _ := Gather(idx, opt.Kernel.TargetDim(), pots)
+	pointWork, _ := Gather(idx, 1, works)
 	patchWork := make([]int64, len(patches))
 	for pi := range patches {
-		for j := starts[pi]; j < starts[pi+1]; j++ {
-			patchWork[pi] += pointWork[j]
+		for _, w := range pointWork[starts[pi]:starts[pi+1]] {
+			patchWork[pi] += w
 		}
 	}
 
 	res := &Result{
-		Pot: pot, Ranks: stats, Boxes: treeBoxes[0], Depth: treeDepth[0],
+		Pot: pot, Ranks: stats, Boxes: boxes, Depth: depth,
 		PatchWork: patchWork, MaxElapsed: mpi.MaxElapsed(comms),
 	}
 	if opt.Trace {
@@ -283,15 +234,11 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 	return res, nil
 }
 
-// simulate is one simulated rank's timing protocol: tree construction,
-// an untimed warm-up evaluation, then the timed iterations averaged into
-// rs.
-func (rk *rank) simulate(ctx context.Context, iterations int, rs *RankStats) error {
+// iterate is what a simulated rank adds to the rank body: the tree
+// construction's clock, an untimed warm-up evaluation, then the timed
+// iterations averaged into rs.
+func (rk *rank) iterate(ctx context.Context, iterations int, rs *RankStats) error {
 	c := rk.c
-	if err := rk.prepare(ctx); err != nil {
-		return err
-	}
-	defer rk.eng.Close()
 	rs.TreeTime = c.Elapsed()
 
 	// The translation operators and FFT tensors are built lazily on first

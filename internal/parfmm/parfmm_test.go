@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/direct"
@@ -118,16 +119,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 // pointRanks returns the rank of every point (in geom.Flatten order)
 // under the patch partition for nproc ranks.
 func pointRanks(patches []geom.Patch, nproc int) []int {
-	patchRank := make([]int, len(patches))
-	for r, part := range partitionPatches(patches, nil, nproc) {
-		for _, pi := range part {
-			patchRank[pi] = r
-		}
-	}
-	var rankOf []int
-	for pi := range patches {
-		for j := 0; j < patches[pi].Count(); j++ {
-			rankOf = append(rankOf, patchRank[pi])
+	pts, centers, starts := patchLayout(patches)
+	_, idx := partition(pts, centers, starts, make([]float64, len(pts)/3), 1, nil, nproc)
+	rankOf := make([]int, len(pts)/3)
+	for r, ix := range idx {
+		for _, g := range ix {
+			rankOf[g] = r
 		}
 	}
 	return rankOf
@@ -500,5 +497,19 @@ func TestPatchWeightsValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("wrong PatchWeights length must error")
+	}
+}
+
+// TestGather: each rank's values land at its points' global indices, and
+// a rank that returns the wrong number of values is an internal error.
+func TestGather(t *testing.T) {
+	idx := [][]int32{{2, 0}, {}, {1}}
+	got, err := Gather(idx, 2, [][]float64{{20, 21, 0, 1}, nil, {10, 11}})
+	if want := []float64{0, 1, 10, 11, 20, 21}; err != nil || !slices.Equal(got, want) {
+		t.Errorf("Gather = %v, %v; want %v", got, err, want)
+	}
+	_, err = Gather(idx, 2, [][]float64{{20, 21}, nil, {10, 11}})
+	if code, _ := errs.CodeOf(err); code != errs.CodeInternal {
+		t.Errorf("a rank short of values: err = %v, want %s", err, errs.CodeInternal)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"strconv"
 
+	"repro/internal/errs"
 	"repro/internal/fmm"
 	"repro/internal/kernels"
 	"repro/internal/mpi"
@@ -68,6 +69,19 @@ func (rk *rank) root() *obs.Span {
 		return nil
 	}
 	return rk.tl.Root
+}
+
+// run is the rank body both drivers share: build the tree and the
+// ownership tables, run the driver's evaluations, close the engine and
+// end the rank's root span. EvaluateRank passes one evaluation; the
+// simulated Evaluate its warm-up and timed iterations.
+func (rk *rank) run(ctx context.Context, evaluations func() error) error {
+	defer rk.root().End()
+	if err := rk.prepare(ctx); err != nil {
+		return errs.FromContext(err)
+	}
+	defer rk.eng.Close()
+	return evaluations()
 }
 
 // prepare builds the rank's tree, its engine and the ownership tables.

@@ -28,17 +28,13 @@ func TestRankReevaluationIsBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := PartitionPoints(pts, den, k.SourceDim(), nproc)
+	inputs, _ := PartitionPoints(pts, den, k.SourceDim(), nproc)
 	rankErr := make([]error, nproc)
 	mpi.Run(nproc, fastMachine(), func(c *mpi.Comm) {
 		ro := eo
 		ro.Workers, ro.Pool = 1, exec.NewElastic(1)
 		rk := newRank(c, inputs[c.Rank()], ro, false)
-		rankErr[c.Rank()] = func() error {
-			if err := rk.prepare(context.Background()); err != nil {
-				return err
-			}
-			defer rk.eng.Close()
+		rankErr[c.Rank()] = rk.run(context.Background(), func() error {
 			var pots [2][]float64
 			for i := range pots {
 				if _, err := rk.evaluate(context.Background(), "iteration"); err != nil {
@@ -52,7 +48,7 @@ func TestRankReevaluationIsBitwise(t *testing.T) {
 				}
 			}
 			return nil
-		}()
+		})
 	})
 	for _, err := range rankErr {
 		if err != nil {

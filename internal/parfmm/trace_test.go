@@ -156,23 +156,21 @@ func TestPassSpansOnVirtualClock(t *testing.T) {
 	}
 	const nproc = 3
 	skew := func(r int) time.Duration { return time.Duration(r+1) * time.Hour }
-	inputs := PartitionPoints(pts, den, 1, nproc)
+	inputs, _ := PartitionPoints(pts, den, 1, nproc)
 	tls := make([]*obs.RankTimeline, nproc)
 	comms := mpi.Run(nproc, fastMachine(), func(c *mpi.Comm) {
 		ro := eo
 		ro.Workers, ro.Pool = 1, exec.NewElastic(1)
 		rk := newRank(c, inputs[c.Rank()], ro, true)
 		tls[c.Rank()] = rk.tl
-		if err := rk.prepare(context.Background()); err != nil {
+		err := rk.run(context.Background(), func() error {
+			c.AdvanceClock(skew(c.Rank()))
+			_, err := rk.evaluate(context.Background(), "iteration")
+			return err
+		})
+		if err != nil {
 			t.Error(err)
-			return
 		}
-		defer rk.eng.Close()
-		c.AdvanceClock(skew(c.Rank()))
-		if _, err := rk.evaluate(context.Background(), "iteration"); err != nil {
-			t.Error(err)
-		}
-		rk.root().End()
 	})
 	if t.Failed() {
 		t.FailNow()

@@ -415,11 +415,13 @@ const (
 // the 256 MiB body bound.
 const maxBatchSize = 256
 
-// maxCoordinate bounds input coordinates. Tree construction computes
-// the bounding-cube half width (hi-lo)/2 and squared pair distances;
-// magnitudes up to 1e150 keep both finite (4e300 < MaxFloat64), while
-// larger values overflow the half width to Inf, collapse every Morton
-// cell to NaN and poison the cached plan with NaN operators.
+// maxCoordinate bounds input coordinates. What overflows first is the
+// squared pair distance every kernel evaluates: magnitudes up to 1e150
+// keep it finite (at most 3·(2e150)² = 1.2e301 < MaxFloat64), while two
+// points ~1e154 apart overflow it to +Inf and their interaction comes
+// back as zero, with no error. tree.BuildCtx rejects such a domain for a
+// local plan, but a cluster rank builds its tree with tree.BuildGlobal,
+// which validates nothing, so the bound stays here.
 const maxCoordinate = 1e150
 
 func checkCoordinates(name string, pts []float64) error {

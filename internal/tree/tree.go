@@ -104,7 +104,7 @@ type keyed struct {
 // one-rank case of BuildGlobal. When trg is src, the same slice, the
 // points are sorted and permuted once and the tree's target arrays are
 // its source arrays. A NaN or infinite coordinate, or points spread too
-// far for the domain's half-width to be finite, is an error.
+// far for the domain's squared diameter to be finite, is an error.
 //
 // ctx is checked between the expensive stages (Morton sort, box
 // construction, interaction lists) and inside the per-level loops of the
@@ -167,8 +167,11 @@ func build(ctx context.Context, red Reducer, src, trg []float64, cfg Config) (*T
 	if red == nil && !finite {
 		return nil, nil, fmt.Errorf("tree: coordinates must be finite, got NaN or ±Inf")
 	}
-	if red == nil && math.IsInf(t.HalfWidth, 0) {
-		return nil, nil, fmt.Errorf("tree: points spread too far: the domain half-width overflows float64")
+	// The largest squared distance between two points of the domain is
+	// its squared diagonal, (2√3·hw)²; past it the kernels' squared pair
+	// distances overflow and those pairs interact as zero.
+	if red == nil && math.IsInf(12*t.HalfWidth*t.HalfWidth, 0) {
+		return nil, nil, fmt.Errorf("tree: points spread too far: the domain's squared diameter overflows float64")
 	}
 	srcKeys := sortByKey(src, t.Center, t.HalfWidth)
 	trgKeys := srcKeys

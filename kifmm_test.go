@@ -129,10 +129,47 @@ func rel(got, want []float64) float64 {
 
 // TestNewEvaluatorRejectsNonFinite: a NaN or infinite coordinate, or
 // points spread too far for a finite domain, is invalid input, not a plan
-// that returns garbage.
+// that returns garbage. Finite points whose squared distances overflow
+// (400 uniform points scaled by 1e155 or 1e160) would answer zeros; at
+// 1e150 every squared distance is finite and the plan evaluates.
 func TestNewEvaluatorRejectsNonFinite(t *testing.T) {
 	pts := FlattenPatches(UniformPatches(25, 200))
 	opt := Options{Kernel: Laplace(), Degree: 4, Workers: 1}
+	scaled := func(s float64) []float64 {
+		p := FlattenPatches(UniformPatches(25, 400))
+		for i := range p {
+			p[i] *= s
+		}
+		return p
+	}
+	den := make([]float64, 400)
+	for i := range den {
+		den[i] = 1
+	}
+	var pots [2][]float64
+	for i, s := range []float64{1, 1e150, 1e155, 1e160} {
+		p := scaled(s)
+		ev, err := NewEvaluatorCtx(context.Background(), p, p, opt)
+		if s > 1e150 {
+			if code, _ := ErrorCodeOf(err); code != CodeInvalidInput {
+				t.Errorf("points scaled by %g: err = %v (code %q), want %q", s, err, code, CodeInvalidInput)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("points scaled by %g: %v", s, err)
+		}
+		defer ev.Close()
+		if pots[i], err = ev.EvaluateCtx(context.Background(), den); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range pots[1] {
+		pots[1][i] *= 1e150 // Laplace is homogeneous of degree -1
+	}
+	if e := rel(pots[1], pots[0]); !(e < 1e-9) {
+		t.Errorf("points scaled by 1e150: scaled-back potentials differ from the unit ones by %.3g", e)
+	}
 	for _, tc := range []struct {
 		name string
 		set  map[int]float64 // coordinate index -> value
