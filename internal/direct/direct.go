@@ -6,11 +6,11 @@ package direct
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
 	"repro/internal/errs"
+	"repro/internal/geom"
 	"repro/internal/kernels"
 )
 
@@ -21,14 +21,11 @@ const blockSize = 256
 // Evaluate computes pot[i] = Σ_j G(trg_i, src_j) den_j by direct
 // summation. den holds SourceDim components per source; the result holds
 // TargetDim components per target. Self interactions (identical
-// coordinates) contribute nothing, matching the FMM convention.
+// coordinates) contribute nothing, matching the FMM convention. Input it
+// cannot answer is an invalid_input error (see check).
 func Evaluate(k kernels.Kernel, trg, src, den []float64) ([]float64, error) {
-	if len(trg)%3 != 0 || len(src)%3 != 0 {
-		return nil, fmt.Errorf("direct: coordinates must be flat x,y,z slices")
-	}
-	ns := len(src) / 3
-	if len(den) != ns*k.SourceDim() {
-		return nil, fmt.Errorf("direct: density length %d, want %d", len(den), ns*k.SourceDim())
+	if err := check(k, trg, src, den); err != nil {
+		return nil, err
 	}
 	nt := len(trg) / 3
 	pot := make([]float64, nt*k.TargetDim())
@@ -42,12 +39,8 @@ func Evaluate(k kernels.Kernel, trg, src, den []float64) ([]float64, error) {
 // between target blocks, so cancelling a large O(N²) reference run
 // (the conformance sweeps reach N=20k) aborts within one block.
 func EvaluateParallel(ctx context.Context, k kernels.Kernel, trg, src, den []float64, workers int) ([]float64, error) {
-	if len(trg)%3 != 0 || len(src)%3 != 0 {
-		return nil, fmt.Errorf("direct: coordinates must be flat x,y,z slices")
-	}
-	ns := len(src) / 3
-	if len(den) != ns*k.SourceDim() {
-		return nil, fmt.Errorf("direct: density length %d, want %d", len(den), ns*k.SourceDim())
+	if err := check(k, trg, src, den); err != nil {
+		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -83,6 +76,26 @@ func EvaluateParallel(ctx context.Context, k kernels.Kernel, trg, src, den []flo
 	default:
 	}
 	return pot, nil
+}
+
+// check returns an invalid_input error for input the summation cannot
+// answer: coordinates that are not whole x,y,z triples, a density of the
+// wrong length, or points that break the domain rule of the FMM's octree
+// (geom.CheckDomain) — a NaN or ±Inf coordinate, or a spread whose
+// squared pair distances overflow, which would sum to zeros.
+func check(k kernels.Kernel, trg, src, den []float64) error {
+	if len(trg)%3 != 0 || len(src)%3 != 0 {
+		return errs.New(errs.CodeInvalidInput, "direct: coordinates must be flat x,y,z slices")
+	}
+	if ns := len(src) / 3; len(den) != ns*k.SourceDim() {
+		return errs.Newf(errs.CodeInvalidInput, "direct: density length %d, want %d", len(den), ns*k.SourceDim())
+	}
+	lo, hi, finite := geom.Bounds(trg, src)
+	_, hw := geom.Cube(lo, hi)
+	if err := geom.CheckDomain(finite, hw); err != nil {
+		return errs.Newf(errs.CodeInvalidInput, "direct: %v", err)
+	}
+	return nil
 }
 
 // evaluateRangeCtx is evaluateRange with a cancellation check between

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/errs"
 	"repro/internal/kernels"
 )
 
@@ -86,18 +87,36 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestValidation: input the summation cannot answer is invalid_input
+// from both entry points — ragged coordinates, a density of the wrong
+// length, a NaN or ±Inf coordinate, and points spread so far that their
+// squared distances overflow (which would sum to zeros).
 func TestValidation(t *testing.T) {
-	if _, err := Evaluate(kernels.Laplace{}, []float64{1, 2}, nil, nil); err == nil {
-		t.Error("malformed targets must error")
+	lap := kernels.Laplace{}
+	pts := cloud(rand.New(rand.NewSource(5)), 40)
+	scaled := append([]float64(nil), pts...)
+	for i := range scaled {
+		scaled[i] *= 1e160
 	}
-	if _, err := Evaluate(kernels.Laplace{}, nil, []float64{1, 2, 3}, []float64{1, 2}); err == nil {
-		t.Error("wrong density length must error")
-	}
-	if _, err := EvaluateParallel(context.Background(), kernels.Laplace{}, []float64{1}, nil, nil, 2); err == nil {
-		t.Error("parallel: malformed targets must error")
-	}
-	if _, err := EvaluateParallel(context.Background(), kernels.Laplace{}, nil, nil, []float64{1}, 2); err == nil {
-		t.Error("parallel: wrong density length must error")
+	den := make([]float64, 40)
+	for _, tc := range []struct {
+		name          string
+		trg, src, den []float64
+	}{
+		{"malformed targets", []float64{1, 2}, nil, nil},
+		{"wrong density length", nil, []float64{1, 2, 3}, []float64{1, 2}},
+		{"NaN target", append([]float64{math.NaN(), 0, 0}, pts...), pts, den},
+		{"+Inf source", pts, append(append([]float64(nil), pts[:117]...), math.Inf(1), 0, 0), den},
+		{"squared distances overflow", scaled, scaled, den},
+	} {
+		_, err := Evaluate(lap, tc.trg, tc.src, tc.den)
+		if code, _ := errs.CodeOf(err); code != errs.CodeInvalidInput {
+			t.Errorf("%s: err = %v (code %q), want %q", tc.name, err, code, errs.CodeInvalidInput)
+		}
+		_, err = EvaluateParallel(context.Background(), lap, tc.trg, tc.src, tc.den, 2)
+		if code, _ := errs.CodeOf(err); code != errs.CodeInvalidInput {
+			t.Errorf("parallel, %s: err = %v (code %q), want %q", tc.name, err, code, errs.CodeInvalidInput)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@
 package geom
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 )
@@ -222,6 +223,21 @@ func Cube(lo, hi [3]float64) (center [3]float64, halfWidth float64) {
 		halfWidth = 1
 	}
 	return center, halfWidth * (1 + 1e-10)
+}
+
+// CheckDomain is the input rule of the domain: every coordinate finite
+// (finite as Bounds reports it), and the squared diagonal (2√3·hw)² of
+// the cube of half-width hw that Cube builds finite, since past it the
+// kernels' squared pair distances overflow and those pairs interact as
+// zero.
+func CheckDomain(finite bool, hw float64) error {
+	if !finite {
+		return errors.New("coordinates must be finite, got NaN or ±Inf")
+	}
+	if math.IsInf(12*hw*hw, 0) {
+		return errors.New("points spread too far: the domain's squared diameter overflows float64")
+	}
+	return nil
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -64,3 +64,17 @@ func dotRows8AVX2(a []float64, cols int, x []float64, sum *[8]float64)
 //
 //go:noescape
 func dotRows8x4AVX2(a []float64, cols int, x []float64, sum *[4][8]float64)
+
+// axpyAVX2 runs axpy's vector body over the elements below len(dst)&^3
+// and returns how many it did.
+func axpyAVX2(dst, x []float64, a float64) int {
+	n := len(dst) &^ 3
+	addScaledAVX2(dst[:n], x[:n], a)
+	return n
+}
+
+// addScaledAVX2 sets dst[j] += a*x[j] for j < len(dst), a multiple of
+// four.
+//
+//go:noescape
+func addScaledAVX2(dst, x []float64, a float64)

@@ -260,3 +260,29 @@ done:
 	VMOVUPD Y7, 224(DI)
 	VZEROUPPER
 	RET
+
+// func addScaledAVX2(dst, x []float64, a float64)
+//
+// dst[j] += a*x[j] for j < len(dst), a multiple of four, four elements
+// per YMM with a broadcast: one VMULPD and one VADDPD per element, the
+// rounding of Mul's Go loop. No FMA instruction may appear here.
+TEXT ·addScaledAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	VBROADCASTSD a+48(FP), Y0
+	SHRQ $2, CX
+	JZ   axpydone
+
+axpyloop:
+	VMULPD  (SI), Y0, Y1
+	VADDPD  (DI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     axpyloop
+
+axpydone:
+	VZEROUPPER
+	RET

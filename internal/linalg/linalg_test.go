@@ -190,7 +190,7 @@ func TestSVDReportsSweepsAndConvergence(t *testing.T) {
 	if dec := SVD(a); !dec.Converged || dec.Sweeps < 2 || dec.Sweeps >= maxSweeps {
 		t.Errorf("random 20x12: converged=%v after %d sweeps", dec.Converged, dec.Sweeps)
 	}
-	if dec := svd(a, 2); dec.Converged || dec.Sweeps != 2 {
+	if dec := svd(a, 2, sweep); dec.Converged || dec.Sweeps != 2 {
 		t.Errorf("limit of 2 sweeps: converged=%v after %d sweeps, want false after 2", dec.Converged, dec.Sweeps)
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

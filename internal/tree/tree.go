@@ -19,7 +19,6 @@ package tree
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"unsafe"
 
@@ -164,14 +163,10 @@ func build(ctx context.Context, red Reducer, src, trg []float64, cfg Config) (*T
 	}
 	t := &Tree{MaxPoints: cfg.MaxPoints}
 	t.Center, t.HalfWidth = geom.Cube(lo, hi)
-	if red == nil && !finite {
-		return nil, nil, fmt.Errorf("tree: coordinates must be finite, got NaN or ±Inf")
-	}
-	// The largest squared distance between two points of the domain is
-	// its squared diagonal, (2√3·hw)²; past it the kernels' squared pair
-	// distances overflow and those pairs interact as zero.
-	if red == nil && math.IsInf(12*t.HalfWidth*t.HalfWidth, 0) {
-		return nil, nil, fmt.Errorf("tree: points spread too far: the domain's squared diameter overflows float64")
+	if red == nil {
+		if err := geom.CheckDomain(finite, t.HalfWidth); err != nil {
+			return nil, nil, fmt.Errorf("tree: %w", err)
+		}
 	}
 	srcKeys := sortByKey(src, t.Center, t.HalfWidth)
 	trgKeys := srcKeys

@@ -193,3 +193,55 @@ func TestNewEvaluatorRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectRejectsNonFinite: the reference summation applies the plan's
+// input rule. Points whose squared distances overflow (400 uniform points
+// scaled by 1e155 or 1e160) would sum to zeros, and a NaN or infinite
+// coordinate to garbage; all are invalid input. At 1e150 it answers the
+// unit potentials scaled back.
+func TestDirectRejectsNonFinite(t *testing.T) {
+	unit := FlattenPatches(UniformPatches(25, 400))
+	den := make([]float64, 400)
+	for i := range den {
+		den[i] = 1
+	}
+	want, err := Direct(Laplace(), unit, unit, den)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []float64{1e150, 1e155, 1e160} {
+		p := append([]float64(nil), unit...)
+		for i := range p {
+			p[i] *= s
+		}
+		pot, err := Direct(Laplace(), p, p, den)
+		if s > 1e150 {
+			if code, _ := ErrorCodeOf(err); code != CodeInvalidInput {
+				t.Errorf("points scaled by %g: err = %v (code %q), want %q", s, err, code, CodeInvalidInput)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("points scaled by %g: %v", s, err)
+		}
+		for i := range pot {
+			pot[i] *= s // Laplace is homogeneous of degree -1
+		}
+		if e := rel(pot, want); !(e < 1e-12) {
+			t.Errorf("points scaled by %g: scaled-back potentials differ from the unit ones by %.3g", s, e)
+		}
+	}
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		bad := append([]float64(nil), unit...)
+		bad[301] = v
+		if _, err := Direct(Laplace(), bad, unit, den); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s target coordinate: err = %v, want invalid input", name, err)
+		}
+		if _, err := Direct(Laplace(), unit, bad, den); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s source coordinate: err = %v, want invalid input", name, err)
+		}
+	}
+	if _, err := Direct(Laplace(), unit, unit, den[1:]); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("short density: err = %v, want invalid input", err)
+	}
+}
