@@ -393,6 +393,34 @@ func TestClusterLanesDoNotChangeResult(t *testing.T) {
 	}
 }
 
+// TestClusterWorkerReusesWorkspace: a worker keeps one lane pool across
+// jobs, and a rank engine's workspace belongs to that pool, not to the
+// engine. So each job after the first runs in the workspace an earlier
+// job left there, even over a different point set: a worker makes one
+// workspace in all. The count is the pool's own tally of workspaces made.
+func TestClusterWorkerReusesWorkspace(t *testing.T) {
+	coord, workers := startCluster(t, 250*time.Millisecond, 1, 1)
+	defer coord.Close()
+	for _, w := range workers {
+		defer w.Close()
+	}
+	for job, n := range []int{3000, 2000, 3000} {
+		rng := rand.New(rand.NewSource(int64(50 + job)))
+		_, _, err := coord.Evaluate(context.Background(), EvalRequest{
+			Src: geom.Flatten(geom.SphereGrid(rng, n, 2, 0.3)), Den: geom.RandomDensities(rng, n, 1),
+			Kernel: kernels.Spec{Name: "laplace"}, Degree: 4, MaxPoints: 60,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range workers {
+			if out, spare, made := w.Pool().SpareCounts(); out != 0 || spare != 1 || made != 1 {
+				t.Errorf("after job %d, worker %d's pool has %d workspaces out, %d spare, %d made; want 0, 1, 1", job+1, i, out, spare, made)
+			}
+		}
+	}
+}
+
 // TestClusterFewerPointsThanWorkers: a job has no more ranks than points.
 // Two Laplace points at distance 1 on three workers run as two ranks of
 // one point each, and each potential is 1/(4π).

@@ -1,9 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +58,19 @@ type Elastic struct {
 	grantedLanes  int64 // Σ admission grants (lanes), for metrics
 	grantedLeases int64 // number of admissions
 	nextSeq       int64 // arrival order, the allocation tie-break
+
+	// claimants is allocsLocked's reused claimant list.
+	claimants []*Lease
+
+	// spares is the free list callers keep per-call state on between
+	// leases (TakeSpare / PutSpare); out counts the items taken and not
+	// yet put back, misses the takes that found the list empty, and
+	// spareBytes what the items out and on the list hold, as their
+	// holders last reported it.
+	spares     []any
+	out        int
+	misses     int64
+	spareBytes int64
 
 	// acquireObs, when set, is invoked after every successful admission
 	// with how long the caller queued and the width it was granted.
@@ -114,6 +128,64 @@ func (e *Elastic) LeasesGranted() int64 {
 	return e.grantedLeases
 }
 
+// TakeSpare takes an item off the pool's spare list for the caller's
+// sole use, or returns nil when the list is empty and the caller makes
+// its own. Either way one item counts as out until the caller hands it
+// back with PutSpare. The list is opaque to the pool: an engine keeps
+// its per-call buffers there between leases, so every plan on the pool
+// shares them and they die with the pool. A caller that takes after
+// Acquire and puts back before Release holds at most one item per live
+// lease, so the items out and spare never number more than the
+// capacity.
+func (e *Elastic) TakeSpare() any {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.out++
+	n := len(e.spares)
+	if n == 0 {
+		e.misses++
+		return nil
+	}
+	x := e.spares[n-1]
+	e.spares[n-1] = nil
+	e.spares = e.spares[:n-1]
+	return x
+}
+
+// PutSpare ends a TakeSpare: x, which held was bytes when it was taken
+// (0 if the caller made it) and holds now bytes, goes back on the list —
+// or is dropped when the items out and spare already number the
+// capacity.
+func (e *Elastic) PutSpare(x any, was, now int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.out--
+	if len(e.spares)+e.out >= e.capacity {
+		e.spareBytes -= was
+		return
+	}
+	e.spareBytes += now - was
+	e.spares = append(e.spares, x)
+}
+
+// SpareBytes returns the bytes held by the spare list's items, out with
+// a caller or on the list, as each was last put back: an item still on
+// its first call counts from its first PutSpare.
+func (e *Elastic) SpareBytes() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.spareBytes
+}
+
+// SpareCounts returns how many spare-list items are out with callers and
+// on the list, and how many TakeSpare calls found the list empty (each
+// of which had its caller make a new item).
+func (e *Elastic) SpareCounts() (out, spare int, misses int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.out, len(e.spares), e.misses
+}
+
 // notifyLocked wakes every Acquire waiter to re-examine pool state.
 func (e *Elastic) notifyLocked() {
 	close(e.changed)
@@ -130,12 +202,17 @@ type Lease struct {
 	seq     int64 // arrival order; ties in want allocate oldest-first
 	granted int   // width at admission, for metrics
 
-	held int // lanes charged to this lease; guarded by e.mu
+	held  int // lanes charged to this lease; guarded by e.mu
+	share int // the last allocsLocked's allocation; guarded by e.mu
 	// target is the width the current (or next) sweep may use; always
 	// <= held while a sweep runs. The pool lowers it to revoke lanes;
 	// workers observe it between chunk claims.
 	target   atomic.Int32
 	released bool // guarded by e.mu
+
+	// sw is the running ForRange's state; sweeps of one lease never
+	// overlap, so one is reused by every dispatch.
+	sw sweep
 }
 
 func clamp(v, lo, hi int) int {
@@ -171,12 +248,12 @@ func (e *Elastic) Acquire(ctx context.Context, want int) (*Lease, error) {
 		// Allocate fairly with this caller counted; revoke running
 		// leases toward their shares so lanes start flowing back even
 		// while we wait.
-		alloc := e.allocsLocked(l, queued)
+		e.allocsLocked(l, queued)
 		for o := range e.leases {
-			o.lowerTargetLocked(alloc[o])
+			o.lowerTargetLocked(o.share)
 		}
 		if free := e.capacity - e.held; free >= 1 && e.firstInLineLocked(l) {
-			grant := clamp(alloc[l], 1, want)
+			grant := clamp(l.share, 1, want)
 			if grant > free {
 				grant = free
 			}
@@ -235,14 +312,16 @@ func (e *Elastic) firstInLineLocked(l *Lease) bool {
 
 // allocsLocked water-fills the capacity over every current claimant —
 // live leases, queued waiters, plus the extra prospective one unless it
-// is already queued. Claimants are served smallest want first, each
-// taking at most an equal split of what remains and never more than its
-// want, so a width-1 plan build claims one lane (not a full 1/n share)
-// and division remainders flow to the wider claimants instead of
-// sitting idle. Over-subscription (more claimants than lanes) floors
-// later shares at 0; callers clamp to the one lane a lease always keeps.
-func (e *Elastic) allocsLocked(extra *Lease, queued bool) map[*Lease]int {
-	claimants := make([]*Lease, 0, len(e.leases)+len(e.waiters)+1)
+// is already queued — and leaves each one's allocation in its share.
+// Claimants are served smallest want first, each taking at most an equal
+// split of what remains and never more than its want, so a width-1 plan
+// build claims one lane (not a full 1/n share) and division remainders
+// flow to the wider claimants instead of sitting idle. Over-subscription
+// (more claimants than lanes) floors later shares at 0; callers clamp to
+// the one lane a lease always keeps. The claimant list is the pool's
+// own, so a dispatch allocates nothing here.
+func (e *Elastic) allocsLocked(extra *Lease, queued bool) {
+	claimants := e.claimants[:0]
 	for o := range e.leases {
 		claimants = append(claimants, o) //lint:allow determinism claimants are totally ordered by (want, arrival) just below
 	}
@@ -255,23 +334,25 @@ func (e *Elastic) allocsLocked(extra *Lease, queued bool) map[*Lease]int {
 	// Deterministic order: smallest want first (they cap their own
 	// share, leaving more for the wide ones), arrival order breaking
 	// ties — so repeated allocations agree and the split converges.
-	sort.Slice(claimants, func(i, j int) bool {
-		if claimants[i].want != claimants[j].want {
-			return claimants[i].want < claimants[j].want
+	slices.SortFunc(claimants, func(a, b *Lease) int {
+		if a.want != b.want {
+			return a.want - b.want
 		}
-		return claimants[i].seq < claimants[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
-	alloc := make(map[*Lease]int, len(claimants))
 	remaining := e.capacity
 	for i, o := range claimants {
 		share := remaining / (len(claimants) - i)
 		if share > o.want {
 			share = o.want
 		}
-		alloc[o] = share
+		o.share = share
 		remaining -= share
 	}
-	return alloc
+	// Keep the backing array, not the leases: a released one must not
+	// stay reachable from the pool.
+	clear(claimants)
+	e.claimants = claimants[:0]
 }
 
 // lowerTargetLocked revokes this lease's width down to its allocation,
@@ -307,7 +388,8 @@ func (l *Lease) resize() int {
 	if l.released {
 		return 1
 	}
-	t := clamp(e.allocsLocked(nil, false)[l], 1, l.want)
+	e.allocsLocked(nil, false)
+	t := clamp(l.share, 1, l.want)
 	switch {
 	case t < l.held:
 		e.held -= l.held - t
@@ -333,7 +415,7 @@ func (l *Lease) resize() int {
 // than it holds, the free lanes are claimed and the target raised.
 // Returns how many new worker goroutines the sweep should start. A lease
 // already at its ceiling returns at once: the allocation could not
-// grant it more, and computing it costs a sort and a map per poll.
+// grant it more, and computing it costs a sort per poll.
 func (l *Lease) tryGrow() int {
 	e := l.e
 	e.mu.Lock()
@@ -341,8 +423,8 @@ func (l *Lease) tryGrow() int {
 	if l.released || int(l.target.Load()) != l.held || l.held >= l.want {
 		return 0
 	}
-	t := clamp(e.allocsLocked(nil, false)[l], 1, l.want)
-	extra := t - l.held
+	e.allocsLocked(nil, false)
+	extra := clamp(l.share, 1, l.want) - l.held
 	if free := e.capacity - e.held; extra > free {
 		extra = free
 	}
@@ -457,117 +539,121 @@ func (l *Lease) ForRange(ctx context.Context, lo, hi int, fn func(worker, i int)
 	if maxW > n {
 		maxW = n
 	}
-	grain := grainFor(n, maxW)
-	var next atomic.Int64
-	var panicOnce sync.Once
-	var panicked any
-	var wg sync.WaitGroup
-	done := ctx.Done()
-
-	// Retired worker ids, reused smallest-first by regrowth so live ids
-	// stay the contiguous prefix {0..target-1} (the revocation check
-	// retires exactly the ids >= target).
-	var idmu sync.Mutex
-	var freeIDs []int
-	nextID := w
-
-	var runWorker func(wk int)
-	spawn := func(k int) {
-		for ; k > 0; k-- {
-			idmu.Lock()
-			var id int
-			if len(freeIDs) > 0 {
-				min := 0
-				for i := 1; i < len(freeIDs); i++ {
-					if freeIDs[i] < freeIDs[min] {
-						min = i
-					}
-				}
-				id = freeIDs[min]
-				freeIDs[min] = freeIDs[len(freeIDs)-1]
-				freeIDs = freeIDs[:len(freeIDs)-1]
-			} else {
-				id = nextID
-				nextID++
-			}
-			idmu.Unlock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicOnce.Do(func() { panicked = r })
-					}
-				}()
-				runWorker(id)
-			}()
-		}
-	}
-	runWorker = func(wk int) {
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if wk > 0 && wk >= int(l.target.Load()) {
-				// Revoked: record the id before returning the lane, so
-				// once held settles every retired id is reusable.
-				idmu.Lock()
-				freeIDs = append(freeIDs, wk)
-				idmu.Unlock()
-				l.dropLane()
-				return
-			}
-			if wk == 0 {
-				// Only worker 0 polls for growth (it is never revoked,
-				// and one poller bounds the lock traffic). Skip when too
-				// little work remains for new lanes to help.
-				if int64(n)-next.Load() > int64(grain) {
-					if extra := l.tryGrow(); extra > 0 {
-						spawn(extra)
-					}
-				}
-			}
-			clo := next.Add(int64(grain)) - int64(grain)
-			if clo >= int64(n) {
-				return
-			}
-			chi := clo + int64(grain)
-			if chi > int64(n) {
-				chi = int64(n)
-			}
-			for i := lo + int(clo); i < lo+int(chi); i++ {
-				fn(wk, i)
-			}
-		}
-	}
-
+	s := &l.sw
+	s.l, s.fn, s.lo, s.n, s.grain, s.done = l, fn, lo, n, grainFor(n, maxW), ctx.Done()
+	s.next.Store(0)
+	s.freeIDs, s.nextID = s.freeIDs[:0], w
 	// Workers 1..w-1 are goroutines; worker 0 runs inline on the caller
 	// (a width-1 sweep pays no goroutine at all until it grows).
 	for wk := 1; wk < w; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			runWorker(wk)
-		}(wk)
+		s.wg.Add(1)
+		go s.worker(wk)
 	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicOnce.Do(func() { panicked = r })
-			}
-		}()
-		runWorker(0)
-	}()
-	wg.Wait()
+	s.run(0)
+	s.wg.Wait()
+	panicked := s.panicked
+	s.fn, s.done, s.panicked = nil, nil, nil
 	if panicked != nil {
 		panic(panicked)
 	}
 	return ctx.Err()
+}
+
+// sweep is the state of one ForRange call, shared by its workers.
+type sweep struct {
+	l            *Lease
+	fn           func(worker, i int)
+	lo, n, grain int
+	done         <-chan struct{}
+	next         atomic.Int64 // the next unclaimed offset into [0, n)
+	wg           sync.WaitGroup
+
+	// mu guards the retired worker ids, reused smallest-first by
+	// regrowth so live ids stay the contiguous prefix {0..target-1} (the
+	// revocation check retires exactly the ids >= target), and the first
+	// panic of fn.
+	mu       sync.Mutex
+	freeIDs  []int
+	nextID   int
+	panicked any
+}
+
+// spawn starts k more workers, on the smallest free ids.
+func (s *sweep) spawn(k int) {
+	for ; k > 0; k-- {
+		s.mu.Lock()
+		id := s.nextID
+		if len(s.freeIDs) > 0 {
+			best := 0
+			for i := 1; i < len(s.freeIDs); i++ {
+				if s.freeIDs[i] < s.freeIDs[best] {
+					best = i
+				}
+			}
+			id = s.freeIDs[best]
+			s.freeIDs[best] = s.freeIDs[len(s.freeIDs)-1]
+			s.freeIDs = s.freeIDs[:len(s.freeIDs)-1]
+		} else {
+			s.nextID++
+		}
+		s.mu.Unlock()
+		s.wg.Add(1)
+		go s.worker(id)
+	}
+}
+
+// worker is the body of a worker goroutine.
+func (s *sweep) worker(wk int) {
+	defer s.wg.Done()
+	s.run(wk)
+}
+
+// run claims and runs chunks as worker wk until the range is exhausted,
+// the context is done or the worker's lane is revoked. A panic of fn is
+// kept for ForRange to re-raise after the barrier.
+func (s *sweep) run(wk int) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.mu.Lock()
+			if s.panicked == nil {
+				s.panicked = r
+			}
+			s.mu.Unlock()
+		}
+	}()
+	l, n, grain := s.l, int64(s.n), int64(s.grain)
+	for {
+		select {
+		case <-s.done:
+			return
+		default:
+		}
+		if wk > 0 && wk >= int(l.target.Load()) {
+			// Revoked: record the id before returning the lane, so once
+			// held settles every retired id is reusable.
+			s.mu.Lock()
+			s.freeIDs = append(s.freeIDs, wk)
+			s.mu.Unlock()
+			l.dropLane()
+			return
+		}
+		if wk == 0 {
+			// Only worker 0 polls for growth (it is never revoked, and
+			// one poller bounds the lock traffic). Skip when too little
+			// work remains for new lanes to help.
+			if n-s.next.Load() > grain {
+				if extra := l.tryGrow(); extra > 0 {
+					s.spawn(extra)
+				}
+			}
+		}
+		clo := s.next.Add(grain) - grain
+		if clo >= n {
+			return
+		}
+		chi := min(clo+grain, n)
+		for i := s.lo + int(clo); i < s.lo+int(chi); i++ {
+			s.fn(wk, i)
+		}
+	}
 }

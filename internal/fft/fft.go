@@ -411,9 +411,9 @@ func scale(z complex128, s float64) complex128 {
 // out[d*os:][:w], a, d < f. At the recursion's leaves t is nil; in a
 // combine the inputs x_a, a >= 1, are first twiddled to t[a-1]·x_a.
 // in and out may be the same rows: each column is read in full before
-// it is written. Both forms run the radix's one butterfly, bfly2 …
-// bfly5; all but bfly5, which is over the inliner's budget, are inlined
-// into the loops.
+// it is written. Both forms run the radix's one butterfly: bfly2 …
+// bfly4, which inline into the loops, and the radix-5 arithmetic written
+// into them.
 func butterflies(f int, out []complex128, os int, in []complex128, is, w int, t *[4]complex128, sign float64) {
 	x0 := in[:w]
 	x1, y0, y1 := in[is:][:len(x0)], out[:len(x0)], out[os:][:len(x0)]
@@ -455,18 +455,35 @@ func butterflies(f int, out []complex128, os int, in []complex128, is, w int, t 
 			y0[l], y1[l], y2[l], y3[l] = bfly4(v, w1*x1[l], w2*x2[l], w3*x3[l], sign)
 		}
 	case 5:
+		// The radix-5 butterfly is written out in both loops: as a
+		// function it is over the inliner's budget, and every column
+		// would pay a call. Both loops compute the same expressions in
+		// the same order, so the leaf and the combine round alike.
 		x2, y2 := in[2*is:][:len(x0)], out[2*os:][:len(x0)]
 		x3, y3 := in[3*is:][:len(x0)], out[3*os:][:len(x0)]
 		x4, y4 := in[4*is:][:len(x0)], out[4*os:][:len(x0)]
 		if t == nil {
 			for l, v := range x0 {
-				y0[l], y1[l], y2[l], y3[l], y4[l] = bfly5(v, x1[l], x2[l], x3[l], x4[l], sign)
+				p1, m1 := x1[l]+x4[l], x1[l]-x4[l]
+				p2, m2 := x2[l]+x3[l], x2[l]-x3[l]
+				u1 := v + scale(p1, cos5a) + scale(p2, cos5b)
+				u2 := v + scale(p1, cos5b) + scale(p2, cos5a)
+				v1 := muli(scale(m1, sin5a)+scale(m2, sin5b), sign)
+				v2 := muli(scale(m1, sin5b)-scale(m2, sin5a), sign)
+				y0[l], y1[l], y2[l], y3[l], y4[l] = v+p1+p2, u1+v1, u2+v2, u2-v2, u1-v1
 			}
 			return
 		}
 		w1, w2, w3, w4 := t[0], t[1], t[2], t[3]
 		for l, v := range x0 {
-			y0[l], y1[l], y2[l], y3[l], y4[l] = bfly5(v, w1*x1[l], w2*x2[l], w3*x3[l], w4*x4[l], sign)
+			a1, a2, a3, a4 := w1*x1[l], w2*x2[l], w3*x3[l], w4*x4[l]
+			p1, m1 := a1+a4, a1-a4
+			p2, m2 := a2+a3, a2-a3
+			u1 := v + scale(p1, cos5a) + scale(p2, cos5b)
+			u2 := v + scale(p1, cos5b) + scale(p2, cos5a)
+			v1 := muli(scale(m1, sin5a)+scale(m2, sin5b), sign)
+			v2 := muli(scale(m1, sin5b)-scale(m2, sin5a), sign)
+			y0[l], y1[l], y2[l], y3[l], y4[l] = v+p1+p2, u1+v1, u2+v2, u2-v2, u1-v1
 		}
 	}
 }
@@ -497,16 +514,6 @@ const (
 	sin5a = 0.9510565162951535
 	sin5b = 0.5877852522924731
 )
-
-func bfly5(x0, x1, x2, x3, x4 complex128, sign float64) (complex128, complex128, complex128, complex128, complex128) {
-	p1, m1 := x1+x4, x1-x4
-	p2, m2 := x2+x3, x2-x3
-	u1 := x0 + scale(p1, cos5a) + scale(p2, cos5b)
-	u2 := x0 + scale(p1, cos5b) + scale(p2, cos5a)
-	v1 := muli(scale(m1, sin5a)+scale(m2, sin5b), sign)
-	v2 := muli(scale(m1, sin5b)-scale(m2, sin5a), sign)
-	return x0 + p1 + p2, u1 + v1, u2 + v2, u2 - v2, u1 - v1
-}
 
 // dft is the direct transform of a prime length n >= 7.
 func dft(dst, src []complex128, w, rs, n, wstep int, tw []complex128) {

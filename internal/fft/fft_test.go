@@ -711,6 +711,8 @@ func BenchmarkPlan3RCorner9Forward(b *testing.B)  { benchCorner(b, 9, 5, false) 
 func BenchmarkPlan3RCorner9Inverse(b *testing.B)  { benchCorner(b, 9, 5, true) }
 func BenchmarkPlan3RCorner12Forward(b *testing.B) { benchCorner(b, 12, 6, false) }
 func BenchmarkPlan3RCorner12Inverse(b *testing.B) { benchCorner(b, 12, 6, true) }
+func BenchmarkPlan3RCorner15Forward(b *testing.B) { benchCorner(b, 15, 8, false) }
+func BenchmarkPlan3RCorner15Inverse(b *testing.B) { benchCorner(b, 15, 8, true) }
 
 func benchCorner(b *testing.B, m, n int, inverse bool) {
 	p := NewPlan3R(m)

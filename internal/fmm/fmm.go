@@ -48,6 +48,7 @@ package fmm
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -156,9 +157,13 @@ type Evaluator struct {
 	opt  Options
 	fft  *translate.FFTM2L
 	pool *exec.Elastic
-	// work recycles the per-call workspaces (*workspace) across
-	// evaluations; see Evaluate.
-	work sync.Pool
+	// upSlot and downSlot number the boxes that can hold an upward
+	// density (sources below them) and a downward density or check
+	// potential (targets below them, level 2 or deeper); -1 for none. A
+	// box's view of the matching workspace slab is its slot times the
+	// per-box stride, so placement is fixed by the tree and needs no lock.
+	upSlot, downSlot []int32
+	nUp, nDown       int
 }
 
 // ApplyDefaults fills zero-valued options with the paper-matching
@@ -247,7 +252,21 @@ func FromTree(tr *tree.Tree, opt Options) (*Evaluator, error) {
 	if pool == nil {
 		pool = DefaultPool()
 	}
-	return &Evaluator{Tree: tr, Ops: ops, opt: opt, fft: translate.NewFFTM2L(ops), pool: pool}, nil
+	e := &Evaluator{Tree: tr, Ops: ops, opt: opt, fft: translate.NewFFTM2L(ops), pool: pool,
+		upSlot: make([]int32, len(tr.Boxes)), downSlot: make([]int32, len(tr.Boxes))}
+	for bi := range tr.Boxes {
+		b := &tr.Boxes[bi]
+		e.upSlot[bi], e.downSlot[bi] = -1, -1
+		if b.SrcCount > 0 {
+			e.upSlot[bi] = int32(e.nUp)
+			e.nUp++
+		}
+		if b.TrgCount > 0 && b.Level() >= 2 {
+			e.downSlot[bi] = int32(e.nDown)
+			e.nDown++
+		}
+	}
+	return e, nil
 }
 
 // Workers returns the width ceiling of one evaluation: the widest lane
@@ -263,17 +282,18 @@ func (e *Evaluator) Workers() int {
 }
 
 // FootprintBytes estimates the resident memory of this prepared plan:
-// the octree (points, permutations, boxes, interaction lists) plus this
-// plan's share of the operator-store entries it uses — each entry's dense
-// operators and FFT tensors divided by the number of open plans holding
-// it, so a byte-bounded plan cache summing FootprintBytes counts every
-// shared byte once and nothing a plan does not use. The estimate is live:
-// it grows as lazily built operators appear and moves when a sharing plan
-// is closed, and only then. It is what the plan pins, not the transient
-// per-call state: the workspaces Evaluate recycles sit in a sync.Pool the
-// GC may empty, and are not counted.
+// the octree (points, permutations, boxes, interaction lists), its slot
+// tables, and this plan's share of the operator-store entries it uses —
+// each entry's dense operators and FFT tensors divided by the number of
+// open plans holding it, so a byte-bounded plan cache summing
+// FootprintBytes counts every shared byte once and nothing a plan does not
+// use. The estimate is live: it grows as lazily built operators appear and
+// moves when a sharing plan is closed, and only then. It is what the plan
+// pins, not the per-call state: the workspaces evaluations write belong to
+// the lane pool, at most one per lane of its capacity whatever the number
+// of plans (exec.Elastic.SpareBytes counts them).
 func (e *Evaluator) FootprintBytes() int64 {
-	return e.Tree.MemoryBytes() + e.Ops.CachedBytes() + e.fft.CachedBytes()
+	return e.Tree.MemoryBytes() + 4*int64(len(e.upSlot)+len(e.downSlot)) + e.Ops.CachedBytes() + e.fft.CachedBytes()
 }
 
 // Close gives up this plan's hold on its operators: what no other open
@@ -343,21 +363,15 @@ type runState struct {
 }
 
 // workspace is everything one evaluation writes except the potentials it
-// returns. An Evaluator keeps its workspaces in a sync.Pool: a call takes
-// one for its whole run, so concurrent calls never share one, and the
-// buffers of an idle plan stay reclaimable by the GC. Every buffer grows
-// on demand (a workspace first used by a batch of four later serves
-// single vectors) and is either cleared or fully overwritten before it is
-// read, so reuse never shows in a result.
+// returns: buffers only, nothing of a plan. A lane pool keeps its
+// workspaces on its spare list (exec.Elastic.TakeSpare): a call takes one
+// once admitted and puts it back before its lease ends, so concurrent
+// calls never share one, every plan on the pool reuses them, and the pool
+// never holds more than its capacity. Every buffer grows on demand (a
+// workspace first used by a batch of four of a large plan later serves
+// single vectors of a small one) and is either cleared or fully
+// overwritten before it is read, so reuse never shows in a result.
 type workspace struct {
-	// upSlot and downSlot number the boxes that can hold an upward
-	// density (sources below them) and a downward density or check
-	// potential (targets below them, level 2 or deeper); -1 for none. A
-	// box's view of the matching slab is its slot times the per-box
-	// stride, so placement is fixed by the tree and needs no lock.
-	upSlot, downSlot []int32
-	nUp, nDown       int
-
 	pdens  [][]float64 // per-RHS densities, Morton order
 	ppots  [][]float64 // per-RHS potentials, Morton order
 	localU [][]float64 // per-box upward equivalent densities of the call's own sources (nrhs*ne), nil for none
@@ -370,8 +384,58 @@ type workspace struct {
 	// and its index of the source boxes they belong to (applyM2LFFT).
 	grids        []complex128
 	gridOf, used []int32
+	// gridUse holds the grid-slab lengths the last calls used, this
+	// call's at calls%len(gridUse); the shrink rule reads them.
+	gridUse [4]int
+	calls   int
 
 	lanes []scratch // per-worker scratch and stats
+
+	// bytes is what the workspace held when last put back, as the pool
+	// counts it.
+	bytes int64
+}
+
+// takeWorkspace takes a workspace off the pool's spare list, or makes an
+// empty one when the list is empty.
+func takeWorkspace(pool *exec.Elastic) *workspace {
+	if w, ok := pool.TakeSpare().(*workspace); ok {
+		return w
+	}
+	return new(workspace)
+}
+
+// putBack returns w to the pool's spare list. It first applies the shrink
+// rule, which sheds buffers and never results: a grid slab more than four
+// times the widest the last calls used goes, so one large plan or batch
+// does not pin its slab in a pool that now serves small ones.
+func (w *workspace) putBack(pool *exec.Elastic) {
+	w.calls++
+	if cap(w.grids) > 4*slices.Max(w.gridUse[:]) {
+		w.grids = nil
+	}
+	was := w.bytes
+	w.bytes = w.size()
+	pool.PutSpare(w, was, w.bytes)
+}
+
+// size returns the bytes w's buffers hold (their backing arrays, not the
+// fixed-size headers).
+func (w *workspace) size() int64 {
+	const f, c, i, sl = 8, 16, 4, 24 // float64, complex128, int32, slice header
+	n := c*cap(w.grids) + i*(cap(w.gridOf)+cap(w.used)) +
+		f*(cap(w.upSlab)+cap(w.downSlab)+cap(w.checkSlab)) +
+		sl*(cap(w.pdens)+cap(w.ppots)+cap(w.localU)+cap(w.phiD)+cap(w.checks))
+	for _, b := range w.pdens[:cap(w.pdens)] {
+		n += f * cap(b)
+	}
+	for _, b := range w.ppots[:cap(w.ppots)] {
+		n += f * cap(b)
+	}
+	for _, sc := range w.lanes[:cap(w.lanes)] {
+		n += f*(cap(sc.check)+cap(sc.pts)+cap(sc.block)) + c*cap(sc.acc) + sl*(cap(sc.dens)+cap(sc.pots))
+	}
+	return int64(n)
 }
 
 // grow returns buf resliced to n elements, reallocated when too short.
@@ -383,44 +447,27 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// newWorkspace numbers the boxes of t that can need a slab view.
-func newWorkspace(t *tree.Tree) *workspace {
-	w := &workspace{upSlot: make([]int32, len(t.Boxes)), downSlot: make([]int32, len(t.Boxes))}
-	for bi := range t.Boxes {
-		b := &t.Boxes[bi]
-		w.upSlot[bi], w.downSlot[bi] = -1, -1
-		if b.SrcCount > 0 {
-			w.upSlot[bi] = int32(w.nUp)
-			w.nUp++
-		}
-		if b.TrgCount > 0 && b.Level() >= 2 {
-			w.downSlot[bi] = int32(w.nDown)
-			w.nDown++
-		}
-	}
-	return w
-}
-
 // resetWorkspace sizes the call's workspace for its batch on width lanes
 // and forgets the previous call: no box has a view, no lane has counted
 // anything, and the Morton-order potentials are zero (passes accumulate
 // into them). The densities are overwritten by the permutation.
 func (r *runState) resetWorkspace(nSrc, nTrg, width int) {
-	w, nrhs := r.workspace, r.nrhs
+	w, e, nrhs := r.workspace, r.e, r.nrhs
 	w.pdens, w.ppots = grow(w.pdens, nrhs), grow(w.ppots, nrhs)
 	for q := 0; q < nrhs; q++ {
 		w.pdens[q] = grow(w.pdens[q], nSrc*r.sd)
 		w.ppots[q] = grow(w.ppots[q], nTrg*r.td)
 		clear(w.ppots[q])
 	}
-	nb := len(w.upSlot)
+	nb := len(e.upSlot)
 	w.localU, w.phiD, w.checks = grow(w.localU, nb), grow(w.phiD, nb), grow(w.checks, nb)
 	clear(w.localU)
 	clear(w.phiD)
 	clear(w.checks)
-	w.upSlab = grow(w.upSlab, w.nUp*nrhs*r.ne)
-	w.downSlab = grow(w.downSlab, w.nDown*nrhs*r.ne)
-	w.checkSlab = grow(w.checkSlab, w.nDown*nrhs*r.nc)
+	w.upSlab = grow(w.upSlab, e.nUp*nrhs*r.ne)
+	w.downSlab = grow(w.downSlab, e.nDown*nrhs*r.ne)
+	w.checkSlab = grow(w.checkSlab, e.nDown*nrhs*r.nc)
+	w.gridUse[w.calls%len(w.gridUse)] = 0
 	if cap(w.lanes) < width {
 		w.lanes = append(w.lanes[:cap(w.lanes)], make([]scratch, width-cap(w.lanes))...)
 	}
@@ -506,8 +553,8 @@ func (sc *scratch) accBuf(n int) []complex128 {
 // proportion to the problem. Everything else it writes — the Morton-order
 // densities and potentials, the per-box upward and downward densities and
 // check potentials, the V-list Fourier grids and the per-lane scratch —
-// lives in a workspace the call takes from the Evaluator's pool at entry
-// and returns on every exit path, cancellation included. Concurrent calls
+// lives in a workspace the call takes from its lane pool once admitted and
+// returns on every exit path, cancellation included. Concurrent calls
 // each hold their own, and reuse never changes a bit of the result.
 //
 // root, when non-nil, is the caller's open span and collects the trace:
@@ -546,13 +593,12 @@ func (e *Evaluator) Evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 		return nil, Stats{}, errs.FromContext(err)
 	}
 	defer lease.Release()
-	w, _ := e.work.Get().(*workspace)
-	if w == nil {
-		w = newWorkspace(t)
-	}
+	w := takeWorkspace(e.pool)
 	// Every pass has drained at its barrier by the time this runs, on
-	// every exit path, so no lane still writes into the workspace.
-	defer e.work.Put(w)
+	// every exit path, so no lane still writes into the workspace; and it
+	// runs before Release, so the pool's workspaces never outnumber its
+	// leases.
+	defer w.putBack(e.pool)
 	r := &runState{
 		e: e, pool: lease, nrhs: len(dens),
 		sd: sd, td: td, ne: e.Ops.EquivCount(), nc: e.Ops.CheckCount(),
@@ -725,7 +771,7 @@ func (r *runState) upwardPass(ctx context.Context, sp *obs.Span) error {
 					sc.stats.FlopsUp += int64(2*nc*ne) * int64(r.nrhs)
 				}
 			}
-			phi := view(r.upSlab, r.upSlot[bi], r.nrhs*ne)
+			phi := view(r.upSlab, r.e.upSlot[bi], r.nrhs*ne)
 			upPinv.Apply(phi, check, r.nrhs)
 			sc.stats.FlopsUp += int64(2*ne*nc) * int64(r.nrhs)
 			r.localU[bi] = phi
@@ -745,7 +791,7 @@ func (r *runState) upwardPass(ctx context.Context, sp *obs.Span) error {
 // lock is needed.
 func (r *runState) getCheck(bi int32) []float64 {
 	if r.checks[bi] == nil {
-		r.checks[bi] = view(r.checkSlab, r.downSlot[bi], r.nrhs*r.nc)
+		r.checks[bi] = view(r.checkSlab, r.e.downSlot[bi], r.nrhs*r.nc)
 	}
 	return r.checks[bi]
 }
@@ -820,7 +866,7 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 				sc.stats.FlopsEval += int64(2*nc*ne) * int64(r.nrhs)
 			}
 			if r.checks[bi] != nil {
-				phi := view(r.downSlab, r.downSlot[bi], r.nrhs*ne)
+				phi := view(r.downSlab, r.e.downSlot[bi], r.nrhs*ne)
 				downPinv.Apply(phi, r.checks[bi], r.nrhs)
 				sc.stats.FlopsEval += int64(2*ne*nc) * int64(r.nrhs)
 				r.phiD[bi] = phi
@@ -916,6 +962,9 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 	// hands on, so the reused slab needs no clearing.
 	stride := chunk * sd * gl
 	r.grids = grow(r.grids, len(used)*stride)
+	if u := &r.gridUse[r.calls%len(r.gridUse)]; len(r.grids) > *u {
+		*u = len(r.grids)
+	}
 	grids := r.grids
 	for q0 := 0; q0 < r.nrhs; q0 += chunk {
 		nq := chunk

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -40,96 +41,252 @@ func assertSameBits(what string, got, want []float64) error {
 	return nil
 }
 
-// TestWorkspaceReuseIsInvisible: evaluations that recycle each other's
-// workspaces — concurrently, alternating batches of one and four, with
-// evaluations cancelled mid-sweep in between — return exactly the bits
-// of a fresh evaluator's first call. The plan takes the V, W and X lists.
-func TestWorkspaceReuseIsInvisible(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	const n = 2000
-	pts := geom.Flatten(geom.CornerClusters(rng, n, 0.3, 1))
-	opt := Options{Kernel: kernels.Laplace{}, Degree: 6, Workers: 2, Pool: exec.NewElastic(4)}
-	fresh := func() *Evaluator {
-		e, err := NewCtx(bg, pts, pts, opt)
+// reusePlan is one plan of the workspace-reuse tests: its evaluator on
+// the shared pool, and the bits a fresh evaluator's first call returns
+// for each of its inputs.
+type reusePlan struct {
+	e         *Evaluator
+	in, want  [][][]float64 // a single vector and a batch of four
+	densities [][]float64
+}
+
+// newReusePlan builds a plan over pts on pool, and takes its expected
+// results from evaluators on pools of their own, whose first call finds
+// no workspace to reuse.
+func newReusePlan(t *testing.T, rng *rand.Rand, pts []float64, degree int, pool *exec.Elastic) *reusePlan {
+	t.Helper()
+	n := len(pts) / 3
+	opt := Options{Kernel: kernels.Laplace{}, Degree: degree, Workers: 2, Pool: pool}
+	e, err := NewCtx(bg, pts, pts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &reusePlan{e: e, densities: make([][]float64, 5)}
+	for q := range p.densities {
+		p.densities[q] = geom.RandomDensities(rng, n, 1)
+	}
+	p.in = [][][]float64{p.densities[:1], p.densities[1:]}
+	for _, in := range p.in {
+		opt.Pool = exec.NewElastic(pool.MaxWorkers())
+		fresh, err := NewCtx(bg, pts, pts, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e
+		want, _, err := fresh.Evaluate(bg, in, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.want = append(p.want, want)
 	}
-	shared := fresh()
-	var nv, nw, nx int
-	for i := range shared.Tree.Boxes {
-		b := &shared.Tree.Boxes[i]
-		nv, nw, nx = nv+len(b.V), nw+len(b.W), nx+len(b.X)
-	}
-	if nv == 0 || nw == 0 || nx == 0 {
-		t.Fatalf("geometry misses a list: %d V, %d W, %d X entries", nv, nw, nx)
-	}
-	dens := make([][]float64, 5)
-	for q := range dens {
-		dens[q] = geom.RandomDensities(rng, n, 1)
-	}
-	single, batch := dens[:1], dens[1:]
-	wantSingle, _, err := fresh().Evaluate(bg, single, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBatch, _, err := fresh().Evaluate(bg, batch, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return p
+}
 
+// check evaluates input i of the plan and compares every vector's bits.
+func (p *reusePlan) check(what string, i int) error {
+	got, _, err := p.e.Evaluate(bg, p.in[i], nil, nil)
+	if err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	for q := range p.want[i] {
+		if err := assertSameBits(fmt.Sprintf("%s vector %d of %d", what, q, len(p.in[i])), got[q], p.want[i][q]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestWorkspaceReuseIsInvisible: evaluations that recycle each other's
+// workspaces return exactly the bits of a fresh evaluator's first call —
+// on one plan concurrently, alternating batches of one and four, with
+// evaluations cancelled mid-sweep in between; and across two plans of
+// different trees and degrees that alternate on one pool, so a workspace
+// last sized by one plan serves the other, and the grid slab the large
+// plan left is shed by the small one's calls. The large plan takes the
+// V, W and X lists.
+func TestWorkspaceReuseIsInvisible(t *testing.T) {
 	rounds := 4
 	if testing.Short() {
 		rounds = 2
 	}
-	const callers = 4
-	errc := make(chan error, callers*rounds*2)
+	t.Run("one plan", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(34))
+		const n = 2000
+		pool := exec.NewElastic(4)
+		p := newReusePlan(t, rng, geom.Flatten(geom.CornerClusters(rng, n, 0.3, 1)), 6, pool)
+		shared := p.e
+		var nv, nw, nx int
+		for i := range shared.Tree.Boxes {
+			b := &shared.Tree.Boxes[i]
+			nv, nw, nx = nv+len(b.V), nw+len(b.W), nx+len(b.X)
+		}
+		if nv == 0 || nw == 0 || nx == 0 {
+			t.Fatalf("geometry misses a list: %d V, %d W, %d X entries", nv, nw, nx)
+		}
+		const callers = 4
+		errc := make(chan error, callers*rounds*2)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					if c == 0 {
+						ctx, cancel := context.WithCancel(bg)
+						g := &cancellingGhost{mirrorGhost: mirrorGhost{e: shared, pden: make([]float64, n)}, cancel: cancel}
+						for j, orig := range shared.Tree.SrcPerm {
+							g.pden[j] = p.densities[0][orig]
+						}
+						if _, _, err := shared.Evaluate(ctx, p.in[0], nil, g); err == nil {
+							errc <- fmt.Errorf("caller %d round %d: cancelled evaluation succeeded", c, i)
+						}
+						cancel()
+					}
+					if err := p.check(fmt.Sprintf("caller %d round %d", c, i), (c+i)%2); err != nil {
+						errc <- err
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Error(err)
+		}
+	})
+	t.Run("two plans", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(35))
+		pool := exec.NewElastic(2)
+		large := newReusePlan(t, rng, geom.Flatten(geom.CornerClusters(rng, 2000, 0.3, 1)), 6, pool)
+		small := newReusePlan(t, rng, geom.Flatten(geom.UniformCube(rng, 300)), 4, pool)
+		plans := []*reusePlan{large, small}
+		// In sequence first: one workspace serves both plans in turn, and
+		// small single vectors after a large batch shed its grid slab.
+		seq := []struct{ plan, in int }{{0, 1}, {1, 0}, {0, 0}, {1, 1}, {1, 0}, {0, 0}, {1, 1}, {0, 1}}
+		for i, s := range seq {
+			if err := plans[s.plan].check(fmt.Sprintf("call %d (plan %d input %d)", i, s.plan, s.in), s.in); err != nil {
+				t.Error(err)
+			}
+		}
+		gridCap := func() int {
+			w := pool.TakeSpare().(*workspace)
+			defer pool.PutSpare(w, w.bytes, w.bytes)
+			return cap(w.grids)
+		}
+		afterLarge, bytesLarge := gridCap(), pool.SpareBytes()
+		for i := 0; i < len(workspace{}.gridUse); i++ {
+			if err := small.check(fmt.Sprintf("small call %d", i), 0); err != nil {
+				t.Error(err)
+			}
+		}
+		if out, spare, made := pool.SpareCounts(); out != 0 || spare != 1 || made != 1 {
+			t.Errorf("sequential calls: %d workspaces out, %d spare, %d made; want 0, 1, 1", out, spare, made)
+		}
+		if shed := gridCap(); shed*4 > afterLarge || pool.SpareBytes() >= bytesLarge {
+			t.Errorf("small calls after a large batch left a grid slab of %d of %d, and %d workspace bytes of %d: the slab was not shed", shed, afterLarge, pool.SpareBytes(), bytesLarge)
+		}
+		// Then concurrently, every caller alternating plan and batch.
+		const callers = 4
+		errc := make(chan error, callers*rounds*4)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < 2*rounds; i++ {
+					k := c + i
+					if err := plans[k%2].check(fmt.Sprintf("caller %d round %d plan %d", c, i, k%2), k/2%2); err != nil {
+						errc <- err
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Error(err)
+		}
+	})
+}
+
+// TestPoolWorkspacesNeverExceedCapacity: a pool holds at most one
+// workspace per lane of its capacity, in use and spare together, however
+// many plans share it and however many callers queue on it. Twice the
+// capacity in callers evaluate four plans of different sizes; a monitor
+// samples the pool's counts while they run, and the number of workspaces
+// the pool ever made bounds every instant.
+func TestPoolWorkspacesNeverExceedCapacity(t *testing.T) {
+	const capacity = 2
+	pool := exec.NewElastic(capacity)
+	rng := rand.New(rand.NewSource(36))
+	var plans []*Evaluator
+	var dens [][][]float64
+	for _, n := range []int{300, 700, 1200, 2000} {
+		pts := geom.Flatten(geom.UniformCube(rng, n))
+		e, err := NewCtx(bg, pts, pts, Options{Kernel: kernels.Laplace{}, Degree: 4, Workers: capacity, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, e)
+		d := make([][]float64, 1+len(plans)%2*3)
+		for q := range d {
+			d[q] = geom.RandomDensities(rng, n, 1)
+		}
+		dens = append(dens, d)
+	}
+	rounds := 6
+	if testing.Short() {
+		rounds = 3
+	}
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			out, spare, _ := pool.SpareCounts()
+			most = max(most, out+spare)
+			select {
+			case <-stop:
+				peak <- most
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	errc := make(chan error, 2*capacity*rounds)
 	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
+	for c := 0; c < 2*capacity; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if c == 0 {
-					ctx, cancel := context.WithCancel(bg)
-					g := &cancellingGhost{mirrorGhost: mirrorGhost{e: shared, pden: make([]float64, n)}, cancel: cancel}
-					for j, orig := range shared.Tree.SrcPerm {
-						g.pden[j] = dens[0][orig]
-					}
-					if _, _, err := shared.Evaluate(ctx, single, nil, g); err == nil {
-						errc <- fmt.Errorf("caller %d round %d: cancelled evaluation succeeded", c, i)
-					}
-					cancel()
-				}
-				in, want := single, wantSingle
-				if (c+i)%2 == 1 {
-					in, want = batch, wantBatch
-				}
-				got, _, err := shared.Evaluate(bg, in, nil, nil)
-				if err != nil {
+				k := (c + i) % len(plans)
+				if _, _, err := plans[k].Evaluate(bg, dens[k], nil, nil); err != nil {
 					errc <- err
-					continue
-				}
-				for q := range want {
-					if err := assertSameBits(fmt.Sprintf("caller %d round %d vector %d of %d", c, i, q, len(in)), got[q], want[q]); err != nil {
-						errc <- err
-					}
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
+	close(stop)
+	most := <-peak
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+	out, spare, made := pool.SpareCounts()
+	t.Logf("%d workspaces made, at most %d seen at once, %d spare at the end", made, most, spare)
+	if made > capacity || most > capacity || out != 0 || spare > capacity {
+		t.Errorf("pool of capacity %d: %d workspaces made, %d at once at most, %d out and %d spare at the end", capacity, made, most, out, spare)
 	}
 }
 
 // TestWarmEvaluateAllocationIsFlat: once a plan is warm, an evaluation
 // allocates its output and a fixed set of small objects — the lease, the
-// run state, the closures and bookkeeping of each pass — however many
-// boxes and points the tree holds, whatever the kernel and the batch. The
+// run state, the closures of each pass — however many boxes and points
+// the tree holds, whatever the kernel and the batch: at most
+// maxWarmAllocs in all (20 to 25 as measured; the dispatches themselves
+// allocate nothing at width one). The
 // two uniform trees run the same passes (same depth, V-list work on the
 // same levels), so that fixed set is the same, while their boxes differ
 // threefold and their points 3.4-fold: one allocation per box would add
@@ -138,7 +295,7 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 // as Laplace at the same batch.
 func TestWarmEvaluateAllocationIsFlat(t *testing.T) {
 	if raceEnabled {
-		t.Skip("under -race sync.Pool.Put drops items at random, so a warm call may build a new workspace")
+		t.Skip("under -race sync.Pool.Put drops items at random, so a warm call may make new FFT scratch")
 	}
 	type shape struct {
 		depth   int
@@ -147,6 +304,7 @@ func TestWarmEvaluateAllocationIsFlat(t *testing.T) {
 	sizes := []int{3500, 12000}
 	// The runtime itself now and then adds an allocation or two to a call.
 	const slack = 8
+	const maxWarmAllocs = 32
 	// measure returns kernel k's allocations per warm evaluation at each
 	// size for a batch of nrhs, after checking the trees' shapes agree.
 	measure := func(t *testing.T, k kernels.Kernel, nrhs int) []float64 {
@@ -199,6 +357,11 @@ func TestWarmEvaluateAllocationIsFlat(t *testing.T) {
 					allocs = laplace(t, nrhs)
 				} else {
 					allocs = measure(t, k, nrhs)
+				}
+				for i, a := range allocs {
+					if a > maxWarmAllocs {
+						t.Errorf("warm evaluation at N=%d allocates %v objects, want at most %d", sizes[i], a, maxWarmAllocs)
+					}
 				}
 				if d := allocs[1] - allocs[0]; d > slack || d < -slack {
 					t.Errorf("warm evaluation allocates %v objects at N=%d but %v at N=%d", allocs[0], sizes[0], allocs[1], sizes[1])

@@ -50,6 +50,10 @@ func TestAdaptiveWidthIdleFanout(t *testing.T) {
 	if m["kifmm_lanes_in_use"] != 0 {
 		t.Errorf("LanesInUse = %v after the evaluation returned", m["kifmm_lanes_in_use"])
 	}
+	// The evaluation left its workspace on the pool for the next one.
+	if m["kifmm_workspace_bytes"] <= 0 {
+		t.Errorf("WorkspaceBytes = %v after an evaluation, want > 0", m["kifmm_workspace_bytes"])
+	}
 }
 
 // TestAdaptiveWidthSaturation: more parallel requests than lanes on a

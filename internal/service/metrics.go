@@ -109,6 +109,9 @@ func newMetrics(s *Service) *metrics {
 	r.GaugeFunc("kifmm_lanes_in_use",
 		"Lanes currently leased by evaluations and plan builds.",
 		func() float64 { return float64(s.pool.LanesInUse()) })
+	r.GaugeFunc("kifmm_workspace_bytes",
+		"Bytes held by the pool's evaluation workspaces, in use and spare (at most one per lane).",
+		func() float64 { return float64(s.pool.SpareBytes()) })
 	r.CounterFunc("kifmm_lanes_granted_total",
 		"Lanes handed out at admission, cumulative.",
 		func() float64 { return float64(s.pool.LanesGranted()) })

@@ -52,13 +52,16 @@ type Config struct {
 	// but is no longer addressable by id.
 	CacheSize int
 	// CacheBytes additionally bounds the summed estimated footprint
-	// (tree + the plan's share of the operators it uses) of cached
-	// plans; 0 means no bytes bound. A near-body-limit geometry can pin
-	// ~GBs of operators per plan, so byte bounds are the defense the
-	// count bound alone is not. Eviction closes the plan, which frees
+	// (tree, slot tables and the plan's share of the operators it uses)
+	// of cached plans; 0 means no bytes bound. A near-body-limit geometry
+	// can pin ~GBs of operators per plan, so byte bounds are the defense
+	// the count bound alone is not. Eviction closes the plan, which frees
 	// the operators no remaining plan uses (the operator store keeps a
 	// fixed 32 MiB of the most recently released ones warm, outside this
-	// bound). The most recent plan is always retained.
+	// bound). The most recent plan is always retained. The evaluation
+	// workspaces are outside this bound too: they belong to the lane
+	// pool, at most one per lane of MaxWorkers whatever the number of
+	// plans, and the kifmm_workspace_bytes gauge reports them.
 	CacheBytes int64
 	// MaxWorkers is the lane capacity of the service's shared elastic
 	// pool (default GOMAXPROCS) — the total intra-evaluation

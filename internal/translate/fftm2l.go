@@ -36,37 +36,54 @@ import (
 // right-hand side of a batched evaluation — the tensor stays cache-hot
 // across the batch instead of being re-streamed from memory per RHS.
 type FFTM2L struct {
-	set  *Set
-	M    int // padded grid edge
-	K    int // stored z-frequency lines, M/2+1
-	plan *fft.Plan3R
+	set *Set
+	M   int // padded grid edge
+	K   int // stored z-frequency lines, M/2+1
+	*gridPlan
 	// grid[si] is the offset (x*M+y)*M+z of surface point si in an M³
 	// volume, from its (x, y, z) in the p³ lattice.
 	grid []int
-	// vols recycles real-valued M³ volume buffers used to embed
-	// densities (forward) and read off check potentials (inverse).
+}
+
+// gridPlan is what the translation of every plan with one padded grid
+// edge M shares: the transform plan, with its twiddles and its pool of
+// per-transform scratch, and a pool of real M³ volume buffers used to
+// embed densities (forward) and read off check potentials (inverse).
+// The plan is immutable and both pools are safe for concurrent use.
+type gridPlan struct {
+	plan *fft.Plan3R
 	vols sync.Pool
+}
+
+// gridPlans holds the process's one *gridPlan per grid edge, keyed by M:
+// an entry per degree in use at most, and entries are never dropped.
+var gridPlans sync.Map
+
+// gridPlanFor returns the shared gridPlan of edge m, making it on first
+// use.
+func gridPlanFor(m int) *gridPlan {
+	if g, ok := gridPlans.Load(m); ok {
+		return g.(*gridPlan)
+	}
+	g := &gridPlan{plan: fft.NewPlan3R(m)}
+	g.vols.New = func() any {
+		v := make([]float64, m*m*m)
+		return &v
+	}
+	got, _ := gridPlans.LoadOrStore(m, g)
+	return got.(*gridPlan)
 }
 
 // NewFFTM2L prepares the FFT M2L translation for an operator set.
 func NewFFTM2L(s *Set) *FFTM2L {
 	m := fft.NextSmooth(2*s.P - 1)
-	f := &FFTM2L{
-		set:  s,
-		M:    m,
-		K:    m/2 + 1,
-		plan: fft.NewPlan3R(m),
-	}
+	f := &FFTM2L{set: s, M: m, K: m/2 + 1, gridPlan: gridPlanFor(m)}
 	p := s.P
 	f.grid = make([]int, len(s.Surf.VolIdx))
 	for si, vi := range s.Surf.VolIdx {
 		// vi indexes the p³ volume: (x*p+y)*p+z.
 		x, y, z := vi/(p*p), vi/p%p, vi%p
 		f.grid[si] = (x*m+y)*m + z
-	}
-	f.vols.New = func() any {
-		v := make([]float64, m*m*m)
-		return &v
 	}
 	return f
 }

@@ -167,11 +167,14 @@ func (e *Evaluator) EvaluateBatchTracedCtx(ctx context.Context, dens [][]float64
 func (e *Evaluator) Workers() int { return e.inner.Workers() }
 
 // FootprintBytes estimates the resident memory of the prepared plan:
-// the octree plus this plan's share of the operators it uses (operators
-// are shared between plans over the same kernel, degree and box size and
-// divided by the number of open plans holding them, so summing
-// FootprintBytes over live plans counts each byte once). The evaluation
-// service uses it for byte-bounded plan caching.
+// the octree and its slot tables plus this plan's share of the operators
+// it uses (operators are shared between plans over the same kernel,
+// degree and box size and divided by the number of open plans holding
+// them, so summing FootprintBytes over live plans counts each byte once).
+// The evaluation service uses it for byte-bounded plan caching. It does
+// not count the workspaces evaluations write: those belong to the lane
+// pool, at most one per lane whatever the number of plans
+// (Pool.SpareBytes).
 func (e *Evaluator) FootprintBytes() int64 { return e.inner.FootprintBytes() }
 
 // Close gives up the plan's hold on its translation operators: those no

@@ -14,6 +14,11 @@ import (
 // finish. Admission itself is the concurrency gate: a call that cannot
 // get a lane queues, in arrival order, honoring its context.
 //
+// A Pool also keeps the workspaces its evaluations write — at most one
+// per lane of its capacity, shared by every plan on it, so the memory an
+// idle process holds for evaluations does not grow with the number of
+// plans. SpareBytes reports their bytes.
+//
 // Widths are pure scheduling: results are bitwise identical across
 // every granted width, including mid-run shrinks, so sharing a pool
 // never perturbs numerics. Evaluators built without an explicit Pool
