@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -264,6 +265,7 @@ func workerLost(t *testing.T, victim int) {
 
 	coord, workers := startCluster(t, hb, 2, 2)
 
+	computing := watchLanes(workers)
 	errCh := make(chan error, 1)
 	go func() {
 		_, _, err := coord.Evaluate(context.Background(), EvalRequest{
@@ -272,12 +274,12 @@ func workerLost(t *testing.T, victim int) {
 		errCh <- err
 	}()
 
-	// Let the scatter land and the ranks get to work, then kill one
-	// worker hard (no drain — its connections just die). Kill waits for the
-	// dying worker's rank to unwind, which can take as long as an
-	// uncancellable operator build, so it runs on its own goroutine: the
-	// clock below measures the coordinator's detection, not the victim.
-	time.Sleep(100 * time.Millisecond)
+	// Once both ranks compute, kill one worker hard (no drain — its
+	// connections just die). Kill waits for the dying worker's rank to
+	// unwind, which can take as long as an uncancellable operator build,
+	// so it runs on its own goroutine: the clock below measures the
+	// coordinator's detection, not the victim.
+	awaitLanes(t, computing, errCh)
 	killAt := time.Now()
 	killed := make(chan struct{})
 	go func() {
@@ -313,6 +315,96 @@ func workerLost(t *testing.T, victim int) {
 	<-killed
 	coord.Close()
 	checkGoroutines(t, base)
+}
+
+// watchLanes returns, per worker, a channel closed when the worker's
+// rank takes its lanes. A rank's engine takes them once the tree is built
+// and holds them to the end; from then on no rank can finish without its
+// peers' exchanges.
+func watchLanes(workers []*Worker) []chan struct{} {
+	taken := make([]chan struct{}, len(workers))
+	for i, w := range workers {
+		taken[i] = make(chan struct{})
+		var once sync.Once
+		w.Pool().SetAcquireObserver(func(time.Duration, int) { once.Do(func() { close(taken[i]) }) })
+	}
+	return taken
+}
+
+// awaitLanes waits until every rank holds its lanes, failing if the
+// evaluation (whose result errCh carries) ends first.
+func awaitLanes(t *testing.T, taken []chan struct{}, errCh <-chan error) {
+	t.Helper()
+	for _, ch := range taken {
+		select {
+		case <-ch:
+		case err := <-errCh:
+			t.Fatalf("evaluation returned %v before every rank computed", err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("the ranks never took their lanes")
+		}
+	}
+}
+
+// TestWorkerLostReportWaitsForDrop: a rank that cannot reach its peer
+// reports worker_lost, and that report can reach the coordinator before
+// the coordinator sees the peer's connection drop. The job must then
+// wait for the drop, so that a job failed worker_lost has counted its
+// loss; with no drop at all the report fails the job within two
+// heartbeat intervals. The reports are injected on a live worker's
+// control connection while both ranks compute.
+func TestWorkerLostReportWaitsForDrop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster failure injection is not a -short test")
+	}
+	const hb = 250 * time.Millisecond
+	rng := rand.New(rand.NewSource(4))
+	pts := geom.Flatten(geom.SphereGrid(rng, 16000, 2, 0.3))
+	den := geom.RandomDensities(rng, 16000, 1)
+	for _, drop := range []bool{true, false} {
+		t.Run(fmt.Sprintf("drop_%v", drop), func(t *testing.T) {
+			coord, workers := startCluster(t, hb, 1, 1)
+			defer coord.Close()
+			computing := watchLanes(workers)
+			errCh := make(chan error, 1)
+			go func() {
+				_, _, err := coord.Evaluate(context.Background(), EvalRequest{Src: pts, Den: den, Kernel: kernels.Spec{Name: "laplace"}})
+				errCh <- err
+			}()
+			awaitLanes(t, computing, errCh)
+			coord.mu.Lock()
+			job := coord.nextJob
+			coord.mu.Unlock()
+			if err := workers[0].ctrl.writeFrame(fJobError, encodeJobStatus(job, string(errs.CodeWorkerLost), "rank 0 send to rank 1: unreachable")); err != nil {
+				t.Fatal(err)
+			}
+			reported := time.Now()
+			select {
+			case err := <-errCh:
+				t.Fatalf("the job failed (%v) on the report alone, %v after it; WorkersLost = %d", err, time.Since(reported), coord.WorkersLost())
+			case <-time.After(hb / 2):
+			}
+			if drop {
+				go workers[1].Kill()
+			}
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, errs.ErrWorkerLost) {
+					t.Fatalf("evaluation returned %v, want worker_lost", err)
+				}
+				if lat := time.Since(reported); lat > 3*hb {
+					t.Errorf("the job failed %v after the report, want two heartbeat intervals and some slack, <= %v", lat, 3*hb)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("evaluation hung after the report")
+			}
+			if want := map[bool]int64{true: 1, false: 0}[drop]; coord.WorkersLost() != want {
+				t.Errorf("WorkersLost = %d, want %d", coord.WorkersLost(), want)
+			}
+			workers[0].Kill()
+			workers[1].Kill()
+		})
+	}
 }
 
 // TestClusterAbortOvertakingStart: a worker lost mid-scatter fails the

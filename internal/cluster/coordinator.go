@@ -290,12 +290,24 @@ func (c *Coordinator) jobByID(id uint64) *coordJob {
 	return c.jobs[id]
 }
 
+// failJob fails job id with the error one of its ranks reported. A
+// worker_lost report comes from a rank that could not reach a peer; the
+// loss itself is the coordinator's to detect and count (dropWorker), so
+// the job's ranks are told to unwind at once but the job is left for
+// that drop to fail, and a job that fails worker_lost has always counted
+// its loss. A peer that is never dropped (its control connection stays
+// up) leaves the report to fail the job two heartbeat intervals later,
+// the bound within which a silent worker is dropped.
 func (c *Coordinator) failJob(id uint64, err error) {
 	j := c.jobByID(id)
 	if j == nil {
 		return
 	}
 	c.abortJob(j, err, nil)
+	if code, _ := errs.CodeOf(err); code == errs.CodeWorkerLost {
+		time.AfterFunc(2*c.cfg.Heartbeat, func() { j.finish(err) })
+		return
+	}
 	j.finish(err)
 }
 

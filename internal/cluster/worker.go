@@ -450,9 +450,6 @@ func (w *Worker) teardown() {
 		return
 	}
 	w.closed = true
-	if w.cancelRun != nil {
-		w.cancelRun()
-	}
 	peers := w.peers
 	w.peers = make(map[string]*framedConn)
 	inbound := w.inbound
@@ -465,5 +462,11 @@ func (w *Worker) teardown() {
 	}
 	for _, fc := range inbound {
 		fc.Close()
+	}
+	// Cancel the ranks only now: a rank that sees its context end reports
+	// canceled to the coordinator, and a killed worker's job must fail as
+	// the coordinator sees it, worker_lost.
+	if w.cancelRun != nil {
+		w.cancelRun()
 	}
 }

@@ -197,12 +197,12 @@ func (f *FFTM2L) ExtractGrids(acc []complex128, level int, check []float64) {
 // use.
 func (f *FFTM2L) tensor(key int, k [3]int) [][]complex128 {
 	e := f.set.entry(key)
-	slot := e.tensors.slot(k)
+	slot, mu := e.tensors.slot(k)
 	if t := slot.Load(); t != nil {
 		return *t
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	mu.Lock()
+	defer mu.Unlock()
 	if t := slot.Load(); t != nil {
 		return *t
 	}

@@ -40,9 +40,9 @@ type entry struct {
 	// denseBytes and tensorBytes are the data sizes built so far.
 	denseBytes, tensorBytes atomic.Int64
 
-	// mu serializes builds (so the lanes of a first evaluation do not all
-	// build the same operator) and guards the plain pointers below; the
-	// tensor table is read without it.
+	// mu serializes the dense operators' builds (so the lanes of a first
+	// evaluation do not all build the same operator) and guards the plain
+	// pointers below; the tensor table has a lock per offset instead.
 	mu sync.Mutex
 	// pinvUp (UC check potential -> UE equivalent density) comes from the
 	// entry's one factorization; pinvDown (DC check potential -> DE
@@ -57,15 +57,23 @@ type entry struct {
 
 // offsetTable holds one FFT kernel tensor per V-list offset, (k+3) in
 // base 7. The V-list sweep fetches a tensor per (target, source) pair from
-// every lane, so a filled slot costs one atomic load.
-type offsetTable [7 * 7 * 7]atomic.Pointer[[][]complex128]
+// every lane, so a filled slot costs one atomic load. Each offset builds
+// under its own lock: a tensor depends on its offset alone, so the lanes
+// of a cold sweep build different offsets at once, and nobody waits for
+// one behind the entry's dense operators.
+type offsetTable struct {
+	tensor [7 * 7 * 7]atomic.Pointer[[][]complex128]
+	build  [7 * 7 * 7]sync.Mutex
+}
 
-func (t *offsetTable) slot(k [3]int) *atomic.Pointer[[][]complex128] {
+// slot returns offset k's tensor pointer and its build lock.
+func (t *offsetTable) slot(k [3]int) (*atomic.Pointer[[][]complex128], *sync.Mutex) {
 	x, y, z := uint(k[0]+3), uint(k[1]+3), uint(k[2]+3)
 	if x >= 7 || y >= 7 || z >= 7 {
 		panic(fmt.Sprintf("translate: %v is not a V-list offset", k))
 	}
-	return &t[(x*7+y)*7+z]
+	i := (x*7+y)*7 + z
+	return &t.tensor[i], &t.build[i]
 }
 
 // store is the process's one operator cache: plans over the same kernel,

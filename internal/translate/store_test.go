@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/kernels"
 )
@@ -187,5 +188,67 @@ func TestStoreConcurrentMapUseClose(t *testing.T) {
 	if h := e.holders.Load(); h != 0 || listed != 1 || store.entries[e.key] != e {
 		t.Errorf("after the churn: holders %d, idle listings %d, still the store's entry %v; want 0, 1, true",
 			h, listed, store.entries[e.key] == e)
+	}
+}
+
+// TestTensorBuildsPerOffset: a tensor builds under its offset's lock
+// alone. While the entry's dense-operator lock is held a tensor still
+// builds, and while one offset's build is held the dense operators and
+// every other offset still build; lanes that race over the same cold
+// offsets get one shared tensor per offset, counted once.
+func TestTensorBuildsPerOffset(t *testing.T) {
+	s, err := NewSet(kernels.NewModLaplace(0.7310004), 4, 0.6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	f := NewFFTM2L(s)
+	e := s.entry(2)
+	finishes := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fn()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waited behind a lock it does not need", what)
+		}
+	}
+	e.mu.Lock()
+	finishes("a tensor build", func() { f.tensor(2, [3]int{-3, 0, 0}) })
+	e.mu.Unlock()
+	_, mu := e.tensors.slot([3]int{3, 0, 0})
+	mu.Lock()
+	finishes("a dense operator build", func() { s.M2M(2, 1) })
+	finishes("another offset's build", func() { f.tensor(2, [3]int{0, -3, 0}) })
+	mu.Unlock()
+
+	offs := [][3]int{{2, 1, 0}, {-2, 3, 1}, {0, 0, 3}, {3, -3, -3}}
+	got := make([][][]complex128, 4*len(offs))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range offs {
+				j := (i + g) % len(offs)
+				got[g*len(offs)+j] = f.tensor(2, offs[j])
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < 4; g++ {
+		for j := range offs {
+			if &got[g*len(offs)+j][0][0] != &got[j][0][0] {
+				t.Errorf("offset %v: lanes 0 and %d got different tensors", offs[j], g)
+			}
+		}
+	}
+	// The two built beside the held locks and the four raced.
+	if want := int64(2+len(offs)) * int64(f.GridLen()) * 16; e.tensorBytes.Load() != want {
+		t.Errorf("tensor bytes %d, want %d (each offset counted once)", e.tensorBytes.Load(), want)
 	}
 }

@@ -19,7 +19,6 @@ package tree
 import (
 	"context"
 	"fmt"
-	"sort"
 	"unsafe"
 
 	"repro/internal/geom"
@@ -71,8 +70,6 @@ type Tree struct {
 	// are SrcPoints and SrcPerm.
 	SrcPoints, TrgPoints []float64
 	SrcPerm, TrgPerm     []int32
-
-	index map[morton.Key]int32
 }
 
 // Config controls tree construction.
@@ -91,11 +88,6 @@ type Config struct {
 type Reducer interface {
 	AllreduceInt64(op mpi.ReduceOp, in []int64) []int64
 	AllreduceFloat64(op mpi.ReduceOp, in []float64) []float64
-}
-
-type keyed struct {
-	key  morton.Key
-	orig int32
 }
 
 // BuildCtx constructs the adaptive octree over src and trg (flat x,y,z
@@ -176,12 +168,12 @@ func build(ctx context.Context, red Reducer, src, trg []float64, cfg Config) (*T
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	t.SrcPoints, t.SrcPerm = permute(src, srcKeys)
+	t.SrcPoints, t.SrcPerm = permute(src, srcKeys), srcKeys.order
 	t.TrgPoints, t.TrgPerm = t.SrcPoints, t.SrcPerm
 	if !same {
-		t.TrgPoints, t.TrgPerm = permute(trg, trgKeys)
+		t.TrgPoints, t.TrgPerm = permute(trg, trgKeys), trgKeys.order
 	}
-	counts := []int64{int64(len(srcKeys))}
+	counts := []int64{int64(len(srcKeys.order))}
 	if red != nil {
 		counts = red.AllreduceInt64(mpi.OpSum, counts)
 	}
@@ -195,29 +187,79 @@ func build(ctx context.Context, red Reducer, src, trg []float64, cfg Config) (*T
 	return t, counts, nil
 }
 
-func sortByKey(pts []float64, c [3]float64, hw float64) []keyed {
-	n := len(pts) / 3
-	ks := make([]keyed, n)
-	for i := 0; i < n; i++ {
-		ks[i] = keyed{morton.PointKey(pts[3*i], pts[3*i+1], pts[3*i+2], c, hw), int32(i)}
-	}
-	sort.Slice(ks, func(a, b int) bool {
-		if ks[a].key == ks[b].key {
-			return ks[a].orig < ks[b].orig
-		}
-		return ks[a].key.Less(ks[b].key)
-	})
-	return ks
+// sorted is one point set in Morton order: bits holds every point's
+// MaxLevel key bits in input order, and order the input indices sorted by
+// (bits, index). The tree stores order as the set's permutation.
+type sorted struct {
+	bits  []uint64
+	order []int32
 }
 
-func permute(pts []float64, ks []keyed) ([]float64, []int32) {
-	out := make([]float64, len(pts))
-	perm := make([]int32, len(ks))
-	for i, k := range ks {
-		perm[i] = k.orig
-		copy(out[3*i:3*i+3], pts[3*k.orig:3*k.orig+3])
+// radixBits is the digit width of sortByKey's passes: six passes cover
+// the 63 key bits.
+const radixBits = 11
+
+// sortByKey computes the points' leaf-level keys and sorts their indices
+// by a stable least-significant-digit radix sort on the key bits. The
+// indices start in input order, so ties (points in one MaxLevel cell)
+// keep it. One pass over the keys counts every digit; a digit that all
+// keys share, every digit above the highest bit any key sets included,
+// moves nothing and is skipped.
+func sortByKey(pts []float64, c [3]float64, hw float64) sorted {
+	const buckets = 1 << radixBits
+	n := len(pts) / 3
+	s := sorted{bits: make([]uint64, n), order: make([]int32, n)}
+	var count [(3*morton.MaxLevel + radixBits - 1) / radixBits][buckets]int32
+	for i := range s.bits {
+		k := morton.PointKey(pts[3*i], pts[3*i+1], pts[3*i+2], c, hw).Bits
+		s.bits[i] = k
+		s.order[i] = int32(i)
+		for d := range count {
+			count[d][k>>(radixBits*d)%buckets]++
+		}
 	}
-	return out, perm
+	var tmp []int32
+	for d := range count {
+		cnt := &count[d]
+		if n == 0 || int(cnt[s.bits[0]>>(radixBits*d)%buckets]) == n {
+			continue
+		}
+		var sum int32
+		for i, c := range cnt {
+			cnt[i] = sum
+			sum += c
+		}
+		if tmp == nil {
+			tmp = make([]int32, n)
+		}
+		for _, o := range s.order {
+			dg := s.bits[o] >> (radixBits * d) % buckets
+			tmp[cnt[dg]] = o
+			cnt[dg]++
+		}
+		s.order, tmp = tmp, s.order
+	}
+	return s
+}
+
+// permute returns the points in s's order.
+func permute(pts []float64, s sorted) []float64 {
+	out := make([]float64, len(pts))
+	for i, o := range s.order {
+		out[3*i], out[3*i+1], out[3*i+2] = pts[3*o], pts[3*o+1], pts[3*o+2]
+	}
+	return out
+}
+
+// countPrefix returns how many of the sorted points from position lo on
+// (and before hi) lie in the cell ck.
+func (s sorted) countPrefix(lo, hi int, ck morton.Key) int {
+	shift := 3 * uint(morton.MaxLevel-ck.Level)
+	n := lo
+	for n < hi && s.bits[s.order[n]]>>shift == ck.Bits {
+		n++
+	}
+	return n - lo
 }
 
 // buildCheckEvery is how many boxes the per-level construction loops
@@ -235,10 +277,9 @@ const buildCheckEvery = 1 << 12
 // Morton sort makes every child a contiguous subrange of its parent.
 // grow returns gCnt extended to every box. ctx is checked once per level
 // and every buildCheckEvery boxes within a level.
-func (t *Tree) grow(ctx context.Context, red Reducer, srcKeys, trgKeys []keyed, same bool, gCnt []int64, maxDepth int) ([]int64, error) {
+func (t *Tree) grow(ctx context.Context, red Reducer, srcKeys, trgKeys sorted, same bool, gCnt []int64, maxDepth int) ([]int64, error) {
 	s := int64(t.MaxPoints)
-	t.Boxes = []Box{newBox(morton.Key{}, Nil, 0, len(srcKeys), 0, len(trgKeys))}
-	t.index = map[morton.Key]int32{{}: 0}
+	t.Boxes = []Box{newBox(morton.Key{}, Nil, 0, len(srcKeys.order), 0, len(trgKeys.order))}
 	t.LevelStart = []int{0, 1}
 	var splitting []int32
 	for l := 0; l < maxDepth; l++ {
@@ -246,7 +287,6 @@ func (t *Tree) grow(ctx context.Context, red Reducer, srcKeys, trgKeys []keyed, 
 			return nil, err
 		}
 		start, end := t.LevelStart[l], t.LevelStart[l+1]
-		childLevel := uint8(l + 1)
 		splitting = splitting[:0]
 		var local []int64
 		for bi := start; bi < end; bi++ {
@@ -260,11 +300,11 @@ func (t *Tree) grow(ctx context.Context, red Reducer, srcKeys, trgKeys []keyed, 
 				continue
 			}
 			splitting = append(splitting, int32(bi))
-			seg := srcKeys[b.SrcStart : b.SrcStart+b.SrcCount]
+			lo, hi := b.SrcStart, b.SrcStart+b.SrcCount
 			for o := 0; o < 8; o++ {
-				n := countPrefix(seg, b.Key.Child(o), childLevel)
+				n := srcKeys.countPrefix(lo, hi, b.Key.Child(o))
 				local = append(local, int64(n))
-				seg = seg[n:]
+				lo += n
 			}
 		}
 		if len(splitting) == 0 {
@@ -278,21 +318,18 @@ func (t *Tree) grow(ctx context.Context, red Reducer, srcKeys, trgKeys []keyed, 
 			b := t.Boxes[bi]
 			t.Boxes[bi].Leaf = false
 			so, to := b.SrcStart, b.TrgStart
-			trgSeg := trgKeys[b.TrgStart : b.TrgStart+b.TrgCount]
 			for o := 0; o < 8; o++ {
 				ck := b.Key.Child(o)
 				sn := int(local[8*si+o])
 				tn := sn
 				if !same {
-					tn = countPrefix(trgSeg, ck, childLevel)
-					trgSeg = trgSeg[tn:]
+					tn = trgKeys.countPrefix(to, b.TrgStart+b.TrgCount, ck)
 				}
 				if global[8*si+o] == 0 && tn == 0 {
 					continue
 				}
 				ci := int32(len(t.Boxes))
 				t.Boxes = append(t.Boxes, newBox(ck, bi, so, sn, to, tn))
-				t.index[ck] = ci
 				t.Boxes[bi].Children[o] = ci
 				gCnt = append(gCnt, global[8*si+o])
 				so += sn
@@ -317,26 +354,8 @@ func newBox(k morton.Key, parent int32, srcStart, srcCount, trgStart, trgCount i
 	return b
 }
 
-// countPrefix returns how many leading keys in seg are descendants of (or
-// equal to) the child cell ck at the given level.
-func countPrefix(seg []keyed, ck morton.Key, level uint8) int {
-	n := 0
-	for n < len(seg) && seg[n].key.AtLevel(level) == ck {
-		n++
-	}
-	return n
-}
-
 // Depth returns the number of levels in the tree (root-only tree: 1).
 func (t *Tree) Depth() int { return len(t.LevelStart) - 1 }
-
-// Find returns the index of the box with the given key, or Nil.
-func (t *Tree) Find(k morton.Key) int32 {
-	if i, ok := t.index[k]; ok {
-		return i
-	}
-	return Nil
-}
 
 // BoxCenter returns the center coordinates of box bi.
 func (t *Tree) BoxCenter(bi int32) [3]float64 {
@@ -380,8 +399,8 @@ func (t *Tree) Leaves() []int32 {
 
 // MemoryBytes estimates the resident size of the tree: coordinates,
 // permutations (target arrays shared with the sources count once), the
-// box array with its interaction lists, and the key index. The
-// evaluation service uses it for byte-bounded plan caching.
+// box array with its interaction lists. The evaluation service uses it
+// for byte-bounded plan caching.
 func (t *Tree) MemoryBytes() int64 {
 	b := int64(len(t.SrcPoints))*8 + int64(len(t.SrcPerm))*4
 	if !t.sharesTargets() {
@@ -393,8 +412,6 @@ func (t *Tree) MemoryBytes() int64 {
 		bx := &t.Boxes[i]
 		b += int64(len(bx.U)+len(bx.V)+len(bx.W)+len(bx.X)) * 4
 	}
-	// Key index: ~key + value + bucket overhead per entry.
-	b += int64(len(t.index)) * 24
 	return b
 }
 
