@@ -296,7 +296,9 @@ func TestFMMConcurrentEvaluations(t *testing.T) {
 
 // TestFMMEvaluateBatch: a batch is its vectors, bit for bit, for every
 // built-in kernel, and it counts the flops of the single evaluations it
-// stands for.
+// stands for. Batches of four (the V-list block body's four-vector case,
+// the width of the benchmark's Stokes batches) and five (four plus a
+// lone vector) are checked.
 func TestFMMEvaluateBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	pts := geom.Flatten(geom.CornerClusters(rng, 1500, 0.35, 1))
@@ -305,10 +307,10 @@ func TestFMMEvaluateBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const nrhs = 5
-		dens := make([][]float64, nrhs)
-		want := make([][]float64, nrhs)
-		var flops int64
+		const maxRHS = 5
+		dens := make([][]float64, maxRHS)
+		want := make([][]float64, maxRHS)
+		flops := make([]int64, maxRHS)
 		for q := range dens {
 			dens[q] = geom.RandomDensities(rng, 1500, k.SourceDim())
 			var st Stats
@@ -316,24 +318,30 @@ func TestFMMEvaluateBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flops += st.Flops()
+			flops[q] = st.Flops()
 		}
-		got, st, err := e.Evaluate(bg, dens, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != nrhs {
-			t.Fatalf("%s: got %d vectors, want %d", k.Name(), len(got), nrhs)
-		}
-		if st.Total() <= 0 {
-			t.Errorf("%s: batch stats not populated: %+v", k.Name(), st)
-		}
-		if st.Flops() != flops {
-			t.Errorf("%s: batch counts %d flops, its single vectors %d", k.Name(), st.Flops(), flops)
-		}
-		for q := range got {
-			if err := assertSameBits(fmt.Sprintf("%s: batch vector %d", k.Name(), q), got[q], want[q]); err != nil {
-				t.Error(err)
+		for _, nrhs := range []int{4, maxRHS} {
+			got, st, err := e.Evaluate(bg, dens[:nrhs], nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != nrhs {
+				t.Fatalf("%s: got %d vectors, want %d", k.Name(), len(got), nrhs)
+			}
+			if st.Total() <= 0 {
+				t.Errorf("%s: batch stats not populated: %+v", k.Name(), st)
+			}
+			var sum int64
+			for _, f := range flops[:nrhs] {
+				sum += f
+			}
+			if st.Flops() != sum {
+				t.Errorf("%s: batch of %d counts %d flops, its single vectors %d", k.Name(), nrhs, st.Flops(), sum)
+			}
+			for q := range got {
+				if err := assertSameBits(fmt.Sprintf("%s: batch of %d, vector %d", k.Name(), nrhs, q), got[q], want[q]); err != nil {
+					t.Error(err)
+				}
 			}
 		}
 	}

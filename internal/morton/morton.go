@@ -33,15 +33,6 @@ func (k Key) Decode() (ix, iy, iz uint32) {
 	return compact(k.Bits >> 2), compact(k.Bits >> 1), compact(k.Bits)
 }
 
-// Parent returns the key of the enclosing box one level up. It panics on
-// the root key.
-func (k Key) Parent() Key {
-	if k.Level == 0 {
-		panic("morton: root has no parent")
-	}
-	return Key{Level: k.Level - 1, Bits: k.Bits >> 3}
-}
-
 // Child returns the key of child octant o (0..7) one level down. Octant
 // bit 2 selects x, bit 1 selects y, bit 0 selects z, matching Encode.
 func (k Key) Child(o int) Key {
@@ -73,14 +64,6 @@ func (k Key) Less(o Key) bool {
 	return k.Level < o.Level
 }
 
-// IsAncestorOf reports whether o lies strictly inside k's subtree.
-func (k Key) IsAncestorOf(o Key) bool {
-	if o.Level <= k.Level {
-		return false
-	}
-	return o.Bits>>(3*uint(o.Level-k.Level)) == k.Bits
-}
-
 // PointKey returns the key of the leaf-level (MaxLevel) cell containing
 // the point p inside the cube of half-width hw centered at c. Points on
 // the upper boundary are clamped into the last cell.
@@ -99,14 +82,6 @@ func cellCoord(v, c, hw float64) uint32 {
 		i = cells - 1
 	}
 	return uint32(i)
-}
-
-// AtLevel returns the ancestor (or self) of k at the given coarser level.
-func (k Key) AtLevel(level uint8) Key {
-	if level > k.Level {
-		panic("morton: AtLevel target deeper than key")
-	}
-	return Key{Level: level, Bits: k.Bits >> (3 * uint(k.Level-level))}
 }
 
 // spread inserts two zero bits between each of the low 21 bits of v.

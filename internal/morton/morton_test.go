@@ -21,17 +21,22 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
+// ancestor returns the key of k's enclosing box at the coarser level.
+func ancestor(k Key, level uint8) Key {
+	return Key{Level: level, Bits: k.Bits >> (3 * uint(k.Level-level))}
+}
+
 func TestParentChildInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		level := uint8(1 + rng.Intn(MaxLevel-1))
 		k := Encode(level, rng.Uint32()%(1<<level), rng.Uint32()%(1<<level), rng.Uint32()%(1<<level))
-		if k.Parent().Child(k.Octant()) != k {
-			t.Fatalf("Parent().Child(Octant()) != self for %+v", k)
+		if ancestor(k, level-1).Child(k.Octant()) != k {
+			t.Fatalf("parent's Child(Octant()) != self for %+v", k)
 		}
 		for o := 0; o < 8; o++ {
 			c := k.Child(o)
-			if c.Parent() != k {
+			if ancestor(c, level) != k {
 				t.Fatalf("child %d of %+v has wrong parent", o, k)
 			}
 			if c.Octant() != o {
@@ -41,15 +46,6 @@ func TestParentChildInverse(t *testing.T) {
 	}
 }
 
-func TestRootHasNoParent(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Parent of root must panic")
-		}
-	}()
-	(Key{}).Parent()
-}
-
 func TestChildCoordinates(t *testing.T) {
 	k := Encode(2, 1, 2, 3)
 	// Child octant bit layout: bit2 = x, bit1 = y, bit0 = z.
@@ -57,23 +53,6 @@ func TestChildCoordinates(t *testing.T) {
 	ix, iy, iz := c.Decode()
 	if ix != 3 || iy != 4 || iz != 7 {
 		t.Errorf("child coords: got (%d,%d,%d) want (3,4,7)", ix, iy, iz)
-	}
-}
-
-func TestAncestorRelation(t *testing.T) {
-	k := Encode(3, 5, 2, 7)
-	d := k.Child(4).Child(1)
-	if !k.IsAncestorOf(d) {
-		t.Error("grandparent must be ancestor")
-	}
-	if k.IsAncestorOf(k) {
-		t.Error("a key is not its own ancestor")
-	}
-	if d.IsAncestorOf(k) {
-		t.Error("descendant is not an ancestor")
-	}
-	if d.AtLevel(3) != k {
-		t.Error("AtLevel must recover the ancestor")
 	}
 }
 
@@ -106,12 +85,12 @@ func TestLessIsStrictWeakOrderAndDFS(t *testing.T) {
 func TestPointKeyLocality(t *testing.T) {
 	c := [3]float64{0, 0, 0}
 	// Two points in the same octant share the level-1 ancestor.
-	k1 := PointKey(0.5, 0.5, 0.5, c, 1).AtLevel(1)
-	k2 := PointKey(0.9, 0.1, 0.3, c, 1).AtLevel(1)
+	k1 := ancestor(PointKey(0.5, 0.5, 0.5, c, 1), 1)
+	k2 := ancestor(PointKey(0.9, 0.1, 0.3, c, 1), 1)
 	if k1 != k2 {
 		t.Error("points in the same octant must share the level-1 key")
 	}
-	k3 := PointKey(-0.5, 0.5, 0.5, c, 1).AtLevel(1)
+	k3 := ancestor(PointKey(-0.5, 0.5, 0.5, c, 1), 1)
 	if k1 == k3 {
 		t.Error("points in different octants must differ at level 1")
 	}

@@ -1,6 +1,8 @@
 package translate
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/fft"
@@ -32,9 +34,12 @@ import (
 // (hadamardAdd). Both are bitwise equal to the plain forms.
 //
 // The batch entry points (ForwardDensityBatch, AccumulateBatch) lay
-// grids out rhs-major so one pass over a kernel tensor serves every
-// right-hand side of a batched evaluation — the tensor stays cache-hot
-// across the batch instead of being re-streamed from memory per RHS.
+// grids out rhs-major so one pass over a V-list pair's whole kernel
+// tensor serves every right-hand side of a batched evaluation: each
+// tensor value is loaded once and each accumulator element loaded and
+// stored once, instead of one pass per component pair and right-hand
+// side. A kernel whose samples repeat a component (the symmetric 3×3
+// Stokes and Kelvin blocks) stores that component's grid once.
 type FFTM2L struct {
 	set *Set
 	M   int // padded grid edge
@@ -156,8 +161,12 @@ func (f *FFTM2L) ForwardDensityBatch(phi []float64, nq int, dst []complex128) {
 // center offset k = (targetCell - sourceCell), across nq right-hand sides
 // with rhs-major flattened grids: acc holds nq*TargetDim accumulator
 // grids, src nq*SourceDim source grids (the ForwardDensityBatch layout).
-// Each kernel tensor is walked once per (target, source) component pair
-// and applied to every RHS while it is cache-hot. The homogeneous level
+// The pair's whole TargetDim×SourceDim tensor is applied to every RHS in
+// one pass (accumulateBlock); each accumulator element gets its products
+// over the source components in order, with the roundings of one
+// hadamardAdd call per (target, source, RHS), so the result is bit for
+// bit that of the per-component loop. A scalar kernel's tensor is one
+// grid, applied by one hadamardAdd call per RHS. The homogeneous level
 // scale is NOT applied here: every contribution to one accumulator comes
 // from the same level, so ExtractGrids applies the scale once per
 // surface point instead of once per grid element.
@@ -166,14 +175,15 @@ func (f *FFTM2L) AccumulateBatch(acc, src []complex128, nq, level int, k [3]int)
 	t := f.tensor(key, k)
 	sd, td := f.set.Kern.SourceDim(), f.set.Kern.TargetDim()
 	gl := f.GridLen()
-	for a := 0; a < td; a++ {
-		for b := 0; b < sd; b++ {
-			tg := t[a*sd+b]
-			for q := 0; q < nq; q++ {
-				hadamardAdd(acc[(q*td+a)*gl:(q*td+a+1)*gl], tg, src[(q*sd+b)*gl:(q*sd+b+1)*gl])
-			}
+	if td == 1 && sd == 1 {
+		// A scalar tensor is one grid, which stays cache-hot across the
+		// right-hand sides: there is nothing for the block body to save.
+		for q := 0; q < nq; q++ {
+			hadamardAdd(acc[q*gl:(q+1)*gl], t[0], src[q*gl:(q+1)*gl])
 		}
+		return
 	}
+	accumulateBlock(acc, src, t, gl, nq, td, sd)
 }
 
 // ExtractGrids inverse-transforms one right-hand side of the
@@ -206,16 +216,20 @@ func (f *FFTM2L) tensor(key int, k [3]int) [][]complex128 {
 	if t := slot.Load(); t != nil {
 		return *t
 	}
-	t := f.buildTensor(e.key.radius, k)
+	t, distinct := f.buildTensor(e.key.radius, k)
 	slot.Store(&t)
-	e.tensorBytes.Add(int64(len(t)) * int64(f.GridLen()) * 16)
+	e.tensorBytes.Add(int64(distinct) * int64(f.GridLen()) * 16)
 	return t
 }
 
 // buildTensor samples the kernel over every lattice offset of the
 // translation and forward-transforms the result into half-spectrum
-// grids.
-func (f *FFTM2L) buildTensor(r float64, k [3]int) [][]complex128 {
+// grids, one per (target, source) component pair a*SourceDim+b. A
+// component whose samples are bitwise those of an earlier one shares
+// that one's grid (its transform would be the same bits): the symmetric
+// Stokes and Kelvin blocks hold 6 distinct grids of 9. distinct counts
+// the grids stored.
+func (f *FFTM2L) buildTensor(r float64, k [3]int) (t [][]complex128, distinct int) {
 	p, m := f.set.P, f.M
 	h := surface.Spacing(p, r)
 	sd, td := f.set.Kern.SourceDim(), f.set.Kern.TargetDim()
@@ -243,13 +257,24 @@ func (f *FFTM2L) buildTensor(r float64, k [3]int) [][]complex128 {
 			}
 		}
 	}
-	t := make([][]complex128, td*sd)
+	t = make([][]complex128, td*sd)
+next:
 	for c := range t {
+		for e := 0; e < c; e++ {
+			if slices.EqualFunc(vols[c], vols[e], sameBits) {
+				t[c] = t[e]
+				continue next
+			}
+		}
 		t[c] = make([]complex128, f.GridLen())
 		f.plan.Forward(t[c], vols[c])
+		distinct++
 	}
-	return t
+	return t, distinct
 }
+
+// sameBits reports whether x and y hold the same float64 bits.
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // CachedBytes estimates this translation's share of the kernel tensors its
 // set's entries hold, divided like Set.CachedBytes.

@@ -252,3 +252,69 @@ func TestTensorBuildsPerOffset(t *testing.T) {
 		t.Errorf("tensor bytes %d, want %d (each offset counted once)", e.tensorBytes.Load(), want)
 	}
 }
+
+// TestMirroredTensorGridsShared: a 3×3 kernel whose Eval mirrors its
+// off-diagonal components (Stokes, Kelvin) stores 6 distinct grids per
+// tensor, the mirrored ones pointer-equal to their originals; a scalar
+// kernel stores its one. The entry counts each distinct grid once, so a
+// Stokes tensor adds 6/9 of the bytes of nine separate grids.
+func TestMirroredTensorGridsShared(t *testing.T) {
+	mirror := map[int]int{3: 1, 6: 2, 7: 5}
+	for _, k := range []kernels.Kernel{
+		kernels.Laplace{}, kernels.NewModLaplace(0.7310045),
+		kernels.NewStokes(1.7310045), kernels.NewKelvin(1.7310045, 0.3),
+	} {
+		s, err := NewSet(k, 4, 0.6, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := NewFFTM2L(s)
+		key, _, _ := s.scaleFor(2)
+		e := s.entry(key)
+		// An offset no earlier test built for this entry, so the bytes it
+		// adds are this tensor's.
+		var off [3]int
+		for _, c := range [][3]int{{3, -2, 1}, {-3, 2, -1}, {2, -3, 3}, {-1, 3, -3}} {
+			if slot, _ := e.tensors.slot(c); slot.Load() == nil {
+				off = c
+				break
+			}
+		}
+		if off == ([3]int{}) {
+			t.Fatalf("%s: every candidate offset already built", k.Name())
+		}
+		before := e.tensorBytes.Load()
+		tens := f.tensor(key, off)
+		grid := int64(f.GridLen()) * 16
+		distinct := 0
+		for c, g := range tens {
+			first := c
+			for d := 0; d < c; d++ {
+				if &tens[d][0] == &g[0] {
+					first = d
+					break
+				}
+			}
+			if first == c {
+				distinct++
+			}
+			if want, ok := mirror[c]; ok && len(tens) == 9 && first != want {
+				t.Errorf("%s: grid %d shares grid %d's storage, want %d's", k.Name(), c, first, want)
+			} else if !ok && first != c {
+				t.Errorf("%s: grid %d shares grid %d's storage, want its own", k.Name(), c, first)
+			}
+		}
+		want := 1
+		if len(tens) == 9 {
+			want = 6
+		}
+		if distinct != want {
+			t.Errorf("%s: %d distinct grids of %d, want %d", k.Name(), distinct, len(tens), want)
+		}
+		if got := e.tensorBytes.Load() - before; got != int64(want)*grid {
+			t.Errorf("%s: tensor added %d bytes, want %d (%d distinct grids of %d)",
+				k.Name(), got, int64(want)*grid, want, len(tens))
+		}
+		s.Close()
+	}
+}

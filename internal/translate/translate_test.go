@@ -512,10 +512,8 @@ func builtinKernels() []kernels.Kernel {
 	return append(testKernels(), kernels.NewKelvin(1, 0.3))
 }
 
-func sameBits(a, b *linalg.Dense) bool {
-	return a.Rows == b.Rows && a.Cols == b.Cols && slices.EqualFunc(a.Data, b.Data, func(x, y float64) bool {
-		return math.Float64bits(x) == math.Float64bits(y)
-	})
+func sameDenseBits(a, b *linalg.Dense) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && slices.EqualFunc(a.Data, b.Data, sameBits)
 }
 
 // TestOneFactorizationServesBothDirections: the UC<-UE matrix is the
@@ -533,11 +531,11 @@ func TestOneFactorizationServesBothDirections(t *testing.T) {
 			rc, re := surface.CheckRadius(r), surface.EquivRadius(p, r)
 			up := s.kernelMatrix([3]float64{}, rc, [3]float64{}, re)
 			down := s.kernelMatrix([3]float64{}, re, [3]float64{}, rc)
-			if !sameBits(up, down.Transpose()) {
+			if !sameDenseBits(up, down.Transpose()) {
 				t.Errorf("%s p=%d: the UC<-UE matrix is not the DC<-DE matrix transposed", k.Name(), p)
 			}
 			pu, pd := s.UpwardPinv(level), s.DownwardPinv(level)
-			if !sameBits(pd.M, pu.M.Transpose()) || pd.Scale != pu.Scale {
+			if !sameDenseBits(pd.M, pu.M.Transpose()) || pd.Scale != pu.Scale {
 				t.Errorf("%s p=%d: DownwardPinv is not UpwardPinv transposed", k.Name(), p)
 			}
 		}

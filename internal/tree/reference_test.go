@@ -38,9 +38,14 @@ func refSortByKey(pts []float64, c [3]float64, hw float64) []refKeyed {
 	return ks
 }
 
+// refAtLevel returns the key of k's enclosing box at the coarser level.
+func refAtLevel(k morton.Key, level uint8) morton.Key {
+	return morton.Key{Level: level, Bits: k.Bits >> (3 * uint(k.Level-level))}
+}
+
 func refCountPrefix(seg []refKeyed, ck morton.Key) int {
 	n := 0
-	for n < len(seg) && seg[n].key.AtLevel(ck.Level) == ck {
+	for n < len(seg) && refAtLevel(seg[n].key, ck.Level) == ck {
 		n++
 	}
 	return n

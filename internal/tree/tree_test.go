@@ -76,7 +76,7 @@ func TestParentChildRangesNest(t *testing.T) {
 			}
 			srcSum += cb.SrcCount
 			trgSum += cb.TrgCount
-			if !b.Key.IsAncestorOf(cb.Key) {
+			if !childKeyOf(b.Key, cb.Key) {
 				t.Fatalf("child key not under parent key")
 			}
 		}
@@ -85,6 +85,11 @@ func TestParentChildRangesNest(t *testing.T) {
 				srcSum, b.SrcCount, trgSum, b.TrgCount)
 		}
 	}
+}
+
+// childKeyOf reports whether c is the key of a child box of p.
+func childKeyOf(p, c morton.Key) bool {
+	return c.Level == p.Level+1 && c.Bits>>3 == p.Bits
 }
 
 func TestPointsInsideTheirBoxes(t *testing.T) {
