@@ -668,9 +668,6 @@ func NewPlan3R(m int) *Plan3R {
 	return p3
 }
 
-// Edge returns the grid edge length m.
-func (p *Plan3R) Edge() int { return p.m }
-
 // HalfLen returns the number of stored z-frequency lines, m/2 + 1.
 func (p *Plan3R) HalfLen() int { return p.k }
 

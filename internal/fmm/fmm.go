@@ -48,7 +48,6 @@ package fmm
 import (
 	"context"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -384,10 +383,10 @@ type workspace struct {
 	// and its index of the source boxes they belong to (applyM2LFFT).
 	grids        []complex128
 	gridOf, used []int32
-	// gridUse holds the grid-slab lengths the last calls used, this
-	// call's at calls%len(gridUse); the shrink rule reads them.
-	gridUse [4]int
-	calls   int
+	// use holds the widest grid slab and lane accumulator the last calls
+	// asked for, this call's at calls%len(use); the shrink rule reads them.
+	use   [4]bufUse
+	calls int
 
 	lanes []scratch // per-worker scratch and stats
 
@@ -395,6 +394,10 @@ type workspace struct {
 	// counts it.
 	bytes int64
 }
+
+// bufUse is what one call asked of a workspace's V-list buffers: the grid
+// slab's length and the longest accumulator of any lane.
+type bufUse struct{ grids, acc int }
 
 // takeWorkspace takes a workspace off the pool's spare list, or makes an
 // empty one when the list is empty.
@@ -406,13 +409,24 @@ func takeWorkspace(pool *exec.Elastic) *workspace {
 }
 
 // putBack returns w to the pool's spare list. It first applies the shrink
-// rule, which sheds buffers and never results: a grid slab more than four
-// times the widest the last calls used goes, so one large plan or batch
-// does not pin its slab in a pool that now serves small ones.
+// rule, which sheds buffers and never results: a grid slab, or a lane's
+// accumulators, more than four times the widest the last calls used goes,
+// so one large plan or batch does not pin its buffers in a pool that now
+// serves small ones.
 func (w *workspace) putBack(pool *exec.Elastic) {
 	w.calls++
-	if cap(w.grids) > 4*slices.Max(w.gridUse[:]) {
+	var most bufUse
+	for _, u := range w.use {
+		most.grids, most.acc = max(most.grids, u.grids), max(most.acc, u.acc)
+	}
+	if cap(w.grids) > 4*most.grids {
 		w.grids = nil
+	}
+	lanes := w.lanes[:cap(w.lanes)]
+	for i := range lanes {
+		if cap(lanes[i].acc) > 4*most.acc {
+			lanes[i].acc = nil
+		}
 	}
 	was := w.bytes
 	w.bytes = w.size()
@@ -467,7 +481,7 @@ func (r *runState) resetWorkspace(nSrc, nTrg, width int) {
 	w.upSlab = grow(w.upSlab, e.nUp*nrhs*r.ne)
 	w.downSlab = grow(w.downSlab, e.nDown*nrhs*r.ne)
 	w.checkSlab = grow(w.checkSlab, e.nDown*nrhs*r.nc)
-	w.gridUse[w.calls%len(w.gridUse)] = 0
+	w.use[w.calls%len(w.use)] = bufUse{}
 	if cap(w.lanes) < width {
 		w.lanes = append(w.lanes[:cap(w.lanes)], make([]scratch, width-cap(w.lanes))...)
 	}
@@ -493,7 +507,9 @@ type scratch struct {
 	stats Stats
 	check []float64
 	pts   []float64
-	acc   []complex128
+	// acc holds the V-list accumulators of a parent's eight children
+	// (accumulateSiblings), rhs-major AccumulateBatch layout each.
+	acc []complex128
 	// dens and pots hold addP2P's per-RHS views for the length of one
 	// kernels.P2P call (nil between calls), and block is that call's
 	// kernel-block scratch.
@@ -513,19 +529,6 @@ func (sc *scratch) ptsBuf(n int) []float64 {
 		sc.pts = make([]float64, n)
 	}
 	return sc.pts[:n]
-}
-
-// accBuf returns a zeroed flat accumulator of n Fourier grids (the
-// rhs-major AccumulateBatch layout).
-func (sc *scratch) accBuf(n int) []complex128 {
-	if cap(sc.acc) < n {
-		sc.acc = make([]complex128, n)
-	}
-	acc := sc.acc[:n]
-	for i := range acc {
-		acc[i] = 0
-	}
-	return acc
 }
 
 // Evaluate is the one evaluation entry: for every density vector of dens
@@ -883,30 +886,30 @@ func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
 
 // rhsChunk picks how many right-hand sides the V-list sweep processes
 // per pass: a chunk shares one kernel-tensor load per (target, source)
-// pair (a small gain as measured, see applyM2LFFT) and is bounded so the
-// in-flight Fourier grids of a level — the workspace's one grid slab,
-// reused level after level — stay within a fixed memory budget.
+// pair (a small gain as measured, see applyM2LFFT) and is bounded twice:
+// the in-flight Fourier grids of a level — the workspace's one grid slab,
+// reused level after level — stay within a fixed memory budget, and so do
+// the eight sibling accumulators each lane fills (8 · chunk · td grids).
 // The choice depends only on the plan and the batch — never on the
-// worker count — so batched results stay deterministic across machines.
-func rhsChunk(nrhs, nused, sd, gl int) int {
+// worker count — so batched results stay deterministic across machines;
+// and since a batch is its vectors bit for bit, it cannot move a result.
+func rhsChunk(nrhs, nused, sd, td, gl int) int {
 	// A longer chunk shares nothing more; its grids only cost memory and
 	// cache pressure.
 	const maxChunk = 16
 	// ~256 MiB of simultaneous source grids (16 bytes per coefficient).
 	const budgetBytes = 256 << 20
-	c := nrhs
-	if c > maxChunk {
-		c = maxChunk
-	}
+	// 1 MiB of accumulators per lane, half a core's 2 MiB L2 on the Xeon
+	// the sweep was measured on: the rest is left to the source grids and
+	// tensors they meet. One Laplace vector at degree 6 takes 126 KiB, a
+	// Stokes batch of four at degree 5 608 KiB.
+	const accBudgetBytes = 1 << 20
+	c := min(nrhs, maxChunk)
 	if per := int64(nused) * int64(sd) * int64(gl) * 16; per > 0 {
-		if b := int(budgetBytes / per); b < c {
-			c = b
-		}
+		c = min(c, int(budgetBytes/per))
 	}
-	if c < 1 {
-		c = 1
-	}
-	return c
+	c = min(c, int(accBudgetBytes/(8*int64(td)*int64(gl)*16)))
+	return max(c, 1)
 }
 
 // applyM2LFFT batches the level's V-list translations through the
@@ -921,11 +924,16 @@ func rhsChunk(nrhs, nused, sd, gl int) int {
 // Hadamard cost at four right-hand sides against one
 // (translate.m2l_accumulate_ns_per_pair_nq4 vs _nq1), and a batch of four
 // against four single evaluations (fmm.batch_amortization).
+//
+// The accumulate/extract sweep takes a parent at level l−1 as its work
+// unit, not a box at level l: the eight children of a parent share one
+// colleague list, so each source grid is read once per sibling group
+// instead of once per target (accumulateSiblings).
 func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 	t := r.e.Tree
 	f := r.e.fft
 	sd, td := r.sd, r.td
-	ne, nc := r.ne, r.nc
+	ne := r.ne
 	gl := f.GridLen()
 	lo, hi := t.LevelStart[l], t.LevelStart[l+1]
 	// Index every source box used by some V list at this level
@@ -956,68 +964,111 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 	if len(used) == 0 {
 		return nil
 	}
-	chunk := rhsChunk(r.nrhs, len(used), sd, gl)
+	chunk := rhsChunk(r.nrhs, len(used), sd, td, gl)
 	// Grid i, the rhs-major grids of source box used[i], starts at
 	// i*stride. ForwardDensityBatch overwrites every coefficient it
 	// hands on, so the reused slab needs no clearing.
 	stride := chunk * sd * gl
 	r.grids = grow(r.grids, len(used)*stride)
-	if u := &r.gridUse[r.calls%len(r.gridUse)]; len(r.grids) > *u {
-		*u = len(r.grids)
-	}
-	grids := r.grids
+	use := &r.use[r.calls%len(r.use)]
+	use.grids = max(use.grids, len(r.grids))
+	use.acc = max(use.acc, 8*chunk*td*gl)
 	for q0 := 0; q0 < r.nrhs; q0 += chunk {
-		nq := chunk
-		if q0+nq > r.nrhs {
-			nq = r.nrhs - q0
-		}
+		nq := min(chunk, r.nrhs-q0)
 		// Forward-transform every contributing source box for this rhs
 		// chunk (grid buffers are reused across chunks).
 		err := r.pool.ForRange(ctx, 0, len(used), func(w, i int) {
 			sc := &r.lanes[w]
 			start := stageStart()
-			f.ForwardDensityBatch(r.phiU[used[i]][q0*ne:(q0+nq)*ne], nq, grids[i*stride:(i+1)*stride])
+			f.ForwardDensityBatch(r.phiU[used[i]][q0*ne:(q0+nq)*ne], nq, r.grids[i*stride:(i+1)*stride])
 			sc.stats.FlopsDownV += int64(5*gl*sd) * int64(nq) // ~5 n log n per grid
 			sc.stats.DownV += time.Since(start)
 		})
 		if err != nil {
 			return err
 		}
-		err = r.pool.ForRange(ctx, lo, hi, func(w, bi int) {
-			b := &t.Boxes[bi]
-			if b.TrgCount == 0 || len(b.V) == 0 {
-				return
+		err = r.pool.ForRange(ctx, t.LevelStart[l-1], lo, func(w, pi int) {
+			if !t.Boxes[pi].Leaf {
+				r.accumulateSiblings(&r.lanes[w], int32(pi), l, q0, nq, stride)
 			}
-			sc := &r.lanes[w]
-			start := stageStart()
-			acc := sc.accBuf(nq * td * gl)
-			bx, by, bz := b.Key.Decode()
-			any := false
-			for _, a := range b.V {
-				gi := gridOf[int(a)-lo]
-				if gi < 0 {
-					continue
-				}
-				ax, ay, az := t.Boxes[a].Key.Decode()
-				off := [3]int{int(bx) - int(ax), int(by) - int(ay), int(bz) - int(az)}
-				f.AccumulateBatch(acc, grids[int(gi)*stride:int(gi)*stride+nq*sd*gl], nq, l, off)
-				sc.stats.FlopsDownV += int64(8*gl*sd*td) * int64(nq)
-				any = true
-			}
-			if any {
-				check := r.getCheck(int32(bi))
-				for q := 0; q < nq; q++ {
-					f.ExtractGrids(acc[q*td*gl:(q+1)*td*gl], l, check[(q0+q)*nc:(q0+q+1)*nc])
-				}
-				sc.stats.FlopsDownV += int64(5*gl*td) * int64(nq)
-			}
-			sc.stats.DownV += time.Since(start)
 		})
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// accumulateSiblings runs the V-list translations of rhs chunk
+// [q0, q0+nq) into the children of parent p at level l. Every child's V
+// list is, in order, the children of p's colleagues (colleague order,
+// then octant order) that are not adjacent to it (tree.Tree.Colleagues),
+// so one walk over those children serves all eight: each source box's
+// grids are loaded once and added into every child whose V list holds it
+// next, and a cursor per child advances through its list. Each child so
+// receives one AccumulateBatch call per V-list member with a grid, in its
+// own V-list order, whatever its siblings need: the order, not the work
+// unit, fixes its check potential's bits. The eight accumulators are the
+// lane's scratch.
+func (r *runState) accumulateSiblings(sc *scratch, p int32, l, q0, nq, stride int) {
+	t, f := r.e.Tree, r.e.fft
+	sd, td, nc := r.sd, r.td, r.nc
+	gl := f.GridLen()
+	lo := t.LevelStart[l]
+	start := stageStart()
+	n := nq * td * gl
+	acc := grow(sc.acc, 8*n)
+	sc.acc = acc
+	// The V lists of the children with targets, the cursor into each,
+	// whether any member had a grid, and the children's cells.
+	var v [8][]int32
+	var next [8]int
+	var hit [8]bool
+	var cell [8][3]int
+	for o, ci := range t.Boxes[p].Children {
+		if ci != tree.Nil && t.Boxes[ci].TrgCount > 0 {
+			v[o] = t.Boxes[ci].V
+			x, y, z := t.Boxes[ci].Key.Decode()
+			cell[o] = [3]int{int(x), int(y), int(z)}
+		}
+	}
+	for _, q := range t.Colleagues(p) {
+		for _, a := range t.Boxes[q].Children {
+			if a == tree.Nil {
+				continue
+			}
+			gi := int(r.gridOf[int(a)-lo])
+			ax, ay, az := t.Boxes[a].Key.Decode()
+			for o := range v {
+				if next[o] == len(v[o]) || v[o][next[o]] != a {
+					continue
+				}
+				next[o]++
+				if gi < 0 {
+					continue
+				}
+				dst := acc[o*n : (o+1)*n]
+				if !hit[o] {
+					clear(dst)
+					hit[o] = true
+				}
+				off := [3]int{cell[o][0] - int(ax), cell[o][1] - int(ay), cell[o][2] - int(az)}
+				f.AccumulateBatch(dst, r.grids[gi*stride:gi*stride+nq*sd*gl], nq, l, off)
+				sc.stats.FlopsDownV += int64(8*gl*sd*td) * int64(nq)
+			}
+		}
+	}
+	for o, ci := range t.Boxes[p].Children {
+		if !hit[o] {
+			continue
+		}
+		check := r.getCheck(ci)
+		for q := 0; q < nq; q++ {
+			f.ExtractGrids(acc[o*n+q*td*gl:o*n+(q+1)*td*gl], l, check[(q0+q)*nc:(q0+q+1)*nc])
+		}
+		sc.stats.FlopsDownV += int64(5*gl*td) * int64(nq)
+	}
+	sc.stats.DownV += time.Since(start)
 }
 
 // leafEvaluation computes target potentials at every leaf: direct U-list

@@ -50,20 +50,20 @@ type reusePlan struct {
 	densities [][]float64
 }
 
-// newReusePlan builds a plan over pts on pool, and takes its expected
-// results from evaluators on pools of their own, whose first call finds
-// no workspace to reuse.
-func newReusePlan(t *testing.T, rng *rand.Rand, pts []float64, degree int, pool *exec.Elastic) *reusePlan {
+// newReusePlan builds a plan of kernel k over pts on pool, and takes its
+// expected results from evaluators on pools of their own, whose first
+// call finds no workspace to reuse.
+func newReusePlan(t *testing.T, rng *rand.Rand, pts []float64, k kernels.Kernel, degree int, pool *exec.Elastic) *reusePlan {
 	t.Helper()
 	n := len(pts) / 3
-	opt := Options{Kernel: kernels.Laplace{}, Degree: degree, Workers: 2, Pool: pool}
+	opt := Options{Kernel: k, Degree: degree, Workers: 2, Pool: pool}
 	e, err := NewCtx(bg, pts, pts, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := &reusePlan{e: e, densities: make([][]float64, 5)}
 	for q := range p.densities {
-		p.densities[q] = geom.RandomDensities(rng, n, 1)
+		p.densities[q] = geom.RandomDensities(rng, n, k.SourceDim())
 	}
 	p.in = [][][]float64{p.densities[:1], p.densities[1:]}
 	for _, in := range p.in {
@@ -101,8 +101,9 @@ func (p *reusePlan) check(what string, i int) error {
 // evaluations cancelled mid-sweep in between; and across two plans of
 // different trees and degrees that alternate on one pool, so a workspace
 // last sized by one plan serves the other, and the grid slab the large
-// plan left is shed by the small one's calls. The large plan takes the
-// V, W and X lists.
+// plan left is shed by the small one's calls, as are the lane
+// accumulators a Stokes batch left. The large plan takes the V, W and X
+// lists.
 func TestWorkspaceReuseIsInvisible(t *testing.T) {
 	rounds := 4
 	if testing.Short() {
@@ -112,7 +113,7 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 		rng := rand.New(rand.NewSource(34))
 		const n = 2000
 		pool := exec.NewElastic(4)
-		p := newReusePlan(t, rng, geom.Flatten(geom.CornerClusters(rng, n, 0.3, 1)), 6, pool)
+		p := newReusePlan(t, rng, geom.Flatten(geom.CornerClusters(rng, n, 0.3, 1)), kernels.Laplace{}, 6, pool)
 		shared := p.e
 		var nv, nw, nx int
 		for i := range shared.Tree.Boxes {
@@ -156,8 +157,9 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 	t.Run("two plans", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(35))
 		pool := exec.NewElastic(2)
-		large := newReusePlan(t, rng, geom.Flatten(geom.CornerClusters(rng, 2000, 0.3, 1)), 6, pool)
-		small := newReusePlan(t, rng, geom.Flatten(geom.UniformCube(rng, 300)), 4, pool)
+		large := newReusePlan(t, rng, geom.Flatten(geom.CornerClusters(rng, 2000, 0.3, 1)), kernels.Laplace{}, 6, pool)
+		small := newReusePlan(t, rng, geom.Flatten(geom.UniformCube(rng, 300)), kernels.Laplace{}, 4, pool)
+		stokes := newReusePlan(t, rng, geom.Flatten(geom.UniformCube(rng, 1000)), kernels.NewStokes(1), 4, pool)
 		plans := []*reusePlan{large, small}
 		// In sequence first: one workspace serves both plans in turn, and
 		// small single vectors after a large batch shed its grid slab.
@@ -173,7 +175,7 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 			return cap(w.grids)
 		}
 		afterLarge, bytesLarge := gridCap(), pool.SpareBytes()
-		for i := 0; i < len(workspace{}.gridUse); i++ {
+		for i := 0; i < len(workspace{}.use); i++ {
 			if err := small.check(fmt.Sprintf("small call %d", i), 0); err != nil {
 				t.Error(err)
 			}
@@ -183,6 +185,30 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 		}
 		if shed := gridCap(); shed*4 > afterLarge || pool.SpareBytes() >= bytesLarge {
 			t.Errorf("small calls after a large batch left a grid slab of %d of %d, and %d workspace bytes of %d: the slab was not shed", shed, afterLarge, pool.SpareBytes(), bytesLarge)
+		}
+		// A Stokes batch of four leaves each lane the eight sibling
+		// accumulators of 4 x 3 Fourier grids; the small plan's single
+		// vectors, which need one grid each, shed those too.
+		if err := stokes.check("stokes batch", 1); err != nil {
+			t.Error(err)
+		}
+		accCap := func() int {
+			w := pool.TakeSpare().(*workspace)
+			defer pool.PutSpare(w, w.bytes, w.bytes)
+			most := 0
+			for _, sc := range w.lanes[:cap(w.lanes)] {
+				most = max(most, cap(sc.acc))
+			}
+			return most
+		}
+		afterStokes, bytesStokes := accCap(), pool.SpareBytes()
+		for i := 0; i < len(workspace{}.use); i++ {
+			if err := small.check(fmt.Sprintf("small call %d after stokes", i), 0); err != nil {
+				t.Error(err)
+			}
+		}
+		if shed := accCap(); afterStokes == 0 || shed*4 > afterStokes || pool.SpareBytes() >= bytesStokes {
+			t.Errorf("small calls after a Stokes batch left lane accumulators of %d of %d, and %d workspace bytes of %d: they were not shed", shed, afterStokes, pool.SpareBytes(), bytesStokes)
 		}
 		// Then concurrently, every caller alternating plan and batch.
 		const callers = 4

@@ -151,13 +151,6 @@ func (r *SpanRing) Len() int {
 	return r.n
 }
 
-// Cap returns the ring capacity.
-func (r *SpanRing) Cap() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
 // Total returns how many spans were ever added (including evicted).
 func (r *SpanRing) Total() int64 {
 	r.mu.Lock()

@@ -6,11 +6,6 @@ import (
 	"repro/internal/morton"
 )
 
-// Adjacent reports whether the closed cells of boxes a and b intersect
-// (share at least a face, edge or corner point). Boxes at different
-// levels are compared by aligning both to the finer resolution.
-func Adjacent(a, b morton.Key) bool { return anchorOf(a).touches(anchorOf(b)) }
-
 // anchor is a box's closed cell in MaxLevel cell units: the low corner
 // (x, y, z) and the edge w.
 type anchor struct{ x, y, z, w uint32 }
@@ -21,7 +16,8 @@ func anchorOf(k morton.Key) anchor {
 	return anchor{x << s, y << s, z << s, 1 << s}
 }
 
-// touches is Adjacent on anchors.
+// touches reports whether the closed cells a and b intersect (share at
+// least a face, edge or corner point), whatever their levels.
 func (a anchor) touches(b anchor) bool {
 	return segTouch(a.x, a.w, b.x, b.w) && segTouch(a.y, a.w, b.y, b.w) && segTouch(a.z, a.w, b.z, b.w)
 }
@@ -46,15 +42,12 @@ func segTouch(a, aw, b, bw uint32) bool { return a <= b+bw && b <= a+aw }
 func (b *Box) SmallLeaf(count, surfN int) bool { return b.Leaf && count < surfN }
 
 // lister is buildLists' scratch for one tree: every box's anchor,
-// decoded once, the colleague lists, a stamp per box that keeps a U list
-// free of repeats, the list under construction, and the chunk the
-// finished lists are copied into.
+// decoded once, a stamp per box that keeps a U list free of repeats, the
+// list under construction, and the chunk the finished lists are copied
+// into. The colleague lists it computes first are the tree's to keep.
 type lister struct {
 	t   *Tree
 	anc []anchor
-	// col[colStart[b]:colStart[b+1]] are box b's colleagues.
-	col      []int32
-	colStart []int32
 	// stamp[x] == b+1 once box x is in leaf b's U list.
 	stamp []int32
 	buf   []int32
@@ -63,9 +56,6 @@ type lister struct {
 
 // listChunk is how many list entries share one allocation.
 const listChunk = 1 << 12
-
-// colleagues returns box b's colleagues.
-func (l *lister) colleagues(b int32) []int32 { return l.col[l.colStart[b]:l.colStart[b+1]] }
 
 // keep copies list into the current chunk and returns the copy, capped
 // at its length so that appending to it cannot reach a neighbour; an
@@ -90,8 +80,11 @@ func (l *lister) reserve(n int, list []int32) []int32 {
 	return l.chunk[i : i+len(list) : i+n]
 }
 
-// buildLists fills the U, V, W and X lists of every box, using the
-// paper's definitions verbatim (Section 3.1). List construction costs
+// buildLists fills the colleague lists and the U, V, W and X lists of
+// every box, using the paper's definitions verbatim (Section 3.1). A V
+// list keeps the order of the colleague walk that finds it; the FFT M2L
+// sweep (fmm.applyM2LFFT) walks a parent's colleagues in the same order
+// for all eight children at once and relies on it. List construction costs
 // as much as box construction on large trees, so ctx is checked on the
 // same buildCheckEvery cadence.
 func (t *Tree) buildLists(ctx context.Context) error {
@@ -112,7 +105,7 @@ func (t *Tree) buildLists(ctx context.Context) error {
 		// adjacent to B. Exists for every box with a parent.
 		if b.Parent != Nil {
 			v := l.buf[:0]
-			for _, pc := range l.colleagues(b.Parent) {
+			for _, pc := range t.Colleagues(b.Parent) {
 				for _, c := range t.Boxes[pc].Children {
 					if c != Nil && !a.touches(l.anc[c]) {
 						v = append(v, c)
@@ -132,7 +125,7 @@ func (t *Tree) buildLists(ctx context.Context) error {
 		// a colleague stops at the first non-adjacent descendant (its own
 		// descendants' parents are then not adjacent to B).
 		w := l.buf[:0]
-		for _, c := range l.colleagues(int32(bi)) {
+		for _, c := range t.Colleagues(int32(bi)) {
 			w = l.collectW(w, a, c)
 		}
 		b.W, l.buf = l.keep(w), w
@@ -160,35 +153,37 @@ func (t *Tree) buildLists(ctx context.Context) error {
 }
 
 // computeColleagues finds, for every box, the existing same-level
-// adjacent boxes (the "neighbors" of the paper). A child's colleagues are
-// found among its siblings and the children of its parent's colleagues;
-// boxes are visited in index order, so a parent's list is complete
-// before its children's.
+// adjacent boxes (the "neighbors" of the paper) and keeps them on the
+// tree. A child's colleagues are found among its siblings and the
+// children of its parent's colleagues; boxes are visited in index order,
+// so a parent's list is complete before its children's.
 func (l *lister) computeColleagues() {
 	boxes := l.t.Boxes
-	l.colStart = make([]int32, len(boxes)+1)
+	var col []int32
+	start := make([]int32, len(boxes)+1)
 	for bi := range boxes {
 		b := &boxes[bi]
-		l.colStart[bi] = int32(len(l.col))
+		start[bi] = int32(len(col))
 		if b.Parent == Nil {
 			continue
 		}
 		a := l.anc[bi]
 		consider := func(ci int32) {
 			if ci != Nil && ci != int32(bi) && a.touches(l.anc[ci]) {
-				l.col = append(l.col, ci)
+				col = append(col, ci)
 			}
 		}
 		for _, s := range boxes[b.Parent].Children {
 			consider(s)
 		}
-		for _, pc := range l.colleagues(b.Parent) {
+		for _, pc := range col[start[b.Parent]:start[b.Parent+1]] {
 			for _, c := range boxes[pc].Children {
 				consider(c)
 			}
 		}
 	}
-	l.colStart[len(boxes)] = int32(len(l.col))
+	start[len(boxes)] = int32(len(col))
+	l.t.col, l.t.colStart = col, start
 }
 
 // adjacentLeaves appends to u the U list of leaf bi: itself, adjacent
@@ -199,13 +194,13 @@ func (l *lister) adjacentLeaves(u []int32, bi int32) []int32 {
 	l.stamp[bi] = bi + 1
 	u = append(u, bi)
 	// Same level and finer: descend into adjacent colleagues.
-	for _, c := range l.colleagues(bi) {
+	for _, c := range l.t.Colleagues(bi) {
 		u = l.descend(u, bi, a, c)
 	}
 	// Coarser: walk ancestors; a coarser adjacent leaf must be a
 	// colleague of one of B's ancestors (and adjacent to B itself).
 	for p := l.t.Boxes[bi].Parent; p != Nil; p = l.t.Boxes[p].Parent {
-		for _, c := range l.colleagues(p) {
+		for _, c := range l.t.Colleagues(p) {
 			if l.t.Boxes[c].Leaf && a.touches(l.anc[c]) {
 				u = l.add(u, bi, c)
 			}

@@ -38,6 +38,11 @@ func refSortByKey(pts []float64, c [3]float64, hw float64) []refKeyed {
 	return ks
 }
 
+// Adjacent reports whether the closed cells of boxes a and b intersect
+// (share at least a face, edge or corner point). Boxes at different
+// levels are compared by aligning both to the finer resolution.
+func Adjacent(a, b morton.Key) bool { return anchorOf(a).touches(anchorOf(b)) }
+
 // refAtLevel returns the key of k's enclosing box at the coarser level.
 func refAtLevel(k morton.Key, level uint8) morton.Key {
 	return morton.Key{Level: level, Bits: k.Bits >> (3 * uint(k.Level-level))}
@@ -290,7 +295,8 @@ func TestBuildMatchesReference(t *testing.T) {
 }
 
 // sameTree reports the first difference between two trees' permutations,
-// levels, boxes and lists.
+// levels, boxes, colleagues and lists. want is a reference tree, whose
+// colleagues refColleagues recomputes.
 func sameTree(got, want *Tree) error {
 	if !slices.Equal(got.SrcPerm, want.SrcPerm) {
 		return fmt.Errorf("SrcPerm differs")
@@ -304,7 +310,11 @@ func sameTree(got, want *Tree) error {
 	if len(got.Boxes) != len(want.Boxes) {
 		return fmt.Errorf("%d boxes, want %d", len(got.Boxes), len(want.Boxes))
 	}
+	wantCol := refColleagues(want)
 	for i := range got.Boxes {
+		if c := got.Colleagues(int32(i)); !slices.Equal(c, wantCol[i]) {
+			return fmt.Errorf("box %d: colleagues %v, want %v", i, c, wantCol[i])
+		}
 		g, w := got.Boxes[i], want.Boxes[i]
 		if g.Key != w.Key || g.Parent != w.Parent || g.Children != w.Children || g.Leaf != w.Leaf ||
 			g.SrcStart != w.SrcStart || g.SrcCount != w.SrcCount || g.TrgStart != w.TrgStart || g.TrgCount != w.TrgCount {

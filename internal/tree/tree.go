@@ -70,6 +70,9 @@ type Tree struct {
 	// are SrcPoints and SrcPerm.
 	SrcPoints, TrgPoints []float64
 	SrcPerm, TrgPerm     []int32
+
+	// col[colStart[b]:colStart[b+1]] are box b's colleagues (Colleagues).
+	col, colStart []int32
 }
 
 // Config controls tree construction.
@@ -386,27 +389,27 @@ func (t *Tree) TrgSlice(bi int32) []float64 {
 	return t.TrgPoints[3*b.TrgStart : 3*(b.TrgStart+b.TrgCount)]
 }
 
-// Leaves returns the indices of all leaf boxes.
-func (t *Tree) Leaves() []int32 {
-	var out []int32
-	for i := range t.Boxes {
-		if t.Boxes[i].Leaf {
-			out = append(out, int32(i))
-		}
-	}
-	return out
+// Colleagues returns box bi's colleagues, the paper's "neighbors": the
+// boxes of its level adjacent to it, itself excluded, in the order the
+// lists are built from (siblings in octant order, then the children of
+// each of the parent's colleagues in turn). The root has none. A box's V
+// list is the children of its parent's colleagues, in this order, that
+// are not adjacent to it. The slice is the tree's; do not modify it.
+func (t *Tree) Colleagues(bi int32) []int32 {
+	lo, hi := t.colStart[bi], t.colStart[bi+1]
+	return t.col[lo:hi:hi]
 }
 
 // MemoryBytes estimates the resident size of the tree: coordinates,
 // permutations (target arrays shared with the sources count once), the
-// box array with its interaction lists. The evaluation service uses it
-// for byte-bounded plan caching.
+// box array with its interaction lists and the colleague lists. The
+// evaluation service uses it for byte-bounded plan caching.
 func (t *Tree) MemoryBytes() int64 {
 	b := int64(len(t.SrcPoints))*8 + int64(len(t.SrcPerm))*4
 	if !t.sharesTargets() {
 		b += int64(len(t.TrgPoints))*8 + int64(len(t.TrgPerm))*4
 	}
-	b += int64(len(t.LevelStart)) * 8
+	b += int64(len(t.LevelStart))*8 + int64(len(t.col)+len(t.colStart))*4
 	b += int64(len(t.Boxes)) * int64(unsafe.Sizeof(Box{}))
 	for i := range t.Boxes {
 		bx := &t.Boxes[i]

@@ -12,6 +12,17 @@ import (
 	"repro/internal/morton"
 )
 
+// Leaves returns the indices of all leaf boxes.
+func (t *Tree) Leaves() []int32 {
+	var out []int32
+	for i := range t.Boxes {
+		if t.Boxes[i].Leaf {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
 func buildRandom(t *testing.T, n, s int, clustered bool, seed int64) *Tree {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
