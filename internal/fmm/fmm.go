@@ -899,10 +899,14 @@ func rhsChunk(nrhs, nused, sd, td, gl int) int {
 	const maxChunk = 16
 	// ~256 MiB of simultaneous source grids (16 bytes per coefficient).
 	const budgetBytes = 256 << 20
-	// 1 MiB of accumulators per lane, half a core's 2 MiB L2 on the Xeon
-	// the sweep was measured on: the rest is left to the source grids and
-	// tensors they meet. One Laplace vector at degree 6 takes 126 KiB, a
-	// Stokes batch of four at degree 5 608 KiB.
+	// 1 MiB of accumulators per lane (one Laplace vector at degree 6 takes
+	// 126 KiB, one Stokes vector 152 KiB at degree 5, 378 KiB at degree 6).
+	// Timed against other budgets on a 2-vCPU Xeon guest (BenchmarkDownV's
+	// shapes, one and two lanes), it leaves each shape within 5 % of its
+	// best chunk. Splitting a Stokes degree-6 batch of four in two costs
+	// 2–5 %; a budget that kept it whole would give a Stokes degree-5 batch
+	// of sixteen chunks of ten, and chunks of eight are already 10 % slower
+	// there than chunks of six (sixteen: 44–54 %).
 	const accBudgetBytes = 1 << 20
 	c := min(nrhs, maxChunk)
 	if per := int64(nused) * int64(sd) * int64(gl) * 16; per > 0 {

@@ -317,7 +317,10 @@ func TestVSweepMatchesTargetMajor(t *testing.T) {
 // the tree and batch shapes of two repository benchmark workloads: 12 000
 // uniform points with the Laplace kernel at degree 6 (lib_uniform_fft),
 // and 3 000 points on spheres with the Stokes kernel at degree 5 in a
-// batch of four (lib_stokes_batch).
+// batch of four (lib_stokes_batch). The other two are batches that
+// rhsChunk's accumulator budget splits: the Stokes geometry at degree 6
+// in a batch of four (two chunks of two) and at degree 5 in a batch of
+// sixteen (chunks of six).
 func BenchmarkDownV(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -328,6 +331,8 @@ func BenchmarkDownV(b *testing.B) {
 	}{
 		{"lib_uniform_fft", func(rng *rand.Rand) []float64 { return geom.Flatten(geom.UniformCube(rng, 12000)) }, kernels.Laplace{}, 6, 1},
 		{"lib_stokes_batch", func(rng *rand.Rand) []float64 { return geom.Flatten(geom.SphereGrid(rng, 3000, 2, 0.3)) }, kernels.NewStokes(1), 5, 4},
+		{"stokes_p6_nq4", func(rng *rand.Rand) []float64 { return geom.Flatten(geom.SphereGrid(rng, 3000, 2, 0.3)) }, kernels.NewStokes(1), 6, 4},
+		{"stokes_p5_nq16", func(rng *rand.Rand) []float64 { return geom.Flatten(geom.SphereGrid(rng, 3000, 2, 0.3)) }, kernels.NewStokes(1), 5, 16},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
