@@ -179,7 +179,8 @@ func (e *Elastic) SpareBytes() int64 {
 
 // SpareCounts returns how many spare-list items are out with callers and
 // on the list, and how many TakeSpare calls found the list empty (each
-// of which had its caller make a new item).
+// of which had its caller make a new item). It is a test hook: the fmm
+// and cluster tests bound a pool's workspaces with it.
 func (e *Elastic) SpareCounts() (out, spare int, misses int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -1,28 +1,27 @@
-// Package fft implements complex and real-input discrete Fourier
-// transforms of arbitrary length and 3-D transforms built from them. It
-// replaces the FFTW dependency of the paper's implementation; the FMM
-// uses it to turn M2L translations into circular convolutions over the
-// regular equivalent-surface lattice (paper Section 1: "the
-// multipole-to-local translations are accelerated using local FFTs").
+// Package fft implements the real-input 3-D Fourier transforms of the
+// FMM's M2L translations. It replaces the FFTW dependency of the paper's
+// implementation; the FMM uses it to turn M2L translations into circular
+// convolutions over the regular equivalent-surface lattice (paper
+// Section 1: "the multipole-to-local translations are accelerated using
+// local FFTs").
 //
-// The transform is a mixed-radix Cooley–Tukey decomposition that runs
-// many lines at once: the lines sit side by side in rows, row j holding
-// element j of every line, and every butterfly is a loop along a row, so
-// a pass of a 3-D transform is one recursion over all of its lines
-// rather than one per line. Each element keeps the expression, operand
-// order and rounding of a one-line transform; the 1-D API is the same
-// engine at a width of one line. The FMM always chooses 5-smooth grid
-// sizes, so the hot path runs entirely on hardcoded radix-2/3/4/5
-// butterfly kernels (twiddles read straight from the precomputed root
-// table, once per row, no modular index arithmetic); other lengths are
-// supported for generality through a generic combine step and an O(p²)
-// direct DFT for prime factors >= 7.
+// The FMM always chooses 5-smooth grid edges (NextSmooth), and those are
+// the only lengths the package transforms: a plan of any other length
+// panics when it is made. The transform is a mixed-radix Cooley–Tukey
+// decomposition on hardcoded radix-2/3/4/5 butterflies (twiddles read
+// straight from the precomputed root table, once per row, no modular
+// index arithmetic) that runs many lines at once: the lines sit side by
+// side in rows, row j holding element j of every line, and every
+// butterfly is a loop along a row, so a pass of a 3-D transform is one
+// recursion over all of its lines rather than one per line. Each element
+// keeps the expression, operand order and rounding of a one-line
+// transform.
 //
-// Densities and kernel tensors in the FMM are purely real, so the
-// package also provides real-to-complex transforms (ForwardReal /
-// InverseReal and the 3-D Plan3R): conjugate symmetry means only
-// ⌊n/2⌋+1 of the n Fourier coefficients are independent, halving the
-// storage, Hadamard and inverse-transform work of the convolution.
+// Densities and kernel tensors in the FMM are purely real, so the one
+// exported transform, Plan3R, is real-to-complex: conjugate symmetry
+// means only ⌊n/2⌋+1 of the n Fourier coefficients of a line are
+// independent, halving the storage, Hadamard and inverse-transform work
+// of the convolution.
 package fft
 
 import (
@@ -30,52 +29,40 @@ import (
 	"sync"
 )
 
-// Plan holds the precomputed root table for transforms of one length.
-// A Plan is immutable after creation and safe for concurrent use.
-type Plan struct {
+// plan holds the precomputed root table for transforms of one 5-smooth
+// length. A plan is immutable after creation and safe for concurrent use.
+type plan struct {
 	n       int
 	w       []complex128 // w[j] = exp(-2πi j/n)
 	winv    []complex128 // winv[j] = exp(+2πi j/n)
-	factors []int        // mixed-radix factorization of n (4s first, then 2, 3, 5, primes)
-	scratch int          // gather scratch for generic combines (largest factor >= 7, else 0)
-	half    *Plan        // length n/2 companion for the even-length real transforms
+	factors []int        // mixed-radix factorization of n (4s first, then 2, 3, 5)
+	half    *plan        // length n/2 companion for the even-length real transforms
 }
 
-// NewPlan creates a transform plan for length n >= 1.
-func NewPlan(n int) *Plan {
-	p := newPlan(n)
-	if n%2 == 0 {
-		// Companion plan for the packed even-length real transforms. One
-		// level suffices — the real path only ever halves once.
-		p.half = newPlan(n / 2)
+// newPlan builds the root tables and factorization for a 5-smooth length
+// n >= 1, with the length n/2 companion the packed real transforms use
+// when n is even (that companion gets its own, which nothing reads; at
+// the FMM's lengths they are a few hundred bytes). Any other length
+// panics.
+func newPlan(n int) *plan {
+	if NextSmooth(n) != n {
+		panic("fft: length must be 5-smooth and >= 1")
 	}
-	return p
-}
-
-// newPlan builds the root table and factorization for one length,
-// without the real-transform companion.
-func newPlan(n int) *Plan {
-	if n < 1 {
-		panic("fft: length must be >= 1")
-	}
-	p := &Plan{n: n, w: make([]complex128, n), winv: make([]complex128, n)}
+	p := &plan{n: n, w: make([]complex128, n), winv: make([]complex128, n), factors: factorize(n)}
 	for j := 0; j < n; j++ {
 		s, c := math.Sincos(-2 * math.Pi * float64(j) / float64(n))
 		p.w[j] = complex(c, s)
 		p.winv[j] = complex(c, -s)
 	}
-	p.factors = factorize(n)
-	for _, f := range p.factors {
-		if f >= 7 && f > p.scratch {
-			p.scratch = f
-		}
+	if n%2 == 0 {
+		p.half = newPlan(n / 2)
 	}
 	return p
 }
 
-// factorize returns the mixed-radix factor list: radix-4 stages first
-// (fewer, wider butterflies than radix-2 pairs), then at most one 2,
-// then 3s, 5s, and any remaining primes ascending.
+// factorize returns the mixed-radix factor list of a 5-smooth n: radix-4
+// stages first (fewer, wider butterflies than radix-2 pairs), then at most
+// one 2, then 3s and 5s.
 func factorize(n int) []int {
 	var fs []int
 	for n%4 == 0 {
@@ -94,100 +81,7 @@ func factorize(n int) []int {
 		fs = append(fs, 5)
 		n /= 5
 	}
-	for f := 7; f*f <= n; f += 2 {
-		for n%f == 0 {
-			fs = append(fs, f)
-			n /= f
-		}
-	}
-	if n > 1 {
-		fs = append(fs, n)
-	}
 	return fs
-}
-
-// Len returns the transform length.
-func (p *Plan) Len() int { return p.n }
-
-// HalfLen returns the number of independent Fourier coefficients of a
-// real input of this length: n/2 + 1 (conjugate symmetry determines the
-// rest).
-func (p *Plan) HalfLen() int { return p.n/2 + 1 }
-
-// ScratchLen returns the gather-scratch length one transform of this
-// plan needs; w lines side by side need w times as much. It is zero for
-// 5-smooth lengths, whose butterflies are all hardcoded.
-func (p *Plan) ScratchLen() int { return p.scratch }
-
-// RealScratchLen returns the scratch length one real transform of this
-// plan needs; w lines side by side need w times as much.
-func (p *Plan) RealScratchLen() int {
-	if p.half != nil {
-		return p.n + p.half.scratch
-	}
-	return 2*p.n + p.scratch
-}
-
-// Forward computes dst = DFT(src) (negative exponent, unscaled).
-// dst and src must both have length n and must not alias.
-func (p *Plan) Forward(dst, src []complex128) {
-	p.check(dst, src)
-	p.transform(dst, src, 1, 1, false, make([]complex128, p.scratch))
-}
-
-// Inverse computes dst = IDFT(src), scaled by 1/n so that
-// Inverse(Forward(x)) == x. dst and src must not alias.
-func (p *Plan) Inverse(dst, src []complex128) {
-	p.check(dst, src)
-	p.transform(dst, src, 1, 1, true, make([]complex128, p.scratch))
-	scaleRows(dst, 0, dst, 0, p.n, 1, complex(1/float64(p.n), 0))
-}
-
-// ForwardReal computes the first HalfLen() coefficients of the DFT of a
-// real signal (the remaining ones follow from X[n-k] = conj(X[k])).
-// dst must have length HalfLen(), src length n.
-func (p *Plan) ForwardReal(dst []complex128, src []float64) {
-	if len(dst) != p.HalfLen() || len(src) != p.n {
-		panic("fft: slice length does not match plan")
-	}
-	p.forwardReal(dst, src, 1, make([]complex128, p.RealScratchLen()))
-}
-
-// InverseReal computes the real inverse DFT (scaled by 1/n) of a
-// conjugate-symmetric spectrum given by its first HalfLen()
-// coefficients, so that InverseReal(ForwardReal(x)) == x. dst must have
-// length n, src length HalfLen(). src is read-only.
-func (p *Plan) InverseReal(dst []float64, src []complex128) {
-	if len(dst) != p.n || len(src) != p.HalfLen() {
-		panic("fft: slice length does not match plan")
-	}
-	p.inverseReal(dst, src, 1, make([]complex128, p.RealScratchLen()))
-}
-
-func (p *Plan) check(dst, src []complex128) {
-	if len(dst) != p.n || len(src) != p.n {
-		panic("fft: slice length does not match plan")
-	}
-	if p.n > 0 && &dst[0] == &src[0] {
-		panic("fft: dst must not alias src")
-	}
-}
-
-// lines transforms, in place, w lines of g that sit side by side:
-// element j of line l is g[j*rs+l]. sc is scratch of length
-// >= (n+ScratchLen())·w; the transform lands in its first n·w values and
-// is copied back (scaled by 1/n when inverse).
-func (p *Plan) lines(g []complex128, w, rs int, inverse bool, sc []complex128) {
-	n := p.n
-	out := sc[:n*w]
-	p.transform(out, g, w, rs, inverse, sc[n*w:])
-	if inverse {
-		scaleRows(g, rs, out, w, w, n, complex(1/float64(n), 0))
-		return
-	}
-	for j := 0; j < n; j++ {
-		copy(g[j*rs:][:w], out[j*w:])
-	}
 }
 
 // scaleRows sets the rows j < rows of g, g[j*gs:][:w], to inv times the
@@ -205,19 +99,19 @@ func scaleRows(g []complex128, gs int, src []complex128, ss, w, rows int, inv co
 
 // forwardReal computes the half spectra of the n² real lines with
 // x, y < n of an m×m×m grid, m the plan length: line (x, y) is
-// src[(x·m+y)·m:][:m], and its HalfLen() coefficients go to
-// dst[(y·n+x)·HalfLen():], so that row y of dst holds the lines of every
-// x side by side. With n = 1 it is the transform of one line. Line
-// l = x·n+y is transposed into column l of the rows of sc (length
-// >= RealScratchLen()·n²), the n² lines are transformed side by side,
-// and the result is transposed back.
+// src[(x·m+y)·m:][:m], and its h = m/2+1 coefficients go to
+// dst[(y·n+x)·h:], so that row y of dst holds the lines of every x side
+// by side. With n = 1 it is the transform of one line. Line l = x·n+y is
+// transposed into column l of the rows of sc (length >= m·n² for even m,
+// 2m·n² for odd m), the n² lines are transformed side by side, and the
+// result is transposed back.
 //
 // For even m each real line is packed into a half-length complex signal
 // (z[j] = x[2j] + i·x[2j+1]), transformed with the half-length plan and
 // unpacked — a real transform at roughly half the complex cost. Odd
 // lengths fall back to a full complex transform.
-func (p *Plan) forwardReal(dst []complex128, src []float64, n int, sc []complex128) {
-	m, h, w := p.n, p.HalfLen(), n*n
+func (p *plan) forwardReal(dst []complex128, src []float64, n int, sc []complex128) {
+	m, h, w := p.n, p.n/2+1, n*n
 	if p.half == nil {
 		// Odd length: widen to complex and keep the first half spectrum.
 		in, out := sc[:m*w], sc[m*w:2*m*w]
@@ -229,7 +123,7 @@ func (p *Plan) forwardReal(dst []complex128, src []float64, n int, sc []complex1
 				}
 			}
 		}
-		p.transform(out, in, w, w, false, sc[2*m*w:])
+		p.transform(out, in, w, w, false)
 		for x := 0; x < n; x++ {
 			for y := 0; y < n; y++ {
 				l, line := x*n+y, dst[(y*n+x)*h:][:h]
@@ -250,7 +144,7 @@ func (p *Plan) forwardReal(dst []complex128, src []float64, n int, sc []complex1
 			}
 		}
 	}
-	p.half.transform(zf, z, w, w, false, sc[2*hm*w:])
+	p.half.transform(zf, z, w, w, false)
 	// Unpack: with E/O the spectra of the even/odd samples,
 	// E[k] = (Z[k]+conj(Z[hm-k]))/2, O[k] = -i(Z[k]-conj(Z[hm-k]))/2 and
 	// X[k] = E[k] + w_m^k O[k] for k = 0..hm (indices mod hm).
@@ -274,11 +168,11 @@ func (p *Plan) forwardReal(dst []complex128, src []float64, n int, sc []complex1
 
 // inverseReal rebuilds the n² real lines with x, y < n of an m×m×m grid
 // (scaled by 1/m), m the plan length, from their half spectra: line
-// (x, y) is dst[(x·m+y)·m:][:m], its spectrum src[(x·n+y)·HalfLen():].
-// Every other line of dst is left untouched. sc has length
-// >= RealScratchLen()·n².
-func (p *Plan) inverseReal(dst []float64, src []complex128, n int, sc []complex128) {
-	m, h, w := p.n, p.HalfLen(), n*n
+// (x, y) is dst[(x·m+y)·m:][:m], its spectrum src[(x·n+y)·h:] with
+// h = m/2+1. Every other line of dst is left untouched. sc has the length
+// forwardReal's has.
+func (p *plan) inverseReal(dst []float64, src []complex128, n int, sc []complex128) {
+	m, h, w := p.n, p.n/2+1, n*n
 	if p.half == nil {
 		// Odd length: rebuild the full spectrum by symmetry and take the
 		// real part of a complex inverse.
@@ -295,7 +189,7 @@ func (p *Plan) inverseReal(dst []float64, src []complex128, n int, sc []complex1
 				}
 			}
 		}
-		p.transform(out, full, w, w, true, sc[2*m*w:])
+		p.transform(out, full, w, w, true)
 		inv := 1 / float64(m)
 		for x := 0; x < n; x++ {
 			for y := 0; y < n; y++ {
@@ -325,7 +219,7 @@ func (p *Plan) inverseReal(dst []float64, src []complex128, n int, sc []complex1
 			}
 		}
 	}
-	p.half.transform(z, zf, w, w, true, sc[2*hm*w:])
+	p.half.transform(z, zf, w, w, true)
 	inv := 1 / float64(hm)
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
@@ -341,12 +235,12 @@ func (p *Plan) inverseReal(dst []float64, src []complex128, n int, sc []complex1
 
 // transform computes the DFT of w lines at once (see rows): unscaled,
 // with the negative exponent, or the positive one when inverse.
-func (p *Plan) transform(dst, src []complex128, w, rs int, inverse bool, buf []complex128) {
+func (p *plan) transform(dst, src []complex128, w, rs int, inverse bool) {
 	if inverse {
-		p.rows(dst, src, w, rs, p.n, 1, 0, p.winv, 1, buf)
+		p.rows(dst, src, w, rs, p.n, 1, 0, p.winv, 1)
 		return
 	}
-	p.rows(dst, src, w, rs, p.n, 1, 0, p.w, -1, buf)
+	p.rows(dst, src, w, rs, p.n, 1, 0, p.w, -1)
 }
 
 // rows computes the n-point DFT of w lines at once. Row j of the input,
@@ -354,11 +248,10 @@ func (p *Plan) transform(dst, src []complex128, w, rs int, inverse bool, buf []c
 // dst[j*w : j*w+w]. Every butterfly is thus a loop along contiguous rows,
 // with its twiddles loaded once per row. wstep is N/n where N is the plan
 // length; depth indexes into the factor list; sign is -1 for the forward
-// direction and +1 for the inverse (it orients the hardcoded butterflies;
-// the matching root table tw is passed alongside); buf is gather scratch
-// of length >= ScratchLen()·w for the generic combine of factors >= 7.
-// dst and src must not overlap.
-func (p *Plan) rows(dst, src []complex128, w, rs, n, wstep, depth int, tw []complex128, sign float64, buf []complex128) {
+// direction and +1 for the inverse (it orients the butterflies; the
+// matching root table tw is passed alongside). dst and src must not
+// overlap.
+func (p *plan) rows(dst, src []complex128, w, rs, n, wstep, depth int, tw []complex128, sign float64) {
 	switch n {
 	case 1:
 		copy(dst[:w], src[:w])
@@ -369,18 +262,10 @@ func (p *Plan) rows(dst, src []complex128, w, rs, n, wstep, depth int, tw []comp
 	}
 	f := p.factors[depth]
 	m := n / f
-	if m == 1 {
-		dft(dst, src, w, rs, n, wstep, tw)
-		return
-	}
 	// Decimation in time: f interleaved sub-transforms of length m,
 	// combined with f-point butterflies.
 	for a := 0; a < f; a++ {
-		p.rows(dst[a*m*w:(a+1)*m*w], src[a*rs:], w, rs*f, m, wstep*f, depth+1, tw, sign, buf)
-	}
-	if f > 5 {
-		combineGeneric(dst, w, n, f, m, wstep, tw, buf)
-		return
+		p.rows(dst[a*m*w:(a+1)*m*w], src[a*rs:], w, rs*f, m, wstep*f, depth+1, tw, sign)
 	}
 	// The Cooley–Tukey recombination X[c+d*m] = Σ_a ω_f^{ad} (w_n^{ac} Y_a[c]),
 	// in place on the rows c, m+c, … of the sub-transforms. Twiddle
@@ -515,47 +400,10 @@ const (
 	sin5b = 0.5877852522924731
 )
 
-// dft is the direct transform of a prime length n >= 7.
-func dft(dst, src []complex128, w, rs, n, wstep int, tw []complex128) {
-	for k := 0; k < n; k++ {
-		row := dst[k*w:][:w]
-		clear(row)
-		for j := 0; j < n; j++ {
-			t := tw[(j*k%n)*wstep]
-			sj := src[j*rs:][:len(row)]
-			for l := range row {
-				row[l] += sj[l] * t
-			}
-		}
-	}
-}
-
-// combineGeneric is the fallback recombination for prime factors >= 7;
-// g is gather scratch of length >= f·w.
-func combineGeneric(dst []complex128, w, n, f, m, wstep int, tw, g []complex128) {
-	g = g[:f*w]
-	for c := 0; c < m; c++ {
-		for a := 0; a < f; a++ {
-			copy(g[a*w:(a+1)*w], dst[(a*m+c)*w:])
-		}
-		for d := 0; d < f; d++ {
-			k := c + d*m
-			row := dst[k*w:][:w]
-			copy(row, g[:w])
-			for a := 1; a < f; a++ {
-				t := tw[(a*k%n)*wstep]
-				ga := g[a*w:][:len(row)]
-				for l := range row {
-					row[l] += ga[l] * t
-				}
-			}
-		}
-	}
-}
-
 // NextSmooth returns the smallest 5-smooth integer (only prime factors
-// 2, 3, 5) greater than or equal to n. The FMM picks convolution grid
-// sizes with it so that every FFT factor has a fast butterfly.
+// 2, 3, 5) greater than or equal to n, and 1 for n < 1. The FMM picks
+// its convolution grid edges with it; they are the only lengths a plan
+// accepts.
 func NextSmooth(n int) int {
 	if n < 1 {
 		return 1
@@ -573,58 +421,6 @@ func NextSmooth(n int) int {
 	}
 }
 
-// Plan3 performs 3-D transforms on row-major data indexed [x][y][z]
-// (z fastest). It is immutable and safe for concurrent use.
-type Plan3 struct {
-	nx, ny, nz int
-	px, py, pz *Plan
-}
-
-// NewPlan3 creates a 3-D plan for an nx x ny x nz grid.
-func NewPlan3(nx, ny, nz int) *Plan3 {
-	p3 := &Plan3{nx: nx, ny: ny, nz: nz, px: NewPlan(nx)}
-	p3.py = p3.px
-	if ny != nx {
-		p3.py = NewPlan(ny)
-	}
-	switch nz {
-	case nx:
-		p3.pz = p3.px
-	case ny:
-		p3.pz = p3.py
-	default:
-		p3.pz = NewPlan(nz)
-	}
-	return p3
-}
-
-// Size returns the total number of grid points nx*ny*nz.
-func (p *Plan3) Size() int { return p.nx * p.ny * p.nz }
-
-// Forward computes the in-place 3-D forward DFT of x (length Size).
-func (p *Plan3) Forward(x []complex128) { p.apply(x, false) }
-
-// Inverse computes the in-place 3-D inverse DFT of x, scaled by 1/Size.
-func (p *Plan3) Inverse(x []complex128) { p.apply(x, true) }
-
-func (p *Plan3) apply(x []complex128, inverse bool) {
-	if len(x) != p.Size() {
-		panic("fft: grid length does not match 3-D plan")
-	}
-	nyz := p.ny * p.nz
-	sc := make([]complex128, max(p.nz+p.pz.scratch, (p.ny+p.py.scratch)*p.nz, (p.nx+p.px.scratch)*nyz))
-	// Along z: each contiguous line on its own.
-	for b := 0; b < p.nx*p.ny; b++ {
-		p.pz.lines(x[b*p.nz:], 1, 1, inverse, sc)
-	}
-	// Along y: the nz lines of each x-plane side by side.
-	for ix := 0; ix < p.nx; ix++ {
-		p.py.lines(x[ix*nyz:], p.nz, p.nz, inverse, sc)
-	}
-	// Along x: all ny·nz lines side by side.
-	p.px.lines(x, nyz, nyz, inverse, sc)
-}
-
 // Plan3R performs real-input 3-D transforms on a cubic m×m×m grid.
 // The forward transform maps real row-major data indexed [x][y][z]
 // (z fastest) to the half spectrum indexed [kx][ky][kz] with
@@ -640,7 +436,7 @@ func (p *Plan3) apply(x []complex128, inverse bool) {
 // full transforms.
 //
 // Every pass transforms all of its lines side by side, so that each
-// butterfly is a loop along one row of them (see Plan.rows). The x pass
+// butterfly is a loop along one row of them (see plan.rows). The x pass
 // finds its lines side by side in the half-spectrum grid: at each x, all
 // m·k lines are contiguous. The z lines are contiguous along z, and the
 // y lines of different x-planes are m·k apart, so those passes run on
@@ -651,16 +447,23 @@ func (p *Plan3) apply(x []complex128, inverse bool) {
 // buffers are pooled internally).
 type Plan3R struct {
 	m, k int
-	p    *Plan
+	p    *plan
 	pool sync.Pool // *[]complex128 row scratch for one in-flight transform
 }
 
-// NewPlan3R creates a real-input 3-D plan for an m×m×m grid.
+// NewPlan3R creates a real-input 3-D plan for an m×m×m grid. m must be
+// 5-smooth (NextSmooth(m) == m); any other edge panics.
 func NewPlan3R(m int) *Plan3R {
-	p3 := &Plan3R{m: m, k: m/2 + 1, p: NewPlan(m)}
+	p3 := &Plan3R{m: m, k: m/2 + 1, p: newPlan(m)}
 	// One transform's scratch: the y pass's input rows (up to m²·k), then
-	// either its output rows and gather scratch or the z pass's scratch.
-	size := m*m*p3.k + max((m+p3.p.scratch)*m*p3.k, p3.p.RealScratchLen()*m*m)
+	// either its output rows or the z pass's scratch, m values per line
+	// through the corner for even m (two packed half lines) and 2m for odd
+	// m (a widened line and its transform).
+	zs := m
+	if m%2 == 1 {
+		zs = 2 * m
+	}
+	size := m*m*p3.k + max(m*m*p3.k, zs*m*m)
 	p3.pool.New = func() any {
 		sc := make([]complex128, size)
 		return &sc
@@ -709,7 +512,7 @@ func (p *Plan3R) ForwardCorner(dst []complex128, src []float64, n int) {
 	clear(t[n*w:])
 	// Along y on the planes x < n, scattered into g, the grid the x pass
 	// reads; its planes x >= n are zero.
-	pl.transform(out, t, w, w, false, sc[m*mk+m*w:])
+	pl.transform(out, t, w, w, false)
 	g := sc[:m*mk]
 	for x := 0; x < n; x++ {
 		for y := 0; y < m; y++ {
@@ -718,7 +521,7 @@ func (p *Plan3R) ForwardCorner(dst []complex128, src []float64, n int) {
 	}
 	clear(g[n*mk:])
 	// Along x: all m·k lines side by side, into dst.
-	pl.transform(dst, g, mk, mk, false, sc[m*mk:])
+	pl.transform(dst, g, mk, mk, false)
 }
 
 // Inverse computes the real inverse transform (scaled by 1/m³) of the
@@ -749,7 +552,7 @@ func (p *Plan3R) InverseCorner(dst []float64, src []complex128, n int) {
 			copy(t[y*mk+x*k:][:k], src[(x*m+y)*k:][:k])
 		}
 	}
-	pl.transform(out, t, mk, mk, true, sc[2*m*mk:])
+	pl.transform(out, t, mk, mk, true)
 	// Only the rows y < n are read on: scaled, they go back into src, the
 	// n·k lines of each x-plane side by side.
 	inv := complex(1/float64(m), 0)
@@ -758,7 +561,7 @@ func (p *Plan3R) InverseCorner(dst []float64, src []complex128, n int) {
 	}
 	// Along x on those lines, of which the z pass reads the planes x < n.
 	xo := sc[:m*w]
-	pl.transform(xo, src, w, w, true, sc[m*w:])
+	pl.transform(xo, src, w, w, true)
 	scaleRows(xo, w, xo, w, w, n, inv)
 	// Along z: complex-to-real reconstruction via conjugate symmetry.
 	pl.inverseReal(dst, xo, n, sc[m*w:])
@@ -771,36 +574,4 @@ func (p *Plan3R) check(freqLen, realLen, n int) {
 	if n < 1 || n > p.m {
 		panic("fft: corner edge out of range for 3-D real plan")
 	}
-}
-
-// Convolve3 returns the circular convolution c[t] = Σ_s a[(t-s) mod n] b[s]
-// of two cubic grids with side n, computed by direct summation. It is the
-// reference implementation used to validate the Fourier-space path.
-func Convolve3(a, b []complex128, n int) []complex128 {
-	c := make([]complex128, n*n*n)
-	idx := func(x, y, z int) int { return (x*n+y)*n + z }
-	for tx := 0; tx < n; tx++ {
-		for ty := 0; ty < n; ty++ {
-			for tz := 0; tz < n; tz++ {
-				s := complex(0, 0)
-				for sx := 0; sx < n; sx++ {
-					for sy := 0; sy < n; sy++ {
-						for sz := 0; sz < n; sz++ {
-							s += a[idx(mod(tx-sx, n), mod(ty-sy, n), mod(tz-sz, n))] * b[idx(sx, sy, sz)]
-						}
-					}
-				}
-				c[idx(tx, ty, tz)] = s
-			}
-		}
-	}
-	return c
-}
-
-func mod(a, n int) int {
-	a %= n
-	if a < 0 {
-		a += n
-	}
-	return a
 }

@@ -42,12 +42,12 @@ func maxErr(a, b []complex128) float64 {
 
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// Cover powers of two, mixed radix, primes, and awkward composites.
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 17, 24, 30, 31, 36, 49, 60, 64, 100} {
-		p := NewPlan(n)
+	// Cover powers of two and mixed radix.
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 24, 30, 36, 60, 64, 100} {
+		p := newPlan(n)
 		x := randomSignal(rng, n)
 		got := make([]complex128, n)
-		p.Forward(got, x)
+		forward(p, got, x)
 		want := naiveDFT(x)
 		if e := maxErr(got, want); e > 1e-9*float64(n) {
 			t.Errorf("n=%d: max error %v", n, e)
@@ -57,13 +57,13 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 
 func TestInverseRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 7, 12, 16, 45, 128} {
-		p := NewPlan(n)
+	for _, n := range []int{1, 12, 16, 45, 128} {
+		p := newPlan(n)
 		x := randomSignal(rng, n)
 		f := make([]complex128, n)
 		back := make([]complex128, n)
-		p.Forward(f, x)
-		p.Inverse(back, f)
+		forward(p, f, x)
+		inverse(p, back, f)
 		if e := maxErr(back, x); e > 1e-11*float64(n) {
 			t.Errorf("n=%d: roundtrip error %v", n, e)
 		}
@@ -73,7 +73,7 @@ func TestInverseRoundtrip(t *testing.T) {
 func TestLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 24
-	p := NewPlan(n)
+	p := newPlan(n)
 	x := randomSignal(rng, n)
 	y := randomSignal(rng, n)
 	alpha := complex(1.5, -0.5)
@@ -84,9 +84,9 @@ func TestLinearity(t *testing.T) {
 	fx := make([]complex128, n)
 	fy := make([]complex128, n)
 	fs := make([]complex128, n)
-	p.Forward(fx, x)
-	p.Forward(fy, y)
-	p.Forward(fs, sum)
+	forward(p, fx, x)
+	forward(p, fy, y)
+	forward(p, fs, sum)
 	for i := range fs {
 		if cmplx.Abs(fs[i]-(fx[i]+alpha*fy[i])) > 1e-10 {
 			t.Fatalf("linearity violated at %d", i)
@@ -97,10 +97,10 @@ func TestLinearity(t *testing.T) {
 func TestParsevalEnergy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 60
-	p := NewPlan(n)
+	p := newPlan(n)
 	x := randomSignal(rng, n)
 	f := make([]complex128, n)
-	p.Forward(f, x)
+	forward(p, f, x)
 	et, ef := 0.0, 0.0
 	for i := range x {
 		et += real(x[i] * cmplx.Conj(x[i]))
@@ -113,11 +113,11 @@ func TestParsevalEnergy(t *testing.T) {
 
 func TestImpulseGivesFlatSpectrum(t *testing.T) {
 	n := 30
-	p := NewPlan(n)
+	p := newPlan(n)
 	x := make([]complex128, n)
 	x[0] = 1
 	f := make([]complex128, n)
-	p.Forward(f, x)
+	forward(p, f, x)
 	for i, v := range f {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("impulse spectrum[%d] = %v", i, v)
@@ -128,7 +128,7 @@ func TestImpulseGivesFlatSpectrum(t *testing.T) {
 func TestConvolutionTheorem1D(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 12
-	p := NewPlan(n)
+	p := newPlan(n)
 	a := randomSignal(rng, n)
 	b := randomSignal(rng, n)
 	// Direct circular convolution.
@@ -140,13 +140,13 @@ func TestConvolutionTheorem1D(t *testing.T) {
 	}
 	fa := make([]complex128, n)
 	fb := make([]complex128, n)
-	p.Forward(fa, a)
-	p.Forward(fb, b)
+	forward(p, fa, a)
+	forward(p, fb, b)
 	for i := range fa {
 		fa[i] *= fb[i]
 	}
 	viaFFT := make([]complex128, n)
-	p.Inverse(viaFFT, fa)
+	inverse(p, viaFFT, fa)
 	if e := maxErr(direct, viaFFT); e > 1e-10 {
 		t.Errorf("convolution theorem error %v", e)
 	}
@@ -212,16 +212,16 @@ func smoothLengths() []int {
 func TestForwardAllSmoothLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range smoothLengths() {
-		p := NewPlan(n)
+		p := newPlan(n)
 		x := randomSignal(rng, n)
 		got := make([]complex128, n)
-		p.Forward(got, x)
+		forward(p, got, x)
 		want := naiveDFT(x)
 		if e := maxErr(got, want); e > 1e-12*float64(n) {
 			t.Errorf("n=%d: max error %v", n, e)
 		}
 		back := make([]complex128, n)
-		p.Inverse(back, got)
+		inverse(p, back, got)
 		if e := maxErr(back, x); e > 1e-12*float64(n) {
 			t.Errorf("n=%d: roundtrip error %v", n, e)
 		}
@@ -230,13 +230,11 @@ func TestForwardAllSmoothLengths(t *testing.T) {
 
 // TestForwardRealMatchesComplex validates the r2c path against the full
 // complex transform of the widened input for every 5-smooth length <= 32
-// (both the even-length packed path and the odd-length fallback), plus a
-// sample of non-smooth lengths for generality.
+// (both the even-length packed path and the odd-length fallback).
 func TestForwardRealMatchesComplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	lengths := append(smoothLengths(), 7, 11, 14, 21, 33, 35)
-	for _, n := range lengths {
-		p := NewPlan(n)
+	for _, n := range smoothLengths() {
+		p, h := newPlan(n), n/2+1
 		x := make([]float64, n)
 		wide := make([]complex128, n)
 		for i := range x {
@@ -244,14 +242,14 @@ func TestForwardRealMatchesComplex(t *testing.T) {
 			wide[i] = complex(x[i], 0)
 		}
 		want := make([]complex128, n)
-		p.Forward(want, wide)
-		got := make([]complex128, p.HalfLen())
-		p.ForwardReal(got, x)
+		forward(p, want, wide)
+		got := make([]complex128, h)
+		forwardReal1(p, got, x)
 		if e := maxErr(got, want[:len(got)]); e > 1e-12*float64(n) {
 			t.Errorf("n=%d: r2c error %v", n, e)
 		}
 		// And the independent coefficients really determine the rest.
-		for j := p.HalfLen(); j < n; j++ {
+		for j := h; j < n; j++ {
 			c := got[n-j]
 			if cmplx.Abs(want[j]-complex(real(c), -imag(c))) > 1e-12*float64(n) {
 				t.Errorf("n=%d: conjugate symmetry broken at %d", n, j)
@@ -259,7 +257,7 @@ func TestForwardRealMatchesComplex(t *testing.T) {
 		}
 		// c2r inverse closes the roundtrip.
 		back := make([]float64, n)
-		p.InverseReal(back, got)
+		inverseReal1(p, back, got)
 		for j := range back {
 			if math.Abs(back[j]-x[j]) > 1e-12*float64(n) {
 				t.Errorf("n=%d: real roundtrip error %v at %d", n, back[j]-x[j], j)
@@ -274,7 +272,7 @@ func TestForwardRealMatchesComplex(t *testing.T) {
 func TestRealConvolutionAllSmoothLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range smoothLengths() {
-		p := NewPlan(n)
+		p, h := newPlan(n), n/2+1
 		a := make([]float64, n)
 		b := make([]float64, n)
 		for i := 0; i < n; i++ {
@@ -287,15 +285,15 @@ func TestRealConvolutionAllSmoothLengths(t *testing.T) {
 				direct[k] += a[mod(k-j, n)] * b[j]
 			}
 		}
-		fa := make([]complex128, p.HalfLen())
-		fb := make([]complex128, p.HalfLen())
-		p.ForwardReal(fa, a)
-		p.ForwardReal(fb, b)
+		fa := make([]complex128, h)
+		fb := make([]complex128, h)
+		forwardReal1(p, fa, a)
+		forwardReal1(p, fb, b)
 		for i := range fa {
 			fa[i] *= fb[i]
 		}
 		got := make([]float64, n)
-		p.InverseReal(got, fa)
+		inverseReal1(p, got, fa)
 		for i := range got {
 			if math.Abs(got[i]-direct[i]) > 1e-10*float64(n) {
 				t.Errorf("n=%d: real convolution error %v at %d", n, got[i]-direct[i], i)
@@ -460,23 +458,6 @@ func TestPlan3RConcurrency(t *testing.T) {
 	}
 }
 
-// TestScratchLen pins the scratch sizing: zero for 5-smooth lengths
-// (hardcoded butterflies need no gather scratch), the largest prime
-// factor >= 7 otherwise.
-func TestScratchLen(t *testing.T) {
-	for _, n := range smoothLengths() {
-		if s := NewPlan(n).ScratchLen(); s != 0 {
-			t.Errorf("ScratchLen(%d) = %d, want 0", n, s)
-		}
-	}
-	cases := map[int]int{7: 7, 14: 7, 49: 7, 22: 11, 77: 11, 13: 13}
-	for n, want := range cases {
-		if s := NewPlan(n).ScratchLen(); s != want {
-			t.Errorf("ScratchLen(%d) = %d, want %d", n, s, want)
-		}
-	}
-}
-
 func TestNextSmooth(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 7: 8, 11: 12, 13: 15, 16: 16, 17: 18, 31: 32, 121: 125}
 	for in, want := range cases {
@@ -489,19 +470,29 @@ func TestNextSmooth(t *testing.T) {
 	}
 }
 
+// TestPlanValidation: a plan of a length that is not 5-smooth (or below
+// 1) panics when it is made, and Plan3R rejects grids and corners that do
+// not fit it.
 func TestPlanValidation(t *testing.T) {
-	p := NewPlan(8)
-	x := make([]complex128, 8)
-	for _, f := range []func(){
-		func() { p.Forward(make([]complex128, 7), x) },
-		func() { p.Forward(x, x) },
-		func() { NewPlan(0) },
-		func() { NewPlan3(2, 2, 2).Forward(make([]complex128, 7)) },
+	p := NewPlan3R(4)
+	freq, vol := make([]complex128, p.FreqLen()), make([]float64, p.RealLen())
+	for name, f := range map[string]func(){
+		"plan 0":             func() { newPlan(0) },
+		"plan 7":             func() { newPlan(7) },
+		"plan 14":            func() { newPlan(14) },
+		"Plan3R 0":           func() { NewPlan3R(0) },
+		"Plan3R 7":           func() { NewPlan3R(7) },
+		"Plan3R 14":          func() { NewPlan3R(14) },
+		"short spectrum":     func() { p.Forward(freq[1:], vol) },
+		"short grid":         func() { p.Inverse(vol[1:], freq) },
+		"corner 0":           func() { p.ForwardCorner(freq, vol, 0) },
+		"corner beyond edge": func() { p.InverseCorner(vol, freq, 5) },
+		"Plan3 grid length":  func() { NewPlan3(2, 2, 2).Forward(make([]complex128, 7)) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("%s: expected panic", name)
 				}
 			}()
 			f()
@@ -510,17 +501,17 @@ func TestPlanValidation(t *testing.T) {
 }
 
 func TestPlanConcurrencySafety(t *testing.T) {
-	p := NewPlan(36)
+	p := newPlan(36)
 	rng := rand.New(rand.NewSource(8))
 	x := randomSignal(rng, 36)
 	want := make([]complex128, 36)
-	p.Forward(want, x)
+	forward(p, want, x)
 	done := make(chan bool)
 	for g := 0; g < 8; g++ {
 		go func() {
 			got := make([]complex128, 36)
 			for i := 0; i < 50; i++ {
-				p.Forward(got, x)
+				forward(p, got, x)
 			}
 			done <- maxErr(got, want) == 0
 		}()
@@ -537,12 +528,12 @@ func BenchmarkForward64(b *testing.B)   { benchForward(b, 64) }
 func BenchmarkForward3D12(b *testing.B) { benchForward3D(b, 12) }
 
 func benchForward(b *testing.B, n int) {
-	p := NewPlan(n)
+	p := newPlan(n)
 	x := randomSignal(rand.New(rand.NewSource(1)), n)
 	dst := make([]complex128, n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Forward(dst, x)
+		forward(p, dst, x)
 	}
 }
 
@@ -563,16 +554,13 @@ func benchForward3D(b *testing.B, n int) {
 func oddSmooth() []int { return []int{15, 25, 27} }
 
 // TestRealFFTOddLengthsProperty: property tests of the odd-length
-// ForwardReal/InverseReal fallback — round trip, agreement with the
+// forwardReal/inverseReal fallback — round trip, agreement with the
 // complex path, linearity, and the inverse of an arbitrary
 // conjugate-symmetric half spectrum matching the full complex inverse.
 func TestRealFFTOddLengthsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, n := range oddSmooth() {
-		p := NewPlan(n)
-		if p.HalfLen() != n/2+1 {
-			t.Fatalf("n=%d: HalfLen = %d, want %d", n, p.HalfLen(), n/2+1)
-		}
+		p, h := newPlan(n), n/2+1
 		x := make([]float64, n)
 		y := make([]float64, n)
 		for i := range x {
@@ -580,10 +568,10 @@ func TestRealFFTOddLengthsProperty(t *testing.T) {
 			y[i] = rng.NormFloat64()
 		}
 		// Round trip.
-		fx := make([]complex128, p.HalfLen())
-		p.ForwardReal(fx, x)
+		fx := make([]complex128, h)
+		forwardReal1(p, fx, x)
 		back := make([]float64, n)
-		p.InverseReal(back, fx)
+		inverseReal1(p, back, fx)
 		for i := range back {
 			if math.Abs(back[i]-x[i]) > 1e-12*float64(n) {
 				t.Errorf("n=%d: odd real roundtrip error %v at %d", n, back[i]-x[i], i)
@@ -595,19 +583,19 @@ func TestRealFFTOddLengthsProperty(t *testing.T) {
 			wide[i] = complex(x[i], 0)
 		}
 		want := make([]complex128, n)
-		p.Forward(want, wide)
+		forward(p, want, wide)
 		if e := maxErr(fx, want[:len(fx)]); e > 1e-12*float64(n) {
 			t.Errorf("n=%d: odd r2c differs from complex path by %v", n, e)
 		}
 		// Linearity: FR(2x + 3y) == 2 FR(x) + 3 FR(y).
-		fy := make([]complex128, p.HalfLen())
-		p.ForwardReal(fy, y)
+		fy := make([]complex128, h)
+		forwardReal1(p, fy, y)
 		mix := make([]float64, n)
 		for i := range mix {
 			mix[i] = 2*x[i] + 3*y[i]
 		}
-		fmix := make([]complex128, p.HalfLen())
-		p.ForwardReal(fmix, mix)
+		fmix := make([]complex128, h)
+		forwardReal1(p, fmix, mix)
 		for i := range fmix {
 			if cmplx.Abs(fmix[i]-(2*fx[i]+3*fy[i])) > 1e-11*float64(n) {
 				t.Errorf("n=%d: odd r2c not linear at %d", n, i)
@@ -616,7 +604,7 @@ func TestRealFFTOddLengthsProperty(t *testing.T) {
 		// An arbitrary conjugate-symmetric half spectrum (bin 0 real —
 		// it is its own conjugate partner at odd n) must inverse to the
 		// real part of the symmetrized full complex inverse.
-		spec := make([]complex128, p.HalfLen())
+		spec := make([]complex128, h)
 		spec[0] = complex(rng.NormFloat64(), 0)
 		for i := 1; i < len(spec); i++ {
 			spec[i] = complex(rng.NormFloat64(), rng.NormFloat64())
@@ -628,9 +616,9 @@ func TestRealFFTOddLengthsProperty(t *testing.T) {
 			full[j] = complex(real(v), -imag(v))
 		}
 		ref := make([]complex128, n)
-		p.Inverse(ref, full)
+		inverse(p, ref, full)
 		got := make([]float64, n)
-		p.InverseReal(got, spec)
+		inverseReal1(p, got, spec)
 		for i := range got {
 			if math.Abs(got[i]-real(ref[i])) > 1e-12*float64(n) {
 				t.Errorf("n=%d: odd c2r differs from complex inverse at %d", n, i)

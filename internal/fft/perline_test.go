@@ -21,16 +21,16 @@ func newRefScratch(p *Plan3R) *refScratch {
 	return &refScratch{
 		in:  make([]complex128, p.m),
 		out: make([]complex128, p.m),
-		aux: make([]complex128, max(p.p.RealScratchLen(), p.p.ScratchLen())),
+		aux: make([]complex128, realScratchLen(p.p)),
 	}
 }
 
-func refForward(p *Plan, dst, src, scratch []complex128) {
-	refRec(p, dst, src, p.n, 1, 1, 0, p.w, -1, scratch)
+func refForward(p *plan, dst, src []complex128) {
+	refRec(p, dst, src, p.n, 1, 1, 0, p.w, -1)
 }
 
-func refInverse(p *Plan, dst, src, scratch []complex128) {
-	refRec(p, dst, src, p.n, 1, 1, 0, p.winv, 1, scratch)
+func refInverse(p *plan, dst, src []complex128) {
+	refRec(p, dst, src, p.n, 1, 1, 0, p.winv, 1)
 	inv := complex(1/float64(p.n), 0)
 	for i := range dst {
 		dst[i] *= inv
@@ -41,9 +41,8 @@ func refInverse(p *Plan, dst, src, scratch []complex128) {
 // into dst (contiguous). wstep is N/n where N is the plan length; depth
 // indexes into the factor list; sign is -1 for the forward direction
 // and +1 for the inverse (it orients the hardcoded butterflies; the
-// matching root table w is passed alongside); buf is gather scratch for
-// the generic combine of factors >= 7.
-func refRec(p *Plan, dst, src []complex128, n, stride, wstep, depth int, w []complex128, sign float64, buf []complex128) {
+// matching root table w is passed alongside).
+func refRec(p *plan, dst, src []complex128, n, stride, wstep, depth int, w []complex128, sign float64) {
 	switch n {
 	case 1:
 		dst[0] = src[0]
@@ -63,21 +62,10 @@ func refRec(p *Plan, dst, src []complex128, n, stride, wstep, depth int, w []com
 	}
 	f := p.factors[depth]
 	m := n / f
-	if m == 1 {
-		// Direct DFT for a prime length >= 7.
-		for k := 0; k < n; k++ {
-			s := complex(0, 0)
-			for j := 0; j < n; j++ {
-				s += src[j*stride] * w[(j*k%n)*wstep]
-			}
-			dst[k] = s
-		}
-		return
-	}
 	// Decimation in time: f interleaved sub-transforms of length m,
 	// combined with f-point butterflies.
 	for a := 0; a < f; a++ {
-		refRec(p, dst[a*m:(a+1)*m], src[a*stride:], m, stride*f, wstep*f, depth+1, w, sign, buf)
+		refRec(p, dst[a*m:(a+1)*m], src[a*stride:], m, stride*f, wstep*f, depth+1, w, sign)
 	}
 	switch f {
 	case 2:
@@ -88,8 +76,6 @@ func refRec(p *Plan, dst, src []complex128, n, stride, wstep, depth int, w []com
 		refCombine4(dst, m, wstep, w, sign)
 	case 5:
 		refCombine5(dst, m, wstep, w, sign)
-	default:
-		refCombineGeneric(dst, n, f, m, wstep, w, buf)
 	}
 }
 
@@ -203,34 +189,15 @@ func refCombine5(dst []complex128, m, wstep int, w []complex128, sign float64) {
 	}
 }
 
-// refCombineGeneric is the fallback recombination for prime factors >= 7;
-// g is gather scratch of length >= f.
-func refCombineGeneric(dst []complex128, n, f, m, wstep int, w []complex128, g []complex128) {
-	g = g[:f]
-	for c := 0; c < m; c++ {
-		for a := 0; a < f; a++ {
-			g[a] = dst[a*m+c]
-		}
-		for d := 0; d < f; d++ {
-			k := c + d*m
-			s := g[0]
-			for a := 1; a < f; a++ {
-				s += g[a] * w[(a*k%n)*wstep]
-			}
-			dst[k] = s
-		}
-	}
-}
-
-// refForwardReal is ForwardRealScratch, one line at a time.
+// refForwardReal is forwardReal, one line at a time.
 //
 // For even n the real line is packed into a half-length complex signal
 // (z[j] = x[2j] + i·x[2j+1]), transformed with the half-length plan and
 // unpacked — a real transform at roughly half the complex cost. Odd
 // lengths fall back to a full complex transform.
-func refForwardReal(p *Plan, dst []complex128, src []float64, scratch []complex128) {
+func refForwardReal(p *plan, dst []complex128, src []float64, scratch []complex128) {
 	n := p.n
-	if len(dst) != p.HalfLen() || len(src) != n {
+	if len(dst) != n/2+1 || len(src) != n {
 		panic("fft: slice length does not match plan")
 	}
 	if n == 1 {
@@ -244,7 +211,7 @@ func refForwardReal(p *Plan, dst []complex128, src []float64, scratch []complex1
 		for j, v := range src {
 			in[j] = complex(v, 0)
 		}
-		refRec(p, out, in, n, 1, 1, 0, p.w, -1, scratch[2*n:])
+		refRec(p, out, in, n, 1, 1, 0, p.w, -1)
 		copy(dst, out[:len(dst)])
 		return
 	}
@@ -254,7 +221,7 @@ func refForwardReal(p *Plan, dst []complex128, src []float64, scratch []complex1
 		z[j] = complex(src[2*j], src[2*j+1])
 	}
 	zf := scratch[m : 2*m]
-	refRec(p.half, zf, z, m, 1, 1, 0, p.half.w, -1, scratch[2*m:])
+	refRec(p.half, zf, z, m, 1, 1, 0, p.half.w, -1)
 	// Unpack: with E/O the spectra of the even/odd samples,
 	// E[k] = (Z[k]+conj(Z[m-k]))/2, O[k] = -i(Z[k]-conj(Z[m-k]))/2 and
 	// X[k] = E[k] + w_n^k O[k] for k = 0..m (indices mod m).
@@ -275,10 +242,10 @@ func refForwardReal(p *Plan, dst []complex128, src []float64, scratch []complex1
 	}
 }
 
-// refInverseReal is InverseRealScratch, one line at a time.
-func refInverseReal(p *Plan, dst []float64, src []complex128, scratch []complex128) {
+// refInverseReal is inverseReal, one line at a time.
+func refInverseReal(p *plan, dst []float64, src []complex128, scratch []complex128) {
 	n := p.n
-	if len(dst) != n || len(src) != p.HalfLen() {
+	if len(dst) != n || len(src) != n/2+1 {
 		panic("fft: slice length does not match plan")
 	}
 	if n == 1 {
@@ -295,7 +262,7 @@ func refInverseReal(p *Plan, dst []float64, src []complex128, scratch []complex1
 			full[j] = complex(real(v), -imag(v))
 		}
 		out := scratch[n : 2*n]
-		refRec(p, out, full, n, 1, 1, 0, p.winv, 1, scratch[2*n:])
+		refRec(p, out, full, n, 1, 1, 0, p.winv, 1)
 		inv := 1 / float64(n)
 		for j := 0; j < n; j++ {
 			dst[j] = real(out[j]) * inv
@@ -317,7 +284,7 @@ func refInverseReal(p *Plan, dst []float64, src []complex128, scratch []complex1
 		zf[k] = e + complex(-imag(o), real(o)) // e + i*o
 	}
 	z := scratch[m : 2*m]
-	refRec(p.half, z, zf, m, 1, 1, 0, p.half.winv, 1, scratch[2*m:])
+	refRec(p.half, z, zf, m, 1, 1, 0, p.half.winv, 1)
 	inv := 1 / float64(m)
 	for j := 0; j < m; j++ {
 		dst[2*j] = real(z[j]) * inv
@@ -374,9 +341,9 @@ func refPass(p *Plan3R, g []complex128, sc *refScratch, planes, planeStride, str
 				sc.in[i] = g[base+i*stride]
 			}
 			if inverse {
-				refInverse(p.p, sc.out, sc.in, sc.aux)
+				refInverse(p.p, sc.out, sc.in)
 			} else {
-				refForward(p.p, sc.out, sc.in, sc.aux)
+				refForward(p.p, sc.out, sc.in)
 			}
 			for i := 0; i < m; i++ {
 				g[base+i*stride] = sc.out[i]
@@ -387,14 +354,14 @@ func refPass(p *Plan3R, g []complex128, sc *refScratch, planes, planeStride, str
 
 // TestPlan3RRowsMatchPerLine: the row engine is the per-line engine bit
 // for bit (any two NaNs agree) — Forward, Inverse, ForwardCorner and
-// InverseCorner for every grid edge m from 1 to 32, 5-smooth or not, and
-// every corner n, on inputs that mix signed zeros, infinities, NaN,
+// InverseCorner for every 5-smooth grid edge m from 1 to 32 and every
+// corner n, on inputs that mix signed zeros, infinities, NaN,
 // subnormals and 1e±300 with normal values. The lines outside the corner
 // hold sentinels: NaN in the forward input, which must not be read, and
 // a fixed value in the inverse output, which must not be written.
 func TestPlan3RRowsMatchPerLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
-	for m := 1; m <= 32; m++ {
+	for _, m := range smoothLengths() {
 		p := NewPlan3R(m)
 		for n := 1; n <= m; n++ {
 			// Each corner gets one input mix, the mixes taking turns.
@@ -447,12 +414,15 @@ func TestPlan3RRowsMatchPerLine(t *testing.T) {
 	}
 }
 
-// TestPlanRowsMatchPerLine: the 1-D API is the row engine at width 1, and
-// is the per-line engine bit for bit for every length through 64.
+// TestPlanRowsMatchPerLine: the row engine at a width of one line is the
+// per-line engine bit for bit for every 5-smooth length through 64.
 func TestPlanRowsMatchPerLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for n := 1; n <= 64; n++ {
-		p := NewPlan(n)
+		if NextSmooth(n) != n {
+			continue
+		}
+		p := newPlan(n)
 		for _, mix := range specialMixes {
 			x := make([]complex128, n)
 			r := make([]float64, n)
@@ -461,67 +431,27 @@ func TestPlanRowsMatchPerLine(t *testing.T) {
 				r[i] = mix.value(rng)
 			}
 			got, want := make([]complex128, n), make([]complex128, n)
-			p.Forward(got, x)
-			refForward(p, want, x, make([]complex128, p.ScratchLen()))
+			forward(p, got, x)
+			refForward(p, want, x)
 			if i := firstComplexDiff(got, want); i >= 0 {
 				t.Fatalf("n=%d %s: Forward[%d] = %v, per line %v", n, mix.name, i, got[i], want[i])
 			}
-			p.Inverse(got, x)
-			refInverse(p, want, x, make([]complex128, p.ScratchLen()))
+			inverse(p, got, x)
+			refInverse(p, want, x)
 			if i := firstComplexDiff(got, want); i >= 0 {
 				t.Fatalf("n=%d %s: Inverse[%d] = %v, per line %v", n, mix.name, i, got[i], want[i])
 			}
-			h := p.HalfLen()
-			p.ForwardReal(got[:h], r)
-			refForwardReal(p, want[:h], r, make([]complex128, p.RealScratchLen()))
+			h := n/2 + 1
+			forwardReal1(p, got[:h], r)
+			refForwardReal(p, want[:h], r, make([]complex128, realScratchLen(p)))
 			if i := firstComplexDiff(got[:h], want[:h]); i >= 0 {
 				t.Fatalf("n=%d %s: ForwardReal[%d] = %v, per line %v", n, mix.name, i, got[i], want[i])
 			}
 			gotR, wantR := make([]float64, n), make([]float64, n)
-			p.InverseReal(gotR, x[:h])
-			refInverseReal(p, wantR, x[:h], make([]complex128, p.RealScratchLen()))
+			inverseReal1(p, gotR, x[:h])
+			refInverseReal(p, wantR, x[:h], make([]complex128, realScratchLen(p)))
 			if i := firstRealDiff(gotR, wantR); i >= 0 {
 				t.Fatalf("n=%d %s: InverseReal[%d] = %v, per line %v", n, mix.name, i, gotR[i], wantR[i])
-			}
-		}
-	}
-}
-
-// TestPrimeLengthsMatchNaiveDFT runs the 1-D API at prime lengths, where
-// the row engine takes its direct-DFT leaf and, at 2·prime, the generic
-// combine, against the O(n²) reference transform.
-func TestPrimeLengthsMatchNaiveDFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{7, 11, 13, 14, 17, 19, 22, 23, 29, 31, 37, 49, 53, 77, 97} {
-		p := NewPlan(n)
-		x := randomSignal(rng, n)
-		want := naiveDFT(x)
-		got := make([]complex128, n)
-		p.Forward(got, x)
-		if e := maxErr(got, want); e > 1e-12*float64(n) {
-			t.Errorf("n=%d: Forward error %v", n, e)
-		}
-		back := make([]complex128, n)
-		p.Inverse(back, got)
-		if e := maxErr(back, x); e > 1e-12*float64(n) {
-			t.Errorf("n=%d: Inverse roundtrip error %v", n, e)
-		}
-		r := make([]float64, n)
-		for i := range r {
-			r[i] = real(x[i])
-			x[i] = complex(r[i], 0)
-		}
-		want = naiveDFT(x)
-		half := make([]complex128, p.HalfLen())
-		p.ForwardReal(half, r)
-		if e := maxErr(half, want[:len(half)]); e > 1e-12*float64(n) {
-			t.Errorf("n=%d: ForwardReal error %v", n, e)
-		}
-		backR := make([]float64, n)
-		p.InverseReal(backR, half)
-		for i := range backR {
-			if math.Abs(backR[i]-r[i]) > 1e-12*float64(n) {
-				t.Errorf("n=%d: InverseReal roundtrip error %v at %d", n, backR[i]-r[i], i)
 			}
 		}
 	}

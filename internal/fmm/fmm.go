@@ -48,6 +48,7 @@ package fmm
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -383,9 +384,12 @@ type workspace struct {
 	// and its index of the source boxes they belong to (applyM2LFFT).
 	grids        []complex128
 	gridOf, used []int32
-	// use holds the widest grid slab and lane accumulator the last calls
-	// asked for, this call's at calls%len(use); the shrink rule reads them.
-	use   [4]bufUse
+	// use holds the bytes each of the last calls asked of the workspace,
+	// this call's at calls%len(use); the shrink rule reads them. fixed is
+	// this call's share that resetWorkspace sizes, to which applyM2LFFT
+	// adds its widest level's grid slab and lane accumulators.
+	use   [4]int64
+	fixed int64
 	calls int
 
 	lanes []scratch // per-worker scratch and stats
@@ -394,10 +398,6 @@ type workspace struct {
 	// counts it.
 	bytes int64
 }
-
-// bufUse is what one call asked of a workspace's V-list buffers: the grid
-// slab's length and the longest accumulator of any lane.
-type bufUse struct{ grids, acc int }
 
 // takeWorkspace takes a workspace off the pool's spare list, or makes an
 // empty one when the list is empty.
@@ -409,24 +409,14 @@ func takeWorkspace(pool *exec.Elastic) *workspace {
 }
 
 // putBack returns w to the pool's spare list. It first applies the shrink
-// rule, which sheds buffers and never results: a grid slab, or a lane's
-// accumulators, more than four times the widest the last calls used goes,
-// so one large plan or batch does not pin its buffers in a pool that now
-// serves small ones.
+// rule, which sheds buffers and never results: a workspace holding more
+// than four times the most any of the last calls asked of it drops every
+// buffer, so one large plan or batch does not pin its memory in a pool
+// that now serves small ones.
 func (w *workspace) putBack(pool *exec.Elastic) {
 	w.calls++
-	var most bufUse
-	for _, u := range w.use {
-		most.grids, most.acc = max(most.grids, u.grids), max(most.acc, u.acc)
-	}
-	if cap(w.grids) > 4*most.grids {
-		w.grids = nil
-	}
-	lanes := w.lanes[:cap(w.lanes)]
-	for i := range lanes {
-		if cap(lanes[i].acc) > 4*most.acc {
-			lanes[i].acc = nil
-		}
+	if w.size() > 4*slices.Max(w.use[:]) {
+		*w = workspace{use: w.use, calls: w.calls, bytes: w.bytes}
 	}
 	was := w.bytes
 	w.bytes = w.size()
@@ -481,7 +471,13 @@ func (r *runState) resetWorkspace(nSrc, nTrg, width int) {
 	w.upSlab = grow(w.upSlab, e.nUp*nrhs*r.ne)
 	w.downSlab = grow(w.downSlab, e.nDown*nrhs*r.ne)
 	w.checkSlab = grow(w.checkSlab, e.nDown*nrhs*r.nc)
-	w.use[w.calls%len(w.use)] = bufUse{}
+	// What the call asks for, counted as size counts it; every lane may
+	// need a check-potential and a surface-point buffer.
+	const f, sl = 8, 24 // float64, slice header
+	w.fixed = int64(f*(nrhs*(nSrc*r.sd+nTrg*r.td)+len(w.upSlab)+len(w.downSlab)+len(w.checkSlab)) +
+		sl*(2*nrhs+3*nb) +
+		width*(f*(nrhs*r.nc+3*e.Ops.Surf.N+r.sd*r.td)+sl*2*nrhs))
+	w.use[w.calls%len(w.use)] = w.fixed
 	if cap(w.lanes) < width {
 		w.lanes = append(w.lanes[:cap(w.lanes)], make([]scratch, width-cap(w.lanes))...)
 	}
@@ -975,8 +971,7 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 	stride := chunk * sd * gl
 	r.grids = grow(r.grids, len(used)*stride)
 	use := &r.use[r.calls%len(r.use)]
-	use.grids = max(use.grids, len(r.grids))
-	use.acc = max(use.acc, 8*chunk*td*gl)
+	*use = max(*use, r.fixed+16*int64(len(r.grids)+len(r.lanes)*8*chunk*td*gl))
 	for q0 := 0; q0 < r.nrhs; q0 += chunk {
 		nq := min(chunk, r.nrhs-q0)
 		// Forward-transform every contributing source box for this rhs

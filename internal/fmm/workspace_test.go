@@ -102,7 +102,8 @@ func (p *reusePlan) check(what string, i int) error {
 // different trees and degrees that alternate on one pool, so a workspace
 // last sized by one plan serves the other, and the grid slab the large
 // plan left is shed by the small one's calls, as are the lane
-// accumulators a Stokes batch left. The large plan takes the V, W and X
+// accumulators a Stokes batch left, and then the pool holds at most four
+// times what a small call asks for. The large plan takes the V, W and X
 // lists.
 func TestWorkspaceReuseIsInvisible(t *testing.T) {
 	rounds := 4
@@ -186,6 +187,22 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 		if shed := gridCap(); shed*4 > afterLarge || pool.SpareBytes() >= bytesLarge {
 			t.Errorf("small calls after a large batch left a grid slab of %d of %d, and %d workspace bytes of %d: the slab was not shed", shed, afterLarge, pool.SpareBytes(), bytesLarge)
 		}
+		// From then on the pool holds what the small plan's calls use, and
+		// never more than four times the bytes each of them asks for.
+		staysSmall := func(after string) {
+			for i := 0; i < len(workspace{}.use); i++ {
+				if err := small.check(fmt.Sprintf("small call %d after %s", i, after), 0); err != nil {
+					t.Error(err)
+				}
+				w := pool.TakeSpare().(*workspace)
+				asked := w.use[(w.calls-1)%len(w.use)]
+				pool.PutSpare(w, w.bytes, w.bytes)
+				if held := pool.SpareBytes(); held == 0 || held > 4*asked {
+					t.Errorf("after %s, small call %d asked for %d bytes and the pool holds %d", after, i, asked, held)
+				}
+			}
+		}
+		staysSmall("a large batch")
 		// A Stokes batch of four leaves each lane the eight sibling
 		// accumulators of 4 x 3 Fourier grids; the small plan's single
 		// vectors, which need one grid each, shed those too.
@@ -210,6 +227,7 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 		if shed := accCap(); afterStokes == 0 || shed*4 > afterStokes || pool.SpareBytes() >= bytesStokes {
 			t.Errorf("small calls after a Stokes batch left lane accumulators of %d of %d, and %d workspace bytes of %d: they were not shed", shed, afterStokes, pool.SpareBytes(), bytesStokes)
 		}
+		staysSmall("a Stokes batch")
 		// Then concurrently, every caller alternating plan and batch.
 		const callers = 4
 		errc := make(chan error, callers*rounds*4)

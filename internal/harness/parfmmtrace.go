@@ -47,7 +47,8 @@ type ParfmmTraceReport struct {
 	Timeline   *obs.Timeline
 	MaxElapsed time.Duration
 	// CriticalPath is the extracted chain of compute spans and message
-	// edges; CriticalPathDur its total length (= Timeline.MaxEnd()).
+	// edges; CriticalPathDur its total length, the latest root-span end
+	// of Timeline.
 	CriticalPath    []obs.PathSegment
 	CriticalPathDur time.Duration
 	CommBytes       int64

@@ -19,7 +19,7 @@ func denseBatchApply(a *linalg.Dense, calls *atomic.Int64) BatchMatVecCtx {
 		ys := make([][]float64, len(xs))
 		for i, x := range xs {
 			ys[i] = make([]float64, a.Rows)
-			a.MatVec(ys[i], x)
+			matVec(a, ys[i], x)
 		}
 		return ys, nil
 	}
@@ -121,7 +121,7 @@ func TestGMRESBatchHeterogeneousConvergence(t *testing.T) {
 	e := make([]float64, n)
 	e[0] = 1
 	b0 := make([]float64, n)
-	a.MatVec(b0, e)
+	matVec(a, b0, e)
 	b1 := make([]float64, n)
 	for i := range b1 {
 		b1[i] = rng.NormFloat64()

@@ -17,7 +17,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cpu"
 )
@@ -36,21 +35,11 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
 // Set assigns element (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view of row i.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	c := NewDense(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
 
 // Scale multiplies every entry by s in place and returns m.
 func (m *Dense) Scale(s float64) *Dense {
@@ -70,16 +59,6 @@ func (m *Dense) Transpose() *Dense {
 		}
 	}
 	return t
-}
-
-// MatVec computes dst = m * x. dst must have length m.Rows and x length
-// m.Cols; dst and x must not alias.
-func (m *Dense) MatVec(dst, x []float64) {
-	m.checkShape("MatVec", dst, x, 1)
-	for i := range dst {
-		dst[i] = 0
-	}
-	m.mulAdd(dst, x, 1)
 }
 
 // MulAddCols computes dst_c += alpha * (m * x_c) for the k columns
@@ -212,15 +191,6 @@ func axpy(dst, x []float64, a float64) {
 	}
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Sub returns a - b.
 func Sub(a, b *Dense) *Dense {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -231,13 +201,4 @@ func Sub(a, b *Dense) *Dense {
 		c.Data[i] = v - b.Data[i]
 	}
 	return c
-}
-
-// Eye returns the n x n identity matrix.
-func Eye(n int) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
 }

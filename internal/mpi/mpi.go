@@ -202,7 +202,8 @@ func (c *Comm) Elapsed() time.Duration {
 }
 
 // AdvanceClock adds d of modeled compute time to the rank's virtual
-// clock (used by tests; real compute is metered automatically).
+// clock. It is a test hook: tests of this package and of parfmm model
+// skewed ranks with it, and real compute is metered automatically.
 func (c *Comm) AdvanceClock(d time.Duration) { c.clock += d }
 
 // tick folds wall time elapsed while holding the token into the virtual

@@ -292,7 +292,9 @@ type FamilyInfo struct {
 	Labels []string
 }
 
-// Families lists every registered family, sorted by name.
+// Families lists every registered family, sorted by name. It is a test
+// hook: the service's tests check every family's name and help text
+// against the README catalog with it.
 func (r *Registry) Families() []FamilyInfo {
 	r.mu.Lock()
 	out := make([]FamilyInfo, 0, len(r.names))

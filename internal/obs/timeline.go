@@ -62,17 +62,6 @@ func MergeTimeline(rts []*RankTimeline) *Timeline {
 	return t
 }
 
-// MaxEnd returns the latest root-span end over all ranks — the merged
-// timeline's virtual wall clock (mpi.MaxElapsed up to the final
-// bookkeeping tick).
-func (t *Timeline) MaxEnd() time.Duration {
-	var m time.Duration
-	for _, rt := range t.Ranks {
-		m = max(m, rt.Root.Duration)
-	}
-	return m
-}
-
 // TotalBytes sums the payload bytes of all point-to-point sends.
 func (t *Timeline) TotalBytes() int64 {
 	var b int64
@@ -118,8 +107,9 @@ type PathSegment struct {
 func (s PathSegment) Dur() time.Duration { return s.End - s.Start }
 
 // PathDuration sums the lengths of a critical path's segments. For a
-// complete timeline it equals MaxEnd: the path's segments tile the
-// interval [0, MaxEnd] without gaps or overlaps.
+// complete timeline it equals the latest root-span end over all ranks:
+// the path's segments tile the interval from 0 to that end without gaps
+// or overlaps.
 func PathDuration(path []PathSegment) time.Duration {
 	var d time.Duration
 	for _, s := range path {

@@ -283,3 +283,14 @@ func TestRankTimelineJSONRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// MaxEnd returns the latest root-span end over all ranks — the merged
+// timeline's virtual wall clock (mpi.MaxElapsed up to the final
+// bookkeeping tick).
+func (t *Timeline) MaxEnd() time.Duration {
+	var m time.Duration
+	for _, rt := range t.Ranks {
+		m = max(m, rt.Root.Duration)
+	}
+	return m
+}

@@ -152,7 +152,7 @@ func applyM2LDirect(s *Set, level int, k [3]int, phi []float64) []float64 {
 	m := linalg.NewDense(s.CheckCount(), s.EquivCount())
 	kernels.Matrix(s.Kern, s.DownwardCheckPoints(ct, r, nil), s.UpwardEquivPoints([3]float64{}, r, nil), m.Data)
 	check := make([]float64, s.CheckCount())
-	m.MatVec(check, phi)
+	m.MulAddCols(check, phi, 1, 1)
 	return check
 }
 
@@ -325,10 +325,11 @@ func TestFFTM2LAccumulatesMultipleSources(t *testing.T) {
 }
 
 // TestFFTM2LHalfSpectrumMatchesFullSpectrum: the r2c backend must
-// reproduce the old full-complex-spectrum convolution to ~1e-12. The
-// reference rebuilds the translation the pre-r2c way: kernel tensor and
-// embedded density on full M³ complex grids (fft.Plan3), full-spectrum
-// Hadamard, complex inverse, surface read-off.
+// reproduce the circular convolution it stands for to ~1e-12. The
+// reference builds the kernel tensor on the M³ grid as the translation
+// does, and convolves it with the density in real space, summing directly
+// over the density's p³ support at every surface point: no transform, so
+// it does not depend on the package under test.
 func TestFFTM2LHalfSpectrumMatchesFullSpectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, k := range testKernels() {
@@ -351,15 +352,14 @@ func TestFFTM2LHalfSpectrumMatchesFullSpectrum(t *testing.T) {
 		got := make([]float64, s.CheckCount())
 		f.ExtractGrids(acc, level, got)
 
-		// Full-spectrum reference.
+		// Real-space reference: tensor component c on the M³ grid at
+		// tensor[c*m³:], the density of component b on the p³ support at
+		// dens[b*p³:].
 		p, m := s.P, f.M
-		plan3 := fft.NewPlan3(m, m, m)
+		m3, p3 := m*m*m, p*p*p
 		key, escale, _ := s.scaleFor(level)
 		h := surface.Spacing(p, s.entry(key).key.radius)
-		tensor := make([][]complex128, td*sd)
-		for c := range tensor {
-			tensor[c] = make([]complex128, m*m*m)
-		}
+		tensor := make([]float64, td*sd*m3)
 		block := make([]float64, td*sd)
 		for dx := -(p - 1); dx <= p-1; dx++ {
 			for dy := -(p - 1); dy <= p-1; dy++ {
@@ -372,41 +372,30 @@ func TestFFTM2LHalfSpectrumMatchesFullSpectrum(t *testing.T) {
 					)
 					idx := (wrap(dx, m)*m+wrap(dy, m))*m + wrap(dz, m)
 					for c, v := range block {
-						tensor[c][idx] = complex(v, 0)
+						tensor[c*m3+idx] = v
 					}
 				}
 			}
 		}
-		for c := range tensor {
-			plan3.Forward(tensor[c])
-		}
-		src := make([][]complex128, sd)
-		for c := range src {
-			src[c] = make([]complex128, m*m*m)
-			for si, vi := range s.Surf.VolIdx {
-				x := vi / (p * p)
-				y := vi / p % p
-				z := vi % p
-				src[c][(x*m+y)*m+z] = complex(phi[si*sd+c], 0)
+		dens := make([]float64, sd*p3)
+		for si, vi := range s.Surf.VolIdx {
+			for b := 0; b < sd; b++ {
+				dens[b*p3+vi] = phi[si*sd+b]
 			}
-			plan3.Forward(src[c])
 		}
 		want := make([]float64, s.CheckCount())
-		for a := 0; a < td; a++ {
-			full := make([]complex128, m*m*m)
-			for b := 0; b < sd; b++ {
-				tg := tensor[a*sd+b]
-				sg := src[b]
-				for i := range full {
-					full[i] += tg[i] * sg[i]
+		for ti, tv := range s.Surf.VolIdx {
+			tx, ty, tz := tv/(p*p), tv/p%p, tv%p
+			for a := 0; a < td; a++ {
+				sum := 0.0
+				for b := 0; b < sd; b++ {
+					tg, db := tensor[(a*sd+b)*m3:][:m3], dens[b*p3:][:p3]
+					for sv, d := range db {
+						sx, sy, sz := sv/(p*p), sv/p%p, sv%p
+						sum += tg[(wrap(tx-sx, m)*m+wrap(ty-sy, m))*m+wrap(tz-sz, m)] * d
+					}
 				}
-			}
-			plan3.Inverse(full)
-			for si, vi := range s.Surf.VolIdx {
-				x := vi / (p * p)
-				y := vi / p % p
-				z := vi % p
-				want[si*td+a] += escale * real(full[(x*m+y)*m+z])
+				want[ti*td+a] = escale * sum
 			}
 		}
 
@@ -418,10 +407,35 @@ func TestFFTM2LHalfSpectrumMatchesFullSpectrum(t *testing.T) {
 		}
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-12*(scale+1) {
-				t.Fatalf("%s: half vs full spectrum mismatch at %d: %v vs %v",
+				t.Fatalf("%s: half spectrum vs real-space convolution mismatch at %d: %v vs %v",
 					k.Name(), i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestFFTM2LBuildsForEveryDegree: the FFT grid edge M = NextSmooth(2p−1)
+// is 5-smooth for every degree the service admits, so NewFFTM2L builds
+// from 1 to 16; the fft package makes plans of no other length. Degrees 1
+// and 2 have no surface (NewSet rejects them), so for those the row builds
+// the grid plan NewFFTM2L would share.
+func TestFFTM2LBuildsForEveryDegree(t *testing.T) {
+	for p := 1; p <= 16; p++ {
+		m := fft.NextSmooth(2*p - 1)
+		if p < 3 {
+			if g := gridPlanFor(m); g.plan.FreqLen() != m*m*(m/2+1) {
+				t.Errorf("p=%d: grid plan of edge %d holds %d coefficients", p, m, g.plan.FreqLen())
+			}
+			continue
+		}
+		s, err := NewSet(kernels.Laplace{}, p, 1, 0)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if f := NewFFTM2L(s); f.M != m || f.M < 2*p-1 || f.GridLen() != m*m*(m/2+1) {
+			t.Errorf("p=%d: FFT M2L on an edge-%d grid of %d coefficients, want edge %d", p, f.M, f.GridLen(), m)
+		}
+		s.Close()
 	}
 }
 
@@ -501,7 +515,7 @@ func TestHomogeneousScalingMatchesExplicitBuild(t *testing.T) {
 	got := make([]float64, s.CheckCount())
 	op.Apply(got, x, 1)
 	want := make([]float64, s.CheckCount())
-	explicit.MatVec(want, x)
+	explicit.MulAddCols(want, x, 1, 1)
 	if e := relErr(got, want); e > 1e-13 {
 		t.Errorf("homogeneous rescaling error %v", e)
 	}

@@ -1,6 +1,6 @@
 // Package wire implements the repository's shared binary wire
 // conventions: length-prefixed little-endian word arrays for bulk
-// float64/int64/int32 data, u32/u64 scalar headers, and raw
+// float64 data, u32/u64/i64 scalar headers, and raw
 // length-prefixed byte blobs for control-plane payloads (JSON side
 // channels).
 //
@@ -15,9 +15,9 @@
 //
 //   - all integers are little-endian;
 //   - a word array is a u64 element count followed by the packed
-//     words (8 bytes per float64/int64, 4 per int32), float64 as IEEE
-//     754 bits — every bit pattern round-trips, including NaN payloads
-//     and infinities;
+//     8-byte words, float64 as IEEE 754 bits — every bit pattern
+//     round-trips, including NaN payloads and infinities (int64 data
+//     travels as such words too);
 //   - a raw blob is a u32 byte length followed by the bytes;
 //   - decoders bound every length by the bytes actually remaining, so
 //     a corrupt length can never trigger a large allocation, and latch
@@ -69,9 +69,6 @@ func (w *Writer) Grow(n int) {
 	}
 }
 
-// U8 appends one byte.
-func (w *Writer) U8(v byte) { w.b = append(w.b, v) }
-
 // U32 appends a little-endian uint32.
 func (w *Writer) U32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 
@@ -89,26 +86,6 @@ func (w *Writer) F64s(v []float64) {
 	w.b = append(w.b, make([]byte, 8*len(v))...)
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(w.b[off+8*i:], math.Float64bits(x))
-	}
-}
-
-// I64s appends an int64 word array: u64 count + 8 bytes per element.
-func (w *Writer) I64s(v []int64) {
-	w.U64(uint64(len(v)))
-	off := len(w.b)
-	w.b = append(w.b, make([]byte, 8*len(v))...)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(w.b[off+8*i:], uint64(x))
-	}
-}
-
-// I32s appends an int32 word array: u64 count + 4 bytes per element.
-func (w *Writer) I32s(v []int32) {
-	w.U64(uint64(len(v)))
-	off := len(w.b)
-	w.b = append(w.b, make([]byte, 4*len(v))...)
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(w.b[off+4*i:], uint32(x))
 	}
 }
 
@@ -161,15 +138,6 @@ func (r *Reader) take(n int) []byte {
 	return v
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() byte {
-	v := r.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
 	v := r.take(4)
@@ -191,57 +159,23 @@ func (r *Reader) U64() uint64 {
 // I64 reads a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
-// length reads a word-array element count and sanity-bounds it by the
-// bytes remaining (elemBytes per element), so a corrupt length cannot
-// trigger a huge allocation.
-func (r *Reader) length(elemBytes int) int {
-	n := r.U64()
-	if r.bad || n > uint64(len(r.b)-r.off)/uint64(elemBytes) {
-		r.bad = true
-		return 0
-	}
-	return int(n)
-}
-
 // F64s reads a float64 word array. Bit patterns are preserved exactly
-// (NaN payloads, infinities, signed zeros).
+// (NaN payloads, infinities, signed zeros). The element count is bounded
+// by the bytes remaining, so a corrupt length cannot trigger a huge
+// allocation.
 func (r *Reader) F64s() []float64 {
-	n := r.length(8)
-	raw := r.take(8 * n)
+	n := r.U64()
+	if r.bad || n > uint64(len(r.b)-r.off)/8 {
+		r.bad = true
+		return nil
+	}
+	raw := r.take(8 * int(n))
 	if raw == nil {
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
-}
-
-// I64s reads an int64 word array.
-func (r *Reader) I64s() []int64 {
-	n := r.length(8)
-	raw := r.take(8 * n)
-	if raw == nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
-}
-
-// I32s reads an int32 word array.
-func (r *Reader) I32s() []int32 {
-	n := r.length(4)
-	raw := r.take(4 * n)
-	if raw == nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return out
 }

@@ -19,7 +19,6 @@ func TestGoldenFrames(t *testing.T) {
 		build func(w *Writer)
 		hex   string
 	}{
-		{"u8", func(w *Writer) { w.U8(0xAB) }, "ab"},
 		{"u32", func(w *Writer) { w.U32(0x01020304) }, "04030201"},
 		{"u64", func(w *Writer) { w.U64(0x0102030405060708) }, "0807060504030201"},
 		{"i64_negative", func(w *Writer) { w.I64(-2) }, "feffffffffffffff"},
@@ -47,10 +46,6 @@ func TestGoldenFrames(t *testing.T) {
 				"000000000000f07f" + "000000000000f0ff" +
 				"010000000000f07f" + "0000000000000080",
 		},
-		{"i64s", func(w *Writer) { w.I64s([]int64{1, -1}) },
-			"0200000000000000" + "0100000000000000" + "ffffffffffffffff"},
-		{"i32s", func(w *Writer) { w.I32s([]int32{7, -7}) },
-			"0200000000000000" + "07000000" + "f9ffffff"},
 		{"raw", func(w *Writer) { w.Raw([]byte("hi")) }, "020000006869"},
 		{
 			// A composite frame in the HTTP body shape: magic, raw JSON
@@ -94,24 +89,16 @@ func TestFrameMagicSpellsKFM1(t *testing.T) {
 func TestRoundTrip(t *testing.T) {
 	f := []float64{0, 1.5, -2.25, math.Inf(1), math.Inf(-1),
 		math.NaN(), math.Float64frombits(0x7FF00000DEADBEEF), math.Copysign(0, -1)}
-	i64 := []int64{0, 1, -1, math.MaxInt64, math.MinInt64}
-	i32 := []int32{0, 1, -1, math.MaxInt32, math.MinInt32}
 	raw := []byte(`{"control":"plane"}`)
 
 	var w Writer
-	w.U8(9)
 	w.U32(FrameMagic)
 	w.U64(1 << 40)
 	w.I64(-5)
 	w.F64s(f)
-	w.I64s(i64)
-	w.I32s(i32)
 	w.Raw(raw)
 
 	r := NewReader(w.Bytes())
-	if got := r.U8(); got != 9 {
-		t.Errorf("U8 = %d", got)
-	}
 	if got := r.U32(); got != FrameMagic {
 		t.Errorf("U32 = %#x", got)
 	}
@@ -128,18 +115,6 @@ func TestRoundTrip(t *testing.T) {
 	for i := range f {
 		if math.Float64bits(gf[i]) != math.Float64bits(f[i]) {
 			t.Errorf("F64s[%d] bits %#x, want %#x", i, math.Float64bits(gf[i]), math.Float64bits(f[i]))
-		}
-	}
-	gi := r.I64s()
-	for i := range i64 {
-		if gi[i] != i64[i] {
-			t.Errorf("I64s[%d] = %d, want %d", i, gi[i], i64[i])
-		}
-	}
-	g32 := r.I32s()
-	for i := range i32 {
-		if g32[i] != i32[i] {
-			t.Errorf("I32s[%d] = %d, want %d", i, g32[i], i32[i])
 		}
 	}
 	if got := r.Raw(); !bytes.Equal(got, raw) {
@@ -188,11 +163,6 @@ func TestReaderMalformed(t *testing.T) {
 			"f64s_count_byte_overflow",
 			[]byte{0, 0, 0, 0, 0, 0, 0, 0x20},
 			func(r *Reader) { r.F64s() },
-		},
-		{
-			"i32s_misaligned",
-			append([]byte{3, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 10)...),
-			func(r *Reader) { r.I32s() },
 		},
 		{"raw_oversized", []byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}, func(r *Reader) { r.Raw() }},
 		{"raw_truncated", []byte{5, 0, 0, 0, 'x'}, func(r *Reader) { r.Raw() }},
