@@ -1,12 +1,15 @@
 // Command kifmm-bench regenerates the paper's evaluation artifacts
 // (Tables 4.1-4.3, Figures 4.2-4.3 and the load-balance ablation) at a
-// configurable scale, plus a traced distributed run.
+// configurable scale, plus a traced distributed run. Each study runs
+// once: table4.1 prints Table 4.1 and Figure 4.2 from one fixed-size
+// sweep, table4.2 prints Table 4.2 and Figure 4.3 from one isogranular
+// sweep.
 // Performance numbers are not its business: those come from the
 // repository benchmark (bench/run.sh, BENCHMARK.json).
 //
 // Usage:
 //
-//	kifmm-bench -exp table4.1            # one experiment
+//	kifmm-bench -exp table4.1            # one experiment (Table 4.1 + Figure 4.2)
 //	kifmm-bench -exp all -scale 2        # everything, 2x the default size
 //	kifmm-bench -list                    # show available experiments
 //

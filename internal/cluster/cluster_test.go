@@ -326,7 +326,7 @@ func watchLanes(workers []*Worker) []chan struct{} {
 	for i, w := range workers {
 		taken[i] = make(chan struct{})
 		var once sync.Once
-		w.Pool().SetAcquireObserver(func(time.Duration, int) { once.Do(func() { close(taken[i]) }) })
+		w.pool.SetAcquireObserver(func(time.Duration, int) { once.Do(func() { close(taken[i]) }) })
 	}
 	return taken
 }
@@ -506,7 +506,7 @@ func TestClusterWorkerReusesWorkspace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, w := range workers {
-			if out, spare, made := w.Pool().SpareCounts(); out != 0 || spare != 1 || made != 1 {
+			if out, spare, made := w.pool.SpareCounts(); out != 0 || spare != 1 || made != 1 {
 				t.Errorf("after job %d, worker %d's pool has %d workspaces out, %d spare, %d made; want 0, 1, 1", job+1, i, out, spare, made)
 			}
 		}
@@ -614,7 +614,7 @@ func TestClusterAbortStopsRankCompute(t *testing.T) {
 		_, _, err := coord.Evaluate(ctx, req)
 		errCh <- err
 	}()
-	for deadline := time.Now().Add(5 * time.Second); w.Pool().LanesInUse() == 0; {
+	for deadline := time.Now().Add(5 * time.Second); w.pool.LanesInUse() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("job never reached the worker's pool")
 		}
@@ -639,7 +639,7 @@ func TestClusterAbortStopsRankCompute(t *testing.T) {
 	case <-time.After(bound):
 		t.Fatalf("job runner still computing %v after the abort (a full evaluation takes %v)", bound, full)
 	}
-	if in := w.Pool().LanesInUse(); in != 0 {
+	if in := w.pool.LanesInUse(); in != 0 {
 		t.Errorf("worker pool still has %d lanes in use after the abort", in)
 	}
 

@@ -22,12 +22,11 @@ func (f wireFailure) Error() string { return f.err.Error() }
 // tag.
 type mailKey struct{ dst, src, tag int }
 
-// wireMsg is one delivered mesh payload with the sender's and receiver's
-// clock offsets (ns since their job start) for the ledger.
+// wireMsg is one delivered mesh payload with the sender's clock offset
+// (ns since its job start) for the ledger.
 type wireMsg struct {
-	data    []float64
-	sentNS  int64
-	availNS int64
+	data   []float64
+	sentNS int64
 }
 
 // workerJob is the per-job rendezvous state on a worker: the mailboxes
@@ -62,7 +61,7 @@ func (j *workerJob) elapsed() time.Duration { return time.Since(j.start) }
 func (j *workerJob) deliverP2P(m *p2pMsg) {
 	j.mu.Lock()
 	key := mailKey{dst: m.Dst, src: m.Src, tag: m.Tag}
-	j.mail[key] = append(j.mail[key], wireMsg{data: m.Data, sentNS: m.SentNS, availNS: int64(j.elapsed())})
+	j.mail[key] = append(j.mail[key], wireMsg{data: m.Data, sentNS: m.SentNS})
 	j.cond.Broadcast()
 	j.mu.Unlock()
 }
@@ -155,7 +154,7 @@ func (t *wireTransport) SendFloat64s(dst, tag int, data []float64) {
 	end := t.j.elapsed()
 	t.Record(mpi.Event{
 		Kind: mpi.EventSend, Rank: t.rank, Peer: dst, Tag: tag, Bytes: 8 * len(data),
-		Start: start, End: end, Sent: end, Avail: end, DepRank: -1,
+		Start: start, End: end, Sent: end, DepRank: -1,
 	})
 }
 
@@ -167,9 +166,7 @@ func (t *wireTransport) RecvFloat64s(src, tag int) []float64 {
 	end := t.j.elapsed()
 	ev := mpi.Event{
 		Kind: mpi.EventRecv, Rank: t.rank, Peer: src, Tag: tag, Bytes: 8 * len(msg.data),
-		Start: start, End: end,
-		Sent: time.Duration(msg.sentNS), Avail: time.Duration(msg.availNS),
-		DepRank: -1,
+		Start: start, End: end, Sent: time.Duration(msg.sentNS), DepRank: -1,
 	}
 	if waited {
 		ev.Wait = end - start

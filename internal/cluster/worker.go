@@ -147,9 +147,6 @@ func (w *Worker) ID() int64 { return w.id }
 // Addr is the worker's mesh listener address.
 func (w *Worker) Addr() string { return w.ln.Addr().String() }
 
-// Pool exposes the worker's local scheduler.
-func (w *Worker) Pool() *exec.Elastic { return w.pool }
-
 // ctrlLoop reads coordinator frames: job dispatch and aborts. A read
 // error means the coordinator is gone — every in-flight job aborts.
 func (w *Worker) ctrlLoop() {

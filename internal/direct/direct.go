@@ -1,14 +1,10 @@
 // Package direct implements the O(N²) direct summation baseline the FMM
 // is verified against and compared with. It is the "Direct
 // implementation of this summation" of paper Section 2, blocked for
-// cache friendliness and optionally sharded across goroutines.
+// cache friendliness.
 package direct
 
 import (
-	"context"
-	"runtime"
-	"sync"
-
 	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/kernels"
@@ -27,53 +23,22 @@ func Evaluate(k kernels.Kernel, trg, src, den []float64) ([]float64, error) {
 	if err := check(k, trg, src, den); err != nil {
 		return nil, err
 	}
-	nt := len(trg) / 3
-	pot := make([]float64, nt*k.TargetDim())
-	evaluateRange(k, trg, src, den, pot, 0, nt)
-	return pot, nil
-}
-
-// EvaluateParallel is Evaluate sharded over workers goroutines (default
-// GOMAXPROCS when workers <= 0). Targets are independent, so the shards
-// never contend. ctx bounds the summation: every shard checks it
-// between target blocks, so cancelling a large O(N²) reference run
-// (the conformance sweeps reach N=20k) aborts within one block.
-func EvaluateParallel(ctx context.Context, k kernels.Kernel, trg, src, den []float64, workers int) ([]float64, error) {
-	if err := check(k, trg, src, den); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nt := len(trg) / 3
-	pot := make([]float64, nt*k.TargetDim())
-	if workers > nt {
-		workers = nt
-	}
-	if workers <= 1 {
-		if err := evaluateRangeCtx(ctx, k, trg, src, den, pot, 0, nt); err != nil {
-			return nil, err
+	sd, td := k.SourceDim(), k.TargetDim()
+	nt, ns := len(trg)/3, len(src)/3
+	pot := make([]float64, nt*td)
+	block := make([]float64, sd*td)
+	for tb := 0; tb < nt; tb += blockSize {
+		te := min(tb+blockSize, nt)
+		for sb := 0; sb < ns; sb += blockSize {
+			se := min(sb+blockSize, ns)
+			kernels.P2P(k,
+				trg[3*tb:3*te],
+				src[3*sb:3*se],
+				[][]float64{den[sd*sb : sd*se]},
+				[][]float64{pot[td*tb : td*te]},
+				block,
+			)
 		}
-		return pot, nil
-	}
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		lo := nt * w / workers
-		hi := nt * (w + 1) / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			if err := evaluateRangeCtx(ctx, k, trg, src, den, pot, lo, hi); err != nil {
-				errc <- err
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return nil, err
-	default:
 	}
 	return pot, nil
 }
@@ -96,49 +61,4 @@ func check(k kernels.Kernel, trg, src, den []float64) error {
 		return errs.Newf(errs.CodeInvalidInput, "direct: %v", err)
 	}
 	return nil
-}
-
-// evaluateRangeCtx is evaluateRange with a cancellation check between
-// target blocks; a cancelled run returns the typed taxonomy error.
-func evaluateRangeCtx(ctx context.Context, k kernels.Kernel, trg, src, den, pot []float64, lo, hi int) error {
-	for tb := lo; tb < hi; tb += blockSize {
-		if err := ctx.Err(); err != nil {
-			return errs.FromContext(err)
-		}
-		te := min(tb+blockSize, hi)
-		evaluateRange(k, trg, src, den, pot, tb, te)
-	}
-	return nil
-}
-
-// evaluateRange fills pot for targets [lo, hi) with blocked loops.
-func evaluateRange(k kernels.Kernel, trg, src, den, pot []float64, lo, hi int) {
-	sd, td := k.SourceDim(), k.TargetDim()
-	ns := len(src) / 3
-	block := make([]float64, sd*td)
-	for tb := lo; tb < hi; tb += blockSize {
-		te := min(tb+blockSize, hi)
-		for sb := 0; sb < ns; sb += blockSize {
-			se := min(sb+blockSize, ns)
-			kernels.P2P(k,
-				trg[3*tb:3*te],
-				src[3*sb:3*se],
-				[][]float64{den[sd*sb : sd*se]},
-				[][]float64{pot[td*tb : td*te]},
-				block,
-			)
-		}
-	}
-}
-
-// Flops returns the approximate flop count of one direct evaluation.
-func Flops(k kernels.Kernel, nt, ns int) int64 {
-	return kernels.P2PFlops(k, nt, ns)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,6 @@
 package direct
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,35 +61,10 @@ func TestEvaluateMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestEvaluateParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	trg := cloud(rng, 513)
-	src := cloud(rng, 400)
-	den := make([]float64, 400)
-	for i := range den {
-		den[i] = rng.NormFloat64()
-	}
-	want, err := Evaluate(kernels.Laplace{}, trg, src, den)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8, 1000} {
-		got, err := EvaluateParallel(context.Background(), kernels.Laplace{}, trg, src, den, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-12*(math.Abs(want[i])+1) {
-				t.Fatalf("workers=%d: mismatch at %d", workers, i)
-			}
-		}
-	}
-}
-
-// TestValidation: input the summation cannot answer is invalid_input
-// from both entry points — ragged coordinates, a density of the wrong
-// length, a NaN or ±Inf coordinate, and points spread so far that their
-// squared distances overflow (which would sum to zeros).
+// TestValidation: input the summation cannot answer is invalid_input —
+// ragged coordinates, a density of the wrong length, a NaN or ±Inf
+// coordinate, and points spread so far that their squared distances
+// overflow (which would sum to zeros).
 func TestValidation(t *testing.T) {
 	lap := kernels.Laplace{}
 	pts := cloud(rand.New(rand.NewSource(5)), 40)
@@ -113,10 +87,6 @@ func TestValidation(t *testing.T) {
 		if code, _ := errs.CodeOf(err); code != errs.CodeInvalidInput {
 			t.Errorf("%s: err = %v (code %q), want %q", tc.name, err, code, errs.CodeInvalidInput)
 		}
-		_, err = EvaluateParallel(context.Background(), lap, tc.trg, tc.src, tc.den, 2)
-		if code, _ := errs.CodeOf(err); code != errs.CodeInvalidInput {
-			t.Errorf("parallel, %s: err = %v (code %q), want %q", tc.name, err, code, errs.CodeInvalidInput)
-		}
 	}
 }
 
@@ -129,11 +99,5 @@ func TestEmptyInputs(t *testing.T) {
 	got, err = Evaluate(kernels.Laplace{}, []float64{1, 2, 3}, nil, nil)
 	if err != nil || len(got) != 1 || got[0] != 0 {
 		t.Errorf("no-source evaluate: %v, %v", got, err)
-	}
-}
-
-func TestFlopsScale(t *testing.T) {
-	if Flops(kernels.Laplace{}, 10, 10) >= Flops(kernels.NewStokes(1), 10, 10) {
-		t.Error("Stokes must cost more flops than Laplace")
 	}
 }

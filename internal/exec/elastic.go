@@ -462,10 +462,6 @@ func (l *Lease) shrinkTo(w int) int {
 // the per-request width histogram records).
 func (l *Lease) Granted() int { return l.granted }
 
-// Width returns the width the current or next sweep may use. It shrinks
-// when the pool revokes lanes and grows back at pass boundaries.
-func (l *Lease) Width() int { return int(l.target.Load()) }
-
 // MaxWidth returns the widest this lease can ever run (its clamped
 // ceiling) — the bound callers size per-worker scratch off.
 func (l *Lease) MaxWidth() int { return l.want }

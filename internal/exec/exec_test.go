@@ -9,6 +9,10 @@ import (
 	"time"
 )
 
+// Width returns the width the current or next sweep may use. It shrinks
+// when the pool revokes lanes and grows back at pass boundaries.
+func (l *Lease) Width() int { return int(l.target.Load()) }
+
 // leaseOf returns a lease of exactly w lanes on a fresh, otherwise idle
 // pool of capacity w (an idle pool grants the full want).
 func leaseOf(t testing.TB, w int) *Lease {

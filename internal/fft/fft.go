@@ -471,9 +471,6 @@ func NewPlan3R(m int) *Plan3R {
 	return p3
 }
 
-// HalfLen returns the number of stored z-frequency lines, m/2 + 1.
-func (p *Plan3R) HalfLen() int { return p.k }
-
 // RealLen returns the real-grid length m³.
 func (p *Plan3R) RealLen() int { return p.m * p.m * p.m }
 

@@ -641,7 +641,7 @@ func TestPlan3ROddLengths(t *testing.T) {
 		p := NewPlan3R(m)
 		pc := NewPlan3(m, m, m)
 		n3 := m * m * m
-		k := p.HalfLen()
+		k := m/2 + 1
 		a := make([]float64, n3)
 		b := make([]float64, n3)
 		ca := make([]complex128, n3)

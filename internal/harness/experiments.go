@@ -50,7 +50,8 @@ func DefaultScale() Scale {
 // Experiment couples a paper artifact id with the code that regenerates
 // it.
 type Experiment struct {
-	// ID is the paper artifact ("table4.1", "fig4.2", ...).
+	// ID names the paper artifact ("table4.1", "table4.3", ...); a
+	// table's id also covers the figure drawn from the same sweep.
 	ID string
 	// Description summarizes the paper content being reproduced.
 	Description string
@@ -66,27 +67,17 @@ func Experiments() []Experiment {
 	return []Experiment{
 		{
 			ID:          "table4.1",
-			Description: "Fixed-size scalability (3.2M particles in the paper): Laplacian, modified Laplacian, Stokes (non-uniform)",
-			Run:         runTable41,
-		},
-		{
-			ID:          "fig4.2",
-			Description: "Fixed-size per-stage cycles/particle and Mflop/s per processor",
-			Run:         runFig42,
+			Description: "Table 4.1 and Figure 4.2 from one fixed-size sweep (3.2M particles in the paper): scalability, per-stage cycles/particle and Mflop/s per processor; Laplacian, modified Laplacian, Stokes (non-uniform)",
+			Run:         runFixed,
 		},
 		{
 			ID:          "table4.2",
-			Description: "Isogranular scalability (200k particles/proc in the paper): Laplace uniform, Stokes uniform, Stokes non-uniform",
-			Run:         runTable42,
-		},
-		{
-			ID:          "fig4.3",
-			Description: "Isogranular per-stage cycles/particle and Mflop/s per processor",
-			Run:         runFig43,
+			Description: "Table 4.2 and Figure 4.3 from one isogranular sweep (200k particles/proc in the paper): scalability, per-stage cycles/particle and Mflop/s per processor; Laplace uniform, Stokes uniform, Stokes non-uniform",
+			Run:         runIso,
 		},
 		{
 			ID:          "table4.3",
-			Description: "Largest runs (3000 processors in the paper), s=120",
+			Description: "Table 4.3: largest runs (3000 processors in the paper), s=120",
 			Run:         runTable43,
 		},
 		{
@@ -141,34 +132,29 @@ func fixedConfigs(sc Scale) []struct {
 	}
 }
 
-func runTable41(sc Scale) (string, error) {
+// runFixed renders Table 4.1 and Figure 4.2 from the same rows: one
+// fixed-size sweep per configuration.
+func runFixed(sc Scale) (string, error) {
 	var b strings.Builder
-	b.WriteString("Table 4.1 reproduction — fixed-size scalability\n")
+	b.WriteString("Table 4.1 and Figure 4.2 reproduction — fixed-size scalability and per-stage breakdown\n")
 	fmt.Fprintf(&b, "(scaled: N=%d vs the paper's 3.2M; virtual-time simulation)\n\n", sc.FixedN)
 	for _, c := range fixedConfigs(sc) {
 		rows, err := FixedSize(c.cfg)
 		if err != nil {
 			return "", err
 		}
-		b.WriteString(Table(c.name, rows))
-		b.WriteString("\n")
+		writeStudy(&b, c.name, rows)
 	}
 	return b.String(), nil
 }
 
-func runFig42(sc Scale) (string, error) {
-	var b strings.Builder
-	b.WriteString("Figure 4.2 reproduction — fixed-size per-stage breakdown\n\n")
-	for _, c := range fixedConfigs(sc) {
-		rows, err := FixedSize(c.cfg)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(FigureCycles(c.name, rows, 1))
-		b.WriteString(FigureRates(c.name, rows))
-		b.WriteString("\n")
-	}
-	return b.String(), nil
+// writeStudy writes one configuration's table and figure, both rendered
+// from rows.
+func writeStudy(b *strings.Builder, name string, rows []Row) {
+	b.WriteString(Table(name, rows))
+	b.WriteString(FigureCycles(name, rows, 1))
+	b.WriteString(FigureRates(name, rows))
+	b.WriteString("\n")
 }
 
 // isoConfigs are the three rows of Table 4.2.
@@ -192,32 +178,18 @@ func isoConfigs(sc Scale) []struct {
 	}
 }
 
-func runTable42(sc Scale) (string, error) {
+// runIso renders Table 4.2 and Figure 4.3 from the same rows: one
+// isogranular sweep per configuration.
+func runIso(sc Scale) (string, error) {
 	var b strings.Builder
-	b.WriteString("Table 4.2 reproduction — isogranular scalability\n")
+	b.WriteString("Table 4.2 and Figure 4.3 reproduction — isogranular scalability and per-stage breakdown\n")
 	fmt.Fprintf(&b, "(scaled: %d particles/proc vs the paper's 200k)\n\n", sc.Grain)
 	for _, c := range isoConfigs(sc) {
 		rows, err := Isogranular(c.cfg)
 		if err != nil {
 			return "", err
 		}
-		b.WriteString(Table(c.name, rows))
-		b.WriteString("\n")
-	}
-	return b.String(), nil
-}
-
-func runFig43(sc Scale) (string, error) {
-	var b strings.Builder
-	b.WriteString("Figure 4.3 reproduction — isogranular per-stage breakdown\n\n")
-	for _, c := range isoConfigs(sc) {
-		rows, err := Isogranular(c.cfg)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(FigureCycles(c.name, rows, 1))
-		b.WriteString(FigureRates(c.name, rows))
-		b.WriteString("\n")
+		writeStudy(&b, c.name, rows)
 	}
 	return b.String(), nil
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -78,8 +79,9 @@ func TestFormatters(t *testing.T) {
 }
 
 // TestExperimentsEnumerateAllArtifacts: every paper artifact and the
-// traced distributed run are rows of the one table, and what kifmm-bench
-// prints for -list and in the -exp usage text is generated from it.
+// traced distributed run are rows of the one table (a table's row also
+// prints the figure of its sweep), and what kifmm-bench prints for -list
+// and in the -exp usage text is generated from it.
 func TestExperimentsEnumerateAllArtifacts(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range Experiments() {
@@ -92,11 +94,18 @@ func TestExperimentsEnumerateAllArtifacts(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"table4.1", "table4.2", "table4.3", "fig4.2", "fig4.3",
-		"ablation-loadbalance", "parfmm-trace",
+		"table4.1", "table4.2", "table4.3", "ablation-loadbalance", "parfmm-trace",
 	} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)
+		}
+	}
+	if len(ids) != 5 {
+		t.Errorf("%d experiments, want 5: each study runs once", len(ids))
+	}
+	for _, artifact := range []string{"Table 4.1", "Table 4.2", "Table 4.3", "Figure 4.2", "Figure 4.3"} {
+		if !strings.Contains(List(), artifact) {
+			t.Errorf("List() does not name %s:\n%s", artifact, List())
 		}
 	}
 	listed := IDs()
@@ -110,6 +119,49 @@ func TestExperimentsEnumerateAllArtifacts(t *testing.T) {
 		}
 		if f := strings.Fields(lines[i]); f[0] != e.ID || !strings.HasSuffix(lines[i], e.Description) {
 			t.Errorf("List() line %d = %q, want id %s and its description", i, lines[i], e.ID)
+		}
+	}
+}
+
+// checkSameRun asserts, for every configuration of a study's output,
+// that the table's P = 1 Total(s) and the figure's P = 1 total
+// (thousands of cycles per particle at 1 GHz) describe the same run of
+// n particles, to printed precision: the table prints seconds to 0.001,
+// the figure thousands of cycles to 0.1.
+func checkSameRun(t *testing.T, id, out string, n int) {
+	t.Helper()
+	num := func(line, field string) float64 {
+		v, err := strconv.ParseFloat(field, 64)
+		if err != nil {
+			t.Fatalf("%s: P = 1 row %q: %v", id, line, err)
+		}
+		return v
+	}
+	var totals, cycles []float64
+	var in string // the block the next P = 1 row belongs to
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.Contains(line, "Total(s)"):
+			in = "table"
+		case strings.Contains(line, "cycles/particle"):
+			in = "figure"
+		case len(f) > 8 && f[0] == "1" && in == "table":
+			totals = append(totals, num(line, f[1]))
+			in = ""
+		case len(f) > 8 && f[0] == "1" && in == "figure":
+			cycles = append(cycles, num(line, f[8]))
+			in = ""
+		}
+	}
+	if len(totals) == 0 || len(totals) != len(cycles) {
+		t.Fatalf("%s: %d table and %d figure P = 1 rows in:\n%s", id, len(totals), len(cycles), out)
+	}
+	perSecond := 1e9 / float64(n) / 1e3 // thousands of cycles per particle per second at 1 GHz
+	for i, tot := range totals {
+		if lo, hi := (tot-0.0005)*perSecond-0.05, (tot+0.0005)*perSecond+0.05; cycles[i] < lo || cycles[i] > hi {
+			t.Errorf("%s configuration %d: table Total %.3f s is %.1f–%.1f k cycles/particle, figure prints %.1f: not the same run",
+				id, i, tot, lo, hi, cycles[i])
 		}
 	}
 }
@@ -131,7 +183,8 @@ func TestDistributionsResolve(t *testing.T) {
 
 // TestTinyEndToEndSuite runs a miniature of the full experiment suite to
 // guarantee every artifact regenerates without error (parfmm-trace has a
-// fixed shape and runs at it).
+// fixed shape and runs at it), and that each table and its figure
+// describe the same run.
 func TestTinyEndToEndSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run skipped in -short mode")
@@ -150,6 +203,12 @@ func TestTinyEndToEndSuite(t *testing.T) {
 		}
 		if len(out) < 100 {
 			t.Errorf("%s produced suspiciously little output", e.ID)
+		}
+		switch e.ID {
+		case "table4.1":
+			checkSameRun(t, e.ID, out, sc.FixedN)
+		case "table4.2":
+			checkSameRun(t, e.ID, out, sc.Grain)
 		}
 	}
 	if fi, err := os.Stat(sc.TraceOut); err != nil || fi.Size() == 0 {

@@ -308,6 +308,9 @@ func TestP2PFlopsPositive(t *testing.T) {
 	if P2PFlops(Laplace{}, 0, 100) != 0 {
 		t.Error("zero targets must cost zero flops")
 	}
+	if P2PFlops(Laplace{}, 10, 10) >= P2PFlops(NewStokes(1), 10, 10) {
+		t.Error("a Stokes pair must cost more flops than a Laplace pair")
+	}
 }
 
 func BenchmarkP2PLaplace(b *testing.B) {

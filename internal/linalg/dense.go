@@ -35,19 +35,8 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// Set assigns element (i, j).
-func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns a view of row i.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Scale multiplies every entry by s in place and returns m.
-func (m *Dense) Scale(s float64) *Dense {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
 
 // Transpose returns a new matrix mᵀ.
 func (m *Dense) Transpose() *Dense {
@@ -189,16 +178,4 @@ func axpy(dst, x []float64, a float64) {
 	for ; j < len(dst); j++ {
 		dst[j] += a * x[j]
 	}
-}
-
-// Sub returns a - b.
-func Sub(a, b *Dense) *Dense {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("linalg: Sub shape mismatch")
-	}
-	c := NewDense(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		c.Data[i] = v - b.Data[i]
-	}
-	return c
 }

@@ -5,6 +5,29 @@ import "math"
 // The helpers below serve only this package's tests: the FMM reads
 // matrices through their rows and applies them with MulAddCols.
 
+// Set assigns element (i, j).
+func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+
+// Scale multiplies every entry by s in place and returns m.
+func (m *Dense) Scale(s float64) *Dense {
+	for i := range m.Data {
+		m.Data[i] *= s
+	}
+	return m
+}
+
+// Sub returns a - b.
+func Sub(a, b *Dense) *Dense {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("linalg: Sub shape mismatch")
+	}
+	c := NewDense(a.Rows, a.Cols)
+	for i, v := range a.Data {
+		c.Data[i] = v - b.Data[i]
+	}
+	return c
+}
+
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

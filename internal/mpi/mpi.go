@@ -104,13 +104,9 @@ type Event struct {
 	// Start/End delimit the operation on the recording rank's clock.
 	Start time.Duration `json:"start_ns"`
 	End   time.Duration `json:"end_ns"`
-	// Sent is the sender's clock at enqueue completion; Avail when the
-	// payload became deliverable (Sent + latency). Send events carry
-	// their own enqueue/delivery times here; collectives leave both 0.
-	// Avail is for the observer only: no reader of a shipped ledger uses
-	// it, so it stays out of the JSON.
-	Sent  time.Duration `json:"sent_ns,omitempty"`
-	Avail time.Duration `json:"-"`
+	// Sent is the sender's clock at enqueue completion. Send events
+	// carry their own enqueue time here; collectives leave it 0.
+	Sent time.Duration `json:"sent_ns,omitempty"`
 	// Wait is the blocked time: for a recv, until the payload arrived;
 	// for a collective, until the last rank entered and the
 	// synchronization cost elapsed.

@@ -14,11 +14,10 @@ type network struct {
 
 	token chan struct{}
 
-	mu      sync.Mutex
-	boxes   [][]message     // boxes[dst]: pending messages
-	wake    []chan struct{} // per-rank wakeup, capacity 1
-	colls   map[int]*collective
-	collNum int // allocated collective sequence counter safety check
+	mu    sync.Mutex
+	boxes [][]message     // boxes[dst]: pending messages
+	wake  []chan struct{} // per-rank wakeup, capacity 1
+	colls map[int]*collective
 }
 
 type collective struct {
@@ -66,7 +65,7 @@ func (c *Comm) SendFloat64s(dst, tag int, data []float64) {
 	c.lastReal = time.Now()
 	c.Record(Event{
 		Kind: EventSend, Rank: c.rank, Peer: dst, Tag: tag, Bytes: bytes,
-		Start: start, End: c.clock, Sent: c.clock, Avail: avail, DepRank: -1,
+		Start: start, End: c.clock, Sent: c.clock, DepRank: -1,
 	})
 
 	n := c.net
@@ -106,8 +105,7 @@ func (c *Comm) RecvFloat64s(src, tag int) []float64 {
 				c.lastReal = time.Now()
 				ev := Event{
 					Kind: EventRecv, Rank: c.rank, Peer: src, Tag: tag, Bytes: msg.bytes,
-					Start: start, End: c.clock, Sent: msg.sent, Avail: msg.avail,
-					Wait: wait, DepRank: -1,
+					Start: start, End: c.clock, Sent: msg.sent, Wait: wait, DepRank: -1,
 				}
 				if wait > 0 {
 					ev.DepRank, ev.DepTime = msg.src, msg.sent

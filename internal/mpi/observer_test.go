@@ -40,23 +40,32 @@ func TestObserverPointToPoint(t *testing.T) {
 	if send.End <= send.Start {
 		t.Errorf("send interval [%v,%v] not positive", send.Start, send.End)
 	}
-	if send.Avail != send.Sent+testMachine().Latency {
-		t.Errorf("send Avail = %v, want Sent+latency = %v", send.Avail, send.Sent+testMachine().Latency)
-	}
 	if recv.Kind != EventRecv || recv.Rank != 1 || recv.Peer != 0 || recv.Tag != 42 || recv.Bytes != 800 {
 		t.Errorf("recv event = %+v", recv)
 	}
 	if recv.Sent != send.Sent {
 		t.Errorf("recv.Sent = %v, want the sender's enqueue time %v", recv.Sent, send.Sent)
 	}
+	// The payload is deliverable one latency after the sender's enqueue:
+	// a receive that waited for it ends exactly one receive overhead
+	// later, one that did not ends no earlier.
+	arrived := send.Sent + testMachine().Latency + testMachine().RecvOverhead
 	if recv.Wait > 0 {
 		// A blocked receive must name its dependency: the sender at its
 		// enqueue time.
 		if recv.DepRank != 0 || recv.DepTime != send.Sent {
 			t.Errorf("recv dep = (%d,%v), want (0,%v)", recv.DepRank, recv.DepTime, send.Sent)
 		}
-	} else if recv.DepRank != -1 {
-		t.Errorf("unblocked recv DepRank = %d, want -1", recv.DepRank)
+		if recv.End != arrived {
+			t.Errorf("blocked recv ends at %v, want Sent+latency+overhead = %v", recv.End, arrived)
+		}
+	} else {
+		if recv.DepRank != -1 {
+			t.Errorf("unblocked recv DepRank = %d, want -1", recv.DepRank)
+		}
+		if recv.End < arrived {
+			t.Errorf("unblocked recv ends at %v, before Sent+latency+overhead = %v", recv.End, arrived)
+		}
 	}
 }
 

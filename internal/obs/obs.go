@@ -254,17 +254,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.seriesFor(labelValues).c
 }
 
-// Snapshot returns current values keyed by comma-joined label values.
-func (v *CounterVec) Snapshot() map[string]int64 {
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	out := make(map[string]int64, len(v.f.series))
-	for _, s := range v.f.series {
-		out[strings.Join(s.vals, ",")] = s.c.Value()
-	}
-	return out
-}
-
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
 

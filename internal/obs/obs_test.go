@@ -185,12 +185,12 @@ func TestSpanRingBounded(t *testing.T) {
 		s := StartSpan(fmt.Sprintf("eval-%d", i))
 		s.End()
 		ring.Add(s)
-		if ring.Len() > capacity {
-			t.Fatalf("ring grew to %d > capacity %d", ring.Len(), capacity)
+		if n := len(ring.Recent(0)); n > capacity {
+			t.Fatalf("ring grew to %d > capacity %d", n, capacity)
 		}
 	}
-	if ring.Len() != capacity {
-		t.Errorf("Len = %d, want %d", ring.Len(), capacity)
+	if n := len(ring.Recent(0)); n != capacity {
+		t.Errorf("len(Recent(0)) = %d, want %d", n, capacity)
 	}
 	if ring.Total() != 10*capacity {
 		t.Errorf("Total = %d, want %d", ring.Total(), 10*capacity)

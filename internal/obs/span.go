@@ -144,13 +144,6 @@ func (r *SpanRing) Recent(n int) []*Span {
 	return out
 }
 
-// Len returns the number of live entries.
-func (r *SpanRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
 // Total returns how many spans were ever added (including evicted).
 func (r *SpanRing) Total() int64 {
 	r.mu.Lock()

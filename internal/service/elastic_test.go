@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,7 +41,7 @@ func TestAdaptiveWidthIdleFanout(t *testing.T) {
 		t.Errorf("MaxLanes = %v, want 4", m["kifmm_max_lanes"])
 	}
 	if m[`kifmm_granted_width_total{width="4"}`] != 1 {
-		t.Errorf("granted widths %v, want one evaluation at width 4", svc.m.grantedWidth.Snapshot())
+		t.Errorf("granted widths %v, want one evaluation at width 4", grantedWidths(m))
 	}
 	// The build was admitted through the pool too (one lane), so the
 	// lane counter covers build + evaluation.
@@ -113,17 +114,28 @@ func TestAdaptiveWidthSaturation(t *testing.T) {
 		t.Errorf("lanes_in_use left [0, 4] %d times under saturation", probeBad.Load())
 	}
 	m := svc.MetricsRegistry().Snapshot()
-	var admitted int64
-	hist := svc.m.grantedWidth.Snapshot()
-	for _, n := range hist {
+	var admitted float64
+	for _, n := range grantedWidths(m) {
 		admitted += n
 	}
 	if admitted != callers {
-		t.Errorf("histogram admissions %d, want %d", admitted, callers)
+		t.Errorf("histogram admissions %v, want %d", admitted, callers)
 	}
 	if m["kifmm_lanes_in_use"] != 0 {
 		t.Errorf("LanesInUse = %v after all evaluations returned", m["kifmm_lanes_in_use"])
 	}
+}
+
+// grantedWidths returns the per-width admission counts of a registry
+// snapshot, keyed by series.
+func grantedWidths(m map[string]float64) map[string]float64 {
+	out := make(map[string]float64)
+	for k, v := range m {
+		if strings.HasPrefix(k, "kifmm_granted_width_total{") {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 // TestElasticServiceSoak is the service-level soak of the elastic

@@ -17,26 +17,6 @@ import (
 	"repro/internal/obs"
 )
 
-// The service speaks the kifmm error taxonomy (internal/errs): every
-// error it returns carries a machine-readable code the HTTP layer maps
-// to a status and puts on the wire, so the Go client can reconstruct
-// the identical typed error. The aliases below keep the familiar names;
-// they are the taxonomy sentinels, usable as errors.Is targets.
-var (
-	// ErrPlanNotFound reports an evaluation against an unknown (or
-	// evicted) plan id; HTTP 404.
-	ErrPlanNotFound = errs.ErrPlanNotFound
-	// ErrBadRequest is client-side input error (invalid_input); HTTP 400.
-	ErrBadRequest = errs.ErrInvalidInput
-	// ErrTooLarge reports a request exceeding a configured size bound
-	// (body bytes, option caps, batch width); HTTP 413.
-	ErrTooLarge = errs.ErrPlanTooLarge
-	// ErrInternal wraps server-side failures (e.g. a recovered panic
-	// during plan construction); HTTP 500 so monitoring sees a server
-	// defect, not a client mistake.
-	ErrInternal = errs.ErrInternal
-)
-
 func badRequest(format string, args ...any) error {
 	return errs.Newf(errs.CodeInvalidInput, "service: "+format, args...)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	kifmm "repro"
+	"repro/internal/errs"
 	"repro/internal/kernels"
 )
 
@@ -194,8 +195,8 @@ func TestLRUEviction(t *testing.T) {
 
 	// The oldest plan is gone; the two recent ones still evaluate.
 	den := densitiesFor(cloudRequest(1, 120), 1)
-	if _, _, err := evalOne(bg, svc, ids[0], den); !errors.Is(err, ErrPlanNotFound) {
-		t.Errorf("evicted plan: err = %v, want ErrPlanNotFound", err)
+	if _, _, err := evalOne(bg, svc, ids[0], den); !errors.Is(err, errs.ErrPlanNotFound) {
+		t.Errorf("evicted plan: err = %v, want errs.ErrPlanNotFound", err)
 	}
 	for _, id := range ids[1:] {
 		if _, _, err := evalOne(bg, svc, id, den); err != nil {
@@ -211,7 +212,7 @@ func TestLRUEviction(t *testing.T) {
 	if _, err := svc.Register(bg, cloudRequest(4, 120)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := evalOne(bg, svc, ids[2], den); !errors.Is(err, ErrPlanNotFound) {
+	if _, _, err := evalOne(bg, svc, ids[2], den); !errors.Is(err, errs.ErrPlanNotFound) {
 		t.Errorf("plan 3 should be the LRU victim, err = %v", err)
 	}
 	if _, _, err := evalOne(bg, svc, ids[1], den); err != nil {
@@ -374,21 +375,21 @@ func TestEvaluateBatch(t *testing.T) {
 	}
 
 	// Validation: empty batch, ragged vector, unknown plan, batch bomb.
-	if _, err := svc.Evaluate(bg, info.ID, nil); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("empty batch: err = %v, want ErrBadRequest", err)
+	if _, err := svc.Evaluate(bg, info.ID, nil); !errors.Is(err, errs.ErrInvalidInput) {
+		t.Errorf("empty batch: err = %v, want errs.ErrInvalidInput", err)
 	}
-	if _, err := svc.Evaluate(bg, info.ID, [][]float64{dens[0], {1}}); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("ragged batch: err = %v, want ErrBadRequest", err)
+	if _, err := svc.Evaluate(bg, info.ID, [][]float64{dens[0], {1}}); !errors.Is(err, errs.ErrInvalidInput) {
+		t.Errorf("ragged batch: err = %v, want errs.ErrInvalidInput", err)
 	}
-	if _, err := svc.Evaluate(bg, "no-such-plan", dens); !errors.Is(err, ErrPlanNotFound) {
-		t.Errorf("unknown plan: err = %v, want ErrPlanNotFound", err)
+	if _, err := svc.Evaluate(bg, "no-such-plan", dens); !errors.Is(err, errs.ErrPlanNotFound) {
+		t.Errorf("unknown plan: err = %v, want errs.ErrPlanNotFound", err)
 	}
 	huge := make([][]float64, maxBatchSize+1)
 	for i := range huge {
 		huge[i] = dens[0]
 	}
-	if _, err := svc.Evaluate(bg, info.ID, huge); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("oversized batch: err = %v, want ErrTooLarge (413)", err)
+	if _, err := svc.Evaluate(bg, info.ID, huge); !errors.Is(err, errs.ErrPlanTooLarge) {
+		t.Errorf("oversized batch: err = %v, want errs.ErrPlanTooLarge (413)", err)
 	}
 }
 
@@ -422,8 +423,8 @@ func TestBytesBoundedEviction(t *testing.T) {
 		t.Errorf("PlansBytes = %v exceeds budget %v", m["kifmm_plan_cache_bytes"], svc.cfg.CacheBytes)
 	}
 	den := densitiesFor(cloudRequest(1, 150), 1)
-	if _, _, err := evalOne(bg, svc, a.ID, den); !errors.Is(err, ErrPlanNotFound) {
-		t.Errorf("byte-evicted plan: err = %v, want ErrPlanNotFound", err)
+	if _, _, err := evalOne(bg, svc, a.ID, den); !errors.Is(err, errs.ErrPlanNotFound) {
+		t.Errorf("byte-evicted plan: err = %v, want errs.ErrPlanNotFound", err)
 	}
 
 	// A single plan larger than the whole budget is still retained (the
@@ -483,16 +484,16 @@ func TestRegisterValidation(t *testing.T) {
 		req  PlanRequest
 		want error
 	}{
-		{PlanRequest{Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest},                                         // no geometry
-		{PlanRequest{Src: []float64{1, 2}, Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest},                   // not 3k
-		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "nope"}}, kifmm.ErrUnknownKernel},          // bad kernel
-		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, Degree: 1000000}, ErrTooLarge}, // degree bomb
-		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, Degree: -1}, ErrBadRequest},
-		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, MaxPoints: -5}, ErrBadRequest},
-		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, MaxDepth: 99}, ErrTooLarge},
-		{PlanRequest{Src: []float64{1e308, 0, 0, -1e308, 0, 0}, Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest},            // bounding cube overflows
-		{PlanRequest{Src: []float64{math.NaN(), 0, 0}, Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest},                     // NaN coordinate
-		{PlanRequest{Src: []float64{0, 0, 0}, Trg: []float64{1e308, 0, 0}, Kernel: kernels.Spec{Name: "laplace"}}, ErrBadRequest}, // bad trg
+		{PlanRequest{Kernel: kernels.Spec{Name: "laplace"}}, errs.ErrInvalidInput},                                           // no geometry
+		{PlanRequest{Src: []float64{1, 2}, Kernel: kernels.Spec{Name: "laplace"}}, errs.ErrInvalidInput},                     // not 3k
+		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "nope"}}, kifmm.ErrUnknownKernel},                   // bad kernel
+		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, Degree: 1000000}, errs.ErrPlanTooLarge}, // degree bomb
+		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, Degree: -1}, errs.ErrInvalidInput},
+		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, MaxPoints: -5}, errs.ErrInvalidInput},
+		{PlanRequest{Src: []float64{1, 2, 3}, Kernel: kernels.Spec{Name: "laplace"}, MaxDepth: 99}, errs.ErrPlanTooLarge},
+		{PlanRequest{Src: []float64{1e308, 0, 0, -1e308, 0, 0}, Kernel: kernels.Spec{Name: "laplace"}}, errs.ErrInvalidInput},            // bounding cube overflows
+		{PlanRequest{Src: []float64{math.NaN(), 0, 0}, Kernel: kernels.Spec{Name: "laplace"}}, errs.ErrInvalidInput},                     // NaN coordinate
+		{PlanRequest{Src: []float64{0, 0, 0}, Trg: []float64{1e308, 0, 0}, Kernel: kernels.Spec{Name: "laplace"}}, errs.ErrInvalidInput}, // bad trg
 	}
 	for i, tc := range cases {
 		if _, err := svc.Register(bg, tc.req); !errors.Is(err, tc.want) {
@@ -505,7 +506,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := evalOne(bg, svc, info.ID, make([]float64, 7)); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("bad density length: err = %v, want ErrBadRequest", err)
+	if _, _, err := evalOne(bg, svc, info.ID, make([]float64, 7)); !errors.Is(err, errs.ErrInvalidInput) {
+		t.Errorf("bad density length: err = %v, want errs.ErrInvalidInput", err)
 	}
 }

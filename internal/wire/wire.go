@@ -56,9 +56,6 @@ type Writer struct {
 // Bytes returns the assembled payload.
 func (w *Writer) Bytes() []byte { return w.b }
 
-// Len returns the assembled payload size in bytes.
-func (w *Writer) Len() int { return len(w.b) }
-
 // Grow pre-allocates capacity for n more bytes, so a caller that knows
 // the bulk size up front avoids append doublings.
 func (w *Writer) Grow(n int) {

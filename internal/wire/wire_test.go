@@ -190,8 +190,8 @@ func TestWriterGrow(t *testing.T) {
 	var w Writer
 	w.U32(7)
 	w.Grow(1 << 12)
-	if cap(w.b)-w.Len() < 1<<12 {
-		t.Fatalf("Grow reserved %d bytes, want >= %d", cap(w.b)-w.Len(), 1<<12)
+	if cap(w.b)-len(w.Bytes()) < 1<<12 {
+		t.Fatalf("Grow reserved %d bytes, want >= %d", cap(w.b)-len(w.Bytes()), 1<<12)
 	}
 	r := NewReader(w.Bytes())
 	if got := r.U32(); got != 7 || r.Err() != nil {
