@@ -678,6 +678,9 @@ func TestClusterBadDegreeIsInvalidInput(t *testing.T) {
 // a collective is not a message, on the wire as in the simulation.
 func TestExchangeMsgsCountSends(t *testing.T) {
 	const n = 2000
+	exchangeSpans := map[string]bool{
+		"source_gather": true, "source_exchange": true, "density_gather": true, "density_exchange": true,
+	}
 	rng := rand.New(rand.NewSource(21))
 	patches := geom.SphereGrid(rng, n, 2, 0.3)
 	den := geom.RandomDensities(rng, n, 1)
@@ -709,7 +712,7 @@ func TestExchangeMsgsCountSends(t *testing.T) {
 			var msgs int64
 			var walk func(s *obs.Span)
 			walk = func(s *obs.Span) {
-				if commPasses[s.Name] {
+				if exchangeSpans[s.Name] {
 					v, err := strconv.ParseInt(s.Attrs["msgs"], 10, 64)
 					if err != nil {
 						t.Errorf("%s rank %d %s: msgs attribute %q", run.name, rt.Rank, s.Name, s.Attrs["msgs"])

@@ -87,7 +87,6 @@ type Coordinator struct {
 	nextWorker int64
 	nextJob    uint64
 	closed     bool
-	passObs    func(pass string, seconds float64)
 
 	// evalMu serializes cluster evaluations: a rank holds its worker's
 	// whole lane pool until its job ends, blocked receives included, so
@@ -470,57 +469,12 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 		return nil, nil, err
 	}
 
-	tl := obs.MergeTimeline(job.tls)
-	c.observePasses(tl)
 	report := &EvalReport{
 		Ranks: size, Workers: size,
 		ScatterBytes: scatter, GatherBytes: c.gatherBytes.Load() - gather0,
-		Timeline: tl, Wall: time.Since(start),
+		Timeline: obs.MergeTimeline(job.tls), Wall: time.Since(start),
 	}
 	return pot, report, nil
-}
-
-// commPasses are the span names of the algorithm's communication
-// passes (the Algorithm-1 gather/scatter halves), fed to the pass
-// observer as per-pass wire seconds.
-var commPasses = map[string]bool{
-	"source_gather":    true,
-	"source_exchange":  true,
-	"density_gather":   true,
-	"density_exchange": true,
-}
-
-// SetPassObserver installs fn to receive per-pass wire seconds after
-// each cluster evaluation (the service bridges this into its
-// kifmm_cluster_pass_wire_seconds histogram).
-func (c *Coordinator) SetPassObserver(fn func(pass string, seconds float64)) {
-	c.mu.Lock()
-	c.passObs = fn
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) observePasses(tl *obs.Timeline) {
-	c.mu.Lock()
-	fn := c.passObs
-	c.mu.Unlock()
-	if fn == nil {
-		return
-	}
-	var walk func(s *obs.Span)
-	walk = func(s *obs.Span) {
-		if s == nil { // the tree came off the wire
-			return
-		}
-		if commPasses[s.Name] {
-			fn(s.Name, s.Duration.Seconds())
-		}
-		for _, ch := range s.Children {
-			walk(ch)
-		}
-	}
-	for _, rt := range tl.Ranks {
-		walk(rt.Root)
-	}
 }
 
 // Workers is the live worker count.

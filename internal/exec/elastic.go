@@ -378,84 +378,40 @@ func (l *Lease) dropLane() {
 	e.mu.Unlock()
 }
 
-// resize settles the lease's width at a ForRange dispatch (no workers
-// running): lanes revoked between passes are returned immediately, and
-// on a drained pool the lease grows back toward its fair share — which
-// on an idle pool is its full ceiling. Returns the width to run with.
-func (l *Lease) resize() int {
+// settle moves the lease toward its allocation, clamped to one lane, its
+// ceiling and limit (the sweep's item count: a lane beyond it finds no
+// work), and returns its width before and after. At a ForRange dispatch
+// (no workers running) it sheds lanes at once — revoked ones, or those a
+// short sweep cannot use — and claims free ones. During a sweep, worker
+// 0's poll only claims, and only once every revocation has settled
+// (target == held: a revoked worker returns its lane before retiring, so
+// equality means none are in flight); a lease already at the cap returns
+// at once, since the allocation costs a sort.
+func (l *Lease) settle(limit int, running bool) (from, to int) {
 	e := l.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if l.released {
-		return 1
+		return 1, 1
+	}
+	from = l.held
+	if running && (int(l.target.Load()) != l.held || l.held >= min(l.want, limit)) {
+		return from, from
 	}
 	e.allocsLocked(nil, false)
-	t := clamp(l.share, 1, l.want)
+	t := min(clamp(l.share, 1, l.want), limit)
 	switch {
-	case t < l.held:
+	case t < l.held && !running:
 		e.held -= l.held - t
 		l.held = t
 		e.notifyLocked()
 	case t > l.held:
-		if extra := t - l.held; extra > 0 {
-			if free := e.capacity - e.held; extra > free {
-				extra = free
-			}
-			l.held += extra
-			e.held += extra
-		}
+		extra := min(t-l.held, e.capacity-e.held)
+		l.held += extra
+		e.held += extra
 	}
 	l.target.Store(int32(l.held))
-	return l.held
-}
-
-// tryGrow re-expands a running sweep at a chunk-claim boundary: when
-// every earlier revocation has settled (target == held — a revoked
-// worker returns its lane before retiring, so equality means none are
-// in flight) and the pool's current allocation grants this lease more
-// than it holds, the free lanes are claimed and the target raised.
-// Returns how many new worker goroutines the sweep should start. A lease
-// already at its ceiling returns at once: the allocation could not
-// grant it more, and computing it costs a sort per poll.
-func (l *Lease) tryGrow() int {
-	e := l.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if l.released || int(l.target.Load()) != l.held || l.held >= l.want {
-		return 0
-	}
-	e.allocsLocked(nil, false)
-	extra := clamp(l.share, 1, l.want) - l.held
-	if free := e.capacity - e.held; extra > free {
-		extra = free
-	}
-	if extra <= 0 {
-		return 0
-	}
-	l.held += extra
-	e.held += extra
-	l.target.Store(int32(l.held))
-	return extra
-}
-
-// shrinkTo returns the lanes beyond width w to the pool at dispatch: a
-// sweep over fewer items than the lease's width cannot use them, and a
-// queued competitor can. The next dispatch's resize reclaims them if
-// they are still free.
-func (l *Lease) shrinkTo(w int) int {
-	e := l.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if l.released {
-		return 1
-	}
-	if l.held > w {
-		e.held -= l.held - w
-		l.held = w
-		l.target.Store(int32(w))
-		e.notifyLocked()
-	}
-	return l.held
+	return from, l.held
 }
 
 // Granted returns the width this lease was admitted with (the quantity
@@ -500,10 +456,16 @@ func (l *Lease) Release() {
 //     competitors have drained and the allocation has room, it claims
 //     the freed lanes and spawns a worker goroutine per lane — a sweep
 //     admitted at width 1 under saturation re-expands mid-pass the
-//     moment the pool goes idle. Revoked-and-regrown lanes reuse the
-//     smallest retired worker ids, so live ids always form the prefix
-//     {0..width-1} and per-worker scratch (sized MaxWidth) never
+//     moment the pool goes idle. It grows only once every revocation
+//     has settled: a worker is revoked only when its id is at or above
+//     the target, so with target == held the workers still holding
+//     lanes are exactly ids {0..held-1}, and the new ones take the ids
+//     just above. Ids of workers that can still run fn thus always lie
+//     below the width, and per-worker scratch (sized MaxWidth) never
 //     collides.
+//
+// A sweep never holds more lanes than it has items: the lanes beyond
+// them go back to the pool at dispatch, and regrowth stops there too.
 //
 // Width changes never change results: worker ids only index scratch,
 // every index runs exactly once, and per-index accumulation order is
@@ -522,12 +484,7 @@ func (l *Lease) ForRange(ctx context.Context, lo, hi int, fn func(worker, i int)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	w := l.resize()
-	if w > n {
-		// More lanes than items: hand the unusable ones back rather
-		// than sitting on them for the whole pass.
-		w = l.shrinkTo(n)
-	}
+	_, w := l.settle(n, false)
 	// Grain by the lease's ceiling, not the momentary width: a shrunk
 	// sweep keeps fine chunks, which is exactly when frequent boundaries
 	// matter (regrowth polls and revocation checks ride on them). At
@@ -539,13 +496,9 @@ func (l *Lease) ForRange(ctx context.Context, lo, hi int, fn func(worker, i int)
 	s := &l.sw
 	s.l, s.fn, s.lo, s.n, s.grain, s.done = l, fn, lo, n, grainFor(n, maxW), ctx.Done()
 	s.next.Store(0)
-	s.freeIDs, s.nextID = s.freeIDs[:0], w
 	// Workers 1..w-1 are goroutines; worker 0 runs inline on the caller
 	// (a width-1 sweep pays no goroutine at all until it grows).
-	for wk := 1; wk < w; wk++ {
-		s.wg.Add(1)
-		go s.worker(wk)
-	}
+	s.spawn(1, w)
 	s.run(0)
 	s.wg.Wait()
 	panicked := s.panicked
@@ -565,37 +518,15 @@ type sweep struct {
 	next         atomic.Int64 // the next unclaimed offset into [0, n)
 	wg           sync.WaitGroup
 
-	// mu guards the retired worker ids, reused smallest-first by
-	// regrowth so live ids stay the contiguous prefix {0..target-1} (the
-	// revocation check retires exactly the ids >= target), and the first
-	// panic of fn.
-	mu       sync.Mutex
-	freeIDs  []int
-	nextID   int
+	mu       sync.Mutex // guards panicked, the first panic of fn
 	panicked any
 }
 
-// spawn starts k more workers, on the smallest free ids.
-func (s *sweep) spawn(k int) {
-	for ; k > 0; k-- {
-		s.mu.Lock()
-		id := s.nextID
-		if len(s.freeIDs) > 0 {
-			best := 0
-			for i := 1; i < len(s.freeIDs); i++ {
-				if s.freeIDs[i] < s.freeIDs[best] {
-					best = i
-				}
-			}
-			id = s.freeIDs[best]
-			s.freeIDs[best] = s.freeIDs[len(s.freeIDs)-1]
-			s.freeIDs = s.freeIDs[:len(s.freeIDs)-1]
-		} else {
-			s.nextID++
-		}
-		s.mu.Unlock()
+// spawn starts the workers with ids from..to-1.
+func (s *sweep) spawn(from, to int) {
+	for wk := from; wk < to; wk++ {
 		s.wg.Add(1)
-		go s.worker(id)
+		go s.worker(wk)
 	}
 }
 
@@ -626,23 +557,14 @@ func (s *sweep) run(wk int) {
 		default:
 		}
 		if wk > 0 && wk >= int(l.target.Load()) {
-			// Revoked: record the id before returning the lane, so once
-			// held settles every retired id is reusable.
-			s.mu.Lock()
-			s.freeIDs = append(s.freeIDs, wk)
-			s.mu.Unlock()
-			l.dropLane()
+			l.dropLane() // revoked
 			return
 		}
-		if wk == 0 {
-			// Only worker 0 polls for growth (it is never revoked, and
-			// one poller bounds the lock traffic). Skip when too little
-			// work remains for new lanes to help.
-			if n-s.next.Load() > grain {
-				if extra := l.tryGrow(); extra > 0 {
-					s.spawn(extra)
-				}
-			}
+		// Only worker 0 polls for growth (it is never revoked, and one
+		// poller bounds the lock traffic). Skip when too little work
+		// remains for new lanes to help.
+		if wk == 0 && n-s.next.Load() > grain {
+			s.spawn(l.settle(s.n, true))
 		}
 		clo := s.next.Add(grain) - grain
 		if clo >= n {

@@ -198,3 +198,31 @@ func TestForRangeWidthDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestShortSweepHoldsOnlyItsItems: a sweep over fewer items than the
+// lease's width hands the extra lanes back at dispatch, and worker 0's
+// regrowth poll does not claim them again: a 2-item sweep on an idle
+// 4-lane pool holds at most 2 lanes while it runs.
+func TestShortSweepHoldsOnlyItsItems(t *testing.T) {
+	e := NewElastic(4)
+	l, err := e.Acquire(bg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Release()
+	var over atomic.Int64
+	for range 50 {
+		err := l.ForRange(bg, 0, 2, func(_, _ int) {
+			if in := int64(e.LanesInUse()); in > 2 {
+				over.Store(in)
+			}
+			spin()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if in := over.Load(); in > 0 {
+		t.Errorf("a 2-item sweep ran with %d lanes in use, want at most 2", in)
+	}
+}

@@ -36,17 +36,18 @@ type rank struct {
 	pden []float64 // local densities in Morton order
 	gCnt []int64   // global point count per box
 
-	words   int      // mask words per box
-	contrib []uint64 // contributor masks, boxes x words
-	srcUse  []uint64 // source-ghost user masks
-	denUse  []uint64 // upward-density user masks
-	owner   []int32
+	// Rank bit masks, boxes x words: bit r of a box's words is set when
+	// rank r contributes to it, or uses its global source data or upward
+	// equivalent density.
+	words                   int
+	contrib, srcUse, denUse []int64
+	owner                   []int32
 
-	// Ghost state, by box, rewritten by every evaluation (nil where this
-	// rank is no user).
-	ghostPos [][]float64 // leaf -> global source positions
-	ghostDen [][]float64 // leaf -> global source densities
-	ghostPhi [][]float64 // box -> global upward equivalent density
+	// The two ghost exchanges (Algorithm 1) whose ghost values every
+	// evaluation rewrites: the leaf sources, and the upward equivalent
+	// densities summed from the engine's partial ones, phiU.
+	src, den *ghostData
+	phiU     [][]float64
 
 	pot []float64 // local potentials, original local order
 }
@@ -149,18 +150,17 @@ func (rk *rank) assignOwners() {
 	nb := len(rk.tree.Boxes)
 	rk.words = (c.Size() + 63) / 64
 
-	// Contributor masks.
-	local := make([]int64, nb*rk.words)
+	// Ranks set disjoint bits, so a sum over ranks is their union.
+	mark := func(mask []int64, bi int32) {
+		mask[int(bi)*rk.words+c.Rank()/64] |= 1 << (c.Rank() % 64)
+	}
+	contrib := make([]int64, nb*rk.words)
 	for bi := 0; bi < nb; bi++ {
 		if rk.contributes(int32(bi)) {
-			local[bi*rk.words+c.Rank()/64] |= 1 << (c.Rank() % 64)
+			mark(contrib, int32(bi))
 		}
 	}
-	global := c.AllreduceInt64(mpi.OpSum, local)
-	rk.contrib = make([]uint64, len(global))
-	for i, v := range global {
-		rk.contrib[i] = uint64(v)
-	}
+	rk.contrib = c.AllreduceInt64(mpi.OpSum, contrib)
 
 	// Step 1+2: sole contributors take their boxes; Allreduce(max)
 	// publishes the taken set.
@@ -191,9 +191,6 @@ func (rk *rank) assignOwners() {
 	use := make([]int64, 2*nb*rk.words)
 	srcPart := use[:nb*rk.words]
 	denPart := use[nb*rk.words:]
-	mark := func(part []int64, bi int32) {
-		part[int(bi)*rk.words+c.Rank()/64] |= 1 << (c.Rank() % 64)
-	}
 	for bi := 0; bi < nb; bi++ {
 		if !rk.contributes(int32(bi)) {
 			continue
@@ -217,28 +214,21 @@ func (rk *rank) assignOwners() {
 		}
 	}
 	use = c.AllreduceInt64(mpi.OpSum, use)
-	rk.ghostPos = make([][]float64, nb)
-	rk.ghostDen = make([][]float64, nb)
-	rk.ghostPhi = make([][]float64, nb)
-	rk.srcUse = make([]uint64, nb*rk.words)
-	rk.denUse = make([]uint64, nb*rk.words)
-	for i := 0; i < nb*rk.words; i++ {
-		rk.srcUse[i] = uint64(use[i])
-		rk.denUse[i] = uint64(use[nb*rk.words+i])
-	}
+	rk.srcUse, rk.denUse = use[:nb*rk.words], use[nb*rk.words:]
+	rk.src, rk.den = rk.sourceData(), rk.densityData()
 }
 
 // forEachRank calls fn for every rank whose bit is set in the mask of bi.
-func (rk *rank) forEachRank(mask []uint64, bi int32, fn func(r int)) {
+func (rk *rank) forEachRank(mask []int64, bi int32, fn func(r int)) {
 	for w := 0; w < rk.words; w++ {
-		for m := mask[int(bi)*rk.words+w]; m != 0; m &= m - 1 {
+		for m := uint64(mask[int(bi)*rk.words+w]); m != 0; m &= m - 1 {
 			fn(w*64 + bits.TrailingZeros64(m))
 		}
 	}
 }
 
 // isUser reports whether this rank's bit is set in the mask of box bi.
-func (rk *rank) isUser(mask []uint64, bi int32) bool {
+func (rk *rank) isUser(mask []int64, bi int32) bool {
 	r := rk.c.Rank()
 	return mask[int(bi)*rk.words+r/64]&(1<<(r%64)) != 0
 }
@@ -264,7 +254,7 @@ func (rk *rank) pointWorkEstimate() []int64 {
 		// the U list.
 		var uSrc int
 		for _, u := range b.U {
-			uSrc += len(rk.ghostPos[u]) / 3
+			uSrc += int(rk.gCnt[u])
 		}
 		perPoint := kernels.P2PFlops(k, 1, uSrc)
 		// List work shared by the leaf's points: L2T, S2M and W — M2T

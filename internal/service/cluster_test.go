@@ -46,7 +46,8 @@ func clusterService(t *testing.T, minPoints int, lanes ...int) (*Service, *clust
 // the workers and matches the local engine to near machine precision,
 // while a sub-threshold request keeps the single-node plan path. The
 // evaluation reports the lanes its ranks were granted: a two-lane and a
-// one-lane worker run two ranks on three lanes.
+// one-lane worker run two ranks on three lanes. Each rank's four
+// communication passes reach the pass-wire histogram.
 func TestOneShotRoutesToCluster(t *testing.T) {
 	svc, coord := clusterService(t, 4000, 2, 1)
 
@@ -80,6 +81,13 @@ func TestOneShotRoutesToCluster(t *testing.T) {
 	}
 	if st.GrantedLanes != 3 {
 		t.Errorf("cluster eval granted %d lanes, want 3 (2 + 1)", st.GrantedLanes)
+	}
+	// Each of the two ranks records each of its four communication
+	// passes once.
+	for _, pass := range []string{"source_gather", "source_exchange", "density_gather", "density_exchange"} {
+		if n := svc.m.clusterPassWireSeconds.With(pass).Count(); n != 2 {
+			t.Errorf("kifmm_cluster_pass_wire_seconds_count{pass=%q} = %d, want 2", pass, n)
+		}
 	}
 
 	// Local reference through the ordinary plan path on a second

@@ -198,11 +198,6 @@ func newMetrics(s *Service) *metrics {
 	m.clusterPassWireSeconds = r.HistogramVec("kifmm_cluster_pass_wire_seconds",
 		"Per-evaluation wall seconds spent in each distributed communication pass.",
 		obs.ExpBuckets(0.0001, 4, 10), "pass")
-	if c := s.cfg.Cluster; c != nil {
-		c.SetPassObserver(func(pass string, seconds float64) {
-			m.clusterPassWireSeconds.With(pass).Observe(seconds)
-		})
-	}
 
 	return m
 }

@@ -228,9 +228,13 @@ func (s *Service) Register(ctx context.Context, req PlanRequest) (PlanInfo, erro
 // the cache is read or a build joined or started: a build it started
 // could finish before its leaving cancelled it, and be cached.
 func (s *Service) register(ctx context.Context, req PlanRequest) (*plan, bool, error) {
-	src, trg, opt, spec, key, err := s.resolve(req)
+	src, trg, opt, spec, err := s.resolve(req)
 	if err != nil {
 		return nil, false, err
+	}
+	key, err := kifmm.PlanKey(src, trg, opt)
+	if err != nil {
+		return nil, false, errs.Typed(err, errs.CodeInvalidInput)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, errs.FromContext(err)
@@ -319,10 +323,10 @@ func (s *Service) runBuild(ctx context.Context, key string, c *buildCall, src, t
 	c.plan, c.err = s.build(ctx, key, src, trg, opt, spec)
 }
 
-// resolve validates the request, computes the content-hash plan key and
-// returns the normalized kernel spec alongside (build reuses it instead
-// of re-deriving it from the kernel).
-func (s *Service) resolve(req PlanRequest) (src, trg []float64, opt kifmm.Options, spec kernels.Spec, key string, err error) {
+// resolve validates the request and returns the normalized kernel spec
+// alongside its geometry and options (build reuses the spec instead of
+// re-deriving it from the kernel).
+func (s *Service) resolve(req PlanRequest) (src, trg []float64, opt kifmm.Options, spec kernels.Spec, err error) {
 	src = req.Src
 	// An upload reference substitutes a completed chunked upload's
 	// words for inline coordinates; the plan key hashes the resolved
@@ -330,40 +334,40 @@ func (s *Service) resolve(req PlanRequest) (src, trg []float64, opt kifmm.Option
 	// the same geometry share one plan.
 	if req.SrcUpload != "" {
 		if len(src) > 0 {
-			return nil, nil, opt, spec, "", badRequest("src and src_upload are mutually exclusive")
+			return nil, nil, opt, spec, badRequest("src and src_upload are mutually exclusive")
 		}
 		if src, err = s.uploads.take(req.SrcUpload); err != nil {
-			return nil, nil, opt, spec, "", err
+			return nil, nil, opt, spec, err
 		}
 	}
 	if len(src) == 0 || len(src)%3 != 0 {
-		return nil, nil, opt, spec, "", badRequest("src needs 3k > 0 coordinates, got %d", len(src))
+		return nil, nil, opt, spec, badRequest("src needs 3k > 0 coordinates, got %d", len(src))
 	}
 	if err := checkCoordinates("src", src); err != nil {
-		return nil, nil, opt, spec, "", err
+		return nil, nil, opt, spec, err
 	}
 	trg = req.Trg
 	if req.TrgUpload != "" {
 		if len(trg) > 0 {
-			return nil, nil, opt, spec, "", badRequest("trg and trg_upload are mutually exclusive")
+			return nil, nil, opt, spec, badRequest("trg and trg_upload are mutually exclusive")
 		}
 		if trg, err = s.uploads.take(req.TrgUpload); err != nil {
-			return nil, nil, opt, spec, "", err
+			return nil, nil, opt, spec, err
 		}
 	}
 	if len(trg) == 0 {
 		trg = src
 	} else if len(trg)%3 != 0 {
-		return nil, nil, opt, spec, "", badRequest("trg needs 3k coordinates, got %d", len(trg))
+		return nil, nil, opt, spec, badRequest("trg needs 3k coordinates, got %d", len(trg))
 	} else if err := checkCoordinates("trg", trg); err != nil {
-		return nil, nil, opt, spec, "", err
+		return nil, nil, opt, spec, err
 	}
 	if err := checkOptionBounds(req); err != nil {
-		return nil, nil, opt, spec, "", err
+		return nil, nil, opt, spec, err
 	}
 	opt, err = req.options()
 	if err != nil {
-		return nil, nil, opt, spec, "", errs.Typed(err, errs.CodeInvalidInput)
+		return nil, nil, opt, spec, errs.Typed(err, errs.CodeInvalidInput)
 	}
 	// Scheduling is server policy, not plan identity (PlanKey excludes
 	// Workers and Pool): every plan shares the service pool, and each
@@ -372,13 +376,9 @@ func (s *Service) resolve(req PlanRequest) (src, trg []float64, opt kifmm.Option
 	opt.Pool = s.pool
 	spec, err = kernels.SpecFor(opt.Kernel)
 	if err != nil {
-		return nil, nil, opt, spec, "", errs.Typed(err, errs.CodeInvalidInput)
+		return nil, nil, opt, spec, errs.Typed(err, errs.CodeInvalidInput)
 	}
-	key, err = kifmm.PlanKey(src, trg, opt)
-	if err != nil {
-		return nil, nil, opt, spec, "", errs.Typed(err, errs.CodeInvalidInput)
-	}
-	return src, trg, opt, spec, key, nil
+	return src, trg, opt, spec, nil
 }
 
 // Option bounds enforced on network input. Surface construction costs
@@ -642,8 +642,8 @@ func (s *Service) clusterSized(req PlanRequest) bool {
 // single-node plans keep serving — the degraded mode.
 func (s *Service) evaluateCluster(ctx context.Context, req PlanRequest, dens [][]float64) (EvaluateBatchResponse, error) {
 	// resolve reuses the single-node validation (coordinate and option
-	// bounds); the plan key it computes is unused here.
-	src, _, opt, spec, _, err := s.resolve(req)
+	// bounds).
+	src, _, opt, spec, err := s.resolve(req)
 	if err != nil {
 		return EvaluateBatchResponse{}, err
 	}
@@ -665,6 +665,8 @@ func (s *Service) evaluateCluster(ctx context.Context, req PlanRequest, dens [][
 		// nest under it as they are. The ranks' stage breakdown stays on
 		// the workers: the stats are wall time and the lanes granted to the
 		// ranks' engines, summed from each iteration span's granted_lanes.
+		// The iteration's children that carry a msgs attribute are its
+		// communication passes, each observed as wire seconds.
 		span.SetAttr("ranks", strconv.Itoa(rep.Ranks))
 		span.SetAttr("workers", strconv.Itoa(rep.Workers))
 		span.SetAttr("scatter_bytes", strconv.FormatInt(rep.ScatterBytes, 10))
@@ -675,6 +677,11 @@ func (s *Service) evaluateCluster(ctx context.Context, req PlanRequest, dens [][
 			if it := rt.Root.Find("iteration"); it != nil {
 				n, _ := strconv.Atoi(it.Attrs["granted_lanes"])
 				lanes += n
+				for _, pass := range it.Children {
+					if pass != nil && pass.Attrs["msgs"] != "" {
+						s.m.clusterPassWireSeconds.With(pass.Name).Observe(pass.Duration.Seconds())
+					}
+				}
 			}
 		}
 		res.Potentials = [][]float64{pot}

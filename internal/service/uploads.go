@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -13,11 +14,11 @@ import (
 // ship a whole coordinate array in one request creates an upload,
 // appends bounded binary chunks by word offset, and then registers a
 // plan referencing the upload id ("src_upload"/"trg_upload" in
-// PlanRequest). Appends are idempotent on the committed prefix —
-// re-sending an already-received chunk is a no-op — so a client whose
-// chunk timed out in flight can blindly retry it, and GET
-// /v1/uploads/{id} reports received_words for resuming after a
-// disconnect.
+// PlanRequest). Committed words are immutable: re-sending an
+// already-received chunk is a no-op, so a client whose chunk timed out
+// in flight can blindly retry it, while a chunk that disagrees with a
+// committed word is rejected. GET /v1/uploads/{id} reports
+// received_words for resuming after a disconnect.
 //
 //	POST /v1/uploads          JSON {"words": N}   -> 201 UploadStatus
 //	POST /v1/uploads/{id}     frame: magic, u64 word offset, f64s chunk
@@ -132,9 +133,10 @@ func (st *uploadStore) get(id string) (*upload, error) {
 }
 
 // append commits chunk at word offset off. Offsets at or before the
-// committed prefix are idempotent (the overlap is re-written with
-// identical data by a retrying client; only the new suffix extends the
-// prefix); an offset past the prefix is a gap and is rejected.
+// committed prefix are idempotent: the overlap must repeat the committed
+// words bit for bit, and only the new suffix is written, so the words
+// of a completed upload, which plans may be built from, never change.
+// An offset past the prefix is a gap and is rejected.
 func (st *uploadStore) append(id string, off uint64, chunk []float64) (UploadStatus, error) {
 	u, err := st.get(id)
 	if err != nil {
@@ -149,9 +151,16 @@ func (st *uploadStore) append(id string, off uint64, chunk []float64) (UploadSta
 	if end > uint64(len(u.data)) {
 		return UploadStatus{}, badRequest("upload %s: chunk [%d, %d) exceeds the declared %d words", id, off, end, len(u.data))
 	}
-	copy(u.data[off:end], chunk)
-	if int(end) > u.received {
-		u.received = int(end)
+	o, e := int(off), int(end)
+	committed := chunk[:min(e, u.received)-o]
+	for i, v := range committed {
+		if math.Float64bits(v) != math.Float64bits(u.data[o+i]) {
+			return UploadStatus{}, badRequest("upload %s: chunk word %d differs from the committed word; committed words cannot change", id, o+i)
+		}
+	}
+	if e > u.received {
+		copy(u.data[u.received:e], chunk[len(committed):])
+		u.received = e
 	}
 	return u.status(), nil
 }

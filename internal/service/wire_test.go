@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/errs"
 	"repro/internal/wire"
 )
 
@@ -279,6 +281,60 @@ func TestChunkedUploadFlow(t *testing.T) {
 		t.Fatalf("src+src_upload status = %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestCompletedUploadIsImmutable: the words of a completed upload never
+// change once a plan may be built from them. An identical re-send of a
+// committed chunk while a registration reads the upload writes nothing
+// (clean under -race), and a chunk that disagrees with a committed word
+// is rejected as invalid input with every word left as it was.
+func TestCompletedUploadIsImmutable(t *testing.T) {
+	svc := New(Config{})
+	req := cloudRequest(21, 200)
+	up, err := svc.uploads.create(len(req.Src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.uploads.append(up.ID, 0, req.Src); err != nil {
+		t.Fatal(err)
+	}
+	fromUpload := PlanRequest{SrcUpload: up.ID, Kernel: req.Kernel, Degree: req.Degree, MaxPoints: req.MaxPoints}
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Register(context.Background(), fromUpload)
+		done <- err
+	}()
+	// Re-send until the registration ends, so some re-sends land while
+	// it reads the words.
+	for registered := false; !registered; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			registered = true
+		default:
+		}
+		if _, err := svc.uploads.append(up.ID, 0, req.Src); err != nil {
+			t.Fatalf("identical re-send of a committed chunk: %v", err)
+		}
+	}
+
+	conflict := append([]float64(nil), req.Src[10:20]...)
+	conflict[3] = math.Nextafter(conflict[3], 2)
+	_, err = svc.uploads.append(up.ID, 10, conflict)
+	if code, _ := errs.CodeOf(err); code != errs.CodeInvalidInput {
+		t.Errorf("conflicting chunk: %v, want invalid_input", err)
+	}
+	words, err := svc.uploads.take(up.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range words {
+		if math.Float64bits(words[i]) != math.Float64bits(req.Src[i]) {
+			t.Fatalf("word %d is %v after a rejected chunk, want %v", i, words[i], req.Src[i])
+		}
+	}
 }
 
 // TestIdempotencyKeyReplays: two POSTs sharing an Idempotency-Key run

@@ -23,22 +23,6 @@ func KernelSpecFor(k Kernel) (KernelSpec, error) { return kernels.SpecFor(k) }
 // KernelFromSpec reconstructs a kernel from its serialized description.
 func KernelFromSpec(s KernelSpec) (Kernel, error) { return kernels.FromSpec(s) }
 
-// planKeyHashedOptionFields and planKeyResultNeutralOptionFields
-// together must name every field of Options: the first lists fields
-// PlanKey hashes, the second fields deliberately excluded because they
-// cannot change what an evaluator computes (Workers and Pool are pure
-// scheduling: lanes only partition per-box work across goroutines;
-// results are bitwise identical for every granted width, and hashing
-// them would fragment the plan cache by machine size and process
-// wiring). TestPlanKeyCoversOptions fails when a new Options field is
-// in neither list, so it cannot silently miss the hash.
-var (
-	planKeyHashedOptionFields = []string{
-		"Kernel", "Degree", "MaxPoints", "MaxDepth",
-	}
-	planKeyResultNeutralOptionFields = []string{"Workers", "Pool"}
-)
-
 // PlanKey returns a content hash identifying a prepared Evaluator: two
 // calls agree exactly when NewEvaluatorCtx(ctx, src, trg, opt) would
 // build an identical plan. The hash covers the source and target geometry, the

@@ -106,6 +106,22 @@ func TestPlanKeyDiscriminates(t *testing.T) {
 	}
 }
 
+// planKeyHashedOptionFields and planKeyResultNeutralOptionFields
+// together must name every field of Options: the first lists fields
+// PlanKey hashes, the second fields deliberately excluded because they
+// cannot change what an evaluator computes (Workers and Pool are pure
+// scheduling: lanes only partition per-box work across goroutines;
+// results are bitwise identical for every granted width, and hashing
+// them would fragment the plan cache by machine size and process
+// wiring). TestPlanKeyCoversOptions fails when a new Options field is
+// in neither list, so it cannot silently miss the hash.
+var (
+	planKeyHashedOptionFields = []string{
+		"Kernel", "Degree", "MaxPoints", "MaxDepth",
+	}
+	planKeyResultNeutralOptionFields = []string{"Workers", "Pool"}
+)
+
 // TestPlanKeyCoversOptions guards the plan-key hash against silently
 // missing a future Options field: every field must be declared either
 // hashed (and wired into PlanKey) or result-neutral (like Workers,
